@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
+import multiprocessing
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,9 +27,10 @@ from .certs import format_report, run_all
 from .config import (ExperimentConfig, build_dataset, build_method_graph,
                      build_partition, build_train_config, load_config,
                      parse_seed_list)
-from .data import make_splits
+from .data import client_views, make_splits
 from .errors import ConfigError
 from .faults import FaultModel
+from .inference import client_encode
 from .metrics import evaluate_policies
 from .training import fit, load_checkpoint, save_checkpoint
 
@@ -46,85 +49,112 @@ def checkpoint_path(out_dir: Path, train_name: str, seed: int) -> Path:
     return out_dir / "checkpoints" / f"{train_name}-seed{seed}.ckpt"
 
 
-def _train_task(cfg: ExperimentConfig, train_name: str, seed: int) -> str:
-    spec = next(s for s in cfg.train_variants() if s.train_name == train_name)
+def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int):
+    """``fn(cfg, jobs)`` returns one result per job, in job order.
+
+    With more than one worker, the jobs are dealt round-robin into one share
+    per worker process, so that each process builds the shared inputs (the
+    dataset) once; the results come back in job order.
+    """
+    n = min(workers, len(jobs))
+    if n <= 1:
+        return fn(cfg, jobs)
+    # spawn, not fork: the parent may hold BLAS threads
+    with ProcessPoolExecutor(max_workers=n,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(fn, cfg, jobs[i::n]) for i in range(n)]
+        shares = [f.result() for f in futures]
+    results = [None] * len(jobs)
+    for i, share in enumerate(shares):
+        results[i::n] = share
+    return results
+
+
+def _train_checkpoints(cfg: ExperimentConfig, jobs) -> list:
+    """Fit and save one checkpoint per (train_name, seed) job; the dataset
+    and partition are built once for all of them."""
     train_full, _ = build_dataset(cfg)
     partition = build_partition(cfg, train_full)
-    graph = build_method_graph(cfg, spec)
-    train, val = make_splits(train_full, seed)
-    tc = build_train_config(cfg, spec, seed)
-    path = checkpoint_path(cfg.out_dir, spec.train_name, seed)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    curve = path.with_name(f"{spec.train_name}-seed{seed}-curve.csv")
-    curve.unlink(missing_ok=True)  # curves append; rewrite for idempotent reruns
-    ckpt = fit(tc, train, val, partition, graph, curve_path=curve)
-    ckpt.config["method"] = spec.train_name
-    save_checkpoint(ckpt, path)
-    return str(path)
+    variants = {s.train_name: s for s in cfg.train_variants()}
+    paths = []
+    for train_name, seed in jobs:
+        spec = variants[train_name]
+        graph = build_method_graph(cfg, spec)
+        train, val = make_splits(train_full, seed)
+        tc = build_train_config(cfg, spec, seed)
+        path = checkpoint_path(cfg.out_dir, spec.train_name, seed)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        curve = path.with_name(f"{spec.train_name}-seed{seed}-curve.csv")
+        curve.unlink(missing_ok=True)  # curves append; rewrite for idempotent reruns
+        ckpt = fit(tc, train, val, partition, graph, curve_path=curve)
+        ckpt.config["method"] = spec.train_name
+        save_checkpoint(ckpt, path)
+        paths.append(str(path))
+    return paths
 
 
 def cmd_train(cfg: ExperimentConfig, workers: int = 1) -> int:
-    tasks = [(spec.train_name, seed)
-             for spec in cfg.train_variants() for seed in cfg.seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {name_seed: pool.submit(_train_task, cfg, *name_seed)
-                       for name_seed in tasks}
-            paths = [futures[t].result() for t in tasks]
-    else:
-        paths = [_train_task(cfg, name, seed) for name, seed in tasks]
-    for p in paths:
+    jobs = [(spec.train_name, seed)
+            for spec in cfg.train_variants() for seed in cfg.seeds]
+    for p in _run_jobs(_train_checkpoints, cfg, jobs, workers):
         print(p)
     return 0
 
 
-def _eval_task(cfg: ExperimentConfig, method_name: str, kind: str, rate: float, seed: int):
-    spec = next(s for s in cfg.method_specs() if s.name == method_name)
+def _eval_checkpoints(cfg: ExperimentConfig, jobs) -> list:
+    """Run rows for each (train_name, seed) job: every cell of the methods
+    that share that checkpoint.
+
+    The test set and its client views are built once for all jobs. Each
+    checkpoint is loaded once and encodes the whole test set once; its cells
+    then only aggregate, run heads, gossip and select, which is all that
+    ``wall_time`` covers. Methods sharing a checkpoint differ only in gossip
+    rounds, so they share its aggregator count and graph.
+    """
     _, test = build_dataset(cfg)
-    partition = build_partition(cfg, test)
-    graph = build_method_graph(cfg, spec)
-    ckpt = load_checkpoint(checkpoint_path(cfg.out_dir, spec.train_name, seed))
-    if list(ckpt.config.get("aggregators", [])) != list(graph.aggregators):
-        raise ConfigError(
-            f"checkpoint {spec.train_name}-seed{seed} aggregators do not match config graph")
-    start = time.perf_counter()
-    result = evaluate_policies(ckpt.model, test.features, test.labels, partition,
-                               graph, FaultModel(kind, rate), cfg.policies,
-                               spec.gossip_rounds, seed, batch_size=cfg.batch_size,
-                               trials=cfg.trials)
-    wall = time.perf_counter() - start
-    rows = []
-    for policy in cfg.policies:
-        undefined = spec.aggregator_count == 1 and policy in ("active_best", "active_worst")
-        acc = "nan" if undefined else f"{result.accuracy[policy]:.6f}"
-        rows.append([method_name, cfg.graph_kind, kind, f"{rate:g}", policy,
-                     str(seed), acc, f"{result.comm_mean:.4f}", f"{wall:.3f}"])
-    return rows
+    views = client_views(test.features, build_partition(cfg, test))
+    variants = {s.train_name: s for s in cfg.train_variants()}
+    results = []
+    for train_name, seed in jobs:
+        graph = build_method_graph(cfg, variants[train_name])
+        ckpt = load_checkpoint(checkpoint_path(cfg.out_dir, train_name, seed))
+        if list(ckpt.config.get("aggregators", [])) != list(graph.aggregators):
+            raise ConfigError(
+                f"checkpoint {train_name}-seed{seed} aggregators do not match config graph")
+        reps = client_encode(ckpt.model, views)
+        rows = []
+        for spec in cfg.method_specs():
+            if spec.train_name != train_name:
+                continue
+            for kind, rate in itertools.product(cfg.fault_kinds, cfg.fault_rates):
+                start = time.perf_counter()
+                result = evaluate_policies(ckpt.model, reps, test.labels, graph,
+                                           FaultModel(kind, rate), cfg.policies,
+                                           spec.gossip_rounds, seed,
+                                           batch_size=cfg.batch_size, trials=cfg.trials)
+                wall = time.perf_counter() - start
+                for policy in cfg.policies:
+                    undefined = (spec.aggregator_count == 1
+                                 and policy in ("active_best", "active_worst"))
+                    acc = "nan" if undefined else f"{result.accuracy[policy]:.6f}"
+                    rows.append([spec.name, cfg.graph_kind, kind, f"{rate:g}", policy,
+                                 str(seed), acc, f"{result.comm_mean:.4f}", f"{wall:.3f}"])
+        results.append(rows)
+    return results
 
 
 def cmd_eval(cfg: ExperimentConfig, workers: int = 1) -> int:
-    cells = [(m.name, kind, rate, seed)
-             for m in cfg.method_specs()
-             for kind in cfg.fault_kinds
-             for rate in cfg.fault_rates
-             for seed in cfg.seeds]
-    for m in cfg.method_specs():
-        for seed in cfg.seeds:
-            p = checkpoint_path(cfg.out_dir, m.train_name, seed)
-            if not p.exists():
-                raise ConfigError(f"missing checkpoint {p}; run `mags train` first")
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {cell: pool.submit(_eval_task, cfg, *cell) for cell in cells}
-            results = {cell: futures[cell].result() for cell in cells}
-    else:
-        results = {cell: _eval_task(cfg, *cell) for cell in cells}
+    jobs = [(spec.train_name, seed) for spec in cfg.train_variants() for seed in cfg.seeds]
+    for train_name, seed in jobs:
+        p = checkpoint_path(cfg.out_dir, train_name, seed)
+        if not p.exists():
+            raise ConfigError(f"missing checkpoint {p}; run `mags train` first")
 
     method_order = {m.name: i for i, m in enumerate(cfg.method_specs())}
     kind_order = {k: i for i, k in enumerate(cfg.fault_kinds)}
     policy_order = {p: i for i, p in enumerate(cfg.policies)}
-    rows = [row for cell in cells for row in results[cell]]
+    rows = [row for job_rows in _run_jobs(_eval_checkpoints, cfg, jobs, workers)
+            for row in job_rows]
     rows.sort(key=lambda r: (method_order[r[0]], kind_order[r[2]], float(r[3]),
                              policy_order[r[4]], int(r[5])))
 

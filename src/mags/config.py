@@ -19,7 +19,7 @@ from pathlib import Path
 from .data import Dataset, load_idx, split_patches, synth_dataset
 from .errors import ConfigError
 from .faults import FAULT_KINDS, FaultModel
-from .metrics import POLICIES
+from .metrics import POLICIES, fault_rate_key
 from .topology import GRAPH_KINDS, build_graph
 from .training import TrainConfig
 
@@ -151,6 +151,7 @@ class ExperimentConfig:
         for r in self.fault_rates:
             if not 0.0 <= r <= 1.0:
                 raise ConfigError(f"fault rate {r} outside [0, 1]")
+            fault_rate_key(r)
         if not self.fault_rates:
             raise ConfigError("fault rate list must be nonempty")
         if not self.seeds:

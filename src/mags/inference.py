@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .faults import (FaultModel, RealizedGraph, active_set, markov_init,
-                     markov_realize, markov_step, realize_base,
-                     sample_realization)
+                     markov_realize, markov_step, sample_realization)
 from .nn import Mlp, init_mlp, log_softmax, mlp_forward, relu
 from .topology import DeviceGraph
 
@@ -83,12 +82,10 @@ def init_split_model(graph: DeviceGraph, patch_dims, class_count: int, rng) -> S
     return SplitModel(encoders, heads, rep, class_count)
 
 
-def client_encode(model: SplitModel, client_features, alive_clients=None):
-    """Rectified representations for alive clients; dead clients produce nothing."""
+def client_encode(model: SplitModel, client_features):
+    """Rectified representation of every client, keyed by client index."""
     reps = {}
     for c in range(1, model.client_count + 1):
-        if alive_clients is not None and not alive_clients[c - 1]:
-            continue
         out, _ = mlp_forward(model.encoders[c - 1], client_features[c - 1])
         reps[c] = relu(out)
     return reps
@@ -150,15 +147,19 @@ class InferenceResult:
     states: list          # PredictionState history when recording was requested
 
 
-def mags_infer(model: SplitModel, client_features, graph: DeviceGraph,
+def mags_infer(model: SplitModel, reps, graph: DeviceGraph,
                fault_model: FaultModel, gossip_rounds: int, rng,
                record_states: bool = False) -> InferenceResult:
-    """Full distributed inference: encode, aggregate + head, then G gossip
-    rounds; returns normalized per-aggregator probabilities.
+    """Distributed inference from every client's representation (as returned
+    by ``client_encode``): aggregate + head, then G gossip rounds; returns
+    normalized per-aggregator probabilities.
 
     Memoryless fault kinds draw one realization that is held fixed for the
     whole inference; the Markov kind advances the link chain one step per
-    communication round.
+    communication round. A client that is dead in the first realization
+    sends nothing, so its entry in ``reps`` is never read. Encoding does not
+    depend on the fault draw, so callers may encode once and reuse ``reps``
+    across fault models and draws.
     """
     if gossip_rounds < 0:
         raise ConfigError("gossip_rounds must be >= 0")
@@ -178,14 +179,11 @@ def mags_infer(model: SplitModel, client_features, graph: DeviceGraph,
     if markov_state is None:
         constant = sample_realization(graph, fault_model, rng, t=1)
         realizations = [constant for _ in range(gossip_rounds + 1)]
-        r_encode = constant
     else:
         realizations = [round_realization(t) for t in range(1, gossip_rounds + 2)]
-        r_encode = realize_base(graph)  # devices never fault under the link chain
-
-    reps = client_encode(model, client_features, alive_clients=r_encode.alive[1:])
 
     r1 = realizations[0]
+    reps = {c: r for c, r in reps.items() if r1.alive[c]}  # dead clients send nothing
     values = {}
     for k in graph.aggregators:
         if r1.alive[k]:

@@ -14,18 +14,32 @@ the output is a uniformly random class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PartitionSpec, client_views
+from .data import client_views
 from .errors import ConfigError, InputError
 from .faults import FAULT_KIND_IDS, FaultModel
-from .inference import SplitModel, mags_infer
+from .inference import SplitModel, client_encode, mags_infer
 from .rng import stream
 from .topology import DeviceGraph
 
 POLICIES = ("active_rand", "active_best", "active_worst", "any_rand")
+
+
+def fault_rate_key(rate: float) -> int:
+    """Stream subkey of an evaluation fault rate: the rate in thousandths.
+
+    Rates off the 1e-3 grid are rejected, because two of them closer than
+    1e-3 would share one key and so draw identical fault and selection
+    streams.
+    """
+    key = int(round(rate * 1000))
+    if not math.isclose(rate * 1000, key, rel_tol=0.0, abs_tol=1e-6):
+        raise ConfigError(f"fault rate {rate!r} is not a multiple of 0.001")
+    return key
 
 
 def select(policy, predictions, active, device_count, label, class_count, rng):
@@ -136,12 +150,14 @@ class EvalResult:
     sample_count: int
 
 
-def evaluate_policies(model: SplitModel, features, labels, partition: PartitionSpec,
-                      graph: DeviceGraph, fault_model: FaultModel, policies,
-                      gossip_rounds: int, seed: int, batch_size: int = 64,
-                      trials: int = 1) -> EvalResult:
+def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
+                      fault_model: FaultModel, policies, gossip_rounds: int,
+                      seed: int, batch_size: int = 64, trials: int = 1) -> EvalResult:
     """Score several selection policies against shared fault realizations and
     shared selection draws (common random numbers).
+
+    ``reps`` holds every client's representation of all samples, as returned
+    by ``client_encode``; each batch scores the matching rows of it.
 
     The coupling preserves each policy's marginal distribution while making
     the oracle orderings (best >= rand >= worst) hold per sample: the
@@ -156,11 +172,10 @@ def evaluate_policies(model: SplitModel, features, labels, partition: PartitionS
         raise ConfigError("trials must be >= 1")
     fault_model.validate()
     kind_id = FAULT_KIND_IDS[fault_model.kind]
-    rate_key = int(round(fault_model.rate * 1000))
+    rate_key = fault_rate_key(fault_model.rate)
     rng_fault = stream(seed, "fault", kind_id, rate_key)
     rng_sel = stream(seed, "select", kind_id, rate_key)
 
-    views = client_views(features, partition)
     n = labels.shape[0]
     c_count = graph.device_count
     m = model.class_count
@@ -172,8 +187,8 @@ def evaluate_policies(model: SplitModel, features, labels, partition: PartitionS
         for start in range(0, n, batch_size):
             sl = slice(start, min(start + batch_size, n))
             b = sl.stop - sl.start
-            res = mags_infer(model, [v[sl] for v in views], graph, fault_model,
-                             gossip_rounds, rng_fault)
+            res = mags_infer(model, {c: r[sl] for c, r in reps.items()}, graph,
+                             fault_model, gossip_rounds, rng_fault)
             comm_total += count_comm(res.realizations, graph.aggregators).total * b
             seen += b
             lab = labels[sl]
@@ -232,11 +247,11 @@ def estimate_risk(model: SplitModel, features, labels, partition, graph,
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
+    reps = client_encode(model, client_views(features, partition))
     accs = []
     for s in seeds:
-        r = evaluate_policies(model, features, labels, partition, graph,
-                              fault_model, [policy], gossip_rounds, s,
-                              trials=trials)
+        r = evaluate_policies(model, reps, labels, graph, fault_model, [policy],
+                              gossip_rounds, s, trials=trials)
         accs.append(r.accuracy[policy])
     arr = np.array(accs)
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
@@ -268,12 +283,13 @@ def risk_bound_report(model: SplitModel, features, labels, partition, graph,
     """
     k = len(graph.aggregators)
     m = model.class_count
-    clean = evaluate_policies(model, features, labels, partition, graph,
-                              FaultModel("none"), ["active_rand"],
-                              gossip_rounds, seed, batch_size=batch_size, trials=trials)
-    faulted = evaluate_policies(model, features, labels, partition, graph,
-                                FaultModel("device", rate), ["active_rand"],
-                                gossip_rounds, seed, batch_size=batch_size, trials=trials)
+    reps = client_encode(model, client_views(features, partition))
+    clean = evaluate_policies(model, reps, labels, graph, FaultModel("none"),
+                              ["active_rand"], gossip_rounds, seed,
+                              batch_size=batch_size, trials=trials)
+    faulted = evaluate_policies(model, reps, labels, graph, FaultModel("device", rate),
+                                ["active_rand"], gossip_rounds, seed,
+                                batch_size=batch_size, trials=trials)
     clean_risk = 1.0 - clean.accuracy["active_rand"]
     faulted_risk = 1.0 - faulted.accuracy["active_rand"]
     catastrophic = rate ** k

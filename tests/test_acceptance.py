@@ -18,8 +18,9 @@ from mags.certs import (RING16_RADIUS, cert_catastrophic_probability,
                         cert_comm_counts, cert_ensemble_identity,
                         cert_gossip_contraction, cert_gradient_check,
                         cert_selection_uniformity)
-from mags.data import Dataset, make_splits, split_patches, synth_dataset
+from mags.data import Dataset, client_views, make_splits, split_patches, synth_dataset
 from mags.faults import FaultModel
+from mags.inference import client_encode
 from mags.metrics import evaluate_policies
 from mags.topology import build_graph, consensus_matrix, spectral_radius
 from mags.training import TrainConfig, fit
@@ -115,9 +116,10 @@ def desk():
             for rate in (0.0, 0.3, 0.5):
                 for seed in SEEDS:
                     model, graph = models[(trained_as, seed)]
-                    res = evaluate_policies(model, test.features, test.labels,
-                                            part, graph, FaultModel(kind, rate),
-                                            list(POLICY_SET), gossip, seed)
+                    reps = client_encode(model, client_views(test.features, part))
+                    res = evaluate_policies(model, reps, test.labels, graph,
+                                            FaultModel(kind, rate), list(POLICY_SET),
+                                            gossip, seed)
                     records[(name, kind, rate, seed)] = res.accuracy
     return DeskRuns(records, time.perf_counter() - start)
 

@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 from mags.cli import main, read_runs_csv
@@ -104,6 +106,13 @@ class TestLoadConfig:
             "policies =")
         p.write_text(text)
         with pytest.raises(ConfigError, match="policy"):
+            load_config(p)
+
+    def test_fault_rates_off_the_milli_grid_rejected(self, tmp_path):
+        # rates closer than 1e-3 would share fault and selection streams
+        p = write_config(tmp_path)
+        p.write_text(p.read_text().replace("fault_rates = 0, 0.5", "fault_rates = 0.1, 0.1004"))
+        with pytest.raises(ConfigError, match="0.1004"):
             load_config(p)
 
     def test_missing_file(self, tmp_path):
@@ -222,6 +231,35 @@ class TestEvalCommand:
         agg_a = (pipeline[0] / "runs" / "aggregate.csv").read_bytes()
         agg_b = (tmp2 / "runs" / "aggregate.csv").read_bytes()
         assert agg_a == agg_b
+
+    def test_inputs_built_once_per_command_and_checkpoint(self, pipeline, tmp_path,
+                                                          monkeypatch):
+        from mags import cli
+        shutil.copytree(pipeline[0] / "runs" / "checkpoints", tmp_path / "runs" / "checkpoints")
+        cfg_path = write_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "list = VFL, MACL, CD-MACL-G2", "list = VFL, CD-MACL, CD-MACL-G2"))
+        calls = {"build_dataset": 0, "load_checkpoint": [], "client_encode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if name == "load_checkpoint":
+                    calls[name].append(args[0].name)
+                else:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        assert main(["eval", "--config", str(cfg_path)]) == 0
+        assert calls["build_dataset"] == 1
+        # CD-MACL and CD-MACL-G2 share one checkpoint per seed
+        assert sorted(calls["load_checkpoint"]) == [
+            "CD-MACL-seed1.ckpt", "CD-MACL-seed2.ckpt", "VFL-seed1.ckpt", "VFL-seed2.ckpt"]
+        assert calls["client_encode"] == 4
+        rows = read_runs_csv(tmp_path / "runs" / "runs.csv")
+        assert len(rows) == 3 * 1 * 2 * 4 * 2
 
     def test_worker_pool_matches_serial(self, pipeline, tmp_path_factory):
         tmp2 = tmp_path_factory.mktemp("workers")

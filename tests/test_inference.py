@@ -35,13 +35,6 @@ class TestClientEncode:
         reps = client_encode(SplitModel([model.encoders[0]], {}, 2, 3), [x])
         assert np.allclose(reps[1], [[0.1, 0.9]])
 
-    def test_dead_client_absent_from_output(self):
-        graph = build_graph("complete", 3, 1)
-        model = toy_model(graph, 4, 3)
-        views = [np.zeros((2, 4))] * 3
-        reps = client_encode(model, views, alive_clients=np.array([True, False, True]))
-        assert set(reps) == {1, 3}
-
     def test_sixteen_clients_rep_dim_four(self):
         graph = build_graph("complete", 16, 16)
         model = toy_model(graph, 49, 10)
@@ -191,7 +184,8 @@ class TestMagsInfer:
         head = init_mlp((2, 2, 3), oracle_rng)
         mono = Mlp(enc.layers + head.layers)
         x = np.random.default_rng(9).random((6, 16))
-        res = mags_infer(model, [x], graph, FaultModel("none"), 0, stream(0, "fault"))
+        res = mags_infer(model, client_encode(model, [x]), graph, FaultModel("none"), 0,
+                         stream(0, "fault"))
         expected = log_softmax(mlp_forward(mono, x)[0])
         assert np.allclose(res.log_probs[1], expected, atol=1e-12)
 
@@ -200,8 +194,8 @@ class TestMagsInfer:
         graph = build_graph("complete", 4, 1)
         model = toy_model(graph, 16, 5)
         views = [np.random.default_rng(10).random((3, 16)) for _ in range(4)]
-        res = mags_infer(model, views, graph, FaultModel("none"), 0, stream(1, "fault"))
         reps = client_encode(model, views)
+        res = mags_infer(model, reps, graph, FaultModel("none"), 0, stream(1, "fault"))
         z = aggregate(reps, realize_base(graph), 1, 4, model.rep_dim)
         assert np.allclose(res.log_probs[1], aggregator_head(model, 1, z), atol=1e-12)
         assert res.active == {1}
@@ -211,8 +205,9 @@ class TestMagsInfer:
         graph = build_graph("torus", 16, 16)
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(11).random((2, 49)) for _ in range(16)]
-        res0 = mags_infer(model, views, graph, FaultModel("none"), 0, stream(2, "fault"))
-        res = mags_infer(model, views, graph, FaultModel("none"), 60, stream(2, "fault"))
+        reps = client_encode(model, views)
+        res0 = mags_infer(model, reps, graph, FaultModel("none"), 0, stream(2, "fault"))
+        res = mags_infer(model, reps, graph, FaultModel("none"), 60, stream(2, "fault"))
         outs = [res.log_probs[k] for k in graph.aggregators]
         for o in outs[1:]:
             assert np.max(np.abs(o - outs[0])) < 1e-8
@@ -225,8 +220,9 @@ class TestMagsInfer:
         graph = build_graph("grid", 16, 16)
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(12).random((1, 49)) for _ in range(16)]
-        res0 = mags_infer(model, views, graph, FaultModel("none"), 0, stream(3, "fault"))
-        res = mags_infer(model, views, graph, FaultModel("none"), 200, stream(3, "fault"))
+        reps = client_encode(model, views)
+        res0 = mags_infer(model, reps, graph, FaultModel("none"), 0, stream(3, "fault"))
+        res = mags_infer(model, reps, graph, FaultModel("none"), 200, stream(3, "fault"))
         degrees = np.array([len(graph.device_neighbors(c)) + 1 for c in range(1, 17)], dtype=float)
         pi = degrees / degrees.sum()
         stack = np.stack([res0.log_probs[k][0] for k in graph.aggregators])
@@ -239,8 +235,9 @@ class TestMagsInfer:
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(13).random((2, 49)) for _ in range(8)]
         rng = stream(4, "fault")
+        reps = client_encode(model, views)
         for _ in range(20):
-            res = mags_infer(model, views, graph, FaultModel("device", 0.5), 1, rng)
+            res = mags_infer(model, reps, graph, FaultModel("device", 0.5), 1, rng)
             alive = set(res.log_probs)
             assert res.active <= alive
             for k, p in res.probs.items():
@@ -254,8 +251,9 @@ class TestMagsInfer:
                                   for w, b in model.heads[k].layers])
         views = [np.random.default_rng(14).random((3, 49)) for _ in range(16)]
         rng = stream(5, "fault")
+        reps = client_encode(model, views)
         for rate in (0.2, 0.7):
-            res = mags_infer(model, views, graph, FaultModel("communication", rate), 2, rng)
+            res = mags_infer(model, reps, graph, FaultModel("communication", rate), 2, rng)
             for p in res.probs.values():
                 assert np.allclose(p, 0.1, atol=1e-12)
 
@@ -281,17 +279,41 @@ class TestMagsInfer:
         model2 = SplitModel(enc2, heads2, r, model.class_count)
         views2 = [views[p - 1] for p in perm]
 
-        res = mags_infer(model, views, graph, FaultModel("none"), 2, stream(6, "fault"))
-        res2 = mags_infer(model2, views2, graph, FaultModel("none"), 2, stream(6, "fault"))
+        res = mags_infer(model, client_encode(model, views), graph, FaultModel("none"), 2,
+                         stream(6, "fault"))
+        res2 = mags_infer(model2, client_encode(model2, views2), graph, FaultModel("none"), 2,
+                          stream(6, "fault"))
         for new_k, old_k in enumerate(perm, start=1):
             assert np.allclose(res2.log_probs[new_k], res.log_probs[old_k], atol=1e-12)
+
+    def test_dead_client_representations_are_never_read(self):
+        # reps are encoded once for all fault draws; device faults mask them
+        graph = build_graph("complete", 8, 8)
+        model = toy_model(graph, 49, 10)
+        views = [np.random.default_rng(19).random((4, 49)) for _ in range(8)]
+        reps = client_encode(model, views)
+        dead_seen = 0
+        for seed in range(10):
+            res = mags_infer(model, reps, graph, FaultModel("device", 0.4), 2,
+                             stream(seed, "fault"))
+            dead = [c for c in range(1, 9) if not res.realizations[0].alive[c]]
+            dead_seen += len(dead)
+            garbage = dict(reps)
+            for c in dead:
+                garbage[c] = np.full_like(reps[c], np.nan)
+            res2 = mags_infer(model, garbage, graph, FaultModel("device", 0.4), 2,
+                              stream(seed, "fault"))
+            assert res2.log_probs.keys() == res.log_probs.keys()
+            for k, lp in res.log_probs.items():
+                assert np.array_equal(res2.log_probs[k], lp)
+        assert dead_seen > 0
 
     def test_markov_mode_advances_per_round(self):
         graph = build_graph("complete", 8, 8)
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(16).random((2, 49)) for _ in range(8)]
-        res = mags_infer(model, views, graph, FaultModel("markov_comm", 0.5), 3,
-                         stream(7, "fault"))
+        res = mags_infer(model, client_encode(model, views), graph,
+                         FaultModel("markov_comm", 0.5), 3, stream(7, "fault"))
         assert len(res.realizations) == 4
         mats = {r.edge_alive.tobytes() for r in res.realizations}
         assert len(mats) > 1  # the chain actually moved
@@ -300,15 +322,15 @@ class TestMagsInfer:
         graph = build_graph("complete", 8, 8)
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(17).random((2, 49)) for _ in range(8)]
-        res = mags_infer(model, views, graph, FaultModel("communication", 0.3), 3,
-                         stream(8, "fault"))
+        res = mags_infer(model, client_encode(model, views), graph,
+                         FaultModel("communication", 0.3), 3, stream(8, "fault"))
         assert all(r is res.realizations[0] for r in res.realizations)
 
     def test_trace_dump(self, tmp_path):
         graph = build_graph("complete", 4, 4)
         model = toy_model(graph, 16, 5)
         views = [np.random.default_rng(18).random((1, 16)) for _ in range(4)]
-        res = mags_infer(model, views, graph, FaultModel("none"), 2,
+        res = mags_infer(model, client_encode(model, views), graph, FaultModel("none"), 2,
                          stream(9, "fault"), record_states=True)
         path = tmp_path / "trace.csv"
         write_inference_trace(path, res.states)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from mags.certs import cert_ensemble_identity
-from mags.data import make_splits, split_patches, synth_dataset
+from mags.data import client_views, make_splits, split_patches, synth_dataset
 from mags.errors import ConfigError
 from mags.faults import FaultModel, active_set, realize_base, sample_device_faults
-from mags.inference import init_split_model
+from mags.inference import client_encode, init_split_model
 from mags.metrics import (count_comm, ensemble_decomposition,
                           estimate_risk, evaluate_policies, risk_bound_report,
                           select)
@@ -201,8 +201,8 @@ class TestEvaluatePolicies:
         model = uniform_model(graph, 196, 10)
         ds = synth_dataset(800, 10, 2, seed=6, noise=0.3)
         part = split_patches(784, 2)
-        res = evaluate_policies(model, ds.features, ds.labels, part, graph,
-                                FaultModel("communication", 0.3),
+        res = evaluate_policies(model, client_encode(model, client_views(ds.features, part)),
+                                ds.labels, graph, FaultModel("communication", 0.3),
                                 ["active_rand", "active_best", "active_worst", "any_rand"],
                                 0, seed=1)
         band = 3 * np.sqrt(0.1 * 0.9 / 800)
@@ -211,16 +211,18 @@ class TestEvaluatePolicies:
 
     def test_trained_model_is_perfect_without_faults(self, trained_small):
         model, ds, part, graph = trained_small
-        res = evaluate_policies(model, ds.features[-300:], ds.labels[-300:], part,
-                                graph, FaultModel("none"), ["active_rand"], 0, seed=2)
+        reps = client_encode(model, client_views(ds.features[-300:], part))
+        res = evaluate_policies(model, reps, ds.labels[-300:], graph, FaultModel("none"),
+                                ["active_rand"], 0, seed=2)
         assert res.accuracy["active_rand"] == pytest.approx(1.0, abs=0.02)
 
     def test_oracle_ordering_holds_per_cell(self, trained_small):
         model, ds, part, graph = trained_small
+        reps = client_encode(model, client_views(ds.features[-400:], part))
         for kind in ("communication", "device"):
             for rate in (0.3, 0.6):
                 res = evaluate_policies(
-                    model, ds.features[-400:], ds.labels[-400:], part, graph,
+                    model, reps, ds.labels[-400:], graph,
                     FaultModel(kind, rate),
                     ["active_rand", "active_best", "active_worst", "any_rand"],
                     0, seed=3)
@@ -231,31 +233,33 @@ class TestEvaluatePolicies:
     def test_gossip_reuses_fault_draws(self, trained_small):
         # the fault stream must not depend on the number of gossip rounds
         model, ds, part, graph = trained_small
-        kwargs = dict(partition=part, graph=graph,
-                      fault_model=FaultModel("communication", 0.4),
+        kwargs = dict(graph=graph, fault_model=FaultModel("communication", 0.4),
                       policies=["active_rand"], seed=4)
-        r0 = evaluate_policies(model, ds.features[-200:], ds.labels[-200:],
-                               gossip_rounds=0, **kwargs)
-        r4 = evaluate_policies(model, ds.features[-200:], ds.labels[-200:],
-                               gossip_rounds=4, **kwargs)
+        reps = client_encode(model, client_views(ds.features[-200:], part))
+        r0 = evaluate_policies(model, reps, ds.labels[-200:], gossip_rounds=0, **kwargs)
+        r4 = evaluate_policies(model, reps, ds.labels[-200:], gossip_rounds=4, **kwargs)
         assert r0.comm_mean == pytest.approx(r4.comm_mean / 5.0)
 
     def test_comm_mean_matches_expectation(self, trained_small):
         model, ds, part, graph = trained_small
-        res = evaluate_policies(model, ds.features[-600:], ds.labels[-600:], part,
-                                graph, FaultModel("communication", 0.3),
-                                ["active_rand"], 0, seed=5)
+        reps = client_encode(model, client_views(ds.features[-600:], part))
+        res = evaluate_policies(model, reps, ds.labels[-600:], graph,
+                                FaultModel("communication", 0.3), ["active_rand"], 0, seed=5)
         # 12 directed non-self edges alive w.p. 0.7
         assert abs(res.comm_mean - 12 * 0.7) < 1.5
 
     def test_rejects_bad_arguments(self, trained_small):
         model, ds, part, graph = trained_small
+        reps = client_encode(model, client_views(ds.features, part))
         with pytest.raises(ConfigError):
-            evaluate_policies(model, ds.features, ds.labels, part, graph,
+            evaluate_policies(model, reps, ds.labels, graph,
                               FaultModel("none"), ["oracle"], 0, seed=0)
         with pytest.raises(ConfigError):
-            evaluate_policies(model, ds.features, ds.labels, part, graph,
+            evaluate_policies(model, reps, ds.labels, graph,
                               FaultModel("none"), ["active_rand"], 0, seed=0, trials=0)
+        with pytest.raises(ConfigError, match="0.1004"):
+            evaluate_policies(model, reps, ds.labels, graph,
+                              FaultModel("device", 0.1004), ["active_rand"], 0, seed=0)
 
 
 class TestEnsembleBenefit:
@@ -263,13 +267,13 @@ class TestEnsembleBenefit:
         # on a faultless complete graph one round reaches the exact geometric
         # mean, so the decomposition makes the inequality hold per sample
         model, ds, part, graph = trained_small
-        from mags.data import client_views, one_hot
+        from mags.data import one_hot
         from mags.inference import mags_infer
-        views = [v[-300:] for v in client_views(ds.features, part)]
+        reps = client_encode(model, [v[-300:] for v in client_views(ds.features, part)])
         labels = ds.labels[-300:]
         y = one_hot(labels, ds.class_count)
-        r0 = mags_infer(model, views, graph, FaultModel("none"), 0, stream(20, "fault"))
-        r1 = mags_infer(model, views, graph, FaultModel("none"), 1, stream(20, "fault"))
+        r0 = mags_infer(model, reps, graph, FaultModel("none"), 0, stream(20, "fault"))
+        r1 = mags_infer(model, reps, graph, FaultModel("none"), 1, stream(20, "fault"))
         member_nll = np.mean([-(y * r0.log_probs[k]).sum(axis=1)
                               for k in graph.aggregators], axis=0)
         for k in graph.aggregators:
