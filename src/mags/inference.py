@@ -14,15 +14,14 @@ value.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
-from .faults import (FaultModel, RealizedGraph, active_set, markov_init,
-                     markov_realize, markov_step, sample_realization)
-from .nn import Mlp, init_mlp, log_softmax, mlp_forward, relu
+from .errors import ConfigError
+from .faults import (FaultModel, active_set, markov_init, markov_realize,
+                     markov_step, sample_realization)
+from .nn import init_mlp, log_softmax, mlp_forward, relu
 from .topology import DeviceGraph
 
 # Encoder stacks matched to the standard patch sizes (hidden, representation).
@@ -61,9 +60,6 @@ class SplitModel:
                           {k: h.copy() for k, h in self.heads.items()},
                           self.rep_dim, self.class_count)
 
-    def slot(self, c: int) -> slice:
-        return slice((c - 1) * self.rep_dim, c * self.rep_dim)
-
 
 def init_split_model(graph: DeviceGraph, patch_dims, class_count: int, rng) -> SplitModel:
     """Initialize encoders (clients ascending) then heads (aggregators
@@ -82,31 +78,25 @@ def init_split_model(graph: DeviceGraph, patch_dims, class_count: int, rng) -> S
     return SplitModel(encoders, heads, rep, class_count)
 
 
-def client_encode(model: SplitModel, client_features):
-    """Rectified representation of every client, keyed by client index."""
-    reps = {}
-    for c in range(1, model.client_count + 1):
-        out, _ = mlp_forward(model.encoders[c - 1], client_features[c - 1])
-        reps[c] = relu(out)
-    return reps
+def client_encode(model: SplitModel, client_features) -> np.ndarray:
+    """Rectified representations of every client, stacked (C, B, r); row
+    c-1 holds client c."""
+    return np.stack([relu(mlp_forward(enc, x)[0])
+                     for enc, x in zip(model.encoders, client_features)])
 
 
-def aggregate(reps, realized: RealizedGraph, k: int, client_count: int, rep_dim: int) -> np.ndarray:
-    """Fixed client-ordered concatenation for aggregator k, zero-imputing the
-    slots of unreachable clients. Slot k is always present (self-loop)."""
-    if not realized.alive[k]:
-        raise InputError(f"aggregator {k} is not alive in this realization")
-    batch = None
-    for r in reps.values():
-        batch = r.shape[0]
-        break
-    if batch is None:
-        raise InputError("no client representations available")
-    out = np.zeros((batch, client_count * rep_dim), dtype=np.float64)
-    for c in range(1, client_count + 1):
-        if realized.edge_alive[k, c] and c in reps:
-            out[:, (c - 1) * rep_dim:c * rep_dim] = reps[c]
-    return out
+def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Zero-imputed, client-ordered head inputs, shape (K', B, C * r).
+
+    ``reps`` is the (C, B, r) stack from ``client_encode``; ``keep[j, c-1]``
+    says whether client c's representation reaches aggregator row j. An
+    unreached slot is an exact zero whatever ``reps`` holds there (NaN
+    included), so a dead client's rows are never read.
+    """
+    c, b, r = reps.shape
+    out = np.zeros((keep.shape[0], b, c, r))
+    np.copyto(out, reps.transpose(1, 0, 2)[None], where=keep[:, None, :, None])
+    return out.reshape(keep.shape[0], b, c * r)
 
 
 def aggregator_head(model: SplitModel, k: int, agg_input: np.ndarray) -> np.ndarray:
@@ -115,101 +105,67 @@ def aggregator_head(model: SplitModel, k: int, agg_input: np.ndarray) -> np.ndar
     return log_softmax(out)
 
 
-@dataclass
-class PredictionState:
-    """Per-aggregator log-probability vectors; dead aggregators hold no value."""
+def gossip_links(edge_alive: np.ndarray, aggregators) -> np.ndarray:
+    """(K', K') gossip link mask over ``aggregators``: row i marks the
+    aggregators whose values aggregator i averages, itself included."""
+    idx = list(aggregators)
+    links = edge_alive[np.ix_(idx, idx)]
+    np.fill_diagonal(links, True)
+    return links
 
-    values: dict  # aggregator id -> (batch, classes) log-probabilities
 
-    def copy(self):
-        return PredictionState({k: v.copy() for k, v in self.values.items()})
-
-
-def gossip_round(state: PredictionState, realized: RealizedGraph, aggregators) -> PredictionState:
-    """One synchronous round: each alive aggregator replaces its vector with
-    the arithmetic mean over alive aggregator neighbors, itself included.
-    Absent (dead) aggregators simply drop out of their neighbors' averages."""
-    holders = [k for k in aggregators if k in state.values and realized.alive[k]]
-    new_values = {}
-    for k in holders:
-        contrib = [state.values[kp] for kp in holders
-                   if kp == k or realized.edge_alive[k, kp]]
-        new_values[k] = sum(contrib) / len(contrib)
-    return PredictionState(new_values)
+def gossip_round(z: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """One synchronous round on stacked (K', B, M) values: row i becomes the
+    arithmetic mean of the rows that ``links[i]`` marks, computed as the
+    neighbor sum followed by one division by the degree."""
+    return np.tensordot(links, z, axes=1) / links.sum(axis=1)[:, None, None]
 
 
 @dataclass
 class InferenceResult:
     log_probs: dict       # aggregator id -> (batch, classes) normalized log-probs
-    probs: dict           # aggregator id -> (batch, classes) probabilities
     active: set           # aggregators able to reach the entity at the final round
     realizations: list    # RealizedGraph per communication round (t = 1 .. G+1)
-    states: list          # PredictionState history when recording was requested
 
 
 def mags_infer(model: SplitModel, reps, graph: DeviceGraph,
-               fault_model: FaultModel, gossip_rounds: int, rng,
-               record_states: bool = False) -> InferenceResult:
-    """Distributed inference from every client's representation (as returned
-    by ``client_encode``): aggregate + head, then G gossip rounds; returns
-    normalized per-aggregator probabilities.
+               fault_model: FaultModel, gossip_rounds: int, rng) -> InferenceResult:
+    """Distributed inference from every client's representation (the stack
+    returned by ``client_encode``): aggregate + head, then G gossip rounds
+    over the realized links; returns normalized per-aggregator log-probs.
 
     Memoryless fault kinds draw one realization that is held fixed for the
     whole inference; the Markov kind advances the link chain one step per
-    communication round. A client that is dead in the first realization
-    sends nothing, so its entry in ``reps`` is never read. Encoding does not
-    depend on the fault draw, so callers may encode once and reuse ``reps``
-    across fault models and draws.
+    communication round. Aggregator and client liveness come from the first
+    realization. A client that is dead there sends nothing, so its rows of
+    ``reps`` are never read. Encoding does not depend on the fault draw, so
+    callers may encode once and reuse ``reps`` across fault models and draws.
     """
     if gossip_rounds < 0:
         raise ConfigError("gossip_rounds must be >= 0")
     fault_model.validate()
 
-    markov_state = None
     if fault_model.kind == "markov_comm":
-        markov_state = markov_init(graph)
-
-    def round_realization(t):
-        nonlocal markov_state
-        if markov_state is not None:
-            markov_state = markov_step(markov_state, fault_model, graph, rng)
-            return markov_realize(graph, markov_state, t)
-        return None
-
-    if markov_state is None:
+        state = markov_init(graph)
+        realizations = []
+        for t in range(1, gossip_rounds + 2):
+            state = markov_step(state, fault_model, graph, rng)
+            realizations.append(markov_realize(graph, state, t))
+    else:
         constant = sample_realization(graph, fault_model, rng, t=1)
         realizations = [constant for _ in range(gossip_rounds + 1)]
-    else:
-        realizations = [round_realization(t) for t in range(1, gossip_rounds + 2)]
 
     r1 = realizations[0]
-    reps = {c: r for c, r in reps.items() if r1.alive[c]}  # dead clients send nothing
-    values = {}
-    for k in graph.aggregators:
-        if r1.alive[k]:
-            z = aggregate(reps, r1, k, model.client_count, model.rep_dim)
-            values[k] = aggregator_head(model, k, z)
-    state = PredictionState(values)
-    states = [state.copy()] if record_states else []
+    aggs = [k for k in graph.aggregators if r1.alive[k]]
+    clients = range(1, model.client_count + 1)
+    keep = r1.edge_alive[np.ix_(aggs, clients)] & r1.alive[None, 1:]
+    z = aggregate(reps, keep)
+    values = np.empty((len(aggs), reps.shape[1], model.class_count))
+    for j, k in enumerate(aggs):
+        values[j] = aggregator_head(model, k, z[j])
+    for r in realizations[1:]:
+        values = gossip_round(values, gossip_links(r.edge_alive, aggs))
 
-    for g in range(gossip_rounds):
-        state = gossip_round(state, realizations[g + 1], graph.aggregators)
-        if record_states:
-            states.append(state.copy())
-
-    log_probs = {k: log_softmax(v) for k, v in state.values.items()}
-    probs = {k: np.exp(v) for k, v in log_probs.items()}
-    act = active_set(realizations[-1], graph.aggregators)
-    act &= set(log_probs)  # an aggregator with no value cannot report one
-    return InferenceResult(log_probs, probs, act, realizations, states)
-
-
-def write_inference_trace(path, states):
-    """CSV dump of per-round aggregator log-probability vectors (batch row 0)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "aggregator", "log_probs"])
-        for t, state in enumerate(states, start=1):
-            for k in sorted(state.values):
-                vec = " ".join(f"{x:.9g}" for x in state.values[k][0])
-                w.writerow([t, k, vec])
+    log_probs = log_softmax(values)
+    act = active_set(realizations[-1], aggs)
+    return InferenceResult(dict(zip(aggs, log_probs)), act, realizations)

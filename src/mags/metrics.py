@@ -42,41 +42,6 @@ def fault_rate_key(rate: float) -> int:
     return key
 
 
-def select(policy, predictions, active, device_count, label, class_count, rng):
-    """Single-sample selection. Returns (predicted class, correct flag).
-
-    ``predictions`` maps alive aggregator ids to probability vectors;
-    ``active`` is the set of aggregators whose entity link is up.
-    """
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}")
-    act = sorted(int(a) for a in active)
-    if policy == "any_rand":
-        pick = 1 + int(rng.integers(device_count))
-        if pick in act and pick in predictions:
-            pred = int(np.argmax(predictions[pick]))
-        else:
-            pred = int(rng.integers(class_count))
-        return pred, pred == label
-    if not act:
-        pred = int(rng.integers(class_count))
-        return pred, pred == label
-    argmaxes = {k: int(np.argmax(predictions[k])) for k in act}
-    if policy == "active_rand":
-        pred = argmaxes[act[int(rng.integers(len(act)))]]
-        return pred, pred == label
-    if policy == "active_best":
-        for k in act:
-            if argmaxes[k] == label:
-                return label, True
-        return argmaxes[act[0]], False
-    # active_worst
-    for k in act:
-        if argmaxes[k] != label:
-            return argmaxes[k], False
-    return label, True
-
-
 @dataclass
 class CommCount:
     """Messages into aggregators per inference, final entity hop excluded."""
@@ -156,8 +121,8 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
     """Score several selection policies against shared fault realizations and
     shared selection draws (common random numbers).
 
-    ``reps`` holds every client's representation of all samples, as returned
-    by ``client_encode``; each batch scores the matching rows of it.
+    ``reps`` is the (C, n, r) stack of every client's representation of all
+    samples, as returned by ``client_encode``; each batch scores its slice.
 
     The coupling preserves each policy's marginal distribution while making
     the oracle orderings (best >= rand >= worst) hold per sample: the
@@ -187,7 +152,7 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
         for start in range(0, n, batch_size):
             sl = slice(start, min(start + batch_size, n))
             b = sl.stop - sl.start
-            res = mags_infer(model, {c: r[sl] for c, r in reps.items()}, graph,
+            res = mags_infer(model, reps[:, sl], graph,
                              fault_model, gossip_rounds, rng_fault)
             comm_total += count_comm(res.realizations, graph.aggregators).total * b
             seen += b
@@ -204,7 +169,7 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
                     hits[p] += float(guess_ok.sum())
                 continue
 
-            argmax = np.stack([res.probs[k].argmax(axis=1) for k in act])  # (|A|, b)
+            argmax = np.stack([res.log_probs[k].argmax(axis=1) for k in act])  # (|A|, b)
             correct = argmax == lab[None, :]
             row_of = np.full(c_count + 1, -1, dtype=np.int64)
             for i, k in enumerate(act):

@@ -22,7 +22,8 @@ import numpy as np
 from .data import Dataset, PartitionSpec, client_views, one_hot
 from .errors import ConfigError, InputError
 from .faults import FaultModel, sample_realization
-from .inference import SplitModel, init_split_model
+from .inference import (SplitModel, aggregate, aggregator_head, client_encode,
+                        gossip_links, gossip_round, init_split_model)
 from .nn import (Mlp, adam_init, adam_update, check_one_hot, log_softmax,
                  mlp_backward, mlp_forward, relu, zero_grads_like)
 from .rng import stream
@@ -80,105 +81,81 @@ def apply_cd_mask(aggregator_count: int, client_count: int, aggregators, rate: f
 
 def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault):
     """One per-batch delivery mask: which client representations reach which
-    aggregator. Returns (keep (K, C), alive aggregators, alive clients)."""
-    aggs = graph.aggregators
+    aggregator. Returns (keep (K', C), alive aggregators, alive clients,
+    gossip links (K', K')); row j of keep and links is ``alive_aggs[j]``.
+    Under a train fault the links are the batch realization's, as at
+    inference; otherwise they are the base graph's."""
+    aggs = list(graph.aggregators)
     c = graph.device_count
-    base = graph.adj[np.ix_(list(aggs), range(1, c + 1))].copy()
-    alive_clients = np.ones(c, dtype=bool)
-    alive_aggs = list(aggs)
+    edges, alive_clients = graph.adj, np.ones(c, dtype=bool)
     if cfg.train_fault.kind != "none":
         realized = sample_realization(graph, cfg.train_fault, rng_fault)
-        keep = realized.edge_alive[np.ix_(list(aggs), range(1, c + 1))]
-        alive_clients = realized.alive[1:].copy()
-        alive_aggs = [k for k in aggs if realized.alive[k]]
-    elif cfg.dropout == "pd":
-        keep = base & apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
-    elif cfg.dropout == "cd":
-        keep = base & apply_cd_mask(len(aggs), c, aggs, cfg.dropout_rate, rng_dropout)
-    else:
-        keep = base
-    return keep, alive_aggs, alive_clients
-
-
-def gossip_mix_matrix(graph: DeviceGraph, alive_aggs) -> np.ndarray:
-    """Row-stochastic averaging matrix over alive aggregators (base edges)."""
-    n = len(alive_aggs)
-    w = np.zeros((n, n))
-    for i, k in enumerate(alive_aggs):
-        nbrs = [j for j, kp in enumerate(alive_aggs) if kp == k or graph.adj[k, kp]]
-        w[i, nbrs] = 1.0 / len(nbrs)
-    return w
+        edges, alive_clients = realized.edge_alive, realized.alive[1:].copy()
+        aggs = [k for k in aggs if realized.alive[k]]
+    keep = edges[np.ix_(aggs, range(1, c + 1))]
+    if cfg.train_fault.kind == "none" and cfg.dropout == "pd":
+        keep &= apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
+    elif cfg.train_fault.kind == "none" and cfg.dropout == "cd":
+        keep &= apply_cd_mask(len(aggs), c, aggs, cfg.dropout_rate, rng_dropout)
+    return keep, aggs, alive_clients, gossip_links(edges, aggs)
 
 
 def split_loss_and_grads(model: SplitModel, views, y_onehot, keep, alive_aggs,
-                         alive_clients, gossip_mix=None, gossip_rounds=0):
+                         alive_clients, links=None, gossip_rounds=0):
     """Loss summed over aggregator heads (mean over the batch) with exact
     gradients for every encoder and head.
 
     ``keep[j, c-1]`` says whether client c's representation reaches
     ``alive_aggs[j]``; unreachable slots are zero-imputed and receive no
-    gradient. With ``gossip_mix`` set, the per-head log-probabilities are
-    mixed for ``gossip_rounds`` rounds and renormalized before the loss.
+    gradient. With ``gossip_rounds`` > 0, the per-head log-probabilities are
+    mixed for that many rounds over the (K', K') ``links`` mask and
+    renormalized before the loss.
     """
     y = check_one_hot(y_onehot)
     n = max(y.shape[0], 1)
-    c_count = model.client_count
-    rep = model.rep_dim
-
-    reps, enc_tapes = {}, {}
-    for c in range(1, c_count + 1):
-        if not alive_clients[c - 1]:
-            continue
-        out, tape = mlp_forward(model.encoders[c - 1], views[c - 1])
-        reps[c] = relu(out)
-        enc_tapes[c] = tape
-
-    head_tapes, log_ps = {}, []
-    for j, k in enumerate(alive_aggs):
-        u = np.zeros((y.shape[0], c_count * rep))
-        for c in range(1, c_count + 1):
-            if keep[j, c - 1] and c in reps:
-                u[:, model.slot(c)] = reps[c]
-        logits, tape = mlp_forward(model.heads[k], u)
-        head_tapes[k] = tape
-        log_ps.append(log_softmax(logits))
-
     if not alive_aggs:
         return 0.0, {}, {}
+    k_count, b = len(alive_aggs), y.shape[0]
+    c_count, rep = model.client_count, model.rep_dim
 
-    if gossip_mix is not None and gossip_rounds > 0:
-        z = np.stack(log_ps)  # (K', B, M)
-        mixed = z
-        for _ in range(gossip_rounds):
-            mixed = np.tensordot(gossip_mix, mixed, axes=(1, 0))
-        finals = [log_softmax(mixed[j]) for j in range(len(alive_aggs))]
-        loss = sum(float(-(y * lp).sum() / n) for lp in finals)
-        dmix = np.stack([(np.exp(lp) - y) / n for lp in finals])
-        for _ in range(gossip_rounds):
-            dmix = np.tensordot(gossip_mix.T, dmix, axes=(1, 0))
-        dlogits_list = []
-        for j in range(len(alive_aggs)):
-            dlp = dmix[j]
-            p = np.exp(log_ps[j])
-            dlogits_list.append(dlp - p * dlp.sum(axis=1, keepdims=True))
-    else:
-        loss = sum(float(-(y * lp).sum() / n) for lp in log_ps)
-        dlogits_list = [(np.exp(lp) - y) / n for lp in log_ps]
+    reps = np.zeros((c_count, b, rep))  # dead clients' rows stay zero
+    enc_tapes = {}
+    for c in range(1, c_count + 1):
+        if alive_clients[c - 1]:
+            out, enc_tapes[c] = mlp_forward(model.encoders[c - 1], views[c - 1])
+            reps[c - 1] = relu(out)
 
-    d_rep = {c: np.zeros_like(r) for c, r in reps.items()}
+    u = aggregate(reps, keep)
+    head_tapes, log_ps = [], np.empty((k_count, b, model.class_count))
+    for j, k in enumerate(alive_aggs):
+        logits, tape = mlp_forward(model.heads[k], u[j])
+        head_tapes.append(tape)
+        log_ps[j] = log_softmax(logits)
+
+    finals = log_ps
+    if gossip_rounds:
+        for _ in range(gossip_rounds):
+            finals = gossip_round(finals, links)
+        finals = log_softmax(finals)
+    loss = sum(float(-(y * lp).sum() / n) for lp in finals)
+    dlogits = (np.exp(finals) - y) / n
+    if gossip_rounds:
+        deg = links.sum(axis=1)[:, None, None]
+        for _ in range(gossip_rounds):
+            dlogits = np.tensordot(links.T, dlogits / deg, axes=1)
+        dlogits = dlogits - np.exp(log_ps) * dlogits.sum(axis=2, keepdims=True)
+
+    du = np.empty_like(u)
     head_grads = {}
     for j, k in enumerate(alive_aggs):
-        hg, du = mlp_backward(model.heads[k], head_tapes[k], dlogits_list[j])
-        head_grads[k] = hg
-        for c in range(1, c_count + 1):
-            if keep[j, c - 1] and c in reps:
-                d_rep[c] += du[:, model.slot(c)]
+        head_grads[k], du[j] = mlp_backward(model.heads[k], head_tapes[j], dlogits[j])
+    d_rep = np.where(keep[:, None, :, None], du.reshape(k_count, b, c_count, rep),
+                     0.0).sum(axis=0)  # (B, C, r)
 
     enc_grads = {}
-    for c, r in reps.items():
-        dh = d_rep[c] * (r > 0)
-        eg, _ = mlp_backward(model.encoders[c - 1], enc_tapes[c], dh)
-        enc_grads[c] = eg
+    for c, tape in enc_tapes.items():
+        dh = d_rep[:, c - 1] * (reps[c - 1] > 0)
+        enc_grads[c], _ = mlp_backward(model.encoders[c - 1], tape, dh)
     return loss, enc_grads, head_grads
 
 
@@ -221,11 +198,11 @@ def train_epoch(model, opt, views, y_onehot, graph, cfg, rng_data, rng_dropout, 
     total, seen = 0.0, 0
     for start in range(0, n, cfg.batch_size):
         idx = order[start:start + cfg.batch_size]
-        keep, alive_aggs, alive_clients = batch_delivery(graph, cfg, rng_dropout, rng_fault)
-        mix = gossip_mix_matrix(graph, alive_aggs) if cfg.gossip_rounds > 0 else None
+        keep, alive_aggs, alive_clients, links = batch_delivery(
+            graph, cfg, rng_dropout, rng_fault)
         loss, eg, hg = split_loss_and_grads(
             model, [v[idx] for v in views], y_onehot[idx], keep, alive_aggs,
-            alive_clients, gossip_mix=mix, gossip_rounds=cfg.gossip_rounds)
+            alive_clients, links, cfg.gossip_rounds)
         model, opt = optimizer_step(model, opt, eg, hg)
         total += loss * len(idx)
         seen += len(idx)
@@ -235,27 +212,18 @@ def train_epoch(model, opt, views, y_onehot, graph, cfg, rng_data, rng_dropout, 
 def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, chunk=512):
     """Fault-free validation: summed head cross-entropy (mean over samples)
     and accuracy averaged over aggregators."""
-    aggs = graph.aggregators
-    c = graph.device_count
-    keep = graph.adj[np.ix_(list(aggs), range(1, c + 1))]
-    alive_clients = np.ones(c, dtype=bool)
+    aggs = list(graph.aggregators)
+    keep = graph.adj[np.ix_(aggs, range(1, graph.device_count + 1))]
     n = labels.shape[0]
     y = one_hot(labels, model.class_count)
     loss_sum, hit_sum = 0.0, 0.0
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
-        b = sl.stop - sl.start
-        reps = {}
-        for ci in range(1, c + 1):
-            out, _ = mlp_forward(model.encoders[ci - 1], views[ci - 1][sl])
-            reps[ci] = relu(out)
+        reps = client_encode(model, [v[sl] for v in views])
+        # one head input at a time: all K' of a chunk at once is K' times
+        # the memory and measurably raised the train driver's peak RSS
         for j, k in enumerate(aggs):
-            u = np.zeros((b, c * model.rep_dim))
-            for ci in range(1, c + 1):
-                if keep[j, ci - 1]:
-                    u[:, model.slot(ci)] = reps[ci]
-            logits, _ = mlp_forward(model.heads[k], u)
-            lp = log_softmax(logits)
+            lp = aggregator_head(model, k, aggregate(reps, keep[j:j + 1])[0])
             loss_sum += float(-(y[sl] * lp).sum())
             hit_sum += float((lp.argmax(axis=1) == labels[sl]).sum())
     return loss_sum / n, hit_sum / (n * len(aggs))

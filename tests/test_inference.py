@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from mags.errors import InputError
 from mags.faults import (FaultModel, realize_base, sample_comm_faults,
                          sample_device_faults)
-from mags.inference import (PredictionState, SplitModel, aggregate,
-                            aggregator_head, client_encode, encoder_dims,
-                            gossip_round, init_split_model, mags_infer,
-                            write_inference_trace)
+from mags.inference import (SplitModel, aggregate, aggregator_head,
+                            client_encode, encoder_dims, gossip_links,
+                            gossip_round, init_split_model, mags_infer)
 from mags.nn import Mlp, init_mlp, log_softmax, mlp_forward
 from mags.rng import stream
 from mags.topology import build_graph, consensus_matrix
@@ -16,6 +14,13 @@ from mags.topology import build_graph, consensus_matrix
 def toy_model(graph, patch_dim, classes, seed=0):
     return init_split_model(graph, [patch_dim] * graph.device_count, classes,
                             stream(seed, "init"))
+
+
+def delivery(realized, aggregators, client_count):
+    """Keep mask of the given aggregators, built directly from a realization."""
+    keep = [[bool(realized.edge_alive[k, c] and realized.alive[c])
+             for c in range(1, client_count + 1)] for k in aggregators]
+    return np.array(keep, dtype=bool).reshape(len(aggregators), client_count)
 
 
 class TestEncoderDims:
@@ -33,21 +38,20 @@ class TestClientEncode:
         model.rep_dim = 2
         x = np.array([[0.1, 0.9, 0.0, 0.3]])
         reps = client_encode(SplitModel([model.encoders[0]], {}, 2, 3), [x])
-        assert np.allclose(reps[1], [[0.1, 0.9]])
+        assert np.allclose(reps[0], [[0.1, 0.9]])
 
     def test_sixteen_clients_rep_dim_four(self):
         graph = build_graph("complete", 16, 16)
         model = toy_model(graph, 49, 10)
         assert model.rep_dim == 4
         reps = client_encode(model, [np.random.default_rng(0).random((3, 49))] * 16)
-        assert len(reps) == 16
-        assert all(r.shape == (3, 4) for r in reps.values())
+        assert reps.shape == (16, 3, 4)
 
     def test_representations_are_rectified(self):
         graph = build_graph("complete", 4, 1)
         model = toy_model(graph, 16, 10)
         reps = client_encode(model, [np.random.default_rng(1).random((8, 16))] * 4)
-        assert all((r >= 0).all() for r in reps.values())
+        assert (reps >= 0).all()
 
 
 class TestAggregate:
@@ -56,9 +60,9 @@ class TestAggregate:
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(2).random((2, 49)) for _ in range(16)]
         reps = client_encode(model, views)
-        out = aggregate(reps, realize_base(graph), 1, 16, model.rep_dim)
-        assert out.shape == (2, 64)  # head input width for 16 clients x rep 4
-        assert (np.abs(out).sum(axis=1) > 0).all()
+        out = aggregate(reps, delivery(realize_base(graph), graph.aggregators, 16))
+        assert out.shape == (16, 2, 64)  # head input width for 16 clients x rep 4
+        assert (np.abs(out).sum(axis=2) > 0).all()
 
     def test_all_cross_edges_faulted_leaves_only_self_slots(self):
         graph = build_graph("complete", 4, 4)
@@ -66,12 +70,12 @@ class TestAggregate:
         views = [np.abs(np.random.default_rng(3).random((2, 16))) + 0.1 for _ in range(4)]
         reps = client_encode(model, views)
         r = sample_comm_faults(graph, 1.0, stream(0, "fault"))
+        out = aggregate(reps, delivery(r, graph.aggregators, 4))
         for k in range(1, 5):
-            out = aggregate(reps, r, k, 4, model.rep_dim)
             for c in range(1, 5):
-                sl = out[:, (c - 1) * model.rep_dim:c * model.rep_dim]
+                sl = out[k - 1, :, (c - 1) * model.rep_dim:c * model.rep_dim]
                 if c == k:
-                    assert np.array_equal(sl, reps[c])
+                    assert np.array_equal(sl, reps[c - 1])
                 else:
                     assert not sl.any()
 
@@ -84,23 +88,14 @@ class TestAggregate:
         fr = stream(1, "fault")
         for _ in range(20):
             r = sample_device_faults(graph, 0.4, fr)
-            for k in graph.aggregators:
-                if not r.alive[k]:
-                    continue
-                out = aggregate(reps, r, k, 16, model.rep_dim)
-                # oracle: rebuild the mask directly from the realization
+            aggs = [k for k in graph.aggregators if r.alive[k]]
+            out = aggregate(reps, delivery(r, aggs, 16))
+            for j, k in enumerate(aggs):
+                # oracle: rebuild the concatenation directly from the realization
                 expected = np.concatenate(
-                    [reps[c] if (r.edge_alive[k, c] and r.alive[c])
+                    [reps[c - 1] if (r.edge_alive[k, c] and r.alive[c])
                      else np.zeros((3, model.rep_dim)) for c in range(1, 17)], axis=1)
-                assert np.array_equal(out, expected)
-
-    def test_dead_aggregator_rejected(self):
-        graph = build_graph("complete", 4, 4)
-        model = toy_model(graph, 16, 3)
-        reps = client_encode(model, [np.zeros((1, 16))] * 4)
-        r = sample_device_faults(graph, 1.0, stream(0, "fault"))
-        with pytest.raises(InputError):
-            aggregate(reps, r, 1, 4, model.rep_dim)
+                assert np.array_equal(out[j], expected)
 
 
 class TestAggregatorHead:
@@ -131,27 +126,23 @@ class TestGossipRound:
     def test_identical_values_are_a_fixed_point(self):
         graph = build_graph("ring", 8, 8)
         vec = np.array([[0.3, -1.2, 0.0]])
-        state = PredictionState({k: vec.copy() for k in graph.aggregators})
-        out = gossip_round(state, realize_base(graph), graph.aggregators)
-        for k in graph.aggregators:
-            assert np.allclose(out.values[k], vec, atol=1e-15)
+        z = np.stack([vec] * 8)
+        out = gossip_round(z, gossip_links(graph.adj, graph.aggregators))
+        assert np.allclose(out, z, atol=1e-15)
 
     def test_two_aggregators_average(self):
         graph = build_graph("complete", 2, 2)
-        state = PredictionState({1: np.array([[0.0, -1.0]]), 2: np.array([[-1.0, 0.0]])})
-        out = gossip_round(state, realize_base(graph), graph.aggregators)
-        assert np.allclose(out.values[1], [[-0.5, -0.5]])
-        assert np.allclose(out.values[2], [[-0.5, -0.5]])
+        z = np.array([[[0.0, -1.0]], [[-1.0, 0.0]]])
+        out = gossip_round(z, gossip_links(graph.adj, graph.aggregators))
+        assert np.allclose(out, [[[-0.5, -0.5]], [[-0.5, -0.5]]])
 
     def test_ring4_matches_consensus_matrix_product(self):
         graph = build_graph("ring", 4, 4)
         rng = np.random.default_rng(8)
-        z = rng.standard_normal((4, 3))
-        state = PredictionState({k: z[k - 1:k].copy() for k in graph.aggregators})
-        out = gossip_round(state, realize_base(graph), graph.aggregators)
-        oracle = consensus_matrix(graph) @ z
-        for k in graph.aggregators:
-            assert np.allclose(out.values[k], oracle[k - 1:k], atol=1e-12)
+        z = rng.standard_normal((4, 1, 3))
+        out = gossip_round(z, gossip_links(graph.adj, graph.aggregators))
+        oracle = consensus_matrix(graph) @ z[:, 0]
+        assert np.allclose(out[:, 0], oracle, atol=1e-12)
 
     def test_dead_neighbor_drops_out_of_average(self):
         graph = build_graph("complete", 3, 3)
@@ -159,18 +150,27 @@ class TestGossipRound:
         r.alive[2] = False
         r.edge_alive[2, :] = False
         r.edge_alive[:, 2] = False
-        state = PredictionState({1: np.array([[1.0]]), 3: np.array([[3.0]])})
-        out = gossip_round(state, r, graph.aggregators)
-        assert out.values[1] == pytest.approx(2.0)
-        assert 2 not in out.values
+        links = gossip_links(r.edge_alive, [1, 3])  # the alive aggregators
+        out = gossip_round(np.array([[[1.0]], [[3.0]]]), links)
+        assert out[0, 0, 0] == pytest.approx(2.0)
+        assert out.shape == (2, 1, 1)
 
     def test_isolated_aggregator_keeps_its_value(self):
         graph = build_graph("complete", 2, 2)
         r = sample_comm_faults(graph, 1.0, stream(0, "fault"))
-        state = PredictionState({1: np.array([[1.0]]), 2: np.array([[5.0]])})
-        out = gossip_round(state, r, graph.aggregators)
-        assert out.values[1] == pytest.approx(1.0)
-        assert out.values[2] == pytest.approx(5.0)
+        out = gossip_round(np.array([[[1.0]], [[5.0]]]), gossip_links(r.edge_alive, [1, 2]))
+        assert out[0, 0, 0] == pytest.approx(1.0)
+        assert out[1, 0, 0] == pytest.approx(5.0)
+
+    def test_averages_over_incoming_links_of_an_asymmetric_realization(self):
+        # row i averages the aggregators i hears from (edge_alive[i, j])
+        graph = build_graph("complete", 3, 3)
+        r = realize_base(graph)
+        r.edge_alive[1, 2] = r.edge_alive[1, 3] = False  # 1 hears nobody
+        r.edge_alive[3, 1] = False                      # 3 hears only 2
+        out = gossip_round(np.array([[[1.0]], [[2.0]], [[6.0]]]),
+                           gossip_links(r.edge_alive, [1, 2, 3]))
+        assert out[:, 0, 0] == pytest.approx([1.0, 3.0, 4.0])
 
 
 class TestMagsInfer:
@@ -196,8 +196,8 @@ class TestMagsInfer:
         views = [np.random.default_rng(10).random((3, 16)) for _ in range(4)]
         reps = client_encode(model, views)
         res = mags_infer(model, reps, graph, FaultModel("none"), 0, stream(1, "fault"))
-        z = aggregate(reps, realize_base(graph), 1, 4, model.rep_dim)
-        assert np.allclose(res.log_probs[1], aggregator_head(model, 1, z), atol=1e-12)
+        z = aggregate(reps, np.ones((1, 4), dtype=bool))
+        assert np.allclose(res.log_probs[1], aggregator_head(model, 1, z[0]), atol=1e-12)
         assert res.active == {1}
 
     def test_consensus_limit_on_regular_graph(self):
@@ -240,8 +240,8 @@ class TestMagsInfer:
             res = mags_infer(model, reps, graph, FaultModel("device", 0.5), 1, rng)
             alive = set(res.log_probs)
             assert res.active <= alive
-            for k, p in res.probs.items():
-                assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
+            for lp in res.log_probs.values():
+                assert np.all(np.abs(np.exp(lp).sum(axis=1) - 1.0) <= 1e-12)
 
     def test_zero_weight_heads_stay_uniform_under_any_faults(self):
         graph = build_graph("grid", 16, 4)
@@ -254,8 +254,8 @@ class TestMagsInfer:
         reps = client_encode(model, views)
         for rate in (0.2, 0.7):
             res = mags_infer(model, reps, graph, FaultModel("communication", rate), 2, rng)
-            for p in res.probs.values():
-                assert np.allclose(p, 0.1, atol=1e-12)
+            for lp in res.log_probs.values():
+                assert np.allclose(np.exp(lp), 0.1, atol=1e-12)
 
     def test_permutation_consistency(self):
         # relabeling clients and permuting model slots leaves outputs unchanged
@@ -298,9 +298,9 @@ class TestMagsInfer:
                              stream(seed, "fault"))
             dead = [c for c in range(1, 9) if not res.realizations[0].alive[c]]
             dead_seen += len(dead)
-            garbage = dict(reps)
+            garbage = reps.copy()
             for c in dead:
-                garbage[c] = np.full_like(reps[c], np.nan)
+                garbage[c - 1] = np.nan
             res2 = mags_infer(model, garbage, graph, FaultModel("device", 0.4), 2,
                               stream(seed, "fault"))
             assert res2.log_probs.keys() == res.log_probs.keys()
@@ -325,15 +325,3 @@ class TestMagsInfer:
         res = mags_infer(model, client_encode(model, views), graph,
                          FaultModel("communication", 0.3), 3, stream(8, "fault"))
         assert all(r is res.realizations[0] for r in res.realizations)
-
-    def test_trace_dump(self, tmp_path):
-        graph = build_graph("complete", 4, 4)
-        model = toy_model(graph, 16, 5)
-        views = [np.random.default_rng(18).random((1, 16)) for _ in range(4)]
-        res = mags_infer(model, client_encode(model, views), graph, FaultModel("none"), 2,
-                         stream(9, "fault"), record_states=True)
-        path = tmp_path / "trace.csv"
-        write_inference_trace(path, res.states)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,aggregator,log_probs"
-        assert len(lines) == 1 + 3 * 4  # initial state + 2 gossip rounds, 4 aggregators

@@ -4,11 +4,10 @@ import pytest
 from mags.certs import cert_ensemble_identity
 from mags.data import client_views, make_splits, split_patches, synth_dataset
 from mags.errors import ConfigError
-from mags.faults import FaultModel, active_set, realize_base, sample_device_faults
-from mags.inference import client_encode, init_split_model
-from mags.metrics import (count_comm, ensemble_decomposition,
-                          estimate_risk, evaluate_policies, risk_bound_report,
-                          select)
+from mags.faults import FaultModel, realize_base
+from mags.inference import client_encode, init_split_model, mags_infer
+from mags.metrics import (POLICIES, count_comm, ensemble_decomposition,
+                          estimate_risk, evaluate_policies, risk_bound_report)
 from mags.nn import Mlp
 from mags.rng import stream
 from mags.topology import build_graph
@@ -24,90 +23,87 @@ def uniform_model(graph, patch_dim, classes, seed=0):
     return model
 
 
+def fixed_model(graph, classes, predict=None):
+    """Heads that ignore their input: aggregator k always predicts class
+    ``predict[k]``, by default k-1."""
+    model = uniform_model(graph, 4, classes)
+    for k, head in model.heads.items():
+        head.layers[-1][1][(predict or {}).get(k, k - 1)] = 10.0
+    return model
+
+
+def accuracy(model, graph, label, n, fault=FaultModel("none"), batch_size=None, seed=0):
+    """Every policy's accuracy on n samples of one label. The heads ignore
+    their input, so the representations are zeros."""
+    reps = np.zeros((graph.device_count, n, model.rep_dim))
+    return evaluate_policies(model, reps, np.full(n, label), graph, fault, list(POLICIES),
+                             0, seed, batch_size=batch_size or n).accuracy
+
+
 class TestSelect:
-    def preds(self, mapping, classes=4):
-        out = {}
-        for k, cls in mapping.items():
-            p = np.full(classes, 0.01)
-            p[cls] = 1 - 0.01 * (classes - 1)
-            out[k] = p
-        return out
+    """Selection policy semantics, scored through evaluate_policies."""
 
     def test_all_correct_makes_every_policy_correct(self):
-        preds = self.preds({1: 2, 2: 2, 3: 2})
-        rng = stream(0, "select")
-        for policy in ("active_rand", "active_best", "active_worst", "any_rand"):
-            _, ok = select(policy, preds, {1, 2, 3}, 3, 2, 4, rng)
-            assert ok
+        graph = build_graph("complete", 3, 3)
+        model = fixed_model(graph, 4, {1: 2, 2: 2, 3: 2})
+        assert accuracy(model, graph, 2, 64) == {p: 1.0 for p in POLICIES}
 
     def test_one_right_one_wrong_oracles(self):
-        preds = self.preds({1: 2, 2: 0})
-        rng = stream(1, "select")
-        _, best = select("active_best", preds, {1, 2}, 2, 2, 4, rng)
-        _, worst = select("active_worst", preds, {1, 2}, 2, 2, 4, rng)
-        assert best and not worst
+        graph = build_graph("complete", 2, 2)
+        acc = accuracy(fixed_model(graph, 4, {1: 2, 2: 0}), graph, 2, 64)
+        assert acc["active_best"] == 1.0 and acc["active_worst"] == 0.0
 
     def test_active_rand_is_a_fair_coin_here(self):
-        preds = self.preds({1: 2, 2: 0})
-        rng = stream(2, "select")
+        graph = build_graph("complete", 2, 2)
         draws = 100000
-        hits = sum(select("active_rand", preds, {1, 2}, 2, 2, 4, rng)[1]
-                   for _ in range(draws))
+        acc = accuracy(fixed_model(graph, 4, {1: 2, 2: 0}), graph, 2, draws, batch_size=10000)
         band = 3 * np.sqrt(0.25 / draws)
-        assert abs(hits / draws - 0.5) <= band
+        assert abs(acc["active_rand"] - 0.5) <= band
 
     def test_single_aggregator_oracles_coincide_with_rand(self):
-        preds = self.preds({1: 3})
-        rng = stream(3, "select")
-        for policy in ("active_rand", "active_best", "active_worst"):
-            pred, ok = select(policy, preds, {1}, 4, 3, 4, rng)
-            assert ok and pred == 3
-            pred, ok = select(policy, preds, {1}, 4, 0, 4, rng)
-            assert not ok
+        graph = build_graph("complete", 4, 1)
+        model = fixed_model(graph, 4, {1: 3})
+        oracles = ("active_rand", "active_best", "active_worst")
+        assert all(accuracy(model, graph, 3, 64)[p] == 1.0 for p in oracles)
+        assert all(accuracy(model, graph, 0, 64)[p] == 0.0 for p in oracles)
+        # faulted: the uniform-guess fallback shares one draw across policies
+        acc = accuracy(model, graph, 3, 640, FaultModel("device", 0.5), batch_size=8)
+        assert 0.0 < acc["active_rand"] < 1.0
+        assert acc["active_best"] == acc["active_rand"] == acc["active_worst"]
 
     def test_empty_active_set_is_uniform_guess(self):
-        rng = stream(4, "select")
+        graph = build_graph("complete", 4, 4)
         draws = 40000
-        hits = sum(select("active_rand", {}, set(), 4, 1, 4, rng)[1]
-                   for _ in range(draws))
+        acc = accuracy(fixed_model(graph, 4), graph, 1, draws, FaultModel("device", 1.0),
+                       batch_size=4000)
         band = 3 * np.sqrt(0.25 * 0.75 / draws)
-        assert abs(hits / draws - 0.25) <= band
+        assert abs(acc["active_rand"] - 0.25) <= band
 
     def test_any_rand_falls_back_on_inactive_pick(self):
         # only device 1 is an active aggregator among 8 devices
-        preds = self.preds({1: 2})
-        rng = stream(5, "select")
+        graph = build_graph("complete", 8, 1)
         draws = 40000
-        hits = sum(select("any_rand", preds, {1}, 8, 2, 4, rng)[1]
-                   for _ in range(draws))
+        acc = accuracy(fixed_model(graph, 4, {1: 2}), graph, 2, draws, batch_size=4000)
         # correct w.p. 1/8 (informed) + 7/8 * 1/4 (guess)
         expected = 1 / 8 + (7 / 8) * (1 / 4)
         band = 3 * np.sqrt(expected * (1 - expected) / draws)
-        assert abs(hits / draws - expected) <= band
+        assert abs(acc["any_rand"] - expected) <= band
 
     def test_conditional_selection_frequency_through_samplers(self):
-        # given a nonempty active set, each aggregator is picked w.p. 1/K
-        graph = build_graph("complete", 16, 4)
-        rng_fault = stream(6, "fault")
-        rng_sel = stream(6, "select")
-        counts = np.zeros(5)
-        preds = self.preds({1: 0, 2: 1, 3: 2, 4: 3})
-        conditioned = 0
-        for _ in range(20000):
-            r = sample_device_faults(graph, 0.3, rng_fault)
-            act = active_set(r, graph.aggregators)
-            if not act:
-                continue
-            pred, _ = select("active_rand", preds, act, 16, 9, 4, rng_sel)
-            counts[pred + 1] += 1  # class index identifies the aggregator
-            conditioned += 1
-        freq = counts[1:] / conditioned
-        band = 3 * np.sqrt(0.25 * 0.75 / conditioned)
+        # given a nonempty active set, each aggregator is picked w.p. 1/K.
+        # Aggregator k predicts class k-1, so the active_rand accuracy on
+        # label k-1 is the frequency of picking k; the fault and selection
+        # streams do not depend on the labels, so every label sees the same
+        # draws. One realization per sample (batch size 1).
+        graph = build_graph("complete", 4, 4)
+        model = fixed_model(graph, 4)
+        draws, rate = 3000, 0.3
+        freq = np.array([accuracy(model, graph, k - 1, draws, FaultModel("device", rate),
+                                  batch_size=1, seed=6)["active_rand"] for k in range(1, 5)])
+        # with K = M = 4 the empty-set guess also lands on each class w.p. 1/4
+        assert freq.sum() == pytest.approx(1.0)
+        band = 3 * np.sqrt(0.25 * 0.75 / draws)
         assert np.all(np.abs(freq - 0.25) <= band)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            select("mode", {}, set(), 4, 0, 4, stream(0, "select"))
 
 
 class TestCountComm:
@@ -230,15 +226,23 @@ class TestEvaluatePolicies:
                 assert a["active_best"] >= a["active_rand"] >= a["active_worst"]
                 assert a["any_rand"] <= a["active_rand"]
 
-    def test_gossip_reuses_fault_draws(self, trained_small):
+    @pytest.mark.parametrize("kind", ["communication", "device"])
+    def test_gossip_reuses_fault_draws(self, trained_small, kind):
         # the fault stream must not depend on the number of gossip rounds
         model, ds, part, graph = trained_small
-        kwargs = dict(graph=graph, fault_model=FaultModel("communication", 0.4),
-                      policies=["active_rand"], seed=4)
+        fault = FaultModel(kind, 0.4)
+        kwargs = dict(graph=graph, fault_model=fault, policies=["active_rand"], seed=4)
         reps = client_encode(model, client_views(ds.features[-200:], part))
         r0 = evaluate_policies(model, reps, ds.labels[-200:], gossip_rounds=0, **kwargs)
         r4 = evaluate_policies(model, reps, ds.labels[-200:], gossip_rounds=4, **kwargs)
         assert r0.comm_mean == pytest.approx(r4.comm_mean / 5.0)
+
+        rng0, rng4 = stream(4, "fault"), stream(4, "fault")
+        for _ in range(10):
+            g0 = mags_infer(model, reps[:, :8], graph, fault, 0, rng0).realizations[0]
+            g4 = mags_infer(model, reps[:, :8], graph, fault, 4, rng4).realizations[0]
+            assert np.array_equal(g0.alive, g4.alive)
+            assert np.array_equal(g0.edge_alive, g4.edge_alive)
 
     def test_comm_mean_matches_expectation(self, trained_small):
         model, ds, part, graph = trained_small
@@ -268,7 +272,6 @@ class TestEnsembleBenefit:
         # mean, so the decomposition makes the inequality hold per sample
         model, ds, part, graph = trained_small
         from mags.data import one_hot
-        from mags.inference import mags_infer
         reps = client_encode(model, [v[-300:] for v in client_views(ds.features, part)])
         labels = ds.labels[-300:]
         y = one_hot(labels, ds.class_count)

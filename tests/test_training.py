@@ -10,7 +10,7 @@ from mags.rng import stream
 from mags.topology import build_graph
 from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask,
                            batch_delivery, evaluate_split, fit,
-                           gossip_mix_matrix, init_optimizer, load_checkpoint,
+                           init_optimizer, load_checkpoint,
                            save_checkpoint, split_loss_and_grads, train_epoch,
                            optimizer_step)
 
@@ -69,7 +69,7 @@ class TestDropoutMasks:
     def test_pd_zeroes_own_head_slot_too(self):
         graph = build_graph("complete", 4, 4)
         cfg = TrainConfig(dropout="pd", dropout_rate=1.0)
-        keep, alive_aggs, alive_clients = batch_delivery(
+        keep, alive_aggs, alive_clients, _ = batch_delivery(
             graph, cfg, stream(5, "dropout"), stream(5, "fault"))
         assert not keep.any()
         assert alive_aggs == [1, 2, 3, 4] and alive_clients.all()
@@ -78,8 +78,39 @@ class TestDropoutMasks:
         # on a ring, an aggregator only ever receives from its two neighbors
         graph = build_graph("ring", 8, 8)
         cfg = TrainConfig(dropout="none")
-        keep, _, _ = batch_delivery(graph, cfg, stream(6, "dropout"), stream(6, "fault"))
+        keep, _, _, links = batch_delivery(graph, cfg, stream(6, "dropout"), stream(6, "fault"))
         assert keep.sum() == 8 * 3
+        assert links.sum() == 8 * 3
+
+    def test_device_train_faults_keep_rows_follow_alive_aggregators(self):
+        # row j of keep and links belongs to alive_aggs[j], dead ones dropped
+        graph = build_graph("complete", 4, 4)
+        cfg = TrainConfig(train_fault=FaultModel("device", 0.5))
+        rng_fault = stream(7, "fault")
+        partial = 0
+        for _ in range(20):
+            keep, alive_aggs, alive_clients, links = batch_delivery(
+                graph, cfg, stream(7, "dropout"), rng_fault)
+            partial += 0 < len(alive_aggs) < 4
+            assert keep.shape == (len(alive_aggs), 4)
+            assert links.shape == (len(alive_aggs),) * 2 and links.all()
+            for row in keep:
+                assert np.array_equal(row, alive_clients)
+        assert partial > 0
+
+    def test_train_fault_gossip_uses_realized_links(self):
+        # at communication rate 1.0 no aggregator hears another, so gossip
+        # must leave every head's loss as it is
+        ds, part, graph = small_problem()
+        model = init_split_model(graph, part.patch_dims(), ds.class_count, stream(9, "init"))
+        views = client_views(ds.features[:16], part)
+        y = one_hot(ds.labels[:16], ds.class_count)
+        cfg = TrainConfig(train_fault=FaultModel("communication", 1.0), gossip_rounds=2)
+        delivery = batch_delivery(graph, cfg, stream(9, "dropout"), stream(9, "fault"))
+        assert np.array_equal(delivery[3], np.eye(4, dtype=bool))
+        loss0, _, _ = split_loss_and_grads(model, views, y, *delivery, 0)
+        loss2, _, _ = split_loss_and_grads(model, views, y, *delivery, 2)
+        assert loss2 == pytest.approx(loss0, rel=1e-12)
 
 
 class TestSplitLossAndGrads:
@@ -157,23 +188,29 @@ class TestSplitLossAndGrads:
                         worst = max(worst, abs(fd - a) / max(abs(fd), abs(a), 1e-3))
         assert worst < 1e-6
 
-    def test_gossip_in_training_gradients_match_finite_differences(self):
-        graph = build_graph("complete", 2, 2)
-        model = init_split_model(graph, [4, 4], 3, stream(4, "init"))
+    @pytest.mark.parametrize("kind,devices,aggregators", [
+        ("complete", 2, 2),
+        # links 1-2-3 form a path with degrees 2, 3, 2: an asymmetric averaging
+        # matrix, so a transposed backward pass would fail here
+        ("ring", 4, 3),
+    ])
+    def test_gossip_in_training_gradients_match_finite_differences(self, kind, devices,
+                                                                   aggregators):
+        graph = build_graph(kind, devices, aggregators)
+        model = init_split_model(graph, [4] * devices, 3, stream(4, "init"))
         rng = np.random.default_rng(1)
-        views = [rng.random((4, 4)), rng.random((4, 4))]
+        views = [rng.random((4, 4)) for _ in range(devices)]
         y = one_hot(rng.integers(0, 3, 4), 3)
-        keep = np.ones((2, 2), dtype=bool)
-        alive = np.ones(2, dtype=bool)
-        mix = gossip_mix_matrix(graph, [1, 2])
+        keep, aggs, alive, links = batch_delivery(
+            graph, TrainConfig(), stream(4, "dropout"), stream(4, "fault"))
+        assert links.sum(axis=1).tolist() == ([2, 2] if kind == "complete" else [2, 3, 2])
 
         def loss_of():
-            val, _, _ = split_loss_and_grads(model, views, y, keep, [1, 2], alive,
-                                             gossip_mix=mix, gossip_rounds=2)
+            val, _, _ = split_loss_and_grads(model, views, y, keep, aggs, alive, links, 2)
             return val
 
         _, enc_grads, head_grads = split_loss_and_grads(
-            model, views, y, keep, [1, 2], alive, gossip_mix=mix, gossip_rounds=2)
+            model, views, y, keep, aggs, alive, links, 2)
         h = 1e-5
         worst = 0.0
         for grads, mlp in [(enc_grads[1], model.encoders[0]), (head_grads[2], model.heads[2])]:
