@@ -123,11 +123,17 @@ def split_patches(feature_count: int, g: int) -> PartitionSpec:
     return PartitionSpec(g, feature_count, columns)
 
 
-def client_views(features: np.ndarray, spec: PartitionSpec):
-    """Per-client feature matrices in client order."""
+def client_views(features: np.ndarray, spec: PartitionSpec) -> np.ndarray:
+    """Every client's feature matrix, stacked client-major into one
+    C-contiguous (C, n, d) array: row c-1 is client c's patches, and
+    ``views[:, idx]`` is a (C, B, d) batch."""
     if features.shape[1] != spec.feature_count:
         raise ConfigError(f"features have {features.shape[1]} columns, partition expects {spec.feature_count}")
-    return [features[:, cols] for cols in spec.client_columns]
+    cols = spec.client_columns
+    views = np.empty((len(cols), features.shape[0], len(cols[0])))
+    for c, idx in enumerate(cols):
+        np.take(features, idx, axis=1, out=views[c])
+    return views
 
 
 def make_splits(ds: Dataset, seed: int):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .faults import (FaultModel, active_set, markov_init, markov_realize,
                      markov_step, sample_realization)
-from .nn import init_mlp, log_softmax, mlp_forward, relu
+from .nn import init_mlp, log_softmax, mlp_forward, mlp_size, relu, stacked_mlp
 from .topology import DeviceGraph
 
 # Encoder stacks matched to the standard patch sizes (hidden, representation).
@@ -39,26 +39,51 @@ def encoder_dims(patch_dim: int):
 
 @dataclass
 class SplitModel:
-    """Per-client encoders plus per-aggregator heads.
+    """Per-client encoders plus per-aggregator heads, every parameter in one
+    flat float64 vector in checkpoint order: clients ascending, then
+    aggregators ascending, each layer's weight (row-major) before its bias.
 
-    Encoder c maps its patch to a rep_dim representation; head k maps the
-    C * rep_dim concatenation to class log-odds. Clients are ordered by
-    device index, which fixes the concatenation layout.
+    ``encoder`` is one stacked Mlp of views into ``params`` whose row c-1 is
+    client c's encoder (patch -> rep_dim); ``head`` is the stack of heads
+    (C * rep_dim concatenation -> class log-odds), row j belonging to
+    aggregator ``aggregators[j]``. Clients are ordered by device index, which
+    fixes the concatenation layout.
     """
 
-    encoders: list            # index c-1 holds client c's encoder
-    heads: dict               # aggregator id -> head Mlp
-    rep_dim: int
-    class_count: int
+    params: np.ndarray
+    client_count: int
+    encoder_dims: tuple
+    aggregators: tuple
+    head_dims: tuple
+
+    def __post_init__(self):
+        self.encoder, self.head = self.unflatten(self.params)
 
     @property
-    def client_count(self):
-        return len(self.encoders)
+    def rep_dim(self):
+        return self.encoder_dims[-1]
+
+    @property
+    def class_count(self):
+        return self.head_dims[-1]
+
+    def unflatten(self, flat: np.ndarray):
+        """(encoder, head) stacks of views into ``flat``, a vector laid out
+        like ``params`` (a gradient, say)."""
+        cut = self.client_count * mlp_size(self.encoder_dims)
+        return (stacked_mlp(flat[:cut], self.client_count, self.encoder_dims),
+                stacked_mlp(flat[cut:], len(self.aggregators), self.head_dims))
+
+    def head_rows(self, aggs):
+        """Head rows of the aggregators ``aggs``: a slice, so views, when
+        they are all of them."""
+        if tuple(aggs) == self.aggregators:
+            return slice(None)
+        return np.array([self.aggregators.index(k) for k in aggs], dtype=np.intp)
 
     def copy(self) -> "SplitModel":
-        return SplitModel([e.copy() for e in self.encoders],
-                          {k: h.copy() for k, h in self.heads.items()},
-                          self.rep_dim, self.class_count)
+        return SplitModel(self.params.copy(), self.client_count, self.encoder_dims,
+                          self.aggregators, self.head_dims)
 
 
 def init_split_model(graph: DeviceGraph, patch_dims, class_count: int, rng) -> SplitModel:
@@ -66,23 +91,25 @@ def init_split_model(graph: DeviceGraph, patch_dims, class_count: int, rng) -> S
     ascending); the draw order is part of the determinism contract."""
     if len(patch_dims) != graph.device_count:
         raise ConfigError(f"{len(patch_dims)} patches for {graph.device_count} devices")
-    dims = [encoder_dims(p) for p in patch_dims]
-    reps = {d[-1] for d in dims}
-    if len(reps) != 1:
-        raise ConfigError(f"encoder output dims must be uniform, got {sorted(reps)}")
-    rep = reps.pop()
-    encoders = [init_mlp(d, rng) for d in dims]
-    width = graph.device_count * rep
-    heads = {k: init_mlp((width, width, class_count), rng)
-             for k in graph.aggregators}
-    return SplitModel(encoders, heads, rep, class_count)
+    dims = {encoder_dims(p) for p in patch_dims}
+    if len(dims) != 1:
+        raise ConfigError(f"encoder dims must be uniform, got {sorted(dims)}")
+    enc_dims = dims.pop()
+    width = graph.device_count * enc_dims[-1]
+    head_dims = (width, width, class_count)
+    mlps = ([init_mlp(enc_dims, rng) for _ in patch_dims]
+            + [init_mlp(head_dims, rng) for _ in graph.aggregators])
+    params = np.concatenate([a.ravel() for mlp in mlps for layer in mlp.layers for a in layer])
+    return SplitModel(params, graph.device_count, enc_dims, tuple(graph.aggregators), head_dims)
 
 
 def client_encode(model: SplitModel, client_features) -> np.ndarray:
     """Rectified representations of every client, stacked (C, B, r); row
-    c-1 holds client c."""
-    return np.stack([relu(mlp_forward(enc, x)[0])
-                     for enc, x in zip(model.encoders, client_features)])
+    c-1 holds client c. ``client_features`` is client-major, (C, B, d) or a
+    sequence of per-client (B, d) patches; each client runs its own row of
+    the encoder stack on its own patch."""
+    return np.stack([relu(mlp_forward(model.encoder.take(c), x)[0])
+                     for c, x in enumerate(client_features)])
 
 
 def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -99,9 +126,10 @@ def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out.reshape(keep.shape[0], b, c * r)
 
 
-def aggregator_head(model: SplitModel, k: int, agg_input: np.ndarray) -> np.ndarray:
-    """Head forward pass followed by log-softmax normalization."""
-    out, _ = mlp_forward(model.heads[k], agg_input)
+def aggregator_head(model: SplitModel, aggs, agg_inputs: np.ndarray) -> np.ndarray:
+    """One stacked forward pass of the heads of ``aggs`` on their (K', B,
+    C * r) inputs, followed by log-softmax normalization."""
+    out, _ = mlp_forward(model.head.take(model.head_rows(aggs)), agg_inputs)
     return log_softmax(out)
 
 
@@ -159,10 +187,7 @@ def mags_infer(model: SplitModel, reps, graph: DeviceGraph,
     aggs = [k for k in graph.aggregators if r1.alive[k]]
     clients = range(1, model.client_count + 1)
     keep = r1.edge_alive[np.ix_(aggs, clients)] & r1.alive[None, 1:]
-    z = aggregate(reps, keep)
-    values = np.empty((len(aggs), reps.shape[1], model.class_count))
-    for j, k in enumerate(aggs):
-        values[j] = aggregator_head(model, k, z[j])
+    values = aggregator_head(model, aggs, aggregate(reps, keep))
     for r in realizations[1:]:
         values = gossip_round(values, gossip_links(r.edge_alive, aggs))
 

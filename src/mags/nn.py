@@ -2,10 +2,15 @@
 
 Float64 multilayer perceptrons (ReLU between layers, no activation after the
 last), numerically stable log-softmax, cross-entropy against one-hot targets
-with exact reverse-mode gradients, and bias-corrected Adam. Everything here
-is a pure function over value types: inputs are never mutated, identical
-inputs produce bit-identical outputs, and values can be shared across
-threads.
+with exact reverse-mode gradients, and bias-corrected Adam.
+
+The MLP functions take an optional leading stack axis: a stack of S
+same-shaped MLPs has (S, n, m) weights and (S, m) biases, and runs on
+(S, B, n) inputs, row s through MLP s, with the same operations as S
+separate 2-d calls. ``stacked_mlp`` lays such a stack out as views into one
+flat parameter vector, and ``adam_update`` steps that vector in place; it is
+the one function here that mutates its arguments. Everything else is a pure
+function: identical inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -19,19 +24,33 @@ from .errors import ConfigError, InputError
 
 @dataclass
 class Mlp:
-    """Ordered (weight, bias) pairs; weight is (n, m), bias is (m,)."""
+    """Ordered (weight, bias) pairs; weight is (n, m), bias is (m,), or
+    (S, n, m) and (S, m) for a stack of S MLPs."""
 
     layers: list
 
-    @property
-    def dims(self):
-        return [self.layers[0][0].shape[0]] + [w.shape[1] for w, _ in self.layers]
+    def take(self, rows) -> "Mlp":
+        """Rows of a stack: an int gives one 2-d MLP, a slice a stack of
+        views, an index array a stack of copies."""
+        return Mlp([(w[rows], b[rows]) for w, b in self.layers])
 
-    def copy(self) -> "Mlp":
-        return Mlp([(w.copy(), b.copy()) for w, b in self.layers])
 
-    def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in self.layers)
+def mlp_size(dims) -> int:
+    """Parameter count of one MLP with these layer widths."""
+    return sum(n * m + m for n, m in zip(dims[:-1], dims[1:]))
+
+
+def stacked_mlp(flat: np.ndarray, count: int, dims) -> Mlp:
+    """A stack of ``count`` MLPs whose layers are views into ``flat``, which
+    holds their parameters one MLP after another, each layer's weight
+    (row-major) before its bias. Writing into a layer writes into ``flat``."""
+    rows = flat.reshape(count, mlp_size(dims))
+    layers, at = [], 0
+    for n, m in zip(dims[:-1], dims[1:]):
+        layers.append((rows[:, at:at + n * m].reshape(count, n, m),
+                       rows[:, at + n * m:at + n * m + m]))
+        at += n * m + m
+    return Mlp(layers)
 
 
 def init_mlp(dims, rng) -> Mlp:
@@ -47,22 +66,20 @@ def init_mlp(dims, rng) -> Mlp:
     return Mlp(layers)
 
 
-def zero_grads_like(mlp: Mlp):
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in mlp.layers]
-
-
 def relu(x):
     return np.maximum(x, 0.0)
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b, with b broadcast across the batch dimension."""
+    """x @ w + b, with b broadcast across the batch dimension; with a leading
+    stack axis on all three, row s uses weight s and bias s."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or w.ndim != 2:
-        raise ConfigError(f"linear_forward expects 2-d arrays, got x{x.shape} w{w.shape}")
-    if x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+    if x.ndim not in (2, 3) or w.ndim != x.ndim:
+        raise ConfigError(f"linear_forward expects 2-d or 3-d arrays, got x{x.shape} w{w.shape}")
+    if (x.shape[:-2] != w.shape[:-2] or x.shape[-1] != w.shape[-2]
+            or b.shape != w.shape[:-2] + w.shape[-1:]):
         raise ConfigError(f"shape mismatch: x{x.shape} w{w.shape} b{b.shape}")
-    return x @ w + b
+    return x @ w + b[..., None, :]
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray):
@@ -72,10 +89,6 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     backward pass (ReLU masks are recovered from the rectified values).
     """
     h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != mlp.layers[0][0].shape[0]:
-        raise ConfigError(
-            f"input {h.shape} does not match first layer ({mlp.layers[0][0].shape[0]} features)"
-        )
     tape = []
     last = len(mlp.layers) - 1
     for i, (w, b) in enumerate(mlp.layers):
@@ -86,14 +99,15 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
 
 
 def mlp_backward(mlp: Mlp, tape, grad_out):
-    """Backward pass from d(loss)/d(output). Returns (per-layer grads, dx)."""
+    """Backward pass from d(loss)/d(output). Returns (per-layer grads, dx),
+    stacked like the layers."""
     grads = [None] * len(mlp.layers)
     d = np.asarray(grad_out, dtype=np.float64)
     for i in reversed(range(len(mlp.layers))):
         w, _ = mlp.layers[i]
         x_i = tape[i]
-        grads[i] = (x_i.T @ d, d.sum(axis=0))
-        d = d @ w.T
+        grads[i] = (x_i.swapaxes(-1, -2) @ d, d.sum(axis=-2))
+        d = d @ w.swapaxes(-1, -2)
         if i > 0:
             # layer input equals the previous rectified output, so its sign
             # pattern is exactly the ReLU gradient mask
@@ -137,10 +151,11 @@ def loss_and_grad(mlp: Mlp, x: np.ndarray, y_onehot: np.ndarray):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the parameter shapes."""
+    """First/second moment accumulators shaped like the flat parameter
+    vector; ``adam_update`` advances them in place."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int
     lr: float
     beta1: float
@@ -148,29 +163,26 @@ class AdamState:
     eps: float
 
 
-def adam_init(mlp: Mlp, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    return AdamState(zero_grads_like(mlp), zero_grads_like(mlp), 0, lr, beta1, beta2, eps)
+def adam_init(params: np.ndarray, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
+    return AdamState(np.zeros_like(params), np.zeros_like(params), 0, lr, beta1, beta2, eps)
 
 
-def adam_update(mlp: Mlp, grads, state: AdamState):
-    """One bias-corrected Adam step. Returns (new params, new state)."""
-    if len(grads) != len(mlp.layers):
-        raise ConfigError("gradient structure does not match parameters")
-    t = state.t + 1
+def adam_update(params: np.ndarray, grad: np.ndarray, state: AdamState):
+    """One bias-corrected Adam step on a flat parameter vector, in place:
+    ``params``, ``state.m``, ``state.v`` and ``state.t`` advance together."""
+    if grad.shape != params.shape or state.m.shape != params.shape:
+        raise ConfigError(f"gradient shape {grad.shape} does not match parameters {params.shape}")
+    state.t += 1
     b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    layers, ms, vs = [], [], []
-    for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(mlp.layers, grads, state.m, state.v):
-        if gw.shape != w.shape or gb.shape != b.shape:
-            raise ConfigError(f"gradient shape {gw.shape}/{gb.shape} does not match {w.shape}/{b.shape}")
-        mw2 = b1 * mw + (1.0 - b1) * gw
-        mb2 = b1 * mb + (1.0 - b1) * gb
-        vw2 = b2 * vw + (1.0 - b2) * gw * gw
-        vb2 = b2 * vb + (1.0 - b2) * gb * gb
-        w2 = w - state.lr * (mw2 / c1) / (np.sqrt(vw2 / c2) + state.eps)
-        b2_ = b - state.lr * (mb2 / c1) / (np.sqrt(vb2 / c2) + state.eps)
-        layers.append((w2, b2_))
-        ms.append((mw2, mb2))
-        vs.append((vw2, vb2))
-    return Mlp(layers), AdamState(ms, vs, t, state.lr, b1, b2, state.eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    step = m / (1.0 - b1 ** state.t)
+    step *= state.lr
+    denom = v / (1.0 - b2 ** state.t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    params -= step

@@ -2,11 +2,11 @@
 
 The objective is the sum over aggregator heads of mean cross-entropy (labels
 are available at every device), backpropagated exactly through the
-concatenation into every client encoder, one Adam step per parameter group
-per batch. Faults are simulated with party-wise (PD) or communication-wise
-(CD) dropout: dropped slots are zero-imputed with no inverse-rate rescaling,
-because the point is to match the test-time fault distribution, not to
-regularize. One dropout/fault realization is drawn per batch and held fixed
+concatenation into every client encoder, one Adam step on the flat parameter
+vector per batch. Faults are simulated with party-wise (PD) or
+communication-wise (CD) dropout: dropped slots are zero-imputed with no
+inverse-rate rescaling, because the point is to match the test-time fault
+distribution, not to regularize. One dropout/fault realization is drawn per batch and held fixed
 for that batch. Gossip stays out of training unless explicitly enabled.
 """
 
@@ -24,12 +24,20 @@ from .errors import ConfigError, InputError
 from .faults import FaultModel, sample_realization
 from .inference import (SplitModel, aggregate, aggregator_head, client_encode,
                         gossip_links, gossip_round, init_split_model)
-from .nn import (Mlp, adam_init, adam_update, check_one_hot, log_softmax,
-                 mlp_backward, mlp_forward, relu, zero_grads_like)
+from .nn import (AdamState, adam_init, adam_update, check_one_hot, log_softmax, mlp_backward,
+                 mlp_forward, mlp_size, relu)
 from .rng import stream
 from .topology import DeviceGraph
 
 DROPOUT_KINDS = ("none", "pd", "cd")
+# Train faults are memoryless: one realization is drawn per batch.
+TRAIN_FAULT_KINDS = ("none", "device", "communication")
+
+
+def check_train_fault_kind(kind: str):
+    if kind not in TRAIN_FAULT_KINDS:
+        raise ConfigError(f"train fault kind {kind!r} is not one of "
+                          f"{', '.join(TRAIN_FAULT_KINDS)}")
 
 
 @dataclass
@@ -56,6 +64,7 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.gossip_rounds < 0:
             raise ConfigError("gossip_rounds must be >= 0")
+        check_train_fault_kind(self.train_fault.kind)
         self.train_fault.validate()
         return self
 
@@ -102,35 +111,36 @@ def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault)
 
 def split_loss_and_grads(model: SplitModel, views, y_onehot, keep, alive_aggs,
                          alive_clients, links=None, gossip_rounds=0):
-    """Loss summed over aggregator heads (mean over the batch) with exact
-    gradients for every encoder and head.
+    """Loss summed over aggregator heads (mean over the batch) and its exact
+    gradient, a flat vector laid out like ``model.params``.
 
-    ``keep[j, c-1]`` says whether client c's representation reaches
-    ``alive_aggs[j]``; unreachable slots are zero-imputed and receive no
-    gradient. With ``gossip_rounds`` > 0, the per-head log-probabilities are
-    mixed for that many rounds over the (K', K') ``links`` mask and
-    renormalized before the loss.
+    ``views`` is the client-major (C, B, d) batch. One stacked pass runs the
+    encoders of the alive clients and one the heads of ``alive_aggs``; the
+    rows of dead clients and aggregators get zero gradient. ``keep[j, c-1]``
+    says whether client c's representation reaches ``alive_aggs[j]``;
+    unreachable slots are zero-imputed and receive no gradient. With
+    ``gossip_rounds`` > 0, the per-head log-probabilities are mixed for that
+    many rounds over the (K', K') ``links`` mask and renormalized before the
+    loss.
     """
     y = check_one_hot(y_onehot)
     n = max(y.shape[0], 1)
+    grad = np.zeros_like(model.params)
     if not alive_aggs:
-        return 0.0, {}, {}
+        return 0.0, grad
     k_count, b = len(alive_aggs), y.shape[0]
     c_count, rep = model.client_count, model.rep_dim
+    clients = slice(None) if alive_clients.all() else np.flatnonzero(alive_clients)
+    heads = model.head_rows(alive_aggs)
+    encoder, head = model.encoder.take(clients), model.head.take(heads)
 
+    out, enc_tape = mlp_forward(encoder, np.asarray(views)[clients])
     reps = np.zeros((c_count, b, rep))  # dead clients' rows stay zero
-    enc_tapes = {}
-    for c in range(1, c_count + 1):
-        if alive_clients[c - 1]:
-            out, enc_tapes[c] = mlp_forward(model.encoders[c - 1], views[c - 1])
-            reps[c - 1] = relu(out)
+    reps[clients] = relu(out)
 
     u = aggregate(reps, keep)
-    head_tapes, log_ps = [], np.empty((k_count, b, model.class_count))
-    for j, k in enumerate(alive_aggs):
-        logits, tape = mlp_forward(model.heads[k], u[j])
-        head_tapes.append(tape)
-        log_ps[j] = log_softmax(logits)
+    logits, head_tape = mlp_forward(head, u)
+    log_ps = log_softmax(logits)
 
     finals = log_ps
     if gossip_rounds:
@@ -145,54 +155,34 @@ def split_loss_and_grads(model: SplitModel, views, y_onehot, keep, alive_aggs,
             dlogits = np.tensordot(links.T, dlogits / deg, axes=1)
         dlogits = dlogits - np.exp(log_ps) * dlogits.sum(axis=2, keepdims=True)
 
-    du = np.empty_like(u)
-    head_grads = {}
-    for j, k in enumerate(alive_aggs):
-        head_grads[k], du[j] = mlp_backward(model.heads[k], head_tapes[j], dlogits[j])
+    head_grads, du = mlp_backward(head, head_tape, dlogits)
     d_rep = np.where(keep[:, None, :, None], du.reshape(k_count, b, c_count, rep),
                      0.0).sum(axis=0)  # (B, C, r)
+    dh = d_rep.swapaxes(0, 1)[clients] * (reps[clients] > 0)
+    enc_grads, _ = mlp_backward(encoder, enc_tape, dh)
 
-    enc_grads = {}
-    for c, tape in enc_tapes.items():
-        dh = d_rep[:, c - 1] * (reps[c - 1] > 0)
-        enc_grads[c], _ = mlp_backward(model.encoders[c - 1], tape, dh)
-    return loss, enc_grads, head_grads
-
-
-@dataclass
-class SplitOptimizer:
-    encoder_states: list
-    head_states: dict
+    g_enc, g_head = model.unflatten(grad)
+    for rows, stack, grads in ((clients, g_enc, enc_grads), (heads, g_head, head_grads)):
+        for (gw, gb), (w, bias) in zip(grads, stack.layers):
+            w[rows] = gw
+            bias[rows] = gb
+    return loss, grad
 
 
-def init_optimizer(model: SplitModel, cfg: TrainConfig) -> SplitOptimizer:
-    return SplitOptimizer(
-        [adam_init(e, cfg.lr, cfg.beta1, cfg.beta2) for e in model.encoders],
-        {k: adam_init(h, cfg.lr, cfg.beta1, cfg.beta2) for k, h in model.heads.items()},
-    )
+def init_optimizer(model: SplitModel, cfg: TrainConfig) -> AdamState:
+    return adam_init(model.params, cfg.lr, cfg.beta1, cfg.beta2)
 
 
-def optimizer_step(model: SplitModel, opt: SplitOptimizer, enc_grads, head_grads):
-    """Adam step for every parameter group; groups without a gradient this
-    batch step with zeros, matching a single monolithic optimizer."""
-    encoders, enc_states = [], []
-    for c, (enc, st) in enumerate(zip(model.encoders, opt.encoder_states), start=1):
-        g = enc_grads.get(c) or zero_grads_like(enc)
-        e2, s2 = adam_update(enc, g, st)
-        encoders.append(e2)
-        enc_states.append(s2)
-    heads, head_states = {}, {}
-    for k in model.heads:
-        g = head_grads.get(k) or zero_grads_like(model.heads[k])
-        h2, s2 = adam_update(model.heads[k], g, opt.head_states[k])
-        heads[k] = h2
-        head_states[k] = s2
-    model2 = SplitModel(encoders, heads, model.rep_dim, model.class_count)
-    return model2, SplitOptimizer(enc_states, head_states)
+def optimizer_step(model: SplitModel, opt: AdamState, grad):
+    """One in-place Adam step over every parameter of the model; rows
+    without a gradient this batch step with zeros, as one monolithic
+    optimizer would."""
+    adam_update(model.params, grad, opt)
 
 
 def train_epoch(model, opt, views, y_onehot, graph, cfg, rng_data, rng_dropout, rng_fault):
-    """One pass over the data. Returns (model, optimizer, mean train loss)."""
+    """One pass over the data, updating ``model`` and ``opt`` in place.
+    Returns the mean train loss."""
     n = y_onehot.shape[0]
     order = rng_data.permutation(n)
     total, seen = 0.0, 0
@@ -200,13 +190,13 @@ def train_epoch(model, opt, views, y_onehot, graph, cfg, rng_data, rng_dropout, 
         idx = order[start:start + cfg.batch_size]
         keep, alive_aggs, alive_clients, links = batch_delivery(
             graph, cfg, rng_dropout, rng_fault)
-        loss, eg, hg = split_loss_and_grads(
-            model, [v[idx] for v in views], y_onehot[idx], keep, alive_aggs,
+        loss, grad = split_loss_and_grads(
+            model, views[:, idx], y_onehot[idx], keep, alive_aggs,
             alive_clients, links, cfg.gossip_rounds)
-        model, opt = optimizer_step(model, opt, eg, hg)
+        optimizer_step(model, opt, grad)
         total += loss * len(idx)
         seen += len(idx)
-    return model, opt, total / max(seen, 1)
+    return total / max(seen, 1)
 
 
 def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, chunk=512):
@@ -219,11 +209,11 @@ def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, chunk=5
     loss_sum, hit_sum = 0.0, 0.0
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
-        reps = client_encode(model, [v[sl] for v in views])
+        reps = client_encode(model, views[:, sl])
         # one head input at a time: all K' of a chunk at once is K' times
         # the memory and measurably raised the train driver's peak RSS
         for j, k in enumerate(aggs):
-            lp = aggregator_head(model, k, aggregate(reps, keep[j:j + 1])[0])
+            lp = aggregator_head(model, [k], aggregate(reps, keep[j:j + 1]))[0]
             loss_sum += float(-(y[sl] * lp).sum())
             hit_sum += float((lp.argmax(axis=1) == labels[sl]).sum())
     return loss_sum / n, hit_sum / (n * len(aggs))
@@ -287,8 +277,8 @@ def fit(cfg: TrainConfig, train: Dataset, val: Dataset, partition: PartitionSpec
 
     curves = []
     for epoch in range(1, cfg.epochs + 1):
-        model, opt, tr_loss = train_epoch(model, opt, tr_views, y, graph, cfg,
-                                          rng_data, rng_dropout, rng_fault)
+        tr_loss = train_epoch(model, opt, tr_views, y, graph, cfg,
+                              rng_data, rng_dropout, rng_fault)
         val_loss, val_acc = evaluate_split(model, va_views, val.labels, graph)
         curves.append((epoch, tr_loss, val_loss, val_acc))
         if val_loss < best_loss:
@@ -310,7 +300,8 @@ def fit(cfg: TrainConfig, train: Dataset, val: Dataset, partition: PartitionSpec
 # Checkpoint file layout: a text manifest (layer shapes, config echo and its
 # hash) terminated by a DATA line, then raw little-endian float32 values,
 # row-major per layer, clients ascending then aggregators ascending, weight
-# before bias. Parameters compute in float64 but serialize as float32.
+# before bias: the order of ``SplitModel.params``, which computes in float64
+# and serializes as float32 in one piece.
 
 _CKPT_MAGIC = "MAGS-CKPT v1"
 
@@ -332,38 +323,18 @@ def save_checkpoint(ckpt: Checkpoint, path):
     head.write(f"clients {model.client_count}\n")
     head.write(f"classes {model.class_count}\n")
     head.write(f"rep_dim {model.rep_dim}\n")
-    head.write("aggregators " + " ".join(str(k) for k in sorted(model.heads)) + "\n")
-    for c, enc in enumerate(model.encoders, start=1):
-        head.write(f"encoder {c} " + " ".join(str(d) for d in enc.dims) + "\n")
-    for k in sorted(model.heads):
-        head.write(f"head {k} " + " ".join(str(d) for d in model.heads[k].dims) + "\n")
+    head.write("aggregators " + " ".join(str(k) for k in model.aggregators) + "\n")
+    enc_dims = " ".join(str(d) for d in model.encoder_dims)
+    for c in range(1, model.client_count + 1):
+        head.write(f"encoder {c} {enc_dims}\n")
+    head_dims = " ".join(str(d) for d in model.head_dims)
+    for k in model.aggregators:
+        head.write(f"head {k} {head_dims}\n")
     head.write("DATA\n")
-
-    blobs = []
-    for enc in model.encoders:
-        for w, b in enc.layers:
-            blobs.append(w.astype("<f4").tobytes())
-            blobs.append(b.astype("<f4").tobytes())
-    for k in sorted(model.heads):
-        for w, b in model.heads[k].layers:
-            blobs.append(w.astype("<f4").tobytes())
-            blobs.append(b.astype("<f4").tobytes())
 
     with open(path, "wb") as f:
         f.write(head.getvalue().encode())
-        for blob in blobs:
-            f.write(blob)
-
-
-def _read_mlp(buf: memoryview, offset: int, dims):
-    layers = []
-    for n, m in zip(dims[:-1], dims[1:]):
-        w = np.frombuffer(buf, dtype="<f4", count=n * m, offset=offset)
-        offset += 4 * n * m
-        b = np.frombuffer(buf, dtype="<f4", count=m, offset=offset)
-        offset += 4 * m
-        layers.append((w.reshape(n, m).astype(np.float64), b.astype(np.float64)))
-    return Mlp(layers), offset
+        f.write(model.params.astype("<f4").tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -392,18 +363,15 @@ def load_checkpoint(path) -> Checkpoint:
     if hashlib.sha256(fields["config"].encode()).hexdigest() != fields["config_hash"]:
         raise ConfigError(f"{path}: config hash mismatch")
 
-    offset = 0
-    encoders = []
-    for c in sorted(enc_dims):
-        mlp, offset = _read_mlp(body, offset, enc_dims[c])
-        encoders.append(mlp)
-    heads = {}
-    for k in sorted(head_dims):
-        mlp, offset = _read_mlp(body, offset, head_dims[k])
-        heads[k] = mlp
-    if offset != len(body):
-        raise ConfigError(f"{path}: trailing bytes in checkpoint payload")
-
-    model = SplitModel(encoders, heads, int(fields["rep_dim"]), int(fields["classes"]))
+    enc_shapes = {tuple(d) for d in enc_dims.values()}
+    head_shapes = {tuple(d) for d in head_dims.values()}
+    if len(enc_shapes) != 1 or len(head_shapes) != 1:
+        raise ConfigError(f"{path}: encoder and head shapes must each be uniform")
+    (enc_shape,), (head_shape,) = enc_shapes, head_shapes
+    size = len(enc_dims) * mlp_size(enc_shape) + len(head_dims) * mlp_size(head_shape)
+    if len(body) != 4 * size:
+        raise ConfigError(f"{path}: payload has {len(body)} bytes, the manifest needs {4 * size}")
+    params = np.frombuffer(body, dtype="<f4").astype(np.float64)
+    model = SplitModel(params, len(enc_dims), enc_shape, tuple(sorted(head_dims)), head_shape)
     return Checkpoint(model, config, float(fields["best_val_loss"]),
                       int(fields["best_epoch"]))

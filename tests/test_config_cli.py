@@ -115,6 +115,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="0.1004"):
             load_config(p)
 
+    def test_markov_train_fault_rejected(self, tmp_path):
+        p = write_config(tmp_path)
+        p.write_text(p.read_text().replace(
+            "dropout_rate = 0.3", "dropout_rate = 0.3\nfault_kind = markov_comm\nfault_rate = 0.3"))
+        with pytest.raises(ConfigError, match="markov_comm"):
+            load_config(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")

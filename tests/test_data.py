@@ -103,6 +103,16 @@ class TestSplitPatches:
             rebuilt[:, perm] = flat
             assert np.array_equal(rebuilt, x)
 
+    def test_views_are_one_client_major_stack(self):
+        x = np.random.default_rng(2).random((6, 784))
+        spec = split_patches(784, 4)
+        views = client_views(x, spec)
+        assert views.shape == (16, 6, 49) and views.flags.c_contiguous
+        for c, cols in enumerate(spec.client_columns):
+            assert np.array_equal(views[c], x[:, cols])
+        idx = np.array([4, 1])
+        assert np.array_equal(views[:, idx][3], x[idx][:, spec.client_columns[3]])
+
     def test_indivisible_grid_rejected(self):
         with pytest.raises(ConfigError):
             split_patches(784, 3)

@@ -16,6 +16,13 @@ def toy_model(graph, patch_dim, classes, seed=0):
                             stream(seed, "init"))
 
 
+def zero_heads(model):
+    for w, b in model.head.layers:
+        w[...] = 0.0
+        b[...] = 0.0
+    return model
+
+
 def delivery(realized, aggregators, client_count):
     """Keep mask of the given aggregators, built directly from a realization."""
     keep = [[bool(realized.edge_alive[k, c] and realized.alive[c])
@@ -32,12 +39,12 @@ class TestEncoderDims:
 
 class TestClientEncode:
     def test_identity_like_encoder_is_affine_on_nonnegative_patch(self):
-        graph = build_graph("complete", 2, 1)
-        model = toy_model(graph, 4, 3)
-        model.encoders[0] = Mlp([(np.eye(4)[:, :2], np.zeros(2))])
-        model.rep_dim = 2
+        # one client with a one-layer encoder, written into the stacked view
+        params = np.zeros(4 * 2 + 2 + 2 * 3 + 3)
+        model = SplitModel(params, 1, (4, 2), (1,), (2, 3))
+        model.encoder.layers[0][0][0] = np.eye(4)[:, :2]
         x = np.array([[0.1, 0.9, 0.0, 0.3]])
-        reps = client_encode(SplitModel([model.encoders[0]], {}, 2, 3), [x])
+        reps = client_encode(model, [x])
         assert np.allclose(reps[0], [[0.1, 0.9]])
 
     def test_sixteen_clients_rep_dim_four(self):
@@ -101,25 +108,24 @@ class TestAggregate:
 class TestAggregatorHead:
     def test_zero_weight_head_is_uniform(self):
         graph = build_graph("complete", 4, 2)
-        model = toy_model(graph, 16, 5)
-        for k in model.heads:
-            model.heads[k] = Mlp([(np.zeros_like(w), np.zeros_like(b))
-                                  for w, b in model.heads[k].layers])
-        out = aggregator_head(model, 1, np.random.default_rng(5).random((4, 8)))
+        model = zero_heads(toy_model(graph, 16, 5))
+        out = aggregator_head(model, [1, 2], np.random.default_rng(5).random((2, 4, 8)))
         assert np.allclose(out, -np.log(5.0), atol=1e-12)
 
     def test_output_exponentiates_to_one(self):
         graph = build_graph("complete", 4, 1)
         model = toy_model(graph, 16, 7)
-        out = aggregator_head(model, 1, np.random.default_rng(6).random((5, 8)))
-        assert np.all(np.abs(np.exp(out).sum(axis=1) - 1.0) <= 1e-12)
+        out = aggregator_head(model, [1], np.random.default_rng(6).random((1, 5, 8)))
+        assert np.all(np.abs(np.exp(out).sum(axis=-1) - 1.0) <= 1e-12)
 
     def test_matches_composition_oracle(self):
-        graph = build_graph("complete", 4, 1)
+        graph = build_graph("complete", 4, 3)
         model = toy_model(graph, 16, 7)
-        x = np.random.default_rng(7).random((5, 8))
-        expected = log_softmax(mlp_forward(model.heads[1], x)[0])
-        assert np.array_equal(aggregator_head(model, 1, x), expected)
+        x = np.random.default_rng(7).random((2, 5, 8))
+        out = aggregator_head(model, [1, 3], x)  # rows 0 and 2 of the head stack
+        for j, row in enumerate((0, 2)):
+            expected = log_softmax(mlp_forward(model.head.take(row), x[j])[0])
+            assert np.array_equal(out[j], expected)
 
 
 class TestGossipRound:
@@ -197,7 +203,7 @@ class TestMagsInfer:
         reps = client_encode(model, views)
         res = mags_infer(model, reps, graph, FaultModel("none"), 0, stream(1, "fault"))
         z = aggregate(reps, np.ones((1, 4), dtype=bool))
-        assert np.allclose(res.log_probs[1], aggregator_head(model, 1, z[0]), atol=1e-12)
+        assert np.allclose(res.log_probs[1], aggregator_head(model, [1], z)[0], atol=1e-12)
         assert res.active == {1}
 
     def test_consensus_limit_on_regular_graph(self):
@@ -245,10 +251,7 @@ class TestMagsInfer:
 
     def test_zero_weight_heads_stay_uniform_under_any_faults(self):
         graph = build_graph("grid", 16, 4)
-        model = toy_model(graph, 49, 10)
-        for k in model.heads:
-            model.heads[k] = Mlp([(np.zeros_like(w), np.zeros_like(b))
-                                  for w, b in model.heads[k].layers])
+        model = zero_heads(toy_model(graph, 49, 10))
         views = [np.random.default_rng(14).random((3, 49)) for _ in range(16)]
         rng = stream(5, "fault")
         reps = client_encode(model, views)
@@ -266,17 +269,17 @@ class TestMagsInfer:
         perm = [3, 1, 4, 2]  # new client c takes old client perm[c-1]
         r = model.rep_dim
 
-        enc2 = [model.encoders[p - 1].copy() for p in perm]
-        heads2 = {}
-        for new_k, old_k in enumerate(perm, start=1):
-            head = model.heads[old_k].copy()
-            w1, b1 = head.layers[0]
-            w1p = np.zeros_like(w1)
-            for new_c, old_c in enumerate(perm, start=1):
-                w1p[(new_c - 1) * r:new_c * r] = w1[(old_c - 1) * r:old_c * r]
-            heads2[new_k] = Mlp([(w1p, b1.copy())] + [(w.copy(), b.copy())
-                                                      for w, b in head.layers[1:]])
-        model2 = SplitModel(enc2, heads2, r, model.class_count)
+        # permute encoder and head rows, and the head's input blocks, by
+        # writing into model2's stacked views
+        rows = [p - 1 for p in perm]
+        model2 = model.copy()
+        for (w2, b2), (w, b) in zip(model2.encoder.layers + model2.head.layers,
+                                    model.encoder.layers + model.head.layers):
+            w2[...] = w[rows]
+            b2[...] = b[rows]
+        w1 = model2.head.layers[0][0]
+        blocks = w1.reshape(4, 4, r, -1)  # (head, client block, r, width)
+        blocks[...] = blocks[:, rows]
         views2 = [views[p - 1] for p in perm]
 
         res = mags_infer(model, client_encode(model, views), graph, FaultModel("none"), 2,

@@ -8,7 +8,6 @@ from mags.faults import FaultModel, realize_base
 from mags.inference import client_encode, init_split_model, mags_infer
 from mags.metrics import (POLICIES, count_comm, ensemble_decomposition,
                           estimate_risk, evaluate_policies, risk_bound_report)
-from mags.nn import Mlp
 from mags.rng import stream
 from mags.topology import build_graph
 from mags.training import TrainConfig, fit
@@ -17,9 +16,9 @@ from mags.training import TrainConfig, fit
 def uniform_model(graph, patch_dim, classes, seed=0):
     model = init_split_model(graph, [patch_dim] * graph.device_count, classes,
                              stream(seed, "init"))
-    for k in model.heads:
-        model.heads[k] = Mlp([(np.zeros_like(w), np.zeros_like(b))
-                              for w, b in model.heads[k].layers])
+    for w, b in model.head.layers:
+        w[...] = 0.0
+        b[...] = 0.0
     return model
 
 
@@ -27,8 +26,9 @@ def fixed_model(graph, classes, predict=None):
     """Heads that ignore their input: aggregator k always predicts class
     ``predict[k]``, by default k-1."""
     model = uniform_model(graph, 4, classes)
-    for k, head in model.heads.items():
-        head.layers[-1][1][(predict or {}).get(k, k - 1)] = 10.0
+    last_bias = model.head.layers[-1][1]
+    for j, k in enumerate(model.aggregators):
+        last_bias[j, (predict or {}).get(k, k - 1)] = 10.0
     return model
 
 

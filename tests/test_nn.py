@@ -3,7 +3,8 @@ import pytest
 
 from mags.errors import ConfigError, InputError
 from mags.nn import (Mlp, adam_init, adam_update, init_mlp, linear_forward,
-                     log_softmax, loss_and_grad, mlp_forward, relu)
+                     log_softmax, loss_and_grad, mlp_backward, mlp_forward, mlp_size,
+                     relu, stacked_mlp)
 from mags.rng import stream
 
 
@@ -183,33 +184,118 @@ class TestLossAndGrad:
         assert worst < 1e-6
 
 
+def random_stack(seed, count, dims):
+    """A stack of ``count`` MLPs as views into one flat vector, plus that vector."""
+    flat = stream(seed, "init").uniform(-0.5, 0.5, size=count * mlp_size(dims))
+    return stacked_mlp(flat, count, dims), flat
+
+
+class TestStackedMlp:
+    def test_layers_are_views_into_the_flat_vector(self):
+        dims = (3, 4, 2)
+        stack, flat = random_stack(0, 5, dims)
+        assert [w.shape for w, _ in stack.layers] == [(5, 3, 4), (5, 4, 2)]
+        assert [b.shape for _, b in stack.layers] == [(5, 4), (5, 2)]
+        assert all(np.shares_memory(a, flat) for layer in stack.layers for a in layer)
+        # MLP s occupies its own block, each layer's weight (row-major) before its bias
+        per = mlp_size(dims)
+        expected = np.concatenate([a[2].ravel() for layer in stack.layers for a in layer])
+        assert np.array_equal(flat[2 * per:3 * per], expected)
+        stack.layers[1][1][4, 0] = 7.0
+        assert flat[5 * per - 2] == 7.0
+
+    def test_forward_and_backward_equal_rowwise_2d_calls(self):
+        dims = (6, 5, 3)
+        stack, _ = random_stack(1, 4, dims)
+        rng = stream(1, "data")
+        x = rng.standard_normal((4, 7, 6))
+        grad_out = rng.standard_normal((4, 7, 3))
+        out, tape = mlp_forward(stack, x)
+        grads, dx = mlp_backward(stack, tape, grad_out)
+        for s in range(4):
+            row = stack.take(s)
+            out_s, tape_s = mlp_forward(row, x[s])
+            grads_s, dx_s = mlp_backward(row, tape_s, grad_out[s])
+            assert np.array_equal(out[s], out_s)
+            assert np.array_equal(dx[s], dx_s)
+            for (gw, gb), (gw_s, gb_s) in zip(grads, grads_s):
+                assert np.array_equal(gw[s], gw_s)
+                assert np.array_equal(gb[s], gb_s)
+
+    def test_stacked_backward_matches_finite_differences(self):
+        dims = (3, 4, 2)
+        stack, flat = random_stack(2, 3, dims)
+        rng = stream(2, "data")
+        x = rng.standard_normal((3, 5, 3))
+        probe = rng.standard_normal((3, 5, 2))  # loss = sum(probe * out)
+
+        def loss():
+            return float((probe * mlp_forward(stack, x)[0]).sum())
+
+        grads, _ = mlp_backward(stack, mlp_forward(stack, x)[1], probe)
+        analytic = np.concatenate([a[s].ravel() for s in range(3)
+                                   for layer in grads for a in layer])
+        h, worst = 1e-6, 0.0
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss()
+            flat[i] = orig - h
+            down = loss()
+            flat[i] = orig
+            worst = max(worst, rel_err(analytic[i], (up - down) / (2 * h)))
+        assert worst < 1e-6
+
+    def test_take_selects_rows(self):
+        stack, _ = random_stack(3, 4, (3, 2))
+        assert stack.take(1).layers[0][0].shape == (3, 2)
+        assert np.shares_memory(stack.take(slice(None)).layers[0][0], stack.layers[0][0])
+        picked = stack.take(np.array([3, 0]))
+        assert np.array_equal(picked.layers[0][1], stack.layers[0][1][[3, 0]])
+
+    def test_stack_shape_mismatch_rejected(self):
+        stack, _ = random_stack(4, 3, (3, 2))
+        with pytest.raises(ConfigError):
+            mlp_forward(stack, np.zeros((2, 5, 3)))
+        with pytest.raises(ConfigError):
+            mlp_forward(stack, np.zeros((5, 3)))
+
+
+def per_group_adam(groups, grads, ms, vs, t, lr, b1, b2, eps):
+    """Reference: one Adam step applied to each parameter group separately,
+    returning new (params, m, v) lists."""
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    out, ms2, vs2 = [], [], []
+    for w, g, m, v in zip(groups, grads, ms, vs):
+        m2 = b1 * m + (1.0 - b1) * g
+        v2 = b2 * v + (1.0 - b2) * g * g
+        out.append(w - lr * (m2 / c1) / (np.sqrt(v2 / c2) + eps))
+        ms2.append(m2)
+        vs2.append(v2)
+    return out, ms2, vs2
+
+
 class TestAdam:
     def test_first_step_bias_correction(self):
-        mlp = Mlp([(np.zeros((2, 2)), np.zeros(2))])
-        state = adam_init(mlp, lr=0.001)
-        grads = [(np.ones((2, 2)), np.ones(2))]
-        out, state2 = adam_update(mlp, grads, state)
+        params = np.zeros(6)
+        state = adam_init(params, lr=0.001)
+        adam_update(params, np.ones(6), state)
         # m_hat = v_hat = 1 after bias correction, so the step is -lr/(1+eps)
-        assert np.allclose(out.layers[0][0], -0.001, atol=1e-9)
-        assert np.allclose(out.layers[0][1], -0.001, atol=1e-9)
-        assert state2.t == 1
+        assert np.allclose(params, -0.001, atol=1e-9)
+        assert state.t == 1
 
     def test_zero_gradient_with_zero_state_is_identity(self):
-        rng = stream(9, "init")
-        mlp = init_mlp((3, 3), rng)
-        state = adam_init(mlp)
-        grads = [(np.zeros((3, 3)), np.zeros(3))]
-        out, _ = adam_update(mlp, grads, state)
-        assert np.array_equal(out.layers[0][0], mlp.layers[0][0])
-        assert np.array_equal(out.layers[0][1], mlp.layers[0][1])
+        params = stream(9, "init").uniform(-1, 1, size=12)
+        before = params.copy()
+        adam_update(params, np.zeros(12), adam_init(params))
+        assert np.array_equal(params, before)
 
     def test_two_steps_match_hand_recurrence(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         g = 0.5
         w = 0.2
-        mlp = Mlp([(np.array([[w]]), np.array([w]))])
-        state = adam_init(mlp, lr=lr, beta1=b1, beta2=b2, eps=eps)
-        grads = [(np.array([[g]]), np.array([g]))]
+        params = np.array([w, w])
+        state = adam_init(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
         # hand-unrolled recurrence
         m = v = 0.0
         expect = w
@@ -217,15 +303,38 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             expect -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
-            mlp, state = adam_update(mlp, grads, state)
-        assert mlp.layers[0][0][0, 0] == pytest.approx(expect, abs=1e-15)
+            adam_update(params, np.array([g, g]), state)
+        assert params[0] == pytest.approx(expect, abs=1e-15)
         assert state.t == 2
 
+    def test_flat_step_is_bit_equal_to_per_group_steps(self):
+        # three groups stepped as one flat vector, one of them with an
+        # all-zero gradient, against the per-group formula slice by slice
+        lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+        rng = stream(10, "init")
+        sizes = (7, 5, 9)
+        cuts = np.cumsum(sizes)[:-1]
+        params = rng.uniform(-1, 1, size=sum(sizes))
+        groups = np.split(params.copy(), cuts)
+        ms = [np.zeros(n) for n in sizes]
+        vs = [np.zeros(n) for n in sizes]
+        state = adam_init(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in (1, 2, 3):
+            grad = rng.standard_normal(sum(sizes))
+            grad[cuts[0]:cuts[1]] = 0.0
+            adam_update(params, grad, state)
+            groups, ms, vs = per_group_adam(groups, np.split(grad, cuts), ms, vs,
+                                            t, lr, b1, b2, eps)
+            assert np.array_equal(params, np.concatenate(groups))
+            assert np.array_equal(state.m, np.concatenate(ms))
+            assert np.array_equal(state.v, np.concatenate(vs))
+        assert state.t == 3
+
     def test_shape_mismatch(self):
-        mlp = Mlp([(np.zeros((2, 2)), np.zeros(2))])
-        state = adam_init(mlp)
+        params = np.zeros(6)
+        state = adam_init(params)
         with pytest.raises(ConfigError):
-            adam_update(mlp, [(np.zeros((3, 2)), np.zeros(2))], state)
+            adam_update(params, np.zeros(5), state)
 
 
 def test_init_is_fan_in_bounded():

@@ -5,7 +5,7 @@ from mags.data import Dataset, client_views, make_splits, one_hot, split_patches
 from mags.errors import ConfigError
 from mags.faults import FaultModel
 from mags.inference import init_split_model
-from mags.nn import Mlp, adam_init, adam_update, init_mlp, loss_and_grad
+from mags.nn import adam_init, adam_update, init_mlp, loss_and_grad, stacked_mlp
 from mags.rng import stream
 from mags.topology import build_graph
 from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask,
@@ -16,10 +16,15 @@ from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask,
 
 
 def zero_heads(model):
-    for k in model.heads:
-        model.heads[k] = Mlp([(np.zeros_like(w), np.zeros_like(b))
-                              for w, b in model.heads[k].layers])
+    for w, b in model.head.layers:
+        w[...] = 0.0
+        b[...] = 0.0
     return model
+
+
+def positions(model):
+    """(encoder, head) stacks holding each parameter's index in ``params``."""
+    return model.unflatten(np.arange(model.params.size))
 
 
 def small_problem(n=120, g=2, classes=4, noise=0.2, seed=5):
@@ -108,9 +113,16 @@ class TestDropoutMasks:
         cfg = TrainConfig(train_fault=FaultModel("communication", 1.0), gossip_rounds=2)
         delivery = batch_delivery(graph, cfg, stream(9, "dropout"), stream(9, "fault"))
         assert np.array_equal(delivery[3], np.eye(4, dtype=bool))
-        loss0, _, _ = split_loss_and_grads(model, views, y, *delivery, 0)
-        loss2, _, _ = split_loss_and_grads(model, views, y, *delivery, 2)
+        loss0, _ = split_loss_and_grads(model, views, y, *delivery, 0)
+        loss2, _ = split_loss_and_grads(model, views, y, *delivery, 2)
         assert loss2 == pytest.approx(loss0, rel=1e-12)
+
+
+def test_markov_train_fault_rejected():
+    # training draws one memoryless realization per batch; the Markov chain
+    # has no such draw and used to fail only at the first batch
+    with pytest.raises(ConfigError, match="markov_comm"):
+        TrainConfig(train_fault=FaultModel("markov_comm", 0.3)).validate()
 
 
 class TestSplitLossAndGrads:
@@ -121,8 +133,8 @@ class TestSplitLossAndGrads:
         views = client_views(ds.features[:32], part)
         y = one_hot(ds.labels[:32], ds.class_count)
         keep = np.ones((4, 4), dtype=bool)
-        loss, _, _ = split_loss_and_grads(model, views, y, keep, list(graph.aggregators),
-                                          np.ones(4, dtype=bool))
+        loss, _ = split_loss_and_grads(model, views, y, keep, list(graph.aggregators),
+                                       np.ones(4, dtype=bool))
         assert loss == pytest.approx(4 * np.log(ds.class_count), abs=1e-12)
 
     def test_full_cd_dropout_trains_heads_on_own_client_only(self):
@@ -131,13 +143,12 @@ class TestSplitLossAndGrads:
         views = client_views(ds.features[:8], part)
         y = one_hot(ds.labels[:8], ds.class_count)
         keep = apply_cd_mask(4, 4, graph.aggregators, 1.0, stream(7, "dropout"))
-        _, enc_grads, _ = split_loss_and_grads(model, views, y, keep,
-                                               list(graph.aggregators),
-                                               np.ones(4, dtype=bool))
+        _, grad = split_loss_and_grads(model, views, y, keep, list(graph.aggregators),
+                                       np.ones(4, dtype=bool))
+        enc_grads, _ = model.unflatten(grad)
         # every encoder still learns (through its own head)
-        assert set(enc_grads) == {1, 2, 3, 4}
-        for g in enc_grads.values():
-            assert any(np.abs(gw).sum() > 0 for gw, _ in g)
+        for c in range(4):
+            assert any(np.abs(gw[c]).sum() > 0 for gw, _ in enc_grads.layers)
 
     def test_dropped_slot_gets_no_gradient_path(self):
         ds, part, graph = small_problem()
@@ -146,11 +157,11 @@ class TestSplitLossAndGrads:
         y = one_hot(ds.labels[:8], ds.class_count)
         keep = np.ones((4, 4), dtype=bool)
         keep[:, 2] = False  # client 3 unreachable everywhere
-        _, enc_grads, _ = split_loss_and_grads(model, views, y, keep,
-                                               list(graph.aggregators),
-                                               np.ones(4, dtype=bool))
-        assert all(np.array_equal(gw, np.zeros_like(gw)) and np.array_equal(gb, np.zeros_like(gb))
-                   for gw, gb in enc_grads[3])
+        _, grad = split_loss_and_grads(model, views, y, keep, list(graph.aggregators),
+                                       np.ones(4, dtype=bool))
+        enc_grads, _ = model.unflatten(grad)
+        assert all(not gw[2].any() and not gb[2].any() for gw, gb in enc_grads.layers)
+        assert all(gw[1].any() for gw, _ in enc_grads.layers)
 
     def test_gradients_match_finite_differences_with_mask(self):
         graph = build_graph("complete", 2, 2)
@@ -162,30 +173,22 @@ class TestSplitLossAndGrads:
         alive = np.ones(2, dtype=bool)
 
         def loss_of():
-            val, _, _ = split_loss_and_grads(model, views, y, keep, [1, 2], alive)
+            val, _ = split_loss_and_grads(model, views, y, keep, [1, 2], alive)
             return val
 
-        _, enc_grads, head_grads = split_loss_and_grads(model, views, y, keep, [1, 2], alive)
+        _, grad = split_loss_and_grads(model, views, y, keep, [1, 2], alive)
         worst = 0.0
-        groups = [(enc_grads[1], model.encoders[0]), (enc_grads[2], model.encoders[1]),
-                  (head_grads[1], model.heads[1]), (head_grads[2], model.heads[2])]
         h = 1e-5
-        for grads, mlp in groups:
-            for li in range(len(mlp.layers)):
-                for wi in range(2):
-                    arr = mlp.layers[li][wi]
-                    it = np.nditer(arr, flags=["multi_index"])
-                    for _ in it:
-                        idx = it.multi_index
-                        orig = arr[idx]
-                        arr[idx] = orig + h
-                        up = loss_of()
-                        arr[idx] = orig - h
-                        down = loss_of()
-                        arr[idx] = orig
-                        fd = (up - down) / (2 * h)
-                        a = grads[li][wi][idx]
-                        worst = max(worst, abs(fd - a) / max(abs(fd), abs(a), 1e-3))
+        params = model.params
+        for i in range(params.size):  # every encoder and head coordinate
+            orig = params[i]
+            params[i] = orig + h
+            up = loss_of()
+            params[i] = orig - h
+            down = loss_of()
+            params[i] = orig
+            fd = (up - down) / (2 * h)
+            worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-3))
         assert worst < 1e-6
 
     @pytest.mark.parametrize("kind,devices,aggregators", [
@@ -206,28 +209,26 @@ class TestSplitLossAndGrads:
         assert links.sum(axis=1).tolist() == ([2, 2] if kind == "complete" else [2, 3, 2])
 
         def loss_of():
-            val, _, _ = split_loss_and_grads(model, views, y, keep, aggs, alive, links, 2)
+            val, _ = split_loss_and_grads(model, views, y, keep, aggs, alive, links, 2)
             return val
 
-        _, enc_grads, head_grads = split_loss_and_grads(
-            model, views, y, keep, aggs, alive, links, 2)
+        _, grad = split_loss_and_grads(model, views, y, keep, aggs, alive, links, 2)
+        # the weights of client 1's encoder and aggregator 2's head
+        enc_pos, head_pos = positions(model)
+        coords = np.concatenate([w[0].ravel() for w, _ in enc_pos.layers]
+                                + [w[1].ravel() for w, _ in head_pos.layers])
         h = 1e-5
         worst = 0.0
-        for grads, mlp in [(enc_grads[1], model.encoders[0]), (head_grads[2], model.heads[2])]:
-            for li in range(len(mlp.layers)):
-                arr = mlp.layers[li][0]
-                it = np.nditer(arr, flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    orig = arr[idx]
-                    arr[idx] = orig + h
-                    up = loss_of()
-                    arr[idx] = orig - h
-                    down = loss_of()
-                    arr[idx] = orig
-                    fd = (up - down) / (2 * h)
-                    a = grads[li][0][idx]
-                    worst = max(worst, abs(fd - a) / max(abs(fd), abs(a), 1e-3))
+        params = model.params
+        for i in coords:
+            orig = params[i]
+            params[i] = orig + h
+            up = loss_of()
+            params[i] = orig - h
+            down = loss_of()
+            params[i] = orig
+            fd = (up - down) / (2 * h)
+            worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-3))
         assert worst < 1e-6
 
 
@@ -247,20 +248,25 @@ class TestTrainEpoch:
         opt = init_optimizer(model, cfg)
 
         oracle_rng = stream(7, "init")
-        mono = Mlp(init_mlp((16, 4, 2), oracle_rng).layers + init_mlp((2, 2, 3), oracle_rng).layers)
-        mono_state = adam_init(mono, cfg.lr, cfg.beta1, cfg.beta2)
+        layers = init_mlp((16, 4, 2), oracle_rng).layers + init_mlp((2, 2, 3), oracle_rng).layers
+        mono_params = np.concatenate([a.ravel() for layer in layers for a in layer])
+        mono = stacked_mlp(mono_params, 1, (16, 4, 2, 2, 3)).take(0)  # views, one group
+        mono_state = adam_init(mono_params, cfg.lr, cfg.beta1, cfg.beta2)
 
         order = stream(7, "data").permutation(n)
         keep = np.ones((1, 1), dtype=bool)
         for start in range(0, n, 16):
             idx = order[start:start + 16]
-            split_loss, eg, hg = split_loss_and_grads(
+            split_loss, grad = split_loss_and_grads(
                 model, [x[idx]], y[idx], keep, [1], np.ones(1, dtype=bool))
             mono_loss, mono_grads = loss_and_grad(mono, x[idx], y[idx])
             assert split_loss == pytest.approx(mono_loss, abs=1e-12)
-            model, opt = optimizer_step(model, opt, eg, hg)
-            mono, mono_state = adam_update(mono, mono_grads, mono_state)
-        composed = model.encoders[0].layers + model.heads[1].layers
+            optimizer_step(model, opt, grad)
+            adam_update(mono_params,
+                        np.concatenate([a.ravel() for layer in mono_grads for a in layer]),
+                        mono_state)
+        # encoder layers then head layers: the composed MLP's parameter order
+        composed = [(w[0], b[0]) for w, b in model.encoder.layers + model.head.layers]
         for (w, b), (w2, b2) in zip(composed, mono.layers):
             assert np.allclose(w, w2, atol=1e-12)
             assert np.allclose(b, b2, atol=1e-12)
@@ -272,8 +278,8 @@ class TestTrainEpoch:
         opt = init_optimizer(model, cfg)
         views = client_views(ds.features, part)
         y = one_hot(ds.labels, ds.class_count)
-        _, _, loss = train_epoch(model, opt, views, y, graph, cfg,
-                                 stream(8, "data"), stream(8, "dropout"), stream(8, "fault"))
+        loss = train_epoch(model, opt, views, y, graph, cfg,
+                           stream(8, "data"), stream(8, "dropout"), stream(8, "fault"))
         assert np.isfinite(loss) and loss > 0
 
 
@@ -284,8 +290,7 @@ class TestFit:
         cfg = TrainConfig(epochs=0, seed=3)
         ckpt = fit(cfg, tr, va, part, graph)
         fresh = init_split_model(graph, part.patch_dims(), ds.class_count, stream(3, "init"))
-        for a, b in zip(ckpt.model.encoders, fresh.encoders):
-            assert np.array_equal(a.layers[0][0], b.layers[0][0])
+        assert np.array_equal(ckpt.model.params, fresh.params)
         assert ckpt.best_epoch == 0
 
     def test_separable_data_reaches_high_accuracy(self):
@@ -323,9 +328,7 @@ class TestFit:
         a = fit(TrainConfig(epochs=2, seed=6), tr, va, part, graph)
         b = fit(TrainConfig(epochs=2, seed=6, train_fault=FaultModel("device", 0.0)),
                 tr, va, part, graph)
-        for ea, eb in zip(a.model.encoders, b.model.encoders):
-            for (w1, b1), (w2, b2) in zip(ea.layers, eb.layers):
-                assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+        assert np.array_equal(a.model.params, b.model.params)
 
     def test_best_checkpoint_not_worse_than_final_epoch(self):
         ds, part, graph = small_problem(n=200, noise=0.4)
@@ -341,7 +344,7 @@ class TestFit:
         tr_views = client_views(tr.features, part)
         rd, rdo, rf = stream(7, "data"), stream(7, "dropout"), stream(7, "fault")
         for _ in range(6):
-            model, opt, _ = train_epoch(model, opt, tr_views, y, graph, cfg, rd, rdo, rf)
+            train_epoch(model, opt, tr_views, y, graph, cfg, rd, rdo, rf)
         final_loss, _ = evaluate_split(model, views, va.labels, graph)
         assert ckpt.best_val_loss <= final_loss + 1e-12
 
@@ -357,7 +360,7 @@ class TestFit:
         tr, va = make_splits(ds, 9)
         a = fit(TrainConfig(epochs=1, seed=9), tr, va, part, graph)
         b = fit(TrainConfig(epochs=1, seed=9, gossip_rounds=2), tr, va, part, graph)
-        assert not np.array_equal(a.model.heads[1].layers[0][0], b.model.heads[1].layers[0][0])
+        assert not np.array_equal(a.model.head.layers[0][0][0], b.model.head.layers[0][0][0])
 
     def test_empty_validation_rejected(self):
         ds, part, graph = small_problem(n=40)
@@ -414,8 +417,37 @@ class TestCheckpointFormat:
     def test_serializes_as_float32(self, tmp_path):
         ckpt, path, *_ = self.make_ckpt(tmp_path)
         loaded = load_checkpoint(path)
-        w64 = ckpt.model.encoders[0].layers[0][0]
-        w32 = loaded.model.encoders[0].layers[0][0]
+        w64 = ckpt.model.encoder.layers[0][0][0]
+        w32 = loaded.model.encoder.layers[0][0][0]
         assert w32.dtype == np.float64  # widened back for compute
         assert np.allclose(w64, w32, atol=1e-7)
         assert np.array_equal(w32, w64.astype("<f4").astype(np.float64))
+
+    def test_payload_is_the_documented_per_layer_layout(self, tmp_path):
+        # clients ascending, then aggregators ascending; per MLP each layer's
+        # weight (row-major) before its bias; little-endian float32
+        ckpt, path, *_ = self.make_ckpt(tmp_path)
+        model = ckpt.model
+        blobs = []
+        for c in range(model.client_count):
+            for w, b in model.encoder.layers:
+                blobs += [w[c].astype("<f4").tobytes(), b[c].astype("<f4").tobytes()]
+        for j in range(len(model.aggregators)):
+            for w, b in model.head.layers:
+                blobs += [w[j].astype("<f4").tobytes(), b[j].astype("<f4").tobytes()]
+        header, payload = path.read_bytes().split(b"\nDATA\n")
+        assert payload == b"".join(blobs)
+        lines = header.decode().splitlines()
+        assert "aggregators 1 2 3 4" in lines
+        assert [ln for ln in lines if ln.startswith(("encoder ", "head "))] == (
+            [f"encoder {c} 196 64 16" for c in range(1, 5)]
+            + [f"head {k} 64 64 4" for k in range(1, 5)])
+
+    def test_short_or_long_payload_rejected(self, tmp_path):
+        _, path, *_ = self.make_ckpt(tmp_path)
+        raw = path.read_bytes()
+        for bad in (raw[:-4], raw + b"\0\0\0\0"):
+            p2 = tmp_path / "bad.ckpt"
+            p2.write_bytes(bad)
+            with pytest.raises(ConfigError, match="payload"):
+                load_checkpoint(p2)
