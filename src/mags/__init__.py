@@ -1,11 +1,11 @@
 """Robust decentralized collaborative inference over fault-prone device
 networks: split neural models, multiple aggregators, gossip ensembling, and
-simulated faults, with a Monte Carlo risk harness."""
+simulated faults, with selection policies scored on shared fault draws."""
 
 from .data import Dataset, PartitionSpec, load_idx, make_splits, split_patches, synth_dataset
 from .faults import FaultModel, RealizedGraph, active_set
 from .inference import SplitModel, mags_infer
-from .metrics import POLICIES, ensemble_decomposition, estimate_risk, evaluate_policies
+from .metrics import POLICIES, ensemble_decomposition, evaluate_policies
 from .topology import DeviceGraph, build_graph, consensus_matrix, spectral_radius
 from .training import Checkpoint, TrainConfig, fit, load_checkpoint, save_checkpoint
 
@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "PartitionSpec", "load_idx", "make_splits", "split_patches",
     "synth_dataset", "FaultModel", "RealizedGraph", "active_set", "SplitModel",
-    "mags_infer", "POLICIES", "ensemble_decomposition", "estimate_risk",
-    "evaluate_policies", "DeviceGraph", "build_graph", "consensus_matrix",
-    "spectral_radius", "Checkpoint", "TrainConfig", "fit", "load_checkpoint",
-    "save_checkpoint", "__version__",
+    "mags_infer", "POLICIES", "ensemble_decomposition", "evaluate_policies",
+    "DeviceGraph", "build_graph", "consensus_matrix", "spectral_radius",
+    "Checkpoint", "TrainConfig", "fit", "load_checkpoint", "save_checkpoint",
+    "__version__",
 ]

@@ -182,10 +182,3 @@ def synth_dataset(n: int, classes: int, g: int, seed: int, noise: float) -> Data
         features = features + noise * rng.standard_normal((n, d))
     features = np.clip(features, 0.0, 1.0)
     return Dataset(features, labels.astype(np.int64), classes)
-
-
-def synth_class_means(classes: int, seed: int) -> np.ndarray:
-    """The mean images used by synth_dataset, for oracle checks."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-    patterns = rng.choice(np.array([-1.0, 1.0]), size=(classes, 28 * 28))
-    return 0.5 + SYNTH_AMPLITUDE * patterns

@@ -13,7 +13,6 @@ independent seeded streams and can execute in parallel.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,20 +60,16 @@ class RealizedGraph:
     base adjacency and self-loops of alive devices are always present.
     """
 
-    t: int
     alive: np.ndarray       # (C+1,) bool
     edge_alive: np.ndarray  # (C+1, C+1) bool
 
-    def alive_devices(self):
-        return [c for c in range(1, self.alive.shape[0]) if self.alive[c]]
 
-
-def realize_base(graph: DeviceGraph, t: int = 0) -> RealizedGraph:
+def realize_base(graph: DeviceGraph) -> RealizedGraph:
     alive = np.ones(graph.device_count + 1, dtype=bool)
-    return RealizedGraph(t, alive, graph.adj.copy())
+    return RealizedGraph(alive, graph.adj.copy())
 
 
-def sample_device_faults(graph: DeviceGraph, rate: float, rng, t: int = 0) -> RealizedGraph:
+def sample_device_faults(graph: DeviceGraph, rate: float, rng) -> RealizedGraph:
     """Each device independently alive with probability 1-r; an edge survives
     only when both endpoints are alive. The entity link to aggregator k is
     alive iff k is."""
@@ -85,10 +80,10 @@ def sample_device_faults(graph: DeviceGraph, rate: float, rng, t: int = 0) -> Re
     alive[0] = True
     alive[1:] = rng.random(c) < (1.0 - rate)
     edge_alive = graph.adj & alive[:, None] & alive[None, :]
-    return RealizedGraph(t, alive, edge_alive)
+    return RealizedGraph(alive, edge_alive)
 
 
-def sample_comm_faults(graph: DeviceGraph, rate: float, rng, t: int = 0) -> RealizedGraph:
+def sample_comm_faults(graph: DeviceGraph, rate: float, rng) -> RealizedGraph:
     """All devices alive; each non-self directed edge (entity links included)
     independently alive with probability 1-r. The two directions of a pair
     are sampled independently."""
@@ -98,39 +93,31 @@ def sample_comm_faults(graph: DeviceGraph, rate: float, rng, t: int = 0) -> Real
     keep = rng.random((c + 1, c + 1)) < (1.0 - rate)
     np.fill_diagonal(keep, True)  # self-loops never fault
     alive = np.ones(c + 1, dtype=bool)
-    return RealizedGraph(t, alive, graph.adj & keep)
+    return RealizedGraph(alive, graph.adj & keep)
 
 
-def sample_realization(graph: DeviceGraph, model: FaultModel, rng, t: int = 0) -> RealizedGraph:
+def sample_realization(graph: DeviceGraph, model: FaultModel, rng) -> RealizedGraph:
     """Dispatch for the memoryless fault kinds (the Markov chain is stateful
     and is advanced by the caller via markov_step)."""
     model.validate()
     if model.kind == "none":
-        return realize_base(graph, t)
+        return realize_base(graph)
     if model.kind == "device":
-        return sample_device_faults(graph, model.rate, rng, t)
+        return sample_device_faults(graph, model.rate, rng)
     if model.kind == "communication":
-        return sample_comm_faults(graph, model.rate, rng, t)
+        return sample_comm_faults(graph, model.rate, rng)
     raise ConfigError(f"sample_realization cannot handle kind {model.kind!r}")
 
 
-@dataclass
-class MarkovLinkState:
-    """Per-link alive/faulted state; evolves only through markov_step."""
-
-    alive: np.ndarray  # (C+1, C+1) bool over base non-self edges; diagonal kept True
-
-    def copy(self):
-        return MarkovLinkState(self.alive.copy())
-
-
-def markov_init(graph: DeviceGraph) -> MarkovLinkState:
+def markov_init(graph: DeviceGraph) -> np.ndarray:
+    """Per-link alive state, (C+1, C+1) bool over the base non-self edges
+    with the diagonal kept True; it evolves only through markov_step."""
     state = graph.adj.copy()
     np.fill_diagonal(state, True)
-    return MarkovLinkState(state)
+    return state
 
 
-def markov_step(state: MarkovLinkState, model: FaultModel, graph: DeviceGraph, rng) -> MarkovLinkState:
+def markov_step(state: np.ndarray, model: FaultModel, graph: DeviceGraph, rng) -> np.ndarray:
     """One transition: alive links stay alive w.p. p, faulted links recover
     w.p. q = (1-p)(1-r)/r. Rate 0 keeps every link alive forever."""
     if model.kind != "markov_comm":
@@ -141,33 +128,18 @@ def markov_step(state: MarkovLinkState, model: FaultModel, graph: DeviceGraph, r
     q = model.recovery_prob()
     n = graph.device_count + 1
     u = rng.random((n, n))
-    nxt = np.where(state.alive, u < model.stay_alive, u < q)
+    nxt = np.where(state, u < model.stay_alive, u < q)
     nxt &= graph.adj
     np.fill_diagonal(nxt, np.diag(graph.adj))
-    return MarkovLinkState(nxt)
+    return nxt
 
 
-def markov_realize(graph: DeviceGraph, state: MarkovLinkState, t: int = 0) -> RealizedGraph:
+def markov_realize(graph: DeviceGraph, state: np.ndarray) -> RealizedGraph:
     alive = np.ones(graph.device_count + 1, dtype=bool)
-    return RealizedGraph(t, alive, graph.adj & state.alive)
+    return RealizedGraph(alive, graph.adj & state)
 
 
 def active_set(realized: RealizedGraph, aggregators) -> set:
     """Aggregators that are alive and whose entity link is alive at this step."""
     return {int(k) for k in aggregators
             if realized.alive[k] and realized.edge_alive[0, k]}
-
-
-def write_fault_trace(path, realizations, graph: DeviceGraph):
-    """Append-style CSV dump of realizations: (t, kind, entity, alive)."""
-    c = graph.device_count
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "kind", "entity", "alive"])
-        for r in realizations:
-            for d in range(1, c + 1):
-                w.writerow([r.t, "device", d, int(r.alive[d])])
-            for u in range(c + 1):
-                for v in range(c + 1):
-                    if u != v and graph.adj[u, v]:
-                        w.writerow([r.t, "edge", f"{u}->{v}", int(r.edge_alive[u, v])])

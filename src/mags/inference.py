@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .faults import (FaultModel, active_set, markov_init, markov_realize,
-                     markov_step, sample_realization)
+from .faults import (FaultModel, RealizedGraph, active_set, markov_init,
+                     markov_realize, markov_step, sample_realization)
 from .nn import init_mlp, log_softmax, mlp_forward, mlp_size, relu, stacked_mlp
 from .topology import DeviceGraph
 
@@ -112,6 +112,16 @@ def client_encode(model: SplitModel, client_features) -> np.ndarray:
                      for c, x in enumerate(client_features)])
 
 
+def delivery(realized: RealizedGraph, aggregators):
+    """The aggregators alive in ``realized`` and their (K', C) delivery mask:
+    ``keep[j, c-1]`` says whether client c's representation reaches
+    ``aggs[j]``. Every sampler drops the edges of a dead device, so a dead
+    client is never kept."""
+    aggs = [k for k in aggregators if realized.alive[k]]
+    keep = realized.edge_alive[np.ix_(aggs, range(1, realized.alive.shape[0]))]
+    return aggs, keep
+
+
 def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Zero-imputed, client-ordered head inputs, shape (K', B, C * r).
 
@@ -153,7 +163,7 @@ def gossip_round(z: np.ndarray, links: np.ndarray) -> np.ndarray:
 class InferenceResult:
     log_probs: dict       # aggregator id -> (batch, classes) normalized log-probs
     active: set           # aggregators able to reach the entity at the final round
-    realizations: list    # RealizedGraph per communication round (t = 1 .. G+1)
+    realizations: list    # RealizedGraph per communication round, G+1 of them
 
 
 def mags_infer(model: SplitModel, reps, graph: DeviceGraph,
@@ -176,17 +186,14 @@ def mags_infer(model: SplitModel, reps, graph: DeviceGraph,
     if fault_model.kind == "markov_comm":
         state = markov_init(graph)
         realizations = []
-        for t in range(1, gossip_rounds + 2):
+        for _ in range(gossip_rounds + 1):
             state = markov_step(state, fault_model, graph, rng)
-            realizations.append(markov_realize(graph, state, t))
+            realizations.append(markov_realize(graph, state))
     else:
-        constant = sample_realization(graph, fault_model, rng, t=1)
+        constant = sample_realization(graph, fault_model, rng)
         realizations = [constant for _ in range(gossip_rounds + 1)]
 
-    r1 = realizations[0]
-    aggs = [k for k in graph.aggregators if r1.alive[k]]
-    clients = range(1, model.client_count + 1)
-    keep = r1.edge_alive[np.ix_(aggs, clients)] & r1.alive[None, 1:]
+    aggs, keep = delivery(realizations[0], graph.aggregators)
     values = aggregator_head(model, aggs, aggregate(reps, keep))
     for r in realizations[1:]:
         values = gossip_round(values, gossip_links(r.edge_alive, aggs))

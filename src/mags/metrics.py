@@ -1,5 +1,5 @@
-"""Selection policies, Monte Carlo risk estimation, communication counting,
-and the ensemble-loss decomposition.
+"""Selection policies and their shared-draw evaluation, communication
+counting, and the ensemble-loss decomposition.
 
 Selection policies map per-aggregator predictions to one system output:
 
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import client_views
 from .errors import ConfigError, InputError
 from .faults import FAULT_KIND_IDS, FaultModel
-from .inference import SplitModel, client_encode, mags_infer
+from .inference import SplitModel, mags_infer
+from .nn import log_softmax
 from .rng import stream
 from .topology import DeviceGraph
 
@@ -59,23 +59,14 @@ def count_comm(realizations, aggregators) -> CommCount:
     once per communication round. Gossip rounds count deliveries from all
     base neighbors (the accounting convention), even though the averaging
     itself only consumes aggregator values."""
+    aggs = np.asarray(aggregators, dtype=np.intp)
     per_round = []
     for r in realizations:
-        total = 0
-        for k in aggregators:
-            if not r.alive[k]:
-                continue
-            row = r.edge_alive[k, 1:]
-            total += int(row.sum()) - int(r.edge_alive[k, k])
-        per_round.append(total)
+        rows = aggs[r.alive[aggs]]
+        per_round.append(int(r.edge_alive[rows, 1:].sum()) - int(r.edge_alive[rows, rows].sum()))
     if not per_round:
         return CommCount(0, [])
     return CommCount(per_round[0], per_round[1:])
-
-
-def _logsumexp(v):
-    m = float(np.max(v))
-    return m + float(np.log(np.sum(np.exp(v - m))))
 
 
 def ensemble_decomposition(member_log_probs, y_onehot):
@@ -93,15 +84,12 @@ def ensemble_decomposition(member_log_probs, y_onehot):
     if y.shape[0] != lps.shape[1]:
         raise InputError("target length does not match class count")
 
-    mean_lp = lps.mean(axis=0)
-    log_z = _logsumexp(mean_lp)
-    ens_lp = mean_lp - log_z
+    ens_lp = log_softmax(lps.mean(axis=0))
     p_ens = np.exp(ens_lp)
 
     ens_loss = float(-(y * ens_lp).sum())
     mean_member_loss = float(-(y[None, :] * lps).sum(axis=1).mean())
-    diversity = float(np.mean([(p_ens * (ens_lp - lps[k])).sum()
-                               for k in range(lps.shape[0])]))
+    diversity = float((p_ens * (ens_lp - lps)).sum(axis=1).mean())
     residual = abs(ens_loss - (mean_member_loss - diversity))
     if residual > 1e-9:
         raise ArithmeticError(f"ensemble decomposition identity violated by {residual:.3e}")
@@ -191,78 +179,3 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
     total = n * trials
     return EvalResult({p: hits[p] / total for p in policies},
                       comm_total / max(seen, 1), total)
-
-
-@dataclass
-class RiskEstimate:
-    policy: str
-    mean: float
-    std: float
-    per_seed: list
-    sample_count: int
-    fault_kind: str
-    fault_rate: float
-
-
-def estimate_risk(model: SplitModel, features, labels, partition, graph,
-                  fault_model: FaultModel, policy: str, gossip_rounds: int,
-                  trials: int, seeds) -> RiskEstimate:
-    """Accuracy under the given fault model and policy, aggregated over seeds
-    (each seed drives independent fault and selection streams)."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    reps = client_encode(model, client_views(features, partition))
-    accs = []
-    for s in seeds:
-        r = evaluate_policies(model, reps, labels, graph, fault_model, [policy],
-                              gossip_rounds, s, trials=trials)
-        accs.append(r.accuracy[policy])
-    arr = np.array(accs)
-    std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    return RiskEstimate(policy, float(arr.mean()), std, accs,
-                        labels.shape[0] * trials, fault_model.kind, fault_model.rate)
-
-
-@dataclass
-class RiskBoundReport:
-    fault_rate: float
-    aggregator_count: int
-    clean_risk: float
-    faulted_risk: float
-    bound: float
-    sigma: float
-    passed: bool
-
-
-def risk_bound_report(model: SplitModel, features, labels, partition, graph,
-                      rate: float, seed: int = 0, trials: int = 1,
-                      gossip_rounds: int = 0, batch_size: int = 64) -> RiskBoundReport:
-    """Catastrophic-failure lower bound on 0-1 risk under device faults.
-
-    With K aggregators all dying independently at rate r, the faulted risk
-    cannot drop below (1 - r^K) * clean risk + r^K * uniform-guess risk; the
-    check allows a 3-sigma Monte Carlo margin. One fault realization is
-    shared per batch, so catastrophic events fluctuate at batch granularity
-    and the sigma combines batch-level and sample-level variance.
-    """
-    k = len(graph.aggregators)
-    m = model.class_count
-    reps = client_encode(model, client_views(features, partition))
-    clean = evaluate_policies(model, reps, labels, graph, FaultModel("none"),
-                              ["active_rand"], gossip_rounds, seed,
-                              batch_size=batch_size, trials=trials)
-    faulted = evaluate_policies(model, reps, labels, graph, FaultModel("device", rate),
-                                ["active_rand"], gossip_rounds, seed,
-                                batch_size=batch_size, trials=trials)
-    clean_risk = 1.0 - clean.accuracy["active_rand"]
-    faulted_risk = 1.0 - faulted.accuracy["active_rand"]
-    catastrophic = rate ** k
-    bound = (1.0 - catastrophic) * clean_risk + catastrophic * (1.0 - 1.0 / m)
-    n = labels.shape[0] * trials
-    batches = -(-labels.shape[0] // batch_size) * trials
-    var = (catastrophic * (1.0 - catastrophic) / batches
-           + max(faulted_risk * (1.0 - faulted_risk), 1e-12) / n)
-    sigma = float(np.sqrt(var))
-    return RiskBoundReport(rate, k, clean_risk, faulted_risk, bound, sigma,
-                           faulted_risk >= bound - 3.0 * sigma)

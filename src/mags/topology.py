@@ -10,12 +10,11 @@ in row-major order, which defines the grid, torus and random-geometric kinds.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, InputError
+from .errors import ConfigError, ConvergenceError
 
 GRAPH_KINDS = ("complete", "ring", "grid", "rgg", "torus")
 _LATTICE_KINDS = ("grid", "rgg", "torus")
@@ -26,17 +25,8 @@ class DeviceGraph:
     device_count: int
     kind: str
     aggregators: tuple
-    adj: np.ndarray        # (C+1, C+1) bool, index 0 is the entity
-    positions: np.ndarray  # (C, 2) int lattice coordinates, row-major
+    adj: np.ndarray  # (C+1, C+1) bool, index 0 is the entity
     rgg_radius: float | None = None
-
-    def device_neighbors(self, c: int):
-        """Neighboring devices of c, self excluded."""
-        return [d for d in range(1, self.device_count + 1) if d != c and self.adj[c, d]]
-
-    def undirected_device_edges(self):
-        c = self.device_count
-        return [(u, v) for u in range(1, c + 1) for v in range(u + 1, c + 1) if self.adj[u, v]]
 
 
 def lattice_positions(device_count: int) -> np.ndarray:
@@ -119,8 +109,7 @@ def build_graph(kind, device_count, aggregator_count, seed=0, *,
         adj[0, a] = True
         adj[a, 0] = True
 
-    return DeviceGraph(c, kind, aggs, adj, pos,
-                       float(rgg_radius) if kind == "rgg" else None)
+    return DeviceGraph(c, kind, aggs, adj, float(rgg_radius) if kind == "rgg" else None)
 
 
 def consensus_matrix(graph: DeviceGraph) -> np.ndarray:
@@ -160,67 +149,3 @@ def spectral_radius(v: np.ndarray, seed=0, max_iter=10000, tol=1e-10) -> float:
             return lam
         prev = lam
     raise ConvergenceError("power iteration did not converge", abs(lam - prev))
-
-
-def is_connected(graph: DeviceGraph, subset) -> bool:
-    """Breadth-first reachability over the subset-induced device subgraph."""
-    nodes = sorted(set(int(s) for s in subset))
-    if not nodes:
-        raise InputError("subset must be nonempty")
-    for n in nodes:
-        if not 1 <= n <= graph.device_count:
-            raise InputError(f"device index {n} out of range")
-    allowed = set(nodes)
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        u = frontier.pop()
-        for w in graph.device_neighbors(u):
-            if w in allowed and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen == allowed
-
-
-def save_edgelist(graph: DeviceGraph, path):
-    """Write the graph as one `u v` pair per line with a descriptive header.
-
-    Entity links come first, then undirected device pairs (u < v); self-loops
-    are implicit.
-    """
-    lines = [f"# C={graph.device_count} K={len(graph.aggregators)} kind={graph.kind}"
-             + (f" r={graph.rgg_radius:g}" if graph.rgg_radius is not None else "")]
-    for a in graph.aggregators:
-        lines.append(f"0 {a}")
-    for u, v in graph.undirected_device_edges():
-        lines.append(f"{u} {v}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_edgelist(path) -> DeviceGraph:
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ConfigError(f"{path}: missing edge-list header")
-    header = dict(re.findall(r"(\w+)=([\w.+-]+)", lines[0]))
-    try:
-        c = int(header["C"])
-        kind = header["kind"]
-    except KeyError as exc:
-        raise ConfigError(f"{path}: header missing field {exc}") from exc
-    adj = np.zeros((c + 1, c + 1), dtype=bool)
-    aggs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ConfigError(f"{path}: bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        adj[u, v] = True
-        adj[v, u] = True
-        if u == 0:
-            aggs.append(v)
-    for u in range(1, c + 1):
-        adj[u, u] = True
-    radius = float(header["r"]) if "r" in header else None
-    return DeviceGraph(c, kind, tuple(sorted(aggs)), adj, lattice_positions(c), radius)

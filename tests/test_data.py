@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mags.data import (Dataset, client_views, load_idx, make_splits, one_hot,
-                       save_idx, split_patches, synth_class_means,
-                       synth_dataset)
+                       save_idx, split_patches, synth_dataset)
 from mags.errors import ConfigError, IdxFormatError
 
 
@@ -150,10 +149,16 @@ class TestMakeSplits:
         assert np.array_equal(np.sort(joined, axis=0), np.sort(ds.features, axis=0))
 
 
+def class_means(ds):
+    """Each class's image in a noise-0 dataset: its first sample's."""
+    return np.stack([ds.features[ds.labels == k][0] for k in range(ds.class_count)])
+
+
 class TestSynthDataset:
     def test_zero_noise_nearest_mean_is_exact(self):
         ds = synth_dataset(300, 10, 4, seed=7, noise=0.0)
-        means = synth_class_means(10, seed=7)
+        means = class_means(ds)
+        assert np.array_equal(ds.features, means[ds.labels])  # one image per class
         d2 = ((ds.features[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         assert np.array_equal(d2.argmin(axis=1), ds.labels)
 
@@ -177,7 +182,7 @@ class TestSynthDataset:
         assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
 
     def test_every_patch_distinguishes_classes(self):
-        means = synth_class_means(10, seed=7)
+        means = class_means(synth_dataset(300, 10, 4, seed=7, noise=0.0))
         spec = split_patches(784, 4)
         for cols in spec.client_columns:
             patch = means[:, cols]

@@ -4,7 +4,7 @@ import pytest
 from mags.faults import (FaultModel, realize_base, sample_comm_faults,
                          sample_device_faults)
 from mags.inference import (SplitModel, aggregate, aggregator_head,
-                            client_encode, encoder_dims, gossip_links,
+                            client_encode, delivery, encoder_dims, gossip_links,
                             gossip_round, init_split_model, mags_infer)
 from mags.nn import Mlp, init_mlp, log_softmax, mlp_forward
 from mags.rng import stream
@@ -23,7 +23,7 @@ def zero_heads(model):
     return model
 
 
-def delivery(realized, aggregators, client_count):
+def keep_mask(realized, aggregators, client_count):
     """Keep mask of the given aggregators, built directly from a realization."""
     keep = [[bool(realized.edge_alive[k, c] and realized.alive[c])
              for c in range(1, client_count + 1)] for k in aggregators]
@@ -67,7 +67,7 @@ class TestAggregate:
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(2).random((2, 49)) for _ in range(16)]
         reps = client_encode(model, views)
-        out = aggregate(reps, delivery(realize_base(graph), graph.aggregators, 16))
+        out = aggregate(reps, keep_mask(realize_base(graph), graph.aggregators, 16))
         assert out.shape == (16, 2, 64)  # head input width for 16 clients x rep 4
         assert (np.abs(out).sum(axis=2) > 0).all()
 
@@ -77,7 +77,7 @@ class TestAggregate:
         views = [np.abs(np.random.default_rng(3).random((2, 16))) + 0.1 for _ in range(4)]
         reps = client_encode(model, views)
         r = sample_comm_faults(graph, 1.0, stream(0, "fault"))
-        out = aggregate(reps, delivery(r, graph.aggregators, 4))
+        out = aggregate(reps, keep_mask(r, graph.aggregators, 4))
         for k in range(1, 5):
             for c in range(1, 5):
                 sl = out[k - 1, :, (c - 1) * model.rep_dim:c * model.rep_dim]
@@ -93,10 +93,11 @@ class TestAggregate:
         views = [rng.random((3, 49)) for _ in range(16)]
         reps = client_encode(model, views)
         fr = stream(1, "fault")
-        for _ in range(20):
-            r = sample_device_faults(graph, 0.4, fr)
-            aggs = [k for k in graph.aggregators if r.alive[k]]
-            out = aggregate(reps, delivery(r, aggs, 16))
+        for sample in (sample_device_faults, sample_comm_faults) * 10:
+            r = sample(graph, 0.4, fr)
+            aggs, keep = delivery(r, graph.aggregators)
+            assert aggs == [k for k in graph.aggregators if r.alive[k]]
+            out = aggregate(reps, keep)
             for j, k in enumerate(aggs):
                 # oracle: rebuild the concatenation directly from the realization
                 expected = np.concatenate(
@@ -229,7 +230,7 @@ class TestMagsInfer:
         reps = client_encode(model, views)
         res0 = mags_infer(model, reps, graph, FaultModel("none"), 0, stream(3, "fault"))
         res = mags_infer(model, reps, graph, FaultModel("none"), 200, stream(3, "fault"))
-        degrees = np.array([len(graph.device_neighbors(c)) + 1 for c in range(1, 17)], dtype=float)
+        degrees = graph.adj[1:, 1:].sum(axis=1).astype(float)  # self-loop included
         pi = degrees / degrees.sum()
         stack = np.stack([res0.log_probs[k][0] for k in graph.aggregators])
         limit = log_softmax(pi @ stack)
