@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .faults import sample_comm_faults
+from .faults import FaultModel, sample_realization
 from .inference import gossip_links, gossip_round
 from .metrics import count_comm, ensemble_decomposition
 from .nn import log_softmax
@@ -33,14 +33,9 @@ class CertResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-def cert_ensemble_identity(seed=0, sets=10000, ks=(2, 4, 16), classes=10,
-                           combine=None) -> CertResult:
+def cert_ensemble_identity(seed=0, sets=10000, ks=(2, 4, 16), classes=10) -> CertResult:
     """Ensemble loss equals mean member loss minus a non-negative diversity
-    term, per sample, for geometric-mean combining of random members.
-
-    ``combine`` overrides the combiner (member log-probs -> ensemble
-    log-probs) so a broken combiner can be shown to fail the identity.
-    """
+    term, per sample, for geometric-mean combining of random members."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     max_residual = 0.0
     min_diversity = np.inf
@@ -50,22 +45,12 @@ def cert_ensemble_identity(seed=0, sets=10000, ks=(2, 4, 16), classes=10,
             lps = log_softmax(2.0 * rng.standard_normal((k, classes)))
             y = np.zeros(classes)
             y[rng.integers(classes)] = 1.0
-            if combine is None:
-                try:
-                    ens_loss, mean_loss, diversity = ensemble_decomposition(lps, y)
-                except ArithmeticError:
-                    failures += 1
-                    continue
-                residual = abs(ens_loss - (mean_loss - diversity))
-            else:
-                ens_lp = combine(lps)
-                p_ens = np.exp(ens_lp)
-                ens_loss = float(-(y * ens_lp).sum())
-                mean_loss = float(-(y[None, :] * lps).sum(axis=1).mean())
-                diversity = float(np.mean([(p_ens * (ens_lp - lps[j])).sum()
-                                           for j in range(k)]))
-                residual = abs(ens_loss - (mean_loss - diversity))
-            max_residual = max(max_residual, residual)
+            try:
+                ens_loss, mean_loss, diversity = ensemble_decomposition(lps, y)
+            except ArithmeticError:
+                failures += 1
+                continue
+            max_residual = max(max_residual, abs(ens_loss - (mean_loss - diversity)))
             min_diversity = min(min_diversity, diversity)
     passed = failures == 0 and max_residual < 1e-9 and min_diversity >= -1e-12
     return CertResult(
@@ -163,18 +148,21 @@ COMM_COUNT_CASES = (
 )
 
 
-def cert_comm_counts(seed=0, realizations=10 ** 4, rate=0.3) -> CertResult:
+def cert_comm_counts(seed=0, realizations=10 ** 4, rate=0.3, chunk=2500) -> CertResult:
     """Mean per-inference message counts on the 16-device complete graph
-    under communication faults match the accounting convention."""
+    under communication faults match the accounting convention. The
+    realizations are drawn ``chunk`` at a time to bound memory."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    fault = FaultModel("communication", rate)
     rows = []
     passed = True
     for name, k, g, expected, tol in COMM_COUNT_CASES:
         graph = build_graph("complete", 16, k)
-        total = 0.0
-        for _ in range(realizations):
-            r = sample_comm_faults(graph, rate, rng)
-            total += count_comm([r] * (g + 1), graph.aggregators).total
+        total = 0
+        for start in range(0, realizations, chunk):
+            realized = sample_realization(graph, fault, min(chunk, realizations - start),
+                                          g + 1, rng)
+            total += int(count_comm(realized, graph.aggregators, g).sum())
         mean = total / realizations
         ok = abs(mean - expected) <= tol
         passed = passed and ok

@@ -7,8 +7,10 @@ probability r), and a temporal Markov chain over link states. Self-loops
 never fault. The entity (index 0) is treated as the measurement apparatus:
 it never dies itself, but under communication faults its links can drop.
 
-Samplers take an explicit numpy Generator, so independent runs use
-independent seeded streams and can execute in parallel.
+``sample_realization`` is the one sampler of all kinds: one call draws the
+realizations of every batch of an evaluation cell, stacked. Samplers take
+an explicit numpy Generator, so independent runs use independent seeded
+streams and can execute in parallel.
 """
 
 from __future__ import annotations
@@ -54,92 +56,106 @@ class FaultModel:
 
 @dataclass
 class RealizedGraph:
-    """One time-step realization: alive devices and alive directed edges.
+    """Fault realizations stacked over batches: ``alive[i]`` marks the
+    devices alive in batch i and ``edge_alive[i, t]`` the directed edges
+    alive in its communication round t. R is 1 when one draw is held for
+    every round. ``realized[i]`` is batch i's realization, with the batch
+    axis dropped.
 
-    ``alive[0]`` (the entity) is always True; ``edge_alive`` is a subset of the
-    base adjacency and self-loops of alive devices are always present.
+    ``alive[..., 0]`` (the entity) is always True; every ``edge_alive`` is a
+    subset of the base adjacency and keeps the self-loops of alive devices.
     """
 
-    alive: np.ndarray       # (C+1,) bool
-    edge_alive: np.ndarray  # (C+1, C+1) bool
+    alive: np.ndarray       # (nb, C+1) bool
+    edge_alive: np.ndarray  # (nb, R, C+1, C+1) bool
+
+    def __getitem__(self, i) -> "RealizedGraph":
+        return RealizedGraph(self.alive[i], self.edge_alive[i])
 
 
-def realize_base(graph: DeviceGraph) -> RealizedGraph:
-    alive = np.ones(graph.device_count + 1, dtype=bool)
-    return RealizedGraph(alive, graph.adj.copy())
-
-
-def sample_device_faults(graph: DeviceGraph, rate: float, rng) -> RealizedGraph:
-    """Each device independently alive with probability 1-r; an edge survives
-    only when both endpoints are alive. The entity link to aggregator k is
-    alive iff k is."""
+def _check_rate(rate: float):
     if not 0.0 <= rate <= 1.0:
         raise ConfigError(f"fault rate {rate} outside [0, 1]")
+
+
+def _base(graph: DeviceGraph, batches: int) -> RealizedGraph:
+    n = graph.device_count + 1
+    return RealizedGraph(np.ones((batches, n), dtype=bool),
+                         np.broadcast_to(graph.adj, (batches, 1, n, n)))
+
+
+def sample_device_faults(graph: DeviceGraph, rate: float, batches: int, rng) -> RealizedGraph:
+    """Each device independently alive with probability 1-r, per batch; an
+    edge survives only when both endpoints are alive. The entity link to
+    aggregator k is alive iff k is."""
+    _check_rate(rate)
     c = graph.device_count
-    alive = np.empty(c + 1, dtype=bool)
-    alive[0] = True
-    alive[1:] = rng.random(c) < (1.0 - rate)
-    edge_alive = graph.adj & alive[:, None] & alive[None, :]
-    return RealizedGraph(alive, edge_alive)
+    alive = np.ones((batches, c + 1), dtype=bool)
+    alive[:, 1:] = rng.random((batches, c)) < (1.0 - rate)
+    edge_alive = graph.adj & alive[:, :, None] & alive[:, None, :]
+    return RealizedGraph(alive, edge_alive[:, None])
 
 
-def sample_comm_faults(graph: DeviceGraph, rate: float, rng) -> RealizedGraph:
+def sample_comm_faults(graph: DeviceGraph, rate: float, batches: int, rng) -> RealizedGraph:
     """All devices alive; each non-self directed edge (entity links included)
-    independently alive with probability 1-r. The two directions of a pair
-    are sampled independently."""
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigError(f"fault rate {rate} outside [0, 1]")
-    c = graph.device_count
-    keep = rng.random((c + 1, c + 1)) < (1.0 - rate)
-    np.fill_diagonal(keep, True)  # self-loops never fault
-    alive = np.ones(c + 1, dtype=bool)
-    return RealizedGraph(alive, graph.adj & keep)
+    independently alive with probability 1-r, per batch. The two directions
+    of a pair are sampled independently."""
+    _check_rate(rate)
+    n = graph.device_count + 1
+    keep = rng.random((batches, n, n)) < (1.0 - rate)
+    keep[:, np.arange(n), np.arange(n)] = True  # self-loops never fault
+    return RealizedGraph(np.ones((batches, n), dtype=bool), (graph.adj & keep)[:, None])
 
 
-def sample_realization(graph: DeviceGraph, model: FaultModel, rng) -> RealizedGraph:
-    """Dispatch for the memoryless fault kinds (the Markov chain is stateful
-    and is advanced by the caller via markov_step)."""
+def sample_realization(graph: DeviceGraph, model: FaultModel, batches: int, rounds: int,
+                       rng) -> RealizedGraph:
+    """The realizations of ``batches`` batches of ``rounds`` communication
+    rounds each (G + 1 for G gossip rounds), drawn in one call.
+
+    The memoryless kinds draw one realization per batch and hold it for
+    every round (R = 1). The Markov kind restarts its chain from all links
+    alive in every batch and advances it one ``markov_step`` per round
+    (R = ``rounds``); a chain at rate 0 never leaves the base graph. The
+    draws consume ``rng`` batch by batch, as one call per batch would.
+    """
     model.validate()
-    if model.kind == "none":
-        return realize_base(graph)
     if model.kind == "device":
-        return sample_device_faults(graph, model.rate, rng)
+        return sample_device_faults(graph, model.rate, batches, rng)
     if model.kind == "communication":
-        return sample_comm_faults(graph, model.rate, rng)
-    raise ConfigError(f"sample_realization cannot handle kind {model.kind!r}")
+        return sample_comm_faults(graph, model.rate, batches, rng)
+    if model.kind == "none" or model.rate == 0.0:
+        return _base(graph, batches)
+    n = graph.device_count + 1
+    u = rng.random((batches, rounds, n, n))
+    state = graph.adj | np.eye(n, dtype=bool)
+    edge_alive = np.empty((batches, rounds, n, n), dtype=bool)
+    for t in range(rounds):
+        state = edge_alive[:, t] = markov_step(state, model, graph, u[:, t])
+    return RealizedGraph(np.ones((batches, n), dtype=bool), edge_alive)
 
 
-def markov_init(graph: DeviceGraph) -> np.ndarray:
-    """Per-link alive state, (C+1, C+1) bool over the base non-self edges
-    with the diagonal kept True; it evolves only through markov_step."""
-    state = graph.adj.copy()
-    np.fill_diagonal(state, True)
-    return state
-
-
-def markov_step(state: np.ndarray, model: FaultModel, graph: DeviceGraph, rng) -> np.ndarray:
-    """One transition: alive links stay alive w.p. p, faulted links recover
-    w.p. q = (1-p)(1-r)/r. Rate 0 keeps every link alive forever."""
+def markov_step(state: np.ndarray, model: FaultModel, graph: DeviceGraph, u) -> np.ndarray:
+    """One transition of every chain in ``state`` (..., C+1, C+1), given
+    uniforms ``u`` of the same shape: alive links stay alive w.p. p, faulted
+    links recover w.p. q = (1-p)(1-r)/r. Only base links are ever alive and
+    self-loops are kept. Rate 0 keeps every link as it is."""
     if model.kind != "markov_comm":
         raise ConfigError(f"markov_step needs a markov_comm model, got {model.kind!r}")
     model.validate()
     if model.rate == 0.0:
         return state.copy()
-    q = model.recovery_prob()
     n = graph.device_count + 1
-    u = rng.random((n, n))
-    nxt = np.where(state, u < model.stay_alive, u < q)
+    nxt = np.where(state, u < model.stay_alive, u < model.recovery_prob())
     nxt &= graph.adj
-    np.fill_diagonal(nxt, np.diag(graph.adj))
+    nxt[..., np.arange(n), np.arange(n)] = np.diag(graph.adj)
     return nxt
 
 
-def markov_realize(graph: DeviceGraph, state: np.ndarray) -> RealizedGraph:
-    alive = np.ones(graph.device_count + 1, dtype=bool)
-    return RealizedGraph(alive, graph.adj & state)
-
-
-def active_set(realized: RealizedGraph, aggregators) -> set:
-    """Aggregators that are alive and whose entity link is alive at this step."""
-    return {int(k) for k in aggregators
-            if realized.alive[k] and realized.edge_alive[0, k]}
+def active_mask(realized: RealizedGraph, aggregators) -> np.ndarray:
+    """Bool mask over devices, shaped like ``realized.alive``: the
+    aggregators that are alive and whose entity link is alive at the final
+    round."""
+    aggs = np.asarray(aggregators, dtype=np.intp)
+    mask = np.zeros_like(realized.alive)
+    mask[..., aggs] = realized.alive[..., aggs] & realized.edge_alive[..., -1, 0, aggs]
+    return mask

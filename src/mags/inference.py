@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .faults import (FaultModel, RealizedGraph, active_set, markov_init,
-                     markov_realize, markov_step, sample_realization)
+from .faults import RealizedGraph
 from .nn import init_mlp, log_softmax, mlp_forward, mlp_size, relu, stacked_mlp
 from .topology import DeviceGraph
 
@@ -113,12 +112,12 @@ def client_encode(model: SplitModel, client_features) -> np.ndarray:
 
 
 def delivery(realized: RealizedGraph, aggregators):
-    """The aggregators alive in ``realized`` and their (K', C) delivery mask:
-    ``keep[j, c-1]`` says whether client c's representation reaches
-    ``aggs[j]``. Every sampler drops the edges of a dead device, so a dead
-    client is never kept."""
+    """The aggregators alive in one batch's ``realized`` and their (K', C)
+    delivery mask over its first round: ``keep[j, c-1]`` says whether client
+    c's representation reaches ``aggs[j]``. Every sampler drops the edges of
+    a dead device, so a dead client is never kept."""
     aggs = [k for k in aggregators if realized.alive[k]]
-    keep = realized.edge_alive[np.ix_(aggs, range(1, realized.alive.shape[0]))]
+    keep = realized.edge_alive[0][np.ix_(aggs, range(1, realized.alive.shape[0]))]
     return aggs, keep
 
 
@@ -159,45 +158,26 @@ def gossip_round(z: np.ndarray, links: np.ndarray) -> np.ndarray:
     return np.tensordot(links, z, axes=1) / links.sum(axis=1)[:, None, None]
 
 
-@dataclass
-class InferenceResult:
-    log_probs: dict       # aggregator id -> (batch, classes) normalized log-probs
-    active: set           # aggregators able to reach the entity at the final round
-    realizations: list    # RealizedGraph per communication round, G+1 of them
-
-
-def mags_infer(model: SplitModel, reps, graph: DeviceGraph,
-               fault_model: FaultModel, gossip_rounds: int, rng) -> InferenceResult:
+def mags_infer(model: SplitModel, reps, graph: DeviceGraph, realized: RealizedGraph,
+               gossip_rounds: int) -> dict:
     """Distributed inference from every client's representation (the stack
-    returned by ``client_encode``): aggregate + head, then G gossip rounds
-    over the realized links; returns normalized per-aggregator log-probs.
+    returned by ``client_encode``) under one batch's fault realization:
+    aggregate + head over the first round's links, then G gossip rounds,
+    round t over ``realized.edge_alive[t]`` (or its one held round).
+    Returns the normalized log-probs of every alive aggregator, keyed by
+    aggregator id.
 
-    Memoryless fault kinds draw one realization that is held fixed for the
-    whole inference; the Markov kind advances the link chain one step per
-    communication round. Aggregator and client liveness come from the first
-    realization. A client that is dead there sends nothing, so its rows of
-    ``reps`` are never read. Encoding does not depend on the fault draw, so
-    callers may encode once and reuse ``reps`` across fault models and draws.
+    Aggregator and client liveness come from ``realized.alive``. A client
+    that is dead there sends nothing, so its rows of ``reps`` are never read.
+    Encoding does not depend on the fault draw, so callers may encode once
+    and reuse ``reps`` across fault models and draws.
     """
     if gossip_rounds < 0:
         raise ConfigError("gossip_rounds must be >= 0")
-    fault_model.validate()
-
-    if fault_model.kind == "markov_comm":
-        state = markov_init(graph)
-        realizations = []
-        for _ in range(gossip_rounds + 1):
-            state = markov_step(state, fault_model, graph, rng)
-            realizations.append(markov_realize(graph, state))
-    else:
-        constant = sample_realization(graph, fault_model, rng)
-        realizations = [constant for _ in range(gossip_rounds + 1)]
-
-    aggs, keep = delivery(realizations[0], graph.aggregators)
+    rounds = np.broadcast_to(realized.edge_alive,
+                             (gossip_rounds + 1,) + realized.edge_alive.shape[1:])
+    aggs, keep = delivery(realized, graph.aggregators)
     values = aggregator_head(model, aggs, aggregate(reps, keep))
-    for r in realizations[1:]:
-        values = gossip_round(values, gossip_links(r.edge_alive, aggs))
-
-    log_probs = log_softmax(values)
-    act = active_set(realizations[-1], aggs)
-    return InferenceResult(dict(zip(aggs, log_probs)), act, realizations)
+    for edge_alive in rounds[1:]:
+        values = gossip_round(values, gossip_links(edge_alive, aggs))
+    return dict(zip(aggs, log_softmax(values)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .faults import FAULT_KIND_IDS, FaultModel
+from .faults import FAULT_KIND_IDS, FaultModel, RealizedGraph, active_mask, sample_realization
 from .inference import SplitModel, mags_infer
 from .nn import log_softmax
 from .rng import stream
@@ -42,31 +42,20 @@ def fault_rate_key(rate: float) -> int:
     return key
 
 
-@dataclass
-class CommCount:
-    """Messages into aggregators per inference, final entity hop excluded."""
-
-    aggregation: int
-    gossip: list
-
-    @property
-    def total(self):
-        return self.aggregation + sum(self.gossip)
-
-
-def count_comm(realizations, aggregators) -> CommCount:
-    """Count alive directed non-self device edges into each alive aggregator,
-    once per communication round. Gossip rounds count deliveries from all
-    base neighbors (the accounting convention), even though the averaging
-    itself only consumes aggregator values."""
+def count_comm(realized: RealizedGraph, aggregators, gossip_rounds: int) -> np.ndarray:
+    """Messages into aggregators per inference of each batch, final entity
+    hop excluded: alive directed non-self device edges into each alive
+    aggregator, once per communication round (G + 1 of them). A realization
+    held for every round is counted once and multiplied. Gossip rounds count
+    deliveries from all base neighbors (the accounting convention), even
+    though the averaging itself only consumes aggregator values."""
     aggs = np.asarray(aggregators, dtype=np.intp)
-    per_round = []
-    for r in realizations:
-        rows = aggs[r.alive[aggs]]
-        per_round.append(int(r.edge_alive[rows, 1:].sum()) - int(r.edge_alive[rows, rows].sum()))
-    if not per_round:
-        return CommCount(0, [])
-    return CommCount(per_round[0], per_round[1:])
+    edges = realized.edge_alive[:, :, aggs]                        # (nb, R, K, C+1)
+    into = edges[..., 1:].sum(axis=-1) - edges[..., np.arange(aggs.size), aggs]
+    per_round = (into * realized.alive[:, None, aggs]).sum(axis=-1)  # (nb, R)
+    if per_round.shape[1] == 1:
+        return per_round[:, 0] * (gossip_rounds + 1)
+    return per_round.sum(axis=1)
 
 
 def ensemble_decomposition(member_log_probs, y_onehot):
@@ -116,7 +105,8 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
     the oracle orderings (best >= rand >= worst) hold per sample: the
     any-device pick doubles as the active pick whenever it lands in the
     active set, and every uniform-guess fallback within a sample shares one
-    draw. One realization is drawn per batch and held fixed for the batch.
+    draw. The cell's realizations, one per batch, come from one
+    ``sample_realization`` call, and the active sets from one mask over them.
     """
     for p in policies:
         if p not in POLICIES:
@@ -132,50 +122,47 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
     n = labels.shape[0]
     c_count = graph.device_count
     m = model.class_count
+    starts = list(range(0, n, batch_size)) * trials
+    sizes = np.array([min(batch_size, n - start) for start in starts])
+    realized = sample_realization(graph, fault_model, len(starts), gossip_rounds + 1, rng_fault)
+    comm_total = int(count_comm(realized, graph.aggregators, gossip_rounds) @ sizes)
+    active = active_mask(realized, graph.aggregators)
+    # row of each device among the sorted active aggregators of its batch
+    active_row = np.cumsum(active, axis=1) - 1
 
     hits = {p: 0.0 for p in policies}
-    comm_total = 0.0
-    seen = 0
-    for _ in range(trials):
-        for start in range(0, n, batch_size):
-            sl = slice(start, min(start + batch_size, n))
-            b = sl.stop - sl.start
-            res = mags_infer(model, reps[:, sl], graph,
-                             fault_model, gossip_rounds, rng_fault)
-            comm_total += count_comm(res.realizations, graph.aggregators).total * b
-            seen += b
-            lab = labels[sl]
-            act = sorted(res.active)
+    for i, (start, b) in enumerate(zip(starts, sizes)):
+        log_probs = mags_infer(model, reps[:, start:start + b], graph, realized[i],
+                               gossip_rounds)
+        lab = labels[start:start + b]
+        act = np.flatnonzero(active[i])
 
-            guess = rng_sel.integers(m, size=b)
-            upick = rng_sel.integers(1, c_count + 1, size=b)
-            vpick = rng_sel.integers(max(len(act), 1), size=b)
+        guess = rng_sel.integers(m, size=b)
+        upick = rng_sel.integers(1, c_count + 1, size=b)
+        vpick = rng_sel.integers(max(act.size, 1), size=b)
 
-            guess_ok = guess == lab
-            if not act:
-                for p in policies:
-                    hits[p] += float(guess_ok.sum())
-                continue
-
-            argmax = np.stack([res.log_probs[k].argmax(axis=1) for k in act])  # (|A|, b)
-            correct = argmax == lab[None, :]
-            row_of = np.full(c_count + 1, -1, dtype=np.int64)
-            for i, k in enumerate(act):
-                row_of[k] = i
-            u_row = row_of[upick]
-            u_in_act = u_row >= 0
-            rand_rows = np.where(u_in_act, u_row, vpick)
-            cols = np.arange(b)
-
-            outcomes = {
-                "active_rand": correct[rand_rows, cols],
-                "active_best": correct.any(axis=0),
-                "active_worst": correct.all(axis=0),
-                "any_rand": np.where(u_in_act, correct[np.maximum(u_row, 0), cols], guess_ok),
-            }
+        guess_ok = guess == lab
+        if not act.size:
             for p in policies:
-                hits[p] += float(outcomes[p].sum())
+                hits[p] += float(guess_ok.sum())
+            continue
+
+        argmax = np.stack([log_probs[k].argmax(axis=1) for k in act])  # (|A|, b)
+        correct = argmax == lab[None, :]
+        u_in_act = active[i, upick]
+        u_row = active_row[i, upick]
+        rand_rows = np.where(u_in_act, u_row, vpick)
+        cols = np.arange(b)
+
+        outcomes = {
+            "active_rand": correct[rand_rows, cols],
+            "active_best": correct.any(axis=0),
+            "active_worst": correct.all(axis=0),
+            "any_rand": np.where(u_in_act, correct[np.maximum(u_row, 0), cols], guess_ok),
+        }
+        for p in policies:
+            hits[p] += float(outcomes[p].sum())
 
     total = n * trials
     return EvalResult({p: hits[p] / total for p in policies},
-                      comm_total / max(seen, 1), total)
+                      comm_total / max(total, 1), total)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, PartitionSpec, client_views, one_hot
 from .errors import ConfigError, InputError
-from .faults import FaultModel, realize_base, sample_realization
+from .faults import FaultModel, sample_realization
 from .inference import (SplitModel, aggregate, aggregator_head, client_encode, delivery,
                         gossip_links, gossip_round, init_split_model)
 from .nn import (AdamState, adam_init, adam_update, check_one_hot, log_softmax, mlp_backward,
@@ -94,14 +94,14 @@ def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault)
     gossip links (K', K')); row j of keep and links is ``alive_aggs[j]``.
     Under a train fault the links are the batch realization's, as at
     inference; otherwise they are the base graph's."""
-    realized = sample_realization(graph, cfg.train_fault, rng_fault)
+    realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
     aggs, keep = delivery(realized, graph.aggregators)
     c = graph.device_count
     if cfg.train_fault.kind == "none" and cfg.dropout == "pd":
         keep &= apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
     elif cfg.train_fault.kind == "none" and cfg.dropout == "cd":
         keep &= apply_cd_mask(len(aggs), c, aggs, cfg.dropout_rate, rng_dropout)
-    return keep, aggs, realized.alive[1:], gossip_links(realized.edge_alive, aggs)
+    return keep, aggs, realized.alive[1:], gossip_links(realized.edge_alive[0], aggs)
 
 
 def split_loss_and_grads(model: SplitModel, views, y_onehot, keep, alive_aggs,
@@ -197,7 +197,8 @@ def train_epoch(model, opt, views, y_onehot, graph, cfg, rng_data, rng_dropout, 
 def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, chunk=512):
     """Fault-free validation: summed head cross-entropy (mean over samples)
     and accuracy averaged over aggregators."""
-    aggs, keep = delivery(realize_base(graph), graph.aggregators)
+    aggs, keep = delivery(sample_realization(graph, FaultModel(), 1, 1, None)[0],
+                          graph.aggregators)
     n = labels.shape[0]
     y = one_hot(labels, model.class_count)
     loss_sum, hit_sum = 0.0, 0.0

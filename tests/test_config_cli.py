@@ -30,7 +30,7 @@ batch = 64
 dropout_rate = 0.3
 
 [eval]
-fault_kinds = communication
+fault_kinds = communication, device, markov_comm
 fault_rates = 0, 0.5
 policies = active_rand, active_best, active_worst, any_rand
 trials = 1
@@ -202,8 +202,8 @@ class TestEvalCommand:
     def test_row_count_is_cartesian_product(self, pipeline):
         tmp_path, _ = pipeline
         rows = read_runs_csv(tmp_path / "runs" / "runs.csv")
-        # 3 methods x 1 kind x 2 rates x 4 policies x 2 seeds
-        assert len(rows) == 3 * 1 * 2 * 4 * 2
+        # 3 methods x 3 kinds x 2 rates x 4 policies x 2 seeds
+        assert len(rows) == 3 * 3 * 2 * 4 * 2
 
     def test_single_aggregator_oracles_are_undefined(self, pipeline):
         tmp_path, _ = pipeline
@@ -220,7 +220,7 @@ class TestEvalCommand:
         assert lines[0] == "# schema: mags/aggregate/v1"
         assert lines[1].startswith("method,")
         data = [ln.split(",") for ln in lines[2:]]
-        assert len(data) == 3 * 1 * 2 * 4
+        assert len(data) == 3 * 3 * 2 * 4
         assert all(d[8] == "2" for d in data)
 
     def test_missing_checkpoint_fails_cleanly(self, tmp_path):
@@ -266,7 +266,7 @@ class TestEvalCommand:
             "CD-MACL-seed1.ckpt", "CD-MACL-seed2.ckpt", "VFL-seed1.ckpt", "VFL-seed2.ckpt"]
         assert calls["client_encode"] == 4
         rows = read_runs_csv(tmp_path / "runs" / "runs.csv")
-        assert len(rows) == 3 * 1 * 2 * 4 * 2
+        assert len(rows) == 3 * 3 * 2 * 4 * 2
 
     def test_worker_pool_matches_serial(self, pipeline, tmp_path_factory):
         tmp2 = tmp_path_factory.mktemp("workers")

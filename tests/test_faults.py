@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mags.errors import ConfigError
-from mags.faults import (FaultModel, active_set, markov_init, markov_realize,
-                         markov_step, realize_base, sample_comm_faults,
+from mags.faults import (FaultModel, active_mask, markov_step, sample_comm_faults,
                          sample_device_faults, sample_realization)
 from mags.rng import stream
 from mags.topology import build_graph
@@ -13,28 +12,37 @@ def mc_band(p, n, sigmas=3.0):
     return sigmas * np.sqrt(max(p * (1 - p), 1e-12) / n)
 
 
+def draw(sampler, graph, rate, rng):
+    """One batch's realization from a memoryless sampler: the alive devices
+    and the alive edges of its one held round."""
+    r = sampler(graph, rate, 1, rng)[0]
+    return r.alive, r.edge_alive[0]
+
+
+def active_ids(realized, aggregators):
+    return set(np.flatnonzero(active_mask(realized, aggregators)).tolist())
+
+
 class TestDeviceFaults:
     def test_rate_zero_equals_base(self):
         g = build_graph("grid", 16, 4)
-        r = sample_device_faults(g, 0.0, stream(1, "fault"))
-        assert np.array_equal(r.edge_alive, g.adj)
-        assert r.alive.all()
+        alive, edges = draw(sample_device_faults, g, 0.0, stream(1, "fault"))
+        assert np.array_equal(edges, g.adj)
+        assert alive.all()
 
     def test_rate_one_kills_everything(self):
         g = build_graph("complete", 16, 4)
-        r = sample_device_faults(g, 1.0, stream(1, "fault"))
-        assert not r.alive[1:].any()
+        r = sample_device_faults(g, 1.0, 1, stream(1, "fault"))
+        assert not r.alive[:, 1:].any()
         assert not r.edge_alive.any()
-        assert active_set(r, g.aggregators) == set()
+        assert not active_mask(r, g.aggregators).any()
 
     def test_mean_alive_count_matches_binomial(self):
         # E[alive] = 16 * 0.7 = 11.2
         g = build_graph("complete", 16, 4)
         rng = stream(2, "fault")
         draws = 20000
-        total = sum(int(sample_device_faults(g, 0.3, rng).alive[1:].sum())
-                    for _ in range(draws))
-        mean = total / draws
+        mean = sample_device_faults(g, 0.3, draws, rng).alive[:, 1:].sum() / draws
         band = 3 * np.sqrt(16 * 0.3 * 0.7 / draws)
         assert abs(mean - 11.2) <= band
 
@@ -42,47 +50,42 @@ class TestDeviceFaults:
         g = build_graph("grid", 16, 4)
         rng = stream(3, "fault")
         for _ in range(200):
-            r = sample_device_faults(g, 0.5, rng)
-            u, v = np.nonzero(r.edge_alive)
+            alive, edges = draw(sample_device_faults, g, 0.5, rng)
+            u, v = np.nonzero(edges)
             for a, b in zip(u, v):
-                assert r.alive[a] and r.alive[b]
+                assert alive[a] and alive[b]
 
     def test_entity_is_immune_but_links_follow_device(self):
         g = build_graph("complete", 4, 2)
         rng = stream(4, "fault")
         for _ in range(100):
-            r = sample_device_faults(g, 0.5, rng)
-            assert r.alive[0]
+            alive, edges = draw(sample_device_faults, g, 0.5, rng)
+            assert alive[0]
             for k in g.aggregators:
-                assert r.edge_alive[0, k] == r.alive[k]
+                assert edges[0, k] == alive[k]
 
 
 class TestCommFaults:
     def test_rate_zero_equals_base(self):
         g = build_graph("ring", 16, 2)
-        r = sample_comm_faults(g, 0.0, stream(1, "fault"))
-        assert np.array_equal(r.edge_alive, g.adj)
+        _, edges = draw(sample_comm_faults, g, 0.0, stream(1, "fault"))
+        assert np.array_equal(edges, g.adj)
 
     def test_rate_one_leaves_only_self_loops(self):
         g = build_graph("complete", 16, 16)
-        r = sample_comm_faults(g, 1.0, stream(1, "fault"))
-        offdiag = r.edge_alive.copy()
+        _, edges = draw(sample_comm_faults, g, 1.0, stream(1, "fault"))
+        offdiag = edges.copy()
         np.fill_diagonal(offdiag, False)
         assert not offdiag.any()
-        assert all(r.edge_alive[c, c] for c in range(1, 17))
+        assert all(edges[c, c] for c in range(1, 17))
 
     def test_directed_edge_count_expectation(self):
         # complete-16 has 240 directed device edges; E[alive] = 168 at rate 0.3
         g = build_graph("complete", 16, 16)
         rng = stream(5, "fault")
         draws = 20000
-        total = 0
-        for _ in range(draws):
-            r = sample_comm_faults(g, 0.3, rng)
-            dev = r.edge_alive[1:, 1:].copy()
-            np.fill_diagonal(dev, False)
-            total += int(dev.sum())
-        mean = total / draws
+        dev = sample_comm_faults(g, 0.3, draws, rng).edge_alive[:, 0, 1:, 1:]
+        mean = (dev.sum() - dev.diagonal(axis1=1, axis2=2).sum()) / draws
         band = 3 * np.sqrt(240 * 0.3 * 0.7 / draws)
         assert abs(mean - 168.0) <= band
 
@@ -91,26 +94,31 @@ class TestCommFaults:
         rng = stream(6, "fault")
         asym = 0
         for _ in range(200):
-            r = sample_comm_faults(g, 0.5, rng)
-            if bool(r.edge_alive[1, 2]) != bool(r.edge_alive[2, 1]):
+            _, edges = draw(sample_comm_faults, g, 0.5, rng)
+            if bool(edges[1, 2]) != bool(edges[2, 1]):
                 asym += 1
         assert asym > 0
 
     def test_devices_stay_alive(self):
         g = build_graph("complete", 8, 1)
-        r = sample_comm_faults(g, 0.9, stream(7, "fault"))
-        assert r.alive.all()
+        assert sample_comm_faults(g, 0.9, 5, stream(7, "fault")).alive.all()
+
+
+def markov_edges(g, rate, batches, rounds, seed):
+    return sample_realization(g, FaultModel("markov_comm", rate), batches, rounds,
+                              stream(seed, "fault")).edge_alive
 
 
 class TestMarkovChain:
     def test_rate_zero_is_frozen(self):
         g = build_graph("complete", 8, 2)
         model = FaultModel("markov_comm", 0.0)
-        state = markov_init(g)
+        state = g.adj.copy()
         rng = stream(8, "fault")
         for _ in range(50):
-            state = markov_step(state, model, g, rng)
-        assert np.array_equal(markov_realize(g, state).edge_alive, g.adj)
+            state = markov_step(state, model, g, rng.random(state.shape))
+        assert np.array_equal(state, g.adj)
+        assert (markov_edges(g, 0.0, 3, 5, 8) == g.adj).all()
 
     def test_recovery_probability_formula(self):
         assert FaultModel("markov_comm", 0.5).recovery_prob() == pytest.approx(0.1)
@@ -123,70 +131,122 @@ class TestMarkovChain:
 
     @pytest.mark.parametrize("rate", [0.3, 0.5])
     def test_stationary_faulted_fraction(self, rate):
+        # one chain of 3000 rounds; the first 1000 are the burn-in
         g = build_graph("complete", 16, 16)
         model = FaultModel("markov_comm", rate).validate()
-        rng = stream(9, "fault")
-        state = markov_init(g)
-        for _ in range(1000):  # burn-in
-            state = markov_step(state, model, g, rng)
-        alive = 0
-        total = 0
+        chains, burn_in, horizon = 1, 1000, 2000
+        edges = markov_edges(g, rate, chains, burn_in + horizon, 9)[:, burn_in:]
         dev_mask = g.adj.copy()
         np.fill_diagonal(dev_mask, False)
-        horizon = 2000
-        for _ in range(horizon):
-            state = markov_step(state, model, g, rng)
-            alive += int((state & dev_mask).sum())
-            total += int(dev_mask.sum())
-        frac = alive / total
+        frac = (edges & dev_mask).sum() / (dev_mask.sum() * chains * horizon)
         # successive steps are correlated; the 3-sigma band uses the
         # effective sample size of the two-state chain
         p, q = model.stay_alive, model.recovery_prob()
         rho = p - q
-        ess = total * (1 - rho) / (1 + rho)
+        ess = dev_mask.sum() * chains * horizon * (1 - rho) / (1 + rho)
         assert abs(frac - (1 - rate)) <= mc_band(1 - rate, ess)
 
     def test_self_loops_never_fault(self):
         g = build_graph("grid", 16, 4)
-        model = FaultModel("markov_comm", 0.5)
-        state = markov_init(g)
-        rng = stream(10, "fault")
-        for _ in range(20):
-            state = markov_step(state, model, g, rng)
-            r = markov_realize(g, state)
-            assert all(r.edge_alive[c, c] for c in range(1, 17))
+        edges = markov_edges(g, 0.5, 3, 20, 10)
+        assert edges[..., range(1, 17), range(1, 17)].all()
+        assert not (edges & ~g.adj).any()
 
     def test_requires_markov_model(self):
         g = build_graph("complete", 4, 1)
         with pytest.raises(ConfigError):
-            markov_step(markov_init(g), FaultModel("device", 0.3), g, stream(0, "fault"))
+            markov_step(g.adj, FaultModel("device", 0.3), g, np.zeros(g.adj.shape))
+
+    def test_stacked_steps_equal_per_batch_stepping(self):
+        # every batch's chain, stepped on its own from all links alive with
+        # the uniforms the stacked call drew, gives the same rounds
+        g = build_graph("ring", 9, 3)
+        model = FaultModel("markov_comm", 0.3)
+        batches, rounds, n = 6, 5, 10
+        edges = markov_edges(g, 0.3, batches, rounds, 11)
+        u = stream(11, "fault").random((batches, rounds, n, n))
+        for b in range(batches):
+            state = g.adj | np.eye(n, dtype=bool)
+            for t in range(rounds):
+                state = markov_step(state, model, g, u[b, t])
+                assert np.array_equal(edges[b, t], state)
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("kind", ["complete", "ring", "grid"])
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5])
+    def test_stacked_draw_equals_per_batch_loop(self, kind, rate):
+        # the per-batch samplers the stacked call replaces, written out: one
+        # draw per batch from the same stream
+        g = build_graph(kind, 16, 4)
+        n, batches = 17, 32
+        loop = stream(12, "fault")
+        dev_alive, dev_edges, comm_edges = [], [], []
+        for _ in range(batches):
+            alive = np.ones(n, dtype=bool)
+            alive[1:] = loop.random(16) < 1.0 - rate
+            dev_alive.append(alive)
+            dev_edges.append(g.adj & alive[:, None] & alive[None, :])
+        for _ in range(batches):
+            keep = loop.random((n, n)) < 1.0 - rate
+            np.fill_diagonal(keep, True)
+            comm_edges.append(g.adj & keep)
+
+        rng = stream(12, "fault")
+        for model in (FaultModel("device", rate), FaultModel("communication", rate)):
+            r = sample_realization(g, model, batches, 5, rng)
+            assert r.alive.shape == (batches, n) and r.edge_alive.shape == (batches, 1, n, n)
+            if model.kind == "device":
+                assert np.array_equal(r.alive, np.stack(dev_alive))
+                assert np.array_equal(r.edge_alive[:, 0], np.stack(dev_edges))
+            else:
+                assert r.alive.all()
+                assert np.array_equal(r.edge_alive[:, 0], np.stack(comm_edges))
+        assert rng.random() == loop.random()  # both streams end in the same state
+
+    def test_shapes_per_kind(self):
+        g = build_graph("complete", 4, 2)
+        for kind, rounds in (("none", 1), ("device", 1), ("communication", 1),
+                             ("markov_comm", 3)):
+            r = sample_realization(g, FaultModel(kind, 0.5), 7, 3, stream(0, "fault"))
+            assert r.alive.shape == (7, 5)
+            assert r.edge_alive.shape == (7, rounds, 5, 5)
+            assert r[2].alive.shape == (5,) and r[2].edge_alive.shape == (rounds, 5, 5)
 
 
 class TestActiveSet:
     def test_no_faults_gives_all_aggregators(self):
         g = build_graph("complete", 16, 4)
-        assert active_set(realize_base(g), g.aggregators) == {1, 2, 3, 4}
+        r = sample_realization(g, FaultModel(), 1, 1, None)
+        assert active_ids(r[0], g.aggregators) == {1, 2, 3, 4}
 
     def test_dead_aggregators_give_empty_set(self):
         g = build_graph("complete", 4, 2)
-        rng = stream(11, "fault")
-        seen_empty = False
-        for _ in range(200):
-            r = sample_device_faults(g, 0.7, rng)
-            a = active_set(r, g.aggregators)
-            if not r.alive[1] and not r.alive[2]:
-                assert a == set()
-                seen_empty = True
-        assert seen_empty
+        r = sample_device_faults(g, 0.7, 200, stream(11, "fault"))
+        both_dead = ~r.alive[:, 1] & ~r.alive[:, 2]
+        assert both_dead.any()
+        assert not active_mask(r, g.aggregators)[both_dead].any()
+
+    def test_final_round_decides(self):
+        # an aggregator whose entity link is down only at the final round is
+        # not active
+        g = build_graph("complete", 4, 2)
+        edges = np.broadcast_to(g.adj, (1, 3, 5, 5)).copy()
+        edges[0, 2, 0, 1] = False
+        r = sample_realization(g, FaultModel(), 1, 1, None)
+        r.edge_alive = edges
+        assert active_ids(r[0], g.aggregators) == {2}
+        edges[0, 2, 0, 1] = True
+        edges[0, 0, 0, 2] = False
+        assert active_ids(r[0], g.aggregators) == {1, 2}
 
     @pytest.mark.parametrize("rate,k", [(0.3, 1), (0.3, 4), (0.5, 2), (0.5, 4)])
     def test_catastrophic_probability_through_sampler(self, rate, k):
         # Pr(active set empty) = rate^K under device faults
         g = build_graph("complete", 16, k)
-        rng = stream(12, "fault")
         draws = 20000
-        empties = sum(not active_set(sample_device_faults(g, rate, rng), g.aggregators)
-                      for _ in range(draws))
+        r = sample_realization(g, FaultModel("device", rate), draws, 1, stream(12, "fault"))
+        empties = int((~active_mask(r, g.aggregators).any(axis=1)).sum())
         expected = rate ** k
         assert abs(empties / draws - expected) <= mc_band(expected, draws)
 
@@ -198,7 +258,6 @@ class TestActiveSet:
         draws = 10 ** 6
         dead = rng.random((draws, 16)) >= (1.0 - rate)
         count = int(dead.all(axis=1).sum())
-        expected = draws * rate ** 16
         if rate == 0.5:
             assert abs(count / draws - rate ** 16) <= mc_band(rate ** 16, draws)
         else:
@@ -208,16 +267,16 @@ class TestActiveSet:
 class TestDeterminismAndTrace:
     def test_equal_seeds_give_identical_sequences(self):
         g = build_graph("grid", 16, 4)
-        a = [sample_device_faults(g, 0.4, stream(42, "fault", i)) for i in range(5)]
-        b = [sample_device_faults(g, 0.4, stream(42, "fault", i)) for i in range(5)]
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.alive, rb.alive)
-            assert np.array_equal(ra.edge_alive, rb.edge_alive)
+        for i in range(5):
+            a = sample_device_faults(g, 0.4, 3, stream(42, "fault", i))
+            b = sample_device_faults(g, 0.4, 3, stream(42, "fault", i))
+            assert np.array_equal(a.alive, b.alive)
+            assert np.array_equal(a.edge_alive, b.edge_alive)
 
     def test_dispatcher_covers_memoryless_kinds(self):
         g = build_graph("complete", 4, 1)
-        assert sample_realization(g, FaultModel("none"), stream(0, "fault")).alive.all()
-        sample_realization(g, FaultModel("device", 0.2), stream(0, "fault"))
-        sample_realization(g, FaultModel("communication", 0.2), stream(0, "fault"))
+        assert sample_realization(g, FaultModel("none"), 2, 3, None).alive.all()
+        for kind in ("device", "communication", "markov_comm"):
+            sample_realization(g, FaultModel(kind, 0.5), 2, 3, stream(0, "fault"))
         with pytest.raises(ConfigError):
-            sample_realization(g, FaultModel("markov_comm", 0.5), stream(0, "fault"))
+            sample_realization(g, FaultModel("bursty", 0.5), 2, 3, stream(0, "fault"))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mags.faults import (FaultModel, realize_base, sample_comm_faults,
-                         sample_device_faults)
+from mags.faults import (FaultModel, RealizedGraph, active_mask, sample_comm_faults,
+                         sample_device_faults, sample_realization)
 from mags.inference import (SplitModel, aggregate, aggregator_head,
                             client_encode, delivery, encoder_dims, gossip_links,
                             gossip_round, init_split_model, mags_infer)
@@ -23,9 +23,15 @@ def zero_heads(model):
     return model
 
 
+def base(graph):
+    """The fault-free realization of one batch."""
+    return sample_realization(graph, FaultModel(), 1, 1, None)[0]
+
+
 def keep_mask(realized, aggregators, client_count):
-    """Keep mask of the given aggregators, built directly from a realization."""
-    keep = [[bool(realized.edge_alive[k, c] and realized.alive[c])
+    """Keep mask of the given aggregators, built directly from one batch's
+    realization."""
+    keep = [[bool(realized.edge_alive[0, k, c] and realized.alive[c])
              for c in range(1, client_count + 1)] for k in aggregators]
     return np.array(keep, dtype=bool).reshape(len(aggregators), client_count)
 
@@ -67,7 +73,7 @@ class TestAggregate:
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(2).random((2, 49)) for _ in range(16)]
         reps = client_encode(model, views)
-        out = aggregate(reps, keep_mask(realize_base(graph), graph.aggregators, 16))
+        out = aggregate(reps, keep_mask(base(graph), graph.aggregators, 16))
         assert out.shape == (16, 2, 64)  # head input width for 16 clients x rep 4
         assert (np.abs(out).sum(axis=2) > 0).all()
 
@@ -76,7 +82,7 @@ class TestAggregate:
         model = toy_model(graph, 16, 3)
         views = [np.abs(np.random.default_rng(3).random((2, 16))) + 0.1 for _ in range(4)]
         reps = client_encode(model, views)
-        r = sample_comm_faults(graph, 1.0, stream(0, "fault"))
+        r = sample_comm_faults(graph, 1.0, 1, stream(0, "fault"))[0]
         out = aggregate(reps, keep_mask(r, graph.aggregators, 4))
         for k in range(1, 5):
             for c in range(1, 5):
@@ -94,14 +100,14 @@ class TestAggregate:
         reps = client_encode(model, views)
         fr = stream(1, "fault")
         for sample in (sample_device_faults, sample_comm_faults) * 10:
-            r = sample(graph, 0.4, fr)
+            r = sample(graph, 0.4, 1, fr)[0]
             aggs, keep = delivery(r, graph.aggregators)
             assert aggs == [k for k in graph.aggregators if r.alive[k]]
             out = aggregate(reps, keep)
             for j, k in enumerate(aggs):
                 # oracle: rebuild the concatenation directly from the realization
                 expected = np.concatenate(
-                    [reps[c - 1] if (r.edge_alive[k, c] and r.alive[c])
+                    [reps[c - 1] if (r.edge_alive[0, k, c] and r.alive[c])
                      else np.zeros((3, model.rep_dim)) for c in range(1, 17)], axis=1)
                 assert np.array_equal(out[j], expected)
 
@@ -153,30 +159,29 @@ class TestGossipRound:
 
     def test_dead_neighbor_drops_out_of_average(self):
         graph = build_graph("complete", 3, 3)
-        r = realize_base(graph)
-        r.alive[2] = False
-        r.edge_alive[2, :] = False
-        r.edge_alive[:, 2] = False
-        links = gossip_links(r.edge_alive, [1, 3])  # the alive aggregators
+        edge_alive = graph.adj.copy()
+        edge_alive[2, :] = False  # device 2 is dead
+        edge_alive[:, 2] = False
+        links = gossip_links(edge_alive, [1, 3])  # the alive aggregators
         out = gossip_round(np.array([[[1.0]], [[3.0]]]), links)
         assert out[0, 0, 0] == pytest.approx(2.0)
         assert out.shape == (2, 1, 1)
 
     def test_isolated_aggregator_keeps_its_value(self):
         graph = build_graph("complete", 2, 2)
-        r = sample_comm_faults(graph, 1.0, stream(0, "fault"))
-        out = gossip_round(np.array([[[1.0]], [[5.0]]]), gossip_links(r.edge_alive, [1, 2]))
+        edge_alive = sample_comm_faults(graph, 1.0, 1, stream(0, "fault")).edge_alive[0, 0]
+        out = gossip_round(np.array([[[1.0]], [[5.0]]]), gossip_links(edge_alive, [1, 2]))
         assert out[0, 0, 0] == pytest.approx(1.0)
         assert out[1, 0, 0] == pytest.approx(5.0)
 
     def test_averages_over_incoming_links_of_an_asymmetric_realization(self):
         # row i averages the aggregators i hears from (edge_alive[i, j])
         graph = build_graph("complete", 3, 3)
-        r = realize_base(graph)
-        r.edge_alive[1, 2] = r.edge_alive[1, 3] = False  # 1 hears nobody
-        r.edge_alive[3, 1] = False                      # 3 hears only 2
+        edge_alive = graph.adj.copy()
+        edge_alive[1, 2] = edge_alive[1, 3] = False  # 1 hears nobody
+        edge_alive[3, 1] = False                     # 3 hears only 2
         out = gossip_round(np.array([[[1.0]], [[2.0]], [[6.0]]]),
-                           gossip_links(r.edge_alive, [1, 2, 3]))
+                           gossip_links(edge_alive, [1, 2, 3]))
         assert out[:, 0, 0] == pytest.approx([1.0, 3.0, 4.0])
 
 
@@ -191,10 +196,9 @@ class TestMagsInfer:
         head = init_mlp((2, 2, 3), oracle_rng)
         mono = Mlp(enc.layers + head.layers)
         x = np.random.default_rng(9).random((6, 16))
-        res = mags_infer(model, client_encode(model, [x]), graph, FaultModel("none"), 0,
-                         stream(0, "fault"))
+        res = mags_infer(model, client_encode(model, [x]), graph, base(graph), 0)
         expected = log_softmax(mlp_forward(mono, x)[0])
-        assert np.allclose(res.log_probs[1], expected, atol=1e-12)
+        assert np.allclose(res[1], expected, atol=1e-12)
 
     def test_vanilla_single_aggregator_case(self):
         # K=1, G=0, no faults reproduces encode-concat-head exactly
@@ -202,10 +206,10 @@ class TestMagsInfer:
         model = toy_model(graph, 16, 5)
         views = [np.random.default_rng(10).random((3, 16)) for _ in range(4)]
         reps = client_encode(model, views)
-        res = mags_infer(model, reps, graph, FaultModel("none"), 0, stream(1, "fault"))
+        res = mags_infer(model, reps, graph, base(graph), 0)
         z = aggregate(reps, np.ones((1, 4), dtype=bool))
-        assert np.allclose(res.log_probs[1], aggregator_head(model, [1], z)[0], atol=1e-12)
-        assert res.active == {1}
+        assert np.allclose(res[1], aggregator_head(model, [1], z)[0], atol=1e-12)
+        assert list(res) == [1]
 
     def test_consensus_limit_on_regular_graph(self):
         # torus-16 radius is 0.6, so 60 rounds contract below 1e-8
@@ -213,13 +217,13 @@ class TestMagsInfer:
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(11).random((2, 49)) for _ in range(16)]
         reps = client_encode(model, views)
-        res0 = mags_infer(model, reps, graph, FaultModel("none"), 0, stream(2, "fault"))
-        res = mags_infer(model, reps, graph, FaultModel("none"), 60, stream(2, "fault"))
-        outs = [res.log_probs[k] for k in graph.aggregators]
+        res0 = mags_infer(model, reps, graph, base(graph), 0)
+        res = mags_infer(model, reps, graph, base(graph), 60)
+        outs = [res[k] for k in graph.aggregators]
         for o in outs[1:]:
             assert np.max(np.abs(o - outs[0])) < 1e-8
         # oracle: uniform average of round-1 vectors, renormalized
-        mean0 = np.mean([res0.log_probs[k] for k in graph.aggregators], axis=0)
+        mean0 = np.mean([res0[k] for k in graph.aggregators], axis=0)
         assert np.max(np.abs(outs[0] - log_softmax(mean0))) < 1e-8
 
     def test_consensus_limit_weights_by_degree_on_irregular_graph(self):
@@ -228,14 +232,14 @@ class TestMagsInfer:
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(12).random((1, 49)) for _ in range(16)]
         reps = client_encode(model, views)
-        res0 = mags_infer(model, reps, graph, FaultModel("none"), 0, stream(3, "fault"))
-        res = mags_infer(model, reps, graph, FaultModel("none"), 200, stream(3, "fault"))
+        res0 = mags_infer(model, reps, graph, base(graph), 0)
+        res = mags_infer(model, reps, graph, base(graph), 200)
         degrees = graph.adj[1:, 1:].sum(axis=1).astype(float)  # self-loop included
         pi = degrees / degrees.sum()
-        stack = np.stack([res0.log_probs[k][0] for k in graph.aggregators])
+        stack = np.stack([res0[k][0] for k in graph.aggregators])
         limit = log_softmax(pi @ stack)
         for k in graph.aggregators:
-            assert np.max(np.abs(res.log_probs[k][0] - limit)) < 1e-8
+            assert np.max(np.abs(res[k][0] - limit)) < 1e-8
 
     def test_outputs_absent_for_dead_aggregators(self):
         graph = build_graph("complete", 8, 8)
@@ -244,10 +248,11 @@ class TestMagsInfer:
         rng = stream(4, "fault")
         reps = client_encode(model, views)
         for _ in range(20):
-            res = mags_infer(model, reps, graph, FaultModel("device", 0.5), 1, rng)
-            alive = set(res.log_probs)
-            assert res.active <= alive
-            for lp in res.log_probs.values():
+            r = sample_device_faults(graph, 0.5, 1, rng)[0]
+            res = mags_infer(model, reps, graph, r, 1)
+            assert list(res) == [k for k in graph.aggregators if r.alive[k]]
+            assert set(np.flatnonzero(active_mask(r, graph.aggregators))) <= set(res)
+            for lp in res.values():
                 assert np.all(np.abs(np.exp(lp).sum(axis=1) - 1.0) <= 1e-12)
 
     def test_zero_weight_heads_stay_uniform_under_any_faults(self):
@@ -257,8 +262,8 @@ class TestMagsInfer:
         rng = stream(5, "fault")
         reps = client_encode(model, views)
         for rate in (0.2, 0.7):
-            res = mags_infer(model, reps, graph, FaultModel("communication", rate), 2, rng)
-            for lp in res.log_probs.values():
+            res = mags_infer(model, reps, graph, sample_comm_faults(graph, rate, 1, rng)[0], 2)
+            for lp in res.values():
                 assert np.allclose(np.exp(lp), 0.1, atol=1e-12)
 
     def test_permutation_consistency(self):
@@ -283,12 +288,10 @@ class TestMagsInfer:
         blocks[...] = blocks[:, rows]
         views2 = [views[p - 1] for p in perm]
 
-        res = mags_infer(model, client_encode(model, views), graph, FaultModel("none"), 2,
-                         stream(6, "fault"))
-        res2 = mags_infer(model2, client_encode(model2, views2), graph, FaultModel("none"), 2,
-                          stream(6, "fault"))
+        res = mags_infer(model, client_encode(model, views), graph, base(graph), 2)
+        res2 = mags_infer(model2, client_encode(model2, views2), graph, base(graph), 2)
         for new_k, old_k in enumerate(perm, start=1):
-            assert np.allclose(res2.log_probs[new_k], res.log_probs[old_k], atol=1e-12)
+            assert np.allclose(res2[new_k], res[old_k], atol=1e-12)
 
     def test_dead_client_representations_are_never_read(self):
         # reps are encoded once for all fault draws; device faults mask them
@@ -298,34 +301,48 @@ class TestMagsInfer:
         reps = client_encode(model, views)
         dead_seen = 0
         for seed in range(10):
-            res = mags_infer(model, reps, graph, FaultModel("device", 0.4), 2,
-                             stream(seed, "fault"))
-            dead = [c for c in range(1, 9) if not res.realizations[0].alive[c]]
+            r = sample_device_faults(graph, 0.4, 1, stream(seed, "fault"))[0]
+            res = mags_infer(model, reps, graph, r, 2)
+            dead = [c for c in range(1, 9) if not r.alive[c]]
             dead_seen += len(dead)
             garbage = reps.copy()
             for c in dead:
                 garbage[c - 1] = np.nan
-            res2 = mags_infer(model, garbage, graph, FaultModel("device", 0.4), 2,
-                              stream(seed, "fault"))
-            assert res2.log_probs.keys() == res.log_probs.keys()
-            for k, lp in res.log_probs.items():
-                assert np.array_equal(res2.log_probs[k], lp)
+            res2 = mags_infer(model, garbage, graph, r, 2)
+            assert res2.keys() == res.keys()
+            for k, lp in res.items():
+                assert np.array_equal(res2[k], lp)
         assert dead_seen > 0
 
     def test_markov_mode_advances_per_round(self):
+        # round 0 delivers, gossip round t averages over round t's links
         graph = build_graph("complete", 8, 8)
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(16).random((2, 49)) for _ in range(8)]
-        res = mags_infer(model, client_encode(model, views), graph,
-                         FaultModel("markov_comm", 0.5), 3, stream(7, "fault"))
-        assert len(res.realizations) == 4
-        mats = {r.edge_alive.tobytes() for r in res.realizations}
-        assert len(mats) > 1  # the chain actually moved
+        reps = client_encode(model, views)
+        r = sample_realization(graph, FaultModel("markov_comm", 0.5), 1, 4,
+                               stream(7, "fault"))[0]
+        assert r.edge_alive.shape == (4, 9, 9)
+        assert len({e.tobytes() for e in r.edge_alive}) > 1  # the chain actually moved
+        res = mags_infer(model, reps, graph, r, 3)
+        aggs, keep = delivery(r, graph.aggregators)
+        values = aggregator_head(model, aggs, aggregate(reps, keep))
+        for t in (1, 2, 3):
+            values = gossip_round(values, gossip_links(r.edge_alive[t], aggs))
+        for j, k in enumerate(aggs):
+            assert np.array_equal(res[k], log_softmax(values)[j])
 
     def test_constant_realization_reused_across_rounds(self):
+        # a realization held for every round equals the same draw written
+        # out once per round
         graph = build_graph("complete", 8, 8)
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(17).random((2, 49)) for _ in range(8)]
-        res = mags_infer(model, client_encode(model, views), graph,
-                         FaultModel("communication", 0.3), 3, stream(8, "fault"))
-        assert all(r is res.realizations[0] for r in res.realizations)
+        reps = client_encode(model, views)
+        r = sample_comm_faults(graph, 0.3, 1, stream(8, "fault"))[0]
+        assert r.edge_alive.shape == (1, 9, 9)
+        spelled = RealizedGraph(r.alive, np.repeat(r.edge_alive, 4, axis=0))
+        held, res = mags_infer(model, reps, graph, r, 3), mags_infer(model, reps, graph, spelled, 3)
+        assert held.keys() == res.keys()
+        for k in held:
+            assert np.array_equal(held[k], res[k])

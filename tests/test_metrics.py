@@ -4,7 +4,8 @@ import pytest
 from mags.certs import cert_ensemble_identity
 from mags.data import client_views, make_splits, split_patches, synth_dataset
 from mags.errors import ConfigError
-from mags.faults import FaultModel, realize_base, sample_comm_faults, sample_device_faults
+from mags.faults import (FaultModel, RealizedGraph, sample_comm_faults, sample_device_faults,
+                         sample_realization)
 from mags.inference import client_encode, init_split_model, mags_infer
 from mags.metrics import POLICIES, count_comm, ensemble_decomposition, evaluate_policies
 from mags.rng import stream
@@ -105,57 +106,67 @@ class TestSelect:
         assert np.all(np.abs(freq - 0.25) <= band)
 
 
+def base(graph, batches=1):
+    return sample_realization(graph, FaultModel(), batches, 1, None)
+
+
 class TestCountComm:
     def test_single_aggregator_complete_no_faults(self):
         graph = build_graph("complete", 16, 1)
-        count = count_comm([realize_base(graph)], graph.aggregators)
-        assert count.total == 15 and count.aggregation == 15 and count.gossip == []
+        assert count_comm(base(graph), graph.aggregators, 0).tolist() == [15]
 
     def test_all_aggregators_with_gossip_rounds(self):
+        # 240 messages in each of three rounds, counted once and multiplied
+        # when the realization is held, round by round when it is not
         graph = build_graph("complete", 16, 16)
-        r = realize_base(graph)
-        count = count_comm([r, r, r], graph.aggregators)
-        assert count.aggregation == 240
-        assert count.gossip == [240, 240]
-        assert count.total == 720
+        held = base(graph, 2)
+        assert count_comm(held, graph.aggregators, 2).tolist() == [720, 720]
+        spelled = RealizedGraph(held.alive, np.repeat(held.edge_alive, 3, axis=1))
+        assert count_comm(spelled, graph.aggregators, 2).tolist() == [720, 720]
 
     def test_dead_aggregator_receives_nothing(self):
         graph = build_graph("complete", 4, 4)
-        r = realize_base(graph)
-        r.alive[2] = False
-        r.edge_alive[2, :] = False
-        r.edge_alive[:, 2] = False
-        count = count_comm([r], graph.aggregators)
+        alive = np.ones((1, 5), dtype=bool)
+        alive[0, 2] = False
+        edge_alive = graph.adj & alive[0, :, None] & alive[0, None, :]
+        count = count_comm(RealizedGraph(alive, edge_alive[None, None]), graph.aggregators, 0)
         # three alive aggregators with two alive in-neighbors each
-        assert count.total == 6
+        assert count.tolist() == [6]
 
     def test_breakdown_sums_to_total(self):
+        # a per-round realization counts each round once: the batch total is
+        # the sum of its rounds counted one by one
         graph = build_graph("grid", 16, 4)
-        rng = stream(7, "fault")
-        rs = [sample_comm_faults(graph, 0.3, rng) for _ in range(3)]
-        count = count_comm(rs, graph.aggregators)
-        assert count.total == count.aggregation + sum(count.gossip)
+        r = sample_realization(graph, FaultModel("markov_comm", 0.3), 5, 3, stream(7, "fault"))
+        rounds = [count_comm(RealizedGraph(r.alive, r.edge_alive[:, t:t + 1]),
+                             graph.aggregators, 0) for t in range(3)]
+        assert np.array_equal(count_comm(r, graph.aggregators, 2), sum(rounds))
+        assert len({c.tobytes() for c in rounds}) > 1
 
     @pytest.mark.parametrize("kind", ["complete", "ring", "grid"])
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_matches_per_aggregator_loop(self, kind, k):
-        def reference(realizations, aggregators):
+        def reference(alive, edge_alive, aggregators):
             # the per-aggregator double loop that count_comm vectorizes
-            per_round = []
-            for r in realizations:
-                total = 0
-                for a in aggregators:
-                    if r.alive[a]:
-                        total += int(r.edge_alive[a, 1:].sum()) - int(r.edge_alive[a, a])
-                per_round.append(total)
-            return per_round
+            total = 0
+            for a in aggregators:
+                if alive[a]:
+                    total += int(edge_alive[a, 1:].sum()) - int(edge_alive[a, a])
+            return total
 
         graph = build_graph(kind, 16, k)
         rng = stream(8, "fault")
-        for _ in range(100):
-            rs = [sample_device_faults(graph, 0.4, rng), sample_comm_faults(graph, 0.4, rng)]
-            count = count_comm(rs, graph.aggregators)
-            assert [count.aggregation, *count.gossip] == reference(rs, graph.aggregators)
+        for r in (sample_device_faults(graph, 0.4, 100, rng),
+                  sample_comm_faults(graph, 0.4, 100, rng)):
+            for g in (0, 2):
+                counts = count_comm(r, graph.aggregators, g)
+                assert counts.tolist() == [
+                    (g + 1) * reference(a, e[0], graph.aggregators)
+                    for a, e in zip(r.alive, r.edge_alive)]
+        r = sample_realization(graph, FaultModel("markov_comm", 0.4), 100, 3, rng)
+        assert count_comm(r, graph.aggregators, 2).tolist() == [
+            sum(reference(a, e, graph.aggregators) for e in es)
+            for a, es in zip(r.alive, r.edge_alive)]
 
 
 class TestEnsembleDecomposition:
@@ -190,13 +201,21 @@ class TestEnsembleDecomposition:
 
     def test_broken_arithmetic_combiner_fails_certificate(self):
         # mutation check: averaging probabilities instead of log-probabilities
-        # must violate the decomposition identity
-        def arithmetic(lps):
-            return np.log(np.exp(lps).mean(axis=0))
-
-        good = cert_ensemble_identity(seed=0, sets=200)
-        bad = cert_ensemble_identity(seed=0, sets=200, combine=arithmetic)
-        assert good.passed and not bad.passed
+        # must violate the decomposition identity that the geometric
+        # ensemble satisfies
+        from mags.nn import log_softmax
+        assert cert_ensemble_identity(seed=0, sets=200).passed
+        rng = np.random.default_rng(0)
+        broken = 0
+        for _ in range(200):
+            lps = log_softmax(2.0 * rng.standard_normal((4, 10)))
+            y = np.zeros(10)
+            y[rng.integers(10)] = 1.0
+            ens_loss, mean_loss, diversity = ensemble_decomposition(lps, y)
+            assert abs(ens_loss - (mean_loss - diversity)) < 1e-9
+            arithmetic_loss = -np.log(np.exp(lps).mean(axis=0) @ y)
+            broken += abs(arithmetic_loss - (mean_loss - diversity)) > 1e-9
+        assert broken == 200
 
 
 @pytest.fixture(scope="module")
@@ -256,12 +275,10 @@ class TestEvaluatePolicies:
         r4 = evaluate_policies(model, reps, ds.labels[-200:], gossip_rounds=4, **kwargs)
         assert r0.comm_mean == pytest.approx(r4.comm_mean / 5.0)
 
-        rng0, rng4 = stream(4, "fault"), stream(4, "fault")
-        for _ in range(10):
-            g0 = mags_infer(model, reps[:, :8], graph, fault, 0, rng0).realizations[0]
-            g4 = mags_infer(model, reps[:, :8], graph, fault, 4, rng4).realizations[0]
-            assert np.array_equal(g0.alive, g4.alive)
-            assert np.array_equal(g0.edge_alive, g4.edge_alive)
+        g0 = sample_realization(graph, fault, 10, 1, stream(4, "fault"))
+        g4 = sample_realization(graph, fault, 10, 5, stream(4, "fault"))
+        assert np.array_equal(g0.alive, g4.alive)
+        assert np.array_equal(g0.edge_alive, g4.edge_alive[:, :1])
 
     def test_comm_mean_matches_expectation(self, trained_small):
         model, ds, part, graph = trained_small
@@ -294,12 +311,12 @@ class TestEnsembleBenefit:
         reps = client_encode(model, [v[-300:] for v in client_views(ds.features, part)])
         labels = ds.labels[-300:]
         y = one_hot(labels, ds.class_count)
-        r0 = mags_infer(model, reps, graph, FaultModel("none"), 0, stream(20, "fault"))
-        r1 = mags_infer(model, reps, graph, FaultModel("none"), 1, stream(20, "fault"))
-        member_nll = np.mean([-(y * r0.log_probs[k]).sum(axis=1)
+        r0 = mags_infer(model, reps, graph, base(graph)[0], 0)
+        r1 = mags_infer(model, reps, graph, base(graph)[0], 1)
+        member_nll = np.mean([-(y * r0[k]).sum(axis=1)
                               for k in graph.aggregators], axis=0)
         for k in graph.aggregators:
-            ens_nll = -(y * r1.log_probs[k]).sum(axis=1)
+            ens_nll = -(y * r1[k]).sum(axis=1)
             assert np.all(ens_nll <= member_nll + 1e-12)
 
 
