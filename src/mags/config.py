@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .faults import FAULT_KINDS, FaultModel
 from .metrics import POLICIES, fault_rate_key
 from .topology import GRAPH_KINDS, build_graph
-from .training import TrainConfig, check_train_fault_kind
+from .training import TrainConfig, check_train_fault
 
 DATA_ROOT_ENV = "MAGS_DATA_ROOT"
 
@@ -156,7 +156,8 @@ class ExperimentConfig:
             raise ConfigError("fault rate list must be nonempty")
         if not self.seeds:
             raise ConfigError("seed list must be nonempty")
-        check_train_fault_kind(self.train_fault_kind)
+        for spec in self.method_specs():
+            check_train_fault(self.train_fault_kind, spec.dropout, f"method {spec.name!r}")
         if self.train_fault_kind != "none":
             FaultModel(self.train_fault_kind, self.train_fault_rate).validate()
         if self.dataset_kind == "idx":

@@ -34,10 +34,16 @@ DROPOUT_KINDS = ("none", "pd", "cd")
 TRAIN_FAULT_KINDS = ("none", "device", "communication")
 
 
-def check_train_fault_kind(kind: str):
+def check_train_fault(kind: str, dropout: str, method: str):
+    """Reject a train fault kind that training cannot draw, and a dropout
+    method trained under a real fault: a batch under a train fault takes its
+    deliveries from the fault draw, so the dropout would never apply."""
     if kind not in TRAIN_FAULT_KINDS:
         raise ConfigError(f"train fault kind {kind!r} is not one of "
                           f"{', '.join(TRAIN_FAULT_KINDS)}")
+    if kind != "none" and dropout != "none":
+        raise ConfigError(f"{method} uses {dropout.upper()} dropout, which cannot be "
+                          f"combined with train fault kind {kind!r}")
 
 
 @dataclass
@@ -64,7 +70,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.gossip_rounds < 0:
             raise ConfigError("gossip_rounds must be >= 0")
-        check_train_fault_kind(self.train_fault.kind)
+        check_train_fault(self.train_fault.kind, self.dropout,
+                          f"a {self.dropout.upper()}- method")
         self.train_fault.validate()
         return self
 
@@ -97,9 +104,9 @@ def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault)
     realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
     aggs, keep = delivery(realized, graph.aggregators)
     c = graph.device_count
-    if cfg.train_fault.kind == "none" and cfg.dropout == "pd":
+    if cfg.dropout == "pd":
         keep &= apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
-    elif cfg.train_fault.kind == "none" and cfg.dropout == "cd":
+    elif cfg.dropout == "cd":
         keep &= apply_cd_mask(len(aggs), c, aggs, cfg.dropout_rate, rng_dropout)
     return keep, aggs, realized.alive[1:], gossip_links(realized.edge_alive[0], aggs)
 

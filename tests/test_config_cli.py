@@ -122,6 +122,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="markov_comm"):
             load_config(p)
 
+    def test_dropout_method_with_train_fault_rejected(self, tmp_path):
+        # a train fault would silently replace the CD- method's dropout
+        p = write_config(tmp_path)
+        p.write_text(p.read_text().replace(
+            "dropout_rate = 0.3", "dropout_rate = 0.3\nfault_kind = device\nfault_rate = 0.3"))
+        with pytest.raises(ConfigError, match="'CD-MACL-G2'.*CD dropout.*'device'"):
+            load_config(p)
+        p.write_text(p.read_text().replace("CD-MACL-G2", "MACL-G2"))
+        assert load_config(p).train_fault_kind == "device"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")

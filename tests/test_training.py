@@ -118,6 +118,16 @@ class TestDropoutMasks:
         assert loss2 == pytest.approx(loss0, rel=1e-12)
 
 
+@pytest.mark.parametrize("dropout", ["cd", "pd"])
+@pytest.mark.parametrize("kind", ["device", "communication"])
+def test_dropout_with_train_fault_rejected(dropout, kind):
+    # under a train fault the delivery comes from the fault draw, so the
+    # dropout mask would never apply
+    cfg = TrainConfig(dropout=dropout, train_fault=FaultModel(kind, 0.3))
+    with pytest.raises(ConfigError, match=f"{dropout.upper()}- method.*{kind}"):
+        cfg.validate()
+
+
 def test_markov_train_fault_rejected():
     # training draws one memoryless realization per batch; the Markov chain
     # has no such draw and used to fail only at the first batch
