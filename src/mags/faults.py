@@ -113,10 +113,12 @@ def sample_realization(graph: DeviceGraph, model: FaultModel, batches: int, roun
     rounds each (G + 1 for G gossip rounds), drawn in one call.
 
     The memoryless kinds draw one realization per batch and hold it for
-    every round (R = 1). The Markov kind restarts its chain from all links
-    alive in every batch and advances it one ``markov_step`` per round
-    (R = ``rounds``); a chain at rate 0 never leaves the base graph. The
-    draws consume ``rng`` batch by batch, as one call per batch would.
+    every round (R = 1); their draws consume ``rng`` batch by batch, as one
+    call per batch would. The Markov kind (R = ``rounds``) starts every
+    batch's chain from its stationary law, which is the communication-fault
+    law at rate r: all batches' first rounds are drawn as one block before
+    any step, so they do not depend on ``rounds``. ``rounds`` - 1
+    ``markov_step``s follow. A chain at rate 0 never leaves the base graph.
     """
     model.validate()
     if model.kind == "device":
@@ -125,13 +127,14 @@ def sample_realization(graph: DeviceGraph, model: FaultModel, batches: int, roun
         return sample_comm_faults(graph, model.rate, batches, rng)
     if model.kind == "none" or model.rate == 0.0:
         return _base(graph, batches)
+    first = sample_comm_faults(graph, model.rate, batches, rng)
     n = graph.device_count + 1
-    u = rng.random((batches, rounds, n, n))
-    state = graph.adj | np.eye(n, dtype=bool)
+    u = rng.random((batches, rounds - 1, n, n))
     edge_alive = np.empty((batches, rounds, n, n), dtype=bool)
-    for t in range(rounds):
-        state = edge_alive[:, t] = markov_step(state, model, graph, u[:, t])
-    return RealizedGraph(np.ones((batches, n), dtype=bool), edge_alive)
+    state = edge_alive[:, 0] = first.edge_alive[:, 0]
+    for t in range(1, rounds):
+        state = edge_alive[:, t] = markov_step(state, model, graph, u[:, t - 1])
+    return RealizedGraph(first.alive, edge_alive)
 
 
 def markov_step(state: np.ndarray, model: FaultModel, graph: DeviceGraph, u) -> np.ndarray:

@@ -158,18 +158,49 @@ class TestMarkovChain:
             markov_step(g.adj, FaultModel("device", 0.3), g, np.zeros(g.adj.shape))
 
     def test_stacked_steps_equal_per_batch_stepping(self):
-        # every batch's chain, stepped on its own from all links alive with
-        # the uniforms the stacked call drew, gives the same rounds
+        # every batch's chain, stepped on its own from the same round-1 block
+        # with the uniforms the stacked call drew, gives the same rounds
         g = build_graph("ring", 9, 3)
         model = FaultModel("markov_comm", 0.3)
         batches, rounds, n = 6, 5, 10
         edges = markov_edges(g, 0.3, batches, rounds, 11)
-        u = stream(11, "fault").random((batches, rounds, n, n))
+        rng = stream(11, "fault")
+        first = sample_comm_faults(g, 0.3, batches, rng).edge_alive[:, 0]
+        u = rng.random((batches, rounds - 1, n, n))
         for b in range(batches):
-            state = g.adj | np.eye(n, dtype=bool)
-            for t in range(rounds):
-                state = markov_step(state, model, g, u[b, t])
+            state = first[b]
+            assert np.array_equal(edges[b, 0], state)
+            for t in range(1, rounds):
+                state = markov_step(state, model, g, u[b, t - 1])
                 assert np.array_equal(edges[b, t], state)
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+    def test_realizes_labelled_rate(self, rate):
+        # round 1 comes from the stationary law and every step keeps it, so
+        # the faulted fraction is r at round 1, at round G+1 and over all
+        # rounds. The links of one round are independent; successive rounds
+        # are not, so the mean over rounds uses the chain's effective
+        # sample size, as test_stationary_faulted_fraction does.
+        g = build_graph("complete", 16, 16)
+        model = FaultModel("markov_comm", rate)
+        batches, rounds = 200, 5
+        links = g.adj & ~np.eye(17, dtype=bool)
+        edges = markov_edges(g, rate, batches, rounds, 13)
+        alive = (edges & links).sum(axis=(0, 2, 3)) / (batches * links.sum())
+        n = batches * links.sum()
+        assert abs(alive[0] - (1 - rate)) <= mc_band(1 - rate, n)
+        assert abs(alive[-1] - (1 - rate)) <= mc_band(1 - rate, n)
+        rho = model.stay_alive - model.recovery_prob()
+        ess = n * rounds * (1 - rho) / (1 + rho)
+        assert abs(alive.mean() - (1 - rate)) <= mc_band(1 - rate, ess)
+
+    @pytest.mark.parametrize("rate", [0.3, 0.5])
+    def test_round_one_does_not_depend_on_gossip_rounds(self, rate):
+        # G0 and G4 cells draw identical round-1 blocks from one stream
+        g = build_graph("grid", 16, 4)
+        g0 = markov_edges(g, rate, 32, 1, 14)
+        g4 = markov_edges(g, rate, 32, 5, 14)
+        assert np.array_equal(g0[:, 0], g4[:, 0])
 
 
 class TestStackedDraws:
