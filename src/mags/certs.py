@@ -148,10 +148,14 @@ COMM_COUNT_CASES = (
 )
 
 
-def cert_comm_counts(seed=0, realizations=10 ** 4, rate=0.3, chunk=2500) -> CertResult:
+# realizations drawn per call: a chunk's uniforms take under 6 MB, far less
+# than catastrophic-probability's draws, so the suite's peak memory holds
+COMM_COUNT_CHUNK = 2500
+
+
+def cert_comm_counts(seed=0, realizations=10 ** 4, rate=0.3) -> CertResult:
     """Mean per-inference message counts on the 16-device complete graph
-    under communication faults match the accounting convention. The
-    realizations are drawn ``chunk`` at a time to bound memory."""
+    under communication faults match the accounting convention."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     fault = FaultModel("communication", rate)
     rows = []
@@ -159,9 +163,9 @@ def cert_comm_counts(seed=0, realizations=10 ** 4, rate=0.3, chunk=2500) -> Cert
     for name, k, g, expected, tol in COMM_COUNT_CASES:
         graph = build_graph("complete", 16, k)
         total = 0
-        for start in range(0, realizations, chunk):
-            realized = sample_realization(graph, fault, min(chunk, realizations - start),
-                                          g + 1, rng)
+        for start in range(0, realizations, COMM_COUNT_CHUNK):
+            realized = sample_realization(
+                graph, fault, min(COMM_COUNT_CHUNK, realizations - start), g + 1, rng)
             total += int(count_comm(realized, graph.aggregators, g).sum())
         mean = total / realizations
         ok = abs(mean - expected) <= tol

@@ -3,7 +3,8 @@
 Three models: i.i.d. device faults (a device leaves the network with
 probability r, taking all its edges), i.i.d. communication faults (each
 directed non-self edge, entity links included, drops independently with
-probability r), and a temporal Markov chain over link states. Self-loops
+probability r), and a temporal Markov chain over link states (the
+Gilbert-Elliott channel) whose stationary faulted fraction is r. Self-loops
 never fault. The entity (index 0) is treated as the measurement apparatus:
 it never dies itself, but under communication faults its links can drop.
 

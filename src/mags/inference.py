@@ -174,10 +174,11 @@ def mags_infer(model: SplitModel, reps, graph: DeviceGraph, realized: RealizedGr
     """
     if gossip_rounds < 0:
         raise ConfigError("gossip_rounds must be >= 0")
-    rounds = np.broadcast_to(realized.edge_alive,
-                             (gossip_rounds + 1,) + realized.edge_alive.shape[1:])
     aggs, keep = delivery(realized, graph.aggregators)
     values = aggregator_head(model, aggs, aggregate(reps, keep))
-    for edge_alive in rounds[1:]:
-        values = gossip_round(values, gossip_links(edge_alive, aggs))
+    held = realized.edge_alive.shape[0] == 1  # a held draw's links are built once
+    for t in range(1, gossip_rounds + 1):
+        if t == 1 or not held:
+            links = gossip_links(realized.edge_alive[0 if held else t], aggs)
+        values = gossip_round(values, links)
     return dict(zip(aggs, log_softmax(values)))
