@@ -60,14 +60,14 @@ def cert_ensemble_identity(seed=0, sets=10000, ks=(2, 4, 16), classes=10) -> Cer
     )
 
 
-def cert_gossip_contraction(seed=0, inits=100, max_rounds=10, dim=10) -> CertResult:
+def cert_gossip_contraction(seed=0, inits=100, max_rounds=10) -> CertResult:
     """Per-device disagreement after G gossip rounds is bounded by
     lambda^G * sqrt(C) * (max initial pairwise distance) on regular graphs,
     where lambda is the spectral radius of the shifted consensus matrix.
 
     Also pins the 16-device ring spectral radius to its closed form.
     """
-    c = 16
+    c, dim = 16, 10
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     worst_slack = np.inf
     checks = 0
@@ -120,9 +120,10 @@ def cert_catastrophic_probability(seed=0, draws=10 ** 6,
                       f"max |z| {worst:.2f} over {len(details)} cells, {draws} draws each")
 
 
-def cert_selection_uniformity(seed=0, draws=10 ** 6, rate=0.3, k=4) -> CertResult:
+def cert_selection_uniformity(seed=0, draws=10 ** 6) -> CertResult:
     """Conditioned on a nonempty active set, each aggregator is selected with
     probability 1/K (within 3 sigma) under uniform active selection."""
+    rate, k = 0.3, 4
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     alive = rng.random((draws, k)) < (1.0 - rate)
     scores = rng.random((draws, k))
@@ -174,7 +175,7 @@ def cert_comm_counts(seed=0, realizations=10 ** 4, rate=0.3) -> CertResult:
     return CertResult("comm-counts", passed, ", ".join(rows))
 
 
-def cert_gradient_check(seed=0, step=1e-5, tol=1e-6) -> CertResult:
+def cert_gradient_check(seed=0, tol=1e-6) -> CertResult:
     """Analytic gradients through the split pipeline (encoders, zero-imputed
     concatenation, heads) match central finite differences on a two-client,
     two-aggregator toy, with and without a dropped delivery."""
@@ -193,15 +194,16 @@ def cert_gradient_check(seed=0, step=1e-5, tol=1e-6) -> CertResult:
     dropped[0, 1] = False  # aggregator 1 loses client 2
     worst = 0.0
     for keep in (full, dropped):
-        worst = max(worst, _max_grad_error(model, views, y, keep, graph, step))
+        worst = max(worst, _max_grad_error(model, views, y, keep, graph))
     return CertResult("gradient-check", worst < tol,
                       f"max relative error {worst:.3e} (tolerance {tol:g})")
 
 
-def _max_grad_error(model, views, y, keep, graph, step):
+def _max_grad_error(model, views, y, keep, graph):
     """Worst relative error of the analytic gradient against central
     differences, over every coordinate of the flat parameter vector."""
-    args = (views, y, keep, list(graph.aggregators), np.ones(model.client_count, dtype=bool))
+    step = 1e-5
+    args = (views, y, keep, list(graph.aggregators))
     _, grad = split_loss_and_grads(model, *args)
     params = model.params
     worst = 0.0

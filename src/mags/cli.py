@@ -182,17 +182,13 @@ def cmd_eval(cfg: ExperimentConfig, workers: int = 1) -> int:
 def aggregate_rows(rows):
     """Collapse per-seed rows to mean/std keyed by (method, kind, rate, policy),
     preserving first-appearance order."""
-    groups, order = {}, []
+    groups = {}
     for r in rows:
-        key = (r[0], r[1], r[2], r[3], r[4])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
+        groups.setdefault(tuple(r[:5]), []).append(r)
     out = []
-    for key in order:
-        accs = [float(r[6]) for r in groups[key]]
-        comms = [float(r[7]) for r in groups[key]]
+    for key, group in groups.items():
+        accs = [float(r[6]) for r in group]
+        comms = [float(r[7]) for r in group]
         arr = np.array(accs)
         if np.isnan(arr).any():
             mean_s, std_s = "nan", "nan"
@@ -243,20 +239,16 @@ def cmd_plotdata(csv_paths, out_dir) -> int:
             w.writerow([a[2], a[1], a[4], a[0], a[3], a[5], a[6]])
     written = [all_path]
 
-    panels, order = {}, []
-    for a in agg:
-        key = (a[2], a[1], a[4])  # fault kind, graph, policy
-        if key not in panels:
-            panels[key] = []
-            order.append(key)
-        panels[key].append([a[0], a[3], a[5], a[6]])
-    for kind, graph, policy in order:
+    panels = {}
+    for a in agg:  # keyed by fault kind, graph, policy
+        panels.setdefault((a[2], a[1], a[4]), []).append([a[0], a[3], a[5], a[6]])
+    for (kind, graph, policy), panel in panels.items():
         path = out / f"plot_{kind}_{graph}_{policy}.csv"
         with open(path, "w", newline="") as f:
             f.write(PLOT_SCHEMA + "\n")
             w = csv.writer(f)
             w.writerow(PLOT_PANEL_HEADER)
-            w.writerows(panels[(kind, graph, policy)])
+            w.writerows(panel)
         written.append(path)
     for p in written:
         print(p)

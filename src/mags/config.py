@@ -16,14 +16,15 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import Dataset, load_idx, split_patches, synth_dataset
+from .data import SYNTH_SIDE, Dataset, load_idx, split_patches, synth_dataset
 from .errors import ConfigError
-from .faults import FAULT_KINDS, FaultModel
+from .faults import FaultModel
 from .metrics import POLICIES, fault_rate_key
-from .topology import GRAPH_KINDS, build_graph
-from .training import TrainConfig, check_train_fault
+from .topology import build_graph
+from .training import TrainConfig
 
 DATA_ROOT_ENV = "MAGS_DATA_ROOT"
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 _METHOD_RE = re.compile(r"^(?:(CD|PD)-)?(?:(\d+)-)?(MACL|VFL)(?:-G(\d+))?$")
 
@@ -131,35 +132,51 @@ class ExperimentConfig:
         return out
 
     def validate(self):
+        """The one load-time gate: every value a run reads is checked here."""
         if self.dataset_kind not in ("synthetic", "idx"):
             raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}")
-        if self.graph_kind not in GRAPH_KINDS:
-            raise ConfigError(f"unknown graph kind {self.graph_kind!r}")
-        if self.graph_kind == "rgg" and (self.rgg_radius is None or self.rgg_radius <= 0):
-            raise ConfigError("rgg graphs need rgg_radius > 0")
+        if self.random_aggregators not in (True, False):  # None: not a word of _FLAGS
+            raise ConfigError("[graph] random_aggregators must be 1, true, yes, 0, false or no")
+        checks = [("[dataset] grid", self.grid_side, 1), ("[dataset] seed", self.synth_seed, 0),
+                  ("[graph] seed", self.graph_seed, 0), ("[eval] trials", self.trials, 1)]
+        if self.dataset_kind == "synthetic":
+            checks += [("[dataset] train_n", self.synth_train_n, 1),
+                       ("[dataset] test_n", self.synth_test_n, 1),
+                       ("[dataset] classes", self.classes, 2),
+                       ("[dataset] noise", self.synth_noise, 0)]
+        for key, value, low in checks:
+            if value < low:
+                raise ConfigError(f"{key} = {value} must be >= {low}")
+        if self.dataset_kind == "synthetic" and SYNTH_SIDE % self.grid_side:
+            raise ConfigError(f"[dataset] grid = {self.grid_side} does not divide the "
+                              f"synthetic image side {SYNTH_SIDE}")
         if not self.methods:
             raise ConfigError("method list must be nonempty")
-        self.method_specs()
         if not self.policies:
             raise ConfigError("policy list must be nonempty")
         for p in self.policies:
             if p not in POLICIES:
                 raise ConfigError(f"unknown policy {p!r}")
-        for k in self.fault_kinds:
-            if k not in FAULT_KINDS or k == "none":
-                raise ConfigError(f"unknown eval fault kind {k!r}")
-        for r in self.fault_rates:
-            if not 0.0 <= r <= 1.0:
-                raise ConfigError(f"fault rate {r} outside [0, 1]")
-            fault_rate_key(r)
         if not self.fault_rates:
             raise ConfigError("fault rate list must be nonempty")
+        if "none" in self.fault_kinds:
+            raise ConfigError("unknown eval fault kind 'none'")
+        for kind in self.fault_kinds:
+            for r in self.fault_rates:
+                try:
+                    FaultModel(kind, r)
+                except ConfigError as exc:
+                    raise ConfigError(f"[eval] {kind} at rate {r}: {exc}") from None
+                fault_rate_key(r)
         if not self.seeds:
             raise ConfigError("seed list must be nonempty")
         for spec in self.method_specs():
-            check_train_fault(self.train_fault_kind, spec.dropout, f"method {spec.name!r}")
-        if self.train_fault_kind != "none":
-            FaultModel(self.train_fault_kind, self.train_fault_rate).validate()
+            build_method_graph(self, spec)
+            for seed in self.seeds:
+                try:
+                    build_train_config(self, spec, seed)
+                except ConfigError as exc:
+                    raise ConfigError(f"method {spec.name!r}: {exc}") from None
         if self.dataset_kind == "idx":
             for key in ("train_images", "train_labels", "test_images", "test_labels"):
                 if key not in self.idx_paths:
@@ -217,8 +234,7 @@ def load_config(path, seeds_override=None, out_override=None) -> ExperimentConfi
     cfg.graph_kind = get("graph", "kind", str, cfg.graph_kind).strip()
     cfg.rgg_radius = get("graph", "rgg_radius", float, cfg.rgg_radius)
     cfg.random_aggregators = get("graph", "random_aggregators",
-                                 lambda s: s.strip().lower() in ("1", "true", "yes"),
-                                 cfg.random_aggregators)
+                                 lambda s: _FLAGS.get(s.strip().lower()), cfg.random_aggregators)
     cfg.graph_seed = get("graph", "seed", int, cfg.graph_seed)
     devices = get("graph", "devices", int, None)
     if devices is not None and devices != cfg.device_count:
@@ -288,4 +304,4 @@ def build_train_config(cfg: ExperimentConfig, spec: MethodSpec, seed: int) -> Tr
         dropout_rate=cfg.dropout_rate,
         train_fault=FaultModel(cfg.train_fault_kind, cfg.train_fault_rate),
         gossip_rounds=cfg.gossip_in_training, seed=seed,
-    ).validate()
+    )

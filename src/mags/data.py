@@ -18,6 +18,7 @@ from .errors import ConfigError, IdxFormatError
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
+SYNTH_SIDE = 28  # synthetic images are SYNTH_SIDE pixels square
 # Synthetic class means sit at 0.5 +/- this amplitude (per-pixel sign pattern).
 SYNTH_AMPLITUDE = 0.12
 
@@ -169,10 +170,9 @@ def synth_dataset(n: int, classes: int, g: int, seed: int, noise: float) -> Data
     """
     if classes < 2:
         raise ConfigError("synthetic dataset needs at least 2 classes")
-    side = 28
-    if g < 1 or side % g != 0:
-        raise ConfigError(f"grid side {g} does not divide image side {side}")
-    d = side * side
+    if g < 1 or SYNTH_SIDE % g != 0:
+        raise ConfigError(f"grid side {g} does not divide image side {SYNTH_SIDE}")
+    d = SYNTH_SIDE * SYNTH_SIDE
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     patterns = rng.choice(np.array([-1.0, 1.0]), size=(classes, d))
     means = 0.5 + SYNTH_AMPLITUDE * patterns

@@ -9,9 +9,10 @@ never fault. The entity (index 0) is treated as the measurement apparatus:
 it never dies itself, but under communication faults its links can drop.
 
 ``sample_realization`` is the one sampler of all kinds: one call draws the
-realizations of every batch of an evaluation cell, stacked. Samplers take
-an explicit numpy Generator, so independent runs use independent seeded
-streams and can execute in parallel.
+realizations of every batch of an evaluation cell, stacked, for a
+``FaultModel`` that checked its kind and rate when it was built. Samplers
+take an explicit numpy Generator, so independent runs use independent
+seeded streams and can execute in parallel.
 """
 
 from __future__ import annotations
@@ -27,13 +28,16 @@ FAULT_KINDS = ("none", "device", "communication", "markov_comm")
 FAULT_KIND_IDS = {k: i for i, k in enumerate(FAULT_KINDS)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultModel:
+    """A fault kind and rate, checked once, when built: a known kind, a rate
+    in [0, 1] and, for ``markov_comm``, a recovery probability in [0, 1]."""
+
     kind: str = "none"
     rate: float = 0.0
     stay_alive: float = 0.9  # Markov probability of an alive link staying alive
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ConfigError(f"unknown fault kind {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
@@ -45,7 +49,6 @@ class FaultModel:
                     f"markov recovery probability {q:.4f} outside [0, 1] "
                     f"(rate {self.rate}, stay_alive {self.stay_alive})"
                 )
-        return self
 
     def recovery_prob(self) -> float:
         """Probability q of a faulted link recovering, chosen so the chain's
@@ -74,11 +77,6 @@ class RealizedGraph:
         return RealizedGraph(self.alive[i], self.edge_alive[i])
 
 
-def _check_rate(rate: float):
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigError(f"fault rate {rate} outside [0, 1]")
-
-
 def _base(graph: DeviceGraph, batches: int) -> RealizedGraph:
     n = graph.device_count + 1
     return RealizedGraph(np.ones((batches, n), dtype=bool),
@@ -89,7 +87,6 @@ def sample_device_faults(graph: DeviceGraph, rate: float, batches: int, rng) -> 
     """Each device independently alive with probability 1-r, per batch; an
     edge survives only when both endpoints are alive. The entity link to
     aggregator k is alive iff k is."""
-    _check_rate(rate)
     c = graph.device_count
     alive = np.ones((batches, c + 1), dtype=bool)
     alive[:, 1:] = rng.random((batches, c)) < (1.0 - rate)
@@ -101,7 +98,6 @@ def sample_comm_faults(graph: DeviceGraph, rate: float, batches: int, rng) -> Re
     """All devices alive; each non-self directed edge (entity links included)
     independently alive with probability 1-r, per batch. The two directions
     of a pair are sampled independently."""
-    _check_rate(rate)
     n = graph.device_count + 1
     keep = rng.random((batches, n, n)) < (1.0 - rate)
     keep[:, np.arange(n), np.arange(n)] = True  # self-loops never fault
@@ -121,7 +117,6 @@ def sample_realization(graph: DeviceGraph, model: FaultModel, batches: int, roun
     any step, so they do not depend on ``rounds``. ``rounds`` - 1
     ``markov_step``s follow. A chain at rate 0 never leaves the base graph.
     """
-    model.validate()
     if model.kind == "device":
         return sample_device_faults(graph, model.rate, batches, rng)
     if model.kind == "communication":
@@ -145,7 +140,6 @@ def markov_step(state: np.ndarray, model: FaultModel, graph: DeviceGraph, u) -> 
     self-loops are kept. Rate 0 keeps every link as it is."""
     if model.kind != "markov_comm":
         raise ConfigError(f"markov_step needs a markov_comm model, got {model.kind!r}")
-    model.validate()
     if model.rate == 0.0:
         return state.copy()
     n = graph.device_count + 1

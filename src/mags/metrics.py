@@ -113,7 +113,10 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
             raise ConfigError(f"unknown policy {p!r}")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    fault_model.validate()
+    if batch_size < 1:
+        raise ConfigError(f"batch size {batch_size} must be >= 1")
+    if labels.shape[0] == 0:
+        raise InputError("evaluation needs at least one sample")
     kind_id = FAULT_KIND_IDS[fault_model.kind]
     rate_key = fault_rate_key(fault_model.rate)
     rng_fault = stream(seed, "fault", kind_id, rate_key)
@@ -165,4 +168,4 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
 
     total = n * trials
     return EvalResult({p: hits[p] / total for p in policies},
-                      comm_total / max(total, 1), total)
+                      comm_total / total, total)

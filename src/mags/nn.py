@@ -115,14 +115,15 @@ def mlp_backward(mlp: Mlp, tape, grad_out):
     return grads, d
 
 
-def log_softmax(z, axis=-1):
-    """log(softmax(z)) stabilized by max subtraction; exp of the result sums to 1."""
+def log_softmax(z):
+    """log(softmax(z)) over the last axis, stabilized by max subtraction; exp
+    of the result sums to 1."""
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise InputError("log_softmax requires finite inputs")
-    m = z.max(axis=axis, keepdims=True)
+    m = z.max(axis=-1, keepdims=True)
     s = z - m
-    return s - np.log(np.sum(np.exp(s), axis=axis, keepdims=True))
+    return s - np.log(np.sum(np.exp(s), axis=-1, keepdims=True))
 
 
 def check_one_hot(y) -> np.ndarray:

@@ -34,20 +34,10 @@ DROPOUT_KINDS = ("none", "pd", "cd")
 TRAIN_FAULT_KINDS = ("none", "device", "communication")
 
 
-def check_train_fault(kind: str, dropout: str, method: str):
-    """Reject a train fault kind that training cannot draw, and a dropout
-    method trained under a real fault: a batch under a train fault takes its
-    deliveries from the fault draw, so the dropout would never apply."""
-    if kind not in TRAIN_FAULT_KINDS:
-        raise ConfigError(f"train fault kind {kind!r} is not one of "
-                          f"{', '.join(TRAIN_FAULT_KINDS)}")
-    if kind != "none" and dropout != "none":
-        raise ConfigError(f"{method} uses {dropout.upper()} dropout, which cannot be "
-                          f"combined with train fault kind {kind!r}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training hyperparameters, checked once, when built."""
+
     epochs: int = 100
     batch_size: int = 64
     lr: float = 0.001
@@ -59,36 +49,40 @@ class TrainConfig:
     gossip_rounds: int = 0       # rounds folded into the training loss; 0 = off
     seed: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.dropout not in DROPOUT_KINDS:
             raise ConfigError(f"unknown dropout kind {self.dropout!r}")
         if not 0.0 <= self.dropout_rate <= 1.0:
             raise ConfigError(f"dropout rate {self.dropout_rate} outside [0, 1]")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.gossip_rounds < 0:
-            raise ConfigError("gossip_rounds must be >= 0")
-        check_train_fault(self.train_fault.kind, self.dropout,
-                          f"a {self.dropout.upper()}- method")
-        self.train_fault.validate()
-        return self
+        for name, value, low in (("batch size", self.batch_size, 1), ("epochs", self.epochs, 0),
+                                 ("gossip rounds", self.gossip_rounds, 0), ("seed", self.seed, 0)):
+            if value < low:
+                raise ConfigError(f"{name} {value} must be >= {low}")
+        if not self.lr > 0.0:
+            raise ConfigError(f"learning rate {self.lr} must be > 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"Adam betas {self.beta1}, {self.beta2} must lie in [0, 1)")
+        kind = self.train_fault.kind
+        if kind not in TRAIN_FAULT_KINDS:
+            raise ConfigError(f"train fault kind {kind!r} is not one of "
+                              f"{', '.join(TRAIN_FAULT_KINDS)}")
+        # a batch under a train fault takes its deliveries from the fault
+        # draw, so the dropout would never apply
+        if kind != "none" and self.dropout != "none":
+            d = self.dropout.upper()
+            raise ConfigError(f"a {d}- method uses {d} dropout, which cannot be "
+                              f"combined with train fault kind {kind!r}")
 
 
 def apply_pd_mask(client_count: int, rate: float, rng) -> np.ndarray:
     """Party-wise dropout keep flags: a dropped client's representation
     disappears for every aggregator at once, its own head included."""
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigError(f"dropout rate {rate} outside [0, 1]")
     return rng.random(client_count) >= rate
 
 
 def apply_cd_mask(aggregator_count: int, client_count: int, aggregators, rate: float, rng) -> np.ndarray:
     """Communication-wise dropout keep flags, shape (K, C): each non-self
     client->aggregator delivery drops independently; self slots never drop."""
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigError(f"dropout rate {rate} outside [0, 1]")
     keep = rng.random((aggregator_count, client_count)) >= rate
     for j, k in enumerate(aggregators):
         keep[j, k - 1] = True
@@ -97,8 +91,8 @@ def apply_cd_mask(aggregator_count: int, client_count: int, aggregators, rate: f
 
 def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault):
     """One per-batch delivery mask: which client representations reach which
-    aggregator. Returns (keep (K', C), alive aggregators, alive clients,
-    gossip links (K', K')); row j of keep and links is ``alive_aggs[j]``.
+    aggregator. Returns (keep (K', C), alive aggregators, gossip links
+    (K', K')); row j of keep and links is ``alive_aggs[j]``.
     Under a train fault the links are the batch realization's, as at
     inference; otherwise they are the base graph's."""
     realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
@@ -108,22 +102,22 @@ def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault)
         keep &= apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
     elif cfg.dropout == "cd":
         keep &= apply_cd_mask(len(aggs), c, aggs, cfg.dropout_rate, rng_dropout)
-    return keep, aggs, realized.alive[1:], gossip_links(realized.edge_alive[0], aggs)
+    return keep, aggs, gossip_links(realized.edge_alive[0], aggs)
 
 
 def split_loss_and_grads(model: SplitModel, views, y_onehot, keep, alive_aggs,
-                         alive_clients, links=None, gossip_rounds=0):
+                         links=None, gossip_rounds=0):
     """Loss summed over aggregator heads (mean over the batch) and its exact
     gradient, a flat vector laid out like ``model.params``.
 
-    ``views`` is the client-major (C, B, d) batch. One stacked pass runs the
-    encoders of the alive clients and one the heads of ``alive_aggs``; the
-    rows of dead clients and aggregators get zero gradient. ``keep[j, c-1]``
-    says whether client c's representation reaches ``alive_aggs[j]``;
-    unreachable slots are zero-imputed and receive no gradient. With
-    ``gossip_rounds`` > 0, the per-head log-probabilities are mixed for that
-    many rounds over the (K', K') ``links`` mask and renormalized before the
-    loss.
+    ``views`` is the client-major (C, B, d) batch. One stacked pass runs
+    every client's encoder and one the heads of ``alive_aggs``; the rows of
+    dead aggregators get zero gradient. ``keep[j, c-1]`` says whether client
+    c's representation reaches ``alive_aggs[j]``; unreachable slots are
+    zero-imputed and receive no gradient, so a dead client, which reaches no
+    aggregator, gets a zero gradient too. With ``gossip_rounds`` > 0, the
+    per-head log-probabilities are mixed for that many rounds over the
+    (K', K') ``links`` mask and renormalized before the loss.
     """
     y = check_one_hot(y_onehot)
     n = max(y.shape[0], 1)
@@ -132,13 +126,11 @@ def split_loss_and_grads(model: SplitModel, views, y_onehot, keep, alive_aggs,
         return 0.0, grad
     k_count, b = len(alive_aggs), y.shape[0]
     c_count, rep = model.client_count, model.rep_dim
-    clients = slice(None) if alive_clients.all() else np.flatnonzero(alive_clients)
     heads = model.head_rows(alive_aggs)
-    encoder, head = model.encoder.take(clients), model.head.take(heads)
+    head = model.head.take(heads)
 
-    out, enc_tape = mlp_forward(encoder, np.asarray(views)[clients])
-    reps = np.zeros((c_count, b, rep))  # dead clients' rows stay zero
-    reps[clients] = relu(out)
+    out, enc_tape = mlp_forward(model.encoder, np.asarray(views))
+    reps = relu(out)
 
     u = aggregate(reps, keep)
     logits, head_tape = mlp_forward(head, u)
@@ -160,11 +152,11 @@ def split_loss_and_grads(model: SplitModel, views, y_onehot, keep, alive_aggs,
     head_grads, du = mlp_backward(head, head_tape, dlogits)
     d_rep = np.where(keep[:, None, :, None], du.reshape(k_count, b, c_count, rep),
                      0.0).sum(axis=0)  # (B, C, r)
-    dh = d_rep.swapaxes(0, 1)[clients] * (reps[clients] > 0)
-    enc_grads, _ = mlp_backward(encoder, enc_tape, dh)
+    dh = d_rep.swapaxes(0, 1) * (reps > 0)
+    enc_grads, _ = mlp_backward(model.encoder, enc_tape, dh)
 
     g_enc, g_head = model.unflatten(grad)
-    for rows, stack, grads in ((clients, g_enc, enc_grads), (heads, g_head, head_grads)):
+    for rows, stack, grads in ((slice(None), g_enc, enc_grads), (heads, g_head, head_grads)):
         for (gw, gb), (w, bias) in zip(grads, stack.layers):
             w[rows] = gw
             bias[rows] = gb
@@ -190,18 +182,16 @@ def train_epoch(model, opt, views, y_onehot, graph, cfg, rng_data, rng_dropout, 
     total, seen = 0.0, 0
     for start in range(0, n, cfg.batch_size):
         idx = order[start:start + cfg.batch_size]
-        keep, alive_aggs, alive_clients, links = batch_delivery(
-            graph, cfg, rng_dropout, rng_fault)
+        keep, alive_aggs, links = batch_delivery(graph, cfg, rng_dropout, rng_fault)
         loss, grad = split_loss_and_grads(
-            model, views[:, idx], y_onehot[idx], keep, alive_aggs,
-            alive_clients, links, cfg.gossip_rounds)
+            model, views[:, idx], y_onehot[idx], keep, alive_aggs, links, cfg.gossip_rounds)
         optimizer_step(model, opt, grad)
         total += loss * len(idx)
         seen += len(idx)
     return total / max(seen, 1)
 
 
-def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, chunk=512):
+def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph):
     """Fault-free validation: summed head cross-entropy (mean over samples)
     and accuracy averaged over aggregators."""
     aggs, keep = delivery(sample_realization(graph, FaultModel(), 1, 1, None)[0],
@@ -209,6 +199,9 @@ def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, chunk=5
     n = labels.shape[0]
     y = one_hot(labels, model.class_count)
     loss_sum, hit_sum = 0.0, 0.0
+    # samples per encoder pass, fixed: it sets the order of the loss sum (so
+    # the checkpointed best loss to the last bit) and the pass's peak memory
+    chunk = 512
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
         reps = client_encode(model, views[:, sl])
@@ -255,12 +248,8 @@ def fit(cfg: TrainConfig, train: Dataset, val: Dataset, partition: PartitionSpec
         graph: DeviceGraph, curve_path=None) -> Checkpoint:
     """Train for cfg.epochs and keep the parameters with the lowest fault-free
     validation loss. Fully deterministic for a fixed seed."""
-    cfg.validate()
     if len(val) == 0:
         raise InputError("validation split must be nonempty")
-    if partition.client_count != graph.device_count:
-        raise ConfigError(
-            f"{partition.client_count} clients in partition vs {graph.device_count} devices")
 
     tr_views = client_views(train.features, partition)
     va_views = client_views(val.features, partition)

@@ -1,4 +1,5 @@
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from mags.config import (load_config, parse_method, parse_seed_list,
                          resolve_data_path)
 from mags.data import synth_dataset, save_idx
 from mags.errors import ConfigError
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "docs" / "example.ini"
 
 BASE_CONFIG = """
 [dataset]
@@ -131,6 +134,46 @@ class TestLoadConfig:
             load_config(p)
         p.write_text(p.read_text().replace("CD-MACL-G2", "MACL-G2"))
         assert load_config(p).train_fault_kind == "device"
+
+    @pytest.mark.parametrize("old,new,match", [
+        # used to write accuracy 0 and comm_mean 0 for every eval row
+        pytest.param("batch = 64", "batch = -5", "batch size -5", id="batch-negative"),
+        pytest.param("batch = 64", "batch = 0", "batch size 0", id="batch-zero"),
+        pytest.param("test_n = 200", "test_n = 0", "test_n = 0", id="test_n"),
+        pytest.param("train_n = 600", "train_n = 0", "train_n = 0", id="train_n"),
+        # a recovery probability above 1; used to fail at the first eval cell
+        pytest.param("fault_rates = 0, 0.5", "fault_rates = 0, 0.05",
+                     "markov_comm at rate 0.05", id="markov-rate"),
+        pytest.param("epochs = 2", "epochs = -1", "epochs -1", id="epochs"),
+        pytest.param("batch = 64", "batch = 64\ngossip_in_training = -2", "gossip rounds -2",
+                     id="gossip_in_training"),
+        pytest.param("dropout_rate = 0.3", "dropout_rate = 1.5", "dropout rate 1.5",
+                     id="dropout_rate"),
+        pytest.param("batch = 64", "batch = 64\nlr = 0", "learning rate 0", id="lr"),
+        pytest.param("batch = 64", "batch = 64\nbeta2 = 1", "betas 0.9, 1.0", id="beta2"),
+        pytest.param("trials = 1", "trials = 0", "trials = 0", id="trials"),
+        pytest.param("seeds = 1, 2", "seeds = -1, 2", "seed -1", id="run-seeds"),
+        pytest.param("seed = 11", "seed = -1", r"\[dataset\] seed = -1", id="dataset-seed"),
+        pytest.param("classes = 4", "classes = 1", "classes = 1", id="classes"),
+        pytest.param("grid = 2", "grid = 3", "grid = 3", id="grid"),
+        pytest.param("noise = 0.2", "noise = -0.2", "noise = -0.2", id="noise"),
+        pytest.param("kind = complete", "kind = complete\nrandom_aggregators = ture",
+                     "random_aggregators", id="random_aggregators"),
+        pytest.param("kind = complete", "kind = hex", "graph kind 'hex'", id="graph-kind"),
+        pytest.param("kind = complete", "kind = rgg", "rgg graphs need a positive radius",
+                     id="rgg-radius"),
+    ])
+    def test_bad_values_rejected_at_load(self, tmp_path, old, new, match):
+        p = write_config(tmp_path)
+        assert old in p.read_text()
+        p.write_text(p.read_text().replace(old, new))
+        with pytest.raises(ConfigError, match=match):
+            load_config(p)
+
+    def test_example_config_loads(self):
+        cfg = load_config(EXAMPLE_CONFIG)
+        assert cfg.methods == ["VFL", "MACL", "CD-MACL", "CD-MACL-G4"]
+        assert cfg.seeds == [1, 2, 3, 4]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -127,13 +127,13 @@ class TestMarkovChain:
     def test_invalid_recovery_probability_rejected(self):
         # small rates push q above 1
         with pytest.raises(ConfigError):
-            FaultModel("markov_comm", 0.05).validate()
+            FaultModel("markov_comm", 0.05)
 
     @pytest.mark.parametrize("rate", [0.3, 0.5])
     def test_stationary_faulted_fraction(self, rate):
         # one chain of 3000 rounds; the first 1000 are the burn-in
         g = build_graph("complete", 16, 16)
-        model = FaultModel("markov_comm", rate).validate()
+        model = FaultModel("markov_comm", rate)
         chains, burn_in, horizon = 1, 1000, 2000
         edges = markov_edges(g, rate, chains, burn_in + horizon, 9)[:, burn_in:]
         dev_mask = g.adj.copy()

@@ -3,7 +3,7 @@ import pytest
 
 from mags.certs import cert_ensemble_identity
 from mags.data import client_views, make_splits, split_patches, synth_dataset
-from mags.errors import ConfigError
+from mags.errors import ConfigError, InputError
 from mags.faults import (FaultModel, RealizedGraph, sample_comm_faults, sample_device_faults,
                          sample_realization)
 from mags.inference import client_encode, init_split_model, mags_infer
@@ -300,6 +300,23 @@ class TestEvaluatePolicies:
         with pytest.raises(ConfigError, match="0.1004"):
             evaluate_policies(model, reps, ds.labels, graph,
                               FaultModel("device", 0.1004), ["active_rand"], 0, seed=0)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_rejects_batch_size_below_one(self, trained_small, batch_size):
+        # 0 used to raise a bare ValueError, a negative size to score 0.0
+        model, ds, part, graph = trained_small
+        reps = client_encode(model, client_views(ds.features, part))
+        with pytest.raises(ConfigError, match="batch size"):
+            evaluate_policies(model, reps, ds.labels, graph, FaultModel("none"),
+                              ["active_rand"], 0, seed=0, batch_size=batch_size)
+
+    def test_rejects_empty_labels(self, trained_small):
+        # used to divide by zero
+        model, ds, part, graph = trained_small
+        reps = client_encode(model, client_views(ds.features[:0], part))
+        with pytest.raises(InputError):
+            evaluate_policies(model, reps, ds.labels[:0], graph, FaultModel("none"),
+                              ["active_rand"], 0, seed=0)
 
 
 class TestEnsembleBenefit:

@@ -74,33 +74,32 @@ class TestDropoutMasks:
     def test_pd_zeroes_own_head_slot_too(self):
         graph = build_graph("complete", 4, 4)
         cfg = TrainConfig(dropout="pd", dropout_rate=1.0)
-        keep, alive_aggs, alive_clients, _ = batch_delivery(
-            graph, cfg, stream(5, "dropout"), stream(5, "fault"))
+        keep, alive_aggs, _ = batch_delivery(graph, cfg, stream(5, "dropout"), stream(5, "fault"))
         assert not keep.any()
-        assert alive_aggs == [1, 2, 3, 4] and alive_clients.all()
+        assert alive_aggs == [1, 2, 3, 4]
 
     def test_base_adjacency_limits_delivery(self):
         # on a ring, an aggregator only ever receives from its two neighbors
         graph = build_graph("ring", 8, 8)
         cfg = TrainConfig(dropout="none")
-        keep, _, _, links = batch_delivery(graph, cfg, stream(6, "dropout"), stream(6, "fault"))
+        keep, _, links = batch_delivery(graph, cfg, stream(6, "dropout"), stream(6, "fault"))
         assert keep.sum() == 8 * 3
         assert links.sum() == 8 * 3
 
     def test_device_train_faults_keep_rows_follow_alive_aggregators(self):
-        # row j of keep and links belongs to alive_aggs[j], dead ones dropped
+        # row j of keep and links belongs to alive_aggs[j], dead ones dropped;
+        # every device aggregates, so a row keeps exactly the alive clients
         graph = build_graph("complete", 4, 4)
         cfg = TrainConfig(train_fault=FaultModel("device", 0.5))
         rng_fault = stream(7, "fault")
         partial = 0
         for _ in range(20):
-            keep, alive_aggs, alive_clients, links = batch_delivery(
-                graph, cfg, stream(7, "dropout"), rng_fault)
+            keep, alive_aggs, links = batch_delivery(graph, cfg, stream(7, "dropout"), rng_fault)
             partial += 0 < len(alive_aggs) < 4
             assert keep.shape == (len(alive_aggs), 4)
             assert links.shape == (len(alive_aggs),) * 2 and links.all()
             for row in keep:
-                assert np.array_equal(row, alive_clients)
+                assert np.array_equal(row, np.isin([1, 2, 3, 4], alive_aggs))
         assert partial > 0
 
     def test_train_fault_gossip_uses_realized_links(self):
@@ -112,7 +111,7 @@ class TestDropoutMasks:
         y = one_hot(ds.labels[:16], ds.class_count)
         cfg = TrainConfig(train_fault=FaultModel("communication", 1.0), gossip_rounds=2)
         delivery = batch_delivery(graph, cfg, stream(9, "dropout"), stream(9, "fault"))
-        assert np.array_equal(delivery[3], np.eye(4, dtype=bool))
+        assert np.array_equal(delivery[2], np.eye(4, dtype=bool))
         loss0, _ = split_loss_and_grads(model, views, y, *delivery, 0)
         loss2, _ = split_loss_and_grads(model, views, y, *delivery, 2)
         assert loss2 == pytest.approx(loss0, rel=1e-12)
@@ -123,16 +122,15 @@ class TestDropoutMasks:
 def test_dropout_with_train_fault_rejected(dropout, kind):
     # under a train fault the delivery comes from the fault draw, so the
     # dropout mask would never apply
-    cfg = TrainConfig(dropout=dropout, train_fault=FaultModel(kind, 0.3))
     with pytest.raises(ConfigError, match=f"{dropout.upper()}- method.*{kind}"):
-        cfg.validate()
+        TrainConfig(dropout=dropout, train_fault=FaultModel(kind, 0.3))
 
 
 def test_markov_train_fault_rejected():
     # training draws one memoryless realization per batch; the Markov chain
     # has no such draw and used to fail only at the first batch
     with pytest.raises(ConfigError, match="markov_comm"):
-        TrainConfig(train_fault=FaultModel("markov_comm", 0.3)).validate()
+        TrainConfig(train_fault=FaultModel("markov_comm", 0.3))
 
 
 class TestSplitLossAndGrads:
@@ -143,8 +141,7 @@ class TestSplitLossAndGrads:
         views = client_views(ds.features[:32], part)
         y = one_hot(ds.labels[:32], ds.class_count)
         keep = np.ones((4, 4), dtype=bool)
-        loss, _ = split_loss_and_grads(model, views, y, keep, list(graph.aggregators),
-                                       np.ones(4, dtype=bool))
+        loss, _ = split_loss_and_grads(model, views, y, keep, list(graph.aggregators))
         assert loss == pytest.approx(4 * np.log(ds.class_count), abs=1e-12)
 
     def test_full_cd_dropout_trains_heads_on_own_client_only(self):
@@ -153,8 +150,7 @@ class TestSplitLossAndGrads:
         views = client_views(ds.features[:8], part)
         y = one_hot(ds.labels[:8], ds.class_count)
         keep = apply_cd_mask(4, 4, graph.aggregators, 1.0, stream(7, "dropout"))
-        _, grad = split_loss_and_grads(model, views, y, keep, list(graph.aggregators),
-                                       np.ones(4, dtype=bool))
+        _, grad = split_loss_and_grads(model, views, y, keep, list(graph.aggregators))
         enc_grads, _ = model.unflatten(grad)
         # every encoder still learns (through its own head)
         for c in range(4):
@@ -167,8 +163,7 @@ class TestSplitLossAndGrads:
         y = one_hot(ds.labels[:8], ds.class_count)
         keep = np.ones((4, 4), dtype=bool)
         keep[:, 2] = False  # client 3 unreachable everywhere
-        _, grad = split_loss_and_grads(model, views, y, keep, list(graph.aggregators),
-                                       np.ones(4, dtype=bool))
+        _, grad = split_loss_and_grads(model, views, y, keep, list(graph.aggregators))
         enc_grads, _ = model.unflatten(grad)
         assert all(not gw[2].any() and not gb[2].any() for gw, gb in enc_grads.layers)
         assert all(gw[1].any() for gw, _ in enc_grads.layers)
@@ -180,13 +175,12 @@ class TestSplitLossAndGrads:
         views = [rng.random((5, 4)), rng.random((5, 4))]
         y = one_hot(rng.integers(0, 3, 5), 3)
         keep = np.array([[True, False], [True, True]])
-        alive = np.ones(2, dtype=bool)
 
         def loss_of():
-            val, _ = split_loss_and_grads(model, views, y, keep, [1, 2], alive)
+            val, _ = split_loss_and_grads(model, views, y, keep, [1, 2])
             return val
 
-        _, grad = split_loss_and_grads(model, views, y, keep, [1, 2], alive)
+        _, grad = split_loss_and_grads(model, views, y, keep, [1, 2])
         worst = 0.0
         h = 1e-5
         params = model.params
@@ -214,15 +208,15 @@ class TestSplitLossAndGrads:
         rng = np.random.default_rng(1)
         views = [rng.random((4, 4)) for _ in range(devices)]
         y = one_hot(rng.integers(0, 3, 4), 3)
-        keep, aggs, alive, links = batch_delivery(
+        keep, aggs, links = batch_delivery(
             graph, TrainConfig(), stream(4, "dropout"), stream(4, "fault"))
         assert links.sum(axis=1).tolist() == ([2, 2] if kind == "complete" else [2, 3, 2])
 
         def loss_of():
-            val, _ = split_loss_and_grads(model, views, y, keep, aggs, alive, links, 2)
+            val, _ = split_loss_and_grads(model, views, y, keep, aggs, links, 2)
             return val
 
-        _, grad = split_loss_and_grads(model, views, y, keep, aggs, alive, links, 2)
+        _, grad = split_loss_and_grads(model, views, y, keep, aggs, links, 2)
         # the weights of client 1's encoder and aggregator 2's head
         enc_pos, head_pos = positions(model)
         coords = np.concatenate([w[0].ravel() for w, _ in enc_pos.layers]
@@ -268,7 +262,7 @@ class TestTrainEpoch:
         for start in range(0, n, 16):
             idx = order[start:start + 16]
             split_loss, grad = split_loss_and_grads(
-                model, [x[idx]], y[idx], keep, [1], np.ones(1, dtype=bool))
+                model, [x[idx]], y[idx], keep, [1])
             mono_loss, mono_grads = loss_and_grad(mono, x[idx], y[idx])
             assert split_loss == pytest.approx(mono_loss, abs=1e-12)
             optimizer_step(model, opt, grad)
