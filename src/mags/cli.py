@@ -56,6 +56,8 @@ def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int):
     per worker process, so that each process builds the shared inputs (the
     dataset) once; the results come back in job order.
     """
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     n = min(workers, len(jobs))
     if n <= 1:
         return fn(cfg, jobs)
@@ -71,22 +73,27 @@ def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int):
 
 
 def _train_checkpoints(cfg: ExperimentConfig, jobs) -> list:
-    """Fit and save one checkpoint per (train_name, seed) job; the dataset
-    and partition are built once for all of them."""
-    train_full, _ = build_dataset(cfg)
-    partition = build_partition(cfg, train_full)
+    """Fit and save one checkpoint per (train_name, seed) job. The training
+    pool's client views are built once for all of them and its feature
+    matrix is then dropped: each fit gathers its split from the views by
+    row."""
+    pool, _ = build_dataset(cfg)
+    partition = build_partition(cfg, pool)
+    views = client_views(pool.features, partition)
+    labels, class_count = pool.labels, pool.class_count
+    del pool
     variants = {s.train_name: s for s in cfg.train_variants()}
     paths = []
     for train_name, seed in jobs:
         spec = variants[train_name]
         graph = build_method_graph(cfg, spec)
-        train, val = make_splits(train_full, seed)
         tc = build_train_config(cfg, spec, seed)
         path = checkpoint_path(cfg.out_dir, spec.train_name, seed)
         path.parent.mkdir(parents=True, exist_ok=True)
         curve = path.with_name(f"{spec.train_name}-seed{seed}-curve.csv")
         curve.unlink(missing_ok=True)  # curves append; rewrite for idempotent reruns
-        ckpt = fit(tc, train, val, partition, graph, curve_path=curve)
+        ckpt = fit(tc, views, labels, class_count, make_splits(len(labels), seed),
+                   partition, graph, curve_path=curve)
         ckpt.config["method"] = spec.train_name
         save_checkpoint(ckpt, path)
         paths.append(str(path))

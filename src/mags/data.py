@@ -127,7 +127,8 @@ def split_patches(feature_count: int, g: int) -> PartitionSpec:
 def client_views(features: np.ndarray, spec: PartitionSpec) -> np.ndarray:
     """Every client's feature matrix, stacked client-major into one
     C-contiguous (C, n, d) array: row c-1 is client c's patches, and
-    ``views[:, idx]`` is a (C, B, d) batch."""
+    ``views[:, idx]`` is a (C, B, d) batch. Build it once per feature
+    matrix: a training pool's views serve every fit of a command."""
     if features.shape[1] != spec.feature_count:
         raise ConfigError(f"features have {features.shape[1]} columns, partition expects {spec.feature_count}")
     cols = spec.client_columns
@@ -137,20 +138,18 @@ def client_views(features: np.ndarray, spec: PartitionSpec) -> np.ndarray:
     return views
 
 
-def make_splits(ds: Dataset, seed: int):
-    """Seeded 80/20 train/validation split (60000 -> 48000/12000).
+def make_splits(n: int, seed: int):
+    """Seeded 80/20 train/validation split of ``n`` rows (60000 ->
+    48000/12000), as two row-index arrays: a split is gathered by row from
+    the pool, e.g. from its client views, never copied out of it.
 
     The permutation comes from numpy's PCG64 generator, which is stable
     across platforms for a fixed seed.
     """
-    n = len(ds)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     order = rng.permutation(n)
     n_train = (4 * n) // 5
-    tr, va = order[:n_train], order[n_train:]
-    train = Dataset(ds.features[tr], ds.labels[tr], ds.class_count)
-    val = Dataset(ds.features[va], ds.labels[va], ds.class_count)
-    return train, val
+    return order[:n_train], order[n_train:]
 
 
 def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:

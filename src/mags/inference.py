@@ -127,9 +127,14 @@ def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:
     ``reps`` is the (C, B, r) stack from ``client_encode``; ``keep[j, c-1]``
     says whether client c's representation reaches aggregator row j. An
     unreached slot is an exact zero whatever ``reps`` holds there (NaN
-    included), so a dead client's rows are never read.
+    included), so a dead client's rows are never read. When every delivery
+    is kept, every row is the same concatenation: the result is then a
+    read-only broadcast of one (B, C * r) array.
     """
     c, b, r = reps.shape
+    if keep.all():
+        row = reps.transpose(1, 0, 2).reshape(b, c * r)
+        return np.broadcast_to(row, (keep.shape[0], b, c * r))
     out = np.zeros((keep.shape[0], b, c, r))
     np.copyto(out, reps.transpose(1, 0, 2)[None], where=keep[:, None, :, None])
     return out.reshape(keep.shape[0], b, c * r)

@@ -98,15 +98,18 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     return h, tape
 
 
-def mlp_backward(mlp: Mlp, tape, grad_out):
+def mlp_backward(mlp: Mlp, tape, grad_out, input_grad=True):
     """Backward pass from d(loss)/d(output). Returns (per-layer grads, dx),
-    stacked like the layers."""
+    stacked like the layers; dx is None when ``input_grad`` is False, which
+    skips the first layer's input product for a caller that discards it."""
     grads = [None] * len(mlp.layers)
     d = np.asarray(grad_out, dtype=np.float64)
     for i in reversed(range(len(mlp.layers))):
         w, _ = mlp.layers[i]
         x_i = tape[i]
         grads[i] = (x_i.swapaxes(-1, -2) @ d, d.sum(axis=-2))
+        if i == 0 and not input_grad:
+            return grads, None
         d = d @ w.swapaxes(-1, -2)
         if i > 0:
             # layer input equals the previous rectified output, so its sign
@@ -146,14 +149,15 @@ def loss_and_grad(mlp: Mlp, x: np.ndarray, y_onehot: np.ndarray):
     lp = log_softmax(out)
     loss = float(-(y * lp).sum() / n)
     dlogits = (np.exp(lp) - y) / n
-    grads, _ = mlp_backward(mlp, tape, dlogits)
+    grads, _ = mlp_backward(mlp, tape, dlogits, input_grad=False)
     return loss, grads
 
 
 @dataclass
 class AdamState:
     """First/second moment accumulators shaped like the flat parameter
-    vector; ``adam_update`` advances them in place."""
+    vector, and two scratch vectors of that shape that every step writes
+    its temporaries into; ``adam_update`` advances them in place."""
 
     m: np.ndarray
     v: np.ndarray
@@ -162,27 +166,35 @@ class AdamState:
     beta1: float
     beta2: float
     eps: float
+    scratch: tuple
 
 
 def adam_init(params: np.ndarray, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    return AdamState(np.zeros_like(params), np.zeros_like(params), 0, lr, beta1, beta2, eps)
+    return AdamState(np.zeros_like(params), np.zeros_like(params), 0, lr, beta1, beta2, eps,
+                     (np.empty_like(params), np.empty_like(params)))
 
 
 def adam_update(params: np.ndarray, grad: np.ndarray, state: AdamState):
     """One bias-corrected Adam step on a flat parameter vector, in place:
-    ``params``, ``state.m``, ``state.v`` and ``state.t`` advance together."""
+    ``params``, ``state.m``, ``state.v`` and ``state.t`` advance together.
+    Every temporary lives in ``state.scratch``; the operations and their
+    order are those of the textbook expressions, so the bits are too."""
     if grad.shape != params.shape or state.m.shape != params.shape:
         raise ConfigError(f"gradient shape {grad.shape} does not match parameters {params.shape}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     m, v = state.m, state.v
+    step, denom = state.scratch
     m *= b1
-    m += (1.0 - b1) * grad
+    np.multiply(grad, 1.0 - b1, out=step)
+    m += step
     v *= b2
-    v += (1.0 - b2) * grad * grad
-    step = m / (1.0 - b1 ** state.t)
+    np.multiply(grad, 1.0 - b2, out=step)
+    step *= grad
+    v += step
+    np.divide(m, 1.0 - b1 ** state.t, out=step)
     step *= state.lr
-    denom = v / (1.0 - b2 ** state.t)
+    np.divide(v, 1.0 - b2 ** state.t, out=denom)
     np.sqrt(denom, out=denom)
     denom += state.eps
     step /= denom

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, PartitionSpec, client_views, one_hot
+from .data import PartitionSpec, one_hot
 from .errors import ConfigError, InputError
 from .faults import FaultModel, sample_realization
 from .inference import (SplitModel, aggregate, aggregator_head, client_encode, delivery,
                         gossip_links, gossip_round, init_split_model)
-from .nn import (AdamState, adam_init, adam_update, check_one_hot, log_softmax, mlp_backward,
-                 mlp_forward, mlp_size, relu)
+from .nn import (AdamState, adam_init, adam_update, log_softmax, mlp_backward, mlp_forward,
+                 mlp_size, relu)
 from .rng import stream
 from .topology import DeviceGraph
 
@@ -84,33 +84,50 @@ def apply_cd_mask(aggregator_count: int, client_count: int, aggregators, rate: f
     """Communication-wise dropout keep flags, shape (K, C): each non-self
     client->aggregator delivery drops independently; self slots never drop."""
     keep = rng.random((aggregator_count, client_count)) >= rate
-    for j, k in enumerate(aggregators):
-        keep[j, k - 1] = True
+    keep[np.arange(aggregator_count), np.asarray(aggregators, dtype=np.intp) - 1] = True
     return keep
 
 
-def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault):
+def fault_free_delivery(graph: DeviceGraph):
+    """The base graph's delivery, as ``batch_delivery`` returns it: (keep
+    (K', C), every aggregator, gossip links (K', K')). ``keep`` is read-only,
+    because one fit hands it to every batch."""
+    realized = sample_realization(graph, FaultModel(), 1, 1, None)[0]
+    aggs, keep = delivery(realized, graph.aggregators)
+    keep.setflags(write=False)
+    return keep, aggs, gossip_links(realized.edge_alive[0], aggs)
+
+
+def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault, base=None):
     """One per-batch delivery mask: which client representations reach which
     aggregator. Returns (keep (K', C), alive aggregators, gossip links
     (K', K')); row j of keep and links is ``alive_aggs[j]``.
     Under a train fault the links are the batch realization's, as at
-    inference; otherwise they are the base graph's."""
-    realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
-    aggs, keep = delivery(realized, graph.aggregators)
+    inference; otherwise they are the base graph's. A fit without a train
+    fault passes its ``fault_free_delivery`` as ``base``, so a batch only
+    draws its dropout mask; the fault kind ``none`` draws nothing from
+    ``rng_fault`` either way."""
+    if base is None:
+        realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
+        aggs, keep = delivery(realized, graph.aggregators)
+        base = keep, aggs, gossip_links(realized.edge_alive[0], aggs)
+    keep, aggs, links = base
     c = graph.device_count
     if cfg.dropout == "pd":
-        keep &= apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
+        keep = keep & apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
     elif cfg.dropout == "cd":
-        keep &= apply_cd_mask(len(aggs), c, aggs, cfg.dropout_rate, rng_dropout)
-    return keep, aggs, gossip_links(realized.edge_alive[0], aggs)
+        keep = keep & apply_cd_mask(len(aggs), c, aggs, cfg.dropout_rate, rng_dropout)
+    return keep, aggs, links
 
 
-def split_loss_and_grads(model: SplitModel, views, y_onehot, keep, alive_aggs,
+def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
                          links=None, gossip_rounds=0):
     """Loss summed over aggregator heads (mean over the batch) and its exact
     gradient, a flat vector laid out like ``model.params``.
 
-    ``views`` is the client-major (C, B, d) batch. One stacked pass runs
+    ``views`` is the client-major (C, B, d) batch and ``y`` its (B, classes)
+    one-hot targets, built with ``one_hot`` and not checked again here, on
+    every batch. One stacked pass runs
     every client's encoder and one the heads of ``alive_aggs``; the rows of
     dead aggregators get zero gradient. ``keep[j, c-1]`` says whether client
     c's representation reaches ``alive_aggs[j]``; unreachable slots are
@@ -119,7 +136,6 @@ def split_loss_and_grads(model: SplitModel, views, y_onehot, keep, alive_aggs,
     per-head log-probabilities are mixed for that many rounds over the
     (K', K') ``links`` mask and renormalized before the loss.
     """
-    y = check_one_hot(y_onehot)
     n = max(y.shape[0], 1)
     grad = np.zeros_like(model.params)
     if not alive_aggs:
@@ -150,10 +166,12 @@ def split_loss_and_grads(model: SplitModel, views, y_onehot, keep, alive_aggs,
         dlogits = dlogits - np.exp(log_ps) * dlogits.sum(axis=2, keepdims=True)
 
     head_grads, du = mlp_backward(head, head_tape, dlogits)
-    d_rep = np.where(keep[:, None, :, None], du.reshape(k_count, b, c_count, rep),
-                     0.0).sum(axis=0)  # (B, C, r)
+    du = du.reshape(k_count, b, c_count, rep)
+    if not keep.all():
+        du = np.where(keep[:, None, :, None], du, 0.0)
+    d_rep = du.sum(axis=0)  # (B, C, r)
     dh = d_rep.swapaxes(0, 1) * (reps > 0)
-    enc_grads, _ = mlp_backward(model.encoder, enc_tape, dh)
+    enc_grads, _ = mlp_backward(model.encoder, enc_tape, dh, input_grad=False)
 
     g_enc, g_head = model.unflatten(grad)
     for rows, stack, grads in ((slice(None), g_enc, enc_grads), (heads, g_head, head_grads)):
@@ -174,17 +192,21 @@ def optimizer_step(model: SplitModel, opt: AdamState, grad):
     adam_update(model.params, grad, opt)
 
 
-def train_epoch(model, opt, views, y_onehot, graph, cfg, rng_data, rng_dropout, rng_fault):
-    """One pass over the data, updating ``model`` and ``opt`` in place.
-    Returns the mean train loss."""
-    n = y_onehot.shape[0]
+def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dropout, rng_fault,
+                base=None):
+    """One pass over the training rows ``rows`` of the client-major
+    ``views``, updating ``model`` and ``opt`` in place; ``y_onehot[i]`` is
+    the target of row ``rows[i]``. ``base`` is passed on to
+    ``batch_delivery``. Returns the mean train loss."""
+    n = len(rows)
     order = rng_data.permutation(n)
     total, seen = 0.0, 0
     for start in range(0, n, cfg.batch_size):
         idx = order[start:start + cfg.batch_size]
-        keep, alive_aggs, links = batch_delivery(graph, cfg, rng_dropout, rng_fault)
+        keep, alive_aggs, links = batch_delivery(graph, cfg, rng_dropout, rng_fault, base)
         loss, grad = split_loss_and_grads(
-            model, views[:, idx], y_onehot[idx], keep, alive_aggs, links, cfg.gossip_rounds)
+            model, views[:, rows[idx]], y_onehot[idx], keep, alive_aggs, links,
+            cfg.gossip_rounds)
         optimizer_step(model, opt, grad)
         total += loss * len(idx)
         seen += len(idx)
@@ -194,23 +216,24 @@ def train_epoch(model, opt, views, y_onehot, graph, cfg, rng_data, rng_dropout, 
 def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph):
     """Fault-free validation: summed head cross-entropy (mean over samples)
     and accuracy averaged over aggregators."""
-    aggs, keep = delivery(sample_realization(graph, FaultModel(), 1, 1, None)[0],
-                          graph.aggregators)
+    keep, aggs, _ = fault_free_delivery(graph)
     n = labels.shape[0]
     y = one_hot(labels, model.class_count)
     loss_sum, hit_sum = 0.0, 0.0
-    # samples per encoder pass, fixed: it sets the order of the loss sum (so
-    # the checkpointed best loss to the last bit) and the pass's peak memory
-    chunk = 512
+    # samples per encoder pass and heads per head pass, fixed: the chunk
+    # sets the order of the loss sum (so the checkpointed best loss to the
+    # last bit); both set the pass's peak memory, and all K' heads of a
+    # chunk at once measurably raised the train driver's peak RSS
+    chunk, group = 512, 4
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
         reps = client_encode(model, views[:, sl])
-        # one head input at a time: all K' of a chunk at once is K' times
-        # the memory and measurably raised the train driver's peak RSS
-        for j, k in enumerate(aggs):
-            lp = aggregator_head(model, [k], aggregate(reps, keep[j:j + 1]))[0]
-            loss_sum += float(-(y[sl] * lp).sum())
-            hit_sum += float((lp.argmax(axis=1) == labels[sl]).sum())
+        for g in range(0, len(aggs), group):
+            lps = aggregator_head(model, aggs[g:g + group],
+                                  aggregate(reps, keep[g:g + group]))
+            for lp in lps:
+                loss_sum += float(-(y[sl] * lp).sum())
+                hit_sum += float((lp.argmax(axis=1) == labels[sl]).sum())
     return loss_sum / n, hit_sum / (n * len(aggs))
 
 
@@ -244,33 +267,39 @@ def config_echo(cfg: TrainConfig, graph: DeviceGraph, partition: PartitionSpec, 
     }
 
 
-def fit(cfg: TrainConfig, train: Dataset, val: Dataset, partition: PartitionSpec,
+def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: PartitionSpec,
         graph: DeviceGraph, curve_path=None) -> Checkpoint:
     """Train for cfg.epochs and keep the parameters with the lowest fault-free
-    validation loss. Fully deterministic for a fixed seed."""
-    if len(val) == 0:
+    validation loss. Fully deterministic for a fixed seed.
+
+    ``views`` is the client-major (C, n, d) stack of a whole training pool,
+    ``labels`` its (n,) labels, and ``split`` the (train rows, validation
+    rows) pair from ``make_splits``. A batch is gathered from ``views`` by
+    row; the validation views are gathered once."""
+    train_rows, val_rows = split
+    if len(val_rows) == 0:
         raise InputError("validation split must be nonempty")
 
-    tr_views = client_views(train.features, partition)
-    va_views = client_views(val.features, partition)
-    y = one_hot(train.labels, train.class_count)
+    va_views, va_labels = views[:, val_rows], labels[val_rows]
+    y = one_hot(labels[train_rows], class_count)
+    base = fault_free_delivery(graph) if cfg.train_fault.kind == "none" else None
 
-    model = init_split_model(graph, partition.patch_dims(), train.class_count,
+    model = init_split_model(graph, partition.patch_dims(), class_count,
                              stream(cfg.seed, "init"))
     opt = init_optimizer(model, cfg)
     rng_data = stream(cfg.seed, "data")
     rng_dropout = stream(cfg.seed, "dropout")
     rng_fault = stream(cfg.seed, "fault")
 
-    best_loss, _ = evaluate_split(model, va_views, val.labels, graph)
+    best_loss, _ = evaluate_split(model, va_views, va_labels, graph)
     best_model = model.copy()
     best_epoch = 0
 
     curves = []
     for epoch in range(1, cfg.epochs + 1):
-        tr_loss = train_epoch(model, opt, tr_views, y, graph, cfg,
-                              rng_data, rng_dropout, rng_fault)
-        val_loss, val_acc = evaluate_split(model, va_views, val.labels, graph)
+        tr_loss = train_epoch(model, opt, views, train_rows, y, graph, cfg,
+                              rng_data, rng_dropout, rng_fault, base)
+        val_loss, val_acc = evaluate_split(model, va_views, va_labels, graph)
         curves.append((epoch, tr_loss, val_loss, val_acc))
         if val_loss < best_loss:
             best_loss = val_loss
@@ -284,7 +313,7 @@ def fit(cfg: TrainConfig, train: Dataset, val: Dataset, partition: PartitionSpec
             for row in curves:
                 f.write(f"{row[0]},{row[1]:.9g},{row[2]:.9g},{row[3]:.9g}\n")
 
-    echo = config_echo(cfg, graph, partition, train.class_count)
+    echo = config_echo(cfg, graph, partition, class_count)
     return Checkpoint(best_model, echo, best_loss, best_epoch)
 
 

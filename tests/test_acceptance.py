@@ -18,7 +18,7 @@ from mags.certs import (RING16_RADIUS, cert_catastrophic_probability,
                         cert_comm_counts, cert_ensemble_identity,
                         cert_gossip_contraction, cert_gradient_check,
                         cert_selection_uniformity)
-from mags.data import Dataset, client_views, make_splits, split_patches, synth_dataset
+from mags.data import client_views, make_splits, split_patches, synth_dataset
 from mags.faults import FaultModel
 from mags.inference import client_encode
 from mags.metrics import evaluate_policies
@@ -93,20 +93,20 @@ class DeskRuns:
 def desk():
     start = time.perf_counter()
     full = synth_dataset(10000, 10, 4, seed=7, noise=0.3)
-    train_pool = Dataset(full.features[:8000], full.labels[:8000], 10)
-    test = Dataset(full.features[8000:], full.labels[8000:], 10)
     part = split_patches(full.feature_count, 4)
+    pool_views = client_views(full.features[:8000], part)  # the training pool
+    pool_labels = full.labels[:8000]
+    test_views, test_labels = client_views(full.features[8000:], part), full.labels[8000:]
 
     variants = (("VFL", 1, "none"), ("MACL", 16, "none"), ("CD-MACL", 16, "cd"))
     models = {}
     for name, k, dropout in variants:
         graph = build_graph("complete", 16, k)
         for seed in SEEDS:
-            tr, va = make_splits(train_pool, seed)
             cfg = TrainConfig(epochs=20, batch_size=64, seed=seed,
                               dropout=dropout, dropout_rate=0.3)
-            ckpt = fit(cfg, tr, va, part, graph)
-            models[(name, seed)] = (ckpt.model, graph)
+            ckpt = fit(cfg, pool_views, pool_labels, 10, make_splits(8000, seed), part, graph)
+            models[(name, seed)] = (ckpt.model, graph, client_encode(ckpt.model, test_views))
 
     evals = (("VFL", "VFL", 0), ("MACL", "MACL", 0),
              ("CD-MACL", "CD-MACL", 0), ("CD-MACL-G4", "CD-MACL", 4))
@@ -115,9 +115,8 @@ def desk():
         for kind in ("communication", "device"):
             for rate in (0.0, 0.3, 0.5):
                 for seed in SEEDS:
-                    model, graph = models[(trained_as, seed)]
-                    reps = client_encode(model, client_views(test.features, part))
-                    res = evaluate_policies(model, reps, test.labels, graph,
+                    model, graph, reps = models[(trained_as, seed)]
+                    res = evaluate_policies(model, reps, test_labels, graph,
                                             FaultModel(kind, rate), list(POLICY_SET),
                                             gossip, seed)
                     records[(name, kind, rate, seed)] = res.accuracy

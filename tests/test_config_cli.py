@@ -250,6 +250,31 @@ class TestTrainCommand:
         after = (pipeline[0] / "runs" / "checkpoints" / "VFL-seed1.ckpt").read_bytes()
         assert before == after
 
+    def test_client_views_built_once_per_command(self, pipeline, tmp_path, monkeypatch):
+        # six fits share the training pool's views; each gathers its split
+        from mags import cli
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return client_views(*args, **kwargs)
+
+        client_views = cli.client_views
+        monkeypatch.setattr(cli, "client_views", counted)
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert calls == [(600, 784)]
+        for name in ("VFL-seed1.ckpt", "CD-MACL-seed2.ckpt"):
+            assert ((tmp_path / "runs" / "checkpoints" / name).read_bytes()
+                    == (pipeline[0] / "runs" / "checkpoints" / name).read_bytes())
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, pipeline, capsys, command, workers):
+        _, cfg_path = pipeline
+        assert main([command, "--config", str(cfg_path), "--workers", workers]) == 2
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_row_count_is_cartesian_product(self, pipeline):

@@ -122,31 +122,31 @@ class TestSplitPatches:
 
 class TestMakeSplits:
     def test_canonical_sixty_thousand(self):
-        ds = Dataset(np.zeros((60000, 1)), np.zeros(60000, dtype=np.int64), 10)
-        tr, va = make_splits(ds, seed=1)
+        tr, va = make_splits(60000, seed=1)
         assert (len(tr), len(va)) == (48000, 12000)
 
     def test_proportional_rule(self):
-        ds = Dataset(np.zeros((100, 1)), np.zeros(100, dtype=np.int64), 10)
-        tr, va = make_splits(ds, seed=1)
+        tr, va = make_splits(100, seed=1)
         assert (len(tr), len(va)) == (80, 20)
 
     def test_same_seed_gives_identical_partition(self):
-        rng = np.random.default_rng(2)
-        ds = Dataset(rng.random((50, 3)), rng.integers(0, 3, 50).astype(np.int64), 3)
-        a_tr, a_va = make_splits(ds, seed=9)
-        b_tr, b_va = make_splits(ds, seed=9)
-        assert np.array_equal(a_tr.features, b_tr.features)
-        assert np.array_equal(a_va.labels, b_va.labels)
-        c_tr, _ = make_splits(ds, seed=10)
-        assert not np.array_equal(a_tr.features, c_tr.features)
+        a_tr, a_va = make_splits(50, seed=9)
+        b_tr, b_va = make_splits(50, seed=9)
+        assert np.array_equal(a_tr, b_tr)
+        assert np.array_equal(a_va, b_va)
+        c_tr, _ = make_splits(50, seed=10)
+        assert not np.array_equal(a_tr, c_tr)
 
     def test_split_is_a_partition(self):
-        rng = np.random.default_rng(3)
-        ds = Dataset(rng.random((40, 2)), np.arange(40, dtype=np.int64) % 4, 4)
-        tr, va = make_splits(ds, seed=0)
-        joined = np.vstack([tr.features, va.features])
-        assert np.array_equal(np.sort(joined, axis=0), np.sort(ds.features, axis=0))
+        tr, va = make_splits(40, seed=0)
+        assert np.array_equal(np.sort(np.concatenate([tr, va])), np.arange(40))
+
+    def test_rows_follow_the_seeded_pcg64_permutation(self):
+        # the split is the PCG64 permutation of the seed, cut at 80%
+        order = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3))).permutation(30)
+        tr, va = make_splits(30, seed=3)
+        assert np.array_equal(np.concatenate([tr, va]), order)
+        assert len(tr) == 24
 
 
 def class_means(ds):

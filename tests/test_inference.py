@@ -111,6 +111,22 @@ class TestAggregate:
                      else np.zeros((3, model.rep_dim)) for c in range(1, 17)], axis=1)
                 assert np.array_equal(out[j], expected)
 
+    def test_all_kept_is_a_read_only_broadcast_of_the_zero_filled_result(self):
+        graph = build_graph("complete", 16, 16)
+        model = toy_model(graph, 49, 10)
+        reps = client_encode(model, [np.random.default_rng(5).random((3, 49))
+                                     for _ in range(16)])
+        keep = np.ones((5, 16), dtype=bool)
+        out = aggregate(reps, keep)
+        # the zero-filled path every partial mask takes
+        filled = np.zeros((5, 3, 16, model.rep_dim))
+        np.copyto(filled, reps.transpose(1, 0, 2)[None], where=keep[:, None, :, None])
+        assert out.shape == (5, 3, 16 * model.rep_dim)
+        assert np.array_equal(out, filled.reshape(5, 3, -1))
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0, 0, 0] = 1.0
+
 
 class TestAggregatorHead:
     def test_zero_weight_head_is_uniform(self):

@@ -223,9 +223,9 @@ def trained_small():
     ds = synth_dataset(1200, 4, 2, seed=5, noise=0.2)
     part = split_patches(ds.feature_count, 2)
     graph = build_graph("complete", 4, 4)
-    tr, va = make_splits(ds, 1)
     ckpt = fit(TrainConfig(epochs=4, seed=1, dropout="cd", dropout_rate=0.3),
-               tr, va, part, graph)
+               client_views(ds.features, part), ds.labels, ds.class_count,
+               make_splits(len(ds), 1), part, graph)
     return ckpt.model, ds, part, graph
 
 

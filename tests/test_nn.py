@@ -222,6 +222,20 @@ class TestStackedMlp:
                 assert np.array_equal(gw[s], gw_s)
                 assert np.array_equal(gb[s], gb_s)
 
+    def test_backward_without_input_gradient_gives_the_same_parameter_gradients(self):
+        dims = (6, 5, 4, 3)
+        stack, _ = random_stack(5, 4, dims)
+        rng = stream(5, "data")
+        x = rng.standard_normal((4, 7, 6))
+        grad_out = rng.standard_normal((4, 7, 3))
+        _, tape = mlp_forward(stack, x)
+        grads, dx = mlp_backward(stack, tape, grad_out)
+        skipped, none = mlp_backward(stack, tape, grad_out, input_grad=False)
+        assert dx.shape == x.shape and none is None
+        for (gw, gb), (sw, sb) in zip(grads, skipped):
+            assert np.array_equal(gw, sw)
+            assert np.array_equal(gb, sb)
+
     def test_stacked_backward_matches_finite_differences(self):
         dims = (3, 4, 2)
         stack, flat = random_stack(2, 3, dims)
@@ -329,6 +343,14 @@ class TestAdam:
             assert np.array_equal(state.m, np.concatenate(ms))
             assert np.array_equal(state.v, np.concatenate(vs))
         assert state.t == 3
+
+    def test_steps_write_only_into_the_state_scratch(self):
+        params = stream(11, "init").uniform(-1, 1, size=8)
+        state = adam_init(params)
+        scratch = state.scratch
+        assert len(scratch) == 2 and all(s.shape == params.shape for s in scratch)
+        adam_update(params, np.ones(8), state)
+        assert state.scratch is scratch
 
     def test_shape_mismatch(self):
         params = np.zeros(6)

@@ -4,12 +4,12 @@ import pytest
 from mags.data import Dataset, client_views, make_splits, one_hot, split_patches, synth_dataset
 from mags.errors import ConfigError
 from mags.faults import FaultModel
-from mags.inference import init_split_model
+from mags.inference import aggregate, aggregator_head, client_encode, init_split_model
 from mags.nn import adam_init, adam_update, init_mlp, loss_and_grad, stacked_mlp
 from mags.rng import stream
 from mags.topology import build_graph
 from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask,
-                           batch_delivery, evaluate_split, fit,
+                           batch_delivery, evaluate_split, fault_free_delivery, fit,
                            init_optimizer, load_checkpoint,
                            save_checkpoint, split_loss_and_grads, train_epoch,
                            optimizer_step)
@@ -32,6 +32,12 @@ def small_problem(n=120, g=2, classes=4, noise=0.2, seed=5):
     part = split_patches(ds.feature_count, g)
     graph = build_graph("complete", g * g, g * g)
     return ds, part, graph
+
+
+def fit_pool(cfg, ds, part, graph, split_seed, curve_path=None):
+    """``fit`` with all of ``ds`` as the training pool, split by ``split_seed``."""
+    return fit(cfg, client_views(ds.features, part), ds.labels, ds.class_count,
+               make_splits(len(ds), split_seed), part, graph, curve_path=curve_path)
 
 
 class TestDropoutMasks:
@@ -115,6 +121,25 @@ class TestDropoutMasks:
         loss0, _ = split_loss_and_grads(model, views, y, *delivery, 0)
         loss2, _ = split_loss_and_grads(model, views, y, *delivery, 2)
         assert loss2 == pytest.approx(loss0, rel=1e-12)
+
+    @pytest.mark.parametrize("dropout", ["none", "pd", "cd"])
+    def test_fault_free_base_gives_the_drawn_delivery(self, dropout):
+        # a fit without a train fault hands every batch one base delivery;
+        # the batches must see what a per-batch draw of kind none gives,
+        # and the fault stream must stay untouched
+        graph = build_graph("ring", 8, 5)
+        cfg = TrainConfig(dropout=dropout, dropout_rate=0.4)
+        base = fault_free_delivery(graph)
+        assert not base[0].flags.writeable
+        rd_a, rd_b = stream(10, "dropout"), stream(10, "dropout")
+        rf_a, rf_b = stream(10, "fault"), stream(10, "fault")
+        for _ in range(5):
+            keep_a, aggs_a, links_a = batch_delivery(graph, cfg, rd_a, rf_a)
+            keep_b, aggs_b, links_b = batch_delivery(graph, cfg, rd_b, rf_b, base)
+            assert np.array_equal(keep_a, keep_b) and aggs_a == aggs_b
+            assert np.array_equal(links_a, links_b)
+        assert np.array_equal(base[0], fault_free_delivery(graph)[0])
+        assert rf_b.random() == stream(10, "fault").random()
 
 
 @pytest.mark.parametrize("dropout", ["cd", "pd"])
@@ -282,7 +307,7 @@ class TestTrainEpoch:
         opt = init_optimizer(model, cfg)
         views = client_views(ds.features, part)
         y = one_hot(ds.labels, ds.class_count)
-        loss = train_epoch(model, opt, views, y, graph, cfg,
+        loss = train_epoch(model, opt, views, np.arange(len(ds)), y, graph, cfg,
                            stream(8, "data"), stream(8, "dropout"), stream(8, "fault"))
         assert np.isfinite(loss) and loss > 0
 
@@ -290,25 +315,24 @@ class TestTrainEpoch:
 class TestFit:
     def test_zero_epochs_returns_initial_params(self):
         ds, part, graph = small_problem()
-        tr, va = make_splits(ds, 1)
         cfg = TrainConfig(epochs=0, seed=3)
-        ckpt = fit(cfg, tr, va, part, graph)
+        ckpt = fit_pool(cfg, ds, part, graph, 1)
         fresh = init_split_model(graph, part.patch_dims(), ds.class_count, stream(3, "init"))
         assert np.array_equal(ckpt.model.params, fresh.params)
         assert ckpt.best_epoch == 0
 
     def test_separable_data_reaches_high_accuracy(self):
         ds, part, graph = small_problem(n=1000, noise=0.0)
-        tr, va = make_splits(ds, 2)
-        ckpt = fit(TrainConfig(epochs=5, seed=2, batch_size=32), tr, va, part, graph)
-        _, acc = evaluate_split(ckpt.model, client_views(va.features, part), va.labels, graph)
+        ckpt = fit_pool(TrainConfig(epochs=5, seed=2, batch_size=32), ds, part, graph, 2)
+        _, va = make_splits(len(ds), 2)
+        _, acc = evaluate_split(ckpt.model, client_views(ds.features[va], part), ds.labels[va],
+                                graph)
         assert acc > 0.99
 
     def test_smoothed_loss_non_increasing_on_separable_data(self, tmp_path):
         ds, part, graph = small_problem(n=400, noise=0.0)
-        tr, va = make_splits(ds, 4)
         curve = tmp_path / "curve.csv"
-        fit(TrainConfig(epochs=8, seed=4), tr, va, part, graph, curve_path=curve)
+        fit_pool(TrainConfig(epochs=8, seed=4), ds, part, graph, 4, curve_path=curve)
         rows = curve.read_text().splitlines()[1:]
         losses = [float(r.split(",")[1]) for r in rows]
         smooth = np.convolve(losses, np.ones(3) / 3, mode="valid")
@@ -316,72 +340,119 @@ class TestFit:
 
     def test_same_seed_gives_byte_identical_checkpoints(self, tmp_path):
         ds, part, graph = small_problem(n=150)
-        tr, va = make_splits(ds, 5)
         cfg = TrainConfig(epochs=2, seed=5, dropout="cd", dropout_rate=0.3)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(fit(cfg, tr, va, part, graph), p1)
-        save_checkpoint(fit(TrainConfig(epochs=2, seed=5, dropout="cd", dropout_rate=0.3),
-                            tr, va, part, graph), p2)
+        save_checkpoint(fit_pool(cfg, ds, part, graph, 5), p1)
+        save_checkpoint(fit_pool(TrainConfig(epochs=2, seed=5, dropout="cd", dropout_rate=0.3),
+                                 ds, part, graph, 5), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(epochs=2, seed=12, batch_size=16, dropout="cd", dropout_rate=0.3),
+        TrainConfig(epochs=2, seed=13, batch_size=16, dropout="pd", gossip_rounds=2),
+        TrainConfig(epochs=2, seed=14, batch_size=16, gossip_rounds=1,
+                    train_fault=FaultModel("device", 0.3)),
+    ], ids=["cd", "pd-gossip", "device-fault-gossip"])
+    def test_row_index_fit_matches_a_copied_split(self, tmp_path, cfg):
+        # reference: copy the split out of the pool and rebuild its views,
+        # train rows first; its rows are then 0..n_train-1 and the rest
+        ds, part, _ = small_problem(n=150)
+        graph = build_graph("ring", 4, 3)
+        tr, va = make_splits(len(ds), 3)
+        copied = np.concatenate([ds.features[tr], ds.features[va]])
+        ref_split = np.arange(len(tr)), np.arange(len(tr), len(ds))
+        ref = fit(cfg, client_views(copied, part), np.concatenate([ds.labels[tr], ds.labels[va]]),
+                  ds.class_count, ref_split, part, graph, curve_path=tmp_path / "ref.csv")
+        got = fit_pool(cfg, ds, part, graph, 3, curve_path=tmp_path / "got.csv")
+        save_checkpoint(ref, tmp_path / "ref.ckpt")
+        save_checkpoint(got, tmp_path / "got.ckpt")
+        assert (tmp_path / "ref.ckpt").read_bytes() == (tmp_path / "got.ckpt").read_bytes()
+        assert (tmp_path / "ref.csv").read_bytes() == (tmp_path / "got.csv").read_bytes()
+        assert np.array_equal(ref.model.params, got.model.params)
 
     def test_training_ignores_fault_stream_when_faultless(self):
         # a rate-0 device fault model consumes the fault stream but must not
         # change the learned parameters
         ds, part, graph = small_problem(n=150)
-        tr, va = make_splits(ds, 6)
-        a = fit(TrainConfig(epochs=2, seed=6), tr, va, part, graph)
-        b = fit(TrainConfig(epochs=2, seed=6, train_fault=FaultModel("device", 0.0)),
-                tr, va, part, graph)
+        a = fit_pool(TrainConfig(epochs=2, seed=6), ds, part, graph, 6)
+        b = fit_pool(TrainConfig(epochs=2, seed=6, train_fault=FaultModel("device", 0.0)),
+                     ds, part, graph, 6)
         assert np.array_equal(a.model.params, b.model.params)
 
     def test_best_checkpoint_not_worse_than_final_epoch(self):
         ds, part, graph = small_problem(n=200, noise=0.4)
-        tr, va = make_splits(ds, 7)
-        ckpt = fit(TrainConfig(epochs=6, seed=7), tr, va, part, graph)
-        views = client_views(va.features, part)
+        ckpt = fit_pool(TrainConfig(epochs=6, seed=7), ds, part, graph, 7)
+        tr, va = make_splits(len(ds), 7)
+        views = client_views(ds.features[va], part)
         final_loss, _ = None, None
         # retrain to recover the final-epoch model
         model = init_split_model(graph, part.patch_dims(), ds.class_count, stream(7, "init"))
         cfg = TrainConfig(epochs=6, seed=7)
         opt = init_optimizer(model, cfg)
-        y = one_hot(tr.labels, tr.class_count)
-        tr_views = client_views(tr.features, part)
+        y = one_hot(ds.labels[tr], ds.class_count)
+        pool_views = client_views(ds.features, part)
         rd, rdo, rf = stream(7, "data"), stream(7, "dropout"), stream(7, "fault")
         for _ in range(6):
-            train_epoch(model, opt, tr_views, y, graph, cfg, rd, rdo, rf)
-        final_loss, _ = evaluate_split(model, views, va.labels, graph)
+            train_epoch(model, opt, pool_views, tr, y, graph, cfg, rd, rdo, rf)
+        final_loss, _ = evaluate_split(model, views, ds.labels[va], graph)
         assert ckpt.best_val_loss <= final_loss + 1e-12
 
     def test_real_train_faults_run(self):
         ds, part, graph = small_problem(n=100)
-        tr, va = make_splits(ds, 8)
         cfg = TrainConfig(epochs=1, seed=8, train_fault=FaultModel("device", 0.5))
-        ckpt = fit(cfg, tr, va, part, graph)
+        ckpt = fit_pool(cfg, ds, part, graph, 8)
         assert np.isfinite(ckpt.best_val_loss)
 
     def test_gossip_in_training_flag(self):
         ds, part, graph = small_problem(n=100)
-        tr, va = make_splits(ds, 9)
-        a = fit(TrainConfig(epochs=1, seed=9), tr, va, part, graph)
-        b = fit(TrainConfig(epochs=1, seed=9, gossip_rounds=2), tr, va, part, graph)
+        a = fit_pool(TrainConfig(epochs=1, seed=9), ds, part, graph, 9)
+        b = fit_pool(TrainConfig(epochs=1, seed=9, gossip_rounds=2), ds, part, graph, 9)
         assert not np.array_equal(a.model.head.layers[0][0][0], b.model.head.layers[0][0][0])
 
     def test_empty_validation_rejected(self):
         ds, part, graph = small_problem(n=40)
-        empty = Dataset(np.zeros((0, ds.feature_count)), np.zeros(0, dtype=np.int64),
-                        ds.class_count)
+        split = np.arange(len(ds)), np.zeros(0, dtype=np.intp)
         with pytest.raises(Exception):
-            fit(TrainConfig(epochs=1), ds, empty, part, graph)
+            fit(TrainConfig(epochs=1), client_views(ds.features, part), ds.labels,
+                ds.class_count, split, part, graph)
+
+
+class TestEvaluateSplit:
+    @pytest.mark.parametrize("kind,devices,aggregators", [
+        ("complete", 16, 16), ("complete", 16, 1), ("ring", 4, 3)])
+    def test_grouped_heads_give_the_per_aggregator_loss_bits(self, kind, devices,
+                                                             aggregators):
+        # reference: one head at a time, loss and hits summed per (chunk,
+        # aggregator) in the same order
+        graph = build_graph(kind, devices, aggregators)
+        g = int(np.sqrt(devices))
+        ds = synth_dataset(1100, 5, g, seed=2, noise=0.3)
+        part = split_patches(ds.feature_count, g)
+        model = init_split_model(graph, part.patch_dims(), 5, stream(6, "init"))
+        views = client_views(ds.features, part)
+        keep, aggs, _ = fault_free_delivery(graph)
+        y = one_hot(ds.labels, 5)
+        loss_sum, hit_sum = 0.0, 0.0
+        for start in range(0, len(ds), 512):
+            sl = slice(start, min(start + 512, len(ds)))
+            reps = client_encode(model, views[:, sl])
+            for j, k in enumerate(aggs):
+                lp = aggregator_head(model, [k], aggregate(reps, keep[j:j + 1]))[0]
+                loss_sum += float(-(y[sl] * lp).sum())
+                hit_sum += float((lp.argmax(axis=1) == ds.labels[sl]).sum())
+        loss, acc = evaluate_split(model, views, ds.labels, graph)
+        assert loss == loss_sum / len(ds)
+        assert acc == hit_sum / (len(ds) * len(aggs))
 
 
 class TestCheckpointFormat:
     def make_ckpt(self, tmp_path, seed=11):
         ds, part, graph = small_problem(n=80)
-        tr, va = make_splits(ds, seed)
-        ckpt = fit(TrainConfig(epochs=1, seed=seed), tr, va, part, graph)
+        ckpt = fit_pool(TrainConfig(epochs=1, seed=seed), ds, part, graph, seed)
         path = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, path)
-        return ckpt, path, part, graph, va
+        _, va = make_splits(len(ds), seed)
+        return ckpt, path, part, graph, Dataset(ds.features[va], ds.labels[va], ds.class_count)
 
     def test_round_trip_is_byte_stable(self, tmp_path):
         ckpt, path, *_ = self.make_ckpt(tmp_path)
