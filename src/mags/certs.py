@@ -78,19 +78,16 @@ def cert_gossip_contraction(seed=0, inits=100, max_rounds=10) -> CertResult:
         if kind == "ring":
             ring_err = abs(lam - RING16_RADIUS)
         links = gossip_links(graph.adj, graph.aggregators)
-        for _ in range(inits):
-            y0 = rng.standard_normal((c, dim))
-            y_bar = y0.mean(axis=0)
-            max_pair = max(np.linalg.norm(y0[i] - y0[j])
-                           for i in range(c) for j in range(i + 1, c))
-            z = y0[:, None, :]
-            for g in range(1, max_rounds + 1):
-                z = gossip_round(z, links)
-                bound = (lam ** g) * math.sqrt(c) * max_pair + 1e-9
-                for k in range(c):
-                    dev = float(np.linalg.norm(y_bar - z[k, 0]))
-                    worst_slack = min(worst_slack, bound - dev)
-                    checks += 1
+        y0 = rng.standard_normal((inits, c, dim))  # the inits' draws, in order
+        y_bar = y0.mean(axis=1)
+        max_pair = np.linalg.norm(y0[:, :, None] - y0[:, None], axis=-1).max(axis=(1, 2))
+        z = y0.transpose(1, 0, 2)  # devices first, the inits as gossip's batch axis
+        for g in range(1, max_rounds + 1):
+            z = gossip_round(z, links)
+            bound = (lam ** g) * math.sqrt(c) * max_pair + 1e-9  # (inits,)
+            dev = np.linalg.norm(y_bar - z, axis=-1)  # (C, inits)
+            worst_slack = min(worst_slack, float((bound - dev).min()))
+            checks += dev.size
     passed = worst_slack >= 0.0 and ring_err is not None and ring_err < 1e-6
     return CertResult(
         "gossip-contraction", passed,

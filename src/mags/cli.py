@@ -31,7 +31,7 @@ from .data import client_views, make_splits
 from .errors import ConfigError
 from .faults import FaultModel
 from .inference import client_encode
-from .metrics import evaluate_policies
+from .metrics import FaultFreeHeads, evaluate_policies
 from .training import fit, load_checkpoint, save_checkpoint
 
 RUNS_SCHEMA = "# schema: mags/runs/v1"
@@ -113,10 +113,13 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs) -> list:
     that share that checkpoint.
 
     The test set and its client views are built once for all jobs. Each
-    checkpoint is loaded once and encodes the whole test set once; its cells
-    then only aggregate, run heads, gossip and select, which is all that
-    ``wall_time`` covers. Methods sharing a checkpoint differ only in gossip
-    rounds, so they share its aggregator count and graph.
+    checkpoint is loaded once and encodes the whole test set once. Methods
+    sharing a checkpoint differ only in gossip rounds, so they share its
+    aggregator count, graph and fault draws: one ``evaluate_policies`` call
+    per (fault kind, rate) scores all of them, and the head outputs of the
+    batches that see the base graph are computed once per checkpoint. The
+    call's seconds, split evenly over those methods, are each row's
+    ``wall_time``.
     """
     _, test = build_dataset(cfg)
     views = client_views(test.features, build_partition(cfg, test))
@@ -129,17 +132,18 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs) -> list:
             raise ConfigError(
                 f"checkpoint {train_name}-seed{seed} aggregators do not match config graph")
         reps = client_encode(ckpt.model, views)
+        specs = [s for s in cfg.method_specs() if s.train_name == train_name]
+        fault_free = FaultFreeHeads(ckpt.model, reps, graph)
         rows = []
-        for spec in cfg.method_specs():
-            if spec.train_name != train_name:
-                continue
-            for kind, rate in itertools.product(cfg.fault_kinds, cfg.fault_rates):
-                start = time.perf_counter()
-                result = evaluate_policies(ckpt.model, reps, test.labels, graph,
-                                           FaultModel(kind, rate), cfg.policies,
-                                           spec.gossip_rounds, seed,
-                                           batch_size=cfg.batch_size, trials=cfg.trials)
-                wall = time.perf_counter() - start
+        for kind, rate in itertools.product(cfg.fault_kinds, cfg.fault_rates):
+            start = time.perf_counter()
+            cell_results = evaluate_policies(ckpt.model, reps, test.labels, graph,
+                                             FaultModel(kind, rate), cfg.policies,
+                                             [s.gossip_rounds for s in specs], seed,
+                                             batch_size=cfg.batch_size, trials=cfg.trials,
+                                             fault_free=fault_free)
+            wall = (time.perf_counter() - start) / len(specs)
+            for spec, result in zip(specs, cell_results):
                 for policy in cfg.policies:
                     undefined = (spec.aggregator_count == 1
                                  and policy in ("active_best", "active_worst"))

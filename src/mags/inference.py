@@ -163,27 +163,27 @@ def gossip_round(z: np.ndarray, links: np.ndarray) -> np.ndarray:
     return np.tensordot(links, z, axes=1) / links.sum(axis=1)[:, None, None]
 
 
-def mags_infer(model: SplitModel, reps, graph: DeviceGraph, realized: RealizedGraph,
-               gossip_rounds: int) -> dict:
-    """Distributed inference from every client's representation (the stack
-    returned by ``client_encode``) under one batch's fault realization:
-    aggregate + head over the first round's links, then G gossip rounds,
-    round t over ``realized.edge_alive[t]`` (or its one held round).
-    Returns the normalized log-probs of every alive aggregator, keyed by
-    aggregator id.
+def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,
+               gossip_rounds: int) -> np.ndarray:
+    """The gossip stage of distributed inference on one batch: G rounds on
+    the stacked (K', B, M) head log-probs ``values`` of the alive aggregators
+    ``aggs`` (as ``delivery`` lists them for ``realized``), round t over
+    ``realized.edge_alive[t]`` (or its one held round).
 
-    Aggregator and client liveness come from ``realized.alive``. A client
-    that is dead there sends nothing, so its rows of ``reps`` are never read.
-    Encoding does not depend on the fault draw, so callers may encode once
-    and reuse ``reps`` across fault models and draws.
+    Returns the stacked (K', B, M) values after the last round, ``values``
+    itself for G = 0. They are not renormalized, on purpose: a normalized
+    member is ``log_softmax`` of its row, a per-row shift, and scoring reads
+    only the argmax. In float arithmetic the two argmaxes agree except
+    where subtracting the shift would round two neighbouring values to one
+    number, a tie that the shifted argmax breaks to the lower class. The
+    head pass reads only the first round, so every gossip count of one
+    realization can share it.
     """
     if gossip_rounds < 0:
         raise ConfigError("gossip_rounds must be >= 0")
-    aggs, keep = delivery(realized, graph.aggregators)
-    values = aggregator_head(model, aggs, aggregate(reps, keep))
     held = realized.edge_alive.shape[0] == 1  # a held draw's links are built once
     for t in range(1, gossip_rounds + 1):
         if t == 1 or not held:
             links = gossip_links(realized.edge_alive[0 if held else t], aggs)
         values = gossip_round(values, links)
-    return dict(zip(aggs, log_softmax(values)))
+    return values

@@ -21,10 +21,11 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .faults import FAULT_KIND_IDS, FaultModel, RealizedGraph, active_mask, sample_realization
-from .inference import SplitModel, mags_infer
+from .inference import SplitModel, aggregate, aggregator_head, delivery, mags_infer
 from .nn import log_softmax
 from .rng import stream
 from .topology import DeviceGraph
+from .training import fault_free_delivery
 
 POLICIES = ("active_rand", "active_best", "active_worst", "any_rand")
 
@@ -92,11 +93,56 @@ class EvalResult:
     sample_count: int
 
 
+class FaultFreeHeads:
+    """Head outputs of the batches that see the base graph, computed once.
+
+    A batch whose delivery equals the base graph's (``fault_free_delivery``)
+    reads its head outputs here, keyed by its (start, size) slice of
+    ``reps``, and the first such batch computes them. Every rate-0 cell sees
+    only such batches, and so do device-fault batches in which no device
+    died. One instance serves the ``model`` and ``reps`` it was built with;
+    ``evaluate_policies`` rejects it for any other. ``mags eval`` keeps one
+    per checkpoint, which holds (K, n, M) floats at most.
+    """
+
+    def __init__(self, model: SplitModel, reps, graph: DeviceGraph):
+        self.model, self.reps = model, reps
+        self.keep, self.aggs, _ = fault_free_delivery(graph)
+        self.values = {}
+
+    def covers(self, aggs, keep) -> bool:
+        return aggs == self.aggs and np.array_equal(keep, self.keep)
+
+    def head(self, start: int, size: int) -> np.ndarray:
+        values = self.values.get((start, size))
+        if values is None:
+            values = self.values[start, size] = aggregator_head(
+                self.model, self.aggs, aggregate(self.reps[:, start:start + size], self.keep))
+        return values
+
+
+@dataclass
+class _CountScore:
+    """One gossip count's share of a grouped evaluation: its realizations,
+    message total, active sets, selection stream and running hit counts."""
+
+    gossip_rounds: int
+    realized: RealizedGraph
+    comm_total: int
+    active: np.ndarray
+    active_row: np.ndarray  # row of each device among the sorted active aggregators
+    rng_sel: np.random.Generator
+    hits: dict
+
+
 def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
-                      fault_model: FaultModel, policies, gossip_rounds: int,
-                      seed: int, batch_size: int = 64, trials: int = 1) -> EvalResult:
-    """Score several selection policies against shared fault realizations and
-    shared selection draws (common random numbers).
+                      fault_model: FaultModel, policies, gossip_rounds, seed: int,
+                      batch_size: int = 64, trials: int = 1, fault_free=None) -> list:
+    """Score several selection policies under one fault kind and rate for
+    every gossip count in ``gossip_rounds``, against shared fault
+    realizations and shared selection draws (common random numbers).
+    Returns one ``EvalResult`` per count, in the order given; each equals
+    the result of a call with that count alone.
 
     ``reps`` is the (C, n, r) stack of every client's representation of all
     samples, as returned by ``client_encode``; each batch scores its slice.
@@ -105,67 +151,94 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
     the oracle orderings (best >= rand >= worst) hold per sample: the
     any-device pick doubles as the active pick whenever it lands in the
     active set, and every uniform-guess fallback within a sample shares one
-    draw. The cell's realizations, one per batch, come from one
-    ``sample_realization`` call, and the active sets from one mask over them.
+    draw.
+
+    Each count draws its (G+1)-round realizations from its own copy of
+    the fault stream. That stream's key has no gossip count, and
+    ``sample_realization`` draws every batch's first round before any chain
+    step, so every count sees the same first round of every batch, and the
+    head pass reads only that round. One walk over the batches therefore
+    serves every count: per batch one ``delivery``, ``aggregate`` and
+    ``aggregator_head``, then per count that batch's gossip stage
+    (``mags_infer``) and its scoring, from the count's own selection stream.
+    A batch that sees the base graph reads its head outputs from
+    ``fault_free``, a ``FaultFreeHeads`` of this ``model`` and ``reps`` that
+    a caller may keep across cells.
     """
     for p in policies:
         if p not in POLICIES:
             raise ConfigError(f"unknown policy {p!r}")
+    counts = list(gossip_rounds)
+    if not counts or min(counts) < 0:
+        raise ConfigError(f"gossip round counts {counts} must be a nonempty list of "
+                          "integers >= 0")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if batch_size < 1:
         raise ConfigError(f"batch size {batch_size} must be >= 1")
     if labels.shape[0] == 0:
         raise InputError("evaluation needs at least one sample")
-    kind_id = FAULT_KIND_IDS[fault_model.kind]
-    rate_key = fault_rate_key(fault_model.rate)
-    rng_fault = stream(seed, "fault", kind_id, rate_key)
-    rng_sel = stream(seed, "select", kind_id, rate_key)
+    if fault_free is None:
+        fault_free = FaultFreeHeads(model, reps, graph)
+    elif fault_free.model is not model or fault_free.reps is not reps:
+        raise InputError("fault_free holds the head outputs of another model or reps")
+    key = (FAULT_KIND_IDS[fault_model.kind], fault_rate_key(fault_model.rate))
 
     n = labels.shape[0]
     c_count = graph.device_count
     m = model.class_count
     starts = list(range(0, n, batch_size)) * trials
     sizes = np.array([min(batch_size, n - start) for start in starts])
-    realized = sample_realization(graph, fault_model, len(starts), gossip_rounds + 1, rng_fault)
-    comm_total = int(count_comm(realized, graph.aggregators, gossip_rounds) @ sizes)
-    active = active_mask(realized, graph.aggregators)
-    # row of each device among the sorted active aggregators of its batch
-    active_row = np.cumsum(active, axis=1) - 1
+    scores = []
+    for g in counts:
+        realized = sample_realization(graph, fault_model, len(starts), g + 1,
+                                      stream(seed, "fault", *key))
+        active = active_mask(realized, graph.aggregators)
+        scores.append(_CountScore(
+            g, realized, int(count_comm(realized, graph.aggregators, g) @ sizes), active,
+            np.cumsum(active, axis=1) - 1, stream(seed, "select", *key),
+            {p: 0.0 for p in policies}))
 
-    hits = {p: 0.0 for p in policies}
+    first = scores[0].realized  # every count's first rounds, which the head pass reads
+    head_row = np.zeros(c_count + 1, dtype=np.intp)  # an alive aggregator's row in ``values``
     for i, (start, b) in enumerate(zip(starts, sizes)):
-        log_probs = mags_infer(model, reps[:, start:start + b], graph, realized[i],
-                               gossip_rounds)
+        aggs, keep = delivery(first[i], graph.aggregators)
+        if fault_free.covers(aggs, keep):
+            values = fault_free.head(start, b)
+        else:
+            values = aggregator_head(model, aggs, aggregate(reps[:, start:start + b], keep))
+        head_row[aggs] = np.arange(len(aggs))
         lab = labels[start:start + b]
-        act = np.flatnonzero(active[i])
-
-        guess = rng_sel.integers(m, size=b)
-        upick = rng_sel.integers(1, c_count + 1, size=b)
-        vpick = rng_sel.integers(max(act.size, 1), size=b)
-
-        guess_ok = guess == lab
-        if not act.size:
-            for p in policies:
-                hits[p] += float(guess_ok.sum())
-            continue
-
-        argmax = np.stack([log_probs[k].argmax(axis=1) for k in act])  # (|A|, b)
-        correct = argmax == lab[None, :]
-        u_in_act = active[i, upick]
-        u_row = active_row[i, upick]
-        rand_rows = np.where(u_in_act, u_row, vpick)
         cols = np.arange(b)
 
-        outcomes = {
-            "active_rand": correct[rand_rows, cols],
-            "active_best": correct.any(axis=0),
-            "active_worst": correct.all(axis=0),
-            "any_rand": np.where(u_in_act, correct[np.maximum(u_row, 0), cols], guess_ok),
-        }
-        for p in policies:
-            hits[p] += float(outcomes[p].sum())
+        for s in scores:
+            final = mags_infer(values, aggs, s.realized[i], s.gossip_rounds)
+            act = np.flatnonzero(s.active[i])
+            guess = s.rng_sel.integers(m, size=b)
+            upick = s.rng_sel.integers(1, c_count + 1, size=b)
+            vpick = s.rng_sel.integers(max(act.size, 1), size=b)
+
+            guess_ok = guess == lab
+            if not act.size:
+                for p in policies:
+                    s.hits[p] += float(guess_ok.sum())
+                continue
+
+            # active aggregators are alive, so each has a row in ``values``
+            correct = final.argmax(axis=2)[head_row[act]] == lab[None, :]  # (|A|, b)
+            u_in_act = s.active[i, upick]
+            u_row = s.active_row[i, upick]
+            rand_rows = np.where(u_in_act, u_row, vpick)
+
+            outcomes = {
+                "active_rand": correct[rand_rows, cols],
+                "active_best": correct.any(axis=0),
+                "active_worst": correct.all(axis=0),
+                "any_rand": np.where(u_in_act, correct[np.maximum(u_row, 0), cols], guess_ok),
+            }
+            for p in policies:
+                s.hits[p] += float(outcomes[p].sum())
 
     total = n * trials
-    return EvalResult({p: hits[p] / total for p in policies},
-                      comm_total / total, total)
+    return [EvalResult({p: s.hits[p] / total for p in policies}, s.comm_total / total, total)
+            for s in scores]

@@ -121,9 +121,11 @@ def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault,
 
 
 def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
-                         links=None, gossip_rounds=0):
+                         links=None, gossip_rounds=0, out=None):
     """Loss summed over aggregator heads (mean over the batch) and its exact
-    gradient, a flat vector laid out like ``model.params``.
+    gradient, a flat vector laid out like ``model.params``: ``out`` when
+    given (``train_epoch`` holds one for all its batches), which is
+    overwritten whole, else a fresh vector.
 
     ``views`` is the client-major (C, B, d) batch and ``y`` its (B, classes)
     one-hot targets, built with ``one_hot`` and not checked again here, on
@@ -137,8 +139,9 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
     (K', K') ``links`` mask and renormalized before the loss.
     """
     n = max(y.shape[0], 1)
-    grad = np.zeros_like(model.params)
+    grad = np.empty_like(model.params) if out is None else out
     if not alive_aggs:
+        grad[...] = 0.0
         return 0.0, grad
     k_count, b = len(alive_aggs), y.shape[0]
     c_count, rep = model.client_count, model.rep_dim
@@ -157,7 +160,7 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
         for _ in range(gossip_rounds):
             finals = gossip_round(finals, links)
         finals = log_softmax(finals)
-    loss = sum(float(-(y * lp).sum() / n) for lp in finals)
+    loss = sum((-(y * finals).sum(axis=(1, 2)) / n).tolist())
     dlogits = (np.exp(finals) - y) / n
     if gossip_rounds:
         deg = links.sum(axis=1)[:, None, None]
@@ -178,6 +181,11 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
         for (gw, gb), (w, bias) in zip(grads, stack.layers):
             w[rows] = gw
             bias[rows] = gb
+    if k_count < len(model.aggregators):
+        dead = np.setdiff1d(np.arange(len(model.aggregators)), heads)
+        for w, bias in g_head.layers:
+            w[dead] = 0.0
+            bias[dead] = 0.0
     return loss, grad
 
 
@@ -197,16 +205,18 @@ def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dro
     """One pass over the training rows ``rows`` of the client-major
     ``views``, updating ``model`` and ``opt`` in place; ``y_onehot[i]`` is
     the target of row ``rows[i]``. ``base`` is passed on to
-    ``batch_delivery``. Returns the mean train loss."""
+    ``batch_delivery``. Every batch writes its gradient into one buffer
+    held for the pass. Returns the mean train loss."""
+    grad = np.empty_like(model.params)
     n = len(rows)
     order = rng_data.permutation(n)
     total, seen = 0.0, 0
     for start in range(0, n, cfg.batch_size):
         idx = order[start:start + cfg.batch_size]
         keep, alive_aggs, links = batch_delivery(graph, cfg, rng_dropout, rng_fault, base)
-        loss, grad = split_loss_and_grads(
+        loss, _ = split_loss_and_grads(
             model, views[:, rows[idx]], y_onehot[idx], keep, alive_aggs, links,
-            cfg.gossip_rounds)
+            cfg.gossip_rounds, out=grad)
         optimizer_step(model, opt, grad)
         total += loss * len(idx)
         seen += len(idx)

@@ -319,11 +319,8 @@ class TestEvalCommand:
 
     def test_inputs_built_once_per_command_and_checkpoint(self, pipeline, tmp_path,
                                                           monkeypatch):
-        from mags import cli
+        from mags import cli, metrics
         shutil.copytree(pipeline[0] / "runs" / "checkpoints", tmp_path / "runs" / "checkpoints")
-        cfg_path = write_config(tmp_path)
-        cfg_path.write_text(cfg_path.read_text().replace(
-            "list = VFL, MACL, CD-MACL-G2", "list = VFL, CD-MACL, CD-MACL-G2"))
         calls = {"build_dataset": 0, "load_checkpoint": [], "client_encode": 0}
 
         def counted(name, fn):
@@ -337,12 +334,51 @@ class TestEvalCommand:
 
         for name in calls:
             monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
-        assert main(["eval", "--config", str(cfg_path)]) == 0
+
+        # head passes, in total and per (checkpoint, fault rate)
+        heads = {"total": 0}
+        real_head, real_eval = metrics.aggregator_head, cli.evaluate_policies
+
+        def counted_head(*args, **kwargs):
+            heads["total"] += 1
+            return real_head(*args, **kwargs)
+
+        def counted_eval(model, reps, labels, graph, fault, policies, counts, seed, **kwargs):
+            before = heads["total"]
+            out = real_eval(model, reps, labels, graph, fault, policies, counts, seed, **kwargs)
+            key = (model.aggregators, seed, fault.rate)
+            heads[key] = heads.get(key, 0) + heads["total"] - before
+            return out
+
+        monkeypatch.setattr(metrics, "aggregator_head", counted_head)
+        monkeypatch.setattr(cli, "evaluate_policies", counted_eval)
+
+        def run_eval(methods):
+            write_config(tmp_path, BASE_CONFIG.replace("list = VFL, MACL, CD-MACL-G2",
+                                                       f"list = {methods}"))
+            for name in calls:
+                calls[name] = [] if name == "load_checkpoint" else 0
+            heads.clear()
+            heads["total"] = 0
+            assert main(["eval", "--config", str(tmp_path / "exp.ini")]) == 0
+            return dict(heads)
+
+        g0_only = run_eval("VFL, CD-MACL")
+        with_g2 = run_eval("VFL, CD-MACL, CD-MACL-G2")
+        # CD-MACL-G2 rides on CD-MACL's head passes
+        assert with_g2 == g0_only
         assert calls["build_dataset"] == 1
         # CD-MACL and CD-MACL-G2 share one checkpoint per seed
         assert sorted(calls["load_checkpoint"]) == [
             "CD-MACL-seed1.ckpt", "CD-MACL-seed2.ckpt", "VFL-seed1.ckpt", "VFL-seed2.ckpt"]
         assert calls["client_encode"] == 4
+        # 200 test samples in batches of 64: every rate-0 cell of a checkpoint,
+        # one per fault kind, together cost one pass over the 4 batches
+        cells = {key: n for key, n in with_g2.items() if key != "total"}
+        assert {key: n for key, n in cells.items() if key[2] == 0.0} == {
+            (aggs, seed, 0.0): 4 for aggs in ((1,), (1, 2, 3, 4)) for seed in (1, 2)}
+        # a faulty cell costs at most one head pass per batch, one per fault kind
+        assert all(n <= 3 * 4 for n in cells.values())
         rows = read_runs_csv(tmp_path / "runs" / "runs.csv")
         assert len(rows) == 3 * 3 * 2 * 4 * 2
 

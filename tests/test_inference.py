@@ -28,6 +28,15 @@ def base(graph):
     return sample_realization(graph, FaultModel(), 1, 1, None)[0]
 
 
+def infer(model, reps, graph, realized, gossip_rounds):
+    """One batch's distributed inference, stage by stage: delivery,
+    aggregation and one head pass, then the gossip stage. Returns each alive
+    aggregator's normalized log-probs, keyed by aggregator id."""
+    aggs, keep = delivery(realized, graph.aggregators)
+    values = aggregator_head(model, aggs, aggregate(reps, keep))
+    return dict(zip(aggs, log_softmax(mags_infer(values, aggs, realized, gossip_rounds))))
+
+
 def keep_mask(realized, aggregators, client_count):
     """Keep mask of the given aggregators, built directly from one batch's
     realization."""
@@ -212,7 +221,7 @@ class TestMagsInfer:
         head = init_mlp((2, 2, 3), oracle_rng)
         mono = Mlp(enc.layers + head.layers)
         x = np.random.default_rng(9).random((6, 16))
-        res = mags_infer(model, client_encode(model, [x]), graph, base(graph), 0)
+        res = infer(model, client_encode(model, [x]), graph, base(graph), 0)
         expected = log_softmax(mlp_forward(mono, x)[0])
         assert np.allclose(res[1], expected, atol=1e-12)
 
@@ -222,7 +231,7 @@ class TestMagsInfer:
         model = toy_model(graph, 16, 5)
         views = [np.random.default_rng(10).random((3, 16)) for _ in range(4)]
         reps = client_encode(model, views)
-        res = mags_infer(model, reps, graph, base(graph), 0)
+        res = infer(model, reps, graph, base(graph), 0)
         z = aggregate(reps, np.ones((1, 4), dtype=bool))
         assert np.allclose(res[1], aggregator_head(model, [1], z)[0], atol=1e-12)
         assert list(res) == [1]
@@ -233,8 +242,8 @@ class TestMagsInfer:
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(11).random((2, 49)) for _ in range(16)]
         reps = client_encode(model, views)
-        res0 = mags_infer(model, reps, graph, base(graph), 0)
-        res = mags_infer(model, reps, graph, base(graph), 60)
+        res0 = infer(model, reps, graph, base(graph), 0)
+        res = infer(model, reps, graph, base(graph), 60)
         outs = [res[k] for k in graph.aggregators]
         for o in outs[1:]:
             assert np.max(np.abs(o - outs[0])) < 1e-8
@@ -248,8 +257,8 @@ class TestMagsInfer:
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(12).random((1, 49)) for _ in range(16)]
         reps = client_encode(model, views)
-        res0 = mags_infer(model, reps, graph, base(graph), 0)
-        res = mags_infer(model, reps, graph, base(graph), 200)
+        res0 = infer(model, reps, graph, base(graph), 0)
+        res = infer(model, reps, graph, base(graph), 200)
         degrees = graph.adj[1:, 1:].sum(axis=1).astype(float)  # self-loop included
         pi = degrees / degrees.sum()
         stack = np.stack([res0[k][0] for k in graph.aggregators])
@@ -265,7 +274,7 @@ class TestMagsInfer:
         reps = client_encode(model, views)
         for _ in range(20):
             r = sample_device_faults(graph, 0.5, 1, rng)[0]
-            res = mags_infer(model, reps, graph, r, 1)
+            res = infer(model, reps, graph, r, 1)
             assert list(res) == [k for k in graph.aggregators if r.alive[k]]
             assert set(np.flatnonzero(active_mask(r, graph.aggregators))) <= set(res)
             for lp in res.values():
@@ -278,7 +287,7 @@ class TestMagsInfer:
         rng = stream(5, "fault")
         reps = client_encode(model, views)
         for rate in (0.2, 0.7):
-            res = mags_infer(model, reps, graph, sample_comm_faults(graph, rate, 1, rng)[0], 2)
+            res = infer(model, reps, graph, sample_comm_faults(graph, rate, 1, rng)[0], 2)
             for lp in res.values():
                 assert np.allclose(np.exp(lp), 0.1, atol=1e-12)
 
@@ -304,8 +313,8 @@ class TestMagsInfer:
         blocks[...] = blocks[:, rows]
         views2 = [views[p - 1] for p in perm]
 
-        res = mags_infer(model, client_encode(model, views), graph, base(graph), 2)
-        res2 = mags_infer(model2, client_encode(model2, views2), graph, base(graph), 2)
+        res = infer(model, client_encode(model, views), graph, base(graph), 2)
+        res2 = infer(model2, client_encode(model2, views2), graph, base(graph), 2)
         for new_k, old_k in enumerate(perm, start=1):
             assert np.allclose(res2[new_k], res[old_k], atol=1e-12)
 
@@ -318,13 +327,13 @@ class TestMagsInfer:
         dead_seen = 0
         for seed in range(10):
             r = sample_device_faults(graph, 0.4, 1, stream(seed, "fault"))[0]
-            res = mags_infer(model, reps, graph, r, 2)
+            res = infer(model, reps, graph, r, 2)
             dead = [c for c in range(1, 9) if not r.alive[c]]
             dead_seen += len(dead)
             garbage = reps.copy()
             for c in dead:
                 garbage[c - 1] = np.nan
-            res2 = mags_infer(model, garbage, graph, r, 2)
+            res2 = infer(model, garbage, graph, r, 2)
             assert res2.keys() == res.keys()
             for k, lp in res.items():
                 assert np.array_equal(res2[k], lp)
@@ -340,7 +349,7 @@ class TestMagsInfer:
                                stream(7, "fault"))[0]
         assert r.edge_alive.shape == (4, 9, 9)
         assert len({e.tobytes() for e in r.edge_alive}) > 1  # the chain actually moved
-        res = mags_infer(model, reps, graph, r, 3)
+        res = infer(model, reps, graph, r, 3)
         aggs, keep = delivery(r, graph.aggregators)
         values = aggregator_head(model, aggs, aggregate(reps, keep))
         for t in (1, 2, 3):
@@ -358,7 +367,7 @@ class TestMagsInfer:
         r = sample_comm_faults(graph, 0.3, 1, stream(8, "fault"))[0]
         assert r.edge_alive.shape == (1, 9, 9)
         spelled = RealizedGraph(r.alive, np.repeat(r.edge_alive, 4, axis=0))
-        held, res = mags_infer(model, reps, graph, r, 3), mags_infer(model, reps, graph, spelled, 3)
+        held, res = infer(model, reps, graph, r, 3), infer(model, reps, graph, spelled, 3)
         assert held.keys() == res.keys()
         for k in held:
             assert np.array_equal(held[k], res[k])

@@ -6,8 +6,11 @@ from mags.data import client_views, make_splits, split_patches, synth_dataset
 from mags.errors import ConfigError, InputError
 from mags.faults import (FaultModel, RealizedGraph, sample_comm_faults, sample_device_faults,
                          sample_realization)
-from mags.inference import client_encode, init_split_model, mags_infer
-from mags.metrics import POLICIES, count_comm, ensemble_decomposition, evaluate_policies
+from mags.inference import (aggregate, aggregator_head, client_encode, delivery,
+                            init_split_model, mags_infer)
+from mags.metrics import (POLICIES, FaultFreeHeads, count_comm, ensemble_decomposition,
+                          evaluate_policies)
+from mags.nn import log_softmax
 from mags.rng import stream
 from mags.topology import build_graph
 from mags.training import TrainConfig, fit
@@ -37,7 +40,7 @@ def accuracy(model, graph, label, n, fault=FaultModel("none"), batch_size=None, 
     their input, so the representations are zeros."""
     reps = np.zeros((graph.device_count, n, model.rep_dim))
     return evaluate_policies(model, reps, np.full(n, label), graph, fault, list(POLICIES),
-                             0, seed, batch_size=batch_size or n).accuracy
+                             [0], seed, batch_size=batch_size or n)[0].accuracy
 
 
 class TestSelect:
@@ -238,7 +241,7 @@ class TestEvaluatePolicies:
         res = evaluate_policies(model, client_encode(model, client_views(ds.features, part)),
                                 ds.labels, graph, FaultModel("communication", 0.3),
                                 ["active_rand", "active_best", "active_worst", "any_rand"],
-                                0, seed=1)
+                                [0], seed=1)[0]
         band = 3 * np.sqrt(0.1 * 0.9 / 800)
         for policy, acc in res.accuracy.items():
             assert abs(acc - 0.1) <= band, policy
@@ -247,7 +250,7 @@ class TestEvaluatePolicies:
         model, ds, part, graph = trained_small
         reps = client_encode(model, client_views(ds.features[-300:], part))
         res = evaluate_policies(model, reps, ds.labels[-300:], graph, FaultModel("none"),
-                                ["active_rand"], 0, seed=2)
+                                ["active_rand"], [0], seed=2)[0]
         assert res.accuracy["active_rand"] == pytest.approx(1.0, abs=0.02)
 
     def test_oracle_ordering_holds_per_cell(self, trained_small):
@@ -255,14 +258,14 @@ class TestEvaluatePolicies:
         reps = client_encode(model, client_views(ds.features[-400:], part))
         for kind in ("communication", "device"):
             for rate in (0.3, 0.6):
-                res = evaluate_policies(
-                    model, reps, ds.labels[-400:], graph,
-                    FaultModel(kind, rate),
-                    ["active_rand", "active_best", "active_worst", "any_rand"],
-                    0, seed=3)
-                a = res.accuracy
-                assert a["active_best"] >= a["active_rand"] >= a["active_worst"]
-                assert a["any_rand"] <= a["active_rand"]
+                for res in evaluate_policies(
+                        model, reps, ds.labels[-400:], graph,
+                        FaultModel(kind, rate),
+                        ["active_rand", "active_best", "active_worst", "any_rand"],
+                        [0, 4], seed=3):
+                    a = res.accuracy
+                    assert a["active_best"] >= a["active_rand"] >= a["active_worst"]
+                    assert a["any_rand"] <= a["active_rand"]
 
     @pytest.mark.parametrize("kind", ["communication", "device"])
     def test_gossip_reuses_fault_draws(self, trained_small, kind):
@@ -271,8 +274,8 @@ class TestEvaluatePolicies:
         fault = FaultModel(kind, 0.4)
         kwargs = dict(graph=graph, fault_model=fault, policies=["active_rand"], seed=4)
         reps = client_encode(model, client_views(ds.features[-200:], part))
-        r0 = evaluate_policies(model, reps, ds.labels[-200:], gossip_rounds=0, **kwargs)
-        r4 = evaluate_policies(model, reps, ds.labels[-200:], gossip_rounds=4, **kwargs)
+        r0, r4 = evaluate_policies(model, reps, ds.labels[-200:], gossip_rounds=[0, 4],
+                                   **kwargs)
         assert r0.comm_mean == pytest.approx(r4.comm_mean / 5.0)
 
         g0 = sample_realization(graph, fault, 10, 1, stream(4, "fault"))
@@ -280,11 +283,58 @@ class TestEvaluatePolicies:
         assert np.array_equal(g0.alive, g4.alive)
         assert np.array_equal(g0.edge_alive, g4.edge_alive[:, :1])
 
+    @pytest.mark.parametrize("counts", [(0, 4), (0, 2, 4)])
+    @pytest.mark.parametrize("kind", ["none", "device", "communication", "markov_comm"])
+    def test_grouped_counts_equal_separate_calls(self, kind, counts):
+        # one head pass per batch serves every count, each count gossips
+        # over its own chain; a shared fault-free cache must not change a
+        # bit either
+        graph = build_graph("grid", 9, 9)
+        model = init_split_model(graph, [16] * 9, 5, stream(3, "init"))
+        rng = np.random.default_rng(8)
+        n = 70  # batches of 16: the last one is short
+        reps = client_encode(model, rng.random((9, n, 16)))
+        labels = rng.integers(5, size=n)
+        cache = FaultFreeHeads(model, reps, graph)
+        for rate in (0.0, 0.3):
+            kwargs = dict(graph=graph, fault_model=FaultModel(kind, rate),
+                          policies=list(POLICIES), seed=11, batch_size=16, trials=2)
+            grouped = evaluate_policies(model, reps, labels, gossip_rounds=counts,
+                                        fault_free=cache, **kwargs)
+            separate = [evaluate_policies(model, reps, labels, gossip_rounds=[g], **kwargs)[0]
+                        for g in counts]
+            assert grouped == separate
+        assert sorted(cache.values) == [(s, min(16, n - s)) for s in range(0, n, 16)]
+
+    def test_rejects_a_fault_free_cache_of_another_model_or_reps(self, trained_small):
+        model, ds, part, graph = trained_small
+        views = client_views(ds.features[:40], part)
+        reps = client_encode(model, views)
+        other_model = init_split_model(graph, [views.shape[2]] * graph.device_count,
+                                       ds.class_count, stream(9, "init"))
+        kwargs = dict(graph=graph, fault_model=FaultModel("none"), policies=["active_rand"],
+                      gossip_rounds=[0], seed=0, batch_size=16)
+        for cache in (FaultFreeHeads(model, client_encode(model, views), graph),
+                      FaultFreeHeads(other_model, reps, graph)):
+            with pytest.raises(InputError, match="another model or reps"):
+                evaluate_policies(model, reps, ds.labels[:40], fault_free=cache, **kwargs)
+        cache = FaultFreeHeads(model, reps, graph)
+        evaluate_policies(model, reps, ds.labels[:40], fault_free=cache, **kwargs)
+        assert sorted(cache.values) == [(0, 16), (16, 16), (32, 8)]
+
+    def test_rejects_bad_gossip_counts(self, trained_small):
+        model, ds, part, graph = trained_small
+        reps = client_encode(model, client_views(ds.features[:10], part))
+        for counts in ([], [0, -1]):
+            with pytest.raises(ConfigError, match="gossip round counts"):
+                evaluate_policies(model, reps, ds.labels[:10], graph, FaultModel("none"),
+                                  ["active_rand"], counts, seed=0)
+
     def test_comm_mean_matches_expectation(self, trained_small):
         model, ds, part, graph = trained_small
         reps = client_encode(model, client_views(ds.features[-600:], part))
         res = evaluate_policies(model, reps, ds.labels[-600:], graph,
-                                FaultModel("communication", 0.3), ["active_rand"], 0, seed=5)
+                                FaultModel("communication", 0.3), ["active_rand"], [0], seed=5)[0]
         # 12 directed non-self edges alive w.p. 0.7
         assert abs(res.comm_mean - 12 * 0.7) < 1.5
 
@@ -293,13 +343,13 @@ class TestEvaluatePolicies:
         reps = client_encode(model, client_views(ds.features, part))
         with pytest.raises(ConfigError):
             evaluate_policies(model, reps, ds.labels, graph,
-                              FaultModel("none"), ["oracle"], 0, seed=0)
+                              FaultModel("none"), ["oracle"], [0], seed=0)
         with pytest.raises(ConfigError):
             evaluate_policies(model, reps, ds.labels, graph,
-                              FaultModel("none"), ["active_rand"], 0, seed=0, trials=0)
+                              FaultModel("none"), ["active_rand"], [0], seed=0, trials=0)
         with pytest.raises(ConfigError, match="0.1004"):
             evaluate_policies(model, reps, ds.labels, graph,
-                              FaultModel("device", 0.1004), ["active_rand"], 0, seed=0)
+                              FaultModel("device", 0.1004), ["active_rand"], [0], seed=0)
 
     @pytest.mark.parametrize("batch_size", [0, -3])
     def test_rejects_batch_size_below_one(self, trained_small, batch_size):
@@ -308,7 +358,7 @@ class TestEvaluatePolicies:
         reps = client_encode(model, client_views(ds.features, part))
         with pytest.raises(ConfigError, match="batch size"):
             evaluate_policies(model, reps, ds.labels, graph, FaultModel("none"),
-                              ["active_rand"], 0, seed=0, batch_size=batch_size)
+                              ["active_rand"], [0], seed=0, batch_size=batch_size)
 
     def test_rejects_empty_labels(self, trained_small):
         # used to divide by zero
@@ -316,7 +366,7 @@ class TestEvaluatePolicies:
         reps = client_encode(model, client_views(ds.features[:0], part))
         with pytest.raises(InputError):
             evaluate_policies(model, reps, ds.labels[:0], graph, FaultModel("none"),
-                              ["active_rand"], 0, seed=0)
+                              ["active_rand"], [0], seed=0)
 
 
 class TestEnsembleBenefit:
@@ -328,13 +378,14 @@ class TestEnsembleBenefit:
         reps = client_encode(model, [v[-300:] for v in client_views(ds.features, part)])
         labels = ds.labels[-300:]
         y = one_hot(labels, ds.class_count)
-        r0 = mags_infer(model, reps, graph, base(graph)[0], 0)
-        r1 = mags_infer(model, reps, graph, base(graph)[0], 1)
-        member_nll = np.mean([-(y * r0[k]).sum(axis=1)
-                              for k in graph.aggregators], axis=0)
-        for k in graph.aggregators:
-            ens_nll = -(y * r1[k]).sum(axis=1)
-            assert np.all(ens_nll <= member_nll + 1e-12)
+        realized = base(graph)[0]
+        aggs, keep = delivery(realized, graph.aggregators)
+        members = aggregator_head(model, aggs, aggregate(reps, keep))
+        assert mags_infer(members, aggs, realized, 0) is members
+        ensemble = log_softmax(mags_infer(members, aggs, realized, 1))
+        member_nll = (-(y * members).sum(axis=2)).mean(axis=0)
+        ens_nll = -(y * ensemble).sum(axis=2)
+        assert np.all(ens_nll <= member_nll + 1e-12)
 
 
 class TestRiskBoundReport:
@@ -349,7 +400,7 @@ class TestRiskBoundReport:
 
         def risk(fault):
             res = evaluate_policies(model, reps, ds.labels[-400:], graph, fault,
-                                    ["active_rand"], 0, seed=2)
+                                    ["active_rand"], [0], seed=2)[0]
             return 1.0 - res.accuracy["active_rand"]
 
         rate, k, m = 0.3, len(graph.aggregators), model.class_count

@@ -193,6 +193,24 @@ class TestSplitLossAndGrads:
         assert all(not gw[2].any() and not gb[2].any() for gw, gb in enc_grads.layers)
         assert all(gw[1].any() for gw, _ in enc_grads.layers)
 
+    @pytest.mark.parametrize("alive_aggs", [[1, 2, 3, 4], [2, 4], []])
+    def test_held_buffer_is_overwritten_whole(self, alive_aggs):
+        # an epoch hands every batch one gradient buffer; whatever the last
+        # batch left there, dead heads included, must not leak into this one
+        ds, part, graph = small_problem()
+        model = init_split_model(graph, part.patch_dims(), ds.class_count, stream(4, "init"))
+        views = client_views(ds.features[:8], part)
+        y = one_hot(ds.labels[:8], ds.class_count)
+        keep = np.ones((len(alive_aggs), 4), dtype=bool)
+        fresh_loss, fresh = split_loss_and_grads(model, views, y, keep, alive_aggs)
+        held = np.full_like(model.params, np.nan)
+        loss, grad = split_loss_and_grads(model, views, y, keep, alive_aggs, out=held)
+        assert grad is held and loss == fresh_loss
+        assert np.array_equal(held, fresh)
+        _, heads = model.unflatten(held)
+        dead = [j for j, k in enumerate(model.aggregators) if k not in alive_aggs]
+        assert all(not w[dead].any() and not b[dead].any() for w, b in heads.layers)
+
     def test_gradients_match_finite_differences_with_mask(self):
         graph = build_graph("complete", 2, 2)
         model = init_split_model(graph, [4, 4], 3, stream(3, "init"))
