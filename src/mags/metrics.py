@@ -62,28 +62,34 @@ def count_comm(realized: RealizedGraph, aggregators, gossip_rounds: int) -> np.n
 def ensemble_decomposition(member_log_probs, y_onehot):
     """Normalized geometric-mean ensemble of probability members.
 
-    Members are normalized log-probability vectors, shape (K, M). Returns
-    (ensemble loss, mean member loss, diversity) where diversity is the mean
-    KL divergence from the ensemble to each member; the three satisfy
-    ensemble = mean - diversity, checked here to 1e-9.
+    Members are normalized log-probability vectors, shape (..., K, M), one
+    set of K members per leading index, with targets of shape (..., M).
+    Returns (ensemble loss, mean member loss, diversity), each of the
+    leading shape, where diversity is the mean KL divergence from the
+    ensemble to each member; the three satisfy ensemble = mean - diversity,
+    checked here to 1e-9 for every set. Each set's values equal those of a
+    call with that set alone, and a single (K, M) set returns three
+    ``np.float64`` scalars.
     """
     lps = np.asarray(member_log_probs, dtype=np.float64)
-    if lps.ndim != 2 or lps.shape[0] < 1:
-        raise InputError("need at least one member log-probability vector")
-    y = np.asarray(y_onehot, dtype=np.float64).reshape(-1)
-    if y.shape[0] != lps.shape[1]:
-        raise InputError("target length does not match class count")
+    if lps.ndim < 2 or lps.shape[-2] < 1:
+        raise InputError("need at least one member log-probability vector per set, "
+                         f"got shape {lps.shape}")
+    y = np.asarray(y_onehot, dtype=np.float64)
+    if y.shape != lps.shape[:-2] + lps.shape[-1:]:
+        raise InputError(f"targets of shape {y.shape} do not match members of shape "
+                         f"{lps.shape}: need {lps.shape[:-2] + lps.shape[-1:]}")
 
-    ens_lp = log_softmax(lps.mean(axis=0))
+    ens_lp = log_softmax(lps.mean(axis=-2))
     p_ens = np.exp(ens_lp)
 
-    ens_loss = float(-(y * ens_lp).sum())
-    mean_member_loss = float(-(y[None, :] * lps).sum(axis=1).mean())
-    diversity = float((p_ens * (ens_lp - lps)).sum(axis=1).mean())
-    residual = abs(ens_loss - (mean_member_loss - diversity))
+    ens_loss = -(y * ens_lp).sum(axis=-1)
+    mean_member_loss = -(y[..., None, :] * lps).sum(axis=-1).mean(axis=-1)
+    diversity = (p_ens[..., None, :] * (ens_lp[..., None, :] - lps)).sum(axis=-1).mean(axis=-1)
+    residual = np.abs(ens_loss - (mean_member_loss - diversity)).max(initial=0.0)
     if residual > 1e-9:
         raise ArithmeticError(f"ensemble decomposition identity violated by {residual:.3e}")
-    return ens_loss, mean_member_loss, diversity
+    return ens_loss[()], mean_member_loss[()], diversity[()]
 
 
 @dataclass

@@ -202,6 +202,43 @@ class TestEnsembleDecomposition:
             assert diversity >= -1e-12
             assert abs(ens_loss - (mean_loss - diversity)) < 1e-9
 
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_stacked_sets_equal_per_set_calls(self, k):
+        rng = np.random.default_rng(k)
+        lps = log_softmax(2.0 * rng.standard_normal((50, k, 10)))
+        y = np.eye(10)[rng.integers(10, size=50)]
+        stacked = ensemble_decomposition(lps, y)
+        per_set = np.array([ensemble_decomposition(lp, t) for lp, t in zip(lps, y)]).T
+        for got, want in zip(stacked, per_set):
+            assert got.shape == (50,)
+            assert np.array_equal(got, want)
+        # leading axes beyond one flatten to the same sets
+        nested = ensemble_decomposition(lps.reshape(5, 10, k, 10), y.reshape(5, 10, 10))
+        for got, want in zip(nested, stacked):
+            assert np.array_equal(got.reshape(-1), want)
+
+    def test_single_set_returns_float_scalars(self):
+        lps = log_softmax(np.array([[0.3, -1.0, 0.5], [1.0, 0.0, -0.5]]))
+        result = ensemble_decomposition(lps, np.array([0.0, 1.0, 0.0]))
+        assert all(isinstance(v, float) and np.ndim(v) == 0 for v in result)
+
+    @pytest.mark.parametrize("members, target", [
+        ((2, 5), (5, 1)),       # right length, wrong shape
+        ((2, 5), (1, 5)),
+        ((3, 2, 5), (5,)),      # one target for three sets
+        ((3, 2, 5), (3, 2, 5)),
+        ((3, 2, 5), (2, 5)),
+    ])
+    def test_rejects_targets_not_shaped_like_the_sets(self, members, target):
+        lps = log_softmax(np.zeros(members))
+        with pytest.raises(InputError, match="targets of shape"):
+            ensemble_decomposition(lps, np.zeros(target))
+
+    @pytest.mark.parametrize("shape", [(5,), (0, 5), (3, 0, 5)])
+    def test_rejects_sets_without_members(self, shape):
+        with pytest.raises(InputError, match="at least one member"):
+            ensemble_decomposition(np.zeros(shape), np.zeros(5))
+
     def test_broken_arithmetic_combiner_fails_certificate(self):
         # mutation check: averaging probabilities instead of log-probabilities
         # must violate the decomposition identity that the geometric
