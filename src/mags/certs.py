@@ -41,7 +41,7 @@ def cert_ensemble_identity(seed=0, sets=10000, ks=(2, 4, 16), classes=10) -> Cer
     Each K's sets are checked in one batched ``ensemble_decomposition``
     call. The draws stay one set after another (its members, then its
     label), so a seed's report does not depend on the batching."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    rng = np.random.default_rng(seed)
     max_residual = 0.0
     min_diversity = np.inf
     violations = []
@@ -75,7 +75,7 @@ def cert_gossip_contraction(seed=0, inits=100, max_rounds=10) -> CertResult:
     Also pins the 16-device ring spectral radius to its closed form.
     """
     c, dim = 16, 10
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    rng = np.random.default_rng(seed)
     slack = {}  # graph kind -> its minimum slack over inits, rounds and devices
     checks = 0
     ring_err = None
@@ -108,7 +108,7 @@ def cert_catastrophic_probability(seed=0, draws=10 ** 6,
                                   rates=(0.3, 0.5), ks=(1, 2, 4)) -> CertResult:
     """Empirical probability that every aggregator dies matches r^K within a
     3-sigma Monte Carlo band under i.i.d. device faults."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    rng = np.random.default_rng(seed)
     worst = 0.0  # worst |deviation| / sigma
     details = []
     for r in rates:
@@ -129,7 +129,7 @@ def cert_selection_uniformity(seed=0, draws=10 ** 6) -> CertResult:
     """Conditioned on a nonempty active set, each aggregator is selected with
     probability 1/K (within 3 sigma) under uniform active selection."""
     rate, k = 0.3, 4
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    rng = np.random.default_rng(seed)
     alive = rng.random((draws, k)) < (1.0 - rate)
     scores = rng.random((draws, k))
     scores[~alive] = -1.0
@@ -162,7 +162,7 @@ COMM_COUNT_CHUNK = 2500
 def cert_comm_counts(seed=0, realizations=10 ** 4, rate=0.3) -> CertResult:
     """Mean per-inference message counts on the 16-device complete graph
     under communication faults match the accounting convention."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    rng = np.random.default_rng(seed)
     fault = FaultModel("communication", rate)
     rows = []
     passed = True
@@ -189,7 +189,7 @@ def cert_gradient_check(seed=0, tol=1e-6) -> CertResult:
     graph = build_graph("complete", 2, 2)
     rng = stream(seed, "init")
     model = init_split_model(graph, [4, 4], 3, rng)
-    data_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed + 1)))
+    data_rng = np.random.default_rng(seed + 1)
     views = data_rng.random((2, 5, 4))  # client-major: two clients, five samples
     y = one_hot(data_rng.integers(0, 3, size=5), 3)
 

@@ -17,7 +17,6 @@ import csv
 import itertools
 import multiprocessing
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .data import client_views, make_splits
 from .errors import ConfigError
 from .faults import FaultModel
 from .inference import client_encode
-from .metrics import FaultFreeHeads, evaluate_policies
+from .metrics import evaluate_policies
 from .training import fit, load_checkpoint, save_checkpoint
 
 RUNS_SCHEMA = "# schema: mags/runs/v1"
@@ -116,14 +115,14 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs) -> list:
     checkpoint is loaded once and encodes the whole test set once. Methods
     sharing a checkpoint differ only in gossip rounds, so they share its
     aggregator count, graph and fault draws: one ``evaluate_policies`` call
-    per (fault kind, rate) scores all of them, and the head outputs of the
-    batches that see the base graph are computed once per checkpoint. The
-    call's seconds, split evenly over those methods, are each row's
-    ``wall_time``.
+    per checkpoint scores every (fault kind, rate) cell of all of them. Each
+    result's ``seconds``, its (fault kind, rate) group's scoring time split
+    evenly over those methods, is its rows' ``wall_time``.
     """
     _, test = build_dataset(cfg)
     views = client_views(test.features, build_partition(cfg, test))
     variants = {s.train_name: s for s in cfg.train_variants()}
+    cells = list(itertools.product(cfg.fault_kinds, cfg.fault_rates))
     results = []
     for train_name, seed in jobs:
         graph = build_method_graph(cfg, variants[train_name])
@@ -133,23 +132,20 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs) -> list:
                 f"checkpoint {train_name}-seed{seed} aggregators do not match config graph")
         reps = client_encode(ckpt.model, views)
         specs = [s for s in cfg.method_specs() if s.train_name == train_name]
-        fault_free = FaultFreeHeads(ckpt.model, reps, graph)
+        grid = evaluate_policies(ckpt.model, reps, test.labels, graph,
+                                 [FaultModel(kind, rate) for kind, rate in cells], cfg.policies,
+                                 [s.gossip_rounds for s in specs], seed,
+                                 batch_size=cfg.batch_size, trials=cfg.trials)
         rows = []
-        for kind, rate in itertools.product(cfg.fault_kinds, cfg.fault_rates):
-            start = time.perf_counter()
-            cell_results = evaluate_policies(ckpt.model, reps, test.labels, graph,
-                                             FaultModel(kind, rate), cfg.policies,
-                                             [s.gossip_rounds for s in specs], seed,
-                                             batch_size=cfg.batch_size, trials=cfg.trials,
-                                             fault_free=fault_free)
-            wall = (time.perf_counter() - start) / len(specs)
+        for (kind, rate), cell_results in zip(cells, grid):
             for spec, result in zip(specs, cell_results):
                 for policy in cfg.policies:
                     undefined = (spec.aggregator_count == 1
                                  and policy in ("active_best", "active_worst"))
                     acc = "nan" if undefined else f"{result.accuracy[policy]:.6f}"
                     rows.append([spec.name, cfg.graph_kind, kind, f"{rate:g}", policy,
-                                 str(seed), acc, f"{result.comm_mean:.4f}", f"{wall:.3f}"])
+                                 str(seed), acc, f"{result.comm_mean:.4f}",
+                                 f"{result.seconds:.3f}"])
         results.append(rows)
     return results
 

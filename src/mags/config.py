@@ -26,6 +26,18 @@ from .training import TrainConfig
 DATA_ROOT_ENV = "MAGS_DATA_ROOT"
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
+# Every section and key that docs/config.md lists, whatever the dataset kind.
+CONFIG_KEYS = {
+    "dataset": ("kind", "grid", "classes", "train_n", "test_n", "noise", "seed",
+                "train_images", "train_labels", "test_images", "test_labels"),
+    "graph": ("kind", "rgg_radius", "random_aggregators", "seed", "devices"),
+    "methods": ("list",),
+    "train": ("epochs", "batch", "lr", "beta1", "beta2", "dropout_rate",
+              "gossip_in_training", "fault_kind", "fault_rate"),
+    "eval": ("fault_kinds", "fault_rates", "policies", "trials"),
+    "run": ("seeds", "out"),
+}
+
 _METHOD_RE = re.compile(r"^(?:(CD|PD)-)?(?:(\d+)-)?(MACL|VFL)(?:-G(\d+))?$")
 
 
@@ -206,6 +218,15 @@ def load_config(path, seeds_override=None, out_override=None) -> ExperimentConfi
         raise ConfigError(f"config file not found: {path}")
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}")
+
+    for section in parser.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{section}]; known: "
+                              f"{', '.join(CONFIG_KEYS)}")
+        for key in parser.options(section):
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown key [{section}] {key}; known: "
+                                  f"{', '.join(CONFIG_KEYS[section])}")
 
     cfg = ExperimentConfig()
 

@@ -91,21 +91,6 @@ def load_idx(images_path, labels_path, class_count=None) -> Dataset:
     return Dataset(features, labels, class_count)
 
 
-def save_idx(ds: Dataset, images_path, labels_path):
-    """Export a dataset to the IDX layout (features quantized to uint8)."""
-    n, d = ds.features.shape
-    side = math.isqrt(d)
-    if side * side != d:
-        raise ConfigError(f"feature count {d} is not a square image")
-    pixels = np.clip(np.round(ds.features * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, n, side, side))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABEL_MAGIC, n))
-        f.write(ds.labels.astype(np.uint8).tobytes())
-
-
 def split_patches(feature_count: int, g: int) -> PartitionSpec:
     """Partition a side x side image into g x g square patches, one per client."""
     side = math.isqrt(feature_count)
@@ -146,7 +131,7 @@ def make_splits(n: int, seed: int):
     The permutation comes from numpy's PCG64 generator, which is stable
     across platforms for a fixed seed.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_train = (4 * n) // 5
     return order[:n_train], order[n_train:]
@@ -172,7 +157,7 @@ def synth_dataset(n: int, classes: int, g: int, seed: int, noise: float) -> Data
     if g < 1 or SYNTH_SIDE % g != 0:
         raise ConfigError(f"grid side {g} does not divide image side {SYNTH_SIDE}")
     d = SYNTH_SIDE * SYNTH_SIDE
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    rng = np.random.default_rng(seed)
     patterns = rng.choice(np.array([-1.0, 1.0]), size=(classes, d))
     means = 0.5 + SYNTH_AMPLITUDE * patterns
     labels = rng.integers(0, classes, size=n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .faults import RealizedGraph
+from .faults import FaultModel, RealizedGraph, sample_realization
 from .nn import init_mlp, log_softmax, mlp_forward, mlp_size, relu, stacked_mlp
 from .topology import DeviceGraph
 
@@ -119,6 +119,16 @@ def delivery(realized: RealizedGraph, aggregators):
     aggs = [k for k in aggregators if realized.alive[k]]
     keep = realized.edge_alive[0][np.ix_(aggs, range(1, realized.alive.shape[0]))]
     return aggs, keep
+
+
+def fault_free_delivery(graph: DeviceGraph):
+    """The base graph's delivery: (keep (K', C), every aggregator, gossip
+    links (K', K')), as ``training.batch_delivery`` returns it. ``keep`` is
+    read-only, because one fit hands it to every batch."""
+    realized = sample_realization(graph, FaultModel(), 1, 1, None)[0]
+    aggs, keep = delivery(realized, graph.aggregators)
+    keep.setflags(write=False)
+    return keep, aggs, gossip_links(realized.edge_alive[0], aggs)
 
 
 def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:

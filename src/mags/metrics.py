@@ -15,17 +15,18 @@ the output is a uniformly random class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .faults import FAULT_KIND_IDS, FaultModel, RealizedGraph, active_mask, sample_realization
-from .inference import SplitModel, aggregate, aggregator_head, delivery, mags_infer
+from .faults import FAULT_KIND_IDS, RealizedGraph, active_mask, sample_realization
+from .inference import (SplitModel, aggregate, aggregator_head, delivery, fault_free_delivery,
+                        mags_infer)
 from .nn import log_softmax
 from .rng import stream
 from .topology import DeviceGraph
-from .training import fault_free_delivery
 
 POLICIES = ("active_rand", "active_best", "active_worst", "any_rand")
 
@@ -97,34 +98,7 @@ class EvalResult:
     accuracy: dict       # policy -> accuracy in [0, 1]
     comm_mean: float     # mean messages per inference
     sample_count: int
-
-
-class FaultFreeHeads:
-    """Head outputs of the batches that see the base graph, computed once.
-
-    A batch whose delivery equals the base graph's (``fault_free_delivery``)
-    reads its head outputs here, keyed by its (start, size) slice of
-    ``reps``, and the first such batch computes them. Every rate-0 cell sees
-    only such batches, and so do device-fault batches in which no device
-    died. One instance serves the ``model`` and ``reps`` it was built with;
-    ``evaluate_policies`` rejects it for any other. ``mags eval`` keeps one
-    per checkpoint, which holds (K, n, M) floats at most.
-    """
-
-    def __init__(self, model: SplitModel, reps, graph: DeviceGraph):
-        self.model, self.reps = model, reps
-        self.keep, self.aggs, _ = fault_free_delivery(graph)
-        self.values = {}
-
-    def covers(self, aggs, keep) -> bool:
-        return aggs == self.aggs and np.array_equal(keep, self.keep)
-
-    def head(self, start: int, size: int) -> np.ndarray:
-        values = self.values.get((start, size))
-        if values is None:
-            values = self.values[start, size] = aggregator_head(
-                self.model, self.aggs, aggregate(self.reps[:, start:start + size], self.keep))
-        return values
+    seconds: float = field(compare=False)  # scoring time, not part of the result
 
 
 @dataclass
@@ -141,14 +115,16 @@ class _CountScore:
     hits: dict
 
 
-def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
-                      fault_model: FaultModel, policies, gossip_rounds, seed: int,
-                      batch_size: int = 64, trials: int = 1, fault_free=None) -> list:
-    """Score several selection policies under one fault kind and rate for
-    every gossip count in ``gossip_rounds``, against shared fault
-    realizations and shared selection draws (common random numbers).
-    Returns one ``EvalResult`` per count, in the order given; each equals
-    the result of a call with that count alone.
+def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault_models,
+                      policies, gossip_rounds, seed: int, batch_size: int = 64,
+                      trials: int = 1) -> list:
+    """Score several selection policies for every fault model in
+    ``fault_models`` and every gossip count in ``gossip_rounds``, against
+    shared fault realizations and shared selection draws (common random
+    numbers). Returns one list per fault model, in the order given, holding
+    one ``EvalResult`` per count, in the order given; each equals the result
+    of a call with that fault model and count alone. Its ``seconds`` is the
+    fault model's scoring time split evenly over the counts.
 
     ``reps`` is the (C, n, r) stack of every client's representation of all
     samples, as returned by ``client_encode``; each batch scores its slice.
@@ -159,17 +135,18 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
     active set, and every uniform-guess fallback within a sample shares one
     draw.
 
-    Each count draws its (G+1)-round realizations from its own copy of
-    the fault stream. That stream's key has no gossip count, and
+    Each fault model keys its own fault and selection streams by its kind
+    and rate. Each count draws its (G+1)-round realizations from its own
+    copy of that fault stream, whose key has no gossip count, and
     ``sample_realization`` draws every batch's first round before any chain
     step, so every count sees the same first round of every batch, and the
     head pass reads only that round. One walk over the batches therefore
     serves every count: per batch one ``delivery``, ``aggregate`` and
     ``aggregator_head``, then per count that batch's gossip stage
     (``mags_infer``) and its scoring, from the count's own selection stream.
-    A batch that sees the base graph reads its head outputs from
-    ``fault_free``, a ``FaultFreeHeads`` of this ``model`` and ``reps`` that
-    a caller may keep across cells.
+    The head outputs of a batch that sees the base graph are computed once
+    per call and batch slice, so every rate-0 cell, and every device-fault
+    batch in which no device died, shares them.
     """
     for p in policies:
         if p not in POLICIES:
@@ -184,67 +161,72 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph,
         raise ConfigError(f"batch size {batch_size} must be >= 1")
     if labels.shape[0] == 0:
         raise InputError("evaluation needs at least one sample")
-    if fault_free is None:
-        fault_free = FaultFreeHeads(model, reps, graph)
-    elif fault_free.model is not model or fault_free.reps is not reps:
-        raise InputError("fault_free holds the head outputs of another model or reps")
-    key = (FAULT_KIND_IDS[fault_model.kind], fault_rate_key(fault_model.rate))
+    keys = [(FAULT_KIND_IDS[f.kind], fault_rate_key(f.rate)) for f in fault_models]
 
     n = labels.shape[0]
     c_count = graph.device_count
     m = model.class_count
     starts = list(range(0, n, batch_size)) * trials
     sizes = np.array([min(batch_size, n - start) for start in starts])
-    scores = []
-    for g in counts:
-        realized = sample_realization(graph, fault_model, len(starts), g + 1,
-                                      stream(seed, "fault", *key))
-        active = active_mask(realized, graph.aggregators)
-        scores.append(_CountScore(
-            g, realized, int(count_comm(realized, graph.aggregators, g) @ sizes), active,
-            np.cumsum(active, axis=1) - 1, stream(seed, "select", *key),
-            {p: 0.0 for p in policies}))
-
-    first = scores[0].realized  # every count's first rounds, which the head pass reads
+    base_keep, base_aggs, _ = fault_free_delivery(graph)
+    base_values = {}  # head outputs of the batches that see the base graph, by slice
     head_row = np.zeros(c_count + 1, dtype=np.intp)  # an alive aggregator's row in ``values``
-    for i, (start, b) in enumerate(zip(starts, sizes)):
-        aggs, keep = delivery(first[i], graph.aggregators)
-        if fault_free.covers(aggs, keep):
-            values = fault_free.head(start, b)
-        else:
-            values = aggregator_head(model, aggs, aggregate(reps[:, start:start + b], keep))
-        head_row[aggs] = np.arange(len(aggs))
-        lab = labels[start:start + b]
-        cols = np.arange(b)
+    grid = []
+    for fault_model, key in zip(fault_models, keys):
+        clock = time.perf_counter()
+        scores = []
+        for g in counts:
+            realized = sample_realization(graph, fault_model, len(starts), g + 1,
+                                          stream(seed, "fault", *key))
+            active = active_mask(realized, graph.aggregators)
+            scores.append(_CountScore(
+                g, realized, int(count_comm(realized, graph.aggregators, g) @ sizes), active,
+                np.cumsum(active, axis=1) - 1, stream(seed, "select", *key),
+                {p: 0.0 for p in policies}))
 
-        for s in scores:
-            final = mags_infer(values, aggs, s.realized[i], s.gossip_rounds)
-            act = np.flatnonzero(s.active[i])
-            guess = s.rng_sel.integers(m, size=b)
-            upick = s.rng_sel.integers(1, c_count + 1, size=b)
-            vpick = s.rng_sel.integers(max(act.size, 1), size=b)
+        first = scores[0].realized  # every count's first rounds, which the head pass reads
+        for i, (start, b) in enumerate(zip(starts, sizes)):
+            aggs, keep = delivery(first[i], graph.aggregators)
+            clean = aggs == base_aggs and np.array_equal(keep, base_keep)
+            values = base_values.get((start, b)) if clean else None
+            if values is None:
+                values = aggregator_head(model, aggs, aggregate(reps[:, start:start + b], keep))
+                if clean:
+                    base_values[start, b] = values
+            head_row[aggs] = np.arange(len(aggs))
+            lab = labels[start:start + b]
+            cols = np.arange(b)
 
-            guess_ok = guess == lab
-            if not act.size:
+            for s in scores:
+                final = mags_infer(values, aggs, s.realized[i], s.gossip_rounds)
+                act = np.flatnonzero(s.active[i])
+                guess = s.rng_sel.integers(m, size=b)
+                upick = s.rng_sel.integers(1, c_count + 1, size=b)
+                vpick = s.rng_sel.integers(max(act.size, 1), size=b)
+
+                guess_ok = guess == lab
+                if not act.size:
+                    for p in policies:
+                        s.hits[p] += float(guess_ok.sum())
+                    continue
+
+                # active aggregators are alive, so each has a row in ``values``
+                correct = final.argmax(axis=2)[head_row[act]] == lab[None, :]  # (|A|, b)
+                u_in_act = s.active[i, upick]
+                u_row = s.active_row[i, upick]
+                rand_rows = np.where(u_in_act, u_row, vpick)
+
+                outcomes = {
+                    "active_rand": correct[rand_rows, cols],
+                    "active_best": correct.any(axis=0),
+                    "active_worst": correct.all(axis=0),
+                    "any_rand": np.where(u_in_act, correct[np.maximum(u_row, 0), cols], guess_ok),
+                }
                 for p in policies:
-                    s.hits[p] += float(guess_ok.sum())
-                continue
+                    s.hits[p] += float(outcomes[p].sum())
 
-            # active aggregators are alive, so each has a row in ``values``
-            correct = final.argmax(axis=2)[head_row[act]] == lab[None, :]  # (|A|, b)
-            u_in_act = s.active[i, upick]
-            u_row = s.active_row[i, upick]
-            rand_rows = np.where(u_in_act, u_row, vpick)
-
-            outcomes = {
-                "active_rand": correct[rand_rows, cols],
-                "active_best": correct.any(axis=0),
-                "active_worst": correct.all(axis=0),
-                "any_rand": np.where(u_in_act, correct[np.maximum(u_row, 0), cols], guess_ok),
-            }
-            for p in policies:
-                s.hits[p] += float(outcomes[p].sum())
-
-    total = n * trials
-    return [EvalResult({p: s.hits[p] / total for p in policies}, s.comm_total / total, total)
-            for s in scores]
+        total = n * trials
+        seconds = (time.perf_counter() - clock) / len(counts)
+        grid.append([EvalResult({p: s.hits[p] / total for p in policies},
+                                s.comm_total / total, total, seconds) for s in scores])
+    return grid

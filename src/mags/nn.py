@@ -1,8 +1,8 @@
 """Minimal dense neural-network engine.
 
 Float64 multilayer perceptrons (ReLU between layers, no activation after the
-last), numerically stable log-softmax, cross-entropy against one-hot targets
-with exact reverse-mode gradients, and bias-corrected Adam.
+last) with exact reverse-mode gradients, numerically stable log-softmax, and
+bias-corrected Adam.
 
 The MLP functions take an optional leading stack axis: a stack of S
 same-shaped MLPs has (S, n, m) weights and (S, m) biases, and runs on
@@ -127,30 +127,6 @@ def log_softmax(z):
     m = z.max(axis=-1, keepdims=True)
     s = z - m
     return s - np.log(np.sum(np.exp(s), axis=-1, keepdims=True))
-
-
-def check_one_hot(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2:
-        raise InputError(f"targets must be a 2-d one-hot matrix, got shape {y.shape}")
-    if not (np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=1) == 1.0)):
-        raise InputError("target rows must be valid one-hot vectors")
-    return y
-
-
-def loss_and_grad(mlp: Mlp, x: np.ndarray, y_onehot: np.ndarray):
-    """Mean cross-entropy of log-softmax outputs vs one-hot targets, with
-    exact gradients shaped like the parameters."""
-    y = check_one_hot(y_onehot)
-    out, tape = mlp_forward(mlp, x)
-    if out.shape != y.shape:
-        raise InputError(f"output {out.shape} does not match targets {y.shape}")
-    n = max(out.shape[0], 1)
-    lp = log_softmax(out)
-    loss = float(-(y * lp).sum() / n)
-    dlogits = (np.exp(lp) - y) / n
-    grads, _ = mlp_backward(mlp, tape, dlogits, input_grad=False)
-    return loss, grads
 
 
 @dataclass

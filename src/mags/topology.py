@@ -101,7 +101,7 @@ def build_graph(kind, device_count, aggregator_count, seed=0, *,
         adj[u, u] = True
 
     if random_aggregators:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+        rng = np.random.default_rng(seed)
         aggs = tuple(sorted(int(a) + 1 for a in rng.choice(c, size=k, replace=False)))
     else:
         aggs = tuple(range(1, k + 1))
@@ -135,7 +135,7 @@ def spectral_radius(v: np.ndarray) -> float:
     if v.shape != (c, c):
         raise ConfigError("consensus matrix must be square")
     m = v - 1.0 / c
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
+    rng = np.random.default_rng(0)
     x = rng.standard_normal(c)
     x /= np.linalg.norm(x)
     prev = np.inf

@@ -23,7 +23,7 @@ from .data import PartitionSpec, one_hot
 from .errors import ConfigError, InputError
 from .faults import FaultModel, sample_realization
 from .inference import (SplitModel, aggregate, aggregator_head, client_encode, delivery,
-                        gossip_links, gossip_round, init_split_model)
+                        fault_free_delivery, gossip_links, gossip_round, init_split_model)
 from .nn import (AdamState, adam_init, adam_update, log_softmax, mlp_backward, mlp_forward,
                  mlp_size, relu)
 from .rng import stream
@@ -80,22 +80,14 @@ def apply_pd_mask(client_count: int, rate: float, rng) -> np.ndarray:
     return rng.random(client_count) >= rate
 
 
-def apply_cd_mask(aggregator_count: int, client_count: int, aggregators, rate: float, rng) -> np.ndarray:
-    """Communication-wise dropout keep flags, shape (K, C): each non-self
-    client->aggregator delivery drops independently; self slots never drop."""
-    keep = rng.random((aggregator_count, client_count)) >= rate
-    keep[np.arange(aggregator_count), np.asarray(aggregators, dtype=np.intp) - 1] = True
+def apply_cd_mask(client_count: int, aggregators, rate: float, rng) -> np.ndarray:
+    """Communication-wise dropout keep flags, shape (K, C), row j for
+    ``aggregators[j]``: each non-self client->aggregator delivery drops
+    independently; self slots never drop."""
+    aggs = np.asarray(aggregators, dtype=np.intp)
+    keep = rng.random((aggs.size, client_count)) >= rate
+    keep[np.arange(aggs.size), aggs - 1] = True
     return keep
-
-
-def fault_free_delivery(graph: DeviceGraph):
-    """The base graph's delivery, as ``batch_delivery`` returns it: (keep
-    (K', C), every aggregator, gossip links (K', K')). ``keep`` is read-only,
-    because one fit hands it to every batch."""
-    realized = sample_realization(graph, FaultModel(), 1, 1, None)[0]
-    aggs, keep = delivery(realized, graph.aggregators)
-    keep.setflags(write=False)
-    return keep, aggs, gossip_links(realized.edge_alive[0], aggs)
 
 
 def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault, base=None):
@@ -116,7 +108,7 @@ def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault,
     if cfg.dropout == "pd":
         keep = keep & apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
     elif cfg.dropout == "cd":
-        keep = keep & apply_cd_mask(len(aggs), c, aggs, cfg.dropout_rate, rng_dropout)
+        keep = keep & apply_cd_mask(c, aggs, cfg.dropout_rate, rng_dropout)
     return keep, aggs, links
 
 

@@ -21,7 +21,7 @@ from mags.certs import (RING16_RADIUS, cert_catastrophic_probability,
 from mags.data import client_views, make_splits, split_patches, synth_dataset
 from mags.faults import FaultModel
 from mags.inference import client_encode
-from mags.metrics import FaultFreeHeads, evaluate_policies
+from mags.metrics import evaluate_policies
 from mags.topology import build_graph, consensus_matrix, spectral_radius
 from mags.training import TrainConfig, fit
 
@@ -109,22 +109,20 @@ def desk():
             models[(name, seed)] = (ckpt.model, graph, client_encode(ckpt.model, test_views))
 
     # methods scored from one checkpoint, and their gossip rounds; one
-    # grouped call scores CD-MACL and CD-MACL-G4 together
+    # call per checkpoint scores every cell of CD-MACL and CD-MACL-G4 together
     evals = {"VFL": (("VFL", 0),), "MACL": (("MACL", 0),),
              "CD-MACL": (("CD-MACL", 0), ("CD-MACL-G4", 4))}
+    cells = [(kind, rate) for kind in ("communication", "device") for rate in (0.0, 0.3, 0.5)]
     records = {}
     for trained_as, methods in evals.items():
         for seed in SEEDS:
             model, graph, reps = models[(trained_as, seed)]
-            fault_free = FaultFreeHeads(model, reps, graph)
-            for kind in ("communication", "device"):
-                for rate in (0.0, 0.3, 0.5):
-                    results = evaluate_policies(model, reps, test_labels, graph,
-                                                FaultModel(kind, rate), list(POLICY_SET),
-                                                [g for _, g in methods], seed,
-                                                fault_free=fault_free)
-                    for (name, _), res in zip(methods, results):
-                        records[(name, kind, rate, seed)] = res.accuracy
+            grid = evaluate_policies(model, reps, test_labels, graph,
+                                     [FaultModel(kind, rate) for kind, rate in cells],
+                                     list(POLICY_SET), [g for _, g in methods], seed)
+            for (kind, rate), results in zip(cells, grid):
+                for (name, _), res in zip(methods, results):
+                    records[(name, kind, rate, seed)] = res.accuracy
     return DeskRuns(records, time.perf_counter() - start)
 
 

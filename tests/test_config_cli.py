@@ -1,13 +1,16 @@
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
 from mags.cli import main, read_runs_csv
-from mags.config import (load_config, parse_method, parse_seed_list,
+from mags.config import (CONFIG_KEYS, load_config, parse_method, parse_seed_list,
                          resolve_data_path)
-from mags.data import synth_dataset, save_idx
+from mags.data import synth_dataset
 from mags.errors import ConfigError
+
+from helpers import save_idx
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "docs" / "example.ini"
 
@@ -162,6 +165,14 @@ class TestLoadConfig:
         pytest.param("kind = complete", "kind = hex", "graph kind 'hex'", id="graph-kind"),
         pytest.param("kind = complete", "kind = rgg", "rgg graphs need a positive radius",
                      id="rgg-radius"),
+        # unknown keys and sections used to load, leaving the default in place
+        pytest.param("epochs = 2", "epoch = 2", r"unknown key \[train\] epoch;",
+                     id="key-typo-epoch"),
+        pytest.param("trials = 1", "trials = 1\nfault_rate = 0.3",
+                     r"unknown key \[eval\] fault_rate;", id="key-typo-fault_rate"),
+        pytest.param("[eval]", "[evall]", r"unknown section \[evall\]", id="section-typo"),
+        pytest.param("list = VFL", "lists = VFL", r"unknown key \[methods\] lists;",
+                     id="key-typo-list"),
     ])
     def test_bad_values_rejected_at_load(self, tmp_path, old, new, match):
         p = write_config(tmp_path)
@@ -184,6 +195,24 @@ class TestLoadConfig:
         p.write_text(p.read_text().replace("kind = complete", "kind = complete\ndevices = 9"))
         with pytest.raises(ConfigError, match="devices"):
             load_config(p)
+
+    def test_known_keys_are_the_documented_keys(self):
+        documented, section = {}, None
+        for line in (EXAMPLE_CONFIG.parent / "config.md").read_text().splitlines():
+            if line.startswith("## "):
+                heading = re.match(r"## `\[(\w+)\]`", line)
+                section = documented.setdefault(heading.group(1), set()) if heading else None
+            elif line.startswith("| `") and section is not None:
+                section.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+        assert documented == {name: set(keys) for name, keys in CONFIG_KEYS.items()}
+
+    def test_every_listed_key_is_known_whatever_the_dataset_kind(self, tmp_path):
+        p = write_config(tmp_path)
+        p.write_text(p.read_text().replace("[graph]", "train_images = a\ntrain_labels = b\n"
+                                           "test_images = c\ntest_labels = d\n\n[graph]")
+                     .replace("kind = complete", "kind = complete\ndevices = 4"))
+        cfg = load_config(p)
+        assert cfg.dataset_kind == "synthetic" and cfg.idx_paths == {}
 
     def test_idx_paths_must_exist(self, tmp_path):
         p = write_config(tmp_path)
@@ -335,7 +364,7 @@ class TestEvalCommand:
         for name in calls:
             monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
 
-        # head passes, in total and per (checkpoint, fault rate)
+        # head passes, in total and per evaluate_policies call (one per checkpoint)
         heads = {"total": 0}
         real_head, real_eval = metrics.aggregator_head, cli.evaluate_policies
 
@@ -343,19 +372,21 @@ class TestEvalCommand:
             heads["total"] += 1
             return real_head(*args, **kwargs)
 
-        def counted_eval(model, reps, labels, graph, fault, policies, counts, seed, **kwargs):
+        def counted_eval(model, reps, labels, graph, faults, policies, counts, seed, **kwargs):
             before = heads["total"]
-            out = real_eval(model, reps, labels, graph, fault, policies, counts, seed, **kwargs)
-            key = (model.aggregators, seed, fault.rate)
-            heads[key] = heads.get(key, 0) + heads["total"] - before
+            out = real_eval(model, reps, labels, graph, faults, policies, counts, seed, **kwargs)
+            key = (model.aggregators, seed)
+            assert key not in heads
+            heads[key] = heads["total"] - before
             return out
 
         monkeypatch.setattr(metrics, "aggregator_head", counted_head)
         monkeypatch.setattr(cli, "evaluate_policies", counted_eval)
 
-        def run_eval(methods):
+        def run_eval(methods, rates="0, 0.5"):
             write_config(tmp_path, BASE_CONFIG.replace("list = VFL, MACL, CD-MACL-G2",
-                                                       f"list = {methods}"))
+                                                       f"list = {methods}")
+                         .replace("fault_rates = 0, 0.5", f"fault_rates = {rates}"))
             for name in calls:
                 calls[name] = [] if name == "load_checkpoint" else 0
             heads.clear()
@@ -372,15 +403,16 @@ class TestEvalCommand:
         assert sorted(calls["load_checkpoint"]) == [
             "CD-MACL-seed1.ckpt", "CD-MACL-seed2.ckpt", "VFL-seed1.ckpt", "VFL-seed2.ckpt"]
         assert calls["client_encode"] == 4
-        # 200 test samples in batches of 64: every rate-0 cell of a checkpoint,
-        # one per fault kind, together cost one pass over the 4 batches
-        cells = {key: n for key, n in with_g2.items() if key != "total"}
-        assert {key: n for key, n in cells.items() if key[2] == 0.0} == {
-            (aggs, seed, 0.0): 4 for aggs in ((1,), (1, 2, 3, 4)) for seed in (1, 2)}
-        # a faulty cell costs at most one head pass per batch, one per fault kind
-        assert all(n <= 3 * 4 for n in cells.values())
+        checkpoints = {(aggs, seed) for aggs in ((1,), (1, 2, 3, 4)) for seed in (1, 2)}
+        # 200 test samples in batches of 64: the three rate-0 cells share one
+        # pass over the 4 batches, and each faulty cell costs at most one more
+        # pass per batch
+        assert set(with_g2) - {"total"} == checkpoints
+        assert all(4 <= with_g2[key] <= 4 + 3 * 4 for key in checkpoints)
+        rate_zero = run_eval("VFL, CD-MACL, CD-MACL-G2", rates="0")
+        assert {key: rate_zero[key] for key in checkpoints} == dict.fromkeys(checkpoints, 4)
         rows = read_runs_csv(tmp_path / "runs" / "runs.csv")
-        assert len(rows) == 3 * 3 * 2 * 4 * 2
+        assert len(rows) == 3 * 3 * 1 * 4 * 2
 
     def test_worker_pool_matches_serial(self, pipeline, tmp_path_factory):
         tmp2 = tmp_path_factory.mktemp("workers")

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mags.data import (Dataset, client_views, load_idx, make_splits, one_hot,
-                       save_idx, split_patches, synth_dataset)
+                       split_patches, synth_dataset)
 from mags.errors import ConfigError, IdxFormatError
+
+from helpers import save_idx
 
 
 def write_idx_fixture(tmp_path, pixels, labels):

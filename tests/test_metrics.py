@@ -8,8 +8,7 @@ from mags.faults import (FaultModel, RealizedGraph, sample_comm_faults, sample_d
                          sample_realization)
 from mags.inference import (aggregate, aggregator_head, client_encode, delivery,
                             init_split_model, mags_infer)
-from mags.metrics import (POLICIES, FaultFreeHeads, count_comm, ensemble_decomposition,
-                          evaluate_policies)
+from mags.metrics import POLICIES, count_comm, ensemble_decomposition, evaluate_policies
 from mags.nn import log_softmax
 from mags.rng import stream
 from mags.topology import build_graph
@@ -39,8 +38,8 @@ def accuracy(model, graph, label, n, fault=FaultModel("none"), batch_size=None, 
     """Every policy's accuracy on n samples of one label. The heads ignore
     their input, so the representations are zeros."""
     reps = np.zeros((graph.device_count, n, model.rep_dim))
-    return evaluate_policies(model, reps, np.full(n, label), graph, fault, list(POLICIES),
-                             [0], seed, batch_size=batch_size or n)[0].accuracy
+    return evaluate_policies(model, reps, np.full(n, label), graph, [fault], list(POLICIES),
+                             [0], seed, batch_size=batch_size or n)[0][0].accuracy
 
 
 class TestSelect:
@@ -276,9 +275,9 @@ class TestEvaluatePolicies:
         ds = synth_dataset(800, 10, 2, seed=6, noise=0.3)
         part = split_patches(784, 2)
         res = evaluate_policies(model, client_encode(model, client_views(ds.features, part)),
-                                ds.labels, graph, FaultModel("communication", 0.3),
+                                ds.labels, graph, [FaultModel("communication", 0.3)],
                                 ["active_rand", "active_best", "active_worst", "any_rand"],
-                                [0], seed=1)[0]
+                                [0], seed=1)[0][0]
         band = 3 * np.sqrt(0.1 * 0.9 / 800)
         for policy, acc in res.accuracy.items():
             assert abs(acc - 0.1) <= band, policy
@@ -286,33 +285,32 @@ class TestEvaluatePolicies:
     def test_trained_model_is_perfect_without_faults(self, trained_small):
         model, ds, part, graph = trained_small
         reps = client_encode(model, client_views(ds.features[-300:], part))
-        res = evaluate_policies(model, reps, ds.labels[-300:], graph, FaultModel("none"),
-                                ["active_rand"], [0], seed=2)[0]
+        res = evaluate_policies(model, reps, ds.labels[-300:], graph, [FaultModel("none")],
+                                ["active_rand"], [0], seed=2)[0][0]
         assert res.accuracy["active_rand"] == pytest.approx(1.0, abs=0.02)
 
     def test_oracle_ordering_holds_per_cell(self, trained_small):
         model, ds, part, graph = trained_small
         reps = client_encode(model, client_views(ds.features[-400:], part))
-        for kind in ("communication", "device"):
-            for rate in (0.3, 0.6):
-                for res in evaluate_policies(
-                        model, reps, ds.labels[-400:], graph,
-                        FaultModel(kind, rate),
-                        ["active_rand", "active_best", "active_worst", "any_rand"],
-                        [0, 4], seed=3):
-                    a = res.accuracy
-                    assert a["active_best"] >= a["active_rand"] >= a["active_worst"]
-                    assert a["any_rand"] <= a["active_rand"]
+        grid = evaluate_policies(
+            model, reps, ds.labels[-400:], graph,
+            [FaultModel(kind, rate) for kind in ("communication", "device") for rate in (0.3, 0.6)],
+            ["active_rand", "active_best", "active_worst", "any_rand"], [0, 4], seed=3)
+        for results in grid:
+            for res in results:
+                a = res.accuracy
+                assert a["active_best"] >= a["active_rand"] >= a["active_worst"]
+                assert a["any_rand"] <= a["active_rand"]
 
     @pytest.mark.parametrize("kind", ["communication", "device"])
     def test_gossip_reuses_fault_draws(self, trained_small, kind):
         # the fault stream must not depend on the number of gossip rounds
         model, ds, part, graph = trained_small
         fault = FaultModel(kind, 0.4)
-        kwargs = dict(graph=graph, fault_model=fault, policies=["active_rand"], seed=4)
+        kwargs = dict(graph=graph, fault_models=[fault], policies=["active_rand"], seed=4)
         reps = client_encode(model, client_views(ds.features[-200:], part))
-        r0, r4 = evaluate_policies(model, reps, ds.labels[-200:], gossip_rounds=[0, 4],
-                                   **kwargs)
+        [(r0, r4)] = evaluate_policies(model, reps, ds.labels[-200:], gossip_rounds=[0, 4],
+                                       **kwargs)
         assert r0.comm_mean == pytest.approx(r4.comm_mean / 5.0)
 
         g0 = sample_realization(graph, fault, 10, 1, stream(4, "fault"))
@@ -324,54 +322,63 @@ class TestEvaluatePolicies:
     @pytest.mark.parametrize("kind", ["none", "device", "communication", "markov_comm"])
     def test_grouped_counts_equal_separate_calls(self, kind, counts):
         # one head pass per batch serves every count, each count gossips
-        # over its own chain; a shared fault-free cache must not change a
-        # bit either
+        # over its own chain, and the base graph's head outputs are shared
+        # across cells: none of it may change a bit of any cell's result.
+        # The grid starts at ``kind``, so a different cell fills the shared
+        # head outputs in each case.
         graph = build_graph("grid", 9, 9)
         model = init_split_model(graph, [16] * 9, 5, stream(3, "init"))
         rng = np.random.default_rng(8)
         n = 70  # batches of 16: the last one is short
         reps = client_encode(model, rng.random((9, n, 16)))
         labels = rng.integers(5, size=n)
-        cache = FaultFreeHeads(model, reps, graph)
-        for rate in (0.0, 0.3):
-            kwargs = dict(graph=graph, fault_model=FaultModel(kind, rate),
-                          policies=list(POLICIES), seed=11, batch_size=16, trials=2)
-            grouped = evaluate_policies(model, reps, labels, gossip_rounds=counts,
-                                        fault_free=cache, **kwargs)
-            separate = [evaluate_policies(model, reps, labels, gossip_rounds=[g], **kwargs)[0]
-                        for g in counts]
-            assert grouped == separate
-        assert sorted(cache.values) == [(s, min(16, n - s)) for s in range(0, n, 16)]
+        kinds = ["none", "device", "communication", "markov_comm"]
+        kinds = kinds[kinds.index(kind):] + kinds[:kinds.index(kind)]
+        faults = [FaultModel(k, rate) for k in kinds for rate in (0.0, 0.3)]
+        kwargs = dict(graph=graph, policies=list(POLICIES), seed=11, batch_size=16, trials=2)
+        grouped = evaluate_policies(model, reps, labels, fault_models=faults,
+                                    gossip_rounds=counts, **kwargs)
+        separate = [[evaluate_policies(model, reps, labels, fault_models=[fault],
+                                       gossip_rounds=[g], **kwargs)[0][0] for g in counts]
+                    for fault in faults]
+        assert grouped == separate
 
-    def test_rejects_a_fault_free_cache_of_another_model_or_reps(self, trained_small):
-        model, ds, part, graph = trained_small
-        views = client_views(ds.features[:40], part)
-        reps = client_encode(model, views)
-        other_model = init_split_model(graph, [views.shape[2]] * graph.device_count,
-                                       ds.class_count, stream(9, "init"))
-        kwargs = dict(graph=graph, fault_model=FaultModel("none"), policies=["active_rand"],
-                      gossip_rounds=[0], seed=0, batch_size=16)
-        for cache in (FaultFreeHeads(model, client_encode(model, views), graph),
-                      FaultFreeHeads(other_model, reps, graph)):
-            with pytest.raises(InputError, match="another model or reps"):
-                evaluate_policies(model, reps, ds.labels[:40], fault_free=cache, **kwargs)
-        cache = FaultFreeHeads(model, reps, graph)
-        evaluate_policies(model, reps, ds.labels[:40], fault_free=cache, **kwargs)
-        assert sorted(cache.values) == [(0, 16), (16, 16), (32, 8)]
+    def test_rate_zero_cells_share_one_head_pass_per_batch_slice(self, monkeypatch):
+        from mags import metrics
+        graph = build_graph("grid", 9, 9)
+        model = init_split_model(graph, [16] * 9, 5, stream(3, "init"))
+        rng = np.random.default_rng(9)
+        n = 70
+        reps = client_encode(model, rng.random((9, n, 16)))
+        slices = []
+
+        def counted_head(model, aggs, agg_inputs):
+            slices.append(agg_inputs.shape[1])
+            return aggregator_head(model, aggs, agg_inputs)
+
+        monkeypatch.setattr(metrics, "aggregator_head", counted_head)
+        faults = [FaultModel(kind, 0.0) for kind in ("none", "device", "communication",
+                                                     "markov_comm")]
+        grid = evaluate_policies(model, reps, rng.integers(5, size=n), graph, faults,
+                                 list(POLICIES), [0, 4], seed=12, batch_size=16, trials=3)
+        # 3 trials of 4 cells and 2 counts walk 5 slices 12 times: 5 head passes
+        assert slices == [16, 16, 16, 16, 6]
+        assert len(grid) == 4 and all(len(results) == 2 for results in grid)
 
     def test_rejects_bad_gossip_counts(self, trained_small):
         model, ds, part, graph = trained_small
         reps = client_encode(model, client_views(ds.features[:10], part))
         for counts in ([], [0, -1]):
             with pytest.raises(ConfigError, match="gossip round counts"):
-                evaluate_policies(model, reps, ds.labels[:10], graph, FaultModel("none"),
+                evaluate_policies(model, reps, ds.labels[:10], graph, [FaultModel("none")],
                                   ["active_rand"], counts, seed=0)
 
     def test_comm_mean_matches_expectation(self, trained_small):
         model, ds, part, graph = trained_small
         reps = client_encode(model, client_views(ds.features[-600:], part))
         res = evaluate_policies(model, reps, ds.labels[-600:], graph,
-                                FaultModel("communication", 0.3), ["active_rand"], [0], seed=5)[0]
+                                [FaultModel("communication", 0.3)], ["active_rand"], [0],
+                                seed=5)[0][0]
         # 12 directed non-self edges alive w.p. 0.7
         assert abs(res.comm_mean - 12 * 0.7) < 1.5
 
@@ -380,13 +387,13 @@ class TestEvaluatePolicies:
         reps = client_encode(model, client_views(ds.features, part))
         with pytest.raises(ConfigError):
             evaluate_policies(model, reps, ds.labels, graph,
-                              FaultModel("none"), ["oracle"], [0], seed=0)
+                              [FaultModel("none")], ["oracle"], [0], seed=0)
         with pytest.raises(ConfigError):
             evaluate_policies(model, reps, ds.labels, graph,
-                              FaultModel("none"), ["active_rand"], [0], seed=0, trials=0)
+                              [FaultModel("none")], ["active_rand"], [0], seed=0, trials=0)
         with pytest.raises(ConfigError, match="0.1004"):
             evaluate_policies(model, reps, ds.labels, graph,
-                              FaultModel("device", 0.1004), ["active_rand"], [0], seed=0)
+                              [FaultModel("device", 0.1004)], ["active_rand"], [0], seed=0)
 
     @pytest.mark.parametrize("batch_size", [0, -3])
     def test_rejects_batch_size_below_one(self, trained_small, batch_size):
@@ -394,7 +401,7 @@ class TestEvaluatePolicies:
         model, ds, part, graph = trained_small
         reps = client_encode(model, client_views(ds.features, part))
         with pytest.raises(ConfigError, match="batch size"):
-            evaluate_policies(model, reps, ds.labels, graph, FaultModel("none"),
+            evaluate_policies(model, reps, ds.labels, graph, [FaultModel("none")],
                               ["active_rand"], [0], seed=0, batch_size=batch_size)
 
     def test_rejects_empty_labels(self, trained_small):
@@ -402,7 +409,7 @@ class TestEvaluatePolicies:
         model, ds, part, graph = trained_small
         reps = client_encode(model, client_views(ds.features[:0], part))
         with pytest.raises(InputError):
-            evaluate_policies(model, reps, ds.labels[:0], graph, FaultModel("none"),
+            evaluate_policies(model, reps, ds.labels[:0], graph, [FaultModel("none")],
                               ["active_rand"], [0], seed=0)
 
 
@@ -436,8 +443,8 @@ class TestRiskBoundReport:
         reps = client_encode(model, client_views(ds.features[-400:], part))
 
         def risk(fault):
-            res = evaluate_policies(model, reps, ds.labels[-400:], graph, fault,
-                                    ["active_rand"], [0], seed=2)[0]
+            res = evaluate_policies(model, reps, ds.labels[-400:], graph, [fault],
+                                    ["active_rand"], [0], seed=2)[0][0]
             return 1.0 - res.accuracy["active_rand"]
 
         rate, k, m = 0.3, len(graph.aggregators), model.class_count

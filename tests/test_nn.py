@@ -3,9 +3,10 @@ import pytest
 
 from mags.errors import ConfigError, InputError
 from mags.nn import (Mlp, adam_init, adam_update, init_mlp, linear_forward,
-                     log_softmax, loss_and_grad, mlp_backward, mlp_forward, mlp_size,
-                     relu, stacked_mlp)
+                     log_softmax, mlp_backward, mlp_forward, mlp_size, stacked_mlp)
 from mags.rng import stream
+
+from helpers import loss_and_grad
 
 
 def fd_gradients(mlp, x, y, h=1e-5):

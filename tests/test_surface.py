@@ -12,12 +12,7 @@ SRC = ROOT / "src" / "mags"
 CALLERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
 
 # Public names kept although no library code calls them, each for a reason.
-ALLOWED = {
-    # the reference oracle that the split-pipeline gradients are tested against
-    "nn.loss_and_grad",
-    # writes the IDX fixtures that the loader tests read back
-    "data.save_idx",
-}
+ALLOWED = set()
 
 
 def names_read(node):

@@ -4,15 +4,18 @@ import pytest
 from mags.data import Dataset, client_views, make_splits, one_hot, split_patches, synth_dataset
 from mags.errors import ConfigError
 from mags.faults import FaultModel
-from mags.inference import aggregate, aggregator_head, client_encode, init_split_model
-from mags.nn import adam_init, adam_update, init_mlp, loss_and_grad, stacked_mlp
+from mags.inference import (aggregate, aggregator_head, client_encode, fault_free_delivery,
+                            init_split_model)
+from mags.nn import adam_init, adam_update, init_mlp, stacked_mlp
 from mags.rng import stream
 from mags.topology import build_graph
 from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask,
-                           batch_delivery, evaluate_split, fault_free_delivery, fit,
+                           batch_delivery, evaluate_split, fit,
                            init_optimizer, load_checkpoint,
                            save_checkpoint, split_loss_and_grads, train_epoch,
                            optimizer_step)
+
+from helpers import loss_and_grad
 
 
 def zero_heads(model):
@@ -56,11 +59,11 @@ class TestDropoutMasks:
 
     def test_cd_rate_zero_is_identity(self):
         aggs = tuple(range(1, 17))
-        assert apply_cd_mask(16, 16, aggs, 0.0, stream(2, "dropout")).all()
+        assert apply_cd_mask(16, aggs, 0.0, stream(2, "dropout")).all()
 
     def test_cd_self_slot_never_dropped_at_rate_one(self):
         aggs = tuple(range(1, 17))
-        keep = apply_cd_mask(16, 16, aggs, 1.0, stream(3, "dropout"))
+        keep = apply_cd_mask(16, aggs, 1.0, stream(3, "dropout"))
         for j, k in enumerate(aggs):
             assert keep[j, k - 1]
             assert keep[j].sum() == 1
@@ -72,7 +75,7 @@ class TestDropoutMasks:
         draws = 20000
         dropped = 0
         for _ in range(draws):
-            keep = apply_cd_mask(16, 16, aggs, 0.3, rng)
+            keep = apply_cd_mask(16, aggs, 0.3, rng)
             dropped += 240 - (int(keep.sum()) - 16)
         band = 3 * np.sqrt(240 * 0.3 * 0.7 / draws)
         assert abs(dropped / draws - 72.0) <= band
@@ -174,7 +177,7 @@ class TestSplitLossAndGrads:
         model = init_split_model(graph, part.patch_dims(), ds.class_count, stream(1, "init"))
         views = client_views(ds.features[:8], part)
         y = one_hot(ds.labels[:8], ds.class_count)
-        keep = apply_cd_mask(4, 4, graph.aggregators, 1.0, stream(7, "dropout"))
+        keep = apply_cd_mask(4, graph.aggregators, 1.0, stream(7, "dropout"))
         _, grad = split_loss_and_grads(model, views, y, keep, list(graph.aggregators))
         enc_grads, _ = model.unflatten(grad)
         # every encoder still learns (through its own head)
