@@ -76,7 +76,7 @@ def _train_checkpoints(cfg: ExperimentConfig, jobs) -> list:
     pool's client views are built once for all of them and its feature
     matrix is then dropped: each fit gathers its split from the views by
     row."""
-    pool, _ = build_dataset(cfg)
+    pool = build_dataset(cfg, "train")
     partition = build_partition(cfg, pool)
     views = client_views(pool.features, partition)
     labels, class_count = pool.labels, pool.class_count
@@ -119,7 +119,7 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs) -> list:
     result's ``seconds``, its (fault kind, rate) group's scoring time split
     evenly over those methods, is its rows' ``wall_time``.
     """
-    _, test = build_dataset(cfg)
+    test = build_dataset(cfg, "test")
     views = client_views(test.features, build_partition(cfg, test))
     variants = {s.train_name: s for s in cfg.train_variants()}
     cells = list(itertools.product(cfg.fault_kinds, cfg.fault_rates))

@@ -291,21 +291,18 @@ def load_config(path, seeds_override=None, out_override=None) -> ExperimentConfi
     return cfg.validate()
 
 
-def build_dataset(cfg: ExperimentConfig):
-    """Returns (train Dataset, test Dataset) for the configured source."""
+def build_dataset(cfg: ExperimentConfig, split: str) -> Dataset:
+    """The ``split`` ("train" or "test") Dataset of the configured source,
+    built alone: a synthetic split is its rows of the train_n + test_n pool
+    (the pool's first train_n rows are the training pool), and an IDX split
+    reads only its own two files."""
     if cfg.dataset_kind == "synthetic":
-        full = synth_dataset(cfg.synth_train_n + cfg.synth_test_n, cfg.classes,
-                             cfg.grid_side, cfg.synth_seed, cfg.synth_noise)
-        train = Dataset(full.features[:cfg.synth_train_n],
-                        full.labels[:cfg.synth_train_n], full.class_count)
-        test = Dataset(full.features[cfg.synth_train_n:],
-                       full.labels[cfg.synth_train_n:], full.class_count)
-        return train, test
-    train = load_idx(cfg.idx_paths["train_images"], cfg.idx_paths["train_labels"],
-                     class_count=cfg.classes)
-    test = load_idx(cfg.idx_paths["test_images"], cfg.idx_paths["test_labels"],
+        n_train, n = cfg.synth_train_n, cfg.synth_train_n + cfg.synth_test_n
+        rows = {"train": (0, n_train), "test": (n_train, n)}[split]
+        return synth_dataset(n, cfg.classes, cfg.grid_side, cfg.synth_seed, cfg.synth_noise,
+                             rows=rows)
+    return load_idx(cfg.idx_paths[f"{split}_images"], cfg.idx_paths[f"{split}_labels"],
                     class_count=cfg.classes)
-    return train, test
 
 
 def build_partition(cfg: ExperimentConfig, dataset: Dataset):

@@ -21,6 +21,7 @@ IDX_LABEL_MAGIC = 0x00000801
 SYNTH_SIDE = 28  # synthetic images are SYNTH_SIDE pixels square
 # Synthetic class means sit at 0.5 +/- this amplitude (per-pixel sign pattern).
 SYNTH_AMPLITUDE = 0.12
+SYNTH_CHUNK_ROWS = 1024  # rows a synthetic build draws and clips at a time
 
 
 @dataclass
@@ -143,7 +144,8 @@ def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
     return y
 
 
-def synth_dataset(n: int, classes: int, g: int, seed: int, noise: float) -> Dataset:
+def synth_dataset(n: int, classes: int, g: int, seed: int, noise: float,
+                  rows=None) -> Dataset:
     """Synthetic 28x28 dataset: one fixed mean image per class (a seeded
     per-pixel sign pattern around 0.5, so every patch carries class signal),
     plus Gaussian noise clipped to [0, 1].
@@ -151,18 +153,40 @@ def synth_dataset(n: int, classes: int, g: int, seed: int, noise: float) -> Data
     At noise 0 a nearest-mean classifier is exact; at noise 0.3 the class
     means are separated widely enough that a full-feature linear probe
     exceeds 95% accuracy.
+
+    ``rows = (lo, hi)`` builds only rows [lo, hi) of the n-image pool, bit
+    for bit the pool's slice: all n labels are drawn, the noise of the rows
+    before ``lo`` is drawn into one reused chunk and discarded, and none is
+    drawn past ``hi``. Rows are built in place, SYNTH_CHUNK_ROWS at a time.
     """
     if classes < 2:
         raise ConfigError("synthetic dataset needs at least 2 classes")
     if g < 1 or SYNTH_SIDE % g != 0:
         raise ConfigError(f"grid side {g} does not divide image side {SYNTH_SIDE}")
+    lo, hi = (0, n) if rows is None else rows
+    if not 0 <= lo <= hi <= n:
+        raise ConfigError(f"rows [{lo}, {hi}) are not within the {n}-image pool")
     d = SYNTH_SIDE * SYNTH_SIDE
     rng = np.random.default_rng(seed)
     patterns = rng.choice(np.array([-1.0, 1.0]), size=(classes, d))
     means = 0.5 + SYNTH_AMPLITUDE * patterns
-    labels = rng.integers(0, classes, size=n)
-    features = means[labels]
+    labels = rng.integers(0, classes, size=n, dtype=np.int64)
+    features = np.empty((hi - lo, d))
+    scratch = np.empty((min(SYNTH_CHUNK_ROWS, max(lo, hi - lo)), d))
     if noise > 0:
-        features = features + noise * rng.standard_normal((n, d))
-    features = np.clip(features, 0.0, 1.0)
-    return Dataset(features, labels.astype(np.int64), classes)
+        for start in range(0, lo, SYNTH_CHUNK_ROWS):
+            rng.standard_normal(out=scratch[:min(SYNTH_CHUNK_ROWS, lo - start)])
+    # the labels are in range: take's mode="clip" only skips the buffered
+    # copy of ``out`` that its default mode makes
+    for start in range(lo, hi, SYNTH_CHUNK_ROWS):
+        stop = min(start + SYNTH_CHUNK_ROWS, hi)
+        block = features[start - lo:stop - lo]
+        if noise > 0:
+            rng.standard_normal(out=block)
+            block *= noise
+            block += np.take(means, labels[start:stop], axis=0, out=scratch[:stop - start],
+                             mode="clip")
+        else:
+            np.take(means, labels[start:stop], axis=0, out=block, mode="clip")
+        np.clip(block, 0.0, 1.0, out=block)
+    return Dataset(features, labels[lo:hi], classes)

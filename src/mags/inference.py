@@ -137,17 +137,17 @@ def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:
     ``reps`` is the (C, B, r) stack from ``client_encode``; ``keep[j, c-1]``
     says whether client c's representation reaches aggregator row j. An
     unreached slot is an exact zero whatever ``reps`` holds there (NaN
-    included), so a dead client's rows are never read. When every delivery
-    is kept, every row is the same concatenation: the result is then a
-    read-only broadcast of one (B, C * r) array.
+    included, and a -0.0 too), so a dead client's rows are never read. When
+    every delivery is kept, every row is the same concatenation: the result
+    is then a read-only broadcast of one (B, C * r) array; otherwise one
+    ``np.where`` over the flat layout masks it, each client's flag repeated
+    over its r slots.
     """
     c, b, r = reps.shape
+    row = reps.transpose(1, 0, 2).reshape(b, c * r)
     if keep.all():
-        row = reps.transpose(1, 0, 2).reshape(b, c * r)
         return np.broadcast_to(row, (keep.shape[0], b, c * r))
-    out = np.zeros((keep.shape[0], b, c, r))
-    np.copyto(out, reps.transpose(1, 0, 2)[None], where=keep[:, None, :, None])
-    return out.reshape(keep.shape[0], b, c * r)
+    return np.where(np.repeat(keep, r, axis=1)[:, None, :], row, 0.0)
 
 
 def aggregator_head(model: SplitModel, aggs, agg_inputs: np.ndarray) -> np.ndarray:
@@ -175,7 +175,8 @@ def gossip_round(z: np.ndarray, links: np.ndarray) -> np.ndarray:
 
 def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,
                gossip_rounds: int) -> np.ndarray:
-    """The gossip stage of distributed inference on one batch: G rounds on
+    """The gossip stage of distributed inference on one batch: G >= 0 rounds
+    (``evaluate_policies`` checks the counts once, not here per batch) on
     the stacked (K', B, M) head log-probs ``values`` of the alive aggregators
     ``aggs`` (as ``delivery`` lists them for ``realized``), round t over
     ``realized.edge_alive[t]`` (or its one held round).
@@ -189,8 +190,6 @@ def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,
     head pass reads only the first round, so every gossip count of one
     realization can share it.
     """
-    if gossip_rounds < 0:
-        raise ConfigError("gossip_rounds must be >= 0")
     held = realized.edge_alive.shape[0] == 1  # a held draw's links are built once
     for t in range(1, gossip_rounds + 1):
         if t == 1 or not held:

@@ -161,10 +161,9 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
         dlogits = dlogits - np.exp(log_ps) * dlogits.sum(axis=2, keepdims=True)
 
     head_grads, du = mlp_backward(head, head_tape, dlogits)
-    du = du.reshape(k_count, b, c_count, rep)
     if not keep.all():
-        du = np.where(keep[:, None, :, None], du, 0.0)
-    d_rep = du.sum(axis=0)  # (B, C, r)
+        du = np.where(np.repeat(keep, rep, axis=1)[:, None, :], du, 0.0)
+    d_rep = du.reshape(k_count, b, c_count, rep).sum(axis=0)  # (B, C, r)
     dh = d_rep.swapaxes(0, 1) * (reps > 0)
     enc_grads, _ = mlp_backward(model.encoder, enc_tape, dh, input_grad=False)
 

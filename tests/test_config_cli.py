@@ -2,12 +2,13 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mags.cli import main, read_runs_csv
 from mags.config import (CONFIG_KEYS, load_config, parse_method, parse_seed_list,
                          resolve_data_path)
-from mags.data import synth_dataset
+from mags.data import Dataset, synth_dataset
 from mags.errors import ConfigError
 
 from helpers import save_idx
@@ -225,20 +226,65 @@ class TestLoadConfig:
             load_config(p)
 
     def test_idx_dataset_loads(self, tmp_path, monkeypatch):
-        ds = synth_dataset(40, 4, 2, seed=1, noise=0.2)
-        save_idx(ds, tmp_path / "tr.idx", tmp_path / "trl.idx")
-        save_idx(ds, tmp_path / "te.idx", tmp_path / "tel.idx")
-        p = write_config(tmp_path)
-        text = p.read_text().replace("kind = synthetic", "kind = idx")
-        text = text.replace("[graph]",
-                            "train_images = tr.idx\ntrain_labels = trl.idx\n"
-                            "test_images = te.idx\ntest_labels = tel.idx\n\n[graph]")
-        p.write_text(text)
+        p = write_idx_config(tmp_path, 40, 24)
         monkeypatch.setenv("MAGS_DATA_ROOT", str(tmp_path))
         cfg = load_config(p)
         from mags.config import build_dataset
-        train, test = build_dataset(cfg)
-        assert len(train) == 40 and len(test) == 40
+        train, test = build_dataset(cfg, "train"), build_dataset(cfg, "test")
+        assert len(train) == 40 and len(test) == 24
+        pool = synth_dataset(64, 4, 2, seed=1, noise=0.2)
+        assert np.array_equal(train.labels, pool.labels[:40])
+        assert np.array_equal(test.labels, pool.labels[40:])
+        assert np.max(np.abs(test.features - pool.features[40:])) <= 0.5 / 255
+
+    def test_synthetic_splits_are_the_pools_two_slices(self, tmp_path):
+        from mags.config import build_dataset
+        cfg = load_config(write_config(tmp_path))
+        pool = synth_dataset(800, 4, 2, seed=11, noise=0.2)
+        for split, rows in (("train", slice(0, 600)), ("test", slice(600, 800))):
+            ds = build_dataset(cfg, split)
+            assert ds.features.tobytes() == pool.features[rows].tobytes()
+            assert np.array_equal(ds.labels, pool.labels[rows])
+
+
+def write_idx_config(tmp_path, n_train, n_test, text=None):
+    """An IDX config whose train and test files hold the first ``n_train``
+    and the next ``n_test`` images of one synthetic pool: different rows,
+    so a swapped split shows."""
+    pool = synth_dataset(n_train + n_test, 4, 2, seed=1, noise=0.2)
+    for name, rows in (("tr", slice(0, n_train)), ("te", slice(n_train, None))):
+        save_idx(Dataset(pool.features[rows], pool.labels[rows], 4),
+                 tmp_path / f"{name}.idx", tmp_path / f"{name}l.idx")
+    p = write_config(tmp_path, text)
+    text = p.read_text().replace("kind = synthetic", "kind = idx")
+    text = text.replace("[graph]",
+                        "train_images = tr.idx\ntrain_labels = trl.idx\n"
+                        "test_images = te.idx\ntest_labels = tel.idx\n\n[graph]")
+    p.write_text(text)
+    return p
+
+
+def test_idx_config_runs_train_then_eval_reading_only_each_commands_split(tmp_path,
+                                                                          monkeypatch):
+    from mags import config
+    monkeypatch.delenv("MAGS_DATA_ROOT", raising=False)  # paths resolve against tmp_path
+    p = write_idx_config(tmp_path, 120, 48, BASE_CONFIG.replace(
+        "list = VFL, MACL, CD-MACL-G2", "list = VFL, CD-MACL-G2").replace(
+        "epochs = 2", "epochs = 1").replace("seeds = 1, 2", "seeds = 1"))
+    read, real_load = [], config.load_idx
+
+    def recorded(images, labels, **kwargs):
+        read.append((Path(images).name, Path(labels).name))
+        return real_load(images, labels, **kwargs)
+
+    monkeypatch.setattr(config, "load_idx", recorded)
+    assert main(["train", "--config", str(p)]) == 0
+    assert read == [("tr.idx", "trl.idx")]
+    assert main(["eval", "--config", str(p)]) == 0
+    assert read == [("tr.idx", "trl.idx"), ("te.idx", "tel.idx")]
+    rows = read_runs_csv(tmp_path / "runs" / "runs.csv")
+    assert len(rows) == 2 * 3 * 2 * 4  # methods x fault kinds x rates x policies
+    assert all(r[6] == "nan" or 0.0 <= float(r[6]) <= 1.0 for r in rows)
 
 
 @pytest.fixture(scope="module")

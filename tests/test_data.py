@@ -1,10 +1,11 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mags.data import (Dataset, client_views, load_idx, make_splits, one_hot,
-                       split_patches, synth_dataset)
+from mags.data import (SYNTH_CHUNK_ROWS, Dataset, client_views, load_idx, make_splits,
+                       one_hot, split_patches, synth_dataset)
 from mags.errors import ConfigError, IdxFormatError
 
 from helpers import save_idx
@@ -202,3 +203,34 @@ class TestSynthDataset:
             synth_dataset(10, 1, 4, seed=0, noise=0.1)
         with pytest.raises(ConfigError):
             synth_dataset(10, 10, 5, seed=0, noise=0.1)
+        for rows in ((-1, 5), (6, 5), (0, 11)):
+            with pytest.raises(ConfigError, match="not within"):
+                synth_dataset(10, 10, 4, seed=0, noise=0.1, rows=rows)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("rows", [(0, 700), (SYNTH_CHUNK_ROWS, 2 * SYNTH_CHUNK_ROWS + 5),
+                                      (SYNTH_CHUNK_ROWS + 300, 2500), (1900, 2500),
+                                      (2500, 2500)],
+                             ids=["from-0", "on-chunk-boundary", "inside-chunk", "to-n", "empty"])
+    def test_row_range_is_the_pool_sliced_bit_for_bit(self, noise, rows):
+        full = synth_dataset(2500, 10, 4, seed=11, noise=noise)
+        part = synth_dataset(2500, 10, 4, seed=11, noise=noise, rows=rows)
+        lo, hi = rows
+        assert part.features.shape == (hi - lo, 784) and part.class_count == 10
+        assert part.features.tobytes() == full.features[lo:hi].tobytes()
+        assert part.labels.dtype == np.int64
+        assert np.array_equal(part.labels, full.labels[lo:hi])
+
+    def test_build_holds_one_chunk_beyond_the_rows_it_keeps(self):
+        # whole-pool arithmetic held two pool-sized arrays at its peak (120.5
+        # MB for a 59.8 MB pool); a chunked build adds one chunk of scratch
+        n, d = 6 * SYNTH_CHUNK_ROWS, 784
+        chunk = SYNTH_CHUNK_ROWS * d * 8
+        for rows in (None, (4 * SYNTH_CHUNK_ROWS, n)):
+            tracemalloc.start()
+            try:
+                ds = synth_dataset(n, 10, 4, seed=3, noise=0.3, rows=rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < ds.features.nbytes + chunk + 2**20, (rows, peak)

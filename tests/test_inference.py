@@ -120,6 +120,18 @@ class TestAggregate:
                      else np.zeros((3, model.rep_dim)) for c in range(1, 17)], axis=1)
                 assert np.array_equal(out[j], expected)
 
+    def test_unreached_nan_and_negative_zero_come_out_as_positive_zero(self):
+        reps = np.ones((3, 2, 2))
+        reps[1, 0, 0], reps[1, 1, 1] = np.nan, -0.0  # client 2, unreached by row 0
+        reps[2, 0, 1] = -0.0  # client 3, reached by every row
+        keep = np.array([[True, False, True], [True, True, True]])
+        out = aggregate(reps, keep)
+        assert out.shape == (2, 2, 6)
+        unreached = out[0, :, 2:4]
+        assert np.array_equal(unreached, np.zeros((2, 2))) and not np.signbit(unreached).any()
+        assert np.isnan(out[1, 0, 2]) and np.signbit(out[1, 1, 3])
+        assert np.signbit(out[:, 0, 5]).all()  # a kept -0.0 is kept as it is
+
     def test_all_kept_is_a_read_only_broadcast_of_the_zero_filled_result(self):
         graph = build_graph("complete", 16, 16)
         model = toy_model(graph, 49, 10)
@@ -127,7 +139,7 @@ class TestAggregate:
                                      for _ in range(16)])
         keep = np.ones((5, 16), dtype=bool)
         out = aggregate(reps, keep)
-        # the zero-filled path every partial mask takes
+        # oracle: every kept slot copied into zeros
         filled = np.zeros((5, 3, 16, model.rep_dim))
         np.copyto(filled, reps.transpose(1, 0, 2)[None], where=keep[:, None, :, None])
         assert out.shape == (5, 3, 16 * model.rep_dim)
