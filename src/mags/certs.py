@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -22,6 +23,21 @@ from .topology import build_graph, consensus_matrix, spectral_radius
 from .training import split_loss_and_grads
 
 RING16_RADIUS = (1.0 + 2.0 * math.cos(math.pi / 8.0)) / 3.0  # circulant eigenvalue
+
+# Rows per block of the Monte Carlo certificates: 2**16 rows of four
+# float64 uniforms take 2 MiB, where one draw of all 10**6 rows took 32 MB
+MC_BLOCK_ROWS = 2 ** 16
+# ensemble-identity sets per ensemble_decomposition call: 1000 sets of
+# 16 members x 10 classes take 1.3 MB per temporary
+ENSEMBLE_BLOCK_SETS = 1000
+
+
+def _blocks(total, size):
+    """(start, stop) of consecutive row blocks of at most ``size`` rows
+    covering ``range(total)``. Drawing block by block consumes a generator's
+    stream exactly as one draw of all ``total`` rows does."""
+    for lo in range(0, total, size):
+        yield lo, min(lo + size, total)
 
 
 @dataclass
@@ -38,28 +54,36 @@ def cert_ensemble_identity(seed=0, sets=10000, ks=(2, 4, 16), classes=10) -> Cer
     """Ensemble loss equals mean member loss minus a non-negative diversity
     term, per sample, for geometric-mean combining of random members.
 
-    Each K's sets are checked in one batched ``ensemble_decomposition``
-    call. The draws stay one set after another (its members, then its
-    label), so a seed's report does not depend on the batching."""
+    Each K's sets are checked in blocks of ``ENSEMBLE_BLOCK_SETS``, one
+    batched ``ensemble_decomposition`` call per block. The draws stay one
+    set after another (its members, then its label), so a seed's report
+    does not depend on the blocking; after a block fails, that K's later
+    blocks are still drawn, so the other K see the same sets."""
     rng = np.random.default_rng(seed)
     max_residual = 0.0
     min_diversity = np.inf
     violations = []
     for k in ks:
-        members = np.empty((sets, k, classes))
-        labels = np.empty(sets, dtype=np.intp)
-        for i in range(sets):
-            rng.standard_normal(out=members[i])
-            labels[i] = rng.integers(classes)
-        try:
-            ens_loss, mean_loss, diversity = ensemble_decomposition(
-                log_softmax(2.0 * members), one_hot(labels, classes))
-        except ArithmeticError as err:
-            violations.append(f"K={k}: {err}")
-            continue
-        max_residual = max(max_residual,
-                           float(np.abs(ens_loss - (mean_loss - diversity)).max(initial=0.0)))
-        min_diversity = min(min_diversity, float(diversity.min(initial=np.inf)))
+        members = np.empty((min(sets, ENSEMBLE_BLOCK_SETS), k, classes))
+        labels = np.empty(len(members), dtype=np.intp)
+        failed = False
+        for lo, hi in _blocks(sets, ENSEMBLE_BLOCK_SETS):
+            rows = hi - lo
+            for i in range(rows):
+                rng.standard_normal(out=members[i])
+                labels[i] = rng.integers(classes)
+            if failed:
+                continue
+            try:
+                ens_loss, mean_loss, diversity = ensemble_decomposition(
+                    log_softmax(2.0 * members[:rows]), one_hot(labels[:rows], classes))
+            except ArithmeticError as err:
+                violations.append(f"K={k}: {err}")
+                failed = True
+                continue
+            max_residual = max(max_residual,
+                               float(np.abs(ens_loss - (mean_loss - diversity)).max(initial=0.0)))
+            min_diversity = min(min_diversity, float(diversity.min(initial=np.inf)))
     passed = not violations and max_residual < 1e-9 and min_diversity >= -1e-12
     stats = "; ".join(violations) if violations else (
         f"max residual {max_residual:.3e}, min diversity {min_diversity:.3e}")
@@ -107,14 +131,21 @@ def cert_gossip_contraction(seed=0, inits=100, max_rounds=10) -> CertResult:
 def cert_catastrophic_probability(seed=0, draws=10 ** 6,
                                   rates=(0.3, 0.5), ks=(1, 2, 4)) -> CertResult:
     """Empirical probability that every aggregator dies matches r^K within a
-    3-sigma Monte Carlo band under i.i.d. device faults."""
+    3-sigma Monte Carlo band under i.i.d. device faults.
+
+    Each cell's ``(draws, K)`` uniforms are drawn ``MC_BLOCK_ROWS`` rows at
+    a time, which consumes the stream as one call would, and the all-dead
+    rows are counted column by column."""
     rng = np.random.default_rng(seed)
     worst = 0.0  # worst |deviation| / sigma
     details = []
     for r in rates:
         for k in ks:
-            dead = rng.random((draws, k)) >= (1.0 - r)
-            empirical = float(dead.all(axis=1).mean())
+            hits = 0
+            for lo, hi in _blocks(draws, MC_BLOCK_ROWS):
+                dead = rng.random((hi - lo, k)) >= (1.0 - r)
+                hits += int(np.count_nonzero(reduce(np.logical_and, dead.T)))
+            empirical = hits / draws
             expected = r ** k
             sigma = math.sqrt(expected * (1.0 - expected) / draws)
             z = abs(empirical - expected) / max(sigma, 1e-15)
@@ -127,16 +158,30 @@ def cert_catastrophic_probability(seed=0, draws=10 ** 6,
 
 def cert_selection_uniformity(seed=0, draws=10 ** 6) -> CertResult:
     """Conditioned on a nonempty active set, each aggregator is selected with
-    probability 1/K (within 3 sigma) under uniform active selection."""
+    probability 1/K (within 3 sigma) under uniform active selection.
+
+    Every fault flag is drawn before every score, as one ``(draws, K)``
+    call each would; both are drawn ``MC_BLOCK_ROWS`` rows at a time. A
+    dead aggregator's score drops below 0 and an alive one's stays in
+    [0, 1), so a row picks its first highest score (``argmax``'s tie rule),
+    found column by column, and is nonempty where that score is >= 0."""
     rate, k = 0.3, 4
     rng = np.random.default_rng(seed)
-    alive = rng.random((draws, k)) < (1.0 - rate)
-    scores = rng.random((draws, k))
-    scores[~alive] = -1.0
-    nonempty = alive.any(axis=1)
-    picks = scores[nonempty].argmax(axis=1)  # uniform among alive entries
-    n = int(nonempty.sum())
-    freq = np.bincount(picks, minlength=k) / n
+    dead = np.empty((draws, k), dtype=bool)
+    for lo, hi in _blocks(draws, MC_BLOCK_ROWS):
+        np.greater_equal(rng.random((hi - lo, k)), 1.0 - rate, out=dead[lo:hi])
+    counts = np.zeros(k, dtype=np.int64)
+    for lo, hi in _blocks(draws, MC_BLOCK_ROWS):
+        scores = rng.random((hi - lo, k))
+        scores -= dead[lo:hi]
+        best = scores[:, 0].copy()
+        pick = np.zeros(hi - lo, dtype=np.intp)
+        for j in range(1, k):
+            np.copyto(pick, j, where=scores[:, j] > best)  # strict: the first maximum stays
+            np.maximum(best, scores[:, j], out=best)
+        counts += np.bincount(pick[best >= 0.0], minlength=k)
+    n = int(counts.sum())
+    freq = counts / n
     sigma = math.sqrt((1.0 / k) * (1.0 - 1.0 / k) / n)
     worst = float(np.abs(freq - 1.0 / k).max()) / sigma
     passed = worst <= 3.0
@@ -154,8 +199,7 @@ COMM_COUNT_CASES = (
 )
 
 
-# realizations drawn per call: a chunk's uniforms take under 6 MB, far less
-# than catastrophic-probability's draws, so the suite's peak memory holds
+# realizations drawn per call: a chunk's uniforms take under 6 MB
 COMM_COUNT_CHUNK = 2500
 
 
@@ -169,9 +213,8 @@ def cert_comm_counts(seed=0, realizations=10 ** 4, rate=0.3) -> CertResult:
     for name, k, g, expected, tol in COMM_COUNT_CASES:
         graph = build_graph("complete", 16, k)
         total = 0
-        for start in range(0, realizations, COMM_COUNT_CHUNK):
-            realized = sample_realization(
-                graph, fault, min(COMM_COUNT_CHUNK, realizations - start), g + 1, rng)
+        for lo, hi in _blocks(realizations, COMM_COUNT_CHUNK):
+            realized = sample_realization(graph, fault, hi - lo, g + 1, rng)
             total += int(count_comm(realized, graph.aggregators, g).sum())
         mean = total / realizations
         ok = abs(mean - expected) <= tol
@@ -182,7 +225,7 @@ def cert_comm_counts(seed=0, realizations=10 ** 4, rate=0.3) -> CertResult:
 
 def cert_gradient_check(seed=0, tol=1e-6) -> CertResult:
     """Analytic gradients through the split pipeline (encoders, zero-imputed
-    concatenation, heads) match central finite differences on a two-client,
+    concatenation, heads) match finite differences on a two-client,
     two-aggregator toy, with and without a dropped delivery."""
     from .inference import init_split_model
 
@@ -198,29 +241,48 @@ def cert_gradient_check(seed=0, tol=1e-6) -> CertResult:
     dropped[0, 1] = False  # aggregator 1 loses client 2
     worst = 0.0
     for keep in (full, dropped):
-        worst = max(worst, _max_grad_error(model, views, y, keep, graph))
+        worst = max(worst, _max_grad_error(model, views, y, keep, graph, tol))
     return CertResult("gradient-check", worst < tol,
                       f"max relative error {worst:.3e} (tolerance {tol:g})")
 
 
-def _max_grad_error(model, views, y, keep, graph):
+def _relative_error(estimate, grad):
+    return abs(estimate - grad) / max(abs(estimate), abs(grad), 1e-3)
+
+
+def _max_grad_error(model, views, y, keep, graph, tol):
     """Worst relative error of the analytic gradient against central
-    differences, over every coordinate of the flat parameter vector."""
+    differences, over every coordinate of the flat parameter vector.
+
+    A central difference that crosses a ReLU kink misses the tolerance on
+    correct code. So a coordinate that misses it is estimated again from
+    the second-order one-sided differences on each side; where those two
+    disagree (a kink), the gradient is compared with the side whose second
+    difference is smaller, the smooth one."""
     step = 1e-5
     args = (views, y, keep, list(graph.aggregators))
-    _, grad = split_loss_and_grads(model, *args)
+    base, grad = split_loss_and_grads(model, *args)
     params = model.params
+
+    def loss_at(i, offset):
+        orig = params[i]
+        params[i] = orig + offset
+        loss, _ = split_loss_and_grads(model, *args)
+        params[i] = orig
+        return loss
+
     worst = 0.0
     for i in range(params.size):
-        orig = params[i]
-        params[i] = orig + step
-        up, _ = split_loss_and_grads(model, *args)
-        params[i] = orig - step
-        down, _ = split_loss_and_grads(model, *args)
-        params[i] = orig
-        fd = (up - down) / (2.0 * step)
-        denom = max(abs(fd), abs(grad[i]), 1e-3)
-        worst = max(worst, abs(fd - grad[i]) / denom)
+        up, down = loss_at(i, step), loss_at(i, -step)
+        error = _relative_error((up - down) / (2.0 * step), grad[i])
+        if error >= tol:
+            up2, down2 = loss_at(i, 2.0 * step), loss_at(i, -2.0 * step)
+            forward = (-3.0 * base + 4.0 * up - up2) / (2.0 * step)
+            backward = (3.0 * base - 4.0 * down + down2) / (2.0 * step)
+            if _relative_error(forward, backward) >= tol:
+                smooth_forward = abs(base - 2.0 * up + up2) <= abs(base - 2.0 * down + down2)
+                error = _relative_error(forward if smooth_forward else backward, grad[i])
+        worst = max(worst, error)
     return worst
 
 

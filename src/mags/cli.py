@@ -208,6 +208,8 @@ def aggregate_rows(rows):
 
 
 def cmd_props(seed: int = 0, out: str | None = None) -> int:
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
     results = run_all(seed)
     report = format_report(results)
     print(report)

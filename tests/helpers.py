@@ -1,12 +1,14 @@
 """Test-only reference code: a single-MLP cross-entropy oracle that the split
-pipeline's gradients are checked against, and an IDX writer for the loader's
-fixtures. No pipeline of the library calls either."""
+pipeline's gradients are checked against, an IDX writer for the loader's
+fixtures, and one-shot versions of the Monte Carlo certificates that the
+blocked ones are checked against. No pipeline of the library calls them."""
 
 import math
 import struct
 
 import numpy as np
 
+from mags.certs import CertResult
 from mags.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset
 from mags.errors import ConfigError, InputError
 from mags.nn import Mlp, log_softmax, mlp_backward, mlp_forward
@@ -49,3 +51,39 @@ def save_idx(ds: Dataset, images_path, labels_path):
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">ii", IDX_LABEL_MAGIC, n))
         f.write(ds.labels.astype(np.uint8).tobytes())
+
+
+def one_shot_catastrophic_probability(seed, draws, rates, ks) -> CertResult:
+    """``certs.cert_catastrophic_probability`` drawing each cell's
+    ``(draws, K)`` uniforms in one call and reducing them with ``all``."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    details = []
+    for r in rates:
+        for k in ks:
+            dead = rng.random((draws, k)) >= (1.0 - r)
+            empirical = float(dead.all(axis=1).mean())
+            expected = r ** k
+            sigma = math.sqrt(expected * (1.0 - expected) / draws)
+            worst = max(worst, abs(empirical - expected) / max(sigma, 1e-15))
+            details.append(f"r={r} K={k}: {empirical:.6f} vs {expected:.6f}")
+    return CertResult("catastrophic-probability", worst <= 3.0,
+                      f"max |z| {worst:.2f} over {len(details)} cells, {draws} draws each")
+
+
+def one_shot_selection_uniformity(seed, draws) -> CertResult:
+    """``certs.cert_selection_uniformity`` drawing every alive flag, then
+    every score, in one call each and picking with ``argmax``."""
+    rate, k = 0.3, 4
+    rng = np.random.default_rng(seed)
+    alive = rng.random((draws, k)) < (1.0 - rate)
+    scores = rng.random((draws, k))
+    scores[~alive] = -1.0
+    nonempty = alive.any(axis=1)
+    picks = scores[nonempty].argmax(axis=1)
+    n = int(nonempty.sum())
+    freq = np.bincount(picks, minlength=k) / n
+    sigma = math.sqrt((1.0 / k) * (1.0 - 1.0 / k) / n)
+    worst = float(np.abs(freq - 1.0 / k).max()) / sigma
+    return CertResult("selection-uniformity", worst <= 3.0,
+                      f"max |z| {worst:.2f}, K={k}, rate={rate}, {n} conditioned draws")

@@ -517,3 +517,11 @@ class TestPropsCommand:
                             lambda seed: [CertResult("stub", False, "forced failure")])
         assert main(["props"]) == 1
         assert "FAIL stub" in capsys.readouterr().out
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # exit 2 with one error line, not a traceback and not the exit 1
+        # of a failed certificate
+        assert main(["props", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be non-negative, got -1\n"
