@@ -48,6 +48,16 @@ def checkpoint_path(out_dir: Path, train_name: str, seed: int) -> Path:
     return out_dir / "checkpoints" / f"{train_name}-seed{seed}.ckpt"
 
 
+def write_csv(path: Path, schema: str, header, rows) -> Path:
+    """Write ``rows`` under the ``schema`` comment line and ``header``."""
+    with open(path, "w", newline="") as f:
+        f.write(schema + "\n")
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
 def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int):
     """``fn(cfg, jobs)`` returns one result per job, in job order.
 
@@ -166,23 +176,8 @@ def cmd_eval(cfg: ExperimentConfig, workers: int = 1) -> int:
                              policy_order[r[4]], int(r[5])))
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    runs_path = cfg.out_dir / "runs.csv"
-    with open(runs_path, "w", newline="") as f:
-        f.write(RUNS_SCHEMA + "\n")
-        w = csv.writer(f)
-        w.writerow(RUNS_HEADER)
-        w.writerows(rows)
-
-    agg_rows = aggregate_rows(rows)
-    agg_path = cfg.out_dir / "aggregate.csv"
-    with open(agg_path, "w", newline="") as f:
-        f.write(AGG_SCHEMA + "\n")
-        w = csv.writer(f)
-        w.writerow(AGG_HEADER)
-        w.writerows(agg_rows)
-
-    print(runs_path)
-    print(agg_path)
+    print(write_csv(cfg.out_dir / "runs.csv", RUNS_SCHEMA, RUNS_HEADER, rows))
+    print(write_csv(cfg.out_dir / "aggregate.csv", AGG_SCHEMA, AGG_HEADER, aggregate_rows(rows)))
     return 0
 
 
@@ -239,28 +234,14 @@ def cmd_plotdata(csv_paths, out_dir) -> int:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    all_path = out / "plot_all.csv"
-    with open(all_path, "w", newline="") as f:
-        f.write(PLOT_SCHEMA + "\n")
-        w = csv.writer(f)
-        w.writerow(PLOT_ALL_HEADER)
-        for a in agg:
-            w.writerow([a[2], a[1], a[4], a[0], a[3], a[5], a[6]])
-    written = [all_path]
-
+    print(write_csv(out / "plot_all.csv", PLOT_SCHEMA, PLOT_ALL_HEADER,
+                    [[a[2], a[1], a[4], a[0], a[3], a[5], a[6]] for a in agg]))
     panels = {}
     for a in agg:  # keyed by fault kind, graph, policy
         panels.setdefault((a[2], a[1], a[4]), []).append([a[0], a[3], a[5], a[6]])
     for (kind, graph, policy), panel in panels.items():
-        path = out / f"plot_{kind}_{graph}_{policy}.csv"
-        with open(path, "w", newline="") as f:
-            f.write(PLOT_SCHEMA + "\n")
-            w = csv.writer(f)
-            w.writerow(PLOT_PANEL_HEADER)
-            w.writerows(panel)
-        written.append(path)
-    for p in written:
-        print(p)
+        print(write_csv(out / f"plot_{kind}_{graph}_{policy}.csv", PLOT_SCHEMA,
+                        PLOT_PANEL_HEADER, panel))
     return 0
 
 

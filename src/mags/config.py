@@ -26,18 +26,6 @@ from .training import TrainConfig
 DATA_ROOT_ENV = "MAGS_DATA_ROOT"
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
-# Every section and key that docs/config.md lists, whatever the dataset kind.
-CONFIG_KEYS = {
-    "dataset": ("kind", "grid", "classes", "train_n", "test_n", "noise", "seed",
-                "train_images", "train_labels", "test_images", "test_labels"),
-    "graph": ("kind", "rgg_radius", "random_aggregators", "seed", "devices"),
-    "methods": ("list",),
-    "train": ("epochs", "batch", "lr", "beta1", "beta2", "dropout_rate",
-              "gossip_in_training", "fault_kind", "fault_rate"),
-    "eval": ("fault_kinds", "fault_rates", "policies", "trials"),
-    "run": ("seeds", "out"),
-}
-
 _METHOD_RE = re.compile(r"^(?:(CD|PD)-)?(?:(\d+)-)?(MACL|VFL)(?:-G(\d+))?$")
 
 
@@ -80,7 +68,11 @@ def parse_seed_list(text: str):
         if hi < lo:
             raise ConfigError(f"bad seed range {text!r}")
         return list(range(lo, hi + 1))
-    seeds = [int(tok) for tok in re.split(r"[,\s]+", text) if tok]
+    tokens = [tok for tok in re.split(r"[,\s]+", text) if tok]
+    for tok in tokens:
+        if not re.fullmatch(r"[+-]?\d+", tok):
+            raise ConfigError(f"bad seed {tok!r} in {text!r}")
+    seeds = [int(tok) for tok in tokens]
     if not seeds:
         raise ConfigError("seed list must be nonempty")
     return seeds
@@ -88,6 +80,34 @@ def parse_seed_list(text: str):
 
 def _split_list(text: str):
     return [tok for tok in re.split(r"[,\s]+", text.strip()) if tok]
+
+
+# Every section and key that docs/config.md lists, whatever the dataset kind:
+# section -> key -> (the ExperimentConfig field it sets, the parser of its
+# text). The four IDX paths are collected into ``idx_paths``.
+_IDX_PATH = ("idx_paths", str.strip)
+CONFIG_KEYS = {
+    "dataset": {"kind": ("dataset_kind", str.strip), "grid": ("grid_side", int),
+                "classes": ("classes", int), "train_n": ("synth_train_n", int),
+                "test_n": ("synth_test_n", int), "noise": ("synth_noise", float),
+                "seed": ("synth_seed", int), "train_images": _IDX_PATH,
+                "train_labels": _IDX_PATH, "test_images": _IDX_PATH, "test_labels": _IDX_PATH},
+    "graph": {"kind": ("graph_kind", str.strip), "rgg_radius": ("rgg_radius", float),
+              "random_aggregators": ("random_aggregators",
+                                     lambda s: _FLAGS.get(s.strip().lower())),
+              "seed": ("graph_seed", int), "devices": ("devices", int)},
+    "methods": {"list": ("methods", _split_list)},
+    "train": {"epochs": ("epochs", int), "batch": ("batch_size", int), "lr": ("lr", float),
+              "beta1": ("beta1", float), "beta2": ("beta2", float),
+              "dropout_rate": ("dropout_rate", float),
+              "gossip_in_training": ("gossip_in_training", int),
+              "fault_kind": ("train_fault_kind", str.strip),
+              "fault_rate": ("train_fault_rate", float)},
+    "eval": {"fault_kinds": ("fault_kinds", _split_list),
+             "fault_rates": ("fault_rates", lambda s: [float(t) for t in _split_list(s)]),
+             "policies": ("policies", _split_list), "trials": ("trials", int)},
+    "run": {"seeds": ("seeds", parse_seed_list), "out": ("out_dir", Path)},
+}
 
 
 @dataclass
@@ -106,6 +126,7 @@ class ExperimentConfig:
     rgg_radius: float | None = None
     random_aggregators: bool = False
     graph_seed: int = 0
+    devices: int | None = None
     # methods
     methods: list = field(default_factory=lambda: ["VFL"])
     # training
@@ -136,12 +157,8 @@ class ExperimentConfig:
 
     def train_variants(self):
         """Distinct training variants (gossip suffix stripped), input order kept."""
-        seen, out = set(), []
-        for spec in self.method_specs():
-            if spec.train_name not in seen:
-                seen.add(spec.train_name)
-                out.append(parse_method(spec.train_name, self.device_count))
-        return out
+        names = dict.fromkeys(spec.train_name for spec in self.method_specs())
+        return [parse_method(name, self.device_count) for name in names]
 
     def validate(self):
         """The one load-time gate: every value a run reads is checked here."""
@@ -149,6 +166,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.random_aggregators not in (True, False):  # None: not a word of _FLAGS
             raise ConfigError("[graph] random_aggregators must be 1, true, yes, 0, false or no")
+        if self.devices is not None and self.devices != self.device_count:
+            raise ConfigError(
+                f"[graph] devices = {self.devices} conflicts with grid side {self.grid_side} "
+                f"({self.device_count} patch clients)")
         checks = [("[dataset] grid", self.grid_side, 1), ("[dataset] seed", self.synth_seed, 0),
                   ("[graph] seed", self.graph_seed, 0), ("[eval] trials", self.trials, 1)]
         if self.dataset_kind == "synthetic":
@@ -182,6 +203,15 @@ class ExperimentConfig:
                 fault_rate_key(r)
         if not self.seeds:
             raise ConfigError("seed list must be nonempty")
+        # a repeat would run a job twice and count its rows twice in the aggregate
+        for key, values in (("[run] seeds", self.seeds), ("[methods] list", self.methods),
+                            ("[eval] fault_kinds", self.fault_kinds),
+                            ("[eval] fault_rates",
+                             [fault_rate_key(r) / 1000 for r in self.fault_rates]),
+                            ("[eval] policies", self.policies)):
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ConfigError(f"{key} repeats {repeats[0]!r}")
         for spec in self.method_specs():
             build_method_graph(self, spec)
             for seed in self.seeds:
@@ -219,70 +249,29 @@ def load_config(path, seeds_override=None, out_override=None) -> ExperimentConfi
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}")
 
+    cfg = ExperimentConfig()
     for section in parser.sections():
-        if section not in CONFIG_KEYS:
+        keys = CONFIG_KEYS.get(section)
+        if keys is None:
             raise ConfigError(f"unknown section [{section}]; known: "
                               f"{', '.join(CONFIG_KEYS)}")
-        for key in parser.options(section):
-            if key not in CONFIG_KEYS[section]:
+        for key, raw in parser.items(section):
+            if key not in keys:
                 raise ConfigError(f"unknown key [{section}] {key}; known: "
-                                  f"{', '.join(CONFIG_KEYS[section])}")
-
-    cfg = ExperimentConfig()
-
-    def get(section, key, cast, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
+                                  f"{', '.join(keys)}")
+            name, parse = keys[key]
             try:
-                return cast(raw)
+                value = parse(raw)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}")
-        return default
-
-    cfg.dataset_kind = get("dataset", "kind", str, cfg.dataset_kind).strip()
-    cfg.grid_side = get("dataset", "grid", int, cfg.grid_side)
-    cfg.classes = get("dataset", "classes", int, cfg.classes)
-    cfg.synth_train_n = get("dataset", "train_n", int, cfg.synth_train_n)
-    cfg.synth_test_n = get("dataset", "test_n", int, cfg.synth_test_n)
-    cfg.synth_noise = get("dataset", "noise", float, cfg.synth_noise)
-    cfg.synth_seed = get("dataset", "seed", int, cfg.synth_seed)
-    if cfg.dataset_kind == "idx":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            raw = get("dataset", key, str, None)
-            if raw is not None:
-                cfg.idx_paths[key] = resolve_data_path(raw.strip(), path.parent)
-
-    cfg.graph_kind = get("graph", "kind", str, cfg.graph_kind).strip()
-    cfg.rgg_radius = get("graph", "rgg_radius", float, cfg.rgg_radius)
-    cfg.random_aggregators = get("graph", "random_aggregators",
-                                 lambda s: _FLAGS.get(s.strip().lower()), cfg.random_aggregators)
-    cfg.graph_seed = get("graph", "seed", int, cfg.graph_seed)
-    devices = get("graph", "devices", int, None)
-    if devices is not None and devices != cfg.device_count:
-        raise ConfigError(
-            f"[graph] devices = {devices} conflicts with grid side {cfg.grid_side} "
-            f"({cfg.device_count} patch clients)")
-
-    cfg.methods = get("methods", "list", _split_list, cfg.methods)
-
-    cfg.epochs = get("train", "epochs", int, cfg.epochs)
-    cfg.batch_size = get("train", "batch", int, cfg.batch_size)
-    cfg.lr = get("train", "lr", float, cfg.lr)
-    cfg.beta1 = get("train", "beta1", float, cfg.beta1)
-    cfg.beta2 = get("train", "beta2", float, cfg.beta2)
-    cfg.dropout_rate = get("train", "dropout_rate", float, cfg.dropout_rate)
-    cfg.gossip_in_training = get("train", "gossip_in_training", int, cfg.gossip_in_training)
-    cfg.train_fault_kind = get("train", "fault_kind", str, cfg.train_fault_kind).strip()
-    cfg.train_fault_rate = get("train", "fault_rate", float, cfg.train_fault_rate)
-
-    cfg.fault_kinds = get("eval", "fault_kinds", _split_list, cfg.fault_kinds)
-    cfg.fault_rates = get("eval", "fault_rates",
-                          lambda s: [float(t) for t in _split_list(s)], cfg.fault_rates)
-    cfg.policies = get("eval", "policies", _split_list, cfg.policies)
-    cfg.trials = get("eval", "trials", int, cfg.trials)
-
-    cfg.seeds = get("run", "seeds", parse_seed_list, cfg.seeds)
-    cfg.out_dir = Path(get("run", "out", str, str(cfg.out_dir)))
+            if name == "idx_paths":
+                cfg.idx_paths[key] = value
+            else:
+                setattr(cfg, name, value)
+    # the IDX paths count only for an IDX dataset
+    cfg.idx_paths = ({key: resolve_data_path(raw, path.parent)
+                      for key, raw in cfg.idx_paths.items()}
+                     if cfg.dataset_kind == "idx" else {})
 
     if seeds_override:
         cfg.seeds = list(seeds_override)

@@ -100,14 +100,9 @@ def split_patches(feature_count: int, g: int) -> PartitionSpec:
     if g < 1 or side % g != 0:
         raise ConfigError(f"image side {side} is not divisible by grid side {g}")
     block = side // g
-    columns = []
-    for idx in range(g * g):
-        r0 = (idx // g) * block
-        c0 = (idx % g) * block
-        cols = np.array([(r0 + i) * side + (c0 + j)
-                         for i in range(block) for j in range(block)], dtype=np.int64)
-        columns.append(cols)
-    return PartitionSpec(g, feature_count, columns)
+    # pixel (patch row, row in patch, patch column, column in patch), patch-major
+    cols = np.arange(feature_count, dtype=np.int64).reshape(g, block, g, block)
+    return PartitionSpec(g, feature_count, list(cols.transpose(0, 2, 1, 3).reshape(g * g, -1)))
 
 
 def client_views(features: np.ndarray, spec: PartitionSpec) -> np.ndarray:

@@ -29,14 +29,6 @@ class DeviceGraph:
     rgg_radius: float | None = None
 
 
-def lattice_positions(device_count: int) -> np.ndarray:
-    side = math.isqrt(device_count)
-    if side * side < device_count:
-        side += 1
-    ids = np.arange(device_count)
-    return np.stack([ids // side, ids % side], axis=1)
-
-
 def build_graph(kind, device_count, aggregator_count, seed=0, *,
                 rgg_radius=None, random_aggregators=False) -> DeviceGraph:
     """Construct a base graph with self-loops and entity links to aggregators.
@@ -55,50 +47,28 @@ def build_graph(kind, device_count, aggregator_count, seed=0, *,
     side = math.isqrt(c)
     if kind in _LATTICE_KINDS and side * side != c:
         raise ConfigError(f"{kind} graphs need a perfect-square device count, got {c}")
-    if kind == "rgg":
-        if rgg_radius is None or rgg_radius <= 0:
-            raise ConfigError("rgg graphs need a positive radius")
+    if kind == "rgg" and (rgg_radius is None or rgg_radius <= 0):
+        raise ConfigError("rgg graphs need a positive radius")
 
-    pos = lattice_positions(c)
-    adj = np.zeros((c + 1, c + 1), dtype=bool)
-
-    def connect(u, v):
-        adj[u, v] = True
-        adj[v, u] = True
-
+    # the device block: which pairs link, read off each pair's index or lattice offset
+    ids = np.arange(c)
     if kind == "complete":
-        for u in range(1, c + 1):
-            for v in range(u + 1, c + 1):
-                connect(u, v)
+        block = np.ones((c, c), dtype=bool)
     elif kind == "ring":
-        for u in range(1, c):
-            connect(u, u + 1)
-        if c > 1:
-            connect(c, 1)  # last device connected to the first
-    elif kind == "grid":
-        for u in range(1, c + 1):
-            for v in range(u + 1, c + 1):
-                if np.abs(pos[u - 1] - pos[v - 1]).sum() == 1:
-                    connect(u, v)
-    elif kind == "rgg":
-        r2 = float(rgg_radius) ** 2
-        for u in range(1, c + 1):
-            for v in range(u + 1, c + 1):
-                d2 = ((pos[u - 1] - pos[v - 1]) ** 2).sum()
-                if d2 <= r2:  # closed ball
-                    connect(u, v)
-    elif kind == "torus":
-        for u in range(1, c + 1):
-            for v in range(u + 1, c + 1):
-                dr = abs(int(pos[u - 1][0]) - int(pos[v - 1][0]))
-                dc = abs(int(pos[u - 1][1]) - int(pos[v - 1][1]))
-                dr = min(dr, side - dr)
-                dc = min(dc, side - dc)
-                if dr + dc == 1:
-                    connect(u, v)
-
-    for u in range(1, c + 1):
-        adj[u, u] = True
+        gap = np.abs(ids[:, None] - ids)
+        block = (gap == 1) | (gap == c - 1)  # the last device links to the first
+    else:
+        rows, cols = np.divmod(ids, side)  # row-major lattice positions
+        offset = np.abs(np.stack([rows[:, None] - rows, cols[:, None] - cols]))
+        if kind == "torus":
+            offset = np.minimum(offset, side - offset)
+        if kind == "rgg":
+            block = (offset ** 2).sum(axis=0) <= float(rgg_radius) ** 2  # closed ball
+        else:
+            block = offset.sum(axis=0) == 1
+    np.fill_diagonal(block, True)  # self-loops
+    adj = np.zeros((c + 1, c + 1), dtype=bool)
+    adj[1:, 1:] = block
 
     if random_aggregators:
         rng = np.random.default_rng(seed)

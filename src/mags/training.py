@@ -12,6 +12,7 @@ for that batch. Gossip stays out of training unless explicitly enabled.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -247,25 +248,13 @@ class Checkpoint:
 
 
 def config_echo(cfg: TrainConfig, graph: DeviceGraph, partition: PartitionSpec, class_count: int) -> dict:
-    return {
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "lr": cfg.lr,
-        "beta1": cfg.beta1,
-        "beta2": cfg.beta2,
-        "dropout": cfg.dropout,
-        "dropout_rate": cfg.dropout_rate,
-        "train_fault_kind": cfg.train_fault.kind,
-        "train_fault_rate": cfg.train_fault.rate,
-        "gossip_rounds": cfg.gossip_rounds,
-        "seed": cfg.seed,
-        "graph_kind": graph.kind,
-        "device_count": graph.device_count,
-        "rgg_radius": graph.rgg_radius,
-        "aggregators": list(graph.aggregators),
-        "grid_side": partition.grid_side,
-        "class_count": class_count,
-    }
+    echo = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+            if f.name != "train_fault"}
+    return {**echo, "train_fault_kind": cfg.train_fault.kind,
+            "train_fault_rate": cfg.train_fault.rate, "graph_kind": graph.kind,
+            "device_count": graph.device_count, "rgg_radius": graph.rgg_radius,
+            "aggregators": list(graph.aggregators), "grid_side": partition.grid_side,
+            "class_count": class_count}
 
 
 def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: PartitionSpec,

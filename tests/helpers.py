@@ -1,7 +1,9 @@
 """Test-only reference code: a single-MLP cross-entropy oracle that the split
 pipeline's gradients are checked against, an IDX writer for the loader's
-fixtures, and one-shot versions of the Monte Carlo certificates that the
-blocked ones are checked against. No pipeline of the library calls them."""
+fixtures, one-shot versions of the Monte Carlo certificates that the
+blocked ones are checked against, and pair-by-pair constructions of the
+graph adjacency and the patch columns that the array ones are checked
+against. No pipeline of the library calls them."""
 
 import math
 import struct
@@ -87,3 +89,71 @@ def one_shot_selection_uniformity(seed, draws) -> CertResult:
     worst = float(np.abs(freq - 1.0 / k).max()) / sigma
     return CertResult("selection-uniformity", worst <= 3.0,
                       f"max |z| {worst:.2f}, K={k}, rate={rate}, {n} conditioned draws")
+
+
+def pairwise_graph(kind, device_count, aggregator_count, seed, rgg_radius, random_aggregators):
+    """``topology.build_graph``'s (adj, aggregators), built by testing every
+    device pair in a Python loop, on a ceil(sqrt(C)) row-major lattice."""
+    c, k = device_count, aggregator_count
+    side = math.isqrt(c)
+    if side * side < c:
+        side += 1
+    ids = np.arange(c)
+    pos = np.stack([ids // side, ids % side], axis=1)
+    adj = np.zeros((c + 1, c + 1), dtype=bool)
+
+    def connect(u, v):
+        adj[u, v] = True
+        adj[v, u] = True
+
+    if kind == "complete":
+        for u in range(1, c + 1):
+            for v in range(u + 1, c + 1):
+                connect(u, v)
+    elif kind == "ring":
+        for u in range(1, c):
+            connect(u, u + 1)
+        if c > 1:
+            connect(c, 1)
+    elif kind == "grid":
+        for u in range(1, c + 1):
+            for v in range(u + 1, c + 1):
+                if np.abs(pos[u - 1] - pos[v - 1]).sum() == 1:
+                    connect(u, v)
+    elif kind == "rgg":
+        r2 = float(rgg_radius) ** 2
+        for u in range(1, c + 1):
+            for v in range(u + 1, c + 1):
+                if ((pos[u - 1] - pos[v - 1]) ** 2).sum() <= r2:
+                    connect(u, v)
+    elif kind == "torus":
+        for u in range(1, c + 1):
+            for v in range(u + 1, c + 1):
+                dr = abs(int(pos[u - 1][0]) - int(pos[v - 1][0]))
+                dc = abs(int(pos[u - 1][1]) - int(pos[v - 1][1]))
+                if min(dr, side - dr) + min(dc, side - dc) == 1:
+                    connect(u, v)
+    for u in range(1, c + 1):
+        adj[u, u] = True
+    if random_aggregators:
+        rng = np.random.default_rng(seed)
+        aggs = tuple(sorted(int(a) + 1 for a in rng.choice(c, size=k, replace=False)))
+    else:
+        aggs = tuple(range(1, k + 1))
+    for a in aggs:
+        adj[0, a] = True
+        adj[a, 0] = True
+    return adj, aggs
+
+
+def pairwise_patch_columns(feature_count, g):
+    """``data.split_patches``' client columns, built pixel by pixel."""
+    side = math.isqrt(feature_count)
+    block = side // g
+    columns = []
+    for idx in range(g * g):
+        r0 = (idx // g) * block
+        c0 = (idx % g) * block
+        columns.append(np.array([(r0 + i) * side + (c0 + j)
+                                 for i in range(block) for j in range(block)], dtype=np.int64))
+    return columns

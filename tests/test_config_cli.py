@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import shutil
 from pathlib import Path
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from mags.cli import main, read_runs_csv
-from mags.config import (CONFIG_KEYS, load_config, parse_method, parse_seed_list,
-                         resolve_data_path)
+from mags.config import (CONFIG_KEYS, ExperimentConfig, load_config, parse_method,
+                         parse_seed_list, resolve_data_path)
 from mags.data import Dataset, synth_dataset
 from mags.errors import ConfigError
 
@@ -46,6 +47,24 @@ trials = 1
 seeds = 1, 2
 out = {out}
 """
+
+
+# A value other than the default for every key of CONFIG_KEYS.
+NON_DEFAULT = {
+    "dataset": {"kind": "idx", "grid": "2", "classes": "4", "train_n": "100", "test_n": "50",
+                "noise": "0.1", "seed": "8", "train_images": "ti", "train_labels": "tl",
+                "test_images": "vi", "test_labels": "vl"},
+    "graph": {"kind": "ring", "rgg_radius": "1.5", "random_aggregators": "yes", "seed": "3",
+              "devices": "16"},
+    "methods": {"list": "MACL"},
+    "train": {"epochs": "3", "batch": "32", "lr": "0.01", "beta1": "0.8", "beta2": "0.99",
+              "dropout_rate": "0.2", "gossip_in_training": "1", "fault_kind": "device",
+              "fault_rate": "0.2"},
+    "eval": {"fault_kinds": "device", "fault_rates": "0.2", "policies": "any_rand",
+             "trials": "2"},
+    "run": {"seeds": "3", "out": "elsewhere"},
+}
+IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 def write_config(tmp_path, text=None):
@@ -89,6 +108,9 @@ class TestSeedsAndPaths:
         assert parse_seed_list("3, 5 7") == [3, 5, 7]
         with pytest.raises(ConfigError):
             parse_seed_list("")
+        for bad, token in (("abc", "abc"), ("1..", "1.."), ("1, 2x", "2x")):
+            with pytest.raises(ConfigError, match=f"bad seed '{re.escape(token)}'"):
+                parse_seed_list(bad)
 
     def test_data_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MAGS_DATA_ROOT", str(tmp_path / "root"))
@@ -206,6 +228,67 @@ class TestLoadConfig:
             elif line.startswith("| `") and section is not None:
                 section.update(re.findall(r"`(\w+)`", line.split("|")[1]))
         assert documented == {name: set(keys) for name, keys in CONFIG_KEYS.items()}
+
+    def test_every_key_names_a_field_of_the_config(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for section, keys in CONFIG_KEYS.items():
+            for key, (name, parse) in keys.items():
+                assert name in names and callable(parse), (section, key)
+
+    def test_every_key_sets_its_field(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MAGS_DATA_ROOT", raising=False)
+        for key in IDX_KEYS:
+            (tmp_path / NON_DEFAULT["dataset"][key]).write_bytes(b"")
+        default = ExperimentConfig()
+        for section, keys in CONFIG_KEYS.items():
+            for key, (name, _) in keys.items():
+                raw = NON_DEFAULT[section][key]
+                if section == "dataset" and (key == "kind" or key in IDX_KEYS):
+                    # the IDX paths are read with kind = idx, which needs all four
+                    text = "[dataset]\nkind = idx\n" + "".join(
+                        f"{k} = {NON_DEFAULT['dataset'][k]}\n" for k in IDX_KEYS)
+                else:
+                    text = f"[{section}]\n{key} = {raw}\n"
+                p = tmp_path / "one.ini"
+                p.write_text(text)
+                cfg = load_config(p)
+                if name == "idx_paths":
+                    assert cfg.idx_paths[key] == tmp_path / raw
+                else:
+                    assert getattr(cfg, name) != getattr(default, name), (section, key)
+
+    @pytest.mark.parametrize("old,new,match", [
+        pytest.param("seeds = 1, 2", "seeds = 3, 1, 3", r"\[run\] seeds repeats 3$", id="seeds"),
+        pytest.param("list = VFL, MACL, CD-MACL-G2", "list = VFL, MACL, VFL",
+                     r"\[methods\] list repeats 'VFL'$", id="methods"),
+        pytest.param("fault_kinds = communication, device, markov_comm",
+                     "fault_kinds = device, communication, device",
+                     r"\[eval\] fault_kinds repeats 'device'$", id="fault_kinds"),
+        # rates compare by their stream key, so 0 and 0.0 are one rate
+        pytest.param("fault_rates = 0, 0.5", "fault_rates = 0, 0.5, 0.0",
+                     r"\[eval\] fault_rates repeats 0.0$", id="fault_rates"),
+        pytest.param("policies = active_rand, active_best, active_worst, any_rand",
+                     "policies = any_rand, active_rand, any_rand",
+                     r"\[eval\] policies repeats 'any_rand'$", id="policies"),
+    ])
+    def test_repeated_list_entries_rejected(self, tmp_path, old, new, match):
+        # a repeat used to run its jobs twice and count its rows twice in aggregate.csv
+        p = write_config(tmp_path)
+        p.write_text(p.read_text().replace(old, new))
+        with pytest.raises(ConfigError, match=match):
+            load_config(p)
+
+    @pytest.mark.parametrize("seeds,message", [
+        ("1,1", "[run] seeds repeats 1"),
+        ("abc", "bad seed 'abc' in 'abc'"),
+        ("1..", "bad seed '1..' in '1..'"),
+    ])
+    def test_bad_seeds_flag_is_a_usage_error(self, tmp_path, capsys, seeds, message):
+        # exit 2 with one error line, not a traceback and not a run
+        p = write_config(tmp_path)
+        assert main(["train", "--config", str(p), "--seeds", seeds]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_every_listed_key_is_known_whatever_the_dataset_kind(self, tmp_path):
         p = write_config(tmp_path)

@@ -8,7 +8,7 @@ from mags.data import (SYNTH_CHUNK_ROWS, Dataset, client_views, load_idx, make_s
                        one_hot, split_patches, synth_dataset)
 from mags.errors import ConfigError, IdxFormatError
 
-from helpers import save_idx
+from helpers import pairwise_patch_columns, save_idx
 
 
 def write_idx_fixture(tmp_path, pixels, labels):
@@ -114,6 +114,14 @@ class TestSplitPatches:
             assert np.array_equal(views[c], x[:, cols])
         idx = np.array([4, 1])
         assert np.array_equal(views[:, idx][3], x[idx][:, spec.client_columns[3]])
+
+    @pytest.mark.parametrize("g", [1, 2, 4, 7])
+    def test_matches_the_pixel_by_pixel_construction(self, g):
+        spec = split_patches(784, g)
+        expected = pairwise_patch_columns(784, g)
+        assert isinstance(spec.client_columns, list) and len(spec.client_columns) == g * g
+        for cols, want in zip(spec.client_columns, expected):
+            assert cols.dtype == np.int64 and np.array_equal(cols, want)
 
     def test_indivisible_grid_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from helpers import pairwise_graph
 from mags.errors import ConfigError
 from mags.topology import build_graph, consensus_matrix, spectral_radius
 
@@ -146,3 +149,25 @@ class TestSpectralRadius:
         sub = g.adj[np.ix_(keep, keep)].astype(float)
         v = sub / sub.sum(axis=1, keepdims=True)
         assert spectral_radius(v) == pytest.approx(1.0, abs=1e-8)
+
+
+def oracle_cases():
+    """(kind, C, K) over C = 1..49 (lattice kinds on squares), K in {1, C/2, C}."""
+    for c in range(1, 50):
+        for kind in ("complete", "ring", "grid", "torus", "rgg"):
+            if kind in ("grid", "torus", "rgg") and math.isqrt(c) ** 2 != c:
+                continue
+            for k in sorted({1, max(c // 2, 1), c}):
+                yield kind, c, k
+
+
+@pytest.mark.parametrize("random_aggregators", [False, True])
+def test_matches_the_pairwise_construction(random_aggregators):
+    for kind, c, k in oracle_cases():
+        for radius in ((0.5, 1, 1.5, 2, 3) if kind == "rgg" else (None,)):
+            g = build_graph(kind, c, k, seed=c + k, rgg_radius=radius,
+                            random_aggregators=random_aggregators)
+            adj, aggs = pairwise_graph(kind, c, k, c + k, radius, random_aggregators)
+            assert np.array_equal(g.adj, adj), (kind, c, k, radius)
+            assert g.aggregators == aggs, (kind, c, k, radius)
+            assert g.rgg_radius == (float(radius) if kind == "rgg" else None)

@@ -10,7 +10,7 @@ from mags.nn import adam_init, adam_update, init_mlp, stacked_mlp
 from mags.rng import stream
 from mags.topology import build_graph
 from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask,
-                           batch_delivery, evaluate_split, fit,
+                           batch_delivery, config_echo, evaluate_split, fit,
                            init_optimizer, load_checkpoint,
                            save_checkpoint, split_loss_and_grads, train_epoch,
                            optimizer_step)
@@ -500,6 +500,20 @@ class TestCheckpointFormat:
         assert loaded.best_epoch == ckpt.best_epoch
         assert loaded.best_val_loss == ckpt.best_val_loss
         assert loaded.config == ckpt.config
+
+    def test_config_echo_holds_every_setting_under_its_manifest_name(self):
+        # the echo is the checkpoint's config line and hash: a renamed or a
+        # dropped entry changes every checkpoint's bytes
+        cfg = TrainConfig(epochs=3, batch_size=32, lr=0.01, beta1=0.8, beta2=0.99,
+                          dropout_rate=0.2, train_fault=FaultModel("device", 0.25),
+                          gossip_rounds=2, seed=9)
+        graph = build_graph("rgg", 4, 2, rgg_radius=1.5)
+        assert config_echo(cfg, graph, split_patches(784, 2), 10) == {
+            "epochs": 3, "batch_size": 32, "lr": 0.01, "beta1": 0.8, "beta2": 0.99,
+            "dropout": "none", "dropout_rate": 0.2, "train_fault_kind": "device",
+            "train_fault_rate": 0.25, "gossip_rounds": 2, "seed": 9, "graph_kind": "rgg",
+            "device_count": 4, "rgg_radius": 1.5, "aggregators": [1, 2], "grid_side": 2,
+            "class_count": 10}
 
     def test_corrupted_hash_rejected(self, tmp_path):
         _, path, *_ = self.make_ckpt(tmp_path)
