@@ -190,6 +190,8 @@ class ExperimentConfig:
         for p in self.policies:
             if p not in POLICIES:
                 raise ConfigError(f"unknown policy {p!r}")
+        if not self.fault_kinds:
+            raise ConfigError("fault kind list must be nonempty")
         if not self.fault_rates:
             raise ConfigError("fault rate list must be nonempty")
         if "none" in self.fault_kinds:
@@ -212,6 +214,20 @@ class ExperimentConfig:
             repeats = [v for i, v in enumerate(values) if v in values[:i]]
             if repeats:
                 raise ConfigError(f"{key} repeats {repeats[0]!r}")
+        # two names of one method (MACL and C-MACL, VFL and 1-MACL) would
+        # train one model twice, and score it twice
+        methods, models = {}, {}
+        for spec in self.method_specs():
+            model = (spec.aggregator_count, spec.dropout)
+            first = methods.setdefault(model + (spec.gossip_rounds,), spec)
+            if first is not spec:
+                raise ConfigError(f"[methods] list: {first.name!r} and {spec.name!r} are one "
+                                  f"method (aggregator count {model[0]}, dropout {model[1]}, "
+                                  f"gossip rounds {spec.gossip_rounds})")
+            first = models.setdefault(model, spec)
+            if first.train_name != spec.train_name:
+                raise ConfigError(f"[methods] list: {first.name!r} and {spec.name!r} train one "
+                                  f"model (aggregator count {model[0]}, dropout {model[1]})")
         for spec in self.method_specs():
             build_method_graph(self, spec)
             for seed in self.seeds:

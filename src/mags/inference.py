@@ -14,6 +14,7 @@ value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +118,7 @@ def delivery(realized: RealizedGraph, aggregators):
     c's representation reaches ``aggs[j]``. Every sampler drops the edges of
     a dead device, so a dead client is never kept."""
     aggs = [k for k in aggregators if realized.alive[k]]
-    keep = realized.edge_alive[0][np.ix_(aggs, range(1, realized.alive.shape[0]))]
-    return aggs, keep
+    return aggs, realized.edge_alive[0][aggs, 1:]
 
 
 def fault_free_delivery(graph: DeviceGraph):
@@ -137,17 +137,21 @@ def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:
     ``reps`` is the (C, B, r) stack from ``client_encode``; ``keep[j, c-1]``
     says whether client c's representation reaches aggregator row j. An
     unreached slot is an exact zero whatever ``reps`` holds there (NaN
-    included, and a -0.0 too), so a dead client's rows are never read. When
-    every delivery is kept, every row is the same concatenation: the result
-    is then a read-only broadcast of one (B, C * r) array; otherwise one
-    ``np.where`` over the flat layout masks it, each client's flag repeated
-    over its r slots.
+    included, and a -0.0 too), so a dead client's rows are never read. One
+    ``np.where`` over the flat layout masks the concatenation, each client's
+    flag repeated over its r slots. When every row of ``keep`` is the same
+    (every delivery kept, or device faults on a complete graph), so is every
+    input: the result is then a read-only broadcast of one (B, C * r) array,
+    masked only when a delivery is dropped.
     """
     c, b, r = reps.shape
     row = reps.transpose(1, 0, 2).reshape(b, c * r)
-    if keep.all():
-        return np.broadcast_to(row, (keep.shape[0], b, c * r))
-    return np.where(np.repeat(keep, r, axis=1)[:, None, :], row, 0.0)
+    first = keep[:1]
+    if not (keep == first).all():
+        return np.where(np.repeat(keep, r, axis=1)[:, None, :], row, 0.0)
+    if not first.all():
+        row = np.where(np.repeat(first, r, axis=1), row, 0.0)
+    return np.broadcast_to(row, (keep.shape[0], b, c * r))
 
 
 def aggregator_head(model: SplitModel, aggs, agg_inputs: np.ndarray) -> np.ndarray:
@@ -161,7 +165,7 @@ def gossip_links(edge_alive: np.ndarray, aggregators) -> np.ndarray:
     """(K', K') gossip link mask over ``aggregators``: row i marks the
     aggregators whose values aggregator i averages, itself included."""
     idx = list(aggregators)
-    links = edge_alive[np.ix_(idx, idx)]
+    links = edge_alive[idx][:, idx]
     np.fill_diagonal(links, True)
     return links
 
@@ -169,8 +173,11 @@ def gossip_links(edge_alive: np.ndarray, aggregators) -> np.ndarray:
 def gossip_round(z: np.ndarray, links: np.ndarray) -> np.ndarray:
     """One synchronous round on stacked (K', B, M) values: row i becomes the
     arithmetic mean of the rows that ``links[i]`` marks, computed as the
-    neighbor sum followed by one division by the degree."""
-    return np.tensordot(links, z, axes=1) / links.sum(axis=1)[:, None, None]
+    neighbor sum (one ``np.dot`` over the flattened rows) followed by one
+    division by the degree. ``links`` may be bool or its float64 copy: the
+    product casts a bool mask to the same 0/1 values."""
+    flat = z.reshape(z.shape[0], math.prod(z.shape[1:]))  # -1 cannot size zero rows
+    return (np.dot(links, flat) / links.sum(axis=1)[:, None]).reshape(z.shape)
 
 
 def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,
@@ -193,6 +200,6 @@ def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,
     held = realized.edge_alive.shape[0] == 1  # a held draw's links are built once
     for t in range(1, gossip_rounds + 1):
         if t == 1 or not held:
-            links = gossip_links(realized.edge_alive[0 if held else t], aggs)
+            links = gossip_links(realized.edge_alive[0 if held else t], aggs).astype(np.float64)
         values = gossip_round(values, links)
     return values

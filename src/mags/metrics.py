@@ -101,18 +101,39 @@ class EvalResult:
     seconds: float = field(compare=False)  # scoring time, not part of the result
 
 
-@dataclass
-class _CountScore:
-    """One gossip count's share of a grouped evaluation: its realizations,
-    message total, active sets, selection stream and running hit counts."""
+def score_policies(correct, active, labels, guess, upick, vpick) -> dict:
+    """Every policy's per-sample outcome over a cell's batches, in one pass.
 
-    gossip_rounds: int
-    realized: RealizedGraph
-    comm_total: int
-    active: np.ndarray
-    active_row: np.ndarray  # row of each device among the sorted active aggregators
-    rng_sel: np.random.Generator
-    hits: dict
+    ``correct`` is (nb, C+1, B): ``correct[i, d, j]`` says whether
+    aggregator device d's final prediction of sample j of batch i is right,
+    and is False for a device without one. ``active`` is the (nb, C+1)
+    active mask. ``labels``, ``guess``, ``upick`` and ``vpick`` are (nb, B):
+    the labels, the uniform-guess classes, the any-device picks in 1..C and
+    the picks among the active devices, ``vpick[i] < max(|A_i|, 1)``. A
+    short batch is padded with label -1, which no prediction or guess
+    matches, so its padding is a miss under every policy.
+
+    ``active_rand`` scores the ``upick`` device when it is active, else the
+    ``vpick``-th active device in device order; ``active_best`` and
+    ``active_worst`` are ``any`` and ``all`` over the active devices;
+    ``any_rand`` falls back to the guess when its pick is inactive; and a
+    batch with no active device scores the guess under every policy.
+    Returns policy -> (nb, B) bool outcomes.
+    """
+    rows, cols = np.ogrid[:correct.shape[0], :correct.shape[2]]
+    guess_ok = guess == labels
+    u_active = active[rows, upick]
+    # a stable sort of the inactive flags lists the active devices first, in order
+    v_dev = np.argsort(~active, axis=1, kind="stable")[rows, vpick]
+    act = active[:, :, None]
+    outcomes = {
+        "active_rand": correct[rows, np.where(u_active, upick, v_dev), cols],
+        "active_best": (correct & act).any(axis=1),
+        "active_worst": ~(act & ~correct).any(axis=1),
+        "any_rand": np.where(u_active, correct[rows, upick, cols], guess_ok),
+    }
+    empty = ~active.any(axis=1, keepdims=True)
+    return {p: np.where(empty, guess_ok, o) for p, o in outcomes.items()}
 
 
 def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault_models,
@@ -141,12 +162,21 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     ``sample_realization`` draws every batch's first round before any chain
     step, so every count sees the same first round of every batch, and the
     head pass reads only that round. One walk over the batches therefore
-    serves every count: per batch one ``delivery``, ``aggregate`` and
-    ``aggregator_head``, then per count that batch's gossip stage
-    (``mags_infer``) and its scoring, from the count's own selection stream.
-    The head outputs of a batch that sees the base graph are computed once
-    per call and batch slice, so every rate-0 cell, and every device-fault
-    batch in which no device died, shares them.
+    serves every count. It keeps only the work that must be done batch by
+    batch: one ``delivery``, ``aggregate`` and ``aggregator_head``, then per
+    count that batch's gossip stage (``mags_infer``), whose argmax is
+    recorded in the count's (batches, C+1, batch) correctness array, row by
+    aggregator device. The head outputs of a batch that sees the base graph
+    are computed once per call and batch slice, so every rate-0 cell, and
+    every device-fault batch in which no device died, shares them.
+
+    After the walk, each count scores the whole cell in one
+    ``score_policies`` pass. Its selection draws come from its own copy of
+    the cell's selection stream, batch by batch, in this order: the guess
+    classes, the any-device picks, then the active picks with bound
+    ``max(|A_i|, 1)``; the bounded draws of consecutive batches cannot be
+    merged without changing the stream. Hits are integer counts, so each
+    accuracy is one exact division.
     """
     for p in policies:
         if p not in POLICIES:
@@ -166,67 +196,47 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     n = labels.shape[0]
     c_count = graph.device_count
     m = model.class_count
-    starts = list(range(0, n, batch_size)) * trials
-    sizes = np.array([min(batch_size, n - start) for start in starts])
+    width = min(batch_size, n)
+    starts = list(range(0, n, width)) * trials
+    sizes = [min(width, n - start) for start in starts]
+    lab = np.full((len(starts), width), -1, dtype=np.int64)  # a short batch padded with -1
+    for i, (start, b) in enumerate(zip(starts, sizes)):
+        lab[i, :b] = labels[start:start + b]
+    total = n * trials
     base_keep, base_aggs, _ = fault_free_delivery(graph)
     base_values = {}  # head outputs of the batches that see the base graph, by slice
-    head_row = np.zeros(c_count + 1, dtype=np.intp)  # an alive aggregator's row in ``values``
     grid = []
     for fault_model, key in zip(fault_models, keys):
         clock = time.perf_counter()
-        scores = []
-        for g in counts:
-            realized = sample_realization(graph, fault_model, len(starts), g + 1,
-                                          stream(seed, "fault", *key))
-            active = active_mask(realized, graph.aggregators)
-            scores.append(_CountScore(
-                g, realized, int(count_comm(realized, graph.aggregators, g) @ sizes), active,
-                np.cumsum(active, axis=1) - 1, stream(seed, "select", *key),
-                {p: 0.0 for p in policies}))
-
-        first = scores[0].realized  # every count's first rounds, which the head pass reads
+        realized = [sample_realization(graph, fault_model, len(starts), g + 1,
+                                       stream(seed, "fault", *key)) for g in counts]
+        correct = np.zeros((len(counts), len(starts), c_count + 1, width), dtype=bool)
         for i, (start, b) in enumerate(zip(starts, sizes)):
-            aggs, keep = delivery(first[i], graph.aggregators)
+            # every count's first rounds are the same: the head pass reads them
+            aggs, keep = delivery(realized[0][i], graph.aggregators)
             clean = aggs == base_aggs and np.array_equal(keep, base_keep)
             values = base_values.get((start, b)) if clean else None
             if values is None:
                 values = aggregator_head(model, aggs, aggregate(reps[:, start:start + b], keep))
                 if clean:
                     base_values[start, b] = values
-            head_row[aggs] = np.arange(len(aggs))
-            lab = labels[start:start + b]
-            cols = np.arange(b)
+            for s, g in enumerate(counts):
+                final = mags_infer(values, aggs, realized[s][i], g)
+                correct[s, i, aggs, :b] = final.argmax(axis=2) == lab[i, :b]
 
-            for s in scores:
-                final = mags_infer(values, aggs, s.realized[i], s.gossip_rounds)
-                act = np.flatnonzero(s.active[i])
-                guess = s.rng_sel.integers(m, size=b)
-                upick = s.rng_sel.integers(1, c_count + 1, size=b)
-                vpick = s.rng_sel.integers(max(act.size, 1), size=b)
-
-                guess_ok = guess == lab
-                if not act.size:
-                    for p in policies:
-                        s.hits[p] += float(guess_ok.sum())
-                    continue
-
-                # active aggregators are alive, so each has a row in ``values``
-                correct = final.argmax(axis=2)[head_row[act]] == lab[None, :]  # (|A|, b)
-                u_in_act = s.active[i, upick]
-                u_row = s.active_row[i, upick]
-                rand_rows = np.where(u_in_act, u_row, vpick)
-
-                outcomes = {
-                    "active_rand": correct[rand_rows, cols],
-                    "active_best": correct.any(axis=0),
-                    "active_worst": correct.all(axis=0),
-                    "any_rand": np.where(u_in_act, correct[np.maximum(u_row, 0), cols], guess_ok),
-                }
-                for p in policies:
-                    s.hits[p] += float(outcomes[p].sum())
-
-        total = n * trials
+        results = []
+        for s, g in enumerate(counts):
+            active = active_mask(realized[s], graph.aggregators)
+            rng_sel = stream(seed, "select", *key)
+            draws = np.zeros((3, len(starts), width), dtype=np.int64)
+            for i, (b, k) in enumerate(zip(sizes, active.sum(axis=1).tolist())):
+                draws[0, i, :b] = rng_sel.integers(m, size=b)
+                draws[1, i, :b] = rng_sel.integers(1, c_count + 1, size=b)
+                draws[2, i, :b] = rng_sel.integers(max(k, 1), size=b)
+            outcomes = score_policies(correct[s], active, lab, *draws)
+            comm = int(count_comm(realized[s], graph.aggregators, g) @ sizes)
+            results.append(({p: int(outcomes[p].sum()) / total for p in policies},
+                            comm / total))
         seconds = (time.perf_counter() - clock) / len(counts)
-        grid.append([EvalResult({p: s.hits[p] / total for p in policies},
-                                s.comm_total / total, total, seconds) for s in scores])
+        grid.append([EvalResult(acc, comm_mean, total, seconds) for acc, comm_mean in results])
     return grid

@@ -72,29 +72,36 @@ def relu(x):
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x @ w + b, with b broadcast across the batch dimension; with a leading
-    stack axis on all three, row s uses weight s and bias s."""
+    stack axis on all three, row s uses weight s and bias s. The bias is
+    added in place into the fresh product: the same operations as the
+    textbook expression, without its second temporary."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3) or w.ndim != x.ndim:
         raise ConfigError(f"linear_forward expects 2-d or 3-d arrays, got x{x.shape} w{w.shape}")
     if (x.shape[:-2] != w.shape[:-2] or x.shape[-1] != w.shape[-2]
             or b.shape != w.shape[:-2] + w.shape[-1:]):
         raise ConfigError(f"shape mismatch: x{x.shape} w{w.shape} b{b.shape}")
-    return x @ w + b[..., None, :]
+    z = x @ w
+    z += b[..., None, :]
+    return z
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray):
     """Forward pass. Returns (output, tape).
 
     The tape records each layer's input and is sufficient for an exact
-    backward pass (ReLU masks are recovered from the rectified values).
+    backward pass (ReLU masks are recovered from the rectified values). A
+    hidden layer is rectified in place in its own fresh output, so no tape
+    entry is written after it is recorded.
     """
     h = np.asarray(x, dtype=np.float64)
     tape = []
     last = len(mlp.layers) - 1
     for i, (w, b) in enumerate(mlp.layers):
         tape.append(h)
-        z = linear_forward(h, w, b)
-        h = z if i == last else relu(z)
+        h = linear_forward(h, w, b)
+        if i < last:
+            np.maximum(h, 0.0, out=h)
     return h, tape
 
 
@@ -120,11 +127,20 @@ def mlp_backward(mlp: Mlp, tape, grad_out, input_grad=True):
 
 def log_softmax(z):
     """log(softmax(z)) over the last axis, stabilized by max subtraction; exp
-    of the result sums to 1."""
+    of the result sums to 1.
+
+    The row max is a running ``np.maximum`` over the class columns, which
+    is faster than a reduce over a short last axis. Max is exact, so it is
+    the reduce's value, up to the sign of a zero max, which only the sign
+    of an intermediate zero can show and ``exp`` and the final subtraction
+    erase. The normalizer keeps ``np.sum``, whose pairwise order sets its
+    bits."""
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise InputError("log_softmax requires finite inputs")
-    m = z.max(axis=-1, keepdims=True)
+    m = z[..., :1].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(m, z[..., j:j + 1], out=m)
     s = z - m
     return s - np.log(np.sum(np.exp(s), axis=-1, keepdims=True))
 

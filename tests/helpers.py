@@ -1,19 +1,26 @@
 """Test-only reference code: a single-MLP cross-entropy oracle that the split
 pipeline's gradients are checked against, an IDX writer for the loader's
 fixtures, one-shot versions of the Monte Carlo certificates that the
-blocked ones are checked against, and pair-by-pair constructions of the
+blocked ones are checked against, pair-by-pair constructions of the
 graph adjacency and the patch columns that the array ones are checked
-against. No pipeline of the library calls them."""
+against, the textbook forms of the head-path kernels, and the per-batch
+policy scoring loop that ``metrics.evaluate_policies``' one scoring pass is
+checked against. No pipeline of the library calls them."""
 
 import math
 import struct
+import time
 
 import numpy as np
 
 from mags.certs import CertResult
 from mags.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset
 from mags.errors import ConfigError, InputError
+from mags.faults import FAULT_KIND_IDS, active_mask, sample_realization
+from mags.inference import aggregate, aggregator_head, delivery, mags_infer
+from mags.metrics import EvalResult, count_comm, fault_rate_key
 from mags.nn import Mlp, log_softmax, mlp_backward, mlp_forward
+from mags.rng import stream
 
 
 def check_one_hot(y) -> np.ndarray:
@@ -157,3 +164,88 @@ def pairwise_patch_columns(feature_count, g):
         columns.append(np.array([(r0 + i) * side + (c0 + j)
                                  for i in range(block) for j in range(block)], dtype=np.int64))
     return columns
+
+
+def textbook_linear_forward(x, w, b):
+    """``nn.linear_forward`` as one expression: a product and a sum."""
+    return np.asarray(x, dtype=np.float64) @ w + b[..., None, :]
+
+
+def textbook_log_softmax(z):
+    """``nn.log_softmax`` with its row max taken by a reduce."""
+    z = np.asarray(z, dtype=np.float64)
+    s = z - z.max(axis=-1, keepdims=True)
+    return s - np.log(np.sum(np.exp(s), axis=-1, keepdims=True))
+
+
+def textbook_gossip_round(z, links):
+    """``inference.gossip_round`` as a ``tensordot`` of the bool links."""
+    return np.tensordot(links, z, axes=1) / links.sum(axis=1)[:, None, None]
+
+
+def textbook_aggregate(reps, keep):
+    """``inference.aggregate`` masking every row, each with its own flags."""
+    c, b, r = reps.shape
+    row = reps.transpose(1, 0, 2).reshape(b, c * r)
+    return np.where(np.repeat(keep, r, axis=1)[:, None, :], row, 0.0)
+
+
+def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, policies,
+                                gossip_rounds, seed, batch_size=64, trials=1):
+    """``metrics.evaluate_policies`` scoring each (batch, gossip count) as
+    it comes: per count, the batch's selection draws and one outcome per
+    policy, summed into running float hit counts. Takes checked arguments."""
+    counts = list(gossip_rounds)
+    n = labels.shape[0]
+    c_count = graph.device_count
+    m = model.class_count
+    starts = list(range(0, n, batch_size)) * trials
+    sizes = np.array([min(batch_size, n - start) for start in starts])
+    head_row = np.zeros(c_count + 1, dtype=np.intp)  # an alive aggregator's row in ``values``
+    grid = []
+    for fault_model in fault_models:
+        key = (FAULT_KIND_IDS[fault_model.kind], fault_rate_key(fault_model.rate))
+        clock = time.perf_counter()
+        scores = []
+        for g in counts:
+            realized = sample_realization(graph, fault_model, len(starts), g + 1,
+                                          stream(seed, "fault", *key))
+            active = active_mask(realized, graph.aggregators)
+            scores.append(dict(
+                g=g, realized=realized, active=active, active_row=np.cumsum(active, axis=1) - 1,
+                comm=int(count_comm(realized, graph.aggregators, g) @ sizes),
+                rng=stream(seed, "select", *key), hits={p: 0.0 for p in policies}))
+        for i, (start, b) in enumerate(zip(starts, sizes)):
+            aggs, keep = delivery(scores[0]["realized"][i], graph.aggregators)
+            values = aggregator_head(model, aggs, aggregate(reps[:, start:start + b], keep))
+            head_row[aggs] = np.arange(len(aggs))
+            lab = labels[start:start + b]
+            cols = np.arange(b)
+            for s in scores:
+                final = mags_infer(values, aggs, s["realized"][i], s["g"])
+                act = np.flatnonzero(s["active"][i])
+                guess = s["rng"].integers(m, size=b)
+                upick = s["rng"].integers(1, c_count + 1, size=b)
+                vpick = s["rng"].integers(max(act.size, 1), size=b)
+                guess_ok = guess == lab
+                if not act.size:
+                    for p in policies:
+                        s["hits"][p] += float(guess_ok.sum())
+                    continue
+                correct = final.argmax(axis=2)[head_row[act]] == lab[None, :]  # (|A|, b)
+                u_in_act = s["active"][i, upick]
+                u_row = s["active_row"][i, upick]
+                outcomes = {
+                    "active_rand": correct[np.where(u_in_act, u_row, vpick), cols],
+                    "active_best": correct.any(axis=0),
+                    "active_worst": correct.all(axis=0),
+                    "any_rand": np.where(u_in_act, correct[np.maximum(u_row, 0), cols],
+                                         guess_ok),
+                }
+                for p in policies:
+                    s["hits"][p] += float(outcomes[p].sum())
+        total = n * trials
+        seconds = (time.perf_counter() - clock) / len(counts)
+        grid.append([EvalResult({p: s["hits"][p] / total for p in policies},
+                                s["comm"] / total, total, seconds) for s in scores])
+    return grid

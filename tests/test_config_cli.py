@@ -278,6 +278,44 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=match):
             load_config(p)
 
+    def test_empty_fault_kind_list_rejected(self, tmp_path, capsys):
+        # used to run, and write a runs.csv and an aggregate.csv with no row
+        p = write_config(tmp_path)
+        p.write_text(p.read_text().replace("fault_kinds = communication, device, markov_comm",
+                                           "fault_kinds ="))
+        with pytest.raises(ConfigError, match="^fault kind list must be nonempty$"):
+            load_config(p)
+        for command in ("train", "eval"):
+            assert main([command, "--config", str(p)]) == 2
+            assert capsys.readouterr().err == "error: fault kind list must be nonempty\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("methods,message", [
+        ("MACL, 4-MACL", "'MACL' and '4-MACL' are one method (aggregator count 4, dropout "
+         "none, gossip rounds 0)"),
+        ("VFL, CD-MACL, 1-MACL", "'VFL' and '1-MACL' are one method (aggregator count 1, "
+         "dropout none, gossip rounds 0)"),
+        ("CD-MACL-G2, CD-4-MACL-G2", "'CD-MACL-G2' and 'CD-4-MACL-G2' are one method "
+         "(aggregator count 4, dropout cd, gossip rounds 2)"),
+        ("MACL-G2, MACL-G02", "'MACL-G2' and 'MACL-G02' are one method (aggregator count 4, "
+         "dropout none, gossip rounds 2)"),
+        ("PD-VFL, PD-1-MACL-G3", "'PD-VFL' and 'PD-1-MACL-G3' train one model (aggregator "
+         "count 1, dropout pd)"),
+    ])
+    def test_one_method_under_two_names_rejected(self, tmp_path, methods, message):
+        # both names used to train one model twice and score it twice
+        p = write_config(tmp_path)
+        p.write_text(p.read_text().replace("list = VFL, MACL, CD-MACL-G2", f"list = {methods}"))
+        with pytest.raises(ConfigError, match=f"^{re.escape('[methods] list: ' + message)}$"):
+            load_config(p)
+
+    def test_distinct_methods_sharing_a_model_are_accepted(self, tmp_path):
+        p = write_config(tmp_path)
+        p.write_text(p.read_text().replace(
+            "list = VFL, MACL, CD-MACL-G2",
+            "list = VFL, VFL-G1, MACL, MACL-G2, CD-MACL, PD-MACL, 2-MACL, CD-2-MACL-G1"))
+        assert len(load_config(p).train_variants()) == 6
+
     @pytest.mark.parametrize("seeds,message", [
         ("1,1", "[run] seeds repeats 1"),
         ("abc", "bad seed 'abc' in 'abc'"),

@@ -10,6 +10,8 @@ from mags.nn import Mlp, init_mlp, log_softmax, mlp_forward
 from mags.rng import stream
 from mags.topology import build_graph, consensus_matrix
 
+from helpers import textbook_aggregate, textbook_gossip_round
+
 
 def toy_model(graph, patch_dim, classes, seed=0):
     return init_split_model(graph, [patch_dim] * graph.device_count, classes,
@@ -148,6 +150,23 @@ class TestAggregate:
         with pytest.raises(ValueError):
             out[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("keep", [
+        pytest.param(np.random.default_rng(6).random((4, 5)) < 0.6, id="random"),
+        pytest.param(np.ones((4, 5), dtype=bool), id="all-kept"),
+        pytest.param(np.tile([True, False, True, True, False], (4, 1)), id="equal-rows"),
+        pytest.param(np.array([[False, True, True, False, True]]), id="one-row"),
+        pytest.param(np.zeros((0, 5), dtype=bool), id="no-rows"),
+    ])
+    def test_matches_the_textbook_form(self, keep):
+        reps = np.random.default_rng(7).standard_normal((5, 3, 2))
+        reps[1, 0, 1] = np.nan
+        reps[2, 1, 0] = -0.0
+        out = aggregate(reps, keep)
+        assert out.shape == (keep.shape[0], 3, 10)
+        assert out.tobytes() == textbook_aggregate(reps, keep).tobytes()
+        # one input row serves every aggregator whenever their deliveries agree
+        assert out.flags.writeable == (not (keep == keep[:1]).all())
+
 
 class TestAggregatorHead:
     def test_zero_weight_head_is_uniform(self):
@@ -220,6 +239,26 @@ class TestGossipRound:
         out = gossip_round(np.array([[[1.0]], [[2.0]], [[6.0]]]),
                            gossip_links(edge_alive, [1, 2, 3]))
         assert out[:, 0, 0] == pytest.approx([1.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_matches_the_textbook_form_for_bool_and_float_links(self, k):
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((k, 7, 3))
+        links = rng.random((k, k)) < 0.5
+        np.fill_diagonal(links, True)
+        expected = textbook_gossip_round(z, links).tobytes()
+        assert gossip_round(z, links).tobytes() == expected
+        assert gossip_round(z, links.astype(np.float64)).tobytes() == expected
+
+    def test_no_aggregator_gives_an_empty_stack(self):
+        out = gossip_round(np.zeros((0, 7, 3)), np.zeros((0, 0), dtype=bool))
+        assert out.shape == (0, 7, 3)
+        # every aggregator dead: G > 0 rounds over no rows
+        graph = build_graph("ring", 4, 4)
+        realized = sample_device_faults(graph, 1.0, 1, stream(1, "fault"))[0]
+        aggs, _ = delivery(realized, graph.aggregators)
+        assert aggs == []
+        assert mags_infer(np.zeros((0, 7, 3)), aggs, realized, 3).shape == (0, 7, 3)
 
 
 class TestMagsInfer:

@@ -14,6 +14,8 @@ from mags.rng import stream
 from mags.topology import build_graph
 from mags.training import TrainConfig, fit
 
+from helpers import per_batch_evaluate_policies
+
 
 def uniform_model(graph, patch_dim, classes, seed=0):
     model = init_split_model(graph, [patch_dim] * graph.device_count, classes,
@@ -342,6 +344,28 @@ class TestEvaluatePolicies:
                                        gossip_rounds=[g], **kwargs)[0][0] for g in counts]
                     for fault in faults]
         assert grouped == separate
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    @pytest.mark.parametrize("counts", [(0,), (0, 2, 4)])
+    @pytest.mark.parametrize("batch_size", [1, 16, 20])  # 48 samples: 20 leaves a short batch
+    @pytest.mark.parametrize("kind,k", [("complete", 1), ("complete", 4), ("ring", 1),
+                                        ("ring", 4)])
+    def test_matches_the_per_batch_loop(self, kind, k, batch_size, counts, trials):
+        # the one scoring pass per (cell, count) against the loop that scored
+        # each batch as it came; device faults at rate 1 leave every batch
+        # without an alive aggregator, communication faults at 1 without an
+        # active one
+        graph = build_graph(kind, 4, k)
+        model = init_split_model(graph, [16] * 4, 3, stream(5, "init"))
+        rng = np.random.default_rng(13)
+        n = 48
+        reps = client_encode(model, rng.random((4, n, 16)))
+        labels = rng.integers(3, size=n)
+        faults = [FaultModel(f, rate) for f in ("none", "device", "communication", "markov_comm")
+                  for rate in (0.0, 0.3, 1.0)]
+        args = (model, reps, labels, graph, faults, list(POLICIES), counts, 7)
+        kwargs = dict(batch_size=batch_size, trials=trials)
+        assert evaluate_policies(*args, **kwargs) == per_batch_evaluate_policies(*args, **kwargs)
 
     def test_rate_zero_cells_share_one_head_pass_per_batch_slice(self, monkeypatch):
         from mags import metrics

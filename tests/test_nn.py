@@ -6,7 +6,7 @@ from mags.nn import (Mlp, adam_init, adam_update, init_mlp, linear_forward,
                      log_softmax, mlp_backward, mlp_forward, mlp_size, stacked_mlp)
 from mags.rng import stream
 
-from helpers import loss_and_grad
+from helpers import loss_and_grad, textbook_linear_forward, textbook_log_softmax
 
 
 def fd_gradients(mlp, x, y, h=1e-5):
@@ -121,6 +121,54 @@ class TestLogSoftmax:
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
             log_softmax(np.array([np.inf, 0.0]))
+
+
+class TestTextbookForms:
+    """The trimmed kernels give the bits of their textbook expressions."""
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_linear_forward(self, stack):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(stack + (5, 7))
+        w = rng.standard_normal(stack + (7, 4))
+        b = rng.standard_normal(stack + (4,))
+        out = linear_forward(x, w, b)
+        assert out.tobytes() == textbook_linear_forward(x, w, b).tobytes()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_mlp_forward_keeps_every_tape_entry(self, stacked):
+        rng = np.random.default_rng(2)
+        dims = (6, 8, 5, 3)
+        if stacked:
+            mlp = stacked_mlp(rng.standard_normal(3 * mlp_size(dims)), 3, dims)
+            x = rng.standard_normal((3, 9, 6))
+        else:
+            mlp = init_mlp(dims, rng)
+            x = rng.standard_normal((9, 6))
+        out, tape = mlp_forward(mlp, x)
+        h = x
+        for i, (w, b) in enumerate(mlp.layers):
+            # each entry still holds its layer's input once every later layer ran
+            assert tape[i].tobytes() == h.tobytes()
+            z = textbook_linear_forward(h, w, b)
+            h = z if i == len(mlp.layers) - 1 else np.maximum(z, 0.0)
+        assert out.tobytes() == h.tobytes()
+        kept = tape[1:] + [out]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(kept) for b in kept[i + 1:])
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param(np.random.default_rng(3).standard_normal((4, 6, 10)) * 5, id="random"),
+        pytest.param(np.array([[-0.0, -1.0, -2.0], [0.0, -3.0, -0.0], [-0.0, 0.0, -1.0],
+                               [0.0, 0.0, 0.0], [-0.0, -0.0, -5.0], [-0.0, -1000.0, -2000.0],
+                               [0.0, -0.0, -1000.0], [-1000.0, -0.0, 0.0]]), id="zero-max"),
+        pytest.param(np.array([[2.0, 2.0, 1.0], [5.0, 5.0, 5.0], [-1.0, 3.0, 3.0]]), id="ties"),
+        pytest.param(np.random.default_rng(4).standard_normal((5, 1)), id="one-class"),
+        pytest.param(np.random.default_rng(5).standard_normal((5, 2)), id="two-classes"),
+        pytest.param(np.array([[0.0], [-0.0]]), id="one-zero-class"),
+        pytest.param(np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]), id="two-zero-classes"),
+    ])
+    def test_log_softmax(self, rows):
+        assert log_softmax(rows).tobytes() == textbook_log_softmax(rows).tobytes()
 
 
 class TestLossAndGrad:
