@@ -55,28 +55,27 @@ def cert_ensemble_identity(seed=0, sets=10000, ks=(2, 4, 16), classes=10) -> Cer
     term, per sample, for geometric-mean combining of random members.
 
     Each K's sets are checked in blocks of ``ENSEMBLE_BLOCK_SETS``, one
-    batched ``ensemble_decomposition`` call per block. The draws stay one
-    set after another (its members, then its label), so a seed's report
-    does not depend on the blocking; after a block fails, that K's later
-    blocks are still drawn, so the other K see the same sets."""
-    rng = np.random.default_rng(seed)
+    batched ``ensemble_decomposition`` call per block. A block's members
+    and its labels are one draw each, from two generators spawned from
+    ``seed``, so a seed's report does not depend on the blocking; after a
+    block fails, that K's later blocks are still drawn, so the other K see
+    the same sets."""
+    member_rng, label_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     max_residual = 0.0
     min_diversity = np.inf
     violations = []
     for k in ks:
         members = np.empty((min(sets, ENSEMBLE_BLOCK_SETS), k, classes))
-        labels = np.empty(len(members), dtype=np.intp)
         failed = False
         for lo, hi in _blocks(sets, ENSEMBLE_BLOCK_SETS):
             rows = hi - lo
-            for i in range(rows):
-                rng.standard_normal(out=members[i])
-                labels[i] = rng.integers(classes)
+            member_rng.standard_normal(out=members[:rows])
+            labels = label_rng.integers(classes, size=rows)
             if failed:
                 continue
             try:
                 ens_loss, mean_loss, diversity = ensemble_decomposition(
-                    log_softmax(2.0 * members[:rows]), one_hot(labels[:rows], classes))
+                    log_softmax(2.0 * members[:rows]), one_hot(labels, classes))
             except ArithmeticError as err:
                 violations.append(f"K={k}: {err}")
                 failed = True

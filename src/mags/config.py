@@ -11,6 +11,7 @@ Method names follow the table conventions: ``VFL`` (single aggregator),
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -177,6 +178,8 @@ class ExperimentConfig:
                        ("[dataset] test_n", self.synth_test_n, 1),
                        ("[dataset] classes", self.classes, 2),
                        ("[dataset] noise", self.synth_noise, 0)]
+        if self.dataset_kind == "synthetic" and not math.isfinite(self.synth_noise):
+            raise ConfigError(f"[dataset] noise = {self.synth_noise} must be finite")
         for key, value, low in checks:
             if value < low:
                 raise ConfigError(f"{key} = {value} must be >= {low}")

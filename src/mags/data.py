@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IdxFormatError
+from .rng import stream
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -21,7 +22,10 @@ IDX_LABEL_MAGIC = 0x00000801
 SYNTH_SIDE = 28  # synthetic images are SYNTH_SIDE pixels square
 # Synthetic class means sit at 0.5 +/- this amplitude (per-pixel sign pattern).
 SYNTH_AMPLITUDE = 0.12
-SYNTH_CHUNK_ROWS = 1024  # rows a synthetic build draws and clips at a time
+# Rows per synthetic noise block: block j draws its noise from its own
+# stream, keyed by j, and a build clips one block at a time. It is part of
+# the data contract: changing it changes every noisy image.
+SYNTH_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -149,15 +153,19 @@ def synth_dataset(n: int, classes: int, g: int, seed: int, noise: float,
     means are separated widely enough that a full-feature linear probe
     exceeds 95% accuracy.
 
-    ``rows = (lo, hi)`` builds only rows [lo, hi) of the n-image pool, bit
-    for bit the pool's slice: all n labels are drawn, the noise of the rows
-    before ``lo`` is drawn into one reused chunk and discarded, and none is
-    drawn past ``hi``. Rows are built in place, SYNTH_CHUNK_ROWS at a time.
+    The patterns and all n labels come from ``default_rng(seed)``; the
+    noise of pool rows [jB, (j+1)B), B = SYNTH_CHUNK_ROWS, comes from
+    ``stream(seed, "noise", j)``. ``rows = (lo, hi)`` builds only rows
+    [lo, hi) of the n-image pool, bit for bit the pool's slice: it draws
+    only the noise blocks that hold those rows, dropping the rows of the
+    first block before ``lo``. Rows are built in place, one block at a time.
     """
     if classes < 2:
         raise ConfigError("synthetic dataset needs at least 2 classes")
     if g < 1 or SYNTH_SIDE % g != 0:
         raise ConfigError(f"grid side {g} does not divide image side {SYNTH_SIDE}")
+    if not math.isfinite(noise):
+        raise ConfigError(f"synthetic noise {noise} must be finite")
     lo, hi = (0, n) if rows is None else rows
     if not 0 <= lo <= hi <= n:
         raise ConfigError(f"rows [{lo}, {hi}) are not within the {n}-image pool")
@@ -167,17 +175,18 @@ def synth_dataset(n: int, classes: int, g: int, seed: int, noise: float,
     means = 0.5 + SYNTH_AMPLITUDE * patterns
     labels = rng.integers(0, classes, size=n, dtype=np.int64)
     features = np.empty((hi - lo, d))
-    scratch = np.empty((min(SYNTH_CHUNK_ROWS, max(lo, hi - lo)), d))
-    if noise > 0:
-        for start in range(0, lo, SYNTH_CHUNK_ROWS):
-            rng.standard_normal(out=scratch[:min(SYNTH_CHUNK_ROWS, lo - start)])
+    scratch = np.empty((min(SYNTH_CHUNK_ROWS, max(lo % SYNTH_CHUNK_ROWS, hi - lo)), d))
     # the labels are in range: take's mode="clip" only skips the buffered
     # copy of ``out`` that its default mode makes
-    for start in range(lo, hi, SYNTH_CHUNK_ROWS):
-        stop = min(start + SYNTH_CHUNK_ROWS, hi)
+    for j in range(lo // SYNTH_CHUNK_ROWS, -(-hi // SYNTH_CHUNK_ROWS)):
+        start = max(j * SYNTH_CHUNK_ROWS, lo)
+        stop = min((j + 1) * SYNTH_CHUNK_ROWS, hi)
         block = features[start - lo:stop - lo]
         if noise > 0:
-            rng.standard_normal(out=block)
+            rng_noise = stream(seed, "noise", j)
+            # the noise of the block's rows before ``lo``, drawn and dropped
+            rng_noise.standard_normal(out=scratch[:start - j * SYNTH_CHUNK_ROWS])
+            rng_noise.standard_normal(out=block)
             block *= noise
             block += np.take(means, labels[start:stop], axis=0, out=scratch[:stop - start],
                              mode="clip")

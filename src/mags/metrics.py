@@ -172,11 +172,10 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
 
     After the walk, each count scores the whole cell in one
     ``score_policies`` pass. Its selection draws come from its own copy of
-    the cell's selection stream, batch by batch, in this order: the guess
-    classes, the any-device picks, then the active picks with bound
-    ``max(|A_i|, 1)``; the bounded draws of consecutive batches cannot be
-    merged without changing the stream. Hits are integer counts, so each
-    accuracy is one exact division.
+    the cell's selection stream in three calls over the cell's samples,
+    batch-major: the guess classes, the any-device picks, then the active
+    picks, each sample's bound its batch's ``max(|A_i|, 1)``. Hits are
+    integer counts, so each accuracy is one exact division.
     """
     for p in policies:
         if p not in POLICIES:
@@ -199,9 +198,9 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     width = min(batch_size, n)
     starts = list(range(0, n, width)) * trials
     sizes = [min(width, n - start) for start in starts]
+    valid = np.arange(width) < np.array(sizes)[:, None]  # (nb, width): the slots holding a sample
     lab = np.full((len(starts), width), -1, dtype=np.int64)  # a short batch padded with -1
-    for i, (start, b) in enumerate(zip(starts, sizes)):
-        lab[i, :b] = labels[start:start + b]
+    lab[valid] = np.tile(labels, trials)
     total = n * trials
     base_keep, base_aggs, _ = fault_free_delivery(graph)
     base_values = {}  # head outputs of the batches that see the base graph, by slice
@@ -228,11 +227,11 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
         for s, g in enumerate(counts):
             active = active_mask(realized[s], graph.aggregators)
             rng_sel = stream(seed, "select", *key)
+            bounds = np.repeat(np.maximum(active.sum(axis=1), 1), sizes)
             draws = np.zeros((3, len(starts), width), dtype=np.int64)
-            for i, (b, k) in enumerate(zip(sizes, active.sum(axis=1).tolist())):
-                draws[0, i, :b] = rng_sel.integers(m, size=b)
-                draws[1, i, :b] = rng_sel.integers(1, c_count + 1, size=b)
-                draws[2, i, :b] = rng_sel.integers(max(k, 1), size=b)
+            draws[:, valid] = (rng_sel.integers(m, size=total),
+                               rng_sel.integers(1, c_count + 1, size=total),
+                               rng_sel.integers(bounds))
             outcomes = score_policies(correct[s], active, lab, *draws)
             comm = int(count_comm(realized[s], graph.aggregators, g) @ sizes)
             results.append(({p: int(outcomes[p].sum()) / total for p in policies},

@@ -10,6 +10,10 @@ Splitting rule: stream(master, name, *subkeys) uses
 ``SeedSequence(entropy=master, spawn_key=(STREAM_IDS[name], *subkeys))``
 feeding a PCG64 generator. Subkeys let callers derive per-cell substreams
 (e.g. one per fault kind and rate) that stay independent of iteration order.
+
+The synthetic dataset's noise is keyed by block: rows [1024j, 1024(j+1)) of
+a pool draw their noise from stream(seed, "noise", j), so a split draws
+only the blocks it holds, whatever rows come before it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ STREAM_IDS = {
     "dropout": 2,  # simulated-fault dropout masks
     "fault": 3,    # fault realizations
     "select": 4,   # prediction selection draws
+    "noise": 5,    # synthetic image noise, one subkey per row block
 }
 
 

@@ -47,7 +47,7 @@ def build_graph(kind, device_count, aggregator_count, seed=0, *,
     side = math.isqrt(c)
     if kind in _LATTICE_KINDS and side * side != c:
         raise ConfigError(f"{kind} graphs need a perfect-square device count, got {c}")
-    if kind == "rgg" and (rgg_radius is None or rgg_radius <= 0):
+    if kind == "rgg" and (rgg_radius is None or not rgg_radius > 0):  # NaN is not > 0
         raise ConfigError("rgg graphs need a positive radius")
 
     # the device block: which pairs link, read off each pair's index or lattice offset

@@ -193,14 +193,17 @@ def textbook_aggregate(reps, keep):
 def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, policies,
                                 gossip_rounds, seed, batch_size=64, trials=1):
     """``metrics.evaluate_policies`` scoring each (batch, gossip count) as
-    it comes: per count, the batch's selection draws and one outcome per
-    policy, summed into running float hit counts. Takes checked arguments."""
+    it comes: per count, the batch's slice of the count's selection draws
+    and one outcome per policy, summed into running float hit counts. Takes
+    checked arguments."""
     counts = list(gossip_rounds)
     n = labels.shape[0]
     c_count = graph.device_count
     m = model.class_count
     starts = list(range(0, n, batch_size)) * trials
     sizes = np.array([min(batch_size, n - start) for start in starts])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])  # batch i's draws: [offsets[i], offsets[i+1])
+    total = n * trials
     head_row = np.zeros(c_count + 1, dtype=np.intp)  # an alive aggregator's row in ``values``
     grid = []
     for fault_model in fault_models:
@@ -211,10 +214,15 @@ def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, polici
             realized = sample_realization(graph, fault_model, len(starts), g + 1,
                                           stream(seed, "fault", *key))
             active = active_mask(realized, graph.aggregators)
+            # the count's selection draws, three calls over every sample, batch-major
+            rng = stream(seed, "select", *key)
+            guess = rng.integers(m, size=total)
+            upick = rng.integers(1, c_count + 1, size=total)
+            vpick = rng.integers(np.repeat(np.maximum(active.sum(axis=1), 1), sizes))
             scores.append(dict(
                 g=g, realized=realized, active=active, active_row=np.cumsum(active, axis=1) - 1,
                 comm=int(count_comm(realized, graph.aggregators, g) @ sizes),
-                rng=stream(seed, "select", *key), hits={p: 0.0 for p in policies}))
+                draws=(guess, upick, vpick), hits={p: 0.0 for p in policies}))
         for i, (start, b) in enumerate(zip(starts, sizes)):
             aggs, keep = delivery(scores[0]["realized"][i], graph.aggregators)
             values = aggregator_head(model, aggs, aggregate(reps[:, start:start + b], keep))
@@ -224,9 +232,7 @@ def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, polici
             for s in scores:
                 final = mags_infer(values, aggs, s["realized"][i], s["g"])
                 act = np.flatnonzero(s["active"][i])
-                guess = s["rng"].integers(m, size=b)
-                upick = s["rng"].integers(1, c_count + 1, size=b)
-                vpick = s["rng"].integers(max(act.size, 1), size=b)
+                guess, upick, vpick = (d[offsets[i]:offsets[i + 1]] for d in s["draws"])
                 guess_ok = guess == lab
                 if not act.size:
                     for p in policies:
@@ -244,7 +250,6 @@ def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, polici
                 }
                 for p in policies:
                     s["hits"][p] += float(outcomes[p].sum())
-        total = n * trials
         seconds = (time.perf_counter() - clock) / len(counts)
         grid.append([EvalResult({p: s["hits"][p] / total for p in policies},
                                 s["comm"] / total, total, seconds) for s in scores])

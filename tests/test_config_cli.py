@@ -11,6 +11,7 @@ from mags.config import (CONFIG_KEYS, ExperimentConfig, load_config, parse_metho
                          parse_seed_list, resolve_data_path)
 from mags.data import Dataset, synth_dataset
 from mags.errors import ConfigError
+from mags.rng import stream
 
 from helpers import save_idx
 
@@ -183,11 +184,16 @@ class TestLoadConfig:
         pytest.param("classes = 4", "classes = 1", "classes = 1", id="classes"),
         pytest.param("grid = 2", "grid = 3", "grid = 3", id="grid"),
         pytest.param("noise = 0.2", "noise = -0.2", "noise = -0.2", id="noise"),
+        # a NaN noise used to train on noise-free images
+        pytest.param("noise = 0.2", "noise = nan", "noise = nan", id="noise-nan"),
         pytest.param("kind = complete", "kind = complete\nrandom_aggregators = ture",
                      "random_aggregators", id="random_aggregators"),
         pytest.param("kind = complete", "kind = hex", "graph kind 'hex'", id="graph-kind"),
         pytest.param("kind = complete", "kind = rgg", "rgg graphs need a positive radius",
                      id="rgg-radius"),
+        # a NaN radius used to build a graph without device edges
+        pytest.param("kind = complete", "kind = rgg\nrgg_radius = nan",
+                     "rgg graphs need a positive radius", id="rgg-radius-nan"),
         # unknown keys and sections used to load, leaving the default in place
         pytest.param("epochs = 2", "epoch = 2", r"unknown key \[train\] epoch;",
                      id="key-typo-epoch"),
@@ -366,6 +372,24 @@ class TestLoadConfig:
             ds = build_dataset(cfg, split)
             assert ds.features.tobytes() == pool.features[rows].tobytes()
             assert np.array_equal(ds.labels, pool.labels[rows])
+
+    def test_test_split_draws_only_its_own_noise_blocks(self, tmp_path, monkeypatch):
+        # rows [8000, 10000) lie in the 1024-row noise blocks 7, 8 and 9
+        from mags import data
+        from mags.config import build_dataset
+        p = write_config(tmp_path)
+        p.write_text(p.read_text().replace("train_n = 600", "train_n = 8000")
+                     .replace("test_n = 200", "test_n = 2000"))
+        cfg = load_config(p)
+        requested = []
+
+        def spy(seed, name, *subkeys):
+            requested.append((seed, name, *subkeys))
+            return stream(seed, name, *subkeys)
+
+        monkeypatch.setattr(data, "stream", spy)
+        assert len(build_dataset(cfg, "test")) == 2000
+        assert requested == [(11, "noise", j) for j in (7, 8, 9)]
 
 
 def write_idx_config(tmp_path, n_train, n_test, text=None):

@@ -214,12 +214,16 @@ class TestSynthDataset:
         for rows in ((-1, 5), (6, 5), (0, 11)):
             with pytest.raises(ConfigError, match="not within"):
                 synth_dataset(10, 10, 4, seed=0, noise=0.1, rows=rows)
+        for noise in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="must be finite"):
+                synth_dataset(10, 10, 4, seed=0, noise=noise)
 
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     @pytest.mark.parametrize("rows", [(0, 700), (SYNTH_CHUNK_ROWS, 2 * SYNTH_CHUNK_ROWS + 5),
                                       (SYNTH_CHUNK_ROWS + 300, 2500), (1900, 2500),
-                                      (2500, 2500)],
-                             ids=["from-0", "on-chunk-boundary", "inside-chunk", "to-n", "empty"])
+                                      (2500, 2500), (500, SYNTH_CHUNK_ROWS + 700)],
+                             ids=["from-0", "on-chunk-boundary", "inside-chunk", "to-n", "empty",
+                                  "across-a-boundary"])
     def test_row_range_is_the_pool_sliced_bit_for_bit(self, noise, rows):
         full = synth_dataset(2500, 10, 4, seed=11, noise=noise)
         part = synth_dataset(2500, 10, 4, seed=11, noise=noise, rows=rows)

@@ -8,7 +8,8 @@ from mags.faults import (FaultModel, RealizedGraph, sample_comm_faults, sample_d
                          sample_realization)
 from mags.inference import (aggregate, aggregator_head, client_encode, delivery,
                             init_split_model, mags_infer)
-from mags.metrics import POLICIES, count_comm, ensemble_decomposition, evaluate_policies
+from mags.metrics import (POLICIES, count_comm, ensemble_decomposition, evaluate_policies,
+                          score_policies)
 from mags.nn import log_softmax
 from mags.rng import stream
 from mags.topology import build_graph
@@ -108,6 +109,37 @@ class TestSelect:
         assert freq.sum() == pytest.approx(1.0)
         band = 3 * np.sqrt(0.25 * 0.75 / draws)
         assert np.all(np.abs(freq - 0.25) <= band)
+
+    def test_active_picks_are_uniform_below_each_batch_bound(self, monkeypatch):
+        # a cell draws every active pick in one call, each sample bounded by
+        # its batch's max(|A_i|, 1): under device faults on 8 aggregators the
+        # bounds vary from batch to batch, and below each bound every pick
+        # is drawn w.p. 1/bound
+        from mags import metrics
+        seen = []
+
+        def spy(correct, active, labels, guess, upick, vpick):
+            seen.append((active.sum(axis=1), labels >= 0, vpick))
+            return score_policies(correct, active, labels, guess, upick, vpick)
+
+        monkeypatch.setattr(metrics, "score_policies", spy)
+        graph = build_graph("complete", 8, 8)
+        accuracy(fixed_model(graph, 8), graph, 0, 30000, FaultModel("device", 0.5),
+                 batch_size=30, seed=5)
+        [(sizes, valid, vpick)] = seen
+        bounds = np.broadcast_to(np.maximum(sizes, 1)[:, None], vpick.shape)[valid]
+        picks = vpick[valid]
+        assert np.all((0 <= picks) & (picks < bounds))
+        tested = []
+        for k in range(2, 9):
+            at_k = picks[bounds == k]
+            if at_k.size < 2000:
+                continue
+            tested.append(k)
+            freq = np.bincount(at_k, minlength=k) / at_k.size
+            band = 3 * np.sqrt((1 / k) * (1 - 1 / k) / at_k.size)
+            assert np.all(np.abs(freq - 1 / k) <= band), (k, freq)
+        assert len(tested) >= 4, tested
 
 
 def base(graph, batches=1):

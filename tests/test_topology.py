@@ -80,6 +80,8 @@ class TestBuildGraph:
         with pytest.raises(ConfigError):
             build_graph("rgg", 16, 1)  # missing radius
         with pytest.raises(ConfigError):
+            build_graph("rgg", 16, 1, rgg_radius=float("nan"))
+        with pytest.raises(ConfigError):
             build_graph("mesh", 16, 1)
 
 
