@@ -64,7 +64,8 @@ class PartitionSpec:
 
 
 def load_idx(images_path, labels_path, class_count=None) -> Dataset:
-    """Parse big-endian IDX image/label files into a Dataset."""
+    """Parse big-endian IDX image/label files into a Dataset; every label
+    must lie below ``class_count`` when it is given."""
     with open(images_path, "rb") as f:
         buf = f.read()
     if len(buf) < 16:
@@ -93,6 +94,9 @@ def load_idx(images_path, labels_path, class_count=None) -> Dataset:
 
     if class_count is None:
         class_count = int(labels.max()) + 1 if ln else 0
+    elif ln and labels.max() >= class_count:
+        raise IdxFormatError(f"{labels_path}: label {labels.max()} is not below the class count "
+                             f"{class_count}")
     return Dataset(features, labels, class_count)
 
 

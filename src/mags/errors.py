@@ -9,8 +9,8 @@ class InputError(ValueError):
     """Invalid runtime input, e.g. targets that are not one-hot."""
 
 
-class IdxFormatError(ValueError):
-    """Malformed IDX binary file (bad magic, truncation, count mismatch)."""
+class IdxFormatError(ConfigError):
+    """Malformed IDX binary file (bad magic, truncation, count mismatch, label range)."""
 
 
 class ConvergenceError(RuntimeError):

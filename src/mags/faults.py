@@ -134,12 +134,10 @@ def sample_realization(graph: DeviceGraph, model: FaultModel, batches: int, roun
 
 
 def markov_step(state: np.ndarray, model: FaultModel, graph: DeviceGraph, u) -> np.ndarray:
-    """One transition of every chain in ``state`` (..., C+1, C+1), given
-    uniforms ``u`` of the same shape: alive links stay alive w.p. p, faulted
-    links recover w.p. q = (1-p)(1-r)/r. Only base links are ever alive and
-    self-loops are kept. Rate 0 keeps every link as it is."""
-    if model.kind != "markov_comm":
-        raise ConfigError(f"markov_step needs a markov_comm model, got {model.kind!r}")
+    """One markov_comm transition of every chain in ``state`` (..., C+1,
+    C+1), given uniforms ``u`` of the same shape: alive links stay alive
+    w.p. p, faulted links recover w.p. q = (1-p)(1-r)/r. Only base links are
+    ever alive and self-loops are kept. Rate 0 keeps every link as it is."""
     if model.rate == 0.0:
         return state.copy()
     n = graph.device_count + 1

@@ -122,13 +122,9 @@ def delivery(realized: RealizedGraph, aggregators):
 
 
 def fault_free_delivery(graph: DeviceGraph):
-    """The base graph's delivery: (keep (K', C), every aggregator, gossip
-    links (K', K')), as ``training.batch_delivery`` returns it. ``keep`` is
-    read-only, because one fit hands it to every batch."""
-    realized = sample_realization(graph, FaultModel(), 1, 1, None)[0]
-    aggs, keep = delivery(realized, graph.aggregators)
-    keep.setflags(write=False)
-    return keep, aggs, gossip_links(realized.edge_alive[0], aggs)
+    """The base graph's delivery, as ``delivery`` returns it: every
+    aggregator and its (K, C) mask."""
+    return delivery(sample_realization(graph, FaultModel(), 1, 1, None)[0], graph.aggregators)
 
 
 def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:

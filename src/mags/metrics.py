@@ -202,7 +202,7 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     lab = np.full((len(starts), width), -1, dtype=np.int64)  # a short batch padded with -1
     lab[valid] = np.tile(labels, trials)
     total = n * trials
-    base_keep, base_aggs, _ = fault_free_delivery(graph)
+    base_aggs, base_keep = fault_free_delivery(graph)
     base_values = {}  # head outputs of the batches that see the base graph, by slice
     grid = []
     for fault_model, key in zip(fault_models, keys):

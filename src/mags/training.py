@@ -59,8 +59,8 @@ class TrainConfig:
                                  ("gossip rounds", self.gossip_rounds, 0), ("seed", self.seed, 0)):
             if value < low:
                 raise ConfigError(f"{name} {value} must be >= {low}")
-        if not self.lr > 0.0:
-            raise ConfigError(f"learning rate {self.lr} must be > 0")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"learning rate {self.lr} must be finite and > 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError(f"Adam betas {self.beta1}, {self.beta2} must lie in [0, 1)")
         kind = self.train_fault.kind
@@ -91,20 +91,16 @@ def apply_cd_mask(client_count: int, aggregators, rate: float, rng) -> np.ndarra
     return keep
 
 
-def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault, base=None):
+def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault):
     """One per-batch delivery mask: which client representations reach which
     aggregator. Returns (keep (K', C), alive aggregators, gossip links
-    (K', K')); row j of keep and links is ``alive_aggs[j]``.
-    Under a train fault the links are the batch realization's, as at
-    inference; otherwise they are the base graph's. A fit without a train
-    fault passes its ``fault_free_delivery`` as ``base``, so a batch only
-    draws its dropout mask; the fault kind ``none`` draws nothing from
-    ``rng_fault`` either way."""
-    if base is None:
-        realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
-        aggs, keep = delivery(realized, graph.aggregators)
-        base = keep, aggs, gossip_links(realized.edge_alive[0], aggs)
-    keep, aggs, links = base
+    (K', K'), or None when the loss does not gossip); row j of keep and links
+    is ``alive_aggs[j]``. The batch draws its train-fault realization as
+    inference draws one (the kind ``none`` draws nothing from ``rng_fault``
+    and gives the base graph), then its dropout mask."""
+    realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
+    aggs, keep = delivery(realized, graph.aggregators)
+    links = gossip_links(realized.edge_alive[0], aggs) if cfg.gossip_rounds else None
     c = graph.device_count
     if cfg.dropout == "pd":
         keep = keep & apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
@@ -169,15 +165,14 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
     enc_grads, _ = mlp_backward(model.encoder, enc_tape, dh, input_grad=False)
 
     g_enc, g_head = model.unflatten(grad)
+    if k_count < len(model.aggregators):  # the dead aggregators' rows stay zero
+        for w, bias in g_head.layers:
+            w[...] = 0.0
+            bias[...] = 0.0
     for rows, stack, grads in ((slice(None), g_enc, enc_grads), (heads, g_head, head_grads)):
         for (gw, gb), (w, bias) in zip(grads, stack.layers):
             w[rows] = gw
             bias[rows] = gb
-    if k_count < len(model.aggregators):
-        dead = np.setdiff1d(np.arange(len(model.aggregators)), heads)
-        for w, bias in g_head.layers:
-            w[dead] = 0.0
-            bias[dead] = 0.0
     return loss, grad
 
 
@@ -192,20 +187,18 @@ def optimizer_step(model: SplitModel, opt: AdamState, grad):
     adam_update(model.params, grad, opt)
 
 
-def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dropout, rng_fault,
-                base=None):
+def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dropout, rng_fault):
     """One pass over the training rows ``rows`` of the client-major
     ``views``, updating ``model`` and ``opt`` in place; ``y_onehot[i]`` is
-    the target of row ``rows[i]``. ``base`` is passed on to
-    ``batch_delivery``. Every batch writes its gradient into one buffer
-    held for the pass. Returns the mean train loss."""
+    the target of row ``rows[i]``. Every batch writes its gradient into one
+    buffer held for the pass. Returns the mean train loss."""
     grad = np.empty_like(model.params)
     n = len(rows)
     order = rng_data.permutation(n)
     total, seen = 0.0, 0
     for start in range(0, n, cfg.batch_size):
         idx = order[start:start + cfg.batch_size]
-        keep, alive_aggs, links = batch_delivery(graph, cfg, rng_dropout, rng_fault, base)
+        keep, alive_aggs, links = batch_delivery(graph, cfg, rng_dropout, rng_fault)
         loss, _ = split_loss_and_grads(
             model, views[:, rows[idx]], y_onehot[idx], keep, alive_aggs, links,
             cfg.gossip_rounds, out=grad)
@@ -218,7 +211,7 @@ def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dro
 def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph):
     """Fault-free validation: summed head cross-entropy (mean over samples)
     and accuracy averaged over aggregators."""
-    keep, aggs, _ = fault_free_delivery(graph)
+    aggs, keep = fault_free_delivery(graph)
     n = labels.shape[0]
     y = one_hot(labels, model.class_count)
     loss_sum, hit_sum = 0.0, 0.0
@@ -272,7 +265,6 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
 
     va_views, va_labels = views[:, val_rows], labels[val_rows]
     y = one_hot(labels[train_rows], class_count)
-    base = fault_free_delivery(graph) if cfg.train_fault.kind == "none" else None
 
     model = init_split_model(graph, partition.patch_dims(), class_count,
                              stream(cfg.seed, "init"))
@@ -288,7 +280,7 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
     curves = []
     for epoch in range(1, cfg.epochs + 1):
         tr_loss = train_epoch(model, opt, views, train_rows, y, graph, cfg,
-                              rng_data, rng_dropout, rng_fault, base)
+                              rng_data, rng_dropout, rng_fault)
         val_loss, val_acc = evaluate_split(model, va_views, va_labels, graph)
         curves.append((epoch, tr_loss, val_loss, val_acc))
         if val_loss < best_loss:

@@ -177,6 +177,9 @@ class TestLoadConfig:
         pytest.param("dropout_rate = 0.3", "dropout_rate = 1.5", "dropout rate 1.5",
                      id="dropout_rate"),
         pytest.param("batch = 64", "batch = 64\nlr = 0", "learning rate 0", id="lr"),
+        # an infinite rate used to pass, then end mags train at its second
+        # batch with a traceback
+        pytest.param("batch = 64", "batch = 64\nlr = inf", "learning rate inf", id="lr-inf"),
         pytest.param("batch = 64", "batch = 64\nbeta2 = 1", "betas 0.9, 1.0", id="beta2"),
         pytest.param("trials = 1", "trials = 0", "trials = 0", id="trials"),
         pytest.param("seeds = 1, 2", "seeds = -1, 2", "seed -1", id="run-seeds"),
@@ -430,6 +433,26 @@ def test_idx_config_runs_train_then_eval_reading_only_each_commands_split(tmp_pa
     rows = read_runs_csv(tmp_path / "runs" / "runs.csv")
     assert len(rows) == 2 * 3 * 2 * 4  # methods x fault kinds x rates x policies
     assert all(r[6] == "nan" or 0.0 <= float(r[6]) <= 1.0 for r in rows)
+
+
+@pytest.mark.parametrize("command,name,edit,message", [
+    # a label at or above [dataset] classes used to crash mags train in
+    # one_hot with an IndexError traceback
+    ("train", "trl.idx", lambda raw: raw[:-1] + bytes([9]),
+     "label 9 is not below the class count 4"),
+    ("eval", "te.idx", lambda raw: raw[:-1], "expected"),
+])
+def test_malformed_idx_files_are_usage_errors(tmp_path, monkeypatch, capsys, command, name, edit,
+                                              message):
+    monkeypatch.delenv("MAGS_DATA_ROOT", raising=False)  # paths resolve against tmp_path
+    p = write_idx_config(tmp_path, 40, 24)
+    if command == "eval":  # eval reads the test files once the checkpoints exist
+        assert main(["train", "--config", str(p)]) == 0
+    path = tmp_path / name
+    path.write_bytes(edit(path.read_bytes()))
+    assert main([command, "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
 
 
 @pytest.fixture(scope="module")

@@ -73,6 +73,17 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match="does not match"):
             load_idx(img, lbl)
 
+    def test_label_at_or_above_the_class_count(self, tmp_path):
+        # such a label used to reach one_hot and fail there with an IndexError
+        img, lbl = write_idx_fixture(tmp_path, [[0, 0, 0, 0]] * 2, [1, 4])
+        with pytest.raises(IdxFormatError, match="label 4 is not below the class count 4"):
+            load_idx(img, lbl, class_count=4)
+        assert load_idx(img, lbl, class_count=5).class_count == 5
+        assert load_idx(img, lbl).class_count == 5
+        # a malformed file is a config error: mags train and mags eval print
+        # it and exit 2
+        assert issubclass(IdxFormatError, ConfigError)
+
 
 class TestSplitPatches:
     @pytest.mark.parametrize("g,per_client", [(2, 196), (4, 49), (7, 16)])

@@ -152,11 +152,6 @@ class TestMarkovChain:
         assert edges[..., range(1, 17), range(1, 17)].all()
         assert not (edges & ~g.adj).any()
 
-    def test_requires_markov_model(self):
-        g = build_graph("complete", 4, 1)
-        with pytest.raises(ConfigError):
-            markov_step(g.adj, FaultModel("device", 0.3), g, np.zeros(g.adj.shape))
-
     def test_stacked_steps_equal_per_batch_stepping(self):
         # every batch's chain, stepped on its own from the same round-1 block
         # with the uniforms the stacked call drew, gives the same rounds

@@ -5,7 +5,7 @@ from mags.data import Dataset, client_views, make_splits, one_hot, split_patches
 from mags.errors import ConfigError
 from mags.faults import FaultModel
 from mags.inference import (aggregate, aggregator_head, client_encode, fault_free_delivery,
-                            init_split_model)
+                            gossip_links, init_split_model)
 from mags.nn import adam_init, adam_update, init_mlp, stacked_mlp
 from mags.rng import stream
 from mags.topology import build_graph
@@ -90,7 +90,7 @@ class TestDropoutMasks:
     def test_base_adjacency_limits_delivery(self):
         # on a ring, an aggregator only ever receives from its two neighbors
         graph = build_graph("ring", 8, 8)
-        cfg = TrainConfig(dropout="none")
+        cfg = TrainConfig(dropout="none", gossip_rounds=1)
         keep, _, links = batch_delivery(graph, cfg, stream(6, "dropout"), stream(6, "fault"))
         assert keep.sum() == 8 * 3
         assert links.sum() == 8 * 3
@@ -99,7 +99,7 @@ class TestDropoutMasks:
         # row j of keep and links belongs to alive_aggs[j], dead ones dropped;
         # every device aggregates, so a row keeps exactly the alive clients
         graph = build_graph("complete", 4, 4)
-        cfg = TrainConfig(train_fault=FaultModel("device", 0.5))
+        cfg = TrainConfig(train_fault=FaultModel("device", 0.5), gossip_rounds=1)
         rng_fault = stream(7, "fault")
         partial = 0
         for _ in range(20):
@@ -127,22 +127,27 @@ class TestDropoutMasks:
 
     @pytest.mark.parametrize("dropout", ["none", "pd", "cd"])
     def test_fault_free_base_gives_the_drawn_delivery(self, dropout):
-        # a fit without a train fault hands every batch one base delivery;
-        # the batches must see what a per-batch draw of kind none gives,
-        # and the fault stream must stay untouched
+        # without a train fault every batch gets the base graph's delivery
+        # under its own dropout mask, no links unless the loss gossips, and
+        # the fault stream stays untouched
         graph = build_graph("ring", 8, 5)
         cfg = TrainConfig(dropout=dropout, dropout_rate=0.4)
-        base = fault_free_delivery(graph)
-        assert not base[0].flags.writeable
-        rd_a, rd_b = stream(10, "dropout"), stream(10, "dropout")
-        rf_a, rf_b = stream(10, "fault"), stream(10, "fault")
+        base_aggs, base_keep = fault_free_delivery(graph)
+        rd, rd_ref, rf = stream(10, "dropout"), stream(10, "dropout"), stream(10, "fault")
         for _ in range(5):
-            keep_a, aggs_a, links_a = batch_delivery(graph, cfg, rd_a, rf_a)
-            keep_b, aggs_b, links_b = batch_delivery(graph, cfg, rd_b, rf_b, base)
-            assert np.array_equal(keep_a, keep_b) and aggs_a == aggs_b
-            assert np.array_equal(links_a, links_b)
-        assert np.array_equal(base[0], fault_free_delivery(graph)[0])
-        assert rf_b.random() == stream(10, "fault").random()
+            keep, aggs, links = batch_delivery(graph, cfg, rd, rf)
+            if dropout == "pd":
+                mask = apply_pd_mask(8, 0.4, rd_ref)[None, :]
+            elif dropout == "cd":
+                mask = apply_cd_mask(8, aggs, 0.4, rd_ref)
+            else:
+                mask = True
+            assert aggs == base_aggs and np.array_equal(keep, base_keep & mask)
+            assert links is None
+        gossiping = TrainConfig(dropout=dropout, dropout_rate=0.4, gossip_rounds=2)
+        links = batch_delivery(graph, gossiping, rd, rf)[2]
+        assert np.array_equal(links, gossip_links(graph.adj, base_aggs))
+        assert rf.random() == stream(10, "fault").random()
 
 
 @pytest.mark.parametrize("dropout", ["cd", "pd"])
@@ -152,6 +157,13 @@ def test_dropout_with_train_fault_rejected(dropout, kind):
     # dropout mask would never apply
     with pytest.raises(ConfigError, match=f"{dropout.upper()}- method.*{kind}"):
         TrainConfig(dropout=dropout, train_fault=FaultModel(kind, 0.3))
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("inf"), float("nan")])
+def test_learning_rate_must_be_finite_and_positive(lr):
+    # an infinite rate used to pass, then make the second batch's logits NaN
+    with pytest.raises(ConfigError, match="learning rate"):
+        TrainConfig(lr=lr)
 
 
 def test_markov_train_fault_rejected():
@@ -255,7 +267,7 @@ class TestSplitLossAndGrads:
         views = [rng.random((4, 4)) for _ in range(devices)]
         y = one_hot(rng.integers(0, 3, 4), 3)
         keep, aggs, links = batch_delivery(
-            graph, TrainConfig(), stream(4, "dropout"), stream(4, "fault"))
+            graph, TrainConfig(gossip_rounds=2), stream(4, "dropout"), stream(4, "fault"))
         assert links.sum(axis=1).tolist() == ([2, 2] if kind == "complete" else [2, 3, 2])
 
         def loss_of():
@@ -451,7 +463,7 @@ class TestEvaluateSplit:
         part = split_patches(ds.feature_count, g)
         model = init_split_model(graph, part.patch_dims(), 5, stream(6, "init"))
         views = client_views(ds.features, part)
-        keep, aggs, _ = fault_free_delivery(graph)
+        aggs, keep = fault_free_delivery(graph)
         y = one_hot(ds.labels, 5)
         loss_sum, hit_sum = 0.0, 0.0
         for start in range(0, len(ds), 512):
