@@ -12,10 +12,3 @@ class InputError(ValueError):
 class IdxFormatError(ConfigError):
     """Malformed IDX binary file (bad magic, truncation, count mismatch, label range)."""
 
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver failed to converge; carries the last iterate gap."""
-
-    def __init__(self, message, gap):
-        super().__init__(f"{message} (last gap {gap:.3e})")
-        self.gap = gap

@@ -26,6 +26,7 @@ from .topology import DeviceGraph
 
 FAULT_KINDS = ("none", "device", "communication", "markov_comm")
 FAULT_KIND_IDS = {k: i for i, k in enumerate(FAULT_KINDS)}
+MARKOV_STAY_ALIVE = 0.9  # Markov probability of an alive link staying alive
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class FaultModel:
 
     kind: str = "none"
     rate: float = 0.0
-    stay_alive: float = 0.9  # Markov probability of an alive link staying alive
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
@@ -47,7 +47,7 @@ class FaultModel:
             if not 0.0 <= q <= 1.0:
                 raise ConfigError(
                     f"markov recovery probability {q:.4f} outside [0, 1] "
-                    f"(rate {self.rate}, stay_alive {self.stay_alive})"
+                    f"(rate {self.rate}, stay_alive {MARKOV_STAY_ALIVE})"
                 )
 
     def recovery_prob(self) -> float:
@@ -55,7 +55,7 @@ class FaultModel:
         stationary faulted fraction equals the fault rate."""
         if self.rate == 0.0:
             return 1.0
-        return (1.0 - self.stay_alive) * (1.0 - self.rate) / self.rate
+        return (1.0 - MARKOV_STAY_ALIVE) * (1.0 - self.rate) / self.rate
 
 
 @dataclass
@@ -141,7 +141,7 @@ def markov_step(state: np.ndarray, model: FaultModel, graph: DeviceGraph, u) -> 
     if model.rate == 0.0:
         return state.copy()
     n = graph.device_count + 1
-    nxt = np.where(state, u < model.stay_alive, u < model.recovery_prob())
+    nxt = np.where(state, u < MARKOV_STAY_ALIVE, u < model.recovery_prob())
     nxt &= graph.adj
     nxt[..., np.arange(n), np.arange(n)] = np.diag(graph.adj)
     return nxt

@@ -150,11 +150,14 @@ def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.broadcast_to(row, (keep.shape[0], b, c * r))
 
 
-def aggregator_head(model: SplitModel, aggs, agg_inputs: np.ndarray) -> np.ndarray:
+def aggregator_head(model: SplitModel, aggs, agg_inputs: np.ndarray):
     """One stacked forward pass of the heads of ``aggs`` on their (K', B,
-    C * r) inputs, followed by log-softmax normalization."""
-    out, _ = mlp_forward(model.head.take(model.head_rows(aggs)), agg_inputs)
-    return log_softmax(out)
+    C * r) inputs, followed by log-softmax normalization. Returns the log-probs
+    and what ``mlp_backward`` reads to differentiate them: the head stack
+    taken for ``aggs`` (a copy when they are not all of them) and its tape."""
+    head = model.head.take(model.head_rows(aggs))
+    out, tape = mlp_forward(head, agg_inputs)
+    return log_softmax(out), (head, tape)
 
 
 def gossip_links(edge_alive: np.ndarray, aggregators) -> np.ndarray:

@@ -216,7 +216,7 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
             clean = aggs == base_aggs and np.array_equal(keep, base_keep)
             values = base_values.get((start, b)) if clean else None
             if values is None:
-                values = aggregator_head(model, aggs, aggregate(reps[:, start:start + b], keep))
+                values, _ = aggregator_head(model, aggs, aggregate(reps[:, start:start + b], keep))
                 if clean:
                     base_values[start, b] = values
             for s, g in enumerate(counts):

@@ -118,12 +118,13 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
 
     ``views`` is the client-major (C, B, d) batch and ``y`` its (B, classes)
     one-hot targets, built with ``one_hot`` and not checked again here, on
-    every batch. One stacked pass runs
-    every client's encoder and one the heads of ``alive_aggs``; the rows of
-    dead aggregators get zero gradient. ``keep[j, c-1]`` says whether client
-    c's representation reaches ``alive_aggs[j]``; unreachable slots are
-    zero-imputed and receive no gradient, so a dead client, which reaches no
-    aggregator, gets a zero gradient too. With ``gossip_rounds`` > 0, the
+    every batch. One stacked pass runs every client's encoder, then
+    ``aggregate`` and ``aggregator_head`` run the heads of ``alive_aggs`` as
+    inference does; the rows of dead aggregators get zero gradient.
+    ``keep[j, c-1]`` says whether client c's representation reaches
+    ``alive_aggs[j]``; unreachable slots are zero-imputed and receive no
+    gradient, so a dead client, which reaches no aggregator, gets a zero
+    gradient too. With ``gossip_rounds`` > 0, the
     per-head log-probabilities are mixed for that many rounds over the
     (K', K') ``links`` mask and renormalized before the loss.
     """
@@ -134,15 +135,10 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
         return 0.0, grad
     k_count, b = len(alive_aggs), y.shape[0]
     c_count, rep = model.client_count, model.rep_dim
-    heads = model.head_rows(alive_aggs)
-    head = model.head.take(heads)
 
     out, enc_tape = mlp_forward(model.encoder, np.asarray(views))
     reps = relu(out)
-
-    u = aggregate(reps, keep)
-    logits, head_tape = mlp_forward(head, u)
-    log_ps = log_softmax(logits)
+    log_ps, (head, head_tape) = aggregator_head(model, alive_aggs, aggregate(reps, keep))
 
     finals = log_ps
     if gossip_rounds:
@@ -169,6 +165,7 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
         for w, bias in g_head.layers:
             w[...] = 0.0
             bias[...] = 0.0
+    heads = model.head_rows(alive_aggs)
     for rows, stack, grads in ((slice(None), g_enc, enc_grads), (heads, g_head, head_grads)):
         for (gw, gb), (w, bias) in zip(grads, stack.layers):
             w[rows] = gw
@@ -224,8 +221,8 @@ def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph):
         sl = slice(start, min(start + chunk, n))
         reps = client_encode(model, views[:, sl])
         for g in range(0, len(aggs), group):
-            lps = aggregator_head(model, aggs[g:g + group],
-                                  aggregate(reps, keep[g:g + group]))
+            lps, _ = aggregator_head(model, aggs[g:g + group],
+                                     aggregate(reps, keep[g:g + group]))
             for lp in lps:
                 loss_sum += float(-(y[sl] * lp).sum())
                 hit_sum += float((lp.argmax(axis=1) == labels[sl]).sum())
@@ -346,24 +343,31 @@ def load_checkpoint(path) -> Checkpoint:
     cut = raw.find(marker)
     if cut < 0 or not raw.startswith(_CKPT_MAGIC.encode()):
         raise ConfigError(f"{path}: not a checkpoint file")
-    header = raw[:cut].decode().splitlines()
     body = memoryview(raw[cut + len(marker):])
 
+    # a damaged header (a missing line, a bad number, non-UTF-8 bytes, broken
+    # JSON) is a bad input, not a crash; the hash is checked before the JSON
     fields = {}
     enc_dims, head_dims = {}, {}
-    for line in header[1:]:
-        key, _, rest = line.partition(" ")
-        if key == "encoder":
-            c, *dims = rest.split()
-            enc_dims[int(c)] = [int(d) for d in dims]
-        elif key == "head":
-            k, *dims = rest.split()
-            head_dims[int(k)] = [int(d) for d in dims]
-        else:
-            fields[key] = rest
-    config = json.loads(fields["config"])
-    if hashlib.sha256(fields["config"].encode()).hexdigest() != fields["config_hash"]:
-        raise ConfigError(f"{path}: config hash mismatch")
+    try:
+        for line in raw[:cut].decode().splitlines()[1:]:
+            key, _, rest = line.partition(" ")
+            if key == "encoder":
+                c, *dims = rest.split()
+                enc_dims[int(c)] = [int(d) for d in dims]
+            elif key == "head":
+                k, *dims = rest.split()
+                head_dims[int(k)] = [int(d) for d in dims]
+            else:
+                fields[key] = rest
+        if hashlib.sha256(fields["config"].encode()).hexdigest() != fields["config_hash"]:
+            raise ConfigError("config hash mismatch")
+        config = json.loads(fields["config"])
+        best_val_loss, best_epoch = float(fields["best_val_loss"]), int(fields["best_epoch"])
+    except KeyError as e:
+        raise ConfigError(f"{path}: damaged header: no {e.args[0]} line") from None
+    except ValueError as e:  # ConfigError, UnicodeDecodeError and JSONDecodeError included
+        raise ConfigError(f"{path}: damaged header: {e}") from None
 
     enc_shapes = {tuple(d) for d in enc_dims.values()}
     head_shapes = {tuple(d) for d in head_dims.values()}
@@ -375,5 +379,4 @@ def load_checkpoint(path) -> Checkpoint:
         raise ConfigError(f"{path}: payload has {len(body)} bytes, the manifest needs {4 * size}")
     params = np.frombuffer(body, dtype="<f4").astype(np.float64)
     model = SplitModel(params, len(enc_dims), enc_shape, tuple(sorted(head_dims)), head_shape)
-    return Checkpoint(model, config, float(fields["best_val_loss"]),
-                      int(fields["best_epoch"]))
+    return Checkpoint(model, config, best_val_loss, best_epoch)

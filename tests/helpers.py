@@ -225,7 +225,7 @@ def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, polici
                 draws=(guess, upick, vpick), hits={p: 0.0 for p in policies}))
         for i, (start, b) in enumerate(zip(starts, sizes)):
             aggs, keep = delivery(scores[0]["realized"][i], graph.aggregators)
-            values = aggregator_head(model, aggs, aggregate(reps[:, start:start + b], keep))
+            values, _ = aggregator_head(model, aggs, aggregate(reps[:, start:start + b], keep))
             head_row[aggs] = np.arange(len(aggs))
             lab = labels[start:start + b]
             cols = np.arange(b)

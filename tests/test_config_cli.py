@@ -548,6 +548,16 @@ class TestEvalCommand:
         cfg_path = write_config(tmp_path)
         assert main(["eval", "--config", str(cfg_path)]) == 2
 
+    def test_damaged_checkpoint_header_is_a_usage_error(self, pipeline, tmp_path, capsys):
+        # a checkpoint without its best_epoch line used to stop eval with a
+        # KeyError traceback and exit 1
+        cfg_path = write_config(tmp_path)
+        shutil.copytree(pipeline[0] / "runs" / "checkpoints", tmp_path / "runs" / "checkpoints")
+        path = tmp_path / "runs" / "checkpoints" / "MACL-seed2.ckpt"
+        path.write_bytes(re.sub(rb"\nbest_epoch [^\n]*", b"", path.read_bytes()))
+        assert main(["eval", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: damaged header: no best_epoch line\n"
+
     def test_determinism_modulo_wall_time(self, pipeline, tmp_path_factory):
         tmp2 = tmp_path_factory.mktemp("rerun")
         cfg2 = write_config(tmp2)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mags.errors import ConfigError
-from mags.faults import (FaultModel, active_mask, markov_step, sample_comm_faults,
-                         sample_device_faults, sample_realization)
+from mags.faults import (MARKOV_STAY_ALIVE, FaultModel, active_mask, markov_step,
+                         sample_comm_faults, sample_device_faults, sample_realization)
 from mags.rng import stream
 from mags.topology import build_graph
 
@@ -141,7 +141,7 @@ class TestMarkovChain:
         frac = (edges & dev_mask).sum() / (dev_mask.sum() * chains * horizon)
         # successive steps are correlated; the 3-sigma band uses the
         # effective sample size of the two-state chain
-        p, q = model.stay_alive, model.recovery_prob()
+        p, q = MARKOV_STAY_ALIVE, model.recovery_prob()
         rho = p - q
         ess = dev_mask.sum() * chains * horizon * (1 - rho) / (1 + rho)
         assert abs(frac - (1 - rate)) <= mc_band(1 - rate, ess)
@@ -185,7 +185,7 @@ class TestMarkovChain:
         n = batches * links.sum()
         assert abs(alive[0] - (1 - rate)) <= mc_band(1 - rate, n)
         assert abs(alive[-1] - (1 - rate)) <= mc_band(1 - rate, n)
-        rho = model.stay_alive - model.recovery_prob()
+        rho = MARKOV_STAY_ALIVE - model.recovery_prob()
         ess = n * rounds * (1 - rho) / (1 + rho)
         assert abs(alive.mean() - (1 - rate)) <= mc_band(1 - rate, ess)
 

@@ -35,7 +35,7 @@ def infer(model, reps, graph, realized, gossip_rounds):
     aggregation and one head pass, then the gossip stage. Returns each alive
     aggregator's normalized log-probs, keyed by aggregator id."""
     aggs, keep = delivery(realized, graph.aggregators)
-    values = aggregator_head(model, aggs, aggregate(reps, keep))
+    values, _ = aggregator_head(model, aggs, aggregate(reps, keep))
     return dict(zip(aggs, log_softmax(mags_infer(values, aggs, realized, gossip_rounds))))
 
 
@@ -172,20 +172,20 @@ class TestAggregatorHead:
     def test_zero_weight_head_is_uniform(self):
         graph = build_graph("complete", 4, 2)
         model = zero_heads(toy_model(graph, 16, 5))
-        out = aggregator_head(model, [1, 2], np.random.default_rng(5).random((2, 4, 8)))
+        out, _ = aggregator_head(model, [1, 2], np.random.default_rng(5).random((2, 4, 8)))
         assert np.allclose(out, -np.log(5.0), atol=1e-12)
 
     def test_output_exponentiates_to_one(self):
         graph = build_graph("complete", 4, 1)
         model = toy_model(graph, 16, 7)
-        out = aggregator_head(model, [1], np.random.default_rng(6).random((1, 5, 8)))
+        out, _ = aggregator_head(model, [1], np.random.default_rng(6).random((1, 5, 8)))
         assert np.all(np.abs(np.exp(out).sum(axis=-1) - 1.0) <= 1e-12)
 
     def test_matches_composition_oracle(self):
         graph = build_graph("complete", 4, 3)
         model = toy_model(graph, 16, 7)
         x = np.random.default_rng(7).random((2, 5, 8))
-        out = aggregator_head(model, [1, 3], x)  # rows 0 and 2 of the head stack
+        out, _ = aggregator_head(model, [1, 3], x)  # rows 0 and 2 of the head stack
         for j, row in enumerate((0, 2)):
             expected = log_softmax(mlp_forward(model.head.take(row), x[j])[0])
             assert np.array_equal(out[j], expected)
@@ -284,7 +284,7 @@ class TestMagsInfer:
         reps = client_encode(model, views)
         res = infer(model, reps, graph, base(graph), 0)
         z = aggregate(reps, np.ones((1, 4), dtype=bool))
-        assert np.allclose(res[1], aggregator_head(model, [1], z)[0], atol=1e-12)
+        assert np.allclose(res[1], aggregator_head(model, [1], z)[0][0], atol=1e-12)
         assert list(res) == [1]
 
     def test_consensus_limit_on_regular_graph(self):
@@ -402,7 +402,7 @@ class TestMagsInfer:
         assert len({e.tobytes() for e in r.edge_alive}) > 1  # the chain actually moved
         res = infer(model, reps, graph, r, 3)
         aggs, keep = delivery(r, graph.aggregators)
-        values = aggregator_head(model, aggs, aggregate(reps, keep))
+        values, _ = aggregator_head(model, aggs, aggregate(reps, keep))
         for t in (1, 2, 3):
             values = gossip_round(values, gossip_links(r.edge_alive[t], aggs))
         for j, k in enumerate(aggs):

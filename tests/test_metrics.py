@@ -480,7 +480,7 @@ class TestEnsembleBenefit:
         y = one_hot(labels, ds.class_count)
         realized = base(graph)[0]
         aggs, keep = delivery(realized, graph.aggregators)
-        members = aggregator_head(model, aggs, aggregate(reps, keep))
+        members, _ = aggregator_head(model, aggs, aggregate(reps, keep))
         assert mags_infer(members, aggs, realized, 0) is members
         ensemble = log_softmax(mags_infer(members, aggs, realized, 1))
         member_nll = (-(y * members).sum(axis=2)).mean(axis=0)

@@ -126,11 +126,18 @@ class TestSpectralRadius:
         # circulant eigenvalues {1, 1/3, -1/3, 1/3}: radius 1/3 after dropping
         # the consensus eigenvalue
         lam = spectral_radius(consensus_matrix(build_graph("ring", 4, 1)))
-        assert lam == pytest.approx(1 / 3, abs=1e-9)
+        assert lam == pytest.approx(1 / 3, abs=1e-12)
 
     def test_ring16_matches_circulant_formula(self):
         lam = spectral_radius(consensus_matrix(build_graph("ring", 16, 1)))
-        assert lam == pytest.approx((1 + 2 * np.cos(np.pi / 8)) / 3, abs=1e-8)
+        assert lam == pytest.approx((1 + 2 * np.cos(np.pi / 8)) / 3, abs=1e-12)
+
+    def test_torus16_exact(self):
+        # every device has 4 neighbours and a self-loop, and the 4x4 torus
+        # adjacency has eigenvalues {4, 2, 0, -2, -4}, so V's are (1 + a) / 5:
+        # radius 3/5 after dropping the consensus eigenvalue
+        lam = spectral_radius(consensus_matrix(build_graph("torus", 16, 1)))
+        assert lam == pytest.approx(0.6, abs=1e-12)
 
     @pytest.mark.parametrize("kind,kw", [("complete", {}), ("ring", {}), ("grid", {}),
                                          ("torus", {}), ("rgg", {"rgg_radius": 1.5})])

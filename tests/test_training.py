@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -253,22 +256,28 @@ class TestSplitLossAndGrads:
             worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-3))
         assert worst < 1e-6
 
-    @pytest.mark.parametrize("kind,devices,aggregators", [
-        ("complete", 2, 2),
+    @pytest.mark.parametrize("kind,devices,aggregators,fault", [
+        ("complete", 2, 2, FaultModel()),
         # links 1-2-3 form a path with degrees 2, 3, 2: an asymmetric averaging
         # matrix, so a transposed backward pass would fail here
-        ("ring", 4, 3),
-    ])
+        ("ring", 4, 3, FaultModel()),
+        # a one-way link: the link mask itself is asymmetric, so a backward
+        # pass that used ``links`` for ``links.T`` would fail here
+        ("complete", 3, 3, FaultModel("communication", 0.3)),
+    ], ids=["complete-2-2", "ring-4-3", "complete-3-3-one-way-link"])
     def test_gossip_in_training_gradients_match_finite_differences(self, kind, devices,
-                                                                   aggregators):
+                                                                   aggregators, fault):
         graph = build_graph(kind, devices, aggregators)
         model = init_split_model(graph, [4] * devices, 3, stream(4, "init"))
         rng = np.random.default_rng(1)
         views = [rng.random((4, 4)) for _ in range(devices)]
         y = one_hot(rng.integers(0, 3, 4), 3)
-        keep, aggs, links = batch_delivery(
-            graph, TrainConfig(gossip_rounds=2), stream(4, "dropout"), stream(4, "fault"))
-        assert links.sum(axis=1).tolist() == ([2, 2] if kind == "complete" else [2, 3, 2])
+        keep, aggs, links = batch_delivery(graph, TrainConfig(gossip_rounds=2, train_fault=fault),
+                                           stream(4, "dropout"), stream(4, "fault"))
+        if fault.kind == "none":
+            assert links.sum(axis=1).tolist() == ([2, 2] if kind == "complete" else [2, 3, 2])
+        else:
+            assert aggs == [1, 2, 3] and not np.array_equal(links, links.T)
 
         def loss_of():
             val, _ = split_loss_and_grads(model, views, y, keep, aggs, links, 2)
@@ -470,12 +479,21 @@ class TestEvaluateSplit:
             sl = slice(start, min(start + 512, len(ds)))
             reps = client_encode(model, views[:, sl])
             for j, k in enumerate(aggs):
-                lp = aggregator_head(model, [k], aggregate(reps, keep[j:j + 1]))[0]
+                (lp,), _ = aggregator_head(model, [k], aggregate(reps, keep[j:j + 1]))
                 loss_sum += float(-(y[sl] * lp).sum())
                 hit_sum += float((lp.argmax(axis=1) == ds.labels[sl]).sum())
         loss, acc = evaluate_split(model, views, ds.labels, graph)
         assert loss == loss_sum / len(ds)
         assert acc == hit_sum / (len(ds) * len(aggs))
+
+
+def json_cut_and_rehashed(raw):
+    """Checkpoint bytes ``raw`` with the config JSON's last character cut and
+    the hash line rewritten to match, so only the JSON itself is broken."""
+    lines = raw.split(b"\n")
+    cfg = lines[1][:-1]
+    lines[2] = b"config_hash " + hashlib.sha256(cfg[len(b"config "):]).hexdigest().encode()
+    return b"\n".join([lines[0], cfg, *lines[2:]])
 
 
 class TestCheckpointFormat:
@@ -535,6 +553,27 @@ class TestCheckpointFormat:
         p2.write_bytes(bad)
         with pytest.raises(ConfigError):
             load_checkpoint(p2)
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda raw: re.sub(rb"\nbest_epoch [^\n]*", b"", raw), "no best_epoch line"),
+        (lambda raw: raw.replace(b"\nencoder 1 ", b"\nencoder x ", 1), "invalid literal"),
+        (lambda raw: raw.replace(b"\nclasses ", b"\nclasses \xff", 1), "can't decode byte 0xff"),
+        (lambda raw: raw.replace(b"}\nconfig_hash", b"\nconfig_hash", 1), "config hash mismatch"),
+        (json_cut_and_rehashed, "Expecting"),
+    ], ids=["no-best-epoch", "encoder-x", "byte-0xff", "broken-json", "broken-json-rehashed"])
+    def test_damaged_header_rejected(self, tmp_path, damage, message):
+        # each damage used to escape as a KeyError, ValueError,
+        # UnicodeDecodeError or JSONDecodeError traceback
+        _, path, *_ = self.make_ckpt(tmp_path)
+        raw = path.read_bytes()
+        bad = damage(raw)
+        assert bad != raw
+        p2 = tmp_path / "bad.ckpt"
+        p2.write_bytes(bad)
+        with pytest.raises(ConfigError) as info:
+            load_checkpoint(p2)
+        assert str(info.value).startswith(f"{p2}: damaged header: ")
+        assert message in str(info.value)
 
     def test_serializes_as_float32(self, tmp_path):
         ckpt, path, *_ = self.make_ckpt(tmp_path)
