@@ -2,7 +2,8 @@
 networks: split neural models, multiple aggregators, gossip ensembling, and
 simulated faults, with selection policies scored on shared fault draws."""
 
-from .data import Dataset, PartitionSpec, load_idx, make_splits, split_patches, synth_dataset
+from .data import (ClientSplit, Dataset, PartitionSpec, make_splits, read_idx, split_patches,
+                   synth_dataset)
 from .faults import FaultModel, RealizedGraph, sample_realization
 from .inference import SplitModel, mags_infer
 from .metrics import POLICIES, ensemble_decomposition, evaluate_policies
@@ -12,7 +13,7 @@ from .training import Checkpoint, TrainConfig, fit, load_checkpoint, save_checkp
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "PartitionSpec", "load_idx", "make_splits", "split_patches",
+    "ClientSplit", "Dataset", "PartitionSpec", "make_splits", "read_idx", "split_patches",
     "synth_dataset", "FaultModel", "RealizedGraph", "sample_realization", "SplitModel",
     "mags_infer", "POLICIES", "ensemble_decomposition", "evaluate_policies",
     "DeviceGraph", "build_graph", "consensus_matrix", "spectral_radius",

@@ -23,10 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .certs import format_report, run_all
-from .config import (ExperimentConfig, build_dataset, build_method_graph,
-                     build_partition, build_train_config, load_config,
-                     parse_seed_list)
-from .data import client_views, make_splits
+from .config import (ExperimentConfig, build_dataset, build_method_graph, build_train_config,
+                     load_config, parse_seed_list)
+from .data import make_splits
 from .errors import ConfigError
 from .faults import FaultModel
 from .inference import client_encode
@@ -83,14 +82,9 @@ def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int):
 
 def _train_checkpoints(cfg: ExperimentConfig, jobs) -> list:
     """Fit and save one checkpoint per (train_name, seed) job. The training
-    pool's client views are built once for all of them and its feature
-    matrix is then dropped: each fit gathers its split from the views by
-    row."""
+    pool's client views are built once for all of them: each fit gathers
+    its split from the views by row."""
     pool = build_dataset(cfg, "train")
-    partition = build_partition(cfg, pool)
-    views = client_views(pool.features, partition)
-    labels, class_count = pool.labels, pool.class_count
-    del pool
     variants = {s.train_name: s for s in cfg.train_variants()}
     paths = []
     for train_name, seed in jobs:
@@ -101,8 +95,8 @@ def _train_checkpoints(cfg: ExperimentConfig, jobs) -> list:
         path.parent.mkdir(parents=True, exist_ok=True)
         curve = path.with_name(f"{spec.train_name}-seed{seed}-curve.csv")
         curve.unlink(missing_ok=True)  # curves append; rewrite for idempotent reruns
-        ckpt = fit(tc, views, labels, class_count, make_splits(len(labels), seed),
-                   partition, graph, curve_path=curve)
+        ckpt = fit(tc, pool.views, pool.labels, pool.class_count, make_splits(len(pool), seed),
+                   pool.partition, graph, curve_path=curve)
         ckpt.config["method"] = spec.train_name
         save_checkpoint(ckpt, path)
         paths.append(str(path))
@@ -130,7 +124,6 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs) -> list:
     evenly over those methods, is its rows' ``wall_time``.
     """
     test = build_dataset(cfg, "test")
-    views = client_views(test.features, build_partition(cfg, test))
     variants = {s.train_name: s for s in cfg.train_variants()}
     cells = list(itertools.product(cfg.fault_kinds, cfg.fault_rates))
     results = []
@@ -140,7 +133,7 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs) -> list:
         if list(ckpt.config.get("aggregators", [])) != list(graph.aggregators):
             raise ConfigError(
                 f"checkpoint {train_name}-seed{seed} aggregators do not match config graph")
-        reps = client_encode(ckpt.model, views)
+        reps = client_encode(ckpt.model, test.views)
         specs = [s for s in cfg.method_specs() if s.train_name == train_name]
         grid = evaluate_policies(ckpt.model, reps, test.labels, graph,
                                  [FaultModel(kind, rate) for kind, rate in cells], cfg.policies,

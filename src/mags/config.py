@@ -17,7 +17,10 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import SYNTH_SIDE, Dataset, load_idx, split_patches, synth_dataset
+import numpy as np
+
+from .data import (SYNTH_CHUNK_ROWS, SYNTH_SIDE, ClientSplit, client_views, read_idx,
+                   scale_pixels, split_patches, synth_dataset)
 from .errors import ConfigError
 from .faults import FaultModel
 from .metrics import POLICIES, fault_rate_key
@@ -299,22 +302,44 @@ def load_config(path, seeds_override=None, out_override=None) -> ExperimentConfi
     return cfg.validate()
 
 
-def build_dataset(cfg: ExperimentConfig, split: str) -> Dataset:
-    """The ``split`` ("train" or "test") Dataset of the configured source,
-    built alone: a synthetic split is its rows of the train_n + test_n pool
-    (the pool's first train_n rows are the training pool), and an IDX split
-    reads only its own two files."""
+def build_dataset(cfg: ExperimentConfig, split: str) -> ClientSplit:
+    """The ``split`` ("train" or "test") of the configured source as its
+    clients' views, built alone: a synthetic split is its rows of the
+    train_n + test_n pool (the pool's first train_n rows are the training
+    pool), and an IDX split reads only its own two files.
+
+    The (C, n, d) views are allocated once and filled one block of rows at
+    a time, the blocks cut at the pool's multiples of SYNTH_CHUNK_ROWS (so a
+    synthetic block is one noise block, or the part of it the split holds):
+    only a block's float64 features exist besides the views, never the
+    split's whole feature matrix."""
     if cfg.dataset_kind == "synthetic":
         n_train, n = cfg.synth_train_n, cfg.synth_train_n + cfg.synth_test_n
-        rows = {"train": (0, n_train), "test": (n_train, n)}[split]
-        return synth_dataset(n, cfg.classes, cfg.grid_side, cfg.synth_seed, cfg.synth_noise,
-                             rows=rows)
-    return load_idx(cfg.idx_paths[f"{split}_images"], cfg.idx_paths[f"{split}_labels"],
-                    class_count=cfg.classes)
+        lo, hi = {"train": (0, n_train), "test": (n_train, n)}[split]
+        feature_count, class_count = SYNTH_SIDE * SYNTH_SIDE, cfg.classes
 
+        def block(a, b):
+            ds = synth_dataset(n, cfg.classes, cfg.grid_side, cfg.synth_seed, cfg.synth_noise,
+                               rows=(a, b))
+            return ds.features, ds.labels
+    else:
+        pixels, pool_labels, class_count = read_idx(
+            cfg.idx_paths[f"{split}_images"], cfg.idx_paths[f"{split}_labels"],
+            class_count=cfg.classes)
+        lo, (hi, feature_count) = 0, pixels.shape
 
-def build_partition(cfg: ExperimentConfig, dataset: Dataset):
-    return split_patches(dataset.feature_count, cfg.grid_side)
+        def block(a, b):
+            return scale_pixels(pixels[a:b]), pool_labels[a:b]
+
+    partition = split_patches(feature_count, cfg.grid_side)
+    views = np.empty((partition.client_count, hi - lo, len(partition.client_columns[0])))
+    labels = np.empty(hi - lo, dtype=np.int64)
+    edges = [lo, *range((lo // SYNTH_CHUNK_ROWS + 1) * SYNTH_CHUNK_ROWS, hi, SYNTH_CHUNK_ROWS), hi]
+    for a, b in zip(edges, edges[1:]):
+        features, labels[a - lo:b - lo] = block(a, b)
+        client_views(features, partition, out=views[:, a - lo:b - lo])
+        del features  # before the next block is built
+    return ClientSplit(views, labels, class_count, partition)
 
 
 def build_method_graph(cfg: ExperimentConfig, spec: MethodSpec):

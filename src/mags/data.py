@@ -63,9 +63,26 @@ class PartitionSpec:
         return [len(cols) for cols in self.client_columns]
 
 
-def load_idx(images_path, labels_path, class_count=None) -> Dataset:
-    """Parse big-endian IDX image/label files into a Dataset; every label
-    must lie below ``class_count`` when it is given."""
+@dataclass
+class ClientSplit:
+    """One split as its clients hold it: ``views`` is the client-major (C,
+    n, d) stack that ``client_views`` builds over ``partition``, and
+    ``labels`` the (n,) int64 labels of its rows."""
+
+    views: np.ndarray
+    labels: np.ndarray
+    class_count: int
+    partition: PartitionSpec
+
+    def __len__(self):
+        return self.labels.shape[0]
+
+
+def read_idx(images_path, labels_path, class_count=None):
+    """Parse big-endian IDX image/label files, each read once: the (n, d)
+    uint8 pixels (a view of the image file's bytes), the (n,) int64 labels
+    and the class count. Every label must lie below ``class_count`` when it
+    is given; a file with no image is malformed too."""
     with open(images_path, "rb") as f:
         buf = f.read()
     if len(buf) < 16:
@@ -73,11 +90,12 @@ def load_idx(images_path, labels_path, class_count=None) -> Dataset:
     magic, n, rows, cols = struct.unpack(">iiii", buf[:16])
     if magic != IDX_IMAGE_MAGIC:
         raise IdxFormatError(f"{images_path}: bad image magic 0x{magic:08x}")
+    if n < 1:
+        raise IdxFormatError(f"{images_path}: holds {n} images, needs at least 1")
     expected = 16 + n * rows * cols
     if len(buf) != expected:
         raise IdxFormatError(f"{images_path}: expected {expected} bytes, found {len(buf)}")
     pixels = np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(n, rows * cols)
-    features = pixels.astype(np.float64) / 255.0
 
     with open(labels_path, "rb") as f:
         lbuf = f.read()
@@ -93,11 +111,16 @@ def load_idx(images_path, labels_path, class_count=None) -> Dataset:
     labels = np.frombuffer(lbuf, dtype=np.uint8, offset=8).astype(np.int64)
 
     if class_count is None:
-        class_count = int(labels.max()) + 1 if ln else 0
-    elif ln and labels.max() >= class_count:
+        class_count = int(labels.max()) + 1
+    elif labels.max() >= class_count:
         raise IdxFormatError(f"{labels_path}: label {labels.max()} is not below the class count "
                              f"{class_count}")
-    return Dataset(features, labels, class_count)
+    return pixels, labels, class_count
+
+
+def scale_pixels(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels as float64 features in [0, 1]."""
+    return pixels.astype(np.float64) / 255.0
 
 
 def split_patches(feature_count: int, g: int) -> PartitionSpec:
@@ -113,17 +136,19 @@ def split_patches(feature_count: int, g: int) -> PartitionSpec:
     return PartitionSpec(g, feature_count, list(cols.transpose(0, 2, 1, 3).reshape(g * g, -1)))
 
 
-def client_views(features: np.ndarray, spec: PartitionSpec) -> np.ndarray:
-    """Every client's feature matrix, stacked client-major into one
-    C-contiguous (C, n, d) array: row c-1 is client c's patches, and
-    ``views[:, idx]`` is a (C, B, d) batch. Build it once per feature
-    matrix: a training pool's views serve every fit of a command."""
+def client_views(features: np.ndarray, spec: PartitionSpec, out=None) -> np.ndarray:
+    """Every client's feature matrix, stacked client-major into one (C, n, d)
+    array: row c-1 is client c's patches, and ``views[:, idx]`` is a (C, B,
+    d) batch. It is written into ``out`` when given, e.g. ``views[:, a:b]``
+    of a split's views, which ``config.build_dataset`` fills one block of
+    rows at a time, and is else a fresh C-contiguous array."""
     if features.shape[1] != spec.feature_count:
         raise ConfigError(f"features have {features.shape[1]} columns, partition expects {spec.feature_count}")
     cols = spec.client_columns
-    views = np.empty((len(cols), features.shape[0], len(cols[0])))
+    views = np.empty((len(cols), features.shape[0], len(cols[0]))) if out is None else out
+    # the columns are in range: mode="clip" only skips take's buffered copy of ``out``
     for c, idx in enumerate(cols):
-        np.take(features, idx, axis=1, out=views[c])
+        np.take(features, idx, axis=1, out=views[c], mode="clip")
     return views
 
 

@@ -127,27 +127,37 @@ def fault_free_delivery(graph: DeviceGraph):
     return delivery(sample_realization(graph, FaultModel(), 1, 1, None)[0], graph.aggregators)
 
 
+def sample_major(reps: np.ndarray) -> np.ndarray:
+    """The (C, B, r) stack ``reps`` laid out by sample, (B, C * r): row i is
+    sample i's client-ordered concatenation of representations."""
+    c, b, r = reps.shape
+    return reps.transpose(1, 0, 2).reshape(b, c * r)
+
+
 def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Zero-imputed, client-ordered head inputs, shape (K', B, C * r).
 
-    ``reps`` is the (C, B, r) stack from ``client_encode``; ``keep[j, c-1]``
-    says whether client c's representation reaches aggregator row j. An
-    unreached slot is an exact zero whatever ``reps`` holds there (NaN
-    included, and a -0.0 too), so a dead client's rows are never read. One
-    ``np.where`` over the flat layout masks the concatenation, each client's
-    flag repeated over its r slots. When every row of ``keep`` is the same
-    (every delivery kept, or device faults on a complete graph), so is every
-    input: the result is then a read-only broadcast of one (B, C * r) array,
-    masked only when a delivery is dropped.
+    ``reps`` is the (C, B, r) stack from ``client_encode``, or its
+    ``sample_major`` (B, C * r) layout: a caller that aggregates many slices
+    of one stack lays it out once and passes views of its rows.
+    ``keep[j, c-1]`` says whether client c's representation reaches
+    aggregator row j. An unreached slot is an exact zero whatever ``reps``
+    holds there (NaN included, and a -0.0 too), so a dead client's rows are
+    never read. One ``np.where`` over the flat layout masks the
+    concatenation, each client's flag repeated over its r slots. When every
+    row of ``keep`` is the same (every delivery kept, or device faults on a
+    complete graph), so is every input: the result is then a read-only
+    broadcast of one (B, C * r) array, masked only when a delivery is
+    dropped.
     """
-    c, b, r = reps.shape
-    row = reps.transpose(1, 0, 2).reshape(b, c * r)
+    row = sample_major(reps) if reps.ndim == 3 else reps
+    r = row.shape[1] // keep.shape[1]
     first = keep[:1]
     if not (keep == first).all():
         return np.where(np.repeat(keep, r, axis=1)[:, None, :], row, 0.0)
     if not first.all():
         row = np.where(np.repeat(first, r, axis=1), row, 0.0)
-    return np.broadcast_to(row, (keep.shape[0], b, c * r))
+    return np.broadcast_to(row, (keep.shape[0], *row.shape))
 
 
 def aggregator_head(model: SplitModel, aggs, agg_inputs: np.ndarray):

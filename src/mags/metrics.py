@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .faults import FAULT_KIND_IDS, RealizedGraph, active_mask, sample_realization
 from .inference import (SplitModel, aggregate, aggregator_head, delivery, fault_free_delivery,
-                        mags_infer)
+                        mags_infer, sample_major)
 from .nn import log_softmax
 from .rng import stream
 from .topology import DeviceGraph
@@ -148,7 +148,8 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     fault model's scoring time split evenly over the counts.
 
     ``reps`` is the (C, n, r) stack of every client's representation of all
-    samples, as returned by ``client_encode``; each batch scores its slice.
+    samples, as returned by ``client_encode``; it is laid out by sample
+    once, and each batch aggregates a view of its rows.
 
     The coupling preserves each policy's marginal distribution while making
     the oracle orderings (best >= rand >= worst) hold per sample: the
@@ -202,6 +203,7 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     lab = np.full((len(starts), width), -1, dtype=np.int64)  # a short batch padded with -1
     lab[valid] = np.tile(labels, trials)
     total = n * trials
+    rows = sample_major(reps)
     base_aggs, base_keep = fault_free_delivery(graph)
     base_values = {}  # head outputs of the batches that see the base graph, by slice
     grid = []
@@ -216,7 +218,7 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
             clean = aggs == base_aggs and np.array_equal(keep, base_keep)
             values = base_values.get((start, b)) if clean else None
             if values is None:
-                values, _ = aggregator_head(model, aggs, aggregate(reps[:, start:start + b], keep))
+                values, _ = aggregator_head(model, aggs, aggregate(rows[start:start + b], keep))
                 if clean:
                     base_values[start, b] = values
             for s, g in enumerate(counts):

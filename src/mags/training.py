@@ -205,12 +205,15 @@ def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dro
     return total / max(seen, 1)
 
 
-def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph):
+def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, rows):
     """Fault-free validation: summed head cross-entropy (mean over samples)
-    and accuracy averaged over aggregators."""
+    and accuracy averaged over aggregators.
+
+    The samples are the rows ``rows`` of the client-major pool ``views`` and
+    of its ``labels``; each chunk of them is gathered by row, so the
+    split's views are never copied out whole."""
     aggs, keep = fault_free_delivery(graph)
-    n = labels.shape[0]
-    y = one_hot(labels, model.class_count)
+    n = len(rows)
     loss_sum, hit_sum = 0.0, 0.0
     # samples per encoder pass and heads per head pass, fixed: the chunk
     # sets the order of the loss sum (so the checkpointed best loss to the
@@ -219,13 +222,15 @@ def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph):
     chunk, group = 512, 4
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
-        reps = client_encode(model, views[:, sl])
+        lab = labels[rows[sl]]
+        y = one_hot(lab, model.class_count)
+        reps = client_encode(model, views[:, rows[sl]])
         for g in range(0, len(aggs), group):
             lps, _ = aggregator_head(model, aggs[g:g + group],
                                      aggregate(reps, keep[g:g + group]))
             for lp in lps:
-                loss_sum += float(-(y[sl] * lp).sum())
-                hit_sum += float((lp.argmax(axis=1) == labels[sl]).sum())
+                loss_sum += float(-(y * lp).sum())
+                hit_sum += float((lp.argmax(axis=1) == lab).sum())
     return loss_sum / n, hit_sum / (n * len(aggs))
 
 
@@ -254,13 +259,12 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
 
     ``views`` is the client-major (C, n, d) stack of a whole training pool,
     ``labels`` its (n,) labels, and ``split`` the (train rows, validation
-    rows) pair from ``make_splits``. A batch is gathered from ``views`` by
-    row; the validation views are gathered once."""
+    rows) pair from ``make_splits``. Training batches and validation chunks
+    are gathered from ``views`` by row: no split is copied out whole."""
     train_rows, val_rows = split
     if len(val_rows) == 0:
         raise InputError("validation split must be nonempty")
 
-    va_views, va_labels = views[:, val_rows], labels[val_rows]
     y = one_hot(labels[train_rows], class_count)
 
     model = init_split_model(graph, partition.patch_dims(), class_count,
@@ -270,7 +274,7 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
     rng_dropout = stream(cfg.seed, "dropout")
     rng_fault = stream(cfg.seed, "fault")
 
-    best_loss, _ = evaluate_split(model, va_views, va_labels, graph)
+    best_loss, _ = evaluate_split(model, views, labels, graph, val_rows)
     best_model = model.copy()
     best_epoch = 0
 
@@ -278,7 +282,7 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
     for epoch in range(1, cfg.epochs + 1):
         tr_loss = train_epoch(model, opt, views, train_rows, y, graph, cfg,
                               rng_data, rng_dropout, rng_fault)
-        val_loss, val_acc = evaluate_split(model, va_views, va_labels, graph)
+        val_loss, val_acc = evaluate_split(model, views, labels, graph, val_rows)
         curves.append((epoch, tr_loss, val_loss, val_acc))
         if val_loss < best_loss:
             best_loss = val_loss

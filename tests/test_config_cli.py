@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from mags.cli import main, read_runs_csv
 from mags.config import (CONFIG_KEYS, ExperimentConfig, load_config, parse_method,
                          parse_seed_list, resolve_data_path)
-from mags.data import Dataset, synth_dataset
+from mags.data import (SYNTH_CHUNK_ROWS, Dataset, client_views, read_idx, split_patches,
+                       synth_dataset)
 from mags.errors import ConfigError
 from mags.rng import stream
 
@@ -365,7 +367,9 @@ class TestLoadConfig:
         pool = synth_dataset(64, 4, 2, seed=1, noise=0.2)
         assert np.array_equal(train.labels, pool.labels[:40])
         assert np.array_equal(test.labels, pool.labels[40:])
-        assert np.max(np.abs(test.features - pool.features[40:])) <= 0.5 / 255
+        assert train.class_count == test.class_count == 4
+        expected = client_views(pool.features[40:], split_patches(784, 2))
+        assert np.max(np.abs(test.views - expected)) <= 0.5 / 255
 
     def test_synthetic_splits_are_the_pools_two_slices(self, tmp_path):
         from mags.config import build_dataset
@@ -373,7 +377,8 @@ class TestLoadConfig:
         pool = synth_dataset(800, 4, 2, seed=11, noise=0.2)
         for split, rows in (("train", slice(0, 600)), ("test", slice(600, 800))):
             ds = build_dataset(cfg, split)
-            assert ds.features.tobytes() == pool.features[rows].tobytes()
+            assert ds.views.tobytes() == client_views(pool.features[rows],
+                                                      ds.partition).tobytes()
             assert np.array_equal(ds.labels, pool.labels[rows])
 
     def test_test_split_draws_only_its_own_noise_blocks(self, tmp_path, monkeypatch):
@@ -419,13 +424,13 @@ def test_idx_config_runs_train_then_eval_reading_only_each_commands_split(tmp_pa
     p = write_idx_config(tmp_path, 120, 48, BASE_CONFIG.replace(
         "list = VFL, MACL, CD-MACL-G2", "list = VFL, CD-MACL-G2").replace(
         "epochs = 2", "epochs = 1").replace("seeds = 1, 2", "seeds = 1"))
-    read, real_load = [], config.load_idx
+    read, real_read = [], config.read_idx
 
     def recorded(images, labels, **kwargs):
         read.append((Path(images).name, Path(labels).name))
-        return real_load(images, labels, **kwargs)
+        return real_read(images, labels, **kwargs)
 
-    monkeypatch.setattr(config, "load_idx", recorded)
+    monkeypatch.setattr(config, "read_idx", recorded)
     assert main(["train", "--config", str(p)]) == 0
     assert read == [("tr.idx", "trl.idx")]
     assert main(["eval", "--config", str(p)]) == 0
@@ -453,6 +458,85 @@ def test_malformed_idx_files_are_usage_errors(tmp_path, monkeypatch, capsys, com
     assert main([command, "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_idx_file_with_no_images_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    # a header-only file used to run until the validation split
+    # (InputError: validation split must be nonempty) or evaluation
+    # (InputError: evaluation needs at least one sample): a traceback, exit 1
+    monkeypatch.delenv("MAGS_DATA_ROOT", raising=False)  # paths resolve against tmp_path
+    p = write_idx_config(tmp_path, 40, 24)
+    if command == "eval":
+        assert main(["train", "--config", str(p)]) == 0
+    name = {"train": "tr", "eval": "te"}[command]
+    path = tmp_path / f"{name}.idx"
+    save_idx(Dataset(np.zeros((0, 784)), np.zeros(0, dtype=np.int64), 4), path,
+             tmp_path / f"{name}l.idx")
+    assert main([command, "--config", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: holds 0 images, needs at least 1\n"
+
+
+class TestBuildDataset:
+    """``build_dataset`` fills a split's client views block by block; they
+    are bit for bit the views of the split's whole feature matrix."""
+
+    @pytest.mark.parametrize("noise", ["0", "0.3"])
+    def test_synthetic_views_match_the_whole_pools_views(self, tmp_path, noise):
+        # both split boundaries fall inside a 1024-row block: the training
+        # pool ends 476 rows into block 1, and the test rows end in block 2
+        from mags.config import build_dataset
+        cfg = load_config(write_config(tmp_path, BASE_CONFIG.replace(
+            "train_n = 600", "train_n = 1500").replace("test_n = 200", "test_n = 700")
+            .replace("noise = 0.2", f"noise = {noise}")))
+        pool = synth_dataset(2200, 4, 2, seed=11, noise=float(noise))
+        part = split_patches(784, 2)
+        for split, rows in (("train", slice(0, 1500)), ("test", slice(1500, 2200))):
+            ds = build_dataset(cfg, split)
+            assert ds.views.flags.c_contiguous and ds.views.shape == (4, len(ds), 196)
+            assert ds.views.tobytes() == client_views(pool.features[rows], part).tobytes()
+            assert ds.labels.dtype == np.int64
+            assert np.array_equal(ds.labels, pool.labels[rows])
+            assert ds.class_count == 4 and ds.partition.grid_side == 2
+
+    def test_idx_views_match_the_loaded_files_views(self, tmp_path, monkeypatch):
+        # 2100 training images: two whole blocks and a partial third
+        from mags.config import build_dataset
+        monkeypatch.setenv("MAGS_DATA_ROOT", str(tmp_path))
+        cfg = load_config(write_idx_config(tmp_path, 2100, 700))
+        part = split_patches(784, 2)
+        for split, name in (("train", "tr"), ("test", "te")):
+            ds = build_dataset(cfg, split)
+            pixels, labels, _ = read_idx(tmp_path / f"{name}.idx", tmp_path / f"{name}l.idx")
+            assert len(ds) == len(labels) == {"train": 2100, "test": 700}[split]
+            features = pixels.astype(np.float64) / 255.0
+            assert ds.views.tobytes() == client_views(features, part).tobytes()
+            assert np.array_equal(ds.labels, labels) and ds.class_count == 4
+
+    @pytest.mark.parametrize("kind", ["synthetic", "idx"])
+    def test_build_holds_the_views_and_a_few_blocks(self, tmp_path, monkeypatch, kind):
+        # a build that makes the split's feature matrix first and then its
+        # views holds both at its peak: twice the views' bytes
+        from mags.config import build_dataset
+        n = 6 * SYNTH_CHUNK_ROWS
+        text = BASE_CONFIG.replace("train_n = 600", f"train_n = {n}").replace(
+            "grid = 2", "grid = 4")
+        if kind == "idx":
+            monkeypatch.setenv("MAGS_DATA_ROOT", str(tmp_path))
+            cfg = load_config(write_idx_config(tmp_path, n, 10, text))
+        else:
+            cfg = load_config(write_config(tmp_path, text))
+        block = SYNTH_CHUNK_ROWS * 784 * 8
+        pixels = n * 784 if kind == "idx" else 0  # the image file's bytes
+        tracemalloc.start()
+        try:
+            ds = build_dataset(cfg, "train")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.views.shape == (16, n, 49)
+        # one block's features and the synthetic build's one block of scratch
+        assert peak < ds.views.nbytes + pixels + 2 * block + 2**21, peak
 
 
 @pytest.fixture(scope="module")
@@ -495,15 +579,16 @@ class TestTrainCommand:
 
     def test_client_views_built_once_per_command(self, pipeline, tmp_path, monkeypatch):
         # six fits share the training pool's views; each gathers its split
-        from mags import cli
+        # (600 rows, all in the first 1024-row block: one block to scatter)
+        from mags import config
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
-            return client_views(*args, **kwargs)
+            return real_views(*args, **kwargs)
 
-        client_views = cli.client_views
-        monkeypatch.setattr(cli, "client_views", counted)
+        real_views = config.client_views
+        monkeypatch.setattr(config, "client_views", counted)
         cfg_path = write_config(tmp_path)
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert calls == [(600, 784)]

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mags.data import (SYNTH_CHUNK_ROWS, Dataset, client_views, load_idx, make_splits,
-                       one_hot, split_patches, synth_dataset)
+from mags.data import (SYNTH_CHUNK_ROWS, Dataset, client_views, make_splits, one_hot, read_idx,
+                       scale_pixels, split_patches, synth_dataset)
 from mags.errors import ConfigError, IdxFormatError
 
 from helpers import pairwise_patch_columns, save_idx
@@ -27,22 +27,22 @@ class TestLoadIdx:
     def test_hand_built_fixture_recovers_exact_pixels(self, tmp_path):
         pixels = [[0, 51, 102, 255], [10, 20, 30, 40]]
         img, lbl = write_idx_fixture(tmp_path, pixels, [3, 7])
-        ds = load_idx(img, lbl)
-        assert ds.features.shape == (2, 4)
-        assert np.array_equal(ds.features * 255.0, np.array(pixels, dtype=float))
-        assert ds.labels.tolist() == [3, 7]
-        assert ds.class_count == 8  # max label + 1 when unspecified
-        assert load_idx(img, lbl, class_count=10).class_count == 10
+        got, labels, class_count = read_idx(img, lbl)
+        assert got.shape == (2, 4) and got.dtype == np.uint8
+        assert np.array_equal(scale_pixels(got) * 255.0, np.array(pixels, dtype=float))
+        assert labels.tolist() == [3, 7] and labels.dtype == np.int64
+        assert class_count == 8  # max label + 1 when unspecified
+        assert read_idx(img, lbl, class_count=10)[2] == 10
 
     def test_canonical_shape_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = Dataset(rng.random((10000, 784)), rng.integers(0, 10, 10000).astype(np.int64), 10)
         save_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
-        back = load_idx(tmp_path / "i.idx", tmp_path / "l.idx", class_count=10)
-        assert len(back) == 10000 and back.feature_count == 784
-        assert np.array_equal(back.labels, ds.labels)
+        pixels, labels, _ = read_idx(tmp_path / "i.idx", tmp_path / "l.idx", class_count=10)
+        assert pixels.shape == (10000, 784)
+        assert np.array_equal(labels, ds.labels)
         # quantization to uint8 then rescaling is exact on the byte grid
-        assert np.array_equal(np.round(back.features * 255), np.round(ds.features * 255))
+        assert np.array_equal(np.round(scale_pixels(pixels) * 255), np.round(ds.features * 255))
 
     def test_bad_image_magic_names_value(self, tmp_path):
         img = tmp_path / "bad.idx"
@@ -50,13 +50,13 @@ class TestLoadIdx:
         lbl = tmp_path / "l.idx"
         lbl.write_bytes(struct.pack(">ii", 0x00000801, 1) + bytes(1))
         with pytest.raises(IdxFormatError, match="0x00000802"):
-            load_idx(img, lbl)
+            read_idx(img, lbl)
 
     def test_bad_label_magic(self, tmp_path):
         img, lbl = write_idx_fixture(tmp_path, [[0, 0, 0, 0]], [1])
         lbl.write_bytes(struct.pack(">ii", 0x00000777, 1) + bytes(1))
         with pytest.raises(IdxFormatError, match="0x00000777"):
-            load_idx(img, lbl)
+            read_idx(img, lbl)
 
     def test_truncated_file(self, tmp_path):
         img = tmp_path / "t.idx"
@@ -64,22 +64,30 @@ class TestLoadIdx:
         lbl = tmp_path / "l.idx"
         lbl.write_bytes(struct.pack(">ii", 0x00000801, 2) + bytes(2))
         with pytest.raises(IdxFormatError, match="expected"):
-            load_idx(img, lbl)
+            read_idx(img, lbl)
 
     def test_count_mismatch_between_files(self, tmp_path):
         img, _ = write_idx_fixture(tmp_path, [[0, 0, 0, 0]], [1])
         lbl = tmp_path / "l2.idx"
         lbl.write_bytes(struct.pack(">ii", 0x00000801, 2) + bytes([1, 2]))
         with pytest.raises(IdxFormatError, match="does not match"):
-            load_idx(img, lbl)
+            read_idx(img, lbl)
+
+    def test_no_images(self, tmp_path):
+        # a header-only pair (28 x 28 images, no image and no label)
+        img, lbl = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+        img.write_bytes(struct.pack(">iiii", 0x00000803, 0, 28, 28))
+        lbl.write_bytes(struct.pack(">ii", 0x00000801, 0))
+        with pytest.raises(IdxFormatError, match="imgs.idx: holds 0 images, needs at least 1"):
+            read_idx(img, lbl)
 
     def test_label_at_or_above_the_class_count(self, tmp_path):
         # such a label used to reach one_hot and fail there with an IndexError
         img, lbl = write_idx_fixture(tmp_path, [[0, 0, 0, 0]] * 2, [1, 4])
         with pytest.raises(IdxFormatError, match="label 4 is not below the class count 4"):
-            load_idx(img, lbl, class_count=4)
-        assert load_idx(img, lbl, class_count=5).class_count == 5
-        assert load_idx(img, lbl).class_count == 5
+            read_idx(img, lbl, class_count=4)
+        assert read_idx(img, lbl, class_count=5)[2] == 5
+        assert read_idx(img, lbl)[2] == 5
         # a malformed file is a config error: mags train and mags eval print
         # it and exit 2
         assert issubclass(IdxFormatError, ConfigError)
@@ -213,9 +221,9 @@ class TestSynthDataset:
     def test_idx_export_round_trip(self, tmp_path):
         ds = synth_dataset(50, 10, 4, seed=1, noise=0.3)
         save_idx(ds, tmp_path / "s.idx", tmp_path / "sl.idx")
-        back = load_idx(tmp_path / "s.idx", tmp_path / "sl.idx", class_count=10)
-        assert np.array_equal(back.labels, ds.labels)
-        assert np.max(np.abs(back.features - ds.features)) <= 0.5 / 255
+        pixels, labels, _ = read_idx(tmp_path / "s.idx", tmp_path / "sl.idx", class_count=10)
+        assert np.array_equal(labels, ds.labels)
+        assert np.max(np.abs(scale_pixels(pixels) - ds.features)) <= 0.5 / 255
 
     def test_rejects_degenerate_params(self):
         with pytest.raises(ConfigError):

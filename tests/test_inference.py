@@ -5,7 +5,7 @@ from mags.faults import (FaultModel, RealizedGraph, active_mask, sample_comm_fau
                          sample_device_faults, sample_realization)
 from mags.inference import (SplitModel, aggregate, aggregator_head,
                             client_encode, delivery, encoder_dims, gossip_links,
-                            gossip_round, init_split_model, mags_infer)
+                            gossip_round, init_split_model, mags_infer, sample_major)
 from mags.nn import Mlp, init_mlp, log_softmax, mlp_forward
 from mags.rng import stream
 from mags.topology import build_graph, consensus_matrix
@@ -166,6 +166,10 @@ class TestAggregate:
         assert out.tobytes() == textbook_aggregate(reps, keep).tobytes()
         # one input row serves every aggregator whenever their deliveries agree
         assert out.flags.writeable == (not (keep == keep[:1]).all())
+        # a row slice of a wider stack's sample-major layout gives the same bytes
+        wide = np.random.default_rng(8).standard_normal((5, 7, 2))
+        wide[:, 2:5] = reps
+        assert aggregate(sample_major(wide)[2:5], keep).tobytes() == out.tobytes()
 
 
 class TestAggregatorHead:

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,8 +368,7 @@ class TestFit:
         ds, part, graph = small_problem(n=1000, noise=0.0)
         ckpt = fit_pool(TrainConfig(epochs=5, seed=2, batch_size=32), ds, part, graph, 2)
         _, va = make_splits(len(ds), 2)
-        _, acc = evaluate_split(ckpt.model, client_views(ds.features[va], part), ds.labels[va],
-                                graph)
+        _, acc = evaluate_split(ckpt.model, client_views(ds.features, part), ds.labels, graph, va)
         assert acc > 0.99
 
     def test_smoothed_loss_non_increasing_on_separable_data(self, tmp_path):
@@ -425,7 +425,6 @@ class TestFit:
         ds, part, graph = small_problem(n=200, noise=0.4)
         ckpt = fit_pool(TrainConfig(epochs=6, seed=7), ds, part, graph, 7)
         tr, va = make_splits(len(ds), 7)
-        views = client_views(ds.features[va], part)
         final_loss, _ = None, None
         # retrain to recover the final-epoch model
         model = init_split_model(graph, part.patch_dims(), ds.class_count, stream(7, "init"))
@@ -436,7 +435,7 @@ class TestFit:
         rd, rdo, rf = stream(7, "data"), stream(7, "dropout"), stream(7, "fault")
         for _ in range(6):
             train_epoch(model, opt, pool_views, tr, y, graph, cfg, rd, rdo, rf)
-        final_loss, _ = evaluate_split(model, views, ds.labels[va], graph)
+        final_loss, _ = evaluate_split(model, pool_views, ds.labels, graph, va)
         assert ckpt.best_val_loss <= final_loss + 1e-12
 
     def test_real_train_faults_run(self):
@@ -482,9 +481,38 @@ class TestEvaluateSplit:
                 (lp,), _ = aggregator_head(model, [k], aggregate(reps, keep[j:j + 1]))
                 loss_sum += float(-(y[sl] * lp).sum())
                 hit_sum += float((lp.argmax(axis=1) == ds.labels[sl]).sum())
-        loss, acc = evaluate_split(model, views, ds.labels, graph)
+        loss, acc = evaluate_split(model, views, ds.labels, graph, np.arange(len(ds)))
         assert loss == loss_sum / len(ds)
         assert acc == hit_sum / (len(ds) * len(aggs))
+
+    def test_rows_of_the_pool_score_like_their_gathered_views(self):
+        # 600 validation rows: a whole 512-row chunk and a partial one
+        ds, part, graph = small_problem(n=3000)
+        model = init_split_model(graph, part.patch_dims(), ds.class_count, stream(4, "init"))
+        views = client_views(ds.features, part)
+        _, va = make_splits(len(ds), 4)
+        assert len(va) == 600
+        assert (evaluate_split(model, views, ds.labels, graph, va)
+                == evaluate_split(model, views[:, va], ds.labels[va], graph, np.arange(len(va))))
+
+    def test_fit_holds_no_copy_of_the_validation_views(self):
+        # fit used to copy views[:, val_rows], a (C, n_val, d) array, once
+        # per fit; validation now gathers one 512-row chunk at a time
+        n, g = 10000, 4
+        rng = np.random.default_rng(0)
+        views = rng.random((g * g, n, 49))
+        labels = rng.integers(0, 10, n)
+        part = split_patches(784, g)
+        graph = build_graph("complete", g * g, 1)
+        split = make_splits(n, 1)
+        copy_bytes = views.shape[0] * len(split[1]) * views.shape[2] * views.itemsize
+        tracemalloc.start()
+        try:
+            fit(TrainConfig(epochs=1, seed=1), views, labels, 10, split, part, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < copy_bytes, (peak, copy_bytes)
 
 
 def json_cut_and_rehashed(raw):
@@ -517,8 +545,9 @@ class TestCheckpointFormat:
         a = load_checkpoint(path)
         b = load_checkpoint(path)
         va_views = client_views(va.features, part)
-        la, _ = evaluate_split(a.model, va_views, va.labels, graph)
-        lb, _ = evaluate_split(b.model, va_views, va.labels, graph)
+        rows = np.arange(len(va))
+        la, _ = evaluate_split(a.model, va_views, va.labels, graph, rows)
+        lb, _ = evaluate_split(b.model, va_views, va.labels, graph, rows)
         assert la == lb
 
     def test_header_fields(self, tmp_path):
