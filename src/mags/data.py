@@ -82,7 +82,8 @@ def read_idx(images_path, labels_path, class_count=None):
     """Parse big-endian IDX image/label files, each read once: the (n, d)
     uint8 pixels (a view of the image file's bytes), the (n,) int64 labels
     and the class count. Every label must lie below ``class_count`` when it
-    is given; a file with no image is malformed too."""
+    is given; a file with no image, or with no pixel per image, is
+    malformed too."""
     with open(images_path, "rb") as f:
         buf = f.read()
     if len(buf) < 16:
@@ -92,6 +93,9 @@ def read_idx(images_path, labels_path, class_count=None):
         raise IdxFormatError(f"{images_path}: bad image magic 0x{magic:08x}")
     if n < 1:
         raise IdxFormatError(f"{images_path}: holds {n} images, needs at least 1")
+    if rows < 1 or cols < 1:
+        raise IdxFormatError(f"{images_path}: images of {rows} x {cols} pixels, "
+                             f"need at least 1 x 1")
     expected = 16 + n * rows * cols
     if len(buf) != expected:
         raise IdxFormatError(f"{images_path}: expected {expected} bytes, found {len(buf)}")

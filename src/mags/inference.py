@@ -48,6 +48,10 @@ class SplitModel:
     (C * rep_dim concatenation -> class log-odds), row j belonging to
     aggregator ``aggregators[j]``. Clients are ordered by device index, which
     fixes the concatenation layout.
+
+    ``params`` may also be a (P, N) stack of P parameter vectors: the
+    stacks then carry a leading set axis, and ``training.split_forward``
+    runs all P models in one pass.
     """
 
     params: np.ndarray
@@ -69,10 +73,10 @@ class SplitModel:
 
     def unflatten(self, flat: np.ndarray):
         """(encoder, head) stacks of views into ``flat``, a vector laid out
-        like ``params`` (a gradient, say)."""
+        like ``params`` (a gradient, say), or a stack of such vectors."""
         cut = self.client_count * mlp_size(self.encoder_dims)
-        return (stacked_mlp(flat[:cut], self.client_count, self.encoder_dims),
-                stacked_mlp(flat[cut:], len(self.aggregators), self.head_dims))
+        return (stacked_mlp(flat[..., :cut], self.client_count, self.encoder_dims),
+                stacked_mlp(flat[..., cut:], len(self.aggregators), self.head_dims))
 
     def head_rows(self, aggs):
         """Head rows of the aggregators ``aggs``: a slice, so views, when
@@ -128,18 +132,19 @@ def fault_free_delivery(graph: DeviceGraph):
 
 
 def sample_major(reps: np.ndarray) -> np.ndarray:
-    """The (C, B, r) stack ``reps`` laid out by sample, (B, C * r): row i is
-    sample i's client-ordered concatenation of representations."""
-    c, b, r = reps.shape
-    return reps.transpose(1, 0, 2).reshape(b, c * r)
+    """The (..., C, B, r) stack ``reps`` laid out by sample, (..., B, C * r):
+    row i is sample i's client-ordered concatenation of representations."""
+    *lead, c, b, r = reps.shape
+    return reps.swapaxes(-3, -2).reshape(*lead, b, c * r)
 
 
 def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Zero-imputed, client-ordered head inputs, shape (K', B, C * r).
+    """Zero-imputed, client-ordered head inputs, shape (..., K', B, C * r).
 
     ``reps`` is the (C, B, r) stack from ``client_encode``, or its
     ``sample_major`` (B, C * r) layout: a caller that aggregates many slices
-    of one stack lays it out once and passes views of its rows.
+    of one stack lays it out once and passes views of its rows. A stack of
+    P models' representations, (P, C, B, r), gives (P, K', B, C * r).
     ``keep[j, c-1]`` says whether client c's representation reaches
     aggregator row j. An unreached slot is an exact zero whatever ``reps``
     holds there (NaN included, and a -0.0 too), so a dead client's rows are
@@ -150,14 +155,14 @@ def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:
     broadcast of one (B, C * r) array, masked only when a delivery is
     dropped.
     """
-    row = sample_major(reps) if reps.ndim == 3 else reps
-    r = row.shape[1] // keep.shape[1]
+    row = sample_major(reps) if reps.ndim > 2 else reps
+    r = row.shape[-1] // keep.shape[1]
     first = keep[:1]
     if not (keep == first).all():
-        return np.where(np.repeat(keep, r, axis=1)[:, None, :], row, 0.0)
+        return np.where(np.repeat(keep, r, axis=1)[:, None, :], row[..., None, :, :], 0.0)
     if not first.all():
         row = np.where(np.repeat(first, r, axis=1), row, 0.0)
-    return np.broadcast_to(row, (keep.shape[0], *row.shape))
+    return np.broadcast_to(row[..., None, :, :], (*row.shape[:-2], keep.shape[0], *row.shape[-2:]))
 
 
 def aggregator_head(model: SplitModel, aggs, agg_inputs: np.ndarray):
@@ -180,13 +185,14 @@ def gossip_links(edge_alive: np.ndarray, aggregators) -> np.ndarray:
 
 
 def gossip_round(z: np.ndarray, links: np.ndarray) -> np.ndarray:
-    """One synchronous round on stacked (K', B, M) values: row i becomes the
-    arithmetic mean of the rows that ``links[i]`` marks, computed as the
-    neighbor sum (one ``np.dot`` over the flattened rows) followed by one
-    division by the degree. ``links`` may be bool or its float64 copy: the
-    product casts a bool mask to the same 0/1 values."""
-    flat = z.reshape(z.shape[0], math.prod(z.shape[1:]))  # -1 cannot size zero rows
-    return (np.dot(links, flat) / links.sum(axis=1)[:, None]).reshape(z.shape)
+    """One synchronous round on stacked (..., K', B, M) values: row i
+    becomes the arithmetic mean of the rows that ``links[i]`` marks,
+    computed as the neighbor sum (one ``np.matmul`` over the flattened
+    rows, per leading index) followed by one division by the degree.
+    ``links`` may be bool or its float64 copy: the product casts a bool mask
+    to the same 0/1 values."""
+    flat = z.reshape(*z.shape[:-2], math.prod(z.shape[-2:]))  # -1 cannot size zero rows
+    return (np.matmul(links, flat) / links.sum(axis=1)[:, None]).reshape(z.shape)
 
 
 def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,

@@ -4,13 +4,15 @@ Float64 multilayer perceptrons (ReLU between layers, no activation after the
 last) with exact reverse-mode gradients, numerically stable log-softmax, and
 bias-corrected Adam.
 
-The MLP functions take an optional leading stack axis: a stack of S
-same-shaped MLPs has (S, n, m) weights and (S, m) biases, and runs on
-(S, B, n) inputs, row s through MLP s, with the same operations as S
-separate 2-d calls. ``stacked_mlp`` lays such a stack out as views into one
-flat parameter vector, and ``adam_update`` steps that vector in place; it is
-the one function here that mutates its arguments. Everything else is a pure
-function: identical inputs produce bit-identical outputs.
+The MLP functions take leading stack axes: a stack of S same-shaped MLPs
+has (S, n, m) weights and (S, m) biases, and runs on (S, B, n) inputs, row
+s through MLP s, with the same operations as S separate 2-d calls; a stack
+of stacks, (P, S, n, m) say, runs on (P, S, B, n) the same way.
+``stacked_mlp`` lays a stack out as views into one flat parameter vector,
+or into each row of a stack of such vectors, and ``adam_update`` steps a
+vector in place; it is the one function here that mutates its arguments.
+Everything else is a pure function: identical inputs produce bit-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from .errors import ConfigError, InputError
 @dataclass
 class Mlp:
     """Ordered (weight, bias) pairs; weight is (n, m), bias is (m,), or
-    (S, n, m) and (S, m) for a stack of S MLPs."""
+    (..., S, n, m) and (..., S, m) for a stack of S MLPs."""
 
     layers: list
 
     def take(self, rows) -> "Mlp":
-        """Rows of a stack: an int gives one 2-d MLP, a slice a stack of
-        views, an index array a stack of copies."""
-        return Mlp([(w[rows], b[rows]) for w, b in self.layers])
+        """Rows of the last stack axis: an int drops that axis, a slice
+        gives a stack of views, an index array a stack of copies."""
+        return Mlp([(w[..., rows, :, :], b[..., rows, :]) for w, b in self.layers])
 
 
 def mlp_size(dims) -> int:
@@ -43,12 +45,14 @@ def mlp_size(dims) -> int:
 def stacked_mlp(flat: np.ndarray, count: int, dims) -> Mlp:
     """A stack of ``count`` MLPs whose layers are views into ``flat``, which
     holds their parameters one MLP after another, each layer's weight
-    (row-major) before its bias. Writing into a layer writes into ``flat``."""
-    rows = flat.reshape(count, mlp_size(dims))
+    (row-major) before its bias. Writing into a layer writes into ``flat``.
+    A (..., N) ``flat`` gives a (..., count) stack, one per vector."""
+    lead = flat.shape[:-1]
+    rows = flat.reshape(*lead, count, mlp_size(dims))
     layers, at = [], 0
     for n, m in zip(dims[:-1], dims[1:]):
-        layers.append((rows[:, at:at + n * m].reshape(count, n, m),
-                       rows[:, at + n * m:at + n * m + m]))
+        layers.append((rows[..., at:at + n * m].reshape(*lead, count, n, m),
+                       rows[..., at + n * m:at + n * m + m]))
         at += n * m + m
     return Mlp(layers)
 
@@ -71,13 +75,14 @@ def relu(x):
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b, with b broadcast across the batch dimension; with a leading
-    stack axis on all three, row s uses weight s and bias s. The bias is
-    added in place into the fresh product: the same operations as the
-    textbook expression, without its second temporary."""
+    """x @ w + b, with b broadcast across the batch dimension; with leading
+    stack axes, the same on all three, each row uses its own weight and
+    bias. The bias is added in place into the fresh product: the same
+    operations as the textbook expression, without its second temporary."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or w.ndim != x.ndim:
-        raise ConfigError(f"linear_forward expects 2-d or 3-d arrays, got x{x.shape} w{w.shape}")
+    if x.ndim < 2 or w.ndim != x.ndim:
+        raise ConfigError(f"linear_forward expects arrays of 2 or more dims with the same "
+                          f"stack axes, got x{x.shape} w{w.shape}")
     if (x.shape[:-2] != w.shape[:-2] or x.shape[-1] != w.shape[-2]
             or b.shape != w.shape[:-2] + w.shape[-1:]):
         raise ConfigError(f"shape mismatch: x{x.shape} w{w.shape} b{b.shape}")

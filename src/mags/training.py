@@ -109,6 +109,32 @@ def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault)
     return keep, aggs, links
 
 
+def split_forward(model: SplitModel, views, y, keep, alive_aggs, links=None, gossip_rounds=0):
+    """The forward half of ``split_loss_and_grads``: the loss summed over
+    the heads of ``alive_aggs`` (mean over the batch), and what the backward
+    half reads, (reps, encoder tape, head log-probs, final log-probs, head
+    stack, head tape). Takes that function's arguments.
+
+    ``model`` may hold a (P, N) stack of parameter vectors: the batch then
+    runs through all P models in one pass, and the loss is a (P,) array,
+    entry s bit-identical to the loss of parameter vector s run alone. The
+    heads' losses are added left to right, as Python's ``sum`` adds them
+    (``np.add.reduce`` over 8 or more heads would pair them up). For a
+    single vector the loss is a numpy scalar."""
+    lead = model.params.shape[:-1]
+    out, enc_tape = mlp_forward(model.encoder, np.broadcast_to(views, lead + np.shape(views)))
+    reps = relu(out)
+    log_ps, (head, head_tape) = aggregator_head(model, alive_aggs, aggregate(reps, keep))
+    finals = log_ps
+    if gossip_rounds:
+        for _ in range(gossip_rounds):
+            finals = gossip_round(finals, links)
+        finals = log_softmax(finals)
+    head_losses = -(y * finals).sum(axis=(-2, -1)) / max(y.shape[0], 1)
+    loss = sum(np.moveaxis(head_losses, -1, 0), np.zeros(lead))
+    return loss, (reps, enc_tape, log_ps, finals, head, head_tape)
+
+
 def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
                          links=None, gossip_rounds=0, out=None):
     """Loss summed over aggregator heads (mean over the batch) and its exact
@@ -118,9 +144,10 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
 
     ``views`` is the client-major (C, B, d) batch and ``y`` its (B, classes)
     one-hot targets, built with ``one_hot`` and not checked again here, on
-    every batch. One stacked pass runs every client's encoder, then
-    ``aggregate`` and ``aggregator_head`` run the heads of ``alive_aggs`` as
-    inference does; the rows of dead aggregators get zero gradient.
+    every batch. ``split_forward`` runs every client's encoder in one
+    stacked pass, then ``aggregate`` and ``aggregator_head`` run the heads of
+    ``alive_aggs`` as inference does; the rows of dead aggregators get zero
+    gradient.
     ``keep[j, c-1]`` says whether client c's representation reaches
     ``alive_aggs[j]``; unreachable slots are zero-imputed and receive no
     gradient, so a dead client, which reaches no aggregator, gets a zero
@@ -136,16 +163,8 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
     k_count, b = len(alive_aggs), y.shape[0]
     c_count, rep = model.client_count, model.rep_dim
 
-    out, enc_tape = mlp_forward(model.encoder, np.asarray(views))
-    reps = relu(out)
-    log_ps, (head, head_tape) = aggregator_head(model, alive_aggs, aggregate(reps, keep))
-
-    finals = log_ps
-    if gossip_rounds:
-        for _ in range(gossip_rounds):
-            finals = gossip_round(finals, links)
-        finals = log_softmax(finals)
-    loss = sum((-(y * finals).sum(axis=(1, 2)) / n).tolist())
+    loss, (reps, enc_tape, log_ps, finals, head, head_tape) = split_forward(
+        model, views, y, keep, alive_aggs, links, gossip_rounds)
     dlogits = (np.exp(finals) - y) / n
     if gossip_rounds:
         deg = links.sum(axis=1)[:, None, None]
@@ -170,7 +189,7 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
         for (gw, gb), (w, bias) in zip(grads, stack.layers):
             w[rows] = gw
             bias[rows] = gb
-    return loss, grad
+    return float(loss), grad
 
 
 def init_optimizer(model: SplitModel, cfg: TrainConfig) -> AdamState:

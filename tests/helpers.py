@@ -1,7 +1,9 @@
 """Test-only reference code: a single-MLP cross-entropy oracle that the split
 pipeline's gradients are checked against, an IDX writer for the loader's
 fixtures, one-shot versions of the Monte Carlo certificates that the
-blocked ones are checked against, pair-by-pair constructions of the
+blocked ones are checked against, the gradient check's
+coordinate-by-coordinate finite differences that its stacked ones are
+checked against, pair-by-pair constructions of the
 graph adjacency and the patch columns that the array ones are checked
 against, the textbook forms of the head-path kernels, and the per-batch
 policy scoring loop that ``metrics.evaluate_policies``' one scoring pass is
@@ -21,6 +23,7 @@ from mags.inference import aggregate, aggregator_head, delivery, mags_infer
 from mags.metrics import EvalResult, count_comm, fault_rate_key
 from mags.nn import Mlp, log_softmax, mlp_backward, mlp_forward
 from mags.rng import stream
+from mags.training import split_loss_and_grads
 
 
 def check_one_hot(y) -> np.ndarray:
@@ -96,6 +99,40 @@ def one_shot_selection_uniformity(seed, draws) -> CertResult:
     worst = float(np.abs(freq - 1.0 / k).max()) / sigma
     return CertResult("selection-uniformity", worst <= 3.0,
                       f"max |z| {worst:.2f}, K={k}, rate={rate}, {n} conditioned draws")
+
+
+def per_coordinate_max_grad_error(model, views, y, keep, graph, tol):
+    """``certs._max_grad_error`` moving one coordinate of ``model.params``
+    at a time, in place, with one ``split_loss_and_grads`` call per moved
+    coordinate and per step."""
+    step = 1e-5
+    args = (views, y, keep, list(graph.aggregators))
+    base, grad = split_loss_and_grads(model, *args)
+    params = model.params
+
+    def loss_at(i, offset):
+        orig = params[i]
+        params[i] = orig + offset
+        loss, _ = split_loss_and_grads(model, *args)
+        params[i] = orig
+        return loss
+
+    def relative_error(estimate, g):
+        return abs(estimate - g) / max(abs(estimate), abs(g), 1e-3)
+
+    worst = 0.0
+    for i in range(params.size):
+        up, down = loss_at(i, step), loss_at(i, -step)
+        error = relative_error((up - down) / (2.0 * step), grad[i])
+        if error >= tol:
+            up2, down2 = loss_at(i, 2.0 * step), loss_at(i, -2.0 * step)
+            forward = (-3.0 * base + 4.0 * up - up2) / (2.0 * step)
+            backward = (3.0 * base - 4.0 * down + down2) / (2.0 * step)
+            if relative_error(forward, backward) >= tol:
+                smooth_forward = abs(base - 2.0 * up + up2) <= abs(base - 2.0 * down + down2)
+                error = relative_error(forward if smooth_forward else backward, grad[i])
+        worst = max(worst, error)
+    return float(worst)
 
 
 def pairwise_graph(kind, device_count, aggregator_count, seed, rgg_radius, random_aggregators):

@@ -5,10 +5,14 @@ Criteria 1-5 are self-contained randomized certificates. Criteria 6-8 share
 a desk-scale pipeline: a synthetic 10-class dataset (8000 train / 2000 test,
 noise 0.3), 16 devices on a complete graph, 20 epochs, 4 seeds. That run is
 a scaled substitute for the full-size benchmark sweeps, which need 100
-epochs and 16 seeds per cell.
+epochs and 16 seeds per cell. Its 12 fits run in two spawned worker
+processes.
 """
 
+import multiprocessing
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +24,41 @@ from mags.certs import (RING16_RADIUS, cert_catastrophic_probability,
                         cert_selection_uniformity)
 from mags.data import client_views, make_splits, split_patches, synth_dataset
 from mags.faults import FaultModel
-from mags.inference import client_encode
+from mags.inference import SplitModel, client_encode
 from mags.metrics import evaluate_policies
 from mags.topology import build_graph, consensus_matrix, spectral_radius
 from mags.training import TrainConfig, fit
 
 SEEDS = (1, 2, 3, 4)
 POLICY_SET = ("active_rand", "active_best", "active_worst", "any_rand")
+# The fits run in DESK_WORKERS processes with one BLAS thread each: two
+# processes of two BLAS threads on a 2-core machine took 61 s, not 45 s
+DESK_WORKERS = 2
+ONE_BLAS_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def desk_dataset():
+    """The desk's 10000 samples (the first 8000 are the training pool, the
+    rest the test set) and their partition into 16 patches."""
+    full = synth_dataset(10000, 10, 4, seed=7, noise=0.3)
+    return full, split_patches(full.feature_count, 4)
+
+
+def desk_fits(jobs):
+    """Fit each (aggregator count, dropout, seed) job on the desk training
+    pool, in a worker process. Returns the fields of each job's best model,
+    its float64 parameters first, which rebuild it as a ``SplitModel``. A
+    RuntimeWarning is an error here, as it is under pytest."""
+    warnings.simplefilter("error", RuntimeWarning)
+    full, part = desk_dataset()
+    pool_views = client_views(full.features[:8000], part)
+    models = []
+    for k, dropout, seed in jobs:
+        cfg = TrainConfig(epochs=20, batch_size=64, seed=seed, dropout=dropout, dropout_rate=0.3)
+        m = fit(cfg, pool_views, full.labels[:8000], 10, make_splits(8000, seed), part,
+                build_graph("complete", 16, k)).model
+        models.append((m.params, m.client_count, m.encoder_dims, m.aggregators, m.head_dims))
+    return models
 
 
 def report(criterion, passed, detail):
@@ -92,21 +124,27 @@ class DeskRuns:
 @pytest.fixture(scope="module")
 def desk():
     start = time.perf_counter()
-    full = synth_dataset(10000, 10, 4, seed=7, noise=0.3)
-    part = split_patches(full.feature_count, 4)
-    pool_views = client_views(full.features[:8000], part)  # the training pool
-    pool_labels = full.labels[:8000]
-    test_views, test_labels = client_views(full.features[8000:], part), full.labels[8000:]
-
     variants = (("VFL", 1, "none"), ("MACL", 16, "none"), ("CD-MACL", 16, "cd"))
+    jobs = [(name, k, dropout, seed) for name, k, dropout in variants for seed in SEEDS]
+    # dealt round-robin, so each worker fits every variant; spawn, not
+    # fork: the parent may hold BLAS threads
+    with pytest.MonkeyPatch.context() as env:
+        for name in ONE_BLAS_THREAD:  # read by each worker's BLAS when it loads
+            env.setenv(name, "1")
+        with ProcessPoolExecutor(DESK_WORKERS,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            shares = [pool.submit(desk_fits, [job[1:] for job in jobs[i::DESK_WORKERS]])
+                      for i in range(DESK_WORKERS)]
+            full, part = desk_dataset()
+            test_views = client_views(full.features[8000:], part)
+            fitted = [None] * len(jobs)
+            for i, share in enumerate(shares):
+                fitted[i::DESK_WORKERS] = share.result()
     models = {}
-    for name, k, dropout in variants:
-        graph = build_graph("complete", 16, k)
-        for seed in SEEDS:
-            cfg = TrainConfig(epochs=20, batch_size=64, seed=seed,
-                              dropout=dropout, dropout_rate=0.3)
-            ckpt = fit(cfg, pool_views, pool_labels, 10, make_splits(8000, seed), part, graph)
-            models[(name, seed)] = (ckpt.model, graph, client_encode(ckpt.model, test_views))
+    for (name, k, _, seed), fields in zip(jobs, fitted):
+        model = SplitModel(*fields)
+        models[(name, seed)] = (model, build_graph("complete", 16, k),
+                                client_encode(model, test_views))
 
     # methods scored from one checkpoint, and their gossip rounds; one
     # call per checkpoint scores every cell of CD-MACL and CD-MACL-G4 together
@@ -117,7 +155,7 @@ def desk():
     for trained_as, methods in evals.items():
         for seed in SEEDS:
             model, graph, reps = models[(trained_as, seed)]
-            grid = evaluate_policies(model, reps, test_labels, graph,
+            grid = evaluate_policies(model, reps, full.labels[8000:], graph,
                                      [FaultModel(kind, rate) for kind, rate in cells],
                                      list(POLICY_SET), [g for _, g in methods], seed)
             for (kind, rate), results in zip(cells, grid):

@@ -1,6 +1,6 @@
 """Certificate reports: pinned output, per-graph detail, failure on a
-broken implementation, blocked draws equal to one-shot draws, and bounded
-memory."""
+broken implementation, blocked draws equal to one-shot draws, stacked finite
+differences equal to coordinate-by-coordinate ones, and bounded memory."""
 
 import re
 import tracemalloc
@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import one_shot_catastrophic_probability, one_shot_selection_uniformity
+from helpers import (one_shot_catastrophic_probability, one_shot_selection_uniformity,
+                     per_coordinate_max_grad_error)
 from mags import certs, metrics
 from mags.certs import (cert_catastrophic_probability, cert_comm_counts,
                         cert_ensemble_identity, cert_gossip_contraction,
@@ -118,7 +119,7 @@ class TestMonteCarloBlocks:
 
 
 @pytest.mark.parametrize("cert", [cert_catastrophic_probability, cert_selection_uniformity,
-                                  cert_ensemble_identity])
+                                  cert_ensemble_identity, cert_gradient_check])
 def test_peak_memory_is_bounded(cert):
     # one-shot draws peaked at 36.9, 73.1 and 51.6 MiB
     tracemalloc.start()
@@ -132,19 +133,26 @@ def test_peak_memory_is_bounded(cert):
 
 def one_sided_coordinates(monkeypatch, seed):
     """Parameter coordinates that ``cert_gradient_check(seed)`` estimates
-    again from one-sided differences: those it moves by two steps."""
-    real = certs.split_loss_and_grads
+    again from one-sided differences: those that a parameter set of a
+    stacked forward pass moves by two steps from the parameters whose
+    analytic gradient it checks."""
+    real_grads, real_forward = certs.split_loss_and_grads, certs.split_forward
     base, moved = [], set()
 
-    def spy(model, *args):
-        if not base:
-            base.append(model.params.copy())
-        moved.update(np.flatnonzero(np.abs(model.params - base[0]) > 1.5e-5).tolist())
-        return real(model, *args)
+    def grads_spy(model, *args):
+        base.append(model.params.copy())
+        return real_grads(model, *args)
 
-    monkeypatch.setattr(certs, "split_loss_and_grads", spy)
+    def forward_spy(model, *args):
+        far = np.abs(model.params - base[-1]) > 1.5e-5  # one row per parameter set
+        moved.update(np.flatnonzero(far.any(axis=0)).tolist())
+        return real_forward(model, *args)
+
+    monkeypatch.setattr(certs, "split_loss_and_grads", grads_spy)
+    monkeypatch.setattr(certs, "split_forward", forward_spy)
     result = cert_gradient_check(seed)
-    monkeypatch.setattr(certs, "split_loss_and_grads", real)
+    monkeypatch.setattr(certs, "split_loss_and_grads", real_grads)
+    monkeypatch.setattr(certs, "split_forward", real_forward)
     return result, moved
 
 
@@ -155,6 +163,40 @@ class TestGradientCheck:
         result, moved = one_sided_coordinates(monkeypatch, seed)
         assert result.passed, result.line()
         assert moved == kinks
+
+    @pytest.mark.parametrize("seed", [0, 360, 481, 905])
+    def test_equal_to_coordinate_by_coordinate_differences(self, monkeypatch, seed):
+        # per delivery mask, the stacked differences give the loop's worst
+        # error to the bit, so the same report
+        real = certs._max_grad_error
+        checked = []
+
+        def both(*args):
+            worst = real(*args)
+            assert worst == per_coordinate_max_grad_error(*args)
+            checked.append(worst)
+            return worst
+
+        monkeypatch.setattr(certs, "_max_grad_error", both)
+        stacked = cert_gradient_check(seed)
+        assert len(checked) == 2
+        monkeypatch.setattr(certs, "_max_grad_error", per_coordinate_max_grad_error)
+        assert cert_gradient_check(seed) == stacked
+
+    def test_one_analytic_gradient_per_delivery_mask(self, monkeypatch):
+        # the finite differences run through the stacked forward pass: per
+        # mask one +h and one -h pass, and none for +-2h without a kink
+        calls = {"grads": 0, "forward": 0}
+        for name, key in (("split_loss_and_grads", "grads"), ("split_forward", "forward")):
+            real = getattr(certs, name)
+
+            def counted(*args, real=real, key=key):
+                calls[key] += 1
+                return real(*args)
+
+            monkeypatch.setattr(certs, name, counted)
+        assert cert_gradient_check(0).passed
+        assert calls == {"grads": 2, "forward": 4}
 
     @pytest.mark.parametrize("seed, coord", [(0, 5), (905, 0), (905, 32)])
     def test_wrong_gradient_fails(self, monkeypatch, seed, coord):

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import shutil
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -475,6 +476,25 @@ def test_idx_file_with_no_images_is_a_usage_error(tmp_path, monkeypatch, capsys,
              tmp_path / f"{name}l.idx")
     assert main([command, "--config", str(p)]) == 2
     assert capsys.readouterr().err == f"error: {path}: holds 0 images, needs at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("side,payload", [(0, 0), (-1, 30)], ids=["0x0", "-1x-1"])
+def test_idx_file_with_pixelless_images_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                         command, side, payload):
+    # 30 images of 0 x 0 pixels made mags train die with an OverflowError
+    # traceback (exit 1); 30 of (-1) x (-1) pixels trained on 1-pixel images
+    monkeypatch.delenv("MAGS_DATA_ROOT", raising=False)  # paths resolve against tmp_path
+    p = write_idx_config(tmp_path, 40, 30)
+    if command == "eval":
+        assert main(["train", "--config", str(p)]) == 0
+    name = {"train": "tr", "eval": "te"}[command]
+    path = tmp_path / f"{name}.idx"
+    path.write_bytes(struct.pack(">iiii", 0x00000803, 30, side, side) + bytes(payload))
+    (tmp_path / f"{name}l.idx").write_bytes(struct.pack(">ii", 0x00000801, 30) + bytes(30))
+    assert main([command, "--config", str(p)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: images of {side} x {side} pixels, "
+                                       f"need at least 1 x 1\n")
 
 
 class TestBuildDataset:

@@ -81,6 +81,18 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match="imgs.idx: holds 0 images, needs at least 1"):
             read_idx(img, lbl)
 
+    @pytest.mark.parametrize("rows,cols,payload", [(0, 0, 0), (-1, -1, 30), (1, 0, 0)],
+                             ids=["0x0", "-1x-1", "1x0"])
+    def test_images_without_pixels(self, tmp_path, rows, cols, payload):
+        # 30 images of 0 x 0 pixels made mags train die with an
+        # OverflowError; 30 of (-1) x (-1) pixels read as 1-pixel images
+        img, lbl = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+        img.write_bytes(struct.pack(">iiii", 0x00000803, 30, rows, cols) + bytes(payload))
+        lbl.write_bytes(struct.pack(">ii", 0x00000801, 30) + bytes(30))
+        with pytest.raises(IdxFormatError, match=rf"imgs.idx: images of {rows} x {cols} "
+                                                 r"pixels, need at least 1 x 1$"):
+            read_idx(img, lbl)
+
     def test_label_at_or_above_the_class_count(self, tmp_path):
         # such a label used to reach one_hot and fail there with an IndexError
         img, lbl = write_idx_fixture(tmp_path, [[0, 0, 0, 0]] * 2, [1, 4])

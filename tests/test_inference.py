@@ -170,6 +170,13 @@ class TestAggregate:
         wide = np.random.default_rng(8).standard_normal((5, 7, 2))
         wide[:, 2:5] = reps
         assert aggregate(sample_major(wide)[2:5], keep).tobytes() == out.tobytes()
+        # a stack of three models' representations aggregates each alike
+        sets = np.random.default_rng(9).standard_normal((3, 5, 3, 2))
+        sets[1] = reps
+        stacked = aggregate(sets, keep)
+        assert stacked.shape == (3, keep.shape[0], 3, 10)
+        for s, one in enumerate(sets):
+            assert stacked[s].tobytes() == aggregate(one, keep).tobytes()
 
 
 class TestAggregatorHead:
@@ -253,6 +260,18 @@ class TestGossipRound:
         expected = textbook_gossip_round(z, links).tobytes()
         assert gossip_round(z, links).tobytes() == expected
         assert gossip_round(z, links.astype(np.float64)).tobytes() == expected
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 16])
+    def test_leading_axes_give_each_slice_its_own_round(self, k):
+        rng = np.random.default_rng(k)
+        z = rng.standard_normal((4, k, 7, 3))
+        links = rng.random((k, k)) < 0.5
+        np.fill_diagonal(links, True)
+        for mask in (links, links.astype(np.float64)):
+            out = gossip_round(z, mask)
+            assert out.shape == z.shape
+            for s in range(4):
+                assert out[s].tobytes() == gossip_round(z[s], mask).tobytes()
 
     def test_no_aggregator_gives_an_empty_stack(self):
         out = gossip_round(np.zeros((0, 7, 3)), np.zeros((0, 0), dtype=bool))

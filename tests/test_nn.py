@@ -57,6 +57,18 @@ class TestLinearForward:
             linear_forward(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5))
         with pytest.raises(ConfigError):
             linear_forward(np.zeros((2, 3)), np.zeros((3, 5)), np.zeros(4))
+        # x and w carry the same stack axes: a broadcast is the caller's
+        with pytest.raises(ConfigError):
+            linear_forward(np.zeros((4, 2, 3)), np.zeros((6, 4, 3, 5)), np.zeros((6, 4, 5)))
+
+    def test_two_stack_axes_give_each_slice_its_own_product(self):
+        rng = np.random.default_rng(3)
+        x = np.broadcast_to(rng.standard_normal((4, 7, 3)), (6, 4, 7, 3))
+        w, b = rng.standard_normal((6, 4, 3, 5)), rng.standard_normal((6, 4, 5))
+        out = linear_forward(x, w, b)
+        assert out.shape == (6, 4, 7, 5)
+        for p in range(6):
+            assert out[p].tobytes() == linear_forward(x[p], w[p], b[p]).tobytes()
 
 
 class TestMlpForward:
@@ -308,6 +320,23 @@ class TestStackedMlp:
             flat[i] = orig
             worst = max(worst, rel_err(analytic[i], (up - down) / (2 * h)))
         assert worst < 1e-6
+
+    def test_a_stack_of_parameter_vectors_runs_each_vector_alike(self):
+        dims = (3, 4, 2)
+        _, flat = random_stack(6, 5, dims)
+        sets = np.stack([flat, flat + 0.25, flat[::-1].copy()])
+        stacks = stacked_mlp(sets, 5, dims)
+        assert [w.shape for w, _ in stacks.layers] == [(3, 5, 3, 4), (3, 5, 4, 2)]
+        assert all(np.shares_memory(a, sets) for layer in stacks.layers for a in layer)
+        # take indexes the last stack axis, the MLPs, in every set
+        assert stacks.take(1).layers[0][0].shape == (3, 3, 4)
+        x = np.random.default_rng(6).standard_normal((5, 7, 3))
+        out, _ = mlp_forward(stacks, np.broadcast_to(x, (3, 5, 7, 3)))
+        for p in range(3):
+            one, _ = mlp_forward(stacked_mlp(sets[p], 5, dims), x)
+            assert out[p].tobytes() == one.tobytes()
+            assert np.array_equal(stacks.take(1).layers[0][0][p],
+                                  stacked_mlp(sets[p], 5, dims).take(1).layers[0][0])
 
     def test_take_selects_rows(self):
         stack, _ = random_stack(3, 4, (3, 2))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import tracemalloc
@@ -16,8 +17,8 @@ from mags.topology import build_graph
 from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask,
                            batch_delivery, config_echo, evaluate_split, fit,
                            init_optimizer, load_checkpoint,
-                           save_checkpoint, split_loss_and_grads, train_epoch,
-                           optimizer_step)
+                           save_checkpoint, split_forward, split_loss_and_grads,
+                           train_epoch, optimizer_step)
 
 from helpers import loss_and_grad
 
@@ -229,6 +230,40 @@ class TestSplitLossAndGrads:
         _, heads = model.unflatten(held)
         dead = [j for j, k in enumerate(model.aggregators) if k not in alive_aggs]
         assert all(not w[dead].any() and not b[dead].any() for w, b in heads.layers)
+
+    @pytest.mark.parametrize("alive_aggs,dropped,gossip_rounds", [
+        (list(range(1, 11)), False, 0),
+        # nine of ten heads alive, with dropped deliveries, and gossip
+        (list(range(1, 10)), True, 0),
+        (list(range(1, 10)), True, 2),
+    ], ids=["all-kept", "dropped-subset", "dropped-subset-gossip-2"])
+    def test_stacked_forward_gives_each_sets_loss_bits(self, alive_aggs, dropped,
+                                                       gossip_rounds):
+        graph = build_graph("complete", 10, 10)
+        model = init_split_model(graph, [4] * 10, 3, stream(5, "init"))
+        rng = np.random.default_rng(5)
+        views = rng.random((10, 6, 4))
+        y = one_hot(rng.integers(0, 3, 6), 3)
+        keep = np.ones((len(alive_aggs), 10), dtype=bool)
+        if dropped:
+            keep[0, 3] = keep[4, 0] = keep[8, 9] = False
+        links = gossip_links(graph.adj, alive_aggs)
+        links[2, 5] = links[5, 1] = False
+        sets = model.params + 0.05 * rng.standard_normal((5, model.params.size))
+        sets[0] = model.params
+        args = (views, y, keep, alive_aggs, links, gossip_rounds)
+        losses, _ = split_forward(dataclasses.replace(model, params=sets), *args)
+        assert losses.shape == (5,)
+        for s, params in enumerate(sets):
+            loss, _ = split_loss_and_grads(dataclasses.replace(model, params=params), *args)
+            assert type(loss) is float and losses[s] == loss
+            assert np.float64(loss).tobytes() == losses[s].tobytes()
+        if not gossip_rounds:
+            # the heads' losses add up left to right, as Python's sum adds
+            # them: over nine heads or more, a pairwise sum would show
+            heads = [split_loss_and_grads(model, views, y, keep[j:j + 1], [k])[0]
+                     for j, k in enumerate(alive_aggs)]
+            assert losses[0] == sum(heads)
 
     def test_gradients_match_finite_differences_with_mask(self):
         graph = build_graph("complete", 2, 2)
