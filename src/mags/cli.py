@@ -16,6 +16,7 @@ import argparse
 import csv
 import itertools
 import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -41,6 +42,10 @@ AGG_HEADER = ["method", "graph", "fault_kind", "fault_rate", "policy",
 PLOT_SCHEMA = "# schema: mags/plotdata/v1"
 PLOT_ALL_HEADER = ["fault_kind", "graph", "policy", "method", "fault_rate", "mean", "err"]
 PLOT_PANEL_HEADER = ["method", "fault_rate", "mean", "err"]
+# the thread counts of the BLAS libraries numpy may load, which a worker
+# process sets to 1 unless the user set them: on a 2-core machine, two
+# workers of two threads each were a third slower than of one thread each
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def checkpoint_path(out_dir: Path, train_name: str, seed: int) -> Path:
@@ -69,11 +74,20 @@ def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int):
     n = min(workers, len(jobs))
     if n <= 1:
         return fn(cfg, jobs)
-    # spawn, not fork: the parent may hold BLAS threads
-    with ProcessPoolExecutor(max_workers=n,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = [pool.submit(fn, cfg, jobs[i::n]) for i in range(n)]
-        shares = [f.result() for f in futures]
+    # one BLAS thread per worker, unless the user set a count: a worker's
+    # numpy reads these when it loads, so they are in the environment the
+    # workers inherit, and only until the pool closes
+    added = [name for name in BLAS_THREAD_VARS if name not in os.environ]
+    os.environ.update(dict.fromkeys(added, "1"))
+    try:
+        # spawn, not fork: the parent may hold BLAS threads
+        with ProcessPoolExecutor(max_workers=n,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            futures = [pool.submit(fn, cfg, jobs[i::n]) for i in range(n)]
+            shares = [f.result() for f in futures]
+    finally:
+        for name in added:
+            del os.environ[name]
     results = [None] * len(jobs)
     for i, share in enumerate(shares):
         results[i::n] = share

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (SYNTH_CHUNK_ROWS, SYNTH_SIDE, ClientSplit, client_views, read_idx,
-                   scale_pixels, split_patches, synth_dataset)
+from .data import (COMPUTE_DTYPE, SYNTH_CHUNK_ROWS, SYNTH_SIDE, ClientSplit, client_views,
+                   read_idx, scale_pixels, split_patches, synth_dataset)
 from .errors import ConfigError
 from .faults import FaultModel
 from .metrics import POLICIES, fault_rate_key
@@ -311,8 +311,8 @@ def build_dataset(cfg: ExperimentConfig, split: str) -> ClientSplit:
     The (C, n, d) views are allocated once and filled one block of rows at
     a time, the blocks cut at the pool's multiples of SYNTH_CHUNK_ROWS (so a
     synthetic block is one noise block, or the part of it the split holds):
-    only a block's float64 features exist besides the views, never the
-    split's whole feature matrix."""
+    only a block's float64 features exist besides the COMPUTE_DTYPE views,
+    never the split's whole feature matrix."""
     if cfg.dataset_kind == "synthetic":
         n_train, n = cfg.synth_train_n, cfg.synth_train_n + cfg.synth_test_n
         lo, hi = {"train": (0, n_train), "test": (n_train, n)}[split]
@@ -332,7 +332,8 @@ def build_dataset(cfg: ExperimentConfig, split: str) -> ClientSplit:
             return scale_pixels(pixels[a:b]), pool_labels[a:b]
 
     partition = split_patches(feature_count, cfg.grid_side)
-    views = np.empty((partition.client_count, hi - lo, len(partition.client_columns[0])))
+    views = np.empty((partition.client_count, hi - lo, len(partition.client_columns[0])),
+                     dtype=COMPUTE_DTYPE)
     labels = np.empty(hi - lo, dtype=np.int64)
     edges = [lo, *range((lo // SYNTH_CHUNK_ROWS + 1) * SYNTH_CHUNK_ROWS, hi, SYNTH_CHUNK_ROWS), hi]
     for a, b in zip(edges, edges[1:]):

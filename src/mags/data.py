@@ -26,6 +26,9 @@ SYNTH_AMPLITUDE = 0.12
 # stream, keyed by j, and a build clips one block at a time. It is part of
 # the data contract: changing it changes every noisy image.
 SYNTH_CHUNK_ROWS = 1024
+# The precision models train and infer in: client views and one-hot targets
+# are built in it, and ``training.fit`` trains its parameters in it.
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass
@@ -123,7 +126,8 @@ def read_idx(images_path, labels_path, class_count=None):
 
 
 def scale_pixels(pixels: np.ndarray) -> np.ndarray:
-    """uint8 pixels as float64 features in [0, 1]."""
+    """uint8 pixels as float64 features in [0, 1]; ``client_views`` rounds
+    them to the views' dtype."""
     return pixels.astype(np.float64) / 255.0
 
 
@@ -145,11 +149,16 @@ def client_views(features: np.ndarray, spec: PartitionSpec, out=None) -> np.ndar
     array: row c-1 is client c's patches, and ``views[:, idx]`` is a (C, B,
     d) batch. It is written into ``out`` when given, e.g. ``views[:, a:b]``
     of a split's views, which ``config.build_dataset`` fills one block of
-    rows at a time, and is else a fresh C-contiguous array."""
+    rows at a time, and is else a fresh C-contiguous COMPUTE_DTYPE array.
+    The features are rounded to the views' dtype first: a ``np.take``
+    across dtypes also casts what ``out`` held before, uninitialized memory
+    included."""
     if features.shape[1] != spec.feature_count:
         raise ConfigError(f"features have {features.shape[1]} columns, partition expects {spec.feature_count}")
     cols = spec.client_columns
-    views = np.empty((len(cols), features.shape[0], len(cols[0]))) if out is None else out
+    views = (np.empty((len(cols), features.shape[0], len(cols[0])), dtype=COMPUTE_DTYPE)
+             if out is None else out)
+    features = features.astype(views.dtype, copy=False)
     # the columns are in range: mode="clip" only skips take's buffered copy of ``out``
     for c, idx in enumerate(cols):
         np.take(features, idx, axis=1, out=views[c], mode="clip")
@@ -171,7 +180,9 @@ def make_splits(n: int, seed: int):
 
 
 def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
-    y = np.zeros((labels.shape[0], class_count), dtype=np.float64)
+    """One-hot targets in COMPUTE_DTYPE: 0 and 1 are exact in every float
+    dtype, so a float64 caller's products are the same."""
+    y = np.zeros((labels.shape[0], class_count), dtype=COMPUTE_DTYPE)
     y[np.arange(labels.shape[0]), labels] = 1.0
     return y
 

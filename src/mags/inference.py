@@ -40,8 +40,11 @@ def encoder_dims(patch_dim: int):
 @dataclass
 class SplitModel:
     """Per-client encoders plus per-aggregator heads, every parameter in one
-    flat float64 vector in checkpoint order: clients ascending, then
-    aggregators ascending, each layer's weight (row-major) before its bias.
+    flat vector in checkpoint order: clients ascending, then aggregators
+    ascending, each layer's weight (row-major) before its bias. The model
+    computes in the vector's dtype: float32 when ``fit`` trains it or
+    ``load_checkpoint`` reads it, float64 as ``init_split_model`` draws it
+    (the gradient certificate's precision).
 
     ``encoder`` is one stacked Mlp of views into ``params`` whose row c-1 is
     client c's encoder (patch -> rep_dim); ``head`` is the stack of heads
@@ -188,11 +191,12 @@ def gossip_round(z: np.ndarray, links: np.ndarray) -> np.ndarray:
     """One synchronous round on stacked (..., K', B, M) values: row i
     becomes the arithmetic mean of the rows that ``links[i]`` marks,
     computed as the neighbor sum (one ``np.matmul`` over the flattened
-    rows, per leading index) followed by one division by the degree.
-    ``links`` may be bool or its float64 copy: the product casts a bool mask
-    to the same 0/1 values."""
+    rows, per leading index) followed by one division by the degree, both
+    in the values' dtype. ``links`` may be bool or its copy in that dtype:
+    the product casts a bool mask to the same 0/1 values."""
     flat = z.reshape(*z.shape[:-2], math.prod(z.shape[-2:]))  # -1 cannot size zero rows
-    return (np.matmul(links, flat) / links.sum(axis=1)[:, None]).reshape(z.shape)
+    deg = links.sum(axis=1, dtype=z.dtype)[:, None]
+    return (np.matmul(links, flat) / deg).reshape(z.shape)
 
 
 def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,
@@ -215,6 +219,6 @@ def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,
     held = realized.edge_alive.shape[0] == 1  # a held draw's links are built once
     for t in range(1, gossip_rounds + 1):
         if t == 1 or not held:
-            links = gossip_links(realized.edge_alive[0 if held else t], aggs).astype(np.float64)
+            links = gossip_links(realized.edge_alive[0 if held else t], aggs).astype(values.dtype)
         values = gossip_round(values, links)
     return values

@@ -1,8 +1,10 @@
 """Minimal dense neural-network engine.
 
-Float64 multilayer perceptrons (ReLU between layers, no activation after the
-last) with exact reverse-mode gradients, numerically stable log-softmax, and
-bias-corrected Adam.
+Multilayer perceptrons (ReLU between layers, no activation after the last)
+with exact reverse-mode gradients, numerically stable log-softmax, and
+bias-corrected Adam. Every function computes in the dtype of its array
+arguments: float32 in training and inference, float64 in the certificates;
+a Python scalar never widens an array.
 
 The MLP functions take leading stack axes: a stack of S same-shaped MLPs
 has (S, n, m) weights and (S, m) biases, and runs on (S, B, n) inputs, row
@@ -79,7 +81,6 @@ def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     stack axes, the same on all three, each row uses its own weight and
     bias. The bias is added in place into the fresh product: the same
     operations as the textbook expression, without its second temporary."""
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or w.ndim != x.ndim:
         raise ConfigError(f"linear_forward expects arrays of 2 or more dims with the same "
                           f"stack axes, got x{x.shape} w{w.shape}")
@@ -99,7 +100,7 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     hidden layer is rectified in place in its own fresh output, so no tape
     entry is written after it is recorded.
     """
-    h = np.asarray(x, dtype=np.float64)
+    h = x
     tape = []
     last = len(mlp.layers) - 1
     for i, (w, b) in enumerate(mlp.layers):
@@ -115,7 +116,7 @@ def mlp_backward(mlp: Mlp, tape, grad_out, input_grad=True):
     stacked like the layers; dx is None when ``input_grad`` is False, which
     skips the first layer's input product for a caller that discards it."""
     grads = [None] * len(mlp.layers)
-    d = np.asarray(grad_out, dtype=np.float64)
+    d = grad_out
     for i in reversed(range(len(mlp.layers))):
         w, _ = mlp.layers[i]
         x_i = tape[i]
@@ -140,7 +141,6 @@ def log_softmax(z):
     of an intermediate zero can show and ``exp`` and the final subtraction
     erase. The normalizer keeps ``np.sum``, whose pairwise order sets its
     bits."""
-    z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise InputError("log_softmax requires finite inputs")
     m = z[..., :1].copy()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PartitionSpec, one_hot
+from .data import COMPUTE_DTYPE, PartitionSpec, one_hot
 from .errors import ConfigError, InputError
 from .faults import FaultModel, sample_realization
 from .inference import (SplitModel, aggregate, aggregator_head, client_encode, delivery,
@@ -167,7 +167,7 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
         model, views, y, keep, alive_aggs, links, gossip_rounds)
     dlogits = (np.exp(finals) - y) / n
     if gossip_rounds:
-        deg = links.sum(axis=1)[:, None, None]
+        deg = links.sum(axis=1, dtype=dlogits.dtype)[:, None, None]
         for _ in range(gossip_rounds):
             dlogits = np.tensordot(links.T, dlogits / deg, axes=1)
         dlogits = dlogits - np.exp(log_ps) * dlogits.sum(axis=2, keepdims=True)
@@ -279,7 +279,10 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
     ``views`` is the client-major (C, n, d) stack of a whole training pool,
     ``labels`` its (n,) labels, and ``split`` the (train rows, validation
     rows) pair from ``make_splits``. Training batches and validation chunks
-    are gathered from ``views`` by row: no split is copied out whole."""
+    are gathered from ``views`` by row: no split is copied out whole.
+
+    The model trains and validates in COMPUTE_DTYPE (float32): a copy of
+    the float64 ``init_split_model`` draw, rounded to it."""
     train_rows, val_rows = split
     if len(val_rows) == 0:
         raise InputError("validation split must be nonempty")
@@ -288,6 +291,7 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
 
     model = init_split_model(graph, partition.patch_dims(), class_count,
                              stream(cfg.seed, "init"))
+    model = dataclasses.replace(model, params=model.params.astype(COMPUTE_DTYPE))
     opt = init_optimizer(model, cfg)
     rng_data = stream(cfg.seed, "data")
     rng_dropout = stream(cfg.seed, "dropout")
@@ -322,8 +326,8 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
 # Checkpoint file layout: a text manifest (layer shapes, config echo and its
 # hash) terminated by a DATA line, then raw little-endian float32 values,
 # row-major per layer, clients ascending then aggregators ascending, weight
-# before bias: the order of ``SplitModel.params``, which computes in float64
-# and serializes as float32 in one piece.
+# before bias: the order of ``SplitModel.params``, which ``fit`` trains in
+# float32, so the payload is the model itself, written and read in one piece.
 
 _CKPT_MAGIC = "MAGS-CKPT v1"
 
@@ -400,6 +404,6 @@ def load_checkpoint(path) -> Checkpoint:
     size = len(enc_dims) * mlp_size(enc_shape) + len(head_dims) * mlp_size(head_shape)
     if len(body) != 4 * size:
         raise ConfigError(f"{path}: payload has {len(body)} bytes, the manifest needs {4 * size}")
-    params = np.frombuffer(body, dtype="<f4").astype(np.float64)
+    params = np.frombuffer(body, dtype="<f4").astype(np.float32)
     model = SplitModel(params, len(enc_dims), enc_shape, tuple(sorted(head_dims)), head_shape)
     return Checkpoint(model, config, best_val_loss, best_epoch)

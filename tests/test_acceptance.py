@@ -22,6 +22,7 @@ from mags.certs import (RING16_RADIUS, cert_catastrophic_probability,
                         cert_comm_counts, cert_ensemble_identity,
                         cert_gossip_contraction, cert_gradient_check,
                         cert_selection_uniformity)
+from mags.cli import BLAS_THREAD_VARS
 from mags.data import client_views, make_splits, split_patches, synth_dataset
 from mags.faults import FaultModel
 from mags.inference import SplitModel, client_encode
@@ -34,7 +35,6 @@ POLICY_SET = ("active_rand", "active_best", "active_worst", "any_rand")
 # The fits run in DESK_WORKERS processes with one BLAS thread each: two
 # processes of two BLAS threads on a 2-core machine took 61 s, not 45 s
 DESK_WORKERS = 2
-ONE_BLAS_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def desk_dataset():
@@ -47,7 +47,7 @@ def desk_dataset():
 def desk_fits(jobs):
     """Fit each (aggregator count, dropout, seed) job on the desk training
     pool, in a worker process. Returns the fields of each job's best model,
-    its float64 parameters first, which rebuild it as a ``SplitModel``. A
+    its float32 parameters first, which rebuild it as a ``SplitModel``. A
     RuntimeWarning is an error here, as it is under pytest."""
     warnings.simplefilter("error", RuntimeWarning)
     full, part = desk_dataset()
@@ -129,7 +129,7 @@ def desk():
     # dealt round-robin, so each worker fits every variant; spawn, not
     # fork: the parent may hold BLAS threads
     with pytest.MonkeyPatch.context() as env:
-        for name in ONE_BLAS_THREAD:  # read by each worker's BLAS when it loads
+        for name in BLAS_THREAD_VARS:  # read by each worker's BLAS when it loads
             env.setenv(name, "1")
         with ProcessPoolExecutor(DESK_WORKERS,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:

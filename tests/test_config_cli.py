@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 import shutil
 import struct
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mags.cli import main, read_runs_csv
+from mags.cli import BLAS_THREAD_VARS, _run_jobs, main, read_runs_csv
 from mags.config import (CONFIG_KEYS, ExperimentConfig, load_config, parse_method,
                          parse_seed_list, resolve_data_path)
 from mags.data import (SYNTH_CHUNK_ROWS, Dataset, client_views, read_idx, split_patches,
@@ -751,6 +752,25 @@ class TestEvalCommand:
         a = read_runs_csv(pipeline[0] / "runs" / "runs.csv")
         b = read_runs_csv(tmp2 / "runs" / "runs.csv")
         assert [r[:8] for r in a] == [r[:8] for r in b]
+        serial = sorted((pipeline[0] / "runs" / "checkpoints").iterdir())
+        assert len(serial) == 12  # a checkpoint and a curve per variant and seed
+        for path in serial:
+            assert (tmp2 / "runs" / "checkpoints" / path.name).read_bytes() == path.read_bytes()
+
+    def test_workers_get_one_blas_thread_unless_the_user_set_one(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        seen = _run_jobs(blas_thread_vars, None, [0, 1], 2)
+        assert seen == [{"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1",
+                         "MKL_NUM_THREADS": "1"}] * 2
+        assert dict(os.environ) == before
+
+
+def blas_thread_vars(cfg, jobs):
+    """A ``_run_jobs`` job function: the worker's BLAS thread variables, per job."""
+    return [{name: os.environ.get(name) for name in BLAS_THREAD_VARS} for _ in jobs]
 
 
 class TestPlotdataCommand:

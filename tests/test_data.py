@@ -125,6 +125,7 @@ class TestSplitPatches:
         assert len(np.unique(allcols)) == 784
 
     def test_reassembly_inverts_partition(self):
+        # the views hold the float32 rounding of the features
         rng = np.random.default_rng(1)
         x = rng.random((5, 784))
         for g in (2, 4, 7):
@@ -132,15 +133,16 @@ class TestSplitPatches:
             views = client_views(x, spec)
             flat = np.concatenate(views, axis=1)
             perm = np.concatenate(spec.client_columns)
-            rebuilt = np.empty_like(x)
+            rebuilt = np.empty_like(x, dtype=np.float32)
             rebuilt[:, perm] = flat
-            assert np.array_equal(rebuilt, x)
+            assert np.array_equal(rebuilt, x.astype(np.float32))
 
     def test_views_are_one_client_major_stack(self):
-        x = np.random.default_rng(2).random((6, 784))
+        x = np.random.default_rng(2).random((6, 784)).astype(np.float32)
         spec = split_patches(784, 4)
         views = client_views(x, spec)
         assert views.shape == (16, 6, 49) and views.flags.c_contiguous
+        assert views.dtype == np.float32
         for c, cols in enumerate(spec.client_columns):
             assert np.array_equal(views[c], x[:, cols])
         idx = np.array([4, 1])

@@ -11,7 +11,7 @@ from mags.errors import ConfigError
 from mags.faults import FaultModel
 from mags.inference import (aggregate, aggregator_head, client_encode, fault_free_delivery,
                             gossip_links, init_split_model)
-from mags.nn import adam_init, adam_update, init_mlp, stacked_mlp
+from mags.nn import Mlp, adam_init, adam_update, init_mlp, stacked_mlp
 from mags.rng import stream
 from mags.topology import build_graph
 from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask,
@@ -392,11 +392,13 @@ class TestTrainEpoch:
 
 class TestFit:
     def test_zero_epochs_returns_initial_params(self):
+        # fit trains the float32 rounding of the float64 init draw
         ds, part, graph = small_problem()
         cfg = TrainConfig(epochs=0, seed=3)
         ckpt = fit_pool(cfg, ds, part, graph, 1)
         fresh = init_split_model(graph, part.patch_dims(), ds.class_count, stream(3, "init"))
-        assert np.array_equal(ckpt.model.params, fresh.params)
+        assert fresh.params.dtype == np.float64 and ckpt.model.params.dtype == np.float32
+        assert np.array_equal(ckpt.model.params, fresh.params.astype(np.float32))
         assert ckpt.best_epoch == 0
 
     def test_separable_data_reaches_high_accuracy(self):
@@ -550,6 +552,109 @@ class TestEvaluateSplit:
         assert peak < copy_bytes, (peak, copy_bytes)
 
 
+def arrays_in(obj):
+    """Every array in an argument: an array, an Mlp's layers or a tape."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, Mlp):
+        yield from arrays_in(obj.layers)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from arrays_in(item)
+
+
+@pytest.fixture
+def engine_dtypes(monkeypatch):
+    """Wrap each module's ``mlp_forward``, ``mlp_backward`` and
+    ``log_softmax``; the returned dict maps each name to the set of dtypes
+    of the arrays passed to it."""
+    from mags import certs, inference, metrics, nn, training
+    seen = {}
+    for name in ("mlp_forward", "mlp_backward", "log_softmax"):
+        real = getattr(nn, name)
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            seen.setdefault(_name, set()).update(a.dtype for a in arrays_in(args))
+            return _real(*args, **kwargs)
+
+        for module in (certs, inference, metrics, training):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+class TestPrecision:
+    """Training and inference run in float32 from end to end; the gradient
+    certificate stays float64."""
+
+    def test_fit_under_cd_dropout_and_training_gossip_stays_float32(self, engine_dtypes):
+        ds, part, graph = small_problem(n=80)
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=3, dropout="cd", gossip_rounds=2)
+        ckpt = fit_pool(cfg, ds, part, graph, 3)
+        assert ckpt.model.params.dtype == np.float32
+        assert engine_dtypes == {name: {np.dtype(np.float32)}
+                                 for name in ("mlp_forward", "mlp_backward", "log_softmax")}
+
+    def test_gossip_eval_cell_under_markov_faults_stays_float32(self, engine_dtypes,
+                                                                monkeypatch):
+        from mags import metrics
+        ds, part, graph = small_problem(n=100)
+        init = init_split_model(graph, part.patch_dims(), ds.class_count, stream(2, "init"))
+        model = dataclasses.replace(init, params=init.params.astype(np.float32))
+        reps = client_encode(model, client_views(ds.features, part))
+        finals = set()
+        real_infer = metrics.mags_infer
+
+        def infer(*args, **kwargs):
+            out = real_infer(*args, **kwargs)
+            finals.add(out.dtype)
+            return out
+
+        monkeypatch.setattr(metrics, "mags_infer", infer)
+        metrics.evaluate_policies(model, reps, ds.labels, graph, [FaultModel("markov_comm", 0.3)],
+                                  metrics.POLICIES, [4], seed=1, batch_size=16)
+        assert reps.dtype == np.float32 and finals == {np.dtype(np.float32)}
+        assert engine_dtypes == {name: {np.dtype(np.float32)}
+                                 for name in ("mlp_forward", "log_softmax")}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_desk_batch_gradient_matches_its_float64_recomputation(self, seed):
+        # one desk-sized batch: 16 clients, 10 classes, 64 samples, CD
+        # dropout at 0.3; measured, the float32 gradient's norm-wise
+        # relative error is 1.4e-7 to 1.8e-7, of the order of float32's
+        # epsilon (1.2e-7); the bound leaves a factor of about 60
+        ds = synth_dataset(64, 10, 4, seed=7 + seed, noise=0.3)
+        part = split_patches(ds.feature_count, 4)
+        graph = build_graph("complete", 16, 16)
+        init = init_split_model(graph, part.patch_dims(), 10, stream(seed, "init"))
+        model = dataclasses.replace(init, params=init.params.astype(np.float32))
+        views, y = client_views(ds.features, part), one_hot(ds.labels, 10)
+        keep = apply_cd_mask(16, graph.aggregators, 0.3, stream(seed, "dropout"))
+        aggs = list(graph.aggregators)
+        loss, grad = split_loss_and_grads(model, views, y, keep, aggs)
+        wide = dataclasses.replace(model, params=model.params.astype(np.float64))
+        loss64, grad64 = split_loss_and_grads(wide, views.astype(np.float64), y, keep, aggs)
+        assert grad.dtype == np.float32 and grad64.dtype == np.float64
+        assert abs(loss - loss64) <= 1e-6 * abs(loss64)
+        assert np.linalg.norm(grad - grad64) <= 1e-5 * np.linalg.norm(grad64)
+        assert np.abs(grad - grad64).max() <= 1e-5 * np.abs(grad64).max()
+
+    def test_gradient_certificate_runs_in_float64(self, monkeypatch):
+        from mags import certs
+        seen = set()
+
+        def spy(real):
+            def wrapper(model, views, *args, **kwargs):
+                seen.update((model.params.dtype, views.dtype))
+                return real(model, views, *args, **kwargs)
+            return wrapper
+
+        for name in ("split_forward", "split_loss_and_grads"):
+            monkeypatch.setattr(certs, name, spy(getattr(certs, name)))
+        assert certs.cert_gradient_check(seed=0, tol=1e-6).passed
+        assert seen == {np.dtype(np.float64)}
+
+
 def json_cut_and_rehashed(raw):
     """Checkpoint bytes ``raw`` with the config JSON's last character cut and
     the hash line rewritten to match, so only the JSON itself is broken."""
@@ -640,13 +745,24 @@ class TestCheckpointFormat:
         assert message in str(info.value)
 
     def test_serializes_as_float32(self, tmp_path):
+        # fit trains in float32, and the payload is read back as it is
         ckpt, path, *_ = self.make_ckpt(tmp_path)
         loaded = load_checkpoint(path)
-        w64 = ckpt.model.encoder.layers[0][0][0]
+        w = ckpt.model.encoder.layers[0][0][0]
         w32 = loaded.model.encoder.layers[0][0][0]
-        assert w32.dtype == np.float64  # widened back for compute
-        assert np.allclose(w64, w32, atol=1e-7)
-        assert np.array_equal(w32, w64.astype("<f4").astype(np.float64))
+        assert w.dtype == w32.dtype == np.float32  # not widened
+        assert np.array_equal(w32, w)
+
+    @pytest.mark.parametrize("gossip_rounds", [0, 2])
+    def test_reload_is_fits_model_bit_for_bit(self, tmp_path, gossip_rounds):
+        ds, part, graph = small_problem(n=80)
+        cfg = TrainConfig(epochs=2, seed=5, dropout="cd", gossip_rounds=gossip_rounds)
+        ckpt = fit_pool(cfg, ds, part, graph, 5)
+        save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        assert loaded.model.params.dtype == np.float32
+        assert loaded.model.params.tobytes() == ckpt.model.params.tobytes()
+        assert loaded.best_val_loss == ckpt.best_val_loss
 
     def test_payload_is_the_documented_per_layer_layout(self, tmp_path):
         # clients ascending, then aggregators ascending; per MLP each layer's
