@@ -111,23 +111,31 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     return h, tape
 
 
-def mlp_backward(mlp: Mlp, tape, grad_out, input_grad=True):
+def mlp_backward(mlp: Mlp, tape, grad_out, input_grad=True, out=None):
     """Backward pass from d(loss)/d(output). Returns (per-layer grads, dx),
     stacked like the layers; dx is None when ``input_grad`` is False, which
-    skips the first layer's input product for a caller that discards it."""
-    grads = [None] * len(mlp.layers)
+    skips the first layer's input product for a caller that discards it.
+
+    ``out``, an Mlp shaped like ``mlp`` (views into a flat gradient, say),
+    receives each layer's weight and bias gradient, written by the same
+    product and sum that would return them, and its layers are returned."""
+    grads = [None] * len(mlp.layers) if out is None else out.layers
     d = grad_out
     for i in reversed(range(len(mlp.layers))):
         w, _ = mlp.layers[i]
         x_i = tape[i]
-        grads[i] = (x_i.swapaxes(-1, -2) @ d, d.sum(axis=-2))
+        if out is None:
+            grads[i] = (x_i.swapaxes(-1, -2) @ d, d.sum(axis=-2))
+        else:
+            np.matmul(x_i.swapaxes(-1, -2), d, out=grads[i][0])
+            np.sum(d, axis=-2, out=grads[i][1])
         if i == 0 and not input_grad:
             return grads, None
         d = d @ w.swapaxes(-1, -2)
         if i > 0:
             # layer input equals the previous rectified output, so its sign
             # pattern is exactly the ReLU gradient mask
-            d = d * (x_i > 0)
+            d *= x_i > 0
     return grads, d
 
 

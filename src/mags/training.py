@@ -23,8 +23,8 @@ import numpy as np
 from .data import COMPUTE_DTYPE, PartitionSpec, one_hot
 from .errors import ConfigError, InputError
 from .faults import FaultModel, sample_realization
-from .inference import (SplitModel, aggregate, aggregator_head, client_encode, delivery,
-                        fault_free_delivery, gossip_links, gossip_round, init_split_model)
+from .inference import (SplitModel, aggregate, aggregator_head, delivery, fault_free_delivery,
+                        gossip_links, gossip_round, init_split_model)
 from .nn import (AdamState, adam_init, adam_update, log_softmax, mlp_backward, mlp_forward,
                  mlp_size, relu)
 from .rng import stream
@@ -138,9 +138,11 @@ def split_forward(model: SplitModel, views, y, keep, alive_aggs, links=None, gos
 def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
                          links=None, gossip_rounds=0, out=None):
     """Loss summed over aggregator heads (mean over the batch) and its exact
-    gradient, a flat vector laid out like ``model.params``: ``out`` when
-    given (``train_epoch`` holds one for all its batches), which is
-    overwritten whole, else a fresh vector.
+    gradient, a flat vector laid out like ``model.params``. ``out``, when
+    given, is a SplitModel like ``model`` whose ``params`` receive the
+    gradient, overwritten whole: ``train_epoch`` holds one for all its
+    batches, so its layer views are built once per pass. Without it the
+    gradient is a fresh vector.
 
     ``views`` is the client-major (C, B, d) batch and ``y`` its (B, classes)
     one-hot targets, built with ``one_hot`` and not checked again here, on
@@ -156,40 +158,38 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
     (K', K') ``links`` mask and renormalized before the loss.
     """
     n = max(y.shape[0], 1)
-    grad = np.empty_like(model.params) if out is None else out
+    grad = dataclasses.replace(model, params=np.empty_like(model.params)) if out is None else out
     if not alive_aggs:
-        grad[...] = 0.0
-        return 0.0, grad
+        grad.params[...] = 0.0
+        return 0.0, grad.params
     k_count, b = len(alive_aggs), y.shape[0]
     c_count, rep = model.client_count, model.rep_dim
 
     loss, (reps, enc_tape, log_ps, finals, head, head_tape) = split_forward(
         model, views, y, keep, alive_aggs, links, gossip_rounds)
-    dlogits = (np.exp(finals) - y) / n
+    dlogits = np.exp(finals)
+    dlogits -= y
+    dlogits /= n
     if gossip_rounds:
         deg = links.sum(axis=1, dtype=dlogits.dtype)[:, None, None]
         for _ in range(gossip_rounds):
             dlogits = np.tensordot(links.T, dlogits / deg, axes=1)
-        dlogits = dlogits - np.exp(log_ps) * dlogits.sum(axis=2, keepdims=True)
+        dlogits -= np.exp(log_ps) * dlogits.sum(axis=2, keepdims=True)
 
-    head_grads, du = mlp_backward(head, head_tape, dlogits)
+    heads = model.head_rows(alive_aggs)
+    if isinstance(heads, slice):
+        _, du = mlp_backward(head, head_tape, dlogits, out=grad.head)
+    else:  # the alive heads' rows are an index array; the dead rows stay zero
+        head_grads, du = mlp_backward(head, head_tape, dlogits)
+        for (gw, gb), (w, bias) in zip(head_grads, grad.head.layers):
+            w[...], bias[...] = 0.0, 0.0
+            w[heads], bias[heads] = gw, gb
     if not keep.all():
-        du = np.where(np.repeat(keep, rep, axis=1)[:, None, :], du, 0.0)
+        np.copyto(du, 0.0, where=~np.repeat(keep, rep, axis=1)[:, None, :])
     d_rep = du.reshape(k_count, b, c_count, rep).sum(axis=0)  # (B, C, r)
     dh = d_rep.swapaxes(0, 1) * (reps > 0)
-    enc_grads, _ = mlp_backward(model.encoder, enc_tape, dh, input_grad=False)
-
-    g_enc, g_head = model.unflatten(grad)
-    if k_count < len(model.aggregators):  # the dead aggregators' rows stay zero
-        for w, bias in g_head.layers:
-            w[...] = 0.0
-            bias[...] = 0.0
-    heads = model.head_rows(alive_aggs)
-    for rows, stack, grads in ((slice(None), g_enc, enc_grads), (heads, g_head, head_grads)):
-        for (gw, gb), (w, bias) in zip(grads, stack.layers):
-            w[rows] = gw
-            bias[rows] = gb
-    return float(loss), grad
+    mlp_backward(model.encoder, enc_tape, dh, input_grad=False, out=grad.encoder)
+    return float(loss), grad.params
 
 
 def init_optimizer(model: SplitModel, cfg: TrainConfig) -> AdamState:
@@ -207,18 +207,20 @@ def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dro
     """One pass over the training rows ``rows`` of the client-major
     ``views``, updating ``model`` and ``opt`` in place; ``y_onehot[i]`` is
     the target of row ``rows[i]``. Every batch writes its gradient into one
-    buffer held for the pass. Returns the mean train loss."""
-    grad = np.empty_like(model.params)
+    buffer held for the pass, through layer views built once. Each batch is
+    gathered by row and cast to the parameters' dtype. Returns the mean
+    train loss."""
+    grad = dataclasses.replace(model, params=np.empty_like(model.params))
     n = len(rows)
     order = rng_data.permutation(n)
     total, seen = 0.0, 0
     for start in range(0, n, cfg.batch_size):
         idx = order[start:start + cfg.batch_size]
         keep, alive_aggs, links = batch_delivery(graph, cfg, rng_dropout, rng_fault)
-        loss, _ = split_loss_and_grads(
-            model, views[:, rows[idx]], y_onehot[idx], keep, alive_aggs, links,
-            cfg.gossip_rounds, out=grad)
-        optimizer_step(model, opt, grad)
+        batch = np.take(views, rows[idx], axis=1).astype(model.params.dtype, copy=False)
+        loss, _ = split_loss_and_grads(model, batch, y_onehot[idx], keep, alive_aggs, links,
+                                       cfg.gossip_rounds, out=grad)
+        optimizer_step(model, opt, grad.params)
         total += loss * len(idx)
         seen += len(idx)
     return total / max(seen, 1)
@@ -229,21 +231,26 @@ def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, rows):
     and accuracy averaged over aggregators.
 
     The samples are the rows ``rows`` of the client-major pool ``views`` and
-    of its ``labels``; each chunk of them is gathered by row, so the
-    split's views are never copied out whole."""
+    of its ``labels``; each chunk of them is gathered by row and cast to the
+    parameters' dtype, so the split's views are never copied out whole, and
+    its encoders run in one stacked pass, as ``split_forward`` runs them."""
     aggs, keep = fault_free_delivery(graph)
     n = len(rows)
     loss_sum, hit_sum = 0.0, 0.0
     # samples per encoder pass and heads per head pass, fixed: the chunk
     # sets the order of the loss sum (so the checkpointed best loss to the
-    # last bit); both set the pass's peak memory, and all K' heads of a
-    # chunk at once measurably raised the train driver's peak RSS
-    chunk, group = 512, 4
+    # last bit), the group does not; both set the pass's peak memory. In
+    # float32, on the desk validation split (1600 rows, 16 clients, 16
+    # heads, 10 classes), the traced peak was 4.0, 4.9 and 7.3 MiB at
+    # groups of 4, 8 and 16 heads; 8 took about a tenth less time than 4,
+    # and 16 no less than 8
+    chunk, group = 512, 8
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
         lab = labels[rows[sl]]
         y = one_hot(lab, model.class_count)
-        reps = client_encode(model, views[:, rows[sl]])
+        x = np.take(views, rows[sl], axis=1).astype(model.params.dtype, copy=False)
+        reps = relu(mlp_forward(model.encoder, x)[0])
         for g in range(0, len(aggs), group):
             lps, _ = aggregator_head(model, aggs[g:g + group],
                                      aggregate(reps, keep[g:g + group]))

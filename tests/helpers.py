@@ -7,7 +7,9 @@ checked against, pair-by-pair constructions of the
 graph adjacency and the patch columns that the array ones are checked
 against, the textbook forms of the head-path kernels, and the per-batch
 policy scoring loop that ``metrics.evaluate_policies``' one scoring pass is
-checked against. No pipeline of the library calls them."""
+checked against, and the per-client encoder loop that
+``training.evaluate_split``'s stacked one is checked against. No pipeline
+of the library calls them."""
 
 import math
 import struct
@@ -16,10 +18,11 @@ import time
 import numpy as np
 
 from mags.certs import CertResult
-from mags.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset
+from mags.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset, one_hot
 from mags.errors import ConfigError, InputError
 from mags.faults import FAULT_KIND_IDS, active_mask, sample_realization
-from mags.inference import aggregate, aggregator_head, delivery, mags_infer
+from mags.inference import (aggregate, aggregator_head, client_encode, delivery,
+                            fault_free_delivery, mags_infer)
 from mags.metrics import EvalResult, count_comm, fault_rate_key
 from mags.nn import Mlp, log_softmax, mlp_backward, mlp_forward
 from mags.rng import stream
@@ -291,3 +294,23 @@ def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, polici
         grid.append([EvalResult({p: s["hits"][p] / total for p in policies},
                                 s["comm"] / total, total, seconds) for s in scores])
     return grid
+
+
+def per_client_evaluate_split(model, views, labels, graph, rows):
+    """``training.evaluate_split`` encoding each 512-row chunk with
+    ``client_encode``, one ``mlp_forward`` call per client, and running its
+    heads four at a time."""
+    aggs, keep = fault_free_delivery(graph)
+    n = len(rows)
+    loss_sum, hit_sum = 0.0, 0.0
+    for start in range(0, n, 512):
+        sl = slice(start, min(start + 512, n))
+        lab = labels[rows[sl]]
+        y = one_hot(lab, model.class_count)
+        reps = client_encode(model, views[:, rows[sl]])
+        for g in range(0, len(aggs), 4):
+            lps, _ = aggregator_head(model, aggs[g:g + 4], aggregate(reps, keep[g:g + 4]))
+            for lp in lps:
+                loss_sum += float(-(y * lp).sum())
+                hit_sum += float((lp.argmax(axis=1) == lab).sum())
+    return loss_sum / n, hit_sum / (n * len(aggs))

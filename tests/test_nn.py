@@ -297,6 +297,34 @@ class TestStackedMlp:
             assert np.array_equal(gw, sw)
             assert np.array_equal(gb, sb)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("lead", [(), (4,), (3, 4)], ids=["2-d", "stack", "stack-of-stacks"])
+    def test_backward_into_views_gives_the_fresh_gradients_bits(self, lead, input_grad, dtype):
+        # ``out`` is views into a NaN-filled flat gradient, as a training
+        # pass holds one: every layer's weight and bias must be written
+        dims = (12, 8, 5, 3)
+        count = lead[-1] if lead else 1
+        rng = stream(7, "data")
+        sets = rng.uniform(-0.5, 0.5, (*lead[:-1], count * mlp_size(dims))).astype(dtype)
+        held = np.full_like(sets, np.nan)
+        mlp, out = stacked_mlp(sets, count, dims), stacked_mlp(held, count, dims)
+        if not lead:
+            mlp, out = mlp.take(0), out.take(0)
+        x = rng.standard_normal((*lead, 9, 12)).astype(dtype)
+        grad_out = rng.standard_normal((*lead, 9, 3)).astype(dtype)
+        _, tape = mlp_forward(mlp, x)
+        fresh, dx = mlp_backward(mlp, tape, grad_out, input_grad=input_grad)
+        written, dx_out = mlp_backward(mlp, tape, grad_out, input_grad=input_grad, out=out)
+        assert written is out.layers and not np.isnan(held).any()
+        for (gw, gb), (ow, ob) in zip(fresh, out.layers):
+            assert gw.dtype == ow.dtype == dtype
+            assert gw.tobytes() == ow.tobytes() and gb.tobytes() == ob.tobytes()
+        if input_grad:
+            assert dx.tobytes() == dx_out.tobytes()
+        else:
+            assert dx is None and dx_out is None
+
     def test_stacked_backward_matches_finite_differences(self):
         dims = (3, 4, 2)
         stack, flat = random_stack(2, 3, dims)

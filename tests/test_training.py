@@ -20,7 +20,7 @@ from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask,
                            save_checkpoint, split_forward, split_loss_and_grads,
                            train_epoch, optimizer_step)
 
-from helpers import loss_and_grad
+from helpers import loss_and_grad, per_client_evaluate_split
 
 
 def zero_heads(model):
@@ -224,12 +224,42 @@ class TestSplitLossAndGrads:
         keep = np.ones((len(alive_aggs), 4), dtype=bool)
         fresh_loss, fresh = split_loss_and_grads(model, views, y, keep, alive_aggs)
         held = np.full_like(model.params, np.nan)
-        loss, grad = split_loss_and_grads(model, views, y, keep, alive_aggs, out=held)
+        loss, grad = split_loss_and_grads(model, views, y, keep, alive_aggs,
+                                          out=dataclasses.replace(model, params=held))
         assert grad is held and loss == fresh_loss
         assert np.array_equal(held, fresh)
         _, heads = model.unflatten(held)
         dead = [j for j, k in enumerate(model.aggregators) if k not in alive_aggs]
         assert all(not w[dead].any() and not b[dead].any() for w, b in heads.layers)
+
+    @pytest.mark.parametrize("case", ["all-kept", "cd-dropped", "pd-dropped",
+                                      "dead-aggregator", "gossip-2"])
+    def test_held_gradient_views_give_a_fresh_calls_bits(self, case):
+        # train_epoch's held gradient, as a SplitModel of views into one
+        # NaN-filled buffer: every coordinate must be written, dead rows
+        # with zeros, and with the bits of a fresh call
+        ds, part, graph = small_problem()
+        init = init_split_model(graph, part.patch_dims(), ds.class_count, stream(8, "init"))
+        model = dataclasses.replace(init, params=init.params.astype(np.float32))
+        views = client_views(ds.features[:16], part)
+        y = one_hot(ds.labels[:16], ds.class_count)
+        aggs = [1, 3, 4] if case == "dead-aggregator" else list(graph.aggregators)
+        keep = np.ones((len(aggs), 4), dtype=bool)
+        if case == "cd-dropped":
+            keep = apply_cd_mask(4, aggs, 0.5, stream(8, "dropout"))
+        elif case == "pd-dropped":
+            keep &= apply_pd_mask(4, 0.5, stream(8, "dropout"))[None, :]
+        assert keep.all() == (case not in ("cd-dropped", "pd-dropped"))
+        links = gossip_links(graph.adj, aggs)
+        links[0, 1] = False
+        args = (model, views, y, keep, aggs, links, 2 if case == "gossip-2" else 0)
+        fresh_loss, fresh = split_loss_and_grads(*args)
+        held = dataclasses.replace(model, params=np.full_like(model.params, np.nan))
+        loss, grad = split_loss_and_grads(*args, out=held)
+        assert grad is held.params and loss == fresh_loss
+        assert not np.isnan(grad).any() and grad.tobytes() == fresh.tobytes()
+        dead = [j for j, k in enumerate(model.aggregators) if k not in aggs]
+        assert all(not w[dead].any() and not b[dead].any() for w, b in held.head.layers)
 
     @pytest.mark.parametrize("alive_aggs,dropped,gossip_rounds", [
         (list(range(1, 11)), False, 0),
@@ -522,6 +552,21 @@ class TestEvaluateSplit:
         assert loss == loss_sum / len(ds)
         assert acc == hit_sum / (len(ds) * len(aggs))
 
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_stacked_encoders_give_the_per_client_loss_bits(self, g):
+        # 1100 rows: two whole 512-row chunks and a partial one
+        graph = build_graph("complete", g * g, g * g)
+        ds = synth_dataset(1100, 5, g, seed=3, noise=0.3)
+        part = split_patches(ds.feature_count, g)
+        init = init_split_model(graph, part.patch_dims(), 5, stream(9, "init"))
+        model = dataclasses.replace(init, params=init.params.astype(np.float32))
+        views = client_views(ds.features, part)
+        rows = np.random.default_rng(g).permutation(len(ds))
+        loss, acc = evaluate_split(model, views, ds.labels, graph, rows)
+        ref_loss, ref_acc = per_client_evaluate_split(model, views, ds.labels, graph, rows)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert acc == ref_acc
+
     def test_rows_of_the_pool_score_like_their_gathered_views(self):
         # 600 validation rows: a whole 512-row chunk and a partial one
         ds, part, graph = small_problem(n=3000)
@@ -594,6 +639,30 @@ class TestPrecision:
         assert ckpt.model.params.dtype == np.float32
         assert engine_dtypes == {name: {np.dtype(np.float32)}
                                  for name in ("mlp_forward", "mlp_backward", "log_softmax")}
+
+    def test_fit_on_float64_views_trains_on_their_float32_rounding(self, engine_dtypes,
+                                                                   tmp_path):
+        # float64 views hold the raw features; each batch and validation
+        # chunk is rounded to the float32 parameters as it is gathered
+        ds, part, graph = small_problem(n=80)
+        wide = client_views(ds.features, part,
+                            out=np.empty((4, len(ds), ds.feature_count // 4)))
+        narrow = wide.astype(np.float32)
+        assert wide.dtype == np.float64 and not np.array_equal(wide, narrow)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=3, dropout="cd")
+        split = make_splits(len(ds), 3)
+        paths = []
+        for views in (wide, narrow):
+            ckpt = fit(cfg, views, ds.labels, ds.class_count, split, part, graph,
+                       curve_path=tmp_path / f"{views.dtype}-curve.csv")
+            if views is wide:
+                assert engine_dtypes == {name: {np.dtype(np.float32)} for name in
+                                         ("mlp_forward", "mlp_backward", "log_softmax")}
+            paths.append(tmp_path / f"{views.dtype}.ckpt")
+            save_checkpoint(ckpt, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert ((tmp_path / "float64-curve.csv").read_bytes()
+                == (tmp_path / "float32-curve.csv").read_bytes())
 
     def test_gossip_eval_cell_under_markov_faults_stays_float32(self, engine_dtypes,
                                                                 monkeypatch):
