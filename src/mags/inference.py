@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .faults import FaultModel, RealizedGraph, sample_realization
-from .nn import init_mlp, log_softmax, mlp_forward, mlp_size, relu, stacked_mlp
+from .nn import Mlp, init_mlp, log_softmax, mlp_forward, mlp_size, relu, stacked_mlp
 from .topology import DeviceGraph
 
 # Encoder stacks matched to the standard patch sizes (hidden, representation).
@@ -141,49 +141,58 @@ def sample_major(reps: np.ndarray) -> np.ndarray:
     return reps.swapaxes(-3, -2).reshape(*lead, b, c * r)
 
 
-def aggregate(reps: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def aggregate(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Zero-imputed, client-ordered head inputs, shape (..., K', B, C * r).
 
-    ``reps`` is the (C, B, r) stack from ``client_encode``, or its
-    ``sample_major`` (B, C * r) layout: a caller that aggregates many slices
-    of one stack lays it out once and passes views of its rows. A stack of
-    P models' representations, (P, C, B, r), gives (P, K', B, C * r).
-    ``keep[j, c-1]`` says whether client c's representation reaches
-    aggregator row j. An unreached slot is an exact zero whatever ``reps``
-    holds there (NaN included, and a -0.0 too), so a dead client's rows are
-    never read. One ``np.where`` over the flat layout masks the
-    concatenation, each client's flag repeated over its r slots. When every
-    row of ``keep`` is the same (every delivery kept, or device faults on a
-    complete graph), so is every input: the result is then a read-only
-    broadcast of one (B, C * r) array, masked only when a delivery is
+    ``rows`` is sample-major, (..., B, C * r), as ``sample_major`` lays out
+    a (..., C, B, r) stack from ``client_encode``. ``keep[..., j, c-1]``
+    says whether client c's representation reaches aggregator row j; its
+    leading axes broadcast against those of ``rows``, so P models' rows
+    under one (K', C) mask, or J batches' rows under their (J, K', C)
+    masks, give each slice its own call's result. An unreached slot is an
+    exact +0.0 whatever ``rows`` holds there (NaN included, and a -0.0 too),
+    so a dead client's rows are never read: the rows are copied, then the
+    unreached slots zeroed, each client's flag repeated over its r slots.
+    When every row of ``keep`` matches its first (every delivery kept, or
+    device faults on a complete graph), so does every input: the result is
+    then a read-only broadcast, copied and masked only when a delivery is
     dropped.
     """
-    row = sample_major(reps) if reps.ndim > 2 else reps
-    r = row.shape[-1] // keep.shape[1]
-    first = keep[:1]
-    if not (keep == first).all():
-        return np.where(np.repeat(keep, r, axis=1)[:, None, :], row[..., None, :, :], 0.0)
-    if not first.all():
-        row = np.where(np.repeat(first, r, axis=1), row, 0.0)
-    return np.broadcast_to(row[..., None, :, :], (*row.shape[:-2], keep.shape[0], *row.shape[-2:]))
+    r = rows.shape[-1] // keep.shape[-1]
+    same = (keep == keep[..., :1, :]).all()
+    mask = np.repeat(keep[..., :1, :] if same else keep, r, axis=-1)[..., None, :]
+    out = rows[..., None, :, :]
+    if not mask.all():
+        out = np.empty(np.broadcast_shapes(out.shape, mask.shape), rows.dtype)
+        out[...] = rows[..., None, :, :]
+        np.copyto(out, 0.0, where=~mask)
+    lead = np.broadcast_shapes(out.shape[:-3], keep.shape[:-2])
+    return np.broadcast_to(out, (*lead, keep.shape[-2], *out.shape[-2:])) if same else out
 
 
 def aggregator_head(model: SplitModel, aggs, agg_inputs: np.ndarray):
     """One stacked forward pass of the heads of ``aggs`` on their (K', B,
     C * r) inputs, followed by log-softmax normalization. Returns the log-probs
     and what ``mlp_backward`` reads to differentiate them: the head stack
-    taken for ``aggs`` (a copy when they are not all of them) and its tape."""
+    taken for ``aggs`` (a copy when they are not all of them) and its tape.
+    A stack of J batches' (J, K', B, C * r) inputs runs through the heads
+    broadcast over J, each slice bit-identical to its own call."""
     head = model.head.take(model.head_rows(aggs))
+    extra = agg_inputs.shape[:agg_inputs.ndim - head.layers[0][0].ndim]
+    if extra:
+        head = Mlp([(np.broadcast_to(w, extra + w.shape), np.broadcast_to(b, extra + b.shape))
+                    for w, b in head.layers])
     out, tape = mlp_forward(head, agg_inputs)
     return log_softmax(out), (head, tape)
 
 
 def gossip_links(edge_alive: np.ndarray, aggregators) -> np.ndarray:
-    """(K', K') gossip link mask over ``aggregators``: row i marks the
-    aggregators whose values aggregator i averages, itself included."""
-    idx = list(aggregators)
-    links = edge_alive[idx][:, idx]
-    np.fill_diagonal(links, True)
+    """(..., K', K') gossip link masks over ``aggregators``, one per (C+1,
+    C+1) ``edge_alive``: row i marks the aggregators whose values
+    aggregator i averages, itself included."""
+    idx = np.asarray(aggregators, dtype=np.intp)
+    links = edge_alive[..., idx[:, None], idx]
+    links[..., np.arange(idx.size), np.arange(idx.size)] = True
     return links
 
 
@@ -192,33 +201,37 @@ def gossip_round(z: np.ndarray, links: np.ndarray) -> np.ndarray:
     becomes the arithmetic mean of the rows that ``links[i]`` marks,
     computed as the neighbor sum (one ``np.matmul`` over the flattened
     rows, per leading index) followed by one division by the degree, both
-    in the values' dtype. ``links`` may be bool or its copy in that dtype:
-    the product casts a bool mask to the same 0/1 values."""
+    in the values' dtype. ``links`` (or a (J, K', K') stack, one per batch
+    of (J, K', B, M) values) may be bool or its copy in that dtype: the
+    product casts a bool mask to the same 0/1 values."""
     flat = z.reshape(*z.shape[:-2], math.prod(z.shape[-2:]))  # -1 cannot size zero rows
-    deg = links.sum(axis=1, dtype=z.dtype)[:, None]
+    deg = links.sum(axis=-1, dtype=z.dtype)[..., None]
     return (np.matmul(links, flat) / deg).reshape(z.shape)
 
 
 def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,
                gossip_rounds: int) -> np.ndarray:
-    """The gossip stage of distributed inference on one batch: G >= 0 rounds
+    """The gossip stage of distributed inference: G >= 0 rounds
     (``evaluate_policies`` checks the counts once, not here per batch) on
     the stacked (K', B, M) head log-probs ``values`` of the alive aggregators
     ``aggs`` (as ``delivery`` lists them for ``realized``), round t over
-    ``realized.edge_alive[t]`` (or its one held round).
+    ``realized.edge_alive[t]`` (or its one held round). J batches that share
+    ``aggs`` run as one, on (J, K', B, M) values and a ``realized`` stacked
+    over them, each slice bit-identical to its own call.
 
-    Returns the stacked (K', B, M) values after the last round, ``values``
-    itself for G = 0. They are not renormalized, on purpose: a normalized
-    member is ``log_softmax`` of its row, a per-row shift, and scoring reads
-    only the argmax. In float arithmetic the two argmaxes agree except
-    where subtracting the shift would round two neighbouring values to one
+    Returns the values after the last round, ``values`` itself for G = 0.
+    They are not renormalized, on purpose: a normalized member is
+    ``log_softmax`` of its row, a per-row shift, and scoring reads only the
+    argmax. In float arithmetic the two argmaxes agree except where
+    subtracting the shift would round two neighbouring values to one
     number, a tie that the shifted argmax breaks to the lower class. The
     head pass reads only the first round, so every gossip count of one
     realization can share it.
     """
-    held = realized.edge_alive.shape[0] == 1  # a held draw's links are built once
+    held = realized.edge_alive.shape[-3] == 1  # a held draw's links are built once
     for t in range(1, gossip_rounds + 1):
         if t == 1 or not held:
-            links = gossip_links(realized.edge_alive[0 if held else t], aggs).astype(values.dtype)
+            links = gossip_links(realized.edge_alive[..., 0 if held else t, :, :], aggs)
+            links = links.astype(values.dtype)
         values = gossip_round(values, links)
     return values

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .faults import FAULT_KIND_IDS, RealizedGraph, active_mask, sample_realization
-from .inference import (SplitModel, aggregate, aggregator_head, delivery, fault_free_delivery,
-                        mags_infer, sample_major)
+from .inference import (SplitModel, aggregate, aggregator_head, fault_free_delivery, mags_infer,
+                        sample_major)
 from .nn import log_softmax
 from .rng import stream
 from .topology import DeviceGraph
@@ -149,7 +149,7 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
 
     ``reps`` is the (C, n, r) stack of every client's representation of all
     samples, as returned by ``client_encode``; it is laid out by sample
-    once, and each batch aggregates a view of its rows.
+    once, and each pass gathers its batches' rows.
 
     The coupling preserves each policy's marginal distribution while making
     the oracle orderings (best >= rand >= worst) hold per sample: the
@@ -163,13 +163,14 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     ``sample_realization`` draws every batch's first round before any chain
     step, so every count sees the same first round of every batch, and the
     head pass reads only that round. One walk over the batches therefore
-    serves every count. It keeps only the work that must be done batch by
-    batch: one ``delivery``, ``aggregate`` and ``aggregator_head``, then per
-    count that batch's gossip stage (``mags_infer``), whose argmax is
-    recorded in the count's (batches, C+1, batch) correctness array, row by
-    aggregator device. The head outputs of a batch that sees the base graph
-    are computed once per call and batch slice, so every rate-0 cell, and
-    every device-fault batch in which no device died, shares them.
+    serves every count. It groups a cell's batches by their size and alive
+    aggregators (a device-fault batch that lost one mostly runs alone) and
+    runs each group a chunk of batches at a time: one stacked ``aggregate``
+    and ``aggregator_head`` pass, then per count one stacked gossip stage
+    (``mags_infer``), whose argmax is recorded in the count's (batches, C+1,
+    batch) correctness array, row by aggregator device. Every batch slice's
+    head outputs under the base graph are computed once per call, for every
+    rate-0 cell and every device-fault batch in which no device died.
 
     After the walk, each count scores the whole cell in one
     ``score_policies`` pass. Its selection draws come from its own copy of
@@ -197,33 +198,56 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     c_count = graph.device_count
     m = model.class_count
     width = min(batch_size, n)
-    starts = list(range(0, n, width)) * trials
-    sizes = [min(width, n - start) for start in starts]
-    valid = np.arange(width) < np.array(sizes)[:, None]  # (nb, width): the slots holding a sample
+    slices = -(-n // width)  # per trial, the last one short when n % width
+    starts = np.tile(np.arange(0, n, width), trials)
+    sizes = np.minimum(width, n - starts)
+    valid = np.arange(width) < sizes[:, None]  # (nb, width): the slots holding a sample
     lab = np.full((len(starts), width), -1, dtype=np.int64)  # a short batch padded with -1
     lab[valid] = np.tile(labels, trials)
     total = n * trials
     rows = sample_major(reps)
-    base_aggs, base_keep = fault_free_delivery(graph)
-    base_values = {}  # head outputs of the batches that see the base graph, by slice
+    aggs_all = np.asarray(graph.aggregators, dtype=np.intp)
+    base_keep = fault_free_delivery(graph)[1]
+    # batches per stacked pass, fixed: it sets a pass's peak memory, not its
+    # bits. One mags eval on eval-sweep's inputs (16 heads, batches of 64,
+    # float32) took a median 0.547, 0.524 and 0.548 s of CPU time at 4, 8
+    # and 16 batches, and 0.601 s batch by batch
+    chunk = 8
+
+    def chunks(idx):
+        return np.split(idx, np.arange(chunk, idx.size, chunk))
+
+    def heads(aggs, keep, idx):  # (J, K', b, M) of J batches of one size b
+        samples = starts[idx, None] + np.arange(sizes[idx[0]])
+        return aggregator_head(model, aggs, aggregate(rows[samples], keep))[0]
+
+    base_values = None  # every batch slice's head outputs under the base graph
     grid = []
     for fault_model, key in zip(fault_models, keys):
         clock = time.perf_counter()
         realized = [sample_realization(graph, fault_model, len(starts), g + 1,
                                        stream(seed, "fault", *key)) for g in counts]
+        # every count's first rounds are the same: the head pass reads them
+        alive = realized[0].alive[:, aggs_all]
+        keep = realized[0].edge_alive[:, 0, aggs_all, 1:]
+        clean = alive.all(axis=1) & (keep == base_keep).all(axis=(1, 2))
+        if base_values is None and clean.any():
+            base_values = np.zeros((slices, aggs_all.size, width, m), rows.dtype)
+            for b in np.unique(sizes[:slices]):
+                for idx in chunks(np.flatnonzero(sizes[:slices] == b)):
+                    base_values[idx, :, :b] = heads(aggs_all, base_keep, idx)
         correct = np.zeros((len(counts), len(starts), c_count + 1, width), dtype=bool)
-        for i, (start, b) in enumerate(zip(starts, sizes)):
-            # every count's first rounds are the same: the head pass reads them
-            aggs, keep = delivery(realized[0][i], graph.aggregators)
-            clean = aggs == base_aggs and np.array_equal(keep, base_keep)
-            values = base_values.get((start, b)) if clean else None
-            if values is None:
-                values, _ = aggregator_head(model, aggs, aggregate(rows[start:start + b], keep))
-                if clean:
-                    base_values[start, b] = values
-            for s, g in enumerate(counts):
-                final = mags_infer(values, aggs, realized[s][i], g)
-                correct[s, i, aggs, :b] = final.argmax(axis=2) == lab[i, :b]
+        groups = np.unique(np.column_stack([clean, sizes, alive]), axis=0,
+                           return_inverse=True)[1].ravel()
+        for group in range(groups.max() + 1):
+            for idx in chunks(np.flatnonzero(groups == group)):
+                i, b = idx[0], sizes[idx[0]]
+                aggs = aggs_all[alive[i]]
+                values = (base_values[idx % slices, :, :b] if clean[i] else
+                          heads(aggs, keep[idx[:, None], alive[i]], idx))
+                for s, g in enumerate(counts):
+                    final = mags_infer(values, aggs, realized[s][idx], g)
+                    correct[s, idx[:, None], aggs, :b] = final.argmax(axis=-1) == lab[idx, None, :b]
 
         results = []
         for s, g in enumerate(counts):

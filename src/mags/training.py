@@ -24,7 +24,7 @@ from .data import COMPUTE_DTYPE, PartitionSpec, one_hot
 from .errors import ConfigError, InputError
 from .faults import FaultModel, sample_realization
 from .inference import (SplitModel, aggregate, aggregator_head, delivery, fault_free_delivery,
-                        gossip_links, gossip_round, init_split_model)
+                        gossip_links, gossip_round, init_split_model, sample_major)
 from .nn import (AdamState, adam_init, adam_update, log_softmax, mlp_backward, mlp_forward,
                  mlp_size, relu)
 from .rng import stream
@@ -91,16 +91,26 @@ def apply_cd_mask(client_count: int, aggregators, rate: float, rng) -> np.ndarra
     return keep
 
 
-def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault):
+def base_delivery(graph: DeviceGraph, cfg: TrainConfig):
+    """The base graph's (keep, aggs, links), as ``batch_delivery`` returns
+    them before dropout under the train fault kind ``none``."""
+    aggs, keep = fault_free_delivery(graph)
+    return keep, aggs, gossip_links(graph.adj, aggs) if cfg.gossip_rounds else None
+
+
+def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault, base):
     """One per-batch delivery mask: which client representations reach which
     aggregator. Returns (keep (K', C), alive aggregators, gossip links
     (K', K'), or None when the loss does not gossip); row j of keep and links
     is ``alive_aggs[j]``. The batch draws its train-fault realization as
     inference draws one (the kind ``none`` draws nothing from ``rng_fault``
-    and gives the base graph), then its dropout mask."""
-    realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
-    aggs, keep = delivery(realized, graph.aggregators)
-    links = gossip_links(realized.edge_alive[0], aggs) if cfg.gossip_rounds else None
+    and gives ``base``, which ``fit`` builds once), then its dropout mask."""
+    if cfg.train_fault.kind == "none":
+        keep, aggs, links = base
+    else:
+        realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
+        aggs, keep = delivery(realized, graph.aggregators)
+        links = gossip_links(realized.edge_alive[0], aggs) if cfg.gossip_rounds else None
     c = graph.device_count
     if cfg.dropout == "pd":
         keep = keep & apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
@@ -124,7 +134,8 @@ def split_forward(model: SplitModel, views, y, keep, alive_aggs, links=None, gos
     lead = model.params.shape[:-1]
     out, enc_tape = mlp_forward(model.encoder, np.broadcast_to(views, lead + np.shape(views)))
     reps = relu(out)
-    log_ps, (head, head_tape) = aggregator_head(model, alive_aggs, aggregate(reps, keep))
+    inputs = aggregate(sample_major(reps), keep)
+    log_ps, (head, head_tape) = aggregator_head(model, alive_aggs, inputs)
     finals = log_ps
     if gossip_rounds:
         for _ in range(gossip_rounds):
@@ -203,20 +214,21 @@ def optimizer_step(model: SplitModel, opt: AdamState, grad):
     adam_update(model.params, grad, opt)
 
 
-def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dropout, rng_fault):
+def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dropout, rng_fault,
+                base):
     """One pass over the training rows ``rows`` of the client-major
     ``views``, updating ``model`` and ``opt`` in place; ``y_onehot[i]`` is
-    the target of row ``rows[i]``. Every batch writes its gradient into one
-    buffer held for the pass, through layer views built once. Each batch is
-    gathered by row and cast to the parameters' dtype. Returns the mean
-    train loss."""
+    the target of row ``rows[i]``, and ``base`` the ``base_delivery``.
+    Every batch writes its gradient into one buffer held for the pass,
+    through layer views built once. Each batch is gathered by row and cast
+    to the parameters' dtype. Returns the mean train loss."""
     grad = dataclasses.replace(model, params=np.empty_like(model.params))
     n = len(rows)
     order = rng_data.permutation(n)
     total, seen = 0.0, 0
     for start in range(0, n, cfg.batch_size):
         idx = order[start:start + cfg.batch_size]
-        keep, alive_aggs, links = batch_delivery(graph, cfg, rng_dropout, rng_fault)
+        keep, alive_aggs, links = batch_delivery(graph, cfg, rng_dropout, rng_fault, base)
         batch = np.take(views, rows[idx], axis=1).astype(model.params.dtype, copy=False)
         loss, _ = split_loss_and_grads(model, batch, y_onehot[idx], keep, alive_aggs, links,
                                        cfg.gossip_rounds, out=grad)
@@ -250,10 +262,10 @@ def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, rows):
         lab = labels[rows[sl]]
         y = one_hot(lab, model.class_count)
         x = np.take(views, rows[sl], axis=1).astype(model.params.dtype, copy=False)
-        reps = relu(mlp_forward(model.encoder, x)[0])
+        concat = sample_major(relu(mlp_forward(model.encoder, x)[0]))
         for g in range(0, len(aggs), group):
             lps, _ = aggregator_head(model, aggs[g:g + group],
-                                     aggregate(reps, keep[g:g + group]))
+                                     aggregate(concat, keep[g:g + group]))
             for lp in lps:
                 loss_sum += float(-(y * lp).sum())
                 hit_sum += float((lp.argmax(axis=1) == lab).sum())
@@ -303,6 +315,7 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
     rng_data = stream(cfg.seed, "data")
     rng_dropout = stream(cfg.seed, "dropout")
     rng_fault = stream(cfg.seed, "fault")
+    base = base_delivery(graph, cfg)
 
     best_loss, _ = evaluate_split(model, views, labels, graph, val_rows)
     best_model = model.copy()
@@ -311,7 +324,7 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
     curves = []
     for epoch in range(1, cfg.epochs + 1):
         tr_loss = train_epoch(model, opt, views, train_rows, y, graph, cfg,
-                              rng_data, rng_dropout, rng_fault)
+                              rng_data, rng_dropout, rng_fault, base)
         val_loss, val_acc = evaluate_split(model, views, labels, graph, val_rows)
         curves.append((epoch, tr_loss, val_loss, val_acc))
         if val_loss < best_loss:

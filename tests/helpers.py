@@ -22,7 +22,7 @@ from mags.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset, one_hot
 from mags.errors import ConfigError, InputError
 from mags.faults import FAULT_KIND_IDS, active_mask, sample_realization
 from mags.inference import (aggregate, aggregator_head, client_encode, delivery,
-                            fault_free_delivery, mags_infer)
+                            fault_free_delivery, mags_infer, sample_major)
 from mags.metrics import EvalResult, count_comm, fault_rate_key
 from mags.nn import Mlp, log_softmax, mlp_backward, mlp_forward
 from mags.rng import stream
@@ -265,7 +265,8 @@ def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, polici
                 draws=(guess, upick, vpick), hits={p: 0.0 for p in policies}))
         for i, (start, b) in enumerate(zip(starts, sizes)):
             aggs, keep = delivery(scores[0]["realized"][i], graph.aggregators)
-            values, _ = aggregator_head(model, aggs, aggregate(reps[:, start:start + b], keep))
+            values, _ = aggregator_head(model, aggs,
+                                        aggregate(sample_major(reps[:, start:start + b]), keep))
             head_row[aggs] = np.arange(len(aggs))
             lab = labels[start:start + b]
             cols = np.arange(b)
@@ -309,7 +310,8 @@ def per_client_evaluate_split(model, views, labels, graph, rows):
         y = one_hot(lab, model.class_count)
         reps = client_encode(model, views[:, rows[sl]])
         for g in range(0, len(aggs), 4):
-            lps, _ = aggregator_head(model, aggs[g:g + 4], aggregate(reps, keep[g:g + 4]))
+            lps, _ = aggregator_head(model, aggs[g:g + 4],
+                                     aggregate(sample_major(reps), keep[g:g + 4]))
             for lp in lps:
                 loss_sum += float(-(y * lp).sum())
                 hit_sum += float((lp.argmax(axis=1) == lab).sum())

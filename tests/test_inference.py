@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ def infer(model, reps, graph, realized, gossip_rounds):
     aggregation and one head pass, then the gossip stage. Returns each alive
     aggregator's normalized log-probs, keyed by aggregator id."""
     aggs, keep = delivery(realized, graph.aggregators)
-    values, _ = aggregator_head(model, aggs, aggregate(reps, keep))
+    values, _ = aggregator_head(model, aggs, aggregate(sample_major(reps), keep))
     return dict(zip(aggs, log_softmax(mags_infer(values, aggs, realized, gossip_rounds))))
 
 
@@ -84,7 +86,7 @@ class TestAggregate:
         model = toy_model(graph, 49, 10)
         views = [np.random.default_rng(2).random((2, 49)) for _ in range(16)]
         reps = client_encode(model, views)
-        out = aggregate(reps, keep_mask(base(graph), graph.aggregators, 16))
+        out = aggregate(sample_major(reps), keep_mask(base(graph), graph.aggregators, 16))
         assert out.shape == (16, 2, 64)  # head input width for 16 clients x rep 4
         assert (np.abs(out).sum(axis=2) > 0).all()
 
@@ -94,7 +96,7 @@ class TestAggregate:
         views = [np.abs(np.random.default_rng(3).random((2, 16))) + 0.1 for _ in range(4)]
         reps = client_encode(model, views)
         r = sample_comm_faults(graph, 1.0, 1, stream(0, "fault"))[0]
-        out = aggregate(reps, keep_mask(r, graph.aggregators, 4))
+        out = aggregate(sample_major(reps), keep_mask(r, graph.aggregators, 4))
         for k in range(1, 5):
             for c in range(1, 5):
                 sl = out[k - 1, :, (c - 1) * model.rep_dim:c * model.rep_dim]
@@ -114,7 +116,7 @@ class TestAggregate:
             r = sample(graph, 0.4, 1, fr)[0]
             aggs, keep = delivery(r, graph.aggregators)
             assert aggs == [k for k in graph.aggregators if r.alive[k]]
-            out = aggregate(reps, keep)
+            out = aggregate(sample_major(reps), keep)
             for j, k in enumerate(aggs):
                 # oracle: rebuild the concatenation directly from the realization
                 expected = np.concatenate(
@@ -127,7 +129,7 @@ class TestAggregate:
         reps[1, 0, 0], reps[1, 1, 1] = np.nan, -0.0  # client 2, unreached by row 0
         reps[2, 0, 1] = -0.0  # client 3, reached by every row
         keep = np.array([[True, False, True], [True, True, True]])
-        out = aggregate(reps, keep)
+        out = aggregate(sample_major(reps), keep)
         assert out.shape == (2, 2, 6)
         unreached = out[0, :, 2:4]
         assert np.array_equal(unreached, np.zeros((2, 2))) and not np.signbit(unreached).any()
@@ -140,7 +142,7 @@ class TestAggregate:
         reps = client_encode(model, [np.random.default_rng(5).random((3, 49))
                                      for _ in range(16)])
         keep = np.ones((5, 16), dtype=bool)
-        out = aggregate(reps, keep)
+        out = aggregate(sample_major(reps), keep)
         # oracle: every kept slot copied into zeros
         filled = np.zeros((5, 3, 16, model.rep_dim))
         np.copyto(filled, reps.transpose(1, 0, 2)[None], where=keep[:, None, :, None])
@@ -161,7 +163,7 @@ class TestAggregate:
         reps = np.random.default_rng(7).standard_normal((5, 3, 2))
         reps[1, 0, 1] = np.nan
         reps[2, 1, 0] = -0.0
-        out = aggregate(reps, keep)
+        out = aggregate(sample_major(reps), keep)
         assert out.shape == (keep.shape[0], 3, 10)
         assert out.tobytes() == textbook_aggregate(reps, keep).tobytes()
         # one input row serves every aggregator whenever their deliveries agree
@@ -170,13 +172,13 @@ class TestAggregate:
         wide = np.random.default_rng(8).standard_normal((5, 7, 2))
         wide[:, 2:5] = reps
         assert aggregate(sample_major(wide)[2:5], keep).tobytes() == out.tobytes()
-        # a stack of three models' representations aggregates each alike
+        # a stack of three models' rows under one mask aggregates each alike
         sets = np.random.default_rng(9).standard_normal((3, 5, 3, 2))
         sets[1] = reps
-        stacked = aggregate(sets, keep)
+        stacked = aggregate(sample_major(sets), keep)
         assert stacked.shape == (3, keep.shape[0], 3, 10)
         for s, one in enumerate(sets):
-            assert stacked[s].tobytes() == aggregate(one, keep).tobytes()
+            assert stacked[s].tobytes() == aggregate(sample_major(one), keep).tobytes()
 
 
 class TestAggregatorHead:
@@ -263,15 +265,18 @@ class TestGossipRound:
 
     @pytest.mark.parametrize("k", [2, 3, 5, 16])
     def test_leading_axes_give_each_slice_its_own_round(self, k):
+        # one mask shared by every leading index, or a stack of J batches
+        # each with its own mask
         rng = np.random.default_rng(k)
         z = rng.standard_normal((4, k, 7, 3))
-        links = rng.random((k, k)) < 0.5
-        np.fill_diagonal(links, True)
-        for mask in (links, links.astype(np.float64)):
+        links = rng.random((4, k, k)) < 0.5
+        links[:, np.arange(k), np.arange(k)] = True
+        for mask in (links[0], links[0].astype(np.float64), links, links.astype(np.float64)):
             out = gossip_round(z, mask)
             assert out.shape == z.shape
             for s in range(4):
-                assert out[s].tobytes() == gossip_round(z[s], mask).tobytes()
+                one = mask if mask.ndim == 2 else mask[s]
+                assert out[s].tobytes() == gossip_round(z[s], one).tobytes()
 
     def test_no_aggregator_gives_an_empty_stack(self):
         out = gossip_round(np.zeros((0, 7, 3)), np.zeros((0, 0), dtype=bool))
@@ -306,7 +311,7 @@ class TestMagsInfer:
         views = [np.random.default_rng(10).random((3, 16)) for _ in range(4)]
         reps = client_encode(model, views)
         res = infer(model, reps, graph, base(graph), 0)
-        z = aggregate(reps, np.ones((1, 4), dtype=bool))
+        z = aggregate(sample_major(reps), np.ones((1, 4), dtype=bool))
         assert np.allclose(res[1], aggregator_head(model, [1], z)[0][0], atol=1e-12)
         assert list(res) == [1]
 
@@ -425,7 +430,7 @@ class TestMagsInfer:
         assert len({e.tobytes() for e in r.edge_alive}) > 1  # the chain actually moved
         res = infer(model, reps, graph, r, 3)
         aggs, keep = delivery(r, graph.aggregators)
-        values, _ = aggregator_head(model, aggs, aggregate(reps, keep))
+        values, _ = aggregator_head(model, aggs, aggregate(sample_major(reps), keep))
         for t in (1, 2, 3):
             values = gossip_round(values, gossip_links(r.edge_alive[t], aggs))
         for j, k in enumerate(aggs):
@@ -445,3 +450,80 @@ class TestMagsInfer:
         assert held.keys() == res.keys()
         for k in held:
             assert np.array_equal(held[k], res[k])
+
+
+class TestBatchAxis:
+    """A stack of J batches runs as one call of ``aggregate``,
+    ``aggregator_head`` and ``mags_infer`` (``gossip_round``'s stacked links:
+    ``TestGossipRound``), each slice bit for bit its own one-batch call."""
+
+    @staticmethod
+    def float32_model(graph, patch_dim, classes):
+        model = toy_model(graph, patch_dim, classes)
+        return dataclasses.replace(model, params=model.params.astype(np.float32))
+
+    @pytest.mark.parametrize("case", ["random", "equal-rows", "all-kept", "no-rows"])
+    def test_aggregate_slices_equal_their_calls(self, case):
+        rng = np.random.default_rng(20)
+        reps = rng.standard_normal((4, 5, 3, 2)).astype(np.float32)  # 4 batches of (C, B, r)
+        keep = {"random": rng.random((4, 6, 5)) < 0.5,
+                "equal-rows": np.repeat(rng.random((4, 1, 5)) < 0.5, 6, axis=1),
+                "all-kept": np.ones((4, 6, 5), dtype=bool),
+                "no-rows": np.zeros((4, 0, 5), dtype=bool)}[case]
+        keep[..., 1] = False  # client 2 is unreached in every batch
+        reps[:, 1, 0, 0], reps[:, 1, 1, 1] = np.nan, -0.0
+        out = aggregate(sample_major(reps), keep)
+        assert out.shape == (4, keep.shape[1], 3, 10)
+        for j in range(4):
+            one = aggregate(sample_major(reps[j]), keep[j])
+            assert out[j].tobytes() == one.tobytes()
+            assert out[j].tobytes() == textbook_aggregate(reps[j], keep[j]).tobytes()
+        unreached = out[..., 2:4]
+        assert not unreached.any() and not np.signbit(unreached).any()
+
+    @pytest.mark.parametrize("g", [0, 1, 4])
+    @pytest.mark.parametrize("kind", ["communication", "markov_comm"])  # held and Markov draws
+    @pytest.mark.parametrize("b", [16, 5])  # a full batch and a short last one
+    def test_head_and_gossip_slices_equal_their_calls(self, b, kind, g):
+        graph = build_graph("grid", 9, 4)
+        model = self.float32_model(graph, 16, 5)
+        rng = np.random.default_rng(22)
+        reps = client_encode(model, rng.random((9, 4 * b, 16)).astype(np.float32))
+        rows = sample_major(reps).reshape(4, b, -1)  # 4 batches of b samples
+        realized = sample_realization(graph, FaultModel(kind, 0.4), 4, g + 1,
+                                      stream(23, "fault"))
+        aggs = list(graph.aggregators)  # link faults leave every aggregator alive
+        inputs = aggregate(rows, realized.edge_alive[:, 0][:, aggs, 1:])
+        values, _ = aggregator_head(model, aggs, inputs)
+        final = mags_infer(values, aggs, realized, g)
+        assert final.shape == (4, len(aggs), b, 5) and final.dtype == np.float32
+        for j in range(4):
+            one_aggs, keep = delivery(realized[j], graph.aggregators)
+            assert one_aggs == aggs
+            one_inputs = aggregate(rows[j], keep)
+            one_values, _ = aggregator_head(model, aggs, one_inputs)
+            assert inputs[j].tobytes() == one_inputs.tobytes()
+            assert values[j].tobytes() == one_values.tobytes()
+            assert final[j].tobytes() == mags_infer(one_values, aggs, realized[j], g).tobytes()
+
+    def test_a_stack_of_subset_heads_and_no_heads(self):
+        # device faults: batches that lost the same aggregators share the
+        # heads of the others; no alive aggregator gives empty stacks
+        graph = build_graph("complete", 4, 4)
+        model = self.float32_model(graph, 16, 3)
+        rows = sample_major(client_encode(
+            model, np.random.default_rng(24).random((4, 18, 16)).astype(np.float32)))
+        rows = rows.reshape(3, 6, -1)
+        for aggs in ([2, 4], []):
+            alive = np.isin(np.arange(5), [0] + aggs)[None].repeat(3, axis=0)
+            edges = graph.adj & alive[:, :, None] & alive[:, None, :]
+            realized = RealizedGraph(alive, edges[:, None])
+            keep = edges[:, aggs][:, :, 1:]
+            values, _ = aggregator_head(model, aggs, aggregate(rows, keep))
+            final = mags_infer(values, aggs, realized, 2)
+            assert final.shape == (3, len(aggs), 6, 3)
+            for j in range(3):
+                assert delivery(realized[j], graph.aggregators)[0] == aggs
+                one, _ = aggregator_head(model, aggs, aggregate(rows[j], keep[j]))
+                assert values[j].tobytes() == one.tobytes()
+                assert final[j].tobytes() == mags_infer(one, aggs, realized[j], 2).tobytes()

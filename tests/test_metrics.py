@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from mags.errors import ConfigError, InputError
 from mags.faults import (FaultModel, RealizedGraph, sample_comm_faults, sample_device_faults,
                          sample_realization)
 from mags.inference import (aggregate, aggregator_head, client_encode, delivery,
-                            init_split_model, mags_infer)
+                            init_split_model, mags_infer, sample_major)
 from mags.metrics import (POLICIES, count_comm, ensemble_decomposition, evaluate_policies,
                           score_policies)
 from mags.nn import log_softmax
@@ -381,17 +384,19 @@ class TestEvaluatePolicies:
     @pytest.mark.parametrize("counts", [(0,), (0, 2, 4)])
     @pytest.mark.parametrize("batch_size", [1, 16, 20])  # 48 samples: 20 leaves a short batch
     @pytest.mark.parametrize("kind,k", [("complete", 1), ("complete", 4), ("ring", 1),
-                                        ("ring", 4)])
+                                        ("ring", 4), ("grid", 9)])
     def test_matches_the_per_batch_loop(self, kind, k, batch_size, counts, trials):
-        # the one scoring pass per (cell, count) against the loop that scored
-        # each batch as it came; device faults at rate 1 leave every batch
-        # without an alive aggregator, communication faults at 1 without an
-        # active one
-        graph = build_graph(kind, 4, k)
-        model = init_split_model(graph, [16] * 4, 3, stream(5, "init"))
+        # the stacked walk and the one scoring pass per (cell, count) against
+        # the loop that scored each batch as it came; device faults at rate 1
+        # leave every batch without an alive aggregator, communication faults
+        # at 1 without an active one, and at 0.3 on the grid's 9 aggregators
+        # stacked batches and lone ones that lost an aggregator mix in a cell
+        c = 9 if kind == "grid" else 4
+        graph = build_graph(kind, c, k)
+        model = init_split_model(graph, [16] * c, 3, stream(5, "init"))
         rng = np.random.default_rng(13)
         n = 48
-        reps = client_encode(model, rng.random((4, n, 16)))
+        reps = client_encode(model, rng.random((c, n, 16)))
         labels = rng.integers(3, size=n)
         faults = [FaultModel(f, rate) for f in ("none", "device", "communication", "markov_comm")
                   for rate in (0.0, 0.3, 1.0)]
@@ -409,7 +414,7 @@ class TestEvaluatePolicies:
         slices = []
 
         def counted_head(model, aggs, agg_inputs):
-            slices.append(agg_inputs.shape[1])
+            slices.append(agg_inputs.shape[::2])  # (batches, samples per batch)
             return aggregator_head(model, aggs, agg_inputs)
 
         monkeypatch.setattr(metrics, "aggregator_head", counted_head)
@@ -417,9 +422,36 @@ class TestEvaluatePolicies:
                                                      "markov_comm")]
         grid = evaluate_policies(model, reps, rng.integers(5, size=n), graph, faults,
                                  list(POLICIES), [0, 4], seed=12, batch_size=16, trials=3)
-        # 3 trials of 4 cells and 2 counts walk 5 slices 12 times: 5 head passes
-        assert slices == [16, 16, 16, 16, 6]
+        # 3 trials of 4 cells and 2 counts walk 5 slices 12 times: the base
+        # passes, made once per call, cover the 5 slices, the 4 full ones
+        # stacked in one pass and the short one alone
+        assert sorted(slices) == [(1, 6), (4, 16)]
         assert len(grid) == 4 and all(len(results) == 2 for results in grid)
+
+    @pytest.mark.parametrize("kind", ["none", "device", "communication"])
+    def test_peak_memory_grows_with_trials_only_by_the_scoring_arrays(self, kind):
+        # each chunk of batches is scored and dropped before the next: from
+        # 2 to 8 trials the peak grows by the per-sample scoring arrays
+        # (labels, selection draws, outcomes), under 3 times what the
+        # correctness array grows by (measured: 0.4, 2.2 and 1.9 times),
+        # where keeping every batch's head inputs would add 128 KiB per batch
+        graph = build_graph("complete", 16, 16)
+        model = init_split_model(graph, [16] * 16, 10, stream(1, "init"))
+        model = dataclasses.replace(model, params=model.params.astype(np.float32))
+        rng = np.random.default_rng(2)
+        n, width, counts = 256, 32, [0, 2, 4]
+        reps = client_encode(model, rng.random((16, n, 16)).astype(np.float32))
+        labels = rng.integers(10, size=n)
+        fault = FaultModel(kind, 0.0 if kind == "none" else 0.3)
+        peaks = []
+        for trials in (2, 8):
+            tracemalloc.start()
+            evaluate_policies(model, reps, labels, graph, [fault], list(POLICIES), counts, seed=3,
+                              batch_size=width, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        correct_growth = len(counts) * (8 - 2) * n * 17  # bool, (counts, batches, C+1, width)
+        assert peaks[1] - peaks[0] < 3 * correct_growth
 
     def test_rejects_bad_gossip_counts(self, trained_small):
         model, ds, part, graph = trained_small
@@ -480,7 +512,7 @@ class TestEnsembleBenefit:
         y = one_hot(labels, ds.class_count)
         realized = base(graph)[0]
         aggs, keep = delivery(realized, graph.aggregators)
-        members, _ = aggregator_head(model, aggs, aggregate(reps, keep))
+        members, _ = aggregator_head(model, aggs, aggregate(sample_major(reps), keep))
         assert mags_infer(members, aggs, realized, 0) is members
         ensemble = log_softmax(mags_infer(members, aggs, realized, 1))
         member_nll = (-(y * members).sum(axis=2)).mean(axis=0)

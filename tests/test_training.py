@@ -9,13 +9,13 @@ import pytest
 from mags.data import Dataset, client_views, make_splits, one_hot, split_patches, synth_dataset
 from mags.errors import ConfigError
 from mags.faults import FaultModel
-from mags.inference import (aggregate, aggregator_head, client_encode, fault_free_delivery,
-                            gossip_links, init_split_model)
+from mags.inference import (aggregate, aggregator_head, client_encode, delivery,
+                            fault_free_delivery, gossip_links, init_split_model, sample_major)
 from mags.nn import Mlp, adam_init, adam_update, init_mlp, stacked_mlp
 from mags.rng import stream
 from mags.topology import build_graph
 from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask,
-                           batch_delivery, config_echo, evaluate_split, fit,
+                           base_delivery, batch_delivery, config_echo, evaluate_split, fit,
                            init_optimizer, load_checkpoint,
                            save_checkpoint, split_forward, split_loss_and_grads,
                            train_epoch, optimizer_step)
@@ -88,7 +88,8 @@ class TestDropoutMasks:
     def test_pd_zeroes_own_head_slot_too(self):
         graph = build_graph("complete", 4, 4)
         cfg = TrainConfig(dropout="pd", dropout_rate=1.0)
-        keep, alive_aggs, _ = batch_delivery(graph, cfg, stream(5, "dropout"), stream(5, "fault"))
+        keep, alive_aggs, _ = batch_delivery(graph, cfg, stream(5, "dropout"), stream(5, "fault"),
+                                             base_delivery(graph, cfg))
         assert not keep.any()
         assert alive_aggs == [1, 2, 3, 4]
 
@@ -96,7 +97,8 @@ class TestDropoutMasks:
         # on a ring, an aggregator only ever receives from its two neighbors
         graph = build_graph("ring", 8, 8)
         cfg = TrainConfig(dropout="none", gossip_rounds=1)
-        keep, _, links = batch_delivery(graph, cfg, stream(6, "dropout"), stream(6, "fault"))
+        keep, _, links = batch_delivery(graph, cfg, stream(6, "dropout"), stream(6, "fault"),
+                                         base_delivery(graph, cfg))
         assert keep.sum() == 8 * 3
         assert links.sum() == 8 * 3
 
@@ -108,7 +110,8 @@ class TestDropoutMasks:
         rng_fault = stream(7, "fault")
         partial = 0
         for _ in range(20):
-            keep, alive_aggs, links = batch_delivery(graph, cfg, stream(7, "dropout"), rng_fault)
+            keep, alive_aggs, links = batch_delivery(graph, cfg, stream(7, "dropout"), rng_fault,
+                                                     base_delivery(graph, cfg))
             partial += 0 < len(alive_aggs) < 4
             assert keep.shape == (len(alive_aggs), 4)
             assert links.shape == (len(alive_aggs),) * 2 and links.all()
@@ -124,7 +127,8 @@ class TestDropoutMasks:
         views = client_views(ds.features[:16], part)
         y = one_hot(ds.labels[:16], ds.class_count)
         cfg = TrainConfig(train_fault=FaultModel("communication", 1.0), gossip_rounds=2)
-        delivery = batch_delivery(graph, cfg, stream(9, "dropout"), stream(9, "fault"))
+        delivery = batch_delivery(graph, cfg, stream(9, "dropout"), stream(9, "fault"),
+                                  base_delivery(graph, cfg))
         assert np.array_equal(delivery[2], np.eye(4, dtype=bool))
         loss0, _ = split_loss_and_grads(model, views, y, *delivery, 0)
         loss2, _ = split_loss_and_grads(model, views, y, *delivery, 2)
@@ -140,7 +144,7 @@ class TestDropoutMasks:
         base_aggs, base_keep = fault_free_delivery(graph)
         rd, rd_ref, rf = stream(10, "dropout"), stream(10, "dropout"), stream(10, "fault")
         for _ in range(5):
-            keep, aggs, links = batch_delivery(graph, cfg, rd, rf)
+            keep, aggs, links = batch_delivery(graph, cfg, rd, rf, base_delivery(graph, cfg))
             if dropout == "pd":
                 mask = apply_pd_mask(8, 0.4, rd_ref)[None, :]
             elif dropout == "cd":
@@ -150,7 +154,7 @@ class TestDropoutMasks:
             assert aggs == base_aggs and np.array_equal(keep, base_keep & mask)
             assert links is None
         gossiping = TrainConfig(dropout=dropout, dropout_rate=0.4, gossip_rounds=2)
-        links = batch_delivery(graph, gossiping, rd, rf)[2]
+        links = batch_delivery(graph, gossiping, rd, rf, base_delivery(graph, gossiping))[2]
         assert np.array_equal(links, gossip_links(graph.adj, base_aggs))
         assert rf.random() == stream(10, "fault").random()
 
@@ -338,8 +342,9 @@ class TestSplitLossAndGrads:
         rng = np.random.default_rng(1)
         views = [rng.random((4, 4)) for _ in range(devices)]
         y = one_hot(rng.integers(0, 3, 4), 3)
-        keep, aggs, links = batch_delivery(graph, TrainConfig(gossip_rounds=2, train_fault=fault),
-                                           stream(4, "dropout"), stream(4, "fault"))
+        cfg = TrainConfig(gossip_rounds=2, train_fault=fault)
+        keep, aggs, links = batch_delivery(graph, cfg, stream(4, "dropout"), stream(4, "fault"),
+                                           base_delivery(graph, cfg))
         if fault.kind == "none":
             assert links.sum(axis=1).tolist() == ([2, 2] if kind == "complete" else [2, 3, 2])
         else:
@@ -416,11 +421,47 @@ class TestTrainEpoch:
         views = client_views(ds.features, part)
         y = one_hot(ds.labels, ds.class_count)
         loss = train_epoch(model, opt, views, np.arange(len(ds)), y, graph, cfg,
-                           stream(8, "data"), stream(8, "dropout"), stream(8, "fault"))
+                           stream(8, "data"), stream(8, "dropout"), stream(8, "fault"),
+                           base_delivery(graph, cfg))
         assert np.isfinite(loss) and loss > 0
 
 
 class TestFit:
+    @pytest.mark.parametrize("dropout,gossip", [("none", 0), ("cd", 2)])
+    def test_fault_free_batches_take_the_base_delivery_built_once(self, tmp_path, monkeypatch,
+                                                                  dropout, gossip):
+        # under the train fault kind none no batch draws a realization, and
+        # the checkpoint and curve are those of drawing the base graph for
+        # every batch
+        from mags import training
+        ds, part, _ = small_problem(n=100)
+        graph = build_graph("ring", 4, 3)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=4, dropout=dropout,
+                          gossip_rounds=gossip)
+        real_sample, real_delivery = training.sample_realization, training.batch_delivery
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return real_sample(*args)
+
+        monkeypatch.setattr(training, "sample_realization", counted)
+        once = fit_pool(cfg, ds, part, graph, 4, curve_path=tmp_path / "once.csv")
+        assert draws == []
+
+        def drawn(graph, cfg, rng_dropout, rng_fault, base):
+            realized = real_sample(graph, cfg.train_fault, 1, 1, rng_fault)[0]
+            aggs, keep = delivery(realized, graph.aggregators)
+            links = gossip_links(realized.edge_alive[0], aggs) if cfg.gossip_rounds else None
+            return real_delivery(graph, cfg, rng_dropout, rng_fault, (keep, aggs, links))
+
+        monkeypatch.setattr(training, "batch_delivery", drawn)
+        per_batch = fit_pool(cfg, ds, part, graph, 4, curve_path=tmp_path / "drawn.csv")
+        assert once.model.params.tobytes() == per_batch.model.params.tobytes()
+        assert (once.best_val_loss, once.best_epoch) == (per_batch.best_val_loss,
+                                                         per_batch.best_epoch)
+        assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "drawn.csv").read_bytes()
+
     def test_zero_epochs_returns_initial_params(self):
         # fit trains the float32 rounding of the float64 init draw
         ds, part, graph = small_problem()
@@ -501,7 +542,8 @@ class TestFit:
         pool_views = client_views(ds.features, part)
         rd, rdo, rf = stream(7, "data"), stream(7, "dropout"), stream(7, "fault")
         for _ in range(6):
-            train_epoch(model, opt, pool_views, tr, y, graph, cfg, rd, rdo, rf)
+            train_epoch(model, opt, pool_views, tr, y, graph, cfg, rd, rdo, rf,
+                        base_delivery(graph, cfg))
         final_loss, _ = evaluate_split(model, pool_views, ds.labels, graph, va)
         assert ckpt.best_val_loss <= final_loss + 1e-12
 
@@ -545,7 +587,7 @@ class TestEvaluateSplit:
             sl = slice(start, min(start + 512, len(ds)))
             reps = client_encode(model, views[:, sl])
             for j, k in enumerate(aggs):
-                (lp,), _ = aggregator_head(model, [k], aggregate(reps, keep[j:j + 1]))
+                (lp,), _ = aggregator_head(model, [k], aggregate(sample_major(reps), keep[j:j + 1]))
                 loss_sum += float(-(y[sl] * lp).sum())
                 hit_sum += float((lp.argmax(axis=1) == ds.labels[sl]).sum())
         loss, acc = evaluate_split(model, views, ds.labels, graph, np.arange(len(ds)))
