@@ -8,17 +8,30 @@ Subcommands: ``train`` (fit one checkpoint per training variant and seed),
 Run CSVs carry a versioned ``# schema:`` comment line. All columns except
 ``wall_time`` are deterministic for a fixed config; checkpoints and the
 aggregate CSV are byte-identical across reruns on one platform.
+
+``train`` and ``eval`` run one job per (train_name, seed) in ``--workers``
+processes (at most one per job). A command builds its inputs once, the
+training pool or the test split, then forks the workers, which read those
+inputs; the calling process runs a share of the jobs itself, the share that
+holds the heaviest job. The default is one worker per usable core where
+numpy's BLAS is OpenBLAS or the user set ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, and 1 otherwise: another BLAS
+would run its own thread count in every worker. Where the platform cannot
+fork, the default is 1 and more is a usage error. Results do not depend on
+the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import itertools
 import multiprocessing
 import os
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +55,16 @@ AGG_HEADER = ["method", "graph", "fault_kind", "fault_rate", "policy",
 PLOT_SCHEMA = "# schema: mags/plotdata/v1"
 PLOT_ALL_HEADER = ["fault_kind", "graph", "policy", "method", "fault_rate", "mean", "err"]
 PLOT_PANEL_HEADER = ["method", "fault_rate", "mean", "err"]
-# the thread counts of the BLAS libraries numpy may load, which a worker
-# process sets to 1 unless the user set them: on a 2-core machine, two
-# workers of two threads each were a third slower than of one thread each
+# the user's BLAS thread settings: with any of them set, the default worker
+# count is one per usable core whatever the BLAS
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+try:  # the BLAS numpy was built against, e.g. "scipy-openblas" or "mkl"
+    NUMPY_BLAS = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+except (AttributeError, KeyError):
+    NUMPY_BLAS = "unknown"
+# workers are forked from the calling process once its inputs are built;
+# where fork is unavailable, every command runs serially
+CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def checkpoint_path(out_dir: Path, train_name: str, seed: int) -> Path:
@@ -62,43 +81,115 @@ def write_csv(path: Path, schema: str, header, rows) -> Path:
     return path
 
 
-def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int):
-    """``fn(cfg, jobs)`` returns one result per job, in job order.
+def worker_count(workers: int | None, job_count: int) -> int:
+    """The processes that run ``job_count`` jobs: ``workers``, and at most
+    one per job.
 
-    With more than one worker, the jobs are dealt round-robin into one share
-    per worker process, so that each process builds the shared inputs (the
-    dataset) once; the results come back in job order.
+    By default, one per usable core where the workers can fork and their
+    BLAS thread count is known to do no harm: numpy's BLAS is OpenBLAS,
+    which forks safely and ran as fast at its own thread count as at one
+    per worker (a desk ``mags train`` on 2 cores: a median 1.12 s against
+    1.17 s over 10 pairs), or the user set a thread count. Otherwise 1: an
+    MKL or OpenMP BLAS would run its full thread count in every worker,
+    and an OpenMP runtime used before a fork may hang in the worker.
     """
-    if workers < 1:
+    if workers is None:
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        safe = "openblas" in NUMPY_BLAS or any(v in os.environ for v in BLAS_THREAD_VARS)
+        workers = cores if CAN_FORK and safe else 1
+    elif workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
-    n = min(workers, len(jobs))
-    if n <= 1:
-        return fn(cfg, jobs)
-    # one BLAS thread per worker, unless the user set a count: a worker's
-    # numpy reads these when it loads, so they are in the environment the
-    # workers inherit, and only until the pool closes
-    added = [name for name in BLAS_THREAD_VARS if name not in os.environ]
-    os.environ.update(dict.fromkeys(added, "1"))
+    elif workers > 1 and not CAN_FORK:
+        raise ConfigError(f"--workers {workers} needs the fork start method, "
+                          "which this platform lacks")
+    return max(1, min(workers, job_count))
+
+
+def _work_share(conn, fn, cfg, share, inputs):
+    """A forked worker's body: send back ``(True, results)``, or ``(False,
+    exception, traceback)`` for the calling process to raise. An interrupt
+    is the calling process's to handle: it terminates the workers."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        # spawn, not fork: the parent may hold BLAS threads
-        with ProcessPoolExecutor(max_workers=n,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = [pool.submit(fn, cfg, jobs[i::n]) for i in range(n)]
-            shares = [f.result() for f in futures]
-    finally:
-        for name in added:
-            del os.environ[name]
+        reply = (True, fn(cfg, share, inputs))
+    except Exception as exc:
+        reply = (False, exc, traceback.format_exc())
+    conn.send(reply)
+
+
+def deal(weights, workers: int) -> list:
+    """One list of job indices per share, each in job order: the jobs go,
+    heaviest first, each to the share with the least weight so far (the
+    first of equals). Equal weights deal round-robin. Share 0 always holds
+    the heaviest job."""
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for j in sorted(range(len(weights)), key=lambda j: -weights[j]):
+        i = loads.index(min(loads))
+        shares[i].append(j)
+        loads[i] += weights[j]
+    return [sorted(share) for share in shares]
+
+
+def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int, inputs, weights=None):
+    """``fn(cfg, jobs, inputs)`` returns one result per job, in job order.
+
+    With more than one worker, the jobs are dealt by ``weights`` (by default
+    equal) into one share per worker. The calling process runs share 0,
+    which holds the heaviest job, so a profiler in that process sees the
+    most code; every other share runs in a process forked once ``inputs``
+    are built, so the inputs are shared, not rebuilt or pickled, and each
+    worker sends its results back through its own pipe. Every worker is
+    joined, or on any error or interrupt terminated first; the results come
+    back in job order.
+    """
+    if workers <= 1:
+        return fn(cfg, jobs, inputs)
+    shares = deal([1] * len(jobs) if weights is None else weights, workers)
+    fork = multiprocessing.get_context("fork")
+    procs, conns = [], []
     results = [None] * len(jobs)
-    for i, share in enumerate(shares):
-        results[i::n] = share
+
+    def put(share, share_results):
+        for j, result in zip(share, share_results):
+            results[j] = result
+
+    try:
+        for share in shares[1:]:
+            conn, child_conn = fork.Pipe(duplex=False)
+            proc = fork.Process(target=_work_share,
+                                args=(child_conn, fn, cfg, [jobs[j] for j in share], inputs))
+            proc.start()
+            child_conn.close()  # so that a worker that dies shows as EOF
+            procs.append(proc)
+            conns.append(conn)
+        put(shares[0], fn(cfg, [jobs[j] for j in shares[0]], inputs))
+        for i, (proc, conn) in enumerate(zip(procs, conns), 1):
+            try:
+                reply = conn.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"worker {i} exited with code {proc.exitcode} "
+                                   "before sending its results") from None
+            if not reply[0]:
+                raise reply[1] from RuntimeError(f"in worker {i}:\n{reply[2]}")
+            put(shares[i], reply[1])
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
     return results
 
 
-def _train_checkpoints(cfg: ExperimentConfig, jobs) -> list:
-    """Fit and save one checkpoint per (train_name, seed) job. The training
-    pool's client views are built once for all of them: each fit gathers
-    its split from the views by row."""
-    pool = build_dataset(cfg, "train")
+def _train_checkpoints(cfg: ExperimentConfig, jobs, pool) -> list:
+    """Fit and save one checkpoint per (train_name, seed) job. ``pool`` is
+    the training pool's ``ClientSplit``: each fit gathers its split from
+    the pool's client views by row."""
     variants = {s.train_name: s for s in cfg.train_variants()}
     paths = []
     for train_name, seed in jobs:
@@ -117,27 +208,28 @@ def _train_checkpoints(cfg: ExperimentConfig, jobs) -> list:
     return paths
 
 
-def cmd_train(cfg: ExperimentConfig, workers: int = 1) -> int:
+def cmd_train(cfg: ExperimentConfig, workers: int | None = None) -> int:
     jobs = [(spec.train_name, seed)
             for spec in cfg.train_variants() for seed in cfg.seeds]
-    for p in _run_jobs(_train_checkpoints, cfg, jobs, workers):
+    workers = worker_count(workers, len(jobs))
+    pool = build_dataset(cfg, "train")
+    for p in _run_jobs(_train_checkpoints, cfg, jobs, workers, pool):
         print(p)
     return 0
 
 
-def _eval_checkpoints(cfg: ExperimentConfig, jobs) -> list:
+def _eval_checkpoints(cfg: ExperimentConfig, jobs, test) -> list:
     """Run rows for each (train_name, seed) job: every cell of the methods
     that share that checkpoint.
 
-    The test set and its client views are built once for all jobs. Each
-    checkpoint is loaded once and encodes the whole test set once. Methods
+    ``test`` is the test split's ``ClientSplit``, built once for all jobs.
+    Each checkpoint is loaded once and encodes the whole test set once. Methods
     sharing a checkpoint differ only in gossip rounds, so they share its
     aggregator count, graph and fault draws: one ``evaluate_policies`` call
     per checkpoint scores every (fault kind, rate) cell of all of them. Each
     result's ``seconds``, its (fault kind, rate) group's scoring time split
     evenly over those methods, is its rows' ``wall_time``.
     """
-    test = build_dataset(cfg, "test")
     variants = {s.train_name: s for s in cfg.train_variants()}
     cells = list(itertools.product(cfg.fault_kinds, cfg.fault_rates))
     results = []
@@ -167,8 +259,9 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs) -> list:
     return results
 
 
-def cmd_eval(cfg: ExperimentConfig, workers: int = 1) -> int:
+def cmd_eval(cfg: ExperimentConfig, workers: int | None = None) -> int:
     jobs = [(spec.train_name, seed) for spec in cfg.train_variants() for seed in cfg.seeds]
+    workers = worker_count(workers, len(jobs))
     for train_name, seed in jobs:
         p = checkpoint_path(cfg.out_dir, train_name, seed)
         if not p.exists():
@@ -177,7 +270,11 @@ def cmd_eval(cfg: ExperimentConfig, workers: int = 1) -> int:
     method_order = {m.name: i for i, m in enumerate(cfg.method_specs())}
     kind_order = {k: i for i, k in enumerate(cfg.fault_kinds)}
     policy_order = {p: i for i, p in enumerate(cfg.policies)}
-    rows = [row for job_rows in _run_jobs(_eval_checkpoints, cfg, jobs, workers)
+    test = build_dataset(cfg, "test")
+    # a job scores every cell of each method on its checkpoint
+    methods = collections.Counter(spec.train_name for spec in cfg.method_specs())
+    weights = [methods[train_name] for train_name, _ in jobs]
+    rows = [row for job_rows in _run_jobs(_eval_checkpoints, cfg, jobs, workers, test, weights)
             for row in job_rows]
     rows.sort(key=lambda r: (method_order[r[0]], kind_order[r[2]], float(r[3]),
                              policy_order[r[4]], int(r[5])))
@@ -264,7 +361,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (overrides [run] out)")
         p.add_argument("--seeds", help="seed list like 1,2,3 or 1..16 (overrides config)")
-        p.add_argument("--workers", type=int, default=1, help="worker processes")
+        p.add_argument("--workers", type=int,
+                       help="worker processes (default: one per usable core)")
 
     p = sub.add_parser("props", help="run the certificate suite")
     p.add_argument("--seed", type=int, default=0)

@@ -1,15 +1,21 @@
 import dataclasses
+import multiprocessing
 import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mags.cli import BLAS_THREAD_VARS, _run_jobs, main, read_runs_csv
+import mags.inference
+from mags import cli
+from mags.cli import BLAS_THREAD_VARS, _run_jobs, main, read_runs_csv, worker_count
 from mags.config import (CONFIG_KEYS, ExperimentConfig, load_config, parse_method,
                          parse_seed_list, resolve_data_path)
 from mags.data import (SYNTH_CHUNK_ROWS, Dataset, client_views, read_idx, split_patches,
@@ -565,8 +571,8 @@ def pipeline(tmp_path_factory):
     """Train + eval a tiny config once; several tests inspect the artifacts."""
     tmp_path = tmp_path_factory.mktemp("pipeline")
     cfg_path = write_config(tmp_path)
-    assert main(["train", "--config", str(cfg_path)]) == 0
-    assert main(["eval", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--workers", "1"]) == 0
+    assert main(["eval", "--config", str(cfg_path), "--workers", "1"]) == 0
     return tmp_path, cfg_path
 
 
@@ -611,7 +617,7 @@ class TestTrainCommand:
         real_views = config.client_views
         monkeypatch.setattr(config, "client_views", counted)
         cfg_path = write_config(tmp_path)
-        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert main(["train", "--config", str(cfg_path), "--workers", "1"]) == 0
         assert calls == [(600, 784)]
         for name in ("VFL-seed1.ckpt", "CD-MACL-seed2.ckpt"):
             assert ((tmp_path / "runs" / "checkpoints" / name).read_bytes()
@@ -654,15 +660,19 @@ class TestEvalCommand:
         cfg_path = write_config(tmp_path)
         assert main(["eval", "--config", str(cfg_path)]) == 2
 
-    def test_damaged_checkpoint_header_is_a_usage_error(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_damaged_checkpoint_header_is_a_usage_error(self, pipeline, tmp_path, capsys,
+                                                        workers):
         # a checkpoint without its best_epoch line used to stop eval with a
-        # KeyError traceback and exit 1
+        # KeyError traceback and exit 1; with two workers, the jobs of seed 2
+        # are the worker's share
         cfg_path = write_config(tmp_path)
         shutil.copytree(pipeline[0] / "runs" / "checkpoints", tmp_path / "runs" / "checkpoints")
         path = tmp_path / "runs" / "checkpoints" / "MACL-seed2.ckpt"
         path.write_bytes(re.sub(rb"\nbest_epoch [^\n]*", b"", path.read_bytes()))
-        assert main(["eval", "--config", str(cfg_path)]) == 2
+        assert main(["eval", "--config", str(cfg_path), "--workers", workers]) == 2
         assert capsys.readouterr().err == f"error: {path}: damaged header: no best_epoch line\n"
+        assert multiprocessing.active_children() == []
 
     def test_determinism_modulo_wall_time(self, pipeline, tmp_path_factory):
         tmp2 = tmp_path_factory.mktemp("rerun")
@@ -678,7 +688,7 @@ class TestEvalCommand:
 
     def test_inputs_built_once_per_command_and_checkpoint(self, pipeline, tmp_path,
                                                           monkeypatch):
-        from mags import cli, metrics
+        from mags import metrics
         shutil.copytree(pipeline[0] / "runs" / "checkpoints", tmp_path / "runs" / "checkpoints")
         calls = {"build_dataset": 0, "load_checkpoint": [], "client_encode": 0}
 
@@ -721,7 +731,7 @@ class TestEvalCommand:
                 calls[name] = [] if name == "load_checkpoint" else 0
             heads.clear()
             heads["total"] = 0
-            assert main(["eval", "--config", str(tmp_path / "exp.ini")]) == 0
+            assert main(["eval", "--config", str(tmp_path / "exp.ini"), "--workers", "1"]) == 0
             return dict(heads)
 
         g0_only = run_eval("VFL, CD-MACL")
@@ -758,20 +768,139 @@ class TestEvalCommand:
         for path in serial:
             assert (tmp2 / "runs" / "checkpoints" / path.name).read_bytes() == path.read_bytes()
 
-    def test_workers_get_one_blas_thread_unless_the_user_set_one(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        before = dict(os.environ)
-        seen = _run_jobs(blas_thread_vars, None, [0, 1], 2)
-        assert seen == [{"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1",
-                         "MKL_NUM_THREADS": "1"}] * 2
-        assert dict(os.environ) == before
+
+def job_and_pid(cfg, jobs, inputs):
+    """A ``_run_jobs`` job function: per job, the job and the process id."""
+    return [(job, os.getpid()) for job in jobs]
 
 
-def blas_thread_vars(cfg, jobs):
-    """A ``_run_jobs`` job function: the worker's BLAS thread variables, per job."""
-    return [{name: os.environ.get(name) for name in BLAS_THREAD_VARS} for _ in jobs]
+def fail_in_caller(cfg, jobs, caller):
+    """A ``_run_jobs`` job function that raises ``cfg`` in the process
+    ``caller`` and sleeps in any other, until it is terminated."""
+    if os.getpid() == caller:
+        raise cfg
+    time.sleep(60)
+    return list(jobs)
+
+
+def fail_in_worker(cfg, jobs, caller):
+    """A ``_run_jobs`` job function that returns the jobs in the process
+    ``caller`` and fails in any other: ``cfg`` is an exception to raise, or
+    an exit code to leave with before sending any results."""
+    if os.getpid() == caller:
+        return list(jobs)
+    if isinstance(cfg, int):
+        os._exit(cfg)
+    raise cfg
+
+
+class TestWorkers:
+    def test_default_is_one_worker_per_usable_core_and_job(self, monkeypatch):
+        monkeypatch.setattr(cli, "NUMPY_BLAS", "scipy-openblas")
+        cores = len(os.sched_getaffinity(0))
+        assert worker_count(None, 100) == cores
+        assert worker_count(None, 1) == 1
+        assert worker_count(3, 2) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert worker_count(None, 100) == 1
+
+    @pytest.mark.parametrize("blas", ["mkl", "accelerate", "unknown"])
+    def test_default_is_serial_unless_blas_is_openblas_or_the_user_set_threads(
+            self, monkeypatch, blas):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(cli, "NUMPY_BLAS", blas)
+        assert worker_count(None, 100) == 1
+        assert worker_count(3, 100) == 3  # an explicit count is the user's call
+        for name in BLAS_THREAD_VARS:
+            with monkeypatch.context() as env:
+                env.setenv(name, "1")
+                assert worker_count(None, 100) == 4
+        monkeypatch.setattr(cli, "NUMPY_BLAS", "openblas")
+        assert worker_count(None, 100) == 4
+
+    def test_heaviest_job_goes_to_the_calling_process_and_loads_balance(self):
+        assert cli.deal([1] * 7, 3) == [[0, 3, 6], [1, 4], [2, 5]]  # round-robin
+        assert cli.deal([1, 1, 2], 2) == [[2], [0, 1]]
+        assert cli.deal([1, 1, 2], 3) == [[2], [0], [1]]
+        assert cli.deal([3, 1, 1, 1], 2) == [[0], [1, 2, 3]]
+        seen = _run_jobs(job_and_pid, None, ["a", "b", "c"], 3, None, [1, 1, 2])
+        assert [job for job, _ in seen] == ["a", "b", "c"]
+        assert seen[2][1] == os.getpid() != seen[0][1]
+
+    def test_eval_runs_the_checkpoint_with_most_methods_in_the_calling_process(
+            self, tmp_path, monkeypatch):
+        # three jobs on three workers: the calling process scores CD-MACL and
+        # CD-MACL-G2, so its own profile covers gossip
+        cfg_path = write_config(tmp_path, BASE_CONFIG.replace(
+            "list = VFL, MACL, CD-MACL-G2", "list = VFL, MACL, CD-MACL, CD-MACL-G2").replace(
+            "seeds = 1, 2", "seeds = 1"))
+        assert main(["train", "--config", str(cfg_path), "--workers", "1"]) == 0
+        loaded, gossip = [], []
+        load, gossip_round = cli.load_checkpoint, mags.inference.gossip_round
+        monkeypatch.setattr(cli, "load_checkpoint",
+                            lambda path: loaded.append(Path(path).name) or load(path))
+        monkeypatch.setattr(mags.inference, "gossip_round",
+                            lambda *a: gossip.append(1) or gossip_round(*a))
+        assert main(["eval", "--config", str(cfg_path), "--workers", "3"]) == 0
+        assert loaded == ["CD-MACL-seed1.ckpt"] and gossip
+        assert multiprocessing.active_children() == []
+
+    def test_results_come_back_in_job_order(self):
+        # more workers than cores, and shares of uneven length
+        seen = _run_jobs(job_and_pid, None, list(range(9)), 4, None)
+        assert [job for job, _ in seen] == list(range(9))
+        assert len({pid for _, pid in seen}) == 4
+        assert all(pid == os.getpid() for _, pid in seen[::4])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_without_fork_the_default_is_serial_and_more_is_a_usage_error(
+            self, pipeline, monkeypatch, capsys, command):
+        monkeypatch.setattr(cli, "CAN_FORK", False)
+        assert worker_count(None, 100) == 1
+        _, cfg_path = pipeline
+        assert main([command, "--config", str(cfg_path), "--workers", "2"]) == 2
+        assert "--workers 2 needs the fork start method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [ConfigError("bad share"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_failing_calling_share_reaps_the_workers(self, exc):
+        start = time.monotonic()
+        with pytest.raises(type(exc)):
+            _run_jobs(fail_in_caller, exc, [0, 1, 2], 3, os.getpid())
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30  # the sleeping workers were terminated
+
+    def test_worker_error_is_raised_with_its_traceback(self):
+        with pytest.raises(ValueError, match="boom") as info:
+            _run_jobs(fail_in_worker, ValueError("boom"), [0, 1, 2], 3, os.getpid())
+        assert "in worker 1:" in str(info.value.__cause__)
+        assert "fail_in_worker" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_without_results_is_an_error(self):
+        with pytest.raises(RuntimeError, match="worker 1 exited with code 3 before sending"):
+            _run_jobs(fail_in_worker, 3, [0, 1], 2, os.getpid())
+        assert multiprocessing.active_children() == []
+
+    def test_script_without_main_guard_trains_with_the_default_workers(self, pipeline,
+                                                                       tmp_path):
+        # spawn workers re-import the main module: a script without an
+        # ``if __name__ == "__main__"`` guard failed their bootstrap check
+        cfg_path = write_config(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        script = ("import sys, mags.cli; "
+                  f"sys.exit(mags.cli.main(['train', '--config', {str(cfg_path)!r}]))")
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        serial = sorted((pipeline[0] / "runs" / "checkpoints").iterdir())
+        assert len(serial) == 12
+        for path in serial:
+            assert (tmp_path / "runs" / "checkpoints" / path.name).read_bytes() \
+                == path.read_bytes()
 
 
 class TestPlotdataCommand:
@@ -815,7 +944,6 @@ class TestPropsCommand:
         assert "PASS" in (tmp_path / "a.txt").read_text()
 
     def test_nonzero_exit_on_certificate_failure(self, monkeypatch, capsys):
-        from mags import cli
         from mags.certs import CertResult
         monkeypatch.setattr(cli, "run_all",
                             lambda seed: [CertResult("stub", False, "forced failure")])
