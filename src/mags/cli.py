@@ -13,12 +13,12 @@ aggregate CSV are byte-identical across reruns on one platform.
 processes (at most one per job). A command builds its inputs once, the
 training pool or the test split, then forks the workers, which read those
 inputs; the calling process runs a share of the jobs itself, the share that
-holds the heaviest job. The default is one worker per usable core where
-numpy's BLAS is OpenBLAS or the user set ``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, and 1 otherwise: another BLAS
-would run its own thread count in every worker. Where the platform cannot
-fork, the default is 1 and more is a usage error. Results do not depend on
-the worker count.
+holds the heaviest job. Unless the user set ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, numpy's OpenBLAS runs one
+thread per process meanwhile. The default is one worker per usable core
+where that count can be set or the user set one, and 1 otherwise. Where the
+platform cannot fork, the default is 1 and more is a usage error. Results
+do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import ctypes
 import itertools
 import multiprocessing
 import os
@@ -56,12 +57,25 @@ PLOT_SCHEMA = "# schema: mags/plotdata/v1"
 PLOT_ALL_HEADER = ["fault_kind", "graph", "policy", "method", "fault_rate", "mean", "err"]
 PLOT_PANEL_HEADER = ["method", "fault_rate", "mean", "err"]
 # the user's BLAS thread settings: with any of them set, the default worker
-# count is one per usable core whatever the BLAS
+# count is one per usable core whatever the BLAS, and nothing is pinned
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-try:  # the BLAS numpy was built against, e.g. "scipy-openblas" or "mkl"
-    NUMPY_BLAS = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
-except (AttributeError, KeyError):
-    NUMPY_BLAS = "unknown"
+
+
+def _openblas_threads():
+    """The ``(get, set)`` thread-count functions of numpy's OpenBLAS, or None
+    where numpy's BLAS is another or exports none of these names."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                 "scipy_openblas_%s_num_threads", "openblas_%s_num_threads"):
+        if hasattr(lib, name % "get") and hasattr(lib, name % "set"):
+            return getattr(lib, name % "get"), getattr(lib, name % "set")
+    return None
+
+
+OPENBLAS_THREADS = _openblas_threads()
 # workers are forked from the calling process once its inputs are built;
 # where fork is unavailable, every command runs serially
 CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -86,17 +100,17 @@ def worker_count(workers: int | None, job_count: int) -> int:
     one per job.
 
     By default, one per usable core where the workers can fork and their
-    BLAS thread count is known to do no harm: numpy's BLAS is OpenBLAS,
-    which forks safely and ran as fast at its own thread count as at one
-    per worker (a desk ``mags train`` on 2 cores: a median 1.12 s against
-    1.17 s over 10 pairs), or the user set a thread count. Otherwise 1: an
-    MKL or OpenMP BLAS would run its full thread count in every worker,
-    and an OpenMP runtime used before a fork may hang in the worker.
+    BLAS thread count is known to do no harm: ``_run_jobs`` sets numpy's
+    OpenBLAS to one thread per process (a desk ``mags train`` on 2 cores: a
+    median 26.0 s over 10 pairs, against 48.5 s at OpenBLAS's own count),
+    or the user set a thread count. Otherwise 1: an MKL or OpenMP BLAS would
+    run its full thread count in every worker, and an OpenMP runtime used
+    before a fork may hang in the worker.
     """
     if workers is None:
         cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
-        safe = "openblas" in NUMPY_BLAS or any(v in os.environ for v in BLAS_THREAD_VARS)
+        safe = OPENBLAS_THREADS is not None or any(v in os.environ for v in BLAS_THREAD_VARS)
         workers = cores if CAN_FORK and safe else 1
     elif workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
@@ -141,7 +155,8 @@ def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int, inputs, weights=Non
     are built, so the inputs are shared, not rebuilt or pickled, and each
     worker sends its results back through its own pipe. Every worker is
     joined, or on any error or interrupt terminated first; the results come
-    back in job order.
+    back in job order. Unless the user set a BLAS thread count, numpy's
+    OpenBLAS runs one thread per process until the workers are joined.
     """
     if workers <= 1:
         return fn(cfg, jobs, inputs)
@@ -149,6 +164,11 @@ def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int, inputs, weights=Non
     fork = multiprocessing.get_context("fork")
     procs, conns = [], []
     results = [None] * len(jobs)
+    pinned = OPENBLAS_THREADS is not None and not any(v in os.environ for v in BLAS_THREAD_VARS)
+    if pinned:
+        get_threads, set_threads = OPENBLAS_THREADS
+        caller_threads = get_threads()
+        set_threads(1)  # before the fork, so that every worker inherits it
 
     def put(share, share_results):
         for j, result in zip(share, share_results):
@@ -183,6 +203,8 @@ def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int, inputs, weights=Non
             proc.join()
         for conn in conns:
             conn.close()
+        if pinned:
+            set_threads(caller_threads)
     return results
 
 

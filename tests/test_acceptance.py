@@ -1,19 +1,17 @@
 """Acceptance gate: every criterion at its stated tolerance, one printed
 pass/fail line each.
 
-Criteria 1-5 are self-contained randomized certificates. Criteria 6-8 share
-a desk-scale pipeline: a synthetic 10-class dataset (8000 train / 2000 test,
-noise 0.3), 16 devices on a complete graph, 20 epochs, 4 seeds. That run is
-a scaled substitute for the full-size benchmark sweeps, which need 100
-epochs and 16 seeds per cell. Its 12 fits run in two spawned worker
-processes.
+Criteria 1-5 are self-contained randomized certificates. Criteria 6-8 read
+the ``runs.csv`` of ``mags train`` and ``mags eval`` on ``docs/example.ini``:
+a synthetic 10-class dataset (8000 train / 2000 test, noise 0.3), 16
+devices on a complete graph, 20 epochs, 4 seeds. That run is a scaled
+substitute for the full-size benchmark sweeps, which need 100 epochs and 16
+seeds per cell.
 """
 
-import multiprocessing
+import collections
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,43 +20,10 @@ from mags.certs import (RING16_RADIUS, cert_catastrophic_probability,
                         cert_comm_counts, cert_ensemble_identity,
                         cert_gossip_contraction, cert_gradient_check,
                         cert_selection_uniformity)
-from mags.cli import BLAS_THREAD_VARS
-from mags.data import client_views, make_splits, split_patches, synth_dataset
-from mags.faults import FaultModel
-from mags.inference import SplitModel, client_encode
-from mags.metrics import evaluate_policies
+from mags.cli import main, read_runs_csv
 from mags.topology import build_graph, consensus_matrix, spectral_radius
-from mags.training import TrainConfig, fit
 
-SEEDS = (1, 2, 3, 4)
-POLICY_SET = ("active_rand", "active_best", "active_worst", "any_rand")
-# The fits run in DESK_WORKERS processes with one BLAS thread each: two
-# processes of two BLAS threads on a 2-core machine took 61 s, not 45 s
-DESK_WORKERS = 2
-
-
-def desk_dataset():
-    """The desk's 10000 samples (the first 8000 are the training pool, the
-    rest the test set) and their partition into 16 patches."""
-    full = synth_dataset(10000, 10, 4, seed=7, noise=0.3)
-    return full, split_patches(full.feature_count, 4)
-
-
-def desk_fits(jobs):
-    """Fit each (aggregator count, dropout, seed) job on the desk training
-    pool, in a worker process. Returns the fields of each job's best model,
-    its float32 parameters first, which rebuild it as a ``SplitModel``. A
-    RuntimeWarning is an error here, as it is under pytest."""
-    warnings.simplefilter("error", RuntimeWarning)
-    full, part = desk_dataset()
-    pool_views = client_views(full.features[:8000], part)
-    models = []
-    for k, dropout, seed in jobs:
-        cfg = TrainConfig(epochs=20, batch_size=64, seed=seed, dropout=dropout, dropout_rate=0.3)
-        m = fit(cfg, pool_views, full.labels[:8000], 10, make_splits(8000, seed), part,
-                build_graph("complete", 16, k)).model
-        models.append((m.params, m.client_count, m.encoder_dims, m.aggregators, m.head_dims))
-    return models
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "docs" / "example.ini"
 
 
 def report(criterion, passed, detail):
@@ -111,69 +76,33 @@ def test_criterion_5_split_pipeline_gradients():
     assert report(5, ok, f"{result.detail}; {elapsed:.1f}s (< 10s)")
 
 
-@dataclass
-class DeskRuns:
-    records: dict   # (method, fault kind, rate, seed) -> policy accuracies
-    train_seconds: float
-
-    def mean(self, method, kind, rate, policy):
-        return float(np.mean([self.records[(method, kind, rate, s)][policy]
-                              for s in SEEDS]))
+# records: (method, fault kind, rate, seed) -> policy accuracies
+DeskRuns = collections.namedtuple("DeskRuns", "records pipeline_seconds")
 
 
 @pytest.fixture(scope="module")
-def desk():
+def desk(tmp_path_factory):
+    out = tmp_path_factory.mktemp("desk")
     start = time.perf_counter()
-    variants = (("VFL", 1, "none"), ("MACL", 16, "none"), ("CD-MACL", 16, "cd"))
-    jobs = [(name, k, dropout, seed) for name, k, dropout in variants for seed in SEEDS]
-    # dealt round-robin, so each worker fits every variant; spawn, not
-    # fork: the parent may hold BLAS threads
-    with pytest.MonkeyPatch.context() as env:
-        for name in BLAS_THREAD_VARS:  # read by each worker's BLAS when it loads
-            env.setenv(name, "1")
-        with ProcessPoolExecutor(DESK_WORKERS,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            shares = [pool.submit(desk_fits, [job[1:] for job in jobs[i::DESK_WORKERS]])
-                      for i in range(DESK_WORKERS)]
-            full, part = desk_dataset()
-            test_views = client_views(full.features[8000:], part)
-            fitted = [None] * len(jobs)
-            for i, share in enumerate(shares):
-                fitted[i::DESK_WORKERS] = share.result()
-    models = {}
-    for (name, k, _, seed), fields in zip(jobs, fitted):
-        model = SplitModel(*fields)
-        models[(name, seed)] = (model, build_graph("complete", 16, k),
-                                client_encode(model, test_views))
-
-    # methods scored from one checkpoint, and their gossip rounds; one
-    # call per checkpoint scores every cell of CD-MACL and CD-MACL-G4 together
-    evals = {"VFL": (("VFL", 0),), "MACL": (("MACL", 0),),
-             "CD-MACL": (("CD-MACL", 0), ("CD-MACL-G4", 4))}
-    cells = [(kind, rate) for kind in ("communication", "device") for rate in (0.0, 0.3, 0.5)]
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(EXAMPLE_CONFIG), "--out", str(out)]) == 0
+    seconds = time.perf_counter() - start
     records = {}
-    for trained_as, methods in evals.items():
-        for seed in SEEDS:
-            model, graph, reps = models[(trained_as, seed)]
-            grid = evaluate_policies(model, reps, full.labels[8000:], graph,
-                                     [FaultModel(kind, rate) for kind, rate in cells],
-                                     list(POLICY_SET), [g for _, g in methods], seed)
-            for (kind, rate), results in zip(cells, grid):
-                for (name, _), res in zip(methods, results):
-                    records[(name, kind, rate, seed)] = res.accuracy
-    return DeskRuns(records, time.perf_counter() - start)
+    for method, _, kind, rate, policy, seed, acc, *_ in read_runs_csv(out / "runs.csv"):
+        records.setdefault((method, kind, float(rate), int(seed)), {})[policy] = float(acc)
+    return DeskRuns(records, seconds)
 
 
 def test_criterion_6_desk_scale_robustness_ordering(desk):
-    cd = desk.mean("CD-MACL-G4", "communication", 0.5, "active_rand")
-    macl = desk.mean("MACL", "communication", 0.5, "active_rand")
-    vfl = desk.mean("VFL", "communication", 0.5, "active_rand")
+    cd, macl, vfl = (np.mean([acc["active_rand"] for key, acc in desk.records.items()
+                              if key[:3] == (method, "communication", 0.5)])
+                     for method in ("CD-MACL-G4", "MACL", "VFL"))
     gap = cd - vfl
-    ok = (cd > macl > vfl) and gap >= 0.20 and desk.train_seconds <= 1200.0
+    ok = (cd > macl > vfl) and gap >= 0.20 and desk.pipeline_seconds <= 1200.0
     assert report(6, ok,
                   f"comm fault 0.5 Active Rand: CD-MACL-G4 {cd:.3f} > MACL {macl:.3f} "
                   f"> VFL {vfl:.3f}, gap {gap:.3f} (>= 0.20); "
-                  f"pipeline {desk.train_seconds:.0f}s (<= 1200s)")
+                  f"pipeline {desk.pipeline_seconds:.0f}s (<= 1200s)")
 
 
 def test_criterion_7_oracle_ordering(desk):
@@ -194,11 +123,10 @@ def test_criterion_7_oracle_ordering(desk):
 
 def test_criterion_8_gossip_never_hurts_per_seed(desk):
     worst = np.inf
-    for rate in (0.3, 0.5):
-        for seed in SEEDS:
-            g4 = desk.records[("CD-MACL-G4", "communication", rate, seed)]["active_rand"]
-            g0 = desk.records[("CD-MACL", "communication", rate, seed)]["active_rand"]
-            worst = min(worst, g4 - g0)
+    for (method, kind, rate, seed), acc in desk.records.items():
+        if method == "CD-MACL-G4" and kind == "communication" and rate in (0.3, 0.5):
+            g0 = desk.records[("CD-MACL", kind, rate, seed)]["active_rand"]
+            worst = min(worst, acc["active_rand"] - g0)
     ok = worst >= 0.0
     assert report(8, ok, f"CD-MACL Active Rand gain from 4 gossip rounds: "
                          f"min over seeds/rates {worst:+.4f} (>= 0)")

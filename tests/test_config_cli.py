@@ -794,9 +794,36 @@ def fail_in_worker(cfg, jobs, caller):
     raise cfg
 
 
+def openblas_threads_in_share(cfg, jobs, inputs):
+    """A ``_run_jobs`` job function: per job, the process id and its OpenBLAS threads."""
+    return [(os.getpid(), cli.OPENBLAS_THREADS[0]()) for _ in jobs]
+
+
+def warn_in_worker(cfg, jobs, caller):
+    """A ``_run_jobs`` job function that divides by zero outside the process ``caller``."""
+    if os.getpid() != caller:
+        np.log(np.zeros(1))
+    return list(jobs)
+
+
+@pytest.fixture
+def caller_openblas_threads(monkeypatch):
+    """numpy's OpenBLAS at 3 threads in the calling process, with no BLAS
+    thread variable set; the count before is restored after."""
+    if cli.OPENBLAS_THREADS is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    get_threads, set_threads = cli.OPENBLAS_THREADS
+    before = get_threads()
+    set_threads(3)
+    yield get_threads
+    set_threads(before)
+
+
 class TestWorkers:
     def test_default_is_one_worker_per_usable_core_and_job(self, monkeypatch):
-        monkeypatch.setattr(cli, "NUMPY_BLAS", "scipy-openblas")
+        monkeypatch.setattr(cli, "OPENBLAS_THREADS", (lambda: 1, lambda threads: None))
         cores = len(os.sched_getaffinity(0))
         assert worker_count(None, 100) == cores
         assert worker_count(None, 1) == 1
@@ -804,21 +831,43 @@ class TestWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert worker_count(None, 100) == 1
 
-    @pytest.mark.parametrize("blas", ["mkl", "accelerate", "unknown"])
-    def test_default_is_serial_unless_blas_is_openblas_or_the_user_set_threads(
-            self, monkeypatch, blas):
+    def test_default_is_serial_unless_openblas_threads_can_be_set_or_the_user_set_them(
+            self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         for name in BLAS_THREAD_VARS:
             monkeypatch.delenv(name, raising=False)
-        monkeypatch.setattr(cli, "NUMPY_BLAS", blas)
+        monkeypatch.setattr(cli, "OPENBLAS_THREADS", None)  # MKL, Accelerate, ...
         assert worker_count(None, 100) == 1
         assert worker_count(3, 100) == 3  # an explicit count is the user's call
         for name in BLAS_THREAD_VARS:
             with monkeypatch.context() as env:
                 env.setenv(name, "1")
                 assert worker_count(None, 100) == 4
-        monkeypatch.setattr(cli, "NUMPY_BLAS", "openblas")
+        monkeypatch.setattr(cli, "OPENBLAS_THREADS", (lambda: 1, lambda threads: None))
         assert worker_count(None, 100) == 4
+
+    def test_every_share_runs_one_openblas_thread_and_the_caller_gets_its_count_back(
+            self, caller_openblas_threads):
+        seen = _run_jobs(openblas_threads_in_share, None, [0, 1, 2], 3, None)
+        assert len({pid for pid, _ in seen}) == 3
+        assert [threads for _, threads in seen] == [1, 1, 1]
+        assert caller_openblas_threads() == 3
+        with pytest.raises(ValueError, match="boom"):
+            _run_jobs(fail_in_worker, ValueError("boom"), [0, 1], 2, os.getpid())
+        assert caller_openblas_threads() == 3
+
+    @pytest.mark.parametrize("name", BLAS_THREAD_VARS)
+    def test_a_user_set_blas_thread_count_is_not_pinned(self, caller_openblas_threads,
+                                                         monkeypatch, name):
+        monkeypatch.setenv(name, "3")
+        seen = _run_jobs(openblas_threads_in_share, None, [0, 1], 2, None)
+        assert [threads for _, threads in seen] == [3, 3]
+
+    def test_runtime_warning_in_a_worker_fails_the_run(self):
+        # forked workers keep pytest's error::RuntimeWarning filter
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            _run_jobs(warn_in_worker, None, [0, 1], 2, os.getpid())
+        assert multiprocessing.active_children() == []
 
     def test_heaviest_job_goes_to_the_calling_process_and_loads_balance(self):
         assert cli.deal([1] * 7, 3) == [[0, 3, 6], [1, 4], [2, 5]]  # round-robin
