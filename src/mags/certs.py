@@ -16,7 +16,7 @@ import numpy as np
 from .data import one_hot
 from .faults import FaultModel, sample_realization
 from .inference import gossip_links, gossip_round
-from .metrics import count_comm, ensemble_decomposition
+from .metrics import count_comm, ensemble_decomposition, score_policies
 from .nn import log_softmax
 from .rng import stream
 from .topology import build_graph, consensus_matrix, spectral_radius
@@ -24,9 +24,12 @@ from .training import split_forward, split_loss_and_grads
 
 RING16_RADIUS = (1.0 + 2.0 * math.cos(math.pi / 8.0)) / 3.0  # circulant eigenvalue
 
-# Rows per block of the Monte Carlo certificates: 2**16 rows of four
+# Rows per block of the Monte Carlo certificate: 2**16 rows of four
 # float64 uniforms take 2 MiB, where one draw of all 10**6 rows took 32 MB
 MC_BLOCK_ROWS = 2 ** 16
+# (devices C, classes M) of the selection certificate's batches: VFL's lone
+# device, and up to 6 x 6 pairs of an any-device and an active pick
+SELECTION_SHAPES = ((1, 2), (2, 10), (4, 4), (6, 3))
 # ensemble-identity sets per ensemble_decomposition call: 1000 sets of
 # 16 members x 10 classes take 1.3 MB per temporary
 ENSEMBLE_BLOCK_SETS = 1000
@@ -155,37 +158,48 @@ def cert_catastrophic_probability(seed=0, draws=10 ** 6,
                       f"max |z| {worst:.2f} over {len(details)} cells, {draws} draws each")
 
 
-def cert_selection_uniformity(seed=0, draws=10 ** 6) -> CertResult:
-    """Conditioned on a nonempty active set, each aggregator is selected with
-    probability 1/K (within 3 sigma) under uniform active selection.
-
-    Every fault flag is drawn before every score, as one ``(draws, K)``
-    call each would; both are drawn ``MC_BLOCK_ROWS`` rows at a time. A
-    dead aggregator's score drops below 0 and an alive one's stays in
-    [0, 1), so a row picks its first highest score (``argmax``'s tie rule),
-    found column by column, and is nonempty where that score is >= 0."""
-    rate, k = 0.3, 4
+def cert_selection_uniformity(seed=0) -> CertResult:
+    """``score_policies`` is each policy's exact expectation under uniform
+    selection: on random batches of each (devices C, classes M) shape in
+    ``SELECTION_SHAPES``, with active sets of every size and short batches,
+    it matches to 1e-12 the sampled rule averaged over every pick, the
+    guess g uniform in [0, M), the any-device pick u in 1..C and the active
+    pick v in [0, max(n, 1)). The rule: ``active_rand`` scores device u
+    when it is active, else the v-th active device in device order;
+    ``any_rand`` scores device u when it is active, else the guess;
+    ``active_best`` and ``active_worst`` are any and all over the active
+    devices; a batch with no active device scores the guess under every
+    policy, and a padded slot scores 0."""
     rng = np.random.default_rng(seed)
-    dead = np.empty((draws, k), dtype=bool)
-    for lo, hi in _blocks(draws, MC_BLOCK_ROWS):
-        np.greater_equal(rng.random((hi - lo, k)), 1.0 - rate, out=dead[lo:hi])
-    counts = np.zeros(k, dtype=np.int64)
-    for lo, hi in _blocks(draws, MC_BLOCK_ROWS):
-        scores = rng.random((hi - lo, k))
-        scores -= dead[lo:hi]
-        best = scores[:, 0].copy()
-        pick = np.zeros(hi - lo, dtype=np.intp)
-        for j in range(1, k):
-            np.copyto(pick, j, where=scores[:, j] > best)  # strict: the first maximum stays
-            np.maximum(best, scores[:, j], out=best)
-        counts += np.bincount(pick[best >= 0.0], minlength=k)
-    n = int(counts.sum())
-    freq = counts / n
-    sigma = math.sqrt((1.0 / k) * (1.0 - 1.0 / k) / n)
-    worst = float(np.abs(freq - 1.0 / k).max()) / sigma
-    passed = worst <= 3.0
-    return CertResult("selection-uniformity", passed,
-                      f"max |z| {worst:.2f}, K={k}, rate={rate}, {n} conditioned draws")
+    batches, width = 400, 5
+    worst, samples = 0.0, 0
+    for c, m in SELECTION_SHAPES:
+        correct = rng.random((batches, c + 1, width)) < 0.5
+        active = rng.random((batches, c + 1)) < rng.random((batches, 1))  # a rate per batch
+        active[:, 0] = False  # the entity
+        valid = np.arange(width) < rng.integers(1, width + 1, size=(batches, 1))
+        labels = rng.integers(m, size=(batches, width))
+        # outcomes on axes (batch, g, (u, v) pair, sample), False on padding
+        ok, act = correct & valid[:, None], active[:, :, None]
+        guess_ok = ((labels[:, None] == np.arange(m)[:, None]) & valid[:, None])[:, :, None]
+        u, v = np.repeat(np.arange(1, c + 1), c), np.tile(np.arange(c), c)
+        vth = act & (np.cumsum(act, axis=1) - 1 == np.arange(c))  # (batch, device, v)
+        v_ok = (ok[:, :, None] & vth[..., None]).any(axis=1)[:, None, v]
+        u_on, u_ok = active[:, None, u, None], ok[:, None, u]
+        sampled = {"active_rand": np.where(u_on, u_ok, v_ok),
+                   "active_best": (ok & act).any(axis=1)[:, None, None],
+                   "active_worst": ~(act & ~ok).any(axis=1)[:, None, None],
+                   "any_rand": np.where(u_on, u_ok, guess_ok)}
+        n = active.sum(axis=1)[:, None, None, None]
+        law = (v[:, None] < np.maximum(n, 1)) / (m * c * np.maximum(n, 1))  # P(g, u, v)
+        expected = score_policies(correct, active, valid, m)
+        for p, o in sampled.items():
+            mean = (law * np.where(n == 0, guess_ok, o)).sum(axis=(1, 2))
+            worst = max(worst, float(np.abs(expected[p] - mean).max()))
+        samples += int(valid.sum())
+    return CertResult("selection-uniformity", worst <= 1e-12,
+                      f"max |error| {worst:.1e} against the mean over every pick, "
+                      f"{samples} samples, (C, M) in {SELECTION_SHAPES}")
 
 
 COMM_COUNT_CASES = (

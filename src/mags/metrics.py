@@ -9,7 +9,8 @@ Selection policies map per-aggregator predictions to one system output:
 * ``any_rand``     uniform pick over all devices, active or not
 
 When no aggregator can reach the entity (or an uninformed device is picked),
-the output is a uniformly random class.
+the output is a uniformly random class. Each policy is scored by its
+expected outcome given the fault draw, its pick averaged out exactly.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ def fault_rate_key(rate: float) -> int:
     """Stream subkey of an evaluation fault rate: the rate in thousandths.
 
     Rates off the 1e-3 grid are rejected, because two of them closer than
-    1e-3 would share one key and so draw identical fault and selection
-    streams.
+    1e-3 would share one key and so draw identical fault streams.
     """
     key = int(round(rate * 1000))
     if not math.isclose(rate * 1000, key, rel_tol=0.0, abs_tol=1e-6):
@@ -101,39 +101,36 @@ class EvalResult:
     seconds: float = field(compare=False)  # scoring time, not part of the result
 
 
-def score_policies(correct, active, labels, guess, upick, vpick) -> dict:
-    """Every policy's per-sample outcome over a cell's batches, in one pass.
+def score_policies(correct, active, valid, classes: int) -> dict:
+    """Every policy's expected per-sample outcome over a cell's batches,
+    given the fault draw: each uniform pick is averaged out exactly
+    (conditional Monte Carlo), so nothing is drawn.
 
     ``correct`` is (nb, C+1, B): ``correct[i, d, j]`` says whether
     aggregator device d's final prediction of sample j of batch i is right,
-    and is False for a device without one. ``active`` is the (nb, C+1)
-    active mask. ``labels``, ``guess``, ``upick`` and ``vpick`` are (nb, B):
-    the labels, the uniform-guess classes, the any-device picks in 1..C and
-    the picks among the active devices, ``vpick[i] < max(|A_i|, 1)``. A
-    short batch is padded with label -1, which no prediction or guess
-    matches, so its padding is a miss under every policy.
-
-    ``active_rand`` scores the ``upick`` device when it is active, else the
-    ``vpick``-th active device in device order; ``active_best`` and
-    ``active_worst`` are ``any`` and ``all`` over the active devices;
-    ``any_rand`` falls back to the guess when its pick is inactive; and a
-    batch with no active device scores the guess under every policy.
-    Returns policy -> (nb, B) bool outcomes.
+    and is False for a device without one; ``active`` is the (nb, C+1)
+    active mask and ``valid`` the (nb, B) mask of the slots holding a
+    sample. With n a batch's active aggregators, s those of them right on
+    a sample and M = ``classes``, ``active_rand`` scores s/n,
+    ``active_best`` [s > 0], ``active_worst`` [s = n] and ``any_rand``
+    (s·M + C − n) / (C·M): a pick among the C devices is right w.p. s/C,
+    and after one of the C − n inactive ones the guess is right w.p. 1/M.
+    One division makes it the same float as s/n at n = C, and at most s/n
+    exactly where s/n ≥ 1/M or n ∈ {0, C}. A batch with no active
+    aggregator scores 1/M under every policy, and a padded slot 0.
+    Returns policy -> (nb, B) float64 values.
     """
-    rows, cols = np.ogrid[:correct.shape[0], :correct.shape[2]]
-    guess_ok = guess == labels
-    u_active = active[rows, upick]
-    # a stable sort of the inactive flags lists the active devices first, in order
-    v_dev = np.argsort(~active, axis=1, kind="stable")[rows, vpick]
-    act = active[:, :, None]
+    c = correct.shape[1] - 1
+    n = active.sum(axis=1)[:, None]
+    s = (correct & active[:, :, None]).sum(axis=1)
     outcomes = {
-        "active_rand": correct[rows, np.where(u_active, upick, v_dev), cols],
-        "active_best": (correct & act).any(axis=1),
-        "active_worst": ~(act & ~correct).any(axis=1),
-        "any_rand": np.where(u_active, correct[rows, upick, cols], guess_ok),
+        "active_rand": s / np.maximum(n, 1),
+        "active_best": s > 0,
+        "active_worst": s == n,
+        "any_rand": (s * classes + c - n) / (c * classes),
     }
-    empty = ~active.any(axis=1, keepdims=True)
-    return {p: np.where(empty, guess_ok, o) for p, o in outcomes.items()}
+    return {p: np.where(valid, np.where(n == 0, 1.0 / classes, o), 0.0)
+            for p, o in outcomes.items()}
 
 
 def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault_models,
@@ -141,28 +138,22 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
                       trials: int = 1) -> list:
     """Score several selection policies for every fault model in
     ``fault_models`` and every gossip count in ``gossip_rounds``, against
-    shared fault realizations and shared selection draws (common random
-    numbers). Returns one list per fault model, in the order given, holding
-    one ``EvalResult`` per count, in the order given; each equals the result
-    of a call with that fault model and count alone. Its ``seconds`` is the
-    fault model's scoring time split evenly over the counts.
+    shared fault realizations (common random numbers). Returns one list per
+    fault model, in the order given, holding one ``EvalResult`` per count,
+    in the order given; each equals the result of a call with that fault
+    model and count alone. Its ``seconds`` is the fault model's scoring
+    time split evenly over the counts.
 
     ``reps`` is the (C, n, r) stack of every client's representation of all
     samples, as returned by ``client_encode``; it is laid out by sample
     once, and each pass gathers its batches' rows.
 
-    The coupling preserves each policy's marginal distribution while making
-    the oracle orderings (best >= rand >= worst) hold per sample: the
-    any-device pick doubles as the active pick whenever it lands in the
-    active set, and every uniform-guess fallback within a sample shares one
-    draw.
-
-    Each fault model keys its own fault and selection streams by its kind
-    and rate. Each count draws its (G+1)-round realizations from its own
-    copy of that fault stream, whose key has no gossip count, and
-    ``sample_realization`` draws every batch's first round before any chain
-    step, so every count sees the same first round of every batch, and the
-    head pass reads only that round. One walk over the batches therefore
+    Each fault model keys its own fault stream by its kind and rate. Each
+    count draws its (G+1)-round realizations from its own copy of that
+    stream, whose key has no gossip count, and ``sample_realization`` draws
+    every batch's first round before any chain step, so every count sees
+    the same first round of every batch, and the head pass reads only that
+    round. One walk over the batches therefore
     serves every count. It groups a cell's batches by their size and alive
     aggregators (a device-fault batch that lost one mostly runs alone) and
     runs each group a chunk of batches at a time: one stacked ``aggregate``
@@ -173,11 +164,10 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     rate-0 cell and every device-fault batch in which no device died.
 
     After the walk, each count scores the whole cell in one
-    ``score_policies`` pass. Its selection draws come from its own copy of
-    the cell's selection stream in three calls over the cell's samples,
-    batch-major: the guess classes, the any-device picks, then the active
-    picks, each sample's bound its batch's ``max(|A_i|, 1)``. Hits are
-    integer counts, so each accuracy is one exact division.
+    ``score_policies`` pass. Each accuracy is one sum of the policy's
+    (batches, batch) per-sample expectations, padding included as 0, over
+    the sample count, so neither the chunking nor the worker count changes
+    its order.
     """
     for p in policies:
         if p not in POLICIES:
@@ -195,7 +185,6 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     keys = [(FAULT_KIND_IDS[f.kind], fault_rate_key(f.rate)) for f in fault_models]
 
     n = labels.shape[0]
-    c_count = graph.device_count
     m = model.class_count
     width = min(batch_size, n)
     slices = -(-n // width)  # per trial, the last one short when n % width
@@ -236,7 +225,7 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
             for b in np.unique(sizes[:slices]):
                 for idx in chunks(np.flatnonzero(sizes[:slices] == b)):
                     base_values[idx, :, :b] = heads(aggs_all, base_keep, idx)
-        correct = np.zeros((len(counts), len(starts), c_count + 1, width), dtype=bool)
+        correct = np.zeros((len(counts), len(starts), graph.device_count + 1, width), dtype=bool)
         groups = np.unique(np.column_stack([clean, sizes, alive]), axis=0,
                            return_inverse=True)[1].ravel()
         for group in range(groups.max() + 1):
@@ -251,16 +240,10 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
 
         results = []
         for s, g in enumerate(counts):
-            active = active_mask(realized[s], graph.aggregators)
-            rng_sel = stream(seed, "select", *key)
-            bounds = np.repeat(np.maximum(active.sum(axis=1), 1), sizes)
-            draws = np.zeros((3, len(starts), width), dtype=np.int64)
-            draws[:, valid] = (rng_sel.integers(m, size=total),
-                               rng_sel.integers(1, c_count + 1, size=total),
-                               rng_sel.integers(bounds))
-            outcomes = score_policies(correct[s], active, lab, *draws)
+            values = score_policies(correct[s], active_mask(realized[s], graph.aggregators),
+                                    valid, m)
             comm = int(count_comm(realized[s], graph.aggregators, g) @ sizes)
-            results.append(({p: int(outcomes[p].sum()) / total for p in policies},
+            results.append(({p: float(values[p].sum()) / total for p in policies},
                             comm / total))
         seconds = (time.perf_counter() - clock) / len(counts)
         grid.append([EvalResult(acc, comm_mean, total, seconds) for acc, comm_mean in results])

@@ -25,9 +25,8 @@ STREAM_IDS = {
     "data": 1,     # train-set shuffling
     "dropout": 2,  # simulated-fault dropout masks
     "fault": 3,    # fault realizations
-    "select": 4,   # prediction selection draws
     "noise": 5,    # synthetic image noise, one subkey per row block
-}
+}  # fixed ids: renumbering a stream changes every draw from it
 
 
 def stream(master_seed: int, name: str, *subkeys: int) -> np.random.Generator:

@@ -1,13 +1,14 @@
 """Test-only reference code: a single-MLP cross-entropy oracle that the split
 pipeline's gradients are checked against, an IDX writer for the loader's
-fixtures, one-shot versions of the Monte Carlo certificates that the
-blocked ones are checked against, the gradient check's
+fixtures, a one-shot version of the Monte Carlo certificate that the
+blocked one is checked against, the gradient check's
 coordinate-by-coordinate finite differences that its stacked ones are
-checked against, pair-by-pair constructions of the
-graph adjacency and the patch columns that the array ones are checked
-against, the textbook forms of the head-path kernels, and the per-batch
-policy scoring loop that ``metrics.evaluate_policies``' one scoring pass is
-checked against, and the per-client encoder loop that
+checked against, pair-by-pair constructions of the graph adjacency and
+the patch columns that the array ones are checked against, the textbook
+forms of the head-path kernels, the sampled selection scorer that
+``metrics.score_policies``' expectations are checked against, the
+per-batch policy scoring loop that ``metrics.evaluate_policies``' one
+scoring pass is checked against, and the per-client encoder loop that
 ``training.evaluate_split``'s stacked one is checked against. No pipeline
 of the library calls them."""
 
@@ -84,24 +85,6 @@ def one_shot_catastrophic_probability(seed, draws, rates, ks) -> CertResult:
             details.append(f"r={r} K={k}: {empirical:.6f} vs {expected:.6f}")
     return CertResult("catastrophic-probability", worst <= 3.0,
                       f"max |z| {worst:.2f} over {len(details)} cells, {draws} draws each")
-
-
-def one_shot_selection_uniformity(seed, draws) -> CertResult:
-    """``certs.cert_selection_uniformity`` drawing every alive flag, then
-    every score, in one call each and picking with ``argmax``."""
-    rate, k = 0.3, 4
-    rng = np.random.default_rng(seed)
-    alive = rng.random((draws, k)) < (1.0 - rate)
-    scores = rng.random((draws, k))
-    scores[~alive] = -1.0
-    nonempty = alive.any(axis=1)
-    picks = scores[nonempty].argmax(axis=1)
-    n = int(nonempty.sum())
-    freq = np.bincount(picks, minlength=k) / n
-    sigma = math.sqrt((1.0 / k) * (1.0 - 1.0 / k) / n)
-    worst = float(np.abs(freq - 1.0 / k).max()) / sigma
-    return CertResult("selection-uniformity", worst <= 3.0,
-                      f"max |z| {worst:.2f}, K={k}, rate={rate}, {n} conditioned draws")
 
 
 def per_coordinate_max_grad_error(model, views, y, keep, graph, tol):
@@ -230,21 +213,51 @@ def textbook_aggregate(reps, keep):
     return np.where(np.repeat(keep, r, axis=1)[:, None, :], row, 0.0)
 
 
+def sampled_score_policies(correct, active, labels, guess, upick, vpick) -> dict:
+    """The sampled scorer that ``metrics.score_policies`` averages exactly:
+    every policy's outcome under one set of selection draws. ``labels``,
+    ``guess``, ``upick`` and ``vpick`` are (nb, B): the labels (-1 on a
+    padded slot), the uniform-guess classes, the any-device picks in 1..C
+    and the picks among the active devices, ``vpick[i] < max(|A_i|, 1)``.
+
+    ``active_rand`` scores the ``upick`` device when it is active, else the
+    ``vpick``-th active device in device order; ``active_best`` and
+    ``active_worst`` are ``any`` and ``all`` over the active devices;
+    ``any_rand`` falls back to the guess when its pick is inactive; and a
+    batch with no active device scores the guess under every policy.
+    Returns policy -> (nb, B) bool outcomes."""
+    rows, cols = np.ogrid[:correct.shape[0], :correct.shape[2]]
+    guess_ok = guess == labels
+    u_active = active[rows, upick]
+    # a stable sort of the inactive flags lists the active devices first, in order
+    v_dev = np.argsort(~active, axis=1, kind="stable")[rows, vpick]
+    act = active[:, :, None]
+    outcomes = {
+        "active_rand": correct[rows, np.where(u_active, upick, v_dev), cols],
+        "active_best": (correct & act).any(axis=1),
+        "active_worst": ~(act & ~correct).any(axis=1),
+        "any_rand": np.where(u_active, correct[rows, upick, cols], guess_ok),
+    }
+    empty = ~active.any(axis=1, keepdims=True)
+    return {p: np.where(empty, guess_ok, o) for p, o in outcomes.items()}
+
+
 def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, policies,
                                 gossip_rounds, seed, batch_size=64, trials=1):
     """``metrics.evaluate_policies`` scoring each (batch, gossip count) as
-    it comes: per count, the batch's slice of the count's selection draws
-    and one outcome per policy, summed into running float hit counts. Takes
-    checked arguments."""
+    it comes: per count, each policy's expected outcome on each of the
+    batch's samples, from the count of its active aggregators and of those
+    right on the sample, written into the cell's (batches, batch) array and
+    summed once per cell, as the one scoring pass sums. Takes checked
+    arguments."""
     counts = list(gossip_rounds)
     n = labels.shape[0]
-    c_count = graph.device_count
-    m = model.class_count
+    c, m = graph.device_count, model.class_count
     starts = list(range(0, n, batch_size)) * trials
+    width = min(batch_size, n)
     sizes = np.array([min(batch_size, n - start) for start in starts])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])  # batch i's draws: [offsets[i], offsets[i+1])
     total = n * trials
-    head_row = np.zeros(c_count + 1, dtype=np.intp)  # an alive aggregator's row in ``values``
+    head_row = np.zeros(c + 1, dtype=np.intp)  # an alive aggregator's row in ``values``
     grid = []
     for fault_model in fault_models:
         key = (FAULT_KIND_IDS[fault_model.kind], fault_rate_key(fault_model.rate))
@@ -253,46 +266,31 @@ def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, polici
         for g in counts:
             realized = sample_realization(graph, fault_model, len(starts), g + 1,
                                           stream(seed, "fault", *key))
-            active = active_mask(realized, graph.aggregators)
-            # the count's selection draws, three calls over every sample, batch-major
-            rng = stream(seed, "select", *key)
-            guess = rng.integers(m, size=total)
-            upick = rng.integers(1, c_count + 1, size=total)
-            vpick = rng.integers(np.repeat(np.maximum(active.sum(axis=1), 1), sizes))
             scores.append(dict(
-                g=g, realized=realized, active=active, active_row=np.cumsum(active, axis=1) - 1,
+                g=g, realized=realized, active=active_mask(realized, graph.aggregators),
                 comm=int(count_comm(realized, graph.aggregators, g) @ sizes),
-                draws=(guess, upick, vpick), hits={p: 0.0 for p in policies}))
+                values={p: np.zeros((len(starts), width)) for p in policies}))
         for i, (start, b) in enumerate(zip(starts, sizes)):
             aggs, keep = delivery(scores[0]["realized"][i], graph.aggregators)
             values, _ = aggregator_head(model, aggs,
                                         aggregate(sample_major(reps[:, start:start + b]), keep))
             head_row[aggs] = np.arange(len(aggs))
             lab = labels[start:start + b]
-            cols = np.arange(b)
             for s in scores:
                 final = mags_infer(values, aggs, s["realized"][i], s["g"])
                 act = np.flatnonzero(s["active"][i])
-                guess, upick, vpick = (d[offsets[i]:offsets[i + 1]] for d in s["draws"])
-                guess_ok = guess == lab
-                if not act.size:
-                    for p in policies:
-                        s["hits"][p] += float(guess_ok.sum())
-                    continue
-                correct = final.argmax(axis=2)[head_row[act]] == lab[None, :]  # (|A|, b)
-                u_in_act = s["active"][i, upick]
-                u_row = s["active_row"][i, upick]
+                k = act.size
+                right = (final.argmax(axis=2)[head_row[act]] == lab[None, :]).sum(axis=0)
                 outcomes = {
-                    "active_rand": correct[np.where(u_in_act, u_row, vpick), cols],
-                    "active_best": correct.any(axis=0),
-                    "active_worst": correct.all(axis=0),
-                    "any_rand": np.where(u_in_act, correct[np.maximum(u_row, 0), cols],
-                                         guess_ok),
-                }
+                    "active_rand": right / k,
+                    "active_best": right > 0,
+                    "active_worst": right == k,
+                    "any_rand": (right * m + c - k) / (c * m),
+                } if k else dict.fromkeys(policies, np.full(b, 1.0 / m))
                 for p in policies:
-                    s["hits"][p] += float(outcomes[p].sum())
+                    s["values"][p][i, :b] = outcomes[p]
         seconds = (time.perf_counter() - clock) / len(counts)
-        grid.append([EvalResult({p: s["hits"][p] / total for p in policies},
+        grid.append([EvalResult({p: float(s["values"][p].sum()) / total for p in policies},
                                 s["comm"] / total, total, seconds) for s in scores])
     return grid
 

@@ -1,6 +1,7 @@
 """Certificate reports: pinned output, per-graph detail, failure on a
 broken implementation, blocked draws equal to one-shot draws, stacked finite
-differences equal to coordinate-by-coordinate ones, and bounded memory."""
+differences equal to coordinate-by-coordinate ones, an exact selection
+check, and bounded memory."""
 
 import re
 import tracemalloc
@@ -8,8 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (one_shot_catastrophic_probability, one_shot_selection_uniformity,
-                     per_coordinate_max_grad_error)
+from helpers import one_shot_catastrophic_probability, per_coordinate_max_grad_error
 from mags import certs, metrics
 from mags.certs import (cert_catastrophic_probability, cert_comm_counts,
                         cert_ensemble_identity, cert_gossip_contraction,
@@ -73,7 +73,6 @@ class TestMonteCarloBlocks:
     def test_equal_to_one_shot_draws(self, seed):
         assert cert_catastrophic_probability(seed) == one_shot_catastrophic_probability(
             seed, 10 ** 6, (0.3, 0.5), (1, 2, 4))
-        assert cert_selection_uniformity(seed) == one_shot_selection_uniformity(seed, 10 ** 6)
 
     @pytest.mark.parametrize("ks", [(1, 2, 4), (3,)])
     def test_partial_last_block(self, ks):
@@ -82,25 +81,20 @@ class TestMonteCarloBlocks:
         assert cert_catastrophic_probability(
             seed=2, draws=draws, rates=(0.3, 0.5), ks=ks) == \
             one_shot_catastrophic_probability(2, draws, (0.3, 0.5), ks)
-        assert cert_selection_uniformity(seed=2, draws=draws) == \
-            one_shot_selection_uniformity(2, draws)
 
     @pytest.mark.parametrize("block, draws", [(7, 2_003), (1000, 100_003)])
     def test_block_size_does_not_change_the_report(self, monkeypatch, block, draws):
         catastrophic = one_shot_catastrophic_probability(3, draws, (0.3, 0.5), (1, 2, 4))
-        selection = one_shot_selection_uniformity(3, draws)
         comm = cert_comm_counts(seed=3, realizations=2_003)
         monkeypatch.setattr(certs, "MC_BLOCK_ROWS", block)
         monkeypatch.setattr(certs, "COMM_COUNT_CHUNK", block)
         assert cert_catastrophic_probability(
             seed=3, draws=draws, rates=(0.3, 0.5), ks=(1, 2, 4)) == catastrophic
-        assert cert_selection_uniformity(seed=3, draws=draws) == selection
         assert cert_comm_counts(seed=3, realizations=2_003) == comm
 
-    def test_ties_and_zero_scores_follow_argmax(self, monkeypatch):
-        # uniforms on a grid of quarters: alive scores tie in most rows and
-        # some are exactly 0, so the pick must keep argmax's first maximum
-        # and a row whose best score is 0 must count as nonempty
+    def test_uniforms_on_the_threshold_follow_one_shot_draws(self, monkeypatch):
+        # uniforms on a grid of quarters: at rate 0.5 many are exactly the
+        # 1 - r threshold, where a device dies
         default_rng = np.random.default_rng
 
         class QuarterGrid:
@@ -111,11 +105,33 @@ class TestMonteCarloBlocks:
                 return np.floor(self._rng.random(shape) * 4.0) / 4.0
 
         monkeypatch.setattr(np.random, "default_rng", QuarterGrid)
-        assert cert_selection_uniformity(seed=4, draws=100_003) == \
-            one_shot_selection_uniformity(4, 100_003)
         assert cert_catastrophic_probability(
             seed=4, draws=100_003, rates=(0.3, 0.5), ks=(1, 2, 4)) == \
             one_shot_catastrophic_probability(4, 100_003, (0.3, 0.5), (1, 2, 4))
+
+
+class TestSelectionUniformity:
+    """The selection certificate checks ``score_policies`` against the
+    sampled rule averaged over every pick: no draw, so no false alarm."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_production_scorer_is_the_exact_mean(self, seed):
+        result = cert_selection_uniformity(seed)
+        assert result.passed, result.line()
+        assert float(re.search(r"max \|error\| (\S+)", result.detail)[1]) < 1e-14
+
+    @pytest.mark.parametrize("policy", metrics.POLICIES)
+    def test_each_policy_off_by_more_than_the_tolerance_fails(self, monkeypatch, policy):
+        # mutation check: one policy's values moved by 1e-11
+        real = certs.score_policies
+
+        def broken(*args):
+            values = real(*args)
+            values[policy] = values[policy] + 1e-11
+            return values
+
+        monkeypatch.setattr(certs, "score_policies", broken)
+        assert not cert_selection_uniformity(0).passed
 
 
 @pytest.mark.parametrize("cert", [cert_catastrophic_probability, cert_selection_uniformity,

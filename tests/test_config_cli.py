@@ -149,7 +149,7 @@ class TestLoadConfig:
             load_config(p)
 
     def test_fault_rates_off_the_milli_grid_rejected(self, tmp_path):
-        # rates closer than 1e-3 would share fault and selection streams
+        # rates closer than 1e-3 would share fault streams
         p = write_config(tmp_path)
         p.write_text(p.read_text().replace("fault_rates = 0, 0.5", "fault_rates = 0.1, 0.1004"))
         with pytest.raises(ConfigError, match="0.1004"):

@@ -4,7 +4,7 @@ import pytest
 from mags.errors import ConfigError
 from mags.faults import (MARKOV_STAY_ALIVE, FaultModel, active_mask, markov_step,
                          sample_comm_faults, sample_device_faults, sample_realization)
-from mags.rng import stream
+from mags.rng import STREAM_IDS, stream
 from mags.topology import build_graph
 
 
@@ -291,6 +291,13 @@ class TestActiveSet:
 
 
 class TestDeterminismAndTrace:
+    def test_stream_ids_are_pinned(self):
+        # an id keys every draw of its stream: a renumbered noise stream
+        # would change every synthetic image and so every checkpoint
+        assert STREAM_IDS == {"init": 0, "data": 1, "dropout": 2, "fault": 3, "noise": 5}
+        with pytest.raises(ValueError, match="select"):
+            stream(0, "select")
+
     def test_equal_seeds_give_identical_sequences(self):
         g = build_graph("grid", 16, 4)
         for i in range(5):

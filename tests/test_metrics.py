@@ -7,8 +7,8 @@ import pytest
 from mags.certs import cert_ensemble_identity
 from mags.data import client_views, make_splits, split_patches, synth_dataset
 from mags.errors import ConfigError, InputError
-from mags.faults import (FaultModel, RealizedGraph, sample_comm_faults, sample_device_faults,
-                         sample_realization)
+from mags.faults import (FAULT_KIND_IDS, FaultModel, RealizedGraph, active_mask,
+                         sample_comm_faults, sample_device_faults, sample_realization)
 from mags.inference import (aggregate, aggregator_head, client_encode, delivery,
                             init_split_model, mags_infer, sample_major)
 from mags.metrics import (POLICIES, count_comm, ensemble_decomposition, evaluate_policies,
@@ -18,7 +18,7 @@ from mags.rng import stream
 from mags.topology import build_graph
 from mags.training import TrainConfig, fit
 
-from helpers import per_batch_evaluate_policies
+from helpers import per_batch_evaluate_policies, sampled_score_policies
 
 
 def uniform_model(graph, patch_dim, classes, seed=0):
@@ -49,24 +49,20 @@ def accuracy(model, graph, label, n, fault=FaultModel("none"), batch_size=None, 
 
 
 class TestSelect:
-    """Selection policy semantics, scored through evaluate_policies."""
+    """Selection policy semantics, scored through evaluate_policies: each
+    policy's exact expectation given the fault draw."""
 
     def test_all_correct_makes_every_policy_correct(self):
         graph = build_graph("complete", 3, 3)
         model = fixed_model(graph, 4, {1: 2, 2: 2, 3: 2})
         assert accuracy(model, graph, 2, 64) == {p: 1.0 for p in POLICIES}
 
-    def test_one_right_one_wrong_oracles(self):
+    def test_one_right_one_wrong_is_a_fair_coin(self):
+        # n = C = 2 active aggregators, one right: any_rand equals active_rand
         graph = build_graph("complete", 2, 2)
         acc = accuracy(fixed_model(graph, 4, {1: 2, 2: 0}), graph, 2, 64)
-        assert acc["active_best"] == 1.0 and acc["active_worst"] == 0.0
-
-    def test_active_rand_is_a_fair_coin_here(self):
-        graph = build_graph("complete", 2, 2)
-        draws = 100000
-        acc = accuracy(fixed_model(graph, 4, {1: 2, 2: 0}), graph, 2, draws, batch_size=10000)
-        band = 3 * np.sqrt(0.25 / draws)
-        assert abs(acc["active_rand"] - 0.5) <= band
+        assert acc == {"active_rand": 0.5, "active_best": 1.0, "active_worst": 0.0,
+                       "any_rand": 0.5}
 
     def test_single_aggregator_oracles_coincide_with_rand(self):
         graph = build_graph("complete", 4, 1)
@@ -74,75 +70,135 @@ class TestSelect:
         oracles = ("active_rand", "active_best", "active_worst")
         assert all(accuracy(model, graph, 3, 64)[p] == 1.0 for p in oracles)
         assert all(accuracy(model, graph, 0, 64)[p] == 0.0 for p in oracles)
-        # faulted: the uniform-guess fallback shares one draw across policies
+        # faulted: a batch that lost its aggregator scores 1/M under every policy
         acc = accuracy(model, graph, 3, 640, FaultModel("device", 0.5), batch_size=8)
         assert 0.0 < acc["active_rand"] < 1.0
         assert acc["active_best"] == acc["active_rand"] == acc["active_worst"]
 
-    def test_empty_active_set_is_uniform_guess(self):
+    @pytest.mark.parametrize("n, batch_size", [(400, 40), (10, 4)])  # 10 of 4: a short batch
+    def test_empty_active_set_is_uniform_guess(self, n, batch_size):
         graph = build_graph("complete", 4, 4)
-        draws = 40000
-        acc = accuracy(fixed_model(graph, 4), graph, 1, draws, FaultModel("device", 1.0),
-                       batch_size=4000)
-        band = 3 * np.sqrt(0.25 * 0.75 / draws)
-        assert abs(acc["active_rand"] - 0.25) <= band
+        acc = accuracy(fixed_model(graph, 4), graph, 1, n, FaultModel("device", 1.0),
+                       batch_size=batch_size)
+        assert acc == {p: 0.25 for p in POLICIES}
 
-    def test_any_rand_falls_back_on_inactive_pick(self):
-        # only device 1 is an active aggregator among 8 devices
+    @pytest.mark.parametrize("n, batch_size", [(64, 64), (10, 4)])
+    def test_any_rand_falls_back_on_inactive_pick(self, n, batch_size):
+        # only device 1 is an active aggregator among 8 devices: correct
+        # w.p. 1/8 (informed) + 7/8 * 1/4 (guess)
         graph = build_graph("complete", 8, 1)
-        draws = 40000
-        acc = accuracy(fixed_model(graph, 4, {1: 2}), graph, 2, draws, batch_size=4000)
-        # correct w.p. 1/8 (informed) + 7/8 * 1/4 (guess)
-        expected = 1 / 8 + (7 / 8) * (1 / 4)
-        band = 3 * np.sqrt(expected * (1 - expected) / draws)
-        assert abs(acc["any_rand"] - expected) <= band
+        acc = accuracy(fixed_model(graph, 4, {1: 2}), graph, 2, n, batch_size=batch_size)
+        assert acc["any_rand"] == 1 / 8 + (7 / 8) * (1 / 4)
 
     def test_conditional_selection_frequency_through_samplers(self):
-        # given a nonempty active set, each aggregator is picked w.p. 1/K.
-        # Aggregator k predicts class k-1, so the active_rand accuracy on
-        # label k-1 is the frequency of picking k; the fault and selection
-        # streams do not depend on the labels, so every label sees the same
-        # draws. One realization per sample (batch size 1).
+        # given a nonempty active set A, each aggregator is picked w.p.
+        # 1/|A|. Aggregator k predicts class k-1, so the active_rand
+        # accuracy on label k-1 is the frequency of picking k; the fault
+        # stream does not depend on the labels, so every label sees the
+        # same draws. One realization per sample (batch size 1).
         graph = build_graph("complete", 4, 4)
         model = fixed_model(graph, 4)
-        draws, rate = 3000, 0.3
-        freq = np.array([accuracy(model, graph, k - 1, draws, FaultModel("device", rate),
+        draws, fault = 3000, FaultModel("device", 0.3)
+        freq = np.array([accuracy(model, graph, k - 1, draws, fault,
                                   batch_size=1, seed=6)["active_rand"] for k in range(1, 5)])
+        realized = sample_realization(graph, fault, draws, 1,
+                                      stream(6, "fault", FAULT_KIND_IDS["device"], 300))
+        active = active_mask(realized, graph.aggregators)[:, 1:]
         # with K = M = 4 the empty-set guess also lands on each class w.p. 1/4
+        law = np.where(active.any(axis=1, keepdims=True),
+                       active / np.maximum(active.sum(axis=1, keepdims=True), 1), 0.25)
+        assert freq == pytest.approx(law.mean(axis=0), abs=1e-12)
         assert freq.sum() == pytest.approx(1.0)
-        band = 3 * np.sqrt(0.25 * 0.75 / draws)
-        assert np.all(np.abs(freq - 0.25) <= band)
 
-    def test_active_picks_are_uniform_below_each_batch_bound(self, monkeypatch):
-        # a cell draws every active pick in one call, each sample bounded by
-        # its batch's max(|A_i|, 1): under device faults on 8 aggregators the
-        # bounds vary from batch to batch, and below each bound every pick
-        # is drawn w.p. 1/bound
+
+class TestScorePolicies:
+    """``score_policies`` on hand-built batches: C devices, M classes."""
+
+    @pytest.mark.parametrize("c, m, active, right, expected", [
+        # (active devices, those right on the sample) -> rand, best, worst, any
+        (4, 5, (), (), (0.2, 0.2, 0.2, 0.2)),                   # n = 0
+        (4, 5, (1,), (1,), (1.0, 1.0, 1.0, (5 + 3) / 20)),      # n = 1: VFL
+        (4, 5, (1,), (), (0.0, 0.0, 0.0, 3 / 20)),
+        (4, 5, (1, 3), (3,), (0.5, 1.0, 0.0, (5 + 2) / 20)),
+        (4, 5, (1, 2, 3, 4), (2, 4), (0.5, 1.0, 0.0, 0.5)),     # n = C
+        (4, 5, (1, 2, 3, 4), (1, 2, 3, 4), (1.0,) * 4),
+        (1, 2, (), (), (0.5,) * 4),                              # one device, dead
+    ])
+    def test_exact_values(self, c, m, active, right, expected):
+        # one batch of three slots: the sample, a copy of it, and padding
+        act = np.zeros((1, c + 1), dtype=bool)
+        act[0, list(active)] = True
+        correct = np.zeros((1, c + 1, 3), dtype=bool)
+        correct[0, list(right), :] = True  # the padding's flags must not count
+        valid = np.array([[True, True, False]])
+        values = score_policies(correct, act, valid, m)
+        for p, want in zip(("active_rand", "active_best", "active_worst", "any_rand"), expected):
+            assert values[p].tolist() == [[want, want, 0.0]], p
+
+    def test_orderings_per_sample(self):
+        # best >= rand >= worst always; any_rand <= active_rand exactly
+        # where s/n >= 1/M or n in {0, C}
+        rng = np.random.default_rng(3)
+        for c, m in ((1, 2), (3, 2), (4, 10), (16, 10)):
+            correct = rng.random((500, c + 1, 6)) < rng.random((500, 1, 1))
+            active = rng.random((500, c + 1)) < rng.random((500, 1))
+            active[:, 0] = False
+            v = score_policies(correct, active, np.ones((500, 6), dtype=bool), m)
+            n = active.sum(axis=1)[:, None]
+            s = (correct & active[:, :, None]).sum(axis=1)
+            assert np.all(v["active_best"] >= v["active_rand"])
+            assert np.all(v["active_rand"] >= v["active_worst"])
+            beats_chance = (s * m >= n) | (n == 0) | (n == c)
+            assert np.array_equal(v["any_rand"] <= v["active_rand"], beats_chance)
+            assert np.array_equal(v["any_rand"] == v["active_rand"],
+                                  (s * m == n) | (n == 0) | (n == c))
+
+    def test_any_rand_above_active_rand_below_chance(self):
+        # C = 4, M = 2: two active aggregators, both wrong. A pick of an
+        # inactive device guesses right w.p. 1/2, one of the active is wrong
+        correct = np.zeros((1, 5, 1), dtype=bool)
+        active = np.array([[False, True, True, False, False]])
+        values = score_policies(correct, active, np.ones((1, 1), dtype=bool), 2)
+        assert values["active_rand"].item() == 0.0
+        assert values["any_rand"].item() == 0.25
+
+    def test_sampled_scorer_averages_to_the_expectation(self, trained_small, monkeypatch):
+        # the sampled scorer over 300 selection seeds: its mean per cell
+        # lies within 4 sigma of the expectation, sigma from the samples'
+        # independent Bernoulli outcomes
         from mags import metrics
-        seen = []
+        model, ds, part, graph = trained_small
+        labels = ds.labels[-300:]
+        reps = client_encode(model, client_views(ds.features[-300:], part))
+        cells = []
 
-        def spy(correct, active, labels, guess, upick, vpick):
-            seen.append((active.sum(axis=1), labels >= 0, vpick))
-            return score_policies(correct, active, labels, guess, upick, vpick)
+        def spy(correct, active, valid, classes):
+            cells.append((correct, active, valid))
+            return score_policies(correct, active, valid, classes)
 
         monkeypatch.setattr(metrics, "score_policies", spy)
-        graph = build_graph("complete", 8, 8)
-        accuracy(fixed_model(graph, 8), graph, 0, 30000, FaultModel("device", 0.5),
-                 batch_size=30, seed=5)
-        [(sizes, valid, vpick)] = seen
-        bounds = np.broadcast_to(np.maximum(sizes, 1)[:, None], vpick.shape)[valid]
-        picks = vpick[valid]
-        assert np.all((0 <= picks) & (picks < bounds))
-        tested = []
-        for k in range(2, 9):
-            at_k = picks[bounds == k]
-            if at_k.size < 2000:
-                continue
-            tested.append(k)
-            freq = np.bincount(at_k, minlength=k) / at_k.size
-            band = 3 * np.sqrt((1 / k) * (1 - 1 / k) / at_k.size)
-            assert np.all(np.abs(freq - 1 / k) <= band), (k, freq)
-        assert len(tested) >= 4, tested
+        faults = [FaultModel(kind, rate) for kind in ("communication", "device")
+                  for rate in (0.3, 0.7)]
+        evaluate_policies(model, reps, labels, graph, faults, list(POLICIES), [0], seed=9,
+                          batch_size=32, trials=2)
+        m, c, seeds = model.class_count, graph.device_count, 300
+        for correct, active, valid in cells:
+            total = int(valid.sum())
+            lab = np.full(valid.shape, -1)
+            lab[valid] = np.tile(labels, 2)
+            bounds = np.broadcast_to(np.maximum(active.sum(axis=1), 1)[:, None], valid.shape)
+            expected = score_policies(correct, active, valid, m)
+            sampled = dict.fromkeys(POLICIES, 0.0)
+            for s in range(seeds):
+                rng = np.random.default_rng(s)
+                draws = np.zeros((3,) + valid.shape, dtype=np.int64)
+                draws[:, valid] = (rng.integers(m, size=total), rng.integers(1, c + 1, size=total),
+                                   rng.integers(bounds[valid]))
+                for p, o in sampled_score_policies(correct, active, lab, *draws).items():
+                    sampled[p] += o.sum() / total / seeds
+            for p, e in expected.items():
+                sigma = np.sqrt((e * (1.0 - e)).sum() / seeds) / total
+                assert abs(sampled[p] - e.sum() / total) <= 4 * sigma + 1e-12, p
 
 
 def base(graph, batches=1):
@@ -432,7 +488,7 @@ class TestEvaluatePolicies:
     def test_peak_memory_grows_with_trials_only_by_the_scoring_arrays(self, kind):
         # each chunk of batches is scored and dropped before the next: from
         # 2 to 8 trials the peak grows by the per-sample scoring arrays
-        # (labels, selection draws, outcomes), under 3 times what the
+        # (labels, per-sample expectations), under 3 times what the
         # correctness array grows by (measured: 0.4, 2.2 and 1.9 times),
         # where keeping every batch's head inputs would add 128 KiB per batch
         graph = build_graph("complete", 16, 16)
