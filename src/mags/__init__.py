@@ -7,7 +7,7 @@ from .data import (ClientSplit, Dataset, PartitionSpec, make_splits, read_idx, s
 from .faults import FaultModel, RealizedGraph, sample_realization
 from .inference import SplitModel, mags_infer
 from .metrics import POLICIES, ensemble_decomposition, evaluate_policies
-from .topology import DeviceGraph, build_graph, consensus_matrix, spectral_radius
+from .topology import DeviceGraph, build_graph, spectral_radius
 from .training import Checkpoint, TrainConfig, fit, load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"
@@ -16,7 +16,7 @@ __all__ = [
     "ClientSplit", "Dataset", "PartitionSpec", "make_splits", "read_idx", "split_patches",
     "synth_dataset", "FaultModel", "RealizedGraph", "sample_realization", "SplitModel",
     "mags_infer", "POLICIES", "ensemble_decomposition", "evaluate_policies",
-    "DeviceGraph", "build_graph", "consensus_matrix", "spectral_radius",
+    "DeviceGraph", "build_graph", "spectral_radius",
     "Checkpoint", "TrainConfig", "fit", "load_checkpoint", "save_checkpoint",
     "__version__",
 ]

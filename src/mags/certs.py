@@ -15,11 +15,11 @@ import numpy as np
 
 from .data import one_hot
 from .faults import FaultModel, sample_realization
-from .inference import gossip_links, gossip_round
+from .inference import gossip_mix, gossip_round
 from .metrics import count_comm, ensemble_decomposition, score_policies
 from .nn import log_softmax
 from .rng import stream
-from .topology import build_graph, consensus_matrix, spectral_radius
+from .topology import build_graph, spectral_radius
 from .training import split_forward, split_loss_and_grads
 
 RING16_RADIUS = (1.0 + 2.0 * math.cos(math.pi / 8.0)) / 3.0  # circulant eigenvalue
@@ -96,7 +96,7 @@ def cert_ensemble_identity(seed=0, sets=10000, ks=(2, 4, 16), classes=10) -> Cer
 def cert_gossip_contraction(seed=0, inits=100, max_rounds=10) -> CertResult:
     """Per-device disagreement after G gossip rounds is bounded by
     lambda^G * sqrt(C) * (max initial pairwise distance) on regular graphs,
-    where lambda is the spectral radius of the shifted consensus matrix.
+    where lambda is the spectral radius of the shifted consensus matrix N / d.
 
     Also pins the 16-device ring spectral radius to its closed form.
     """
@@ -106,18 +106,17 @@ def cert_gossip_contraction(seed=0, inits=100, max_rounds=10) -> CertResult:
     checks = 0
     ring_err = None
     for kind in ("ring", "complete", "torus"):
-        graph = build_graph(kind, c, c)
-        lam = spectral_radius(consensus_matrix(graph))
+        mix = gossip_mix(build_graph(kind, c, c).adj, range(1, c + 1), np.float64)  # every device
+        lam = spectral_radius(mix[0] / mix[1])
         if kind == "ring":
             ring_err = abs(lam - RING16_RADIUS)
-        links = gossip_links(graph.adj, graph.aggregators)
         y0 = rng.standard_normal((inits, c, dim))  # the inits' draws, in order
         y_bar = y0.mean(axis=1)
         max_pair = np.linalg.norm(y0[:, :, None] - y0[:, None], axis=-1).max(axis=(1, 2))
         z = y0.transpose(1, 0, 2)  # devices first, the inits as gossip's batch axis
         slack[kind] = np.inf
         for g in range(1, max_rounds + 1):
-            z = gossip_round(z, links)
+            z = gossip_round(z, mix)
             bound = (lam ** g) * math.sqrt(c) * max_pair + 1e-9  # (inits,)
             dev = np.linalg.norm(y_bar - z, axis=-1)  # (C, inits)
             slack[kind] = min(slack[kind], float((bound - dev).min()))

@@ -95,6 +95,15 @@ def write_csv(path: Path, schema: str, header, rows) -> Path:
     return path
 
 
+def user_set_blas_threads() -> bool:
+    return any(v in os.environ for v in BLAS_THREAD_VARS)
+
+
+def train_jobs(cfg: ExperimentConfig) -> list:
+    """One (training variant's MethodSpec, seed) job per checkpoint."""
+    return [(spec, seed) for spec in cfg.train_variants() for seed in cfg.seeds]
+
+
 def worker_count(workers: int | None, job_count: int) -> int:
     """The processes that run ``job_count`` jobs: ``workers``, and at most
     one per job.
@@ -110,7 +119,7 @@ def worker_count(workers: int | None, job_count: int) -> int:
     if workers is None:
         cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
-        safe = OPENBLAS_THREADS is not None or any(v in os.environ for v in BLAS_THREAD_VARS)
+        safe = OPENBLAS_THREADS is not None or user_set_blas_threads()
         workers = cores if CAN_FORK and safe else 1
     elif workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
@@ -164,7 +173,7 @@ def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int, inputs, weights=Non
     fork = multiprocessing.get_context("fork")
     procs, conns = [], []
     results = [None] * len(jobs)
-    pinned = OPENBLAS_THREADS is not None and not any(v in os.environ for v in BLAS_THREAD_VARS)
+    pinned = OPENBLAS_THREADS is not None and not user_set_blas_threads()
     if pinned:
         get_threads, set_threads = OPENBLAS_THREADS
         caller_threads = get_threads()
@@ -209,13 +218,11 @@ def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int, inputs, weights=Non
 
 
 def _train_checkpoints(cfg: ExperimentConfig, jobs, pool) -> list:
-    """Fit and save one checkpoint per (train_name, seed) job. ``pool`` is
-    the training pool's ``ClientSplit``: each fit gathers its split from
-    the pool's client views by row."""
-    variants = {s.train_name: s for s in cfg.train_variants()}
+    """Fit and save one checkpoint per ``train_jobs`` job. ``pool`` is the
+    training pool's ``ClientSplit``: each fit gathers its split from the
+    pool's client views by row."""
     paths = []
-    for train_name, seed in jobs:
-        spec = variants[train_name]
+    for spec, seed in jobs:
         graph = build_method_graph(cfg, spec)
         tc = build_train_config(cfg, spec, seed)
         path = checkpoint_path(cfg.out_dir, spec.train_name, seed)
@@ -231,8 +238,7 @@ def _train_checkpoints(cfg: ExperimentConfig, jobs, pool) -> list:
 
 
 def cmd_train(cfg: ExperimentConfig, workers: int | None = None) -> int:
-    jobs = [(spec.train_name, seed)
-            for spec in cfg.train_variants() for seed in cfg.seeds]
+    jobs = train_jobs(cfg)
     workers = worker_count(workers, len(jobs))
     pool = build_dataset(cfg, "train")
     for p in _run_jobs(_train_checkpoints, cfg, jobs, workers, pool):
@@ -241,8 +247,8 @@ def cmd_train(cfg: ExperimentConfig, workers: int | None = None) -> int:
 
 
 def _eval_checkpoints(cfg: ExperimentConfig, jobs, test) -> list:
-    """Run rows for each (train_name, seed) job: every cell of the methods
-    that share that checkpoint.
+    """Run rows for each ``train_jobs`` job: every cell of the methods that
+    share that checkpoint.
 
     ``test`` is the test split's ``ClientSplit``, built once for all jobs.
     Each checkpoint is loaded once and encodes the whole test set once. Methods
@@ -252,11 +258,11 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs, test) -> list:
     result's ``seconds``, its (fault kind, rate) group's scoring time split
     evenly over those methods, is its rows' ``wall_time``.
     """
-    variants = {s.train_name: s for s in cfg.train_variants()}
     cells = list(itertools.product(cfg.fault_kinds, cfg.fault_rates))
     results = []
-    for train_name, seed in jobs:
-        graph = build_method_graph(cfg, variants[train_name])
+    for variant, seed in jobs:
+        train_name = variant.train_name
+        graph = build_method_graph(cfg, variant)
         ckpt = load_checkpoint(checkpoint_path(cfg.out_dir, train_name, seed))
         if list(ckpt.config.get("aggregators", [])) != list(graph.aggregators):
             raise ConfigError(
@@ -282,10 +288,10 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs, test) -> list:
 
 
 def cmd_eval(cfg: ExperimentConfig, workers: int | None = None) -> int:
-    jobs = [(spec.train_name, seed) for spec in cfg.train_variants() for seed in cfg.seeds]
+    jobs = train_jobs(cfg)
     workers = worker_count(workers, len(jobs))
-    for train_name, seed in jobs:
-        p = checkpoint_path(cfg.out_dir, train_name, seed)
+    for spec, seed in jobs:
+        p = checkpoint_path(cfg.out_dir, spec.train_name, seed)
         if not p.exists():
             raise ConfigError(f"missing checkpoint {p}; run `mags train` first")
 
@@ -295,7 +301,7 @@ def cmd_eval(cfg: ExperimentConfig, workers: int | None = None) -> int:
     test = build_dataset(cfg, "test")
     # a job scores every cell of each method on its checkpoint
     methods = collections.Counter(spec.train_name for spec in cfg.method_specs())
-    weights = [methods[train_name] for train_name, _ in jobs]
+    weights = [methods[spec.train_name] for spec, _ in jobs]
     rows = [row for job_rows in _run_jobs(_eval_checkpoints, cfg, jobs, workers, test, weights)
             for row in job_rows]
     rows.sort(key=lambda r: (method_order[r[0]], kind_order[r[2]], float(r[3]),

@@ -3,9 +3,11 @@
 Every client encodes its own feature patch; each aggregator concatenates the
 representations it can reach (zero-imputing the rest, its own slot always
 present via the self-loop), runs a prediction head, and then G synchronous
-gossip rounds average log-probabilities over alive aggregator neighbors.
-Averaging in log space makes the ensemble a normalized geometric mean of the
-member probabilities, so gossip can only tighten the ensemble loss.
+gossip rounds average log-probabilities over alive aggregator neighbors by
+the degree rule ``D^-1 A``. Its rounds are row-stochastic, so they tend to a
+degree-weighted mix of the members (an arbitrary one under one-way link
+drops), uniform only where every round is doubly stochastic: on a regular
+graph without faults, or on the complete graph under device faults.
 
 Client representations are rectified before transmission (the encoder stack
 ends in a ReLU), which keeps zero as the natural "no signal" imputation
@@ -186,52 +188,54 @@ def aggregator_head(model: SplitModel, aggs, agg_inputs: np.ndarray):
     return log_softmax(out), (head, tape)
 
 
-def gossip_links(edge_alive: np.ndarray, aggregators) -> np.ndarray:
-    """(..., K', K') gossip link masks over ``aggregators``, one per (C+1,
-    C+1) ``edge_alive``: row i marks the aggregators whose values
-    aggregator i averages, itself included."""
-    idx = np.asarray(aggregators, dtype=np.intp)
-    links = edge_alive[..., idx[:, None], idx]
-    links[..., np.arange(idx.size), np.arange(idx.size)] = True
-    return links
+def gossip_mix(edge_alive: np.ndarray, members, dtype):
+    """The degree rule's mixing pair (N, d) over the devices ``members``, one
+    per (C+1, C+1) ``edge_alive``: N is the (..., K', K') link mask with its
+    self-loops set, in the values' ``dtype``, and d its (..., K', 1) row sums."""
+    idx = np.asarray(members, dtype=np.intp)
+    n = edge_alive[..., idx[:, None], idx].astype(dtype)
+    n[..., np.arange(idx.size), np.arange(idx.size)] = 1
+    return n, n.sum(axis=-1, keepdims=True)
 
 
-def gossip_round(z: np.ndarray, links: np.ndarray) -> np.ndarray:
-    """One synchronous round on stacked (..., K', B, M) values: row i
-    becomes the arithmetic mean of the rows that ``links[i]`` marks,
-    computed as the neighbor sum (one ``np.matmul`` over the flattened
-    rows, per leading index) followed by one division by the degree, both
-    in the values' dtype. ``links`` (or a (J, K', K') stack, one per batch
-    of (J, K', B, M) values) may be bool or its copy in that dtype: the
-    product casts a bool mask to the same 0/1 values."""
+def gossip_round(z: np.ndarray, mix) -> np.ndarray:
+    """One synchronous round on stacked (..., K', B, M) values, ``(N @ z) / d``
+    for the ``gossip_mix`` pair ``mix``: one ``np.matmul`` over the flattened
+    rows per leading index (a (J, K', K') pair gives each of J batches its own)."""
+    n, d = mix
     flat = z.reshape(*z.shape[:-2], math.prod(z.shape[-2:]))  # -1 cannot size zero rows
-    deg = links.sum(axis=-1, dtype=z.dtype)[..., None]
-    return (np.matmul(links, flat) / deg).reshape(z.shape)
+    return (np.matmul(n, flat) / d).reshape(z.shape)
+
+
+def gossip_adjoint(dz: np.ndarray, mix) -> np.ndarray:
+    """The transpose of ``gossip_round``, ``N^T @ (dz / d)``: the gradient of
+    a round's input from the gradient ``dz`` of its output."""
+    n, d = mix
+    flat = dz.reshape(*dz.shape[:-2], math.prod(dz.shape[-2:]))
+    return np.matmul(np.swapaxes(n, -1, -2), flat / d).reshape(dz.shape)
 
 
 def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,
                gossip_rounds: int) -> np.ndarray:
-    """The gossip stage of distributed inference: G >= 0 rounds
-    (``evaluate_policies`` checks the counts once, not here per batch) on
-    the stacked (K', B, M) head log-probs ``values`` of the alive aggregators
-    ``aggs`` (as ``delivery`` lists them for ``realized``), round t over
-    ``realized.edge_alive[t]`` (or its one held round). J batches that share
-    ``aggs`` run as one, on (J, K', B, M) values and a ``realized`` stacked
-    over them, each slice bit-identical to its own call.
+    """The gossip stage of distributed inference: G >= 0 rounds (checked
+    once by ``evaluate_policies``) on the stacked (K', B, M) head log-probs
+    ``values`` of the alive aggregators ``aggs``, as ``delivery`` lists them
+    for ``realized``; round t mixes over the ``gossip_mix`` pair of
+    ``realized.edge_alive[t]``, or of its one held round. J batches that
+    share ``aggs`` run as one on (J, K', B, M) values and a ``realized``
+    stacked over them, each slice bit-identical to its own call.
 
-    Returns the values after the last round, ``values`` itself for G = 0.
-    They are not renormalized, on purpose: a normalized member is
-    ``log_softmax`` of its row, a per-row shift, and scoring reads only the
-    argmax. In float arithmetic the two argmaxes agree except where
-    subtracting the shift would round two neighbouring values to one
-    number, a tie that the shifted argmax breaks to the lower class. The
-    head pass reads only the first round, so every gossip count of one
-    realization can share it.
+    Returns the values after the last round, ``values`` itself for G = 0,
+    not renormalized, on purpose: a normalized member is ``log_softmax`` of
+    its row, a per-row shift, and scoring reads only the argmax. In float
+    arithmetic the two argmaxes agree except where subtracting the shift
+    would round two neighbouring values to one number, a tie that the
+    shifted argmax breaks to the lower class. The head pass reads only the
+    first round, so every gossip count of one realization can share it.
     """
-    held = realized.edge_alive.shape[-3] == 1  # a held draw's links are built once
+    held = realized.edge_alive.shape[-3] == 1  # a held draw's pair is built once
     for t in range(1, gossip_rounds + 1):
         if t == 1 or not held:
-            links = gossip_links(realized.edge_alive[..., 0 if held else t, :, :], aggs)
-            links = links.astype(values.dtype)
-        values = gossip_round(values, links)
+            mix = gossip_mix(realized.edge_alive[..., 0 if held else t, :, :], aggs, values.dtype)
+        values = gossip_round(values, mix)
     return values

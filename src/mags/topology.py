@@ -82,15 +82,6 @@ def build_graph(kind, device_count, aggregator_count, seed=0, *,
     return DeviceGraph(c, kind, aggs, adj, float(rgg_radius) if kind == "rgg" else None)
 
 
-def consensus_matrix(graph: DeviceGraph) -> np.ndarray:
-    """Row-stochastic V = D^-1 A over device indices, self-loops included."""
-    a = graph.adj[1:, 1:].astype(np.float64)
-    deg = a.sum(axis=1)
-    if np.any(deg == 0):
-        raise ConfigError("isolated device without self-loop")
-    return a / deg[:, None]
-
-
 def spectral_radius(v: np.ndarray) -> float:
     """Largest |eigenvalue| of V - (1/C)*ones, from one dense eigensolver call.
 

@@ -24,7 +24,7 @@ from .data import COMPUTE_DTYPE, PartitionSpec, one_hot
 from .errors import ConfigError, InputError
 from .faults import FaultModel, sample_realization
 from .inference import (SplitModel, aggregate, aggregator_head, delivery, fault_free_delivery,
-                        gossip_links, gossip_round, init_split_model, sample_major)
+                        gossip_adjoint, gossip_mix, gossip_round, init_split_model, sample_major)
 from .nn import (AdamState, adam_init, adam_update, log_softmax, mlp_backward, mlp_forward,
                  mlp_size, relu)
 from .rng import stream
@@ -91,35 +91,35 @@ def apply_cd_mask(client_count: int, aggregators, rate: float, rng) -> np.ndarra
     return keep
 
 
-def base_delivery(graph: DeviceGraph, cfg: TrainConfig):
-    """The base graph's (keep, aggs, links), as ``batch_delivery`` returns
-    them before dropout under the train fault kind ``none``."""
+def base_delivery(graph: DeviceGraph, cfg: TrainConfig, dtype):
+    """The base graph's (keep, aggs, mix) as ``batch_delivery`` returns them
+    before dropout under the train fault kind ``none``; ``dtype`` is the model's."""
     aggs, keep = fault_free_delivery(graph)
-    return keep, aggs, gossip_links(graph.adj, aggs) if cfg.gossip_rounds else None
+    return keep, aggs, gossip_mix(graph.adj, aggs, dtype) if cfg.gossip_rounds else None
 
 
 def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault, base):
     """One per-batch delivery mask: which client representations reach which
-    aggregator. Returns (keep (K', C), alive aggregators, gossip links
-    (K', K'), or None when the loss does not gossip); row j of keep and links
-    is ``alive_aggs[j]``. The batch draws its train-fault realization as
+    aggregator. Returns (keep (K', C), alive aggregators, the ``gossip_mix``
+    pair, or None when the loss does not gossip); row j of keep and of the
+    pair is ``alive_aggs[j]``. The batch draws its train-fault realization as
     inference draws one (the kind ``none`` draws nothing from ``rng_fault``
     and gives ``base``, which ``fit`` builds once), then its dropout mask."""
-    if cfg.train_fault.kind == "none":
-        keep, aggs, links = base
-    else:
+    keep, aggs, mix = base
+    if cfg.train_fault.kind != "none":
         realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
         aggs, keep = delivery(realized, graph.aggregators)
-        links = gossip_links(realized.edge_alive[0], aggs) if cfg.gossip_rounds else None
+        if mix is not None:  # in the base pair's dtype, the model's
+            mix = gossip_mix(realized.edge_alive[0], aggs, mix[0].dtype)
     c = graph.device_count
     if cfg.dropout == "pd":
         keep = keep & apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
     elif cfg.dropout == "cd":
         keep = keep & apply_cd_mask(c, aggs, cfg.dropout_rate, rng_dropout)
-    return keep, aggs, links
+    return keep, aggs, mix
 
 
-def split_forward(model: SplitModel, views, y, keep, alive_aggs, links=None, gossip_rounds=0):
+def split_forward(model: SplitModel, views, y, keep, alive_aggs, mix=None, gossip_rounds=0):
     """The forward half of ``split_loss_and_grads``: the loss summed over
     the heads of ``alive_aggs`` (mean over the batch), and what the backward
     half reads, (reps, encoder tape, head log-probs, final log-probs, head
@@ -139,7 +139,7 @@ def split_forward(model: SplitModel, views, y, keep, alive_aggs, links=None, gos
     finals = log_ps
     if gossip_rounds:
         for _ in range(gossip_rounds):
-            finals = gossip_round(finals, links)
+            finals = gossip_round(finals, mix)
         finals = log_softmax(finals)
     head_losses = -(y * finals).sum(axis=(-2, -1)) / max(y.shape[0], 1)
     loss = sum(np.moveaxis(head_losses, -1, 0), np.zeros(lead))
@@ -147,7 +147,7 @@ def split_forward(model: SplitModel, views, y, keep, alive_aggs, links=None, gos
 
 
 def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
-                         links=None, gossip_rounds=0, out=None):
+                         mix=None, gossip_rounds=0, out=None):
     """Loss summed over aggregator heads (mean over the batch) and its exact
     gradient, a flat vector laid out like ``model.params``. ``out``, when
     given, is a SplitModel like ``model`` whose ``params`` receive the
@@ -164,9 +164,9 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
     ``keep[j, c-1]`` says whether client c's representation reaches
     ``alive_aggs[j]``; unreachable slots are zero-imputed and receive no
     gradient, so a dead client, which reaches no aggregator, gets a zero
-    gradient too. With ``gossip_rounds`` > 0, the
-    per-head log-probabilities are mixed for that many rounds over the
-    (K', K') ``links`` mask and renormalized before the loss.
+    gradient too. With ``gossip_rounds`` > 0, the per-head log-probabilities
+    are mixed for that many rounds over the (K', K') ``gossip_mix`` pair
+    ``mix`` and renormalized before the loss; ``gossip_adjoint`` undoes them.
     """
     n = max(y.shape[0], 1)
     grad = dataclasses.replace(model, params=np.empty_like(model.params)) if out is None else out
@@ -177,14 +177,13 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
     c_count, rep = model.client_count, model.rep_dim
 
     loss, (reps, enc_tape, log_ps, finals, head, head_tape) = split_forward(
-        model, views, y, keep, alive_aggs, links, gossip_rounds)
+        model, views, y, keep, alive_aggs, mix, gossip_rounds)
     dlogits = np.exp(finals)
     dlogits -= y
     dlogits /= n
     if gossip_rounds:
-        deg = links.sum(axis=1, dtype=dlogits.dtype)[:, None, None]
         for _ in range(gossip_rounds):
-            dlogits = np.tensordot(links.T, dlogits / deg, axes=1)
+            dlogits = gossip_adjoint(dlogits, mix)
         dlogits -= np.exp(log_ps) * dlogits.sum(axis=2, keepdims=True)
 
     heads = model.head_rows(alive_aggs)
@@ -228,9 +227,9 @@ def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dro
     total, seen = 0.0, 0
     for start in range(0, n, cfg.batch_size):
         idx = order[start:start + cfg.batch_size]
-        keep, alive_aggs, links = batch_delivery(graph, cfg, rng_dropout, rng_fault, base)
+        keep, alive_aggs, mix = batch_delivery(graph, cfg, rng_dropout, rng_fault, base)
         batch = np.take(views, rows[idx], axis=1).astype(model.params.dtype, copy=False)
-        loss, _ = split_loss_and_grads(model, batch, y_onehot[idx], keep, alive_aggs, links,
+        loss, _ = split_loss_and_grads(model, batch, y_onehot[idx], keep, alive_aggs, mix,
                                        cfg.gossip_rounds, out=grad)
         optimizer_step(model, opt, grad.params)
         total += loss * len(idx)
@@ -315,7 +314,7 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
     rng_data = stream(cfg.seed, "data")
     rng_dropout = stream(cfg.seed, "dropout")
     rng_fault = stream(cfg.seed, "fault")
-    base = base_delivery(graph, cfg)
+    base = base_delivery(graph, cfg, model.params.dtype)
 
     best_loss, _ = evaluate_split(model, views, labels, graph, val_rows)
     best_model = model.copy()

@@ -202,8 +202,16 @@ def textbook_log_softmax(z):
 
 
 def textbook_gossip_round(z, links):
-    """``inference.gossip_round`` as a ``tensordot`` of the bool links."""
-    return np.tensordot(links, z, axes=1) / links.sum(axis=1)[:, None, None]
+    """``inference.gossip_round`` as a ``tensordot`` of the bool links, the
+    degree summed in the values' dtype."""
+    return np.tensordot(links, z, axes=1) / links.sum(axis=1, dtype=z.dtype)[:, None, None]
+
+
+def textbook_gossip_adjoint(dz, links):
+    """``inference.gossip_adjoint`` as a ``tensordot`` of the transposed
+    bool links, the degree summed in the values' dtype."""
+    deg = links.sum(axis=1, dtype=dz.dtype)[:, None, None]
+    return np.tensordot(links.T, dz / deg, axes=1)
 
 
 def textbook_aggregate(reps, keep):

@@ -5,14 +5,14 @@ import pytest
 
 from mags.faults import (FaultModel, RealizedGraph, active_mask, sample_comm_faults,
                          sample_device_faults, sample_realization)
-from mags.inference import (SplitModel, aggregate, aggregator_head,
-                            client_encode, delivery, encoder_dims, gossip_links,
-                            gossip_round, init_split_model, mags_infer, sample_major)
+from mags.inference import (SplitModel, aggregate, aggregator_head, client_encode, delivery,
+                            encoder_dims, gossip_adjoint, gossip_mix, gossip_round,
+                            init_split_model, mags_infer, sample_major)
 from mags.nn import Mlp, init_mlp, log_softmax, mlp_forward
 from mags.rng import stream
-from mags.topology import build_graph, consensus_matrix
+from mags.topology import build_graph
 
-from helpers import textbook_aggregate, textbook_gossip_round
+from helpers import textbook_aggregate, textbook_gossip_adjoint, textbook_gossip_round
 
 
 def toy_model(graph, patch_dim, classes, seed=0):
@@ -204,42 +204,60 @@ class TestAggregatorHead:
             assert np.array_equal(out[j], expected)
 
 
+def random_links(rng, lead, k):
+    """A random (*lead, k+1, k+1) ``edge_alive`` with one-way links, and its
+    bool (*lead, k, k) link masks over devices 1..k, self-loops set."""
+    edge_alive = rng.random((*lead, k + 1, k + 1)) < 0.5
+    links = edge_alive[..., 1:, 1:].copy()
+    links[..., np.arange(k), np.arange(k)] = True
+    return edge_alive, links
+
+
 class TestGossipRound:
     def test_identical_values_are_a_fixed_point(self):
         graph = build_graph("ring", 8, 8)
         vec = np.array([[0.3, -1.2, 0.0]])
         z = np.stack([vec] * 8)
-        out = gossip_round(z, gossip_links(graph.adj, graph.aggregators))
+        out = gossip_round(z, gossip_mix(graph.adj, graph.aggregators, z.dtype))
         assert np.allclose(out, z, atol=1e-15)
 
     def test_two_aggregators_average(self):
         graph = build_graph("complete", 2, 2)
         z = np.array([[[0.0, -1.0]], [[-1.0, 0.0]]])
-        out = gossip_round(z, gossip_links(graph.adj, graph.aggregators))
+        out = gossip_round(z, gossip_mix(graph.adj, graph.aggregators, z.dtype))
         assert np.allclose(out, [[[-0.5, -0.5]], [[-0.5, -0.5]]])
 
     def test_ring4_matches_consensus_matrix_product(self):
         graph = build_graph("ring", 4, 4)
         rng = np.random.default_rng(8)
         z = rng.standard_normal((4, 1, 3))
-        out = gossip_round(z, gossip_links(graph.adj, graph.aggregators))
-        oracle = consensus_matrix(graph) @ z[:, 0]
-        assert np.allclose(out[:, 0], oracle, atol=1e-12)
+        out = gossip_round(z, gossip_mix(graph.adj, graph.aggregators, z.dtype))
+        # each ring device averages itself and its two neighbours
+        v = np.array([[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]]) / 3.0
+        assert np.allclose(out[:, 0], v @ z[:, 0], atol=1e-12)
+
+    def test_mix_is_the_link_mask_and_its_degrees(self):
+        graph = build_graph("ring", 4, 4)
+        n, d = gossip_mix(graph.adj, [1, 2, 4], np.float32)
+        assert n.dtype == d.dtype == np.float32
+        assert n.tolist() == [[1, 1, 1], [1, 1, 0], [1, 0, 1]]
+        assert d.tolist() == [[3], [2], [2]]
 
     def test_dead_neighbor_drops_out_of_average(self):
         graph = build_graph("complete", 3, 3)
         edge_alive = graph.adj.copy()
         edge_alive[2, :] = False  # device 2 is dead
         edge_alive[:, 2] = False
-        links = gossip_links(edge_alive, [1, 3])  # the alive aggregators
-        out = gossip_round(np.array([[[1.0]], [[3.0]]]), links)
+        mix = gossip_mix(edge_alive, [1, 3], np.float64)  # the alive aggregators
+        out = gossip_round(np.array([[[1.0]], [[3.0]]]), mix)
         assert out[0, 0, 0] == pytest.approx(2.0)
         assert out.shape == (2, 1, 1)
 
     def test_isolated_aggregator_keeps_its_value(self):
         graph = build_graph("complete", 2, 2)
         edge_alive = sample_comm_faults(graph, 1.0, 1, stream(0, "fault")).edge_alive[0, 0]
-        out = gossip_round(np.array([[[1.0]], [[5.0]]]), gossip_links(edge_alive, [1, 2]))
+        out = gossip_round(np.array([[[1.0]], [[5.0]]]),
+                           gossip_mix(edge_alive, [1, 2], np.float64))
         assert out[0, 0, 0] == pytest.approx(1.0)
         assert out[1, 0, 0] == pytest.approx(5.0)
 
@@ -250,43 +268,78 @@ class TestGossipRound:
         edge_alive[1, 2] = edge_alive[1, 3] = False  # 1 hears nobody
         edge_alive[3, 1] = False                     # 3 hears only 2
         out = gossip_round(np.array([[[1.0]], [[2.0]], [[6.0]]]),
-                           gossip_links(edge_alive, [1, 2, 3]))
+                           gossip_mix(edge_alive, [1, 2, 3], np.float64))
         assert out[:, 0, 0] == pytest.approx([1.0, 3.0, 4.0])
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_matches_the_textbook_form_for_bool_and_float_links(self, k):
+        # the pair's float links against the textbook's bool ones
         rng = np.random.default_rng(8)
-        z = rng.standard_normal((k, 7, 3))
-        links = rng.random((k, k)) < 0.5
-        np.fill_diagonal(links, True)
-        expected = textbook_gossip_round(z, links).tobytes()
-        assert gossip_round(z, links).tobytes() == expected
-        assert gossip_round(z, links.astype(np.float64)).tobytes() == expected
+        edge_alive, links = random_links(rng, (), k)
+        for dtype in (np.float32, np.float64):
+            z = rng.standard_normal((k, 7, 3)).astype(dtype)
+            out = gossip_round(z, gossip_mix(edge_alive, range(1, k + 1), dtype))
+            assert out.tobytes() == textbook_gossip_round(z, links).tobytes()
 
     @pytest.mark.parametrize("k", [2, 3, 5, 16])
     def test_leading_axes_give_each_slice_its_own_round(self, k):
-        # one mask shared by every leading index, or a stack of J batches
-        # each with its own mask
+        # one pair shared by every leading index, or a stack of J batches
+        # each with its own pair
         rng = np.random.default_rng(k)
         z = rng.standard_normal((4, k, 7, 3))
-        links = rng.random((4, k, k)) < 0.5
-        links[:, np.arange(k), np.arange(k)] = True
-        for mask in (links[0], links[0].astype(np.float64), links, links.astype(np.float64)):
-            out = gossip_round(z, mask)
+        edge_alive, _ = random_links(rng, (4,), k)
+        for mix in (gossip_mix(edge_alive[0], range(1, k + 1), z.dtype),
+                    gossip_mix(edge_alive, range(1, k + 1), z.dtype)):
+            out = gossip_round(z, mix)
             assert out.shape == z.shape
             for s in range(4):
-                one = mask if mask.ndim == 2 else mask[s]
+                one = mix if mix[0].ndim == 2 else (mix[0][s], mix[1][s])
                 assert out[s].tobytes() == gossip_round(z[s], one).tobytes()
 
     def test_no_aggregator_gives_an_empty_stack(self):
-        out = gossip_round(np.zeros((0, 7, 3)), np.zeros((0, 0), dtype=bool))
+        graph = build_graph("ring", 4, 4)
+        out = gossip_round(np.zeros((0, 7, 3)), gossip_mix(graph.adj, [], np.float64))
         assert out.shape == (0, 7, 3)
         # every aggregator dead: G > 0 rounds over no rows
-        graph = build_graph("ring", 4, 4)
         realized = sample_device_faults(graph, 1.0, 1, stream(1, "fault"))[0]
         aggs, _ = delivery(realized, graph.aggregators)
         assert aggs == []
         assert mags_infer(np.zeros((0, 7, 3)), aggs, realized, 3).shape == (0, 7, 3)
+
+
+class TestGossipAdjoint:
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 16])
+    def test_is_the_transpose_of_the_round(self, k, stacked):
+        # <round(z), w> == <z, adjoint(w)> over random one-way links; K' = 0
+        # is an empty aggregator set
+        rng = np.random.default_rng(30 + k)
+        lead = (3,) if stacked else ()
+        edge_alive, _ = random_links(rng, lead, k)
+        mix = gossip_mix(edge_alive, range(1, k + 1), np.float64)
+        assert mix[0].shape == (*lead, k, k) and mix[1].shape == (*lead, k, 1)
+        z, w = rng.standard_normal((2, *lead, k, 6, 4))
+        lhs = float((gossip_round(z, mix) * w).sum())
+        rhs = float((z * gossip_adjoint(w, mix)).sum())
+        assert abs(lhs - rhs) <= 1e-12
+
+    def test_float32_values_stay_float32(self):
+        rng = np.random.default_rng(31)
+        edge_alive, _ = random_links(rng, (), 5)
+        mix = gossip_mix(edge_alive, range(1, 6), np.float32)
+        z = rng.standard_normal((5, 6, 4)).astype(np.float32)
+        assert gossip_round(z, mix).dtype == np.float32
+        assert gossip_adjoint(z, mix).dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    def test_matches_the_textbook_form(self, k, dtype):
+        # a training batch's shape: 64 samples of 10 classes per aggregator
+        rng = np.random.default_rng(32 + k)
+        dz = rng.standard_normal((k, 64, 10)).astype(dtype)
+        edge_alive, links = random_links(rng, (), k)
+        out = gossip_adjoint(dz, gossip_mix(edge_alive, range(1, k + 1), dtype))
+        assert out.tobytes() == textbook_gossip_adjoint(dz, links).tobytes()
 
 
 class TestMagsInfer:
@@ -432,7 +485,7 @@ class TestMagsInfer:
         aggs, keep = delivery(r, graph.aggregators)
         values, _ = aggregator_head(model, aggs, aggregate(sample_major(reps), keep))
         for t in (1, 2, 3):
-            values = gossip_round(values, gossip_links(r.edge_alive[t], aggs))
+            values = gossip_round(values, gossip_mix(r.edge_alive[t], aggs, values.dtype))
         for j, k in enumerate(aggs):
             assert np.array_equal(res[k], log_softmax(values)[j])
 
@@ -454,7 +507,7 @@ class TestMagsInfer:
 
 class TestBatchAxis:
     """A stack of J batches runs as one call of ``aggregate``,
-    ``aggregator_head`` and ``mags_infer`` (``gossip_round``'s stacked links:
+    ``aggregator_head`` and ``mags_infer`` (``gossip_round``'s stacked pairs:
     ``TestGossipRound``), each slice bit for bit its own one-batch call."""
 
     @staticmethod

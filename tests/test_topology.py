@@ -5,13 +5,20 @@ import pytest
 
 from helpers import pairwise_graph
 from mags.errors import ConfigError
-from mags.topology import build_graph, consensus_matrix, spectral_radius
+from mags.inference import gossip_mix
+from mags.topology import build_graph, spectral_radius
 
 
 def dense_radius(v):
     """Oracle: full eigensolve of the shifted consensus matrix."""
     c = v.shape[0]
     return float(np.abs(np.linalg.eigvals(v - np.ones((c, c)) / c)).max())
+
+
+def consensus_matrix(g):
+    """V = D^-1 A over every device, ``N / d`` of the gossip pair."""
+    n, d = gossip_mix(g.adj, range(1, g.device_count + 1), np.float64)
+    return n / d
 
 
 def device_edge_count(g):

@@ -10,7 +10,7 @@ from mags.data import Dataset, client_views, make_splits, one_hot, split_patches
 from mags.errors import ConfigError
 from mags.faults import FaultModel
 from mags.inference import (aggregate, aggregator_head, client_encode, delivery,
-                            fault_free_delivery, gossip_links, init_split_model, sample_major)
+                            fault_free_delivery, gossip_mix, init_split_model, sample_major)
 from mags.nn import Mlp, adam_init, adam_update, init_mlp, stacked_mlp
 from mags.rng import stream
 from mags.topology import build_graph
@@ -89,7 +89,7 @@ class TestDropoutMasks:
         graph = build_graph("complete", 4, 4)
         cfg = TrainConfig(dropout="pd", dropout_rate=1.0)
         keep, alive_aggs, _ = batch_delivery(graph, cfg, stream(5, "dropout"), stream(5, "fault"),
-                                             base_delivery(graph, cfg))
+                                             base_delivery(graph, cfg, np.float64))
         assert not keep.any()
         assert alive_aggs == [1, 2, 3, 4]
 
@@ -97,24 +97,26 @@ class TestDropoutMasks:
         # on a ring, an aggregator only ever receives from its two neighbors
         graph = build_graph("ring", 8, 8)
         cfg = TrainConfig(dropout="none", gossip_rounds=1)
-        keep, _, links = batch_delivery(graph, cfg, stream(6, "dropout"), stream(6, "fault"),
-                                         base_delivery(graph, cfg))
+        keep, _, (n, d) = batch_delivery(graph, cfg, stream(6, "dropout"), stream(6, "fault"),
+                                         base_delivery(graph, cfg, np.float64))
         assert keep.sum() == 8 * 3
-        assert links.sum() == 8 * 3
+        assert n.sum() == 8 * 3 and (d == 3).all()
 
     def test_device_train_faults_keep_rows_follow_alive_aggregators(self):
-        # row j of keep and links belongs to alive_aggs[j], dead ones dropped;
+        # row j of keep and of the gossip pair belongs to alive_aggs[j], dead
+        # ones dropped;
         # every device aggregates, so a row keeps exactly the alive clients
         graph = build_graph("complete", 4, 4)
         cfg = TrainConfig(train_fault=FaultModel("device", 0.5), gossip_rounds=1)
         rng_fault = stream(7, "fault")
         partial = 0
         for _ in range(20):
-            keep, alive_aggs, links = batch_delivery(graph, cfg, stream(7, "dropout"), rng_fault,
-                                                     base_delivery(graph, cfg))
+            keep, alive_aggs, (n, d) = batch_delivery(graph, cfg, stream(7, "dropout"), rng_fault,
+                                                      base_delivery(graph, cfg, np.float32))
             partial += 0 < len(alive_aggs) < 4
             assert keep.shape == (len(alive_aggs), 4)
-            assert links.shape == (len(alive_aggs),) * 2 and links.all()
+            assert n.shape == (len(alive_aggs),) * 2 and (n == 1).all()
+            assert n.dtype == d.dtype == np.float32  # the base pair's dtype
             for row in keep:
                 assert np.array_equal(row, np.isin([1, 2, 3, 4], alive_aggs))
         assert partial > 0
@@ -128,8 +130,8 @@ class TestDropoutMasks:
         y = one_hot(ds.labels[:16], ds.class_count)
         cfg = TrainConfig(train_fault=FaultModel("communication", 1.0), gossip_rounds=2)
         delivery = batch_delivery(graph, cfg, stream(9, "dropout"), stream(9, "fault"),
-                                  base_delivery(graph, cfg))
-        assert np.array_equal(delivery[2], np.eye(4, dtype=bool))
+                                  base_delivery(graph, cfg, np.float64))
+        assert np.array_equal(delivery[2][0], np.eye(4))
         loss0, _ = split_loss_and_grads(model, views, y, *delivery, 0)
         loss2, _ = split_loss_and_grads(model, views, y, *delivery, 2)
         assert loss2 == pytest.approx(loss0, rel=1e-12)
@@ -137,14 +139,15 @@ class TestDropoutMasks:
     @pytest.mark.parametrize("dropout", ["none", "pd", "cd"])
     def test_fault_free_base_gives_the_drawn_delivery(self, dropout):
         # without a train fault every batch gets the base graph's delivery
-        # under its own dropout mask, no links unless the loss gossips, and
+        # under its own dropout mask, no gossip pair unless the loss gossips, and
         # the fault stream stays untouched
         graph = build_graph("ring", 8, 5)
         cfg = TrainConfig(dropout=dropout, dropout_rate=0.4)
         base_aggs, base_keep = fault_free_delivery(graph)
         rd, rd_ref, rf = stream(10, "dropout"), stream(10, "dropout"), stream(10, "fault")
         for _ in range(5):
-            keep, aggs, links = batch_delivery(graph, cfg, rd, rf, base_delivery(graph, cfg))
+            keep, aggs, mix = batch_delivery(graph, cfg, rd, rf,
+                                             base_delivery(graph, cfg, np.float64))
             if dropout == "pd":
                 mask = apply_pd_mask(8, 0.4, rd_ref)[None, :]
             elif dropout == "cd":
@@ -152,10 +155,12 @@ class TestDropoutMasks:
             else:
                 mask = True
             assert aggs == base_aggs and np.array_equal(keep, base_keep & mask)
-            assert links is None
+            assert mix is None
         gossiping = TrainConfig(dropout=dropout, dropout_rate=0.4, gossip_rounds=2)
-        links = batch_delivery(graph, gossiping, rd, rf, base_delivery(graph, gossiping))[2]
-        assert np.array_equal(links, gossip_links(graph.adj, base_aggs))
+        n, d = batch_delivery(graph, gossiping, rd, rf,
+                              base_delivery(graph, gossiping, np.float64))[2]
+        n_base, d_base = gossip_mix(graph.adj, base_aggs, np.float64)
+        assert np.array_equal(n, n_base) and np.array_equal(d, d_base)
         assert rf.random() == stream(10, "fault").random()
 
 
@@ -254,9 +259,10 @@ class TestSplitLossAndGrads:
         elif case == "pd-dropped":
             keep &= apply_pd_mask(4, 0.5, stream(8, "dropout"))[None, :]
         assert keep.all() == (case not in ("cd-dropped", "pd-dropped"))
-        links = gossip_links(graph.adj, aggs)
-        links[0, 1] = False
-        args = (model, views, y, keep, aggs, links, 2 if case == "gossip-2" else 0)
+        edge_alive = graph.adj.copy()
+        edge_alive[aggs[0], aggs[1]] = False
+        mix = gossip_mix(edge_alive, aggs, model.params.dtype)
+        args = (model, views, y, keep, aggs, mix, 2 if case == "gossip-2" else 0)
         fresh_loss, fresh = split_loss_and_grads(*args)
         held = dataclasses.replace(model, params=np.full_like(model.params, np.nan))
         loss, grad = split_loss_and_grads(*args, out=held)
@@ -281,11 +287,12 @@ class TestSplitLossAndGrads:
         keep = np.ones((len(alive_aggs), 10), dtype=bool)
         if dropped:
             keep[0, 3] = keep[4, 0] = keep[8, 9] = False
-        links = gossip_links(graph.adj, alive_aggs)
-        links[2, 5] = links[5, 1] = False
+        edge_alive = graph.adj.copy()
+        edge_alive[alive_aggs[2], alive_aggs[5]] = edge_alive[alive_aggs[5], alive_aggs[1]] = False
+        mix = gossip_mix(edge_alive, alive_aggs, model.params.dtype)
         sets = model.params + 0.05 * rng.standard_normal((5, model.params.size))
         sets[0] = model.params
-        args = (views, y, keep, alive_aggs, links, gossip_rounds)
+        args = (views, y, keep, alive_aggs, mix, gossip_rounds)
         losses, _ = split_forward(dataclasses.replace(model, params=sets), *args)
         assert losses.shape == (5,)
         for s, params in enumerate(sets):
@@ -332,7 +339,7 @@ class TestSplitLossAndGrads:
         # matrix, so a transposed backward pass would fail here
         ("ring", 4, 3, FaultModel()),
         # a one-way link: the link mask itself is asymmetric, so a backward
-        # pass that used ``links`` for ``links.T`` would fail here
+        # pass that used N for its transpose would fail here
         ("complete", 3, 3, FaultModel("communication", 0.3)),
     ], ids=["complete-2-2", "ring-4-3", "complete-3-3-one-way-link"])
     def test_gossip_in_training_gradients_match_finite_differences(self, kind, devices,
@@ -343,18 +350,19 @@ class TestSplitLossAndGrads:
         views = [rng.random((4, 4)) for _ in range(devices)]
         y = one_hot(rng.integers(0, 3, 4), 3)
         cfg = TrainConfig(gossip_rounds=2, train_fault=fault)
-        keep, aggs, links = batch_delivery(graph, cfg, stream(4, "dropout"), stream(4, "fault"),
-                                           base_delivery(graph, cfg))
+        keep, aggs, mix = batch_delivery(graph, cfg, stream(4, "dropout"), stream(4, "fault"),
+                                         base_delivery(graph, cfg, np.float64))
+        n, d = mix
         if fault.kind == "none":
-            assert links.sum(axis=1).tolist() == ([2, 2] if kind == "complete" else [2, 3, 2])
+            assert d.ravel().tolist() == ([2, 2] if kind == "complete" else [2, 3, 2])
         else:
-            assert aggs == [1, 2, 3] and not np.array_equal(links, links.T)
+            assert aggs == [1, 2, 3] and not np.array_equal(n, n.T)
 
         def loss_of():
-            val, _ = split_loss_and_grads(model, views, y, keep, aggs, links, 2)
+            val, _ = split_loss_and_grads(model, views, y, keep, aggs, mix, 2)
             return val
 
-        _, grad = split_loss_and_grads(model, views, y, keep, aggs, links, 2)
+        _, grad = split_loss_and_grads(model, views, y, keep, aggs, mix, 2)
         # the weights of client 1's encoder and aggregator 2's head
         enc_pos, head_pos = positions(model)
         coords = np.concatenate([w[0].ravel() for w, _ in enc_pos.layers]
@@ -422,7 +430,7 @@ class TestTrainEpoch:
         y = one_hot(ds.labels, ds.class_count)
         loss = train_epoch(model, opt, views, np.arange(len(ds)), y, graph, cfg,
                            stream(8, "data"), stream(8, "dropout"), stream(8, "fault"),
-                           base_delivery(graph, cfg))
+                           base_delivery(graph, cfg, model.params.dtype))
         assert np.isfinite(loss) and loss > 0
 
 
@@ -452,8 +460,8 @@ class TestFit:
         def drawn(graph, cfg, rng_dropout, rng_fault, base):
             realized = real_sample(graph, cfg.train_fault, 1, 1, rng_fault)[0]
             aggs, keep = delivery(realized, graph.aggregators)
-            links = gossip_links(realized.edge_alive[0], aggs) if cfg.gossip_rounds else None
-            return real_delivery(graph, cfg, rng_dropout, rng_fault, (keep, aggs, links))
+            mix = base[2] and gossip_mix(realized.edge_alive[0], aggs, base[2][0].dtype)
+            return real_delivery(graph, cfg, rng_dropout, rng_fault, (keep, aggs, mix))
 
         monkeypatch.setattr(training, "batch_delivery", drawn)
         per_batch = fit_pool(cfg, ds, part, graph, 4, curve_path=tmp_path / "drawn.csv")
@@ -543,7 +551,7 @@ class TestFit:
         rd, rdo, rf = stream(7, "data"), stream(7, "dropout"), stream(7, "fault")
         for _ in range(6):
             train_epoch(model, opt, pool_views, tr, y, graph, cfg, rd, rdo, rf,
-                        base_delivery(graph, cfg))
+                        base_delivery(graph, cfg, model.params.dtype))
         final_loss, _ = evaluate_split(model, pool_views, ds.labels, graph, va)
         assert ckpt.best_val_loss <= final_loss + 1e-12
 
