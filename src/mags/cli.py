@@ -11,14 +11,16 @@ aggregate CSV are byte-identical across reruns on one platform.
 
 ``train`` and ``eval`` run one job per (train_name, seed) in ``--workers``
 processes (at most one per job). A command builds its inputs once, the
-training pool or the test split, then forks the workers, which read those
-inputs; the calling process runs a share of the jobs itself, the share that
-holds the heaviest job. Unless the user set ``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, numpy's OpenBLAS runs one
-thread per process meanwhile. The default is one worker per usable core
-where that count can be set or the user set one, and 1 otherwise. Where the
-platform cannot fork, the default is 1 and more is a usage error. Results
-do not depend on the worker count.
+training pool or the test split, into shared memory: the split's noise or
+image blocks run on the workers, each writing its blocks into the shared
+views. The command then forks the workers for its jobs, and they read those
+inputs. Both times the calling process runs a share itself, the share that
+holds the heaviest block or job. Unless the user set
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``,
+numpy's OpenBLAS runs one thread per process meanwhile. The default is one
+worker per usable core where that count can be set or the user set one, and
+1 otherwise. Where the platform cannot fork, the default is 1 and more is a
+usage error. Results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _openblas_threads():
 
 
 OPENBLAS_THREADS = _openblas_threads()
-# workers are forked from the calling process once its inputs are built;
+# workers are forked from the calling process, which keeps a share of the work;
 # where fork is unavailable, every command runs serially
 CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -240,7 +242,7 @@ def _train_checkpoints(cfg: ExperimentConfig, jobs, pool) -> list:
 def cmd_train(cfg: ExperimentConfig, workers: int | None = None) -> int:
     jobs = train_jobs(cfg)
     workers = worker_count(workers, len(jobs))
-    pool = build_dataset(cfg, "train")
+    pool = build_dataset(cfg, "train", workers)
     for p in _run_jobs(_train_checkpoints, cfg, jobs, workers, pool):
         print(p)
     return 0
@@ -298,7 +300,7 @@ def cmd_eval(cfg: ExperimentConfig, workers: int | None = None) -> int:
     method_order = {m.name: i for i, m in enumerate(cfg.method_specs())}
     kind_order = {k: i for i, k in enumerate(cfg.fault_kinds)}
     policy_order = {p: i for i, p in enumerate(cfg.policies)}
-    test = build_dataset(cfg, "test")
+    test = build_dataset(cfg, "test", workers)
     # a job scores every cell of each method on its checkpoint
     methods = collections.Counter(spec.train_name for spec in cfg.method_specs())
     weights = [methods[spec.train_name] for spec, _ in jobs]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (COMPUTE_DTYPE, SYNTH_CHUNK_ROWS, SYNTH_SIDE, ClientSplit, client_views,
-                   read_idx, scale_pixels, split_patches, synth_dataset)
+                   read_idx, scale_pixels, shared_empty, split_patches, synth_dataset)
 from .errors import ConfigError
 from .faults import FaultModel
 from .metrics import POLICIES, fault_rate_key
@@ -302,17 +302,23 @@ def load_config(path, seeds_override=None, out_override=None) -> ExperimentConfi
     return cfg.validate()
 
 
-def build_dataset(cfg: ExperimentConfig, split: str) -> ClientSplit:
+def build_dataset(cfg: ExperimentConfig, split: str, workers: int = 1) -> ClientSplit:
     """The ``split`` ("train" or "test") of the configured source as its
     clients' views, built alone: a synthetic split is its rows of the
     train_n + test_n pool (the pool's first train_n rows are the training
     pool), and an IDX split reads only its own two files.
 
-    The (C, n, d) views are allocated once and filled one block of rows at
-    a time, the blocks cut at the pool's multiples of SYNTH_CHUNK_ROWS (so a
-    synthetic block is one noise block, or the part of it the split holds):
-    only a block's float64 features exist besides the COMPUTE_DTYPE views,
-    never the split's whole feature matrix."""
+    The (C, n, d) views and the labels are allocated once, in shared memory,
+    and filled one block of rows at a time, the blocks cut at the pool's
+    multiples of SYNTH_CHUNK_ROWS (so a synthetic block is one noise block,
+    or the part of it the split holds): only a block's float64 features
+    exist besides the COMPUTE_DTYPE views, never the split's whole feature
+    matrix. The blocks are independent jobs, run by ``cli._run_jobs`` in
+    ``workers`` processes, each block weighted by the rows it draws; the
+    forked workers write their blocks straight into the shared views, and
+    the calling process fills the heaviest block itself."""
+    from .cli import _run_jobs  # the fork code lives in the cli module, which imports this one
+
     if cfg.dataset_kind == "synthetic":
         n_train, n = cfg.synth_train_n, cfg.synth_train_n + cfg.synth_test_n
         lo, hi = {"train": (0, n_train), "test": (n_train, n)}[split]
@@ -332,14 +338,23 @@ def build_dataset(cfg: ExperimentConfig, split: str) -> ClientSplit:
             return scale_pixels(pixels[a:b]), pool_labels[a:b]
 
     partition = split_patches(feature_count, cfg.grid_side)
-    views = np.empty((partition.client_count, hi - lo, len(partition.client_columns[0])),
-                     dtype=COMPUTE_DTYPE)
-    labels = np.empty(hi - lo, dtype=np.int64)
+    views = shared_empty((partition.client_count, hi - lo, len(partition.client_columns[0])),
+                         COMPUTE_DTYPE)
+    labels = shared_empty((hi - lo,), np.int64)
     edges = [lo, *range((lo // SYNTH_CHUNK_ROWS + 1) * SYNTH_CHUNK_ROWS, hi, SYNTH_CHUNK_ROWS), hi]
-    for a, b in zip(edges, edges[1:]):
-        features, labels[a - lo:b - lo] = block(a, b)
-        client_views(features, partition, out=views[:, a - lo:b - lo])
-        del features  # before the next block is built
+    blocks = list(zip(edges, edges[1:]))
+
+    def fill(_cfg, share, _inputs):
+        for a, b in share:
+            features, labels[a - lo:b - lo] = block(a, b)
+            client_views(features, partition, out=views[:, a - lo:b - lo])
+            del features  # before the next block is built
+        return [None] * len(share)
+
+    # a block draws its rows from the start of its noise block: the first
+    # block of a split that starts inside one draws the rows before it too
+    weights = [b - a // SYNTH_CHUNK_ROWS * SYNTH_CHUNK_ROWS for a, b in blocks]
+    _run_jobs(fill, cfg, blocks, min(workers, len(blocks)), None, weights)
     return ClientSplit(views, labels, class_count, partition)
 
 

@@ -8,6 +8,7 @@ Pixels are scaled by 1/255 into [0, 1] with no mean-centering, so 0 stays the
 from __future__ import annotations
 
 import math
+import mmap
 import struct
 from dataclasses import dataclass
 
@@ -79,6 +80,16 @@ class ClientSplit:
 
     def __len__(self):
         return self.labels.shape[0]
+
+
+def shared_empty(shape, dtype) -> np.ndarray:
+    """A zero-filled C-contiguous array in shared anonymous memory: a
+    process forked after it is made writes into the same pages, so what it
+    writes shows in the calling process. The memory is unmapped once the
+    array and every view of it are gone."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, count * np.dtype(dtype).itemsize)
+    return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
 def read_idx(images_path, labels_path, class_count=None):

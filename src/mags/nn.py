@@ -118,17 +118,23 @@ def mlp_backward(mlp: Mlp, tape, grad_out, input_grad=True, out=None):
 
     ``out``, an Mlp shaped like ``mlp`` (views into a flat gradient, say),
     receives each layer's weight and bias gradient, written by the same
-    product and sum that would return them, and its layers are returned."""
+    product and sum that would return them, and its layers are returned.
+
+    A bias gradient sums the batch axis with ``np.einsum``, in a third or
+    less of ``np.sum(d, axis=-2)``'s time on a desk batch. Where the layer is at
+    least 2 wide and its gradient is laid out width-fastest, as every
+    product here is, both add the rows in order, to the same bits; else
+    each adds them in an order of its own."""
     grads = [None] * len(mlp.layers) if out is None else out.layers
     d = grad_out
     for i in reversed(range(len(mlp.layers))):
         w, _ = mlp.layers[i]
         x_i = tape[i]
         if out is None:
-            grads[i] = (x_i.swapaxes(-1, -2) @ d, d.sum(axis=-2))
+            grads[i] = (x_i.swapaxes(-1, -2) @ d, np.einsum("...bm->...m", d))
         else:
             np.matmul(x_i.swapaxes(-1, -2), d, out=grads[i][0])
-            np.sum(d, axis=-2, out=grads[i][1])
+            np.einsum("...bm->...m", d, out=grads[i][1])
         if i == 0 and not input_grad:
             return grads, None
         d = d @ w.swapaxes(-1, -2)

@@ -128,9 +128,10 @@ def split_forward(model: SplitModel, views, y, keep, alive_aggs, mix=None, gossi
     ``model`` may hold a (P, N) stack of parameter vectors: the batch then
     runs through all P models in one pass, and the loss is a (P,) array,
     entry s bit-identical to the loss of parameter vector s run alone. The
-    heads' losses are added left to right, as Python's ``sum`` adds them
-    (``np.add.reduce`` over 8 or more heads would pair them up). For a
-    single vector the loss is a numpy scalar."""
+    heads' losses are added left to right in float64 by a running sum, as
+    Python's ``sum`` from a float64 zero adds them (``np.add.reduce`` over
+    8 or more heads would pair them up). For a single vector the loss is a
+    numpy scalar; with no alive head it is 0."""
     lead = model.params.shape[:-1]
     out, enc_tape = mlp_forward(model.encoder, np.broadcast_to(views, lead + np.shape(views)))
     reps = relu(out)
@@ -142,7 +143,8 @@ def split_forward(model: SplitModel, views, y, keep, alive_aggs, mix=None, gossi
             finals = gossip_round(finals, mix)
         finals = log_softmax(finals)
     head_losses = -(y * finals).sum(axis=(-2, -1)) / max(y.shape[0], 1)
-    loss = sum(np.moveaxis(head_losses, -1, 0), np.zeros(lead))
+    loss = (np.cumsum(head_losses, axis=-1, dtype=np.float64)[..., -1] if head_losses.shape[-1]
+            else np.zeros(lead))
     return loss, (reps, enc_tape, log_ps, finals, head, head_tape)
 
 

@@ -565,6 +565,39 @@ class TestBuildDataset:
         # one block's features and the synthetic build's one block of scratch
         assert peak < ds.views.nbytes + pixels + 2 * block + 2**21, peak
 
+    @pytest.mark.parametrize("kind, split", [
+        ("synthetic", "train"),  # rows [0, 3000): three noise blocks, the last partial
+        ("synthetic", "test"),   # rows [3000, 5000): the first block drops 952 rows
+        ("idx", "train"),        # 2100 images: two whole blocks and a partial third
+    ])
+    def test_block_parallel_build_equals_the_in_process_build(self, tmp_path, monkeypatch,
+                                                             kind, split):
+        # each split is three blocks, which two processes share
+        from mags import config
+        text = BASE_CONFIG.replace("train_n = 600", "train_n = 3000").replace(
+            "test_n = 200", "test_n = 2000")
+        if kind == "idx":
+            monkeypatch.setenv("MAGS_DATA_ROOT", str(tmp_path))
+            cfg = load_config(write_idx_config(tmp_path, 2100, 80, text))
+        else:
+            cfg = load_config(write_config(tmp_path, text))
+        filled = []  # the blocks the calling process fills; a worker's appends stay its own
+
+        def in_caller(features, partition, out):
+            filled.append(features.shape[0])
+            return client_views(features, partition, out=out)
+
+        monkeypatch.setattr(config, "client_views", in_caller)
+        serial = config.build_dataset(cfg, split, 1)
+        assert len(filled) == 3
+        filled.clear()
+        forked = config.build_dataset(cfg, split, 2)
+        assert 1 <= len(filled) < 3
+        assert multiprocessing.active_children() == []
+        assert forked.views.tobytes() == serial.views.tobytes()
+        assert forked.labels.tobytes() == serial.labels.tobytes()
+        assert forked.views.shape == serial.views.shape and forked.class_count == 4
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):

@@ -774,6 +774,93 @@ class TestPrecision:
         assert seen == {np.dtype(np.float64)}
 
 
+class CheckedBiasSums:
+    """numpy as ``nn`` sees it, except that each ``einsum`` bias sum is
+    checked against ``np.sum(d, axis=-2)`` bit for bit; ``layouts`` holds
+    each summed array's shape, strides and dtype, and the strides of the
+    view it was written into (None for a fresh result)."""
+
+    def __init__(self):
+        self.layouts = set()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, subscripts, d, out=None):
+        result = np.einsum(subscripts, d, out=out)
+        assert result.tobytes() == np.sum(d, axis=-2).tobytes(), (d.shape, d.strides, d.dtype)
+        self.layouts.add((d.shape, d.strides, d.dtype.str,
+                          None if out is None else out.strides))
+        return result
+
+
+class TestSummationOrder:
+    """The backward pass's bias sums and the forward pass's head-loss sum
+    add in a fixed order: a numpy whose einsum or cumsum adds otherwise
+    changes every checkpoint, and fails here first."""
+
+    @pytest.fixture
+    def bias_sums(self, monkeypatch):
+        from mags import nn
+        checked = CheckedBiasSums()
+        monkeypatch.setattr(nn, "np", checked)
+        return checked.layouts
+
+    @pytest.mark.parametrize("aggregators, dropout, train_fault, gossip", [
+        (1, "none", "none", 0),   # VFL
+        (16, "none", "none", 0),  # MACL
+        (16, "cd", "none", 0),    # CD-MACL
+        (16, "none", "device", 2),  # dead heads: their gradient rows written by index
+    ], ids=["VFL", "MACL", "CD-MACL", "device-faults-gossip"])
+    def test_desk_batches_sum_their_bias_gradients_in_row_order(self, bias_sums, aggregators,
+                                                               dropout, train_fault, gossip):
+        # desk shapes: 16 clients of 49 pixels, 10 classes, batches of 64,
+        # then a short batch of 32
+        ds = synth_dataset(120, 10, 4, seed=7, noise=0.3)
+        part = split_patches(ds.feature_count, 4)
+        graph = build_graph("complete", 16, aggregators)
+        fault = FaultModel(train_fault, 0.0 if train_fault == "none" else 0.4)
+        cfg = TrainConfig(epochs=1, batch_size=64, seed=2, dropout=dropout, train_fault=fault,
+                          gossip_rounds=gossip)
+        fit_pool(cfg, ds, part, graph, 3)
+        # the encoders' layers are 16 and 4 wide, the heads' 64 and 10
+        assert {shape[-1] for shape, *_ in bias_sums} == {16, 4, 64, 10}
+        assert {shape[-2] for shape, *_ in bias_sums} == {64, 32}
+        assert {dtype for _, _, dtype, _ in bias_sums} == {"<f4"}
+        # written into the held gradient's strided views, and with dead
+        # heads also fresh
+        outs = {out is None for *_, out in bias_sums}
+        assert outs == ({False, True} if train_fault == "device" else {False})
+
+    def test_gradient_certificate_sums_its_float64_bias_gradients_in_row_order(self,
+                                                                              bias_sums):
+        from mags import certs
+        assert certs.cert_gradient_check(seed=0, tol=1e-6).passed
+        assert {dtype for _, _, dtype, _ in bias_sums} == {"<f8"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_head_losses_add_left_to_right_in_float64(self, dtype, seed):
+        # 0 to 16 alive heads, one parameter vector or a stack of three
+        rng = np.random.default_rng(seed)
+        graph = build_graph("complete", 16, 16)
+        model = init_split_model(graph, [4] * 16, 5, stream(seed, "init"))
+        alive = sorted(rng.choice(16, size=[0, 16, 9, 3, 1, 12][seed], replace=False) + 1)
+        views = rng.random((16, 9, 4)).astype(dtype)
+        y = one_hot(rng.integers(0, 5, 9), 5)
+        keep = rng.random((len(alive), 16)) < 0.8
+        sets = (model.params + 0.1 * rng.standard_normal((3, model.params.size))).astype(dtype)
+        for params in (sets[0], sets):
+            loss, forward = split_forward(dataclasses.replace(model, params=params), views, y,
+                                          keep, [int(k) for k in alive])
+            heads = -(y * forward[3]).sum(axis=(-2, -1)) / y.shape[0]
+            expected = np.zeros(params.shape[:-1])
+            for j in range(len(alive)):
+                expected = expected + heads[..., j]
+            assert loss.dtype == np.float64 and loss.shape == params.shape[:-1]
+            assert loss.tobytes() == np.asarray(expected).tobytes()
+
+
 def json_cut_and_rehashed(raw):
     """Checkpoint bytes ``raw`` with the config JSON's last character cut and
     the hash line rewritten to match, so only the JSON itself is broken."""
