@@ -276,7 +276,7 @@ def _max_grad_error(model, views, y, keep, graph, tol):
     one parameter set per coordinate moved, bit-identical to moving the
     coordinates one at a time."""
     step = 1e-5
-    args = (views, y, keep, list(graph.aggregators))
+    args = (views, y, keep, np.ones(len(graph.aggregators), dtype=bool))
     base, grad = split_loss_and_grads(model, *args)
     params = model.params
 

@@ -269,9 +269,18 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs, test) -> list:
         if list(ckpt.config.get("aggregators", [])) != list(graph.aggregators):
             raise ConfigError(
                 f"checkpoint {train_name}-seed{seed} aggregators do not match config graph")
-        reps = client_encode(ckpt.model, test.views)
+        model = ckpt.model
+        clients, _, width = test.views.shape
+        fitted = (model.client_count, model.encoder_dims[0], model.class_count)
+        wanted = (clients, width, test.class_count)
+        if fitted != wanted:
+            raise ConfigError(
+                f"checkpoint {train_name}-seed{seed} has {fitted[0]} clients, patch width "
+                f"{fitted[1]} and {fitted[2]} classes; the config's test split has "
+                f"{wanted[0]}, {wanted[1]} and {wanted[2]}")
+        reps = client_encode(model, test.views)
         specs = [s for s in cfg.method_specs() if s.train_name == train_name]
-        grid = evaluate_policies(ckpt.model, reps, test.labels, graph,
+        grid = evaluate_policies(model, reps, test.labels, graph,
                                  [FaultModel(kind, rate) for kind, rate in cells], cfg.policies,
                                  [s.gossip_rounds for s in specs], seed,
                                  batch_size=cfg.batch_size, trials=cfg.trials)
@@ -349,6 +358,10 @@ def cmd_props(seed: int = 0, out: str | None = None) -> int:
 
 
 def read_runs_csv(path):
+    """The data rows of a runs CSV, blank lines skipped. A wrong schema line
+    or header, a row of another width than the header, or an accuracy or
+    comm_mean that is not a number (``nan`` is one) raises ``ConfigError``
+    naming the file and line."""
     with open(path) as f:
         first = f.readline().strip()
         if first != RUNS_SCHEMA:
@@ -357,7 +370,21 @@ def read_runs_csv(path):
         header = next(reader, None)
         if header != RUNS_HEADER:
             raise ConfigError(f"{path}: unexpected runs header {header}")
-        return [row for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}, line {reader.line_num + 1}"  # the schema line came first
+            if len(row) != len(RUNS_HEADER):
+                raise ConfigError(f"{where}: {len(row)} fields, not {len(RUNS_HEADER)}")
+            for column in ("accuracy", "comm_mean"):
+                value = row[RUNS_HEADER.index(column)]
+                try:
+                    float(value)
+                except ValueError:
+                    raise ConfigError(f"{where}: {column} {value!r} is not a number") from None
+            rows.append(row)
+        return rows
 
 
 def cmd_plotdata(csv_paths, out_dir) -> int:

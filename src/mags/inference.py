@@ -83,13 +83,6 @@ class SplitModel:
         return (stacked_mlp(flat[..., :cut], self.client_count, self.encoder_dims),
                 stacked_mlp(flat[..., cut:], len(self.aggregators), self.head_dims))
 
-    def head_rows(self, aggs):
-        """Head rows of the aggregators ``aggs``: a slice, so views, when
-        they are all of them."""
-        if tuple(aggs) == self.aggregators:
-            return slice(None)
-        return np.array([self.aggregators.index(k) for k in aggs], dtype=np.intp)
-
     def copy(self) -> "SplitModel":
         return SplitModel(self.params.copy(), self.client_count, self.encoder_dims,
                           self.aggregators, self.head_dims)
@@ -122,17 +115,20 @@ def client_encode(model: SplitModel, client_features) -> np.ndarray:
 
 
 def delivery(realized: RealizedGraph, aggregators):
-    """The aggregators alive in one batch's ``realized`` and their (K', C)
-    delivery mask over its first round: ``keep[j, c-1]`` says whether client
-    c's representation reaches ``aggs[j]``. Every sampler drops the edges of
-    a dead device, so a dead client is never kept."""
-    aggs = [k for k in aggregators if realized.alive[k]]
-    return aggs, realized.edge_alive[0][aggs, 1:]
+    """The alive mask of ``aggregators`` in ``realized`` and their delivery
+    mask over its first round, (..., K) and (..., K, C) over the realization's
+    leading batch axes: ``keep[..., j, c-1]`` says whether client c's
+    representation reaches ``aggregators[j]``. Every sampler drops the edges
+    of a dead device, so a dead client is never kept and a dead aggregator's
+    row is all False. ``alive`` is a mask of its own: under PD dropout an
+    alive aggregator's own slot can drop."""
+    aggs = np.asarray(aggregators, dtype=np.intp)
+    return realized.alive[..., aggs], realized.edge_alive[..., 0, aggs, 1:]
 
 
 def fault_free_delivery(graph: DeviceGraph):
     """The base graph's delivery, as ``delivery`` returns it: every
-    aggregator and its (K, C) mask."""
+    aggregator alive and its (K, C) mask."""
     return delivery(sample_realization(graph, FaultModel(), 1, 1, None)[0], graph.aggregators)
 
 
@@ -144,21 +140,21 @@ def sample_major(reps: np.ndarray) -> np.ndarray:
 
 
 def aggregate(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Zero-imputed, client-ordered head inputs, shape (..., K', B, C * r).
+    """Zero-imputed, client-ordered head inputs, shape (..., K, B, C * r).
 
     ``rows`` is sample-major, (..., B, C * r), as ``sample_major`` lays out
     a (..., C, B, r) stack from ``client_encode``. ``keep[..., j, c-1]``
     says whether client c's representation reaches aggregator row j; its
     leading axes broadcast against those of ``rows``, so P models' rows
-    under one (K', C) mask, or J batches' rows under their (J, K', C)
+    under one (K, C) mask, or J batches' rows under their (J, K, C)
     masks, give each slice its own call's result. An unreached slot is an
     exact +0.0 whatever ``rows`` holds there (NaN included, and a -0.0 too),
     so a dead client's rows are never read: the rows are copied, then the
     unreached slots zeroed, each client's flag repeated over its r slots.
     When every row of ``keep`` matches its first (every delivery kept, or
-    device faults on a complete graph), so does every input: the result is
-    then a read-only broadcast, copied and masked only when a delivery is
-    dropped.
+    device faults on a complete graph that kill no aggregator), so does
+    every input: the result is then a read-only broadcast, copied and
+    masked only when a delivery is dropped.
     """
     r = rows.shape[-1] // keep.shape[-1]
     same = (keep == keep[..., :1, :]).all()
@@ -172,14 +168,15 @@ def aggregate(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.broadcast_to(out, (*lead, keep.shape[-2], *out.shape[-2:])) if same else out
 
 
-def aggregator_head(model: SplitModel, aggs, agg_inputs: np.ndarray):
-    """One stacked forward pass of the heads of ``aggs`` on their (K', B,
-    C * r) inputs, followed by log-softmax normalization. Returns the log-probs
-    and what ``mlp_backward`` reads to differentiate them: the head stack
-    taken for ``aggs`` (a copy when they are not all of them) and its tape.
-    A stack of J batches' (J, K', B, C * r) inputs runs through the heads
-    broadcast over J, each slice bit-identical to its own call."""
-    head = model.head.take(model.head_rows(aggs))
+def aggregator_head(model: SplitModel, agg_inputs: np.ndarray):
+    """One stacked forward pass of every head on its (K, B, C * r) inputs,
+    followed by log-softmax normalization. Returns the log-probs and what
+    ``mlp_backward`` reads to differentiate them: the head stack and its
+    tape. A stack of J batches' (J, K, B, C * r) inputs runs through the
+    heads broadcast over J, each slice bit-identical to its own call. A dead
+    aggregator's head runs too, on the zeros its all-False delivery row
+    gives; its caller discards that row."""
+    head = model.head
     extra = agg_inputs.shape[:agg_inputs.ndim - head.layers[0][0].ndim]
     if extra:
         head = Mlp([(np.broadcast_to(w, extra + w.shape), np.broadcast_to(b, extra + b.shape))
@@ -189,9 +186,11 @@ def aggregator_head(model: SplitModel, aggs, agg_inputs: np.ndarray):
 
 
 def gossip_mix(edge_alive: np.ndarray, members, dtype):
-    """The degree rule's mixing pair (N, d) over the devices ``members``, one
-    per (C+1, C+1) ``edge_alive``: N is the (..., K', K') link mask with its
-    self-loops set, in the values' ``dtype``, and d its (..., K', 1) row sums."""
+    """The degree rule's mixing pair (N, d) over the m devices ``members``,
+    one per (C+1, C+1) ``edge_alive``: N is the (..., m, m) link mask with its
+    self-loops set, in the values' ``dtype``, and d its (..., m, 1) row sums.
+    A dead member's row keeps only its self-loop, and no other row links to
+    it, since a fault drops every edge of a dead device."""
     idx = np.asarray(members, dtype=np.intp)
     n = edge_alive[..., idx[:, None], idx].astype(dtype)
     n[..., np.arange(idx.size), np.arange(idx.size)] = 1
@@ -199,9 +198,9 @@ def gossip_mix(edge_alive: np.ndarray, members, dtype):
 
 
 def gossip_round(z: np.ndarray, mix) -> np.ndarray:
-    """One synchronous round on stacked (..., K', B, M) values, ``(N @ z) / d``
+    """One synchronous round on stacked (..., m, B, M) values, ``(N @ z) / d``
     for the ``gossip_mix`` pair ``mix``: one ``np.matmul`` over the flattened
-    rows per leading index (a (J, K', K') pair gives each of J batches its own)."""
+    rows per leading index (a (J, m, m) pair gives each of J batches its own)."""
     n, d = mix
     flat = z.reshape(*z.shape[:-2], math.prod(z.shape[-2:]))  # -1 cannot size zero rows
     return (np.matmul(n, flat) / d).reshape(z.shape)
@@ -218,12 +217,13 @@ def gossip_adjoint(dz: np.ndarray, mix) -> np.ndarray:
 def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,
                gossip_rounds: int) -> np.ndarray:
     """The gossip stage of distributed inference: G >= 0 rounds (checked
-    once by ``evaluate_policies``) on the stacked (K', B, M) head log-probs
-    ``values`` of the alive aggregators ``aggs``, as ``delivery`` lists them
-    for ``realized``; round t mixes over the ``gossip_mix`` pair of
-    ``realized.edge_alive[t]``, or of its one held round. J batches that
-    share ``aggs`` run as one on (J, K', B, M) values and a ``realized``
-    stacked over them, each slice bit-identical to its own call.
+    once by ``evaluate_policies``) on the stacked (K, B, M) head log-probs
+    ``values`` of the aggregators ``aggs``, dead ones included; round t
+    mixes over the ``gossip_mix`` pair of ``realized.edge_alive[t]``, or of
+    its one held round. A dead aggregator's row mixes only with itself and
+    no alive row reads it, so the alive rows mix as they would alone. J
+    batches run as one on (J, K, B, M) values and a ``realized`` stacked
+    over them, each slice bit-identical to its own call.
 
     Returns the values after the last round, ``values`` itself for G = 0,
     not renormalized, on purpose: a normalized member is ``log_softmax`` of

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .faults import FAULT_KIND_IDS, RealizedGraph, active_mask, sample_realization
-from .inference import (SplitModel, aggregate, aggregator_head, fault_free_delivery, mags_infer,
-                        sample_major)
+from .inference import (SplitModel, aggregate, aggregator_head, delivery, fault_free_delivery,
+                        mags_infer, sample_major)
 from .nn import log_softmax
 from .rng import stream
 from .topology import DeviceGraph
@@ -107,12 +107,13 @@ def score_policies(correct, active, valid, classes: int) -> dict:
     (conditional Monte Carlo), so nothing is drawn.
 
     ``correct`` is (nb, C+1, B): ``correct[i, d, j]`` says whether
-    aggregator device d's final prediction of sample j of batch i is right,
-    and is False for a device without one; ``active`` is the (nb, C+1)
-    active mask and ``valid`` the (nb, B) mask of the slots holding a
-    sample. With n a batch's active aggregators, s those of them right on
-    a sample and M = ``classes``, ``active_rand`` scores s/n,
-    ``active_best`` [s > 0], ``active_worst`` [s = n] and ``any_rand``
+    aggregator device d's final prediction of sample j of batch i is right;
+    only an active device's entries are read, so a dead aggregator's row,
+    its head's output on no input, and a non-aggregator's are ignored.
+    ``active`` is the (nb, C+1) active mask and ``valid`` the (nb, B) mask
+    of the slots holding a sample. With n a batch's active aggregators, s
+    those of them right on a sample and M = ``classes``, ``active_rand``
+    scores s/n, ``active_best`` [s > 0], ``active_worst`` [s = n] and ``any_rand``
     (s·M + C − n) / (C·M): a pick among the C devices is right w.p. s/C,
     and after one of the C − n inactive ones the guess is right w.p. 1/M.
     One division makes it the same float as s/n at n = C, and at most s/n
@@ -154,14 +155,16 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     every batch's first round before any chain step, so every count sees
     the same first round of every batch, and the head pass reads only that
     round. One walk over the batches therefore
-    serves every count. It groups a cell's batches by their size and alive
-    aggregators (a device-fault batch that lost one mostly runs alone) and
-    runs each group a chunk of batches at a time: one stacked ``aggregate``
-    and ``aggregator_head`` pass, then per count one stacked gossip stage
-    (``mags_infer``), whose argmax is recorded in the count's (batches, C+1,
-    batch) correctness array, row by aggregator device. Every batch slice's
-    head outputs under the base graph are computed once per call, for every
-    rate-0 cell and every device-fault batch in which no device died.
+    serves every count. Every head runs on every batch, a dead aggregator's
+    on the zeros of its all-False delivery row, so the walk groups a cell's
+    batches only by their size and by whether their delivery is the base
+    graph's, and runs each group a chunk of batches at a time: one stacked
+    ``aggregate`` and ``aggregator_head`` pass, then per count one stacked
+    gossip stage (``mags_infer``), whose argmax is recorded in the count's
+    (batches, C+1, batch) correctness array, row by aggregator device. Every
+    batch slice's head outputs under the base graph are computed once per
+    call, for every rate-0 cell and every device-fault batch in which no
+    device died.
 
     After the walk, each count scores the whole cell in one
     ``score_policies`` pass. Each accuracy is one sum of the policy's
@@ -195,7 +198,7 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     lab[valid] = np.tile(labels, trials)
     total = n * trials
     rows = sample_major(reps)
-    aggs_all = np.asarray(graph.aggregators, dtype=np.intp)
+    aggs = np.asarray(graph.aggregators, dtype=np.intp)
     base_keep = fault_free_delivery(graph)[1]
     # batches per stacked pass, fixed: it sets a pass's peak memory, not its
     # bits. One mags eval on eval-sweep's inputs (16 heads, batches of 64,
@@ -206,34 +209,36 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     def chunks(idx):
         return np.split(idx, np.arange(chunk, idx.size, chunk))
 
-    def heads(aggs, keep, idx):  # (J, K', b, M) of J batches of one size b
+    def heads(keep, idx):  # (J, K, b, M) of J batches of one size b
         samples = starts[idx, None] + np.arange(sizes[idx[0]])
-        return aggregator_head(model, aggs, aggregate(rows[samples], keep))[0]
+        return aggregator_head(model, aggregate(rows[samples], keep))[0]
 
-    base_values = None  # every batch slice's head outputs under the base graph
+    # every batch slice's head outputs under the base graph. Kept on
+    # measurement: without it, one call on a 1-epoch K=16 checkpoint over
+    # eval-sweep's 12 cells took 10-17% longer (median of 5: MACL 161 to
+    # 188 ms, CD-MACL at G0 and G4 208 to 229 ms; 2-core Xeon, one BLAS thread)
+    base_values = None
     grid = []
     for fault_model, key in zip(fault_models, keys):
         clock = time.perf_counter()
         realized = [sample_realization(graph, fault_model, len(starts), g + 1,
                                        stream(seed, "fault", *key)) for g in counts]
-        # every count's first rounds are the same: the head pass reads them
-        alive = realized[0].alive[:, aggs_all]
-        keep = realized[0].edge_alive[:, 0, aggs_all, 1:]
-        clean = alive.all(axis=1) & (keep == base_keep).all(axis=(1, 2))
+        # every count's first rounds are the same: the head pass reads them.
+        # A dead aggregator's keep row is all False, never the base row
+        keep = delivery(realized[0], aggs)[1]
+        clean = (keep == base_keep).all(axis=(1, 2))
         if base_values is None and clean.any():
-            base_values = np.zeros((slices, aggs_all.size, width, m), rows.dtype)
+            base_values = np.zeros((slices, aggs.size, width, m), rows.dtype)
             for b in np.unique(sizes[:slices]):
                 for idx in chunks(np.flatnonzero(sizes[:slices] == b)):
-                    base_values[idx, :, :b] = heads(aggs_all, base_keep, idx)
+                    base_values[idx, :, :b] = heads(base_keep, idx)
         correct = np.zeros((len(counts), len(starts), graph.device_count + 1, width), dtype=bool)
-        groups = np.unique(np.column_stack([clean, sizes, alive]), axis=0,
+        groups = np.unique(np.column_stack([clean, sizes]), axis=0,
                            return_inverse=True)[1].ravel()
         for group in range(groups.max() + 1):
             for idx in chunks(np.flatnonzero(groups == group)):
                 i, b = idx[0], sizes[idx[0]]
-                aggs = aggs_all[alive[i]]
-                values = (base_values[idx % slices, :, :b] if clean[i] else
-                          heads(aggs, keep[idx[:, None], alive[i]], idx))
+                values = base_values[idx % slices, :, :b] if clean[i] else heads(keep[idx], idx)
                 for s, g in enumerate(counts):
                     final = mags_infer(values, aggs, realized[s][idx], g)
                     correct[s, idx[:, None], aggs, :b] = final.argmax(axis=-1) == lab[idx, None, :b]

@@ -92,63 +92,67 @@ def apply_cd_mask(client_count: int, aggregators, rate: float, rng) -> np.ndarra
 
 
 def base_delivery(graph: DeviceGraph, cfg: TrainConfig, dtype):
-    """The base graph's (keep, aggs, mix) as ``batch_delivery`` returns them
+    """The base graph's (keep, alive, mix) as ``batch_delivery`` returns them
     before dropout under the train fault kind ``none``; ``dtype`` is the model's."""
-    aggs, keep = fault_free_delivery(graph)
-    return keep, aggs, gossip_mix(graph.adj, aggs, dtype) if cfg.gossip_rounds else None
+    alive, keep = fault_free_delivery(graph)
+    mix = gossip_mix(graph.adj, graph.aggregators, dtype) if cfg.gossip_rounds else None
+    return keep, alive, mix
 
 
 def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault, base):
     """One per-batch delivery mask: which client representations reach which
-    aggregator. Returns (keep (K', C), alive aggregators, the ``gossip_mix``
-    pair, or None when the loss does not gossip); row j of keep and of the
-    pair is ``alive_aggs[j]``. The batch draws its train-fault realization as
-    inference draws one (the kind ``none`` draws nothing from ``rng_fault``
-    and gives ``base``, which ``fit`` builds once), then its dropout mask."""
-    keep, aggs, mix = base
+    aggregator. Returns (keep (K, C), the (K,) alive mask, the ``gossip_mix``
+    pair, or None when the loss does not gossip); row j of each is
+    ``graph.aggregators[j]``, a dead one's keep row all False. The batch
+    draws its train-fault realization as inference draws one (the kind
+    ``none`` draws nothing from ``rng_fault`` and gives ``base``, which
+    ``fit`` builds once), then its dropout mask."""
+    keep, alive, mix = base
     if cfg.train_fault.kind != "none":
         realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
-        aggs, keep = delivery(realized, graph.aggregators)
+        alive, keep = delivery(realized, graph.aggregators)
         if mix is not None:  # in the base pair's dtype, the model's
-            mix = gossip_mix(realized.edge_alive[0], aggs, mix[0].dtype)
+            mix = gossip_mix(realized.edge_alive[0], graph.aggregators, mix[0].dtype)
     c = graph.device_count
     if cfg.dropout == "pd":
         keep = keep & apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
     elif cfg.dropout == "cd":
-        keep = keep & apply_cd_mask(c, aggs, cfg.dropout_rate, rng_dropout)
-    return keep, aggs, mix
+        keep = keep & apply_cd_mask(c, graph.aggregators, cfg.dropout_rate, rng_dropout)
+    return keep, alive, mix
 
 
-def split_forward(model: SplitModel, views, y, keep, alive_aggs, mix=None, gossip_rounds=0):
+def split_forward(model: SplitModel, views, y, keep, alive, mix=None, gossip_rounds=0):
     """The forward half of ``split_loss_and_grads``: the loss summed over
-    the heads of ``alive_aggs`` (mean over the batch), and what the backward
-    half reads, (reps, encoder tape, head log-probs, final log-probs, head
-    stack, head tape). Takes that function's arguments.
+    the alive heads (mean over the batch), and what the backward half
+    reads, (reps, encoder tape, head log-probs, final log-probs, head
+    stack, head tape). Takes that function's arguments. Every head runs,
+    and the loss of each dead one is set to zero.
 
     ``model`` may hold a (P, N) stack of parameter vectors: the batch then
     runs through all P models in one pass, and the loss is a (P,) array,
     entry s bit-identical to the loss of parameter vector s run alone. The
     heads' losses are added left to right in float64 by a running sum, as
     Python's ``sum`` from a float64 zero adds them (``np.add.reduce`` over
-    8 or more heads would pair them up). For a single vector the loss is a
-    numpy scalar; with no alive head it is 0."""
+    8 or more heads would pair them up); a dead head's zero leaves the sum
+    as it is. For a single vector the loss is a numpy scalar; with no alive
+    head it is 0."""
     lead = model.params.shape[:-1]
     out, enc_tape = mlp_forward(model.encoder, np.broadcast_to(views, lead + np.shape(views)))
     reps = relu(out)
     inputs = aggregate(sample_major(reps), keep)
-    log_ps, (head, head_tape) = aggregator_head(model, alive_aggs, inputs)
+    log_ps, (head, head_tape) = aggregator_head(model, inputs)
     finals = log_ps
     if gossip_rounds:
         for _ in range(gossip_rounds):
             finals = gossip_round(finals, mix)
         finals = log_softmax(finals)
     head_losses = -(y * finals).sum(axis=(-2, -1)) / max(y.shape[0], 1)
-    loss = (np.cumsum(head_losses, axis=-1, dtype=np.float64)[..., -1] if head_losses.shape[-1]
-            else np.zeros(lead))
+    head_losses[..., ~alive] = 0.0
+    loss = np.cumsum(head_losses, axis=-1, dtype=np.float64)[..., -1]
     return loss, (reps, enc_tape, log_ps, finals, head, head_tape)
 
 
-def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
+def split_loss_and_grads(model: SplitModel, views, y, keep, alive,
                          mix=None, gossip_rounds=0, out=None):
     """Loss summed over aggregator heads (mean over the batch) and its exact
     gradient, a flat vector laid out like ``model.params``. ``out``, when
@@ -160,26 +164,26 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
     ``views`` is the client-major (C, B, d) batch and ``y`` its (B, classes)
     one-hot targets, built with ``one_hot`` and not checked again here, on
     every batch. ``split_forward`` runs every client's encoder in one
-    stacked pass, then ``aggregate`` and ``aggregator_head`` run the heads of
-    ``alive_aggs`` as inference does; the rows of dead aggregators get zero
-    gradient.
+    stacked pass, then ``aggregate`` and ``aggregator_head`` run every head
+    as inference does. ``alive[j]`` says whether ``model.aggregators[j]`` is
+    alive: a dead head's output gradient is set to zero by one boolean-mask
+    write (a sixth of ``np.where``'s time on a desk batch), so its gradient
+    rows are +0.0, and every head row is written through the layer views
+    of ``out``.
     ``keep[j, c-1]`` says whether client c's representation reaches
-    ``alive_aggs[j]``; unreachable slots are zero-imputed and receive no
-    gradient, so a dead client, which reaches no aggregator, gets a zero
+    ``model.aggregators[j]``; unreachable slots are zero-imputed and receive
+    no gradient, so a dead client, which reaches no aggregator, gets a zero
     gradient too. With ``gossip_rounds`` > 0, the per-head log-probabilities
-    are mixed for that many rounds over the (K', K') ``gossip_mix`` pair
+    are mixed for that many rounds over the (K, K) ``gossip_mix`` pair
     ``mix`` and renormalized before the loss; ``gossip_adjoint`` undoes them.
     """
     n = max(y.shape[0], 1)
     grad = dataclasses.replace(model, params=np.empty_like(model.params)) if out is None else out
-    if not alive_aggs:
-        grad.params[...] = 0.0
-        return 0.0, grad.params
-    k_count, b = len(alive_aggs), y.shape[0]
+    k_count, b = len(model.aggregators), y.shape[0]
     c_count, rep = model.client_count, model.rep_dim
 
     loss, (reps, enc_tape, log_ps, finals, head, head_tape) = split_forward(
-        model, views, y, keep, alive_aggs, mix, gossip_rounds)
+        model, views, y, keep, alive, mix, gossip_rounds)
     dlogits = np.exp(finals)
     dlogits -= y
     dlogits /= n
@@ -187,15 +191,9 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive_aggs,
         for _ in range(gossip_rounds):
             dlogits = gossip_adjoint(dlogits, mix)
         dlogits -= np.exp(log_ps) * dlogits.sum(axis=2, keepdims=True)
+    dlogits[~alive] = 0.0
 
-    heads = model.head_rows(alive_aggs)
-    if isinstance(heads, slice):
-        _, du = mlp_backward(head, head_tape, dlogits, out=grad.head)
-    else:  # the alive heads' rows are an index array; the dead rows stay zero
-        head_grads, du = mlp_backward(head, head_tape, dlogits)
-        for (gw, gb), (w, bias) in zip(head_grads, grad.head.layers):
-            w[...], bias[...] = 0.0, 0.0
-            w[heads], bias[heads] = gw, gb
+    _, du = mlp_backward(head, head_tape, dlogits, out=grad.head)
     if not keep.all():
         np.copyto(du, 0.0, where=~np.repeat(keep, rep, axis=1)[:, None, :])
     d_rep = du.reshape(k_count, b, c_count, rep).sum(axis=0)  # (B, C, r)
@@ -229,9 +227,9 @@ def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dro
     total, seen = 0.0, 0
     for start in range(0, n, cfg.batch_size):
         idx = order[start:start + cfg.batch_size]
-        keep, alive_aggs, mix = batch_delivery(graph, cfg, rng_dropout, rng_fault, base)
+        keep, alive, mix = batch_delivery(graph, cfg, rng_dropout, rng_fault, base)
         batch = np.take(views, rows[idx], axis=1).astype(model.params.dtype, copy=False)
-        loss, _ = split_loss_and_grads(model, batch, y_onehot[idx], keep, alive_aggs, mix,
+        loss, _ = split_loss_and_grads(model, batch, y_onehot[idx], keep, alive, mix,
                                        cfg.gossip_rounds, out=grad)
         optimizer_step(model, opt, grad.params)
         total += loss * len(idx)
@@ -247,30 +245,27 @@ def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, rows):
     of its ``labels``; each chunk of them is gathered by row and cast to the
     parameters' dtype, so the split's views are never copied out whole, and
     its encoders run in one stacked pass, as ``split_forward`` runs them."""
-    aggs, keep = fault_free_delivery(graph)
+    keep = fault_free_delivery(graph)[1]
     n = len(rows)
     loss_sum, hit_sum = 0.0, 0.0
-    # samples per encoder pass and heads per head pass, fixed: the chunk
-    # sets the order of the loss sum (so the checkpointed best loss to the
-    # last bit), the group does not; both set the pass's peak memory. In
+    # samples per encoder pass, fixed: the chunk sets the order of the loss
+    # sum (so the checkpointed best loss to the last bit) and, with the head
+    # count, the pass's peak memory. Every head runs in one pass: in
     # float32, on the desk validation split (1600 rows, 16 clients, 16
-    # heads, 10 classes), the traced peak was 4.0, 4.9 and 7.3 MiB at
-    # groups of 4, 8 and 16 heads; 8 took about a tenth less time than 4,
-    # and 16 no less than 8
-    chunk, group = 512, 8
+    # heads, 10 classes), the traced peak was 7.2 MiB, against 4.8 MiB in
+    # passes of 8 heads, in about the same time
+    chunk = 512
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
         lab = labels[rows[sl]]
         y = one_hot(lab, model.class_count)
         x = np.take(views, rows[sl], axis=1).astype(model.params.dtype, copy=False)
         concat = sample_major(relu(mlp_forward(model.encoder, x)[0]))
-        for g in range(0, len(aggs), group):
-            lps, _ = aggregator_head(model, aggs[g:g + group],
-                                     aggregate(concat, keep[g:g + group]))
-            for lp in lps:
-                loss_sum += float(-(y * lp).sum())
-                hit_sum += float((lp.argmax(axis=1) == lab).sum())
-    return loss_sum / n, hit_sum / (n * len(aggs))
+        lps, _ = aggregator_head(model, aggregate(concat, keep))
+        for lp in lps:
+            loss_sum += float(-(y * lp).sum())
+            hit_sum += float((lp.argmax(axis=1) == lab).sum())
+    return loss_sum / n, hit_sum / (n * len(keep))
 
 
 @dataclass

@@ -22,8 +22,8 @@ from mags.certs import CertResult
 from mags.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset, one_hot
 from mags.errors import ConfigError, InputError
 from mags.faults import FAULT_KIND_IDS, active_mask, sample_realization
-from mags.inference import (aggregate, aggregator_head, client_encode, delivery,
-                            fault_free_delivery, mags_infer, sample_major)
+from mags.inference import (aggregate, client_encode, fault_free_delivery, mags_infer,
+                            sample_major)
 from mags.metrics import EvalResult, count_comm, fault_rate_key
 from mags.nn import Mlp, log_softmax, mlp_backward, mlp_forward
 from mags.rng import stream
@@ -92,7 +92,7 @@ def per_coordinate_max_grad_error(model, views, y, keep, graph, tol):
     at a time, in place, with one ``split_loss_and_grads`` call per moved
     coordinate and per step."""
     step = 1e-5
-    args = (views, y, keep, list(graph.aggregators))
+    args = (views, y, keep, np.ones(len(graph.aggregators), dtype=bool))
     base, grad = split_loss_and_grads(model, *args)
     params = model.params
 
@@ -256,8 +256,10 @@ def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, polici
     it comes: per count, each policy's expected outcome on each of the
     batch's samples, from the count of its active aggregators and of those
     right on the sample, written into the cell's (batches, batch) array and
-    summed once per cell, as the one scoring pass sums. Takes checked
-    arguments."""
+    summed once per cell, as the one scoring pass sums. Each batch runs the
+    heads of its alive aggregators alone, taken from the head stack by row,
+    and gossips over them alone: the subset path that the scored mask path,
+    where every head runs, must match. Takes checked arguments."""
     counts = list(gossip_rounds)
     n = labels.shape[0]
     c, m = graph.device_count, model.class_count
@@ -279,9 +281,13 @@ def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, polici
                 comm=int(count_comm(realized, graph.aggregators, g) @ sizes),
                 values={p: np.zeros((len(starts), width)) for p in policies}))
         for i, (start, b) in enumerate(zip(starts, sizes)):
-            aggs, keep = delivery(scores[0]["realized"][i], graph.aggregators)
-            values, _ = aggregator_head(model, aggs,
-                                        aggregate(sample_major(reps[:, start:start + b]), keep))
+            realized = scores[0]["realized"][i]
+            rows = [j for j, k in enumerate(graph.aggregators) if realized.alive[k]]
+            aggs = [graph.aggregators[j] for j in rows]
+            keep = realized.edge_alive[0][aggs, 1:]
+            out, _ = mlp_forward(model.head.take(np.array(rows, dtype=np.intp)),
+                                 aggregate(sample_major(reps[:, start:start + b]), keep))
+            values = log_softmax(out)
             head_row[aggs] = np.arange(len(aggs))
             lab = labels[start:start + b]
             for s in scores:
@@ -306,8 +312,9 @@ def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, polici
 def per_client_evaluate_split(model, views, labels, graph, rows):
     """``training.evaluate_split`` encoding each 512-row chunk with
     ``client_encode``, one ``mlp_forward`` call per client, and running its
-    heads four at a time."""
-    aggs, keep = fault_free_delivery(graph)
+    heads four at a time, each group's rows taken from the head stack."""
+    keep = fault_free_delivery(graph)[1]
+    k = len(keep)
     n = len(rows)
     loss_sum, hit_sum = 0.0, 0.0
     for start in range(0, n, 512):
@@ -315,10 +322,10 @@ def per_client_evaluate_split(model, views, labels, graph, rows):
         lab = labels[rows[sl]]
         y = one_hot(lab, model.class_count)
         reps = client_encode(model, views[:, rows[sl]])
-        for g in range(0, len(aggs), 4):
-            lps, _ = aggregator_head(model, aggs[g:g + 4],
-                                     aggregate(sample_major(reps), keep[g:g + 4]))
-            for lp in lps:
+        for g in range(0, k, 4):
+            out, _ = mlp_forward(model.head.take(slice(g, g + 4)),
+                                 aggregate(sample_major(reps), keep[g:g + 4]))
+            for lp in log_softmax(out):
                 loss_sum += float(-(y * lp).sum())
                 hit_sum += float((lp.argmax(axis=1) == lab).sum())
-    return loss_sum / n, hit_sum / (n * len(aggs))
+    return loss_sum / n, hit_sum / (n * k)

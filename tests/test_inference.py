@@ -36,9 +36,10 @@ def infer(model, reps, graph, realized, gossip_rounds):
     """One batch's distributed inference, stage by stage: delivery,
     aggregation and one head pass, then the gossip stage. Returns each alive
     aggregator's normalized log-probs, keyed by aggregator id."""
-    aggs, keep = delivery(realized, graph.aggregators)
-    values, _ = aggregator_head(model, aggs, aggregate(sample_major(reps), keep))
-    return dict(zip(aggs, log_softmax(mags_infer(values, aggs, realized, gossip_rounds))))
+    alive, keep = delivery(realized, graph.aggregators)
+    values, _ = aggregator_head(model, aggregate(sample_major(reps), keep))
+    final = log_softmax(mags_infer(values, graph.aggregators, realized, gossip_rounds))
+    return {k: lp for k, lp, up in zip(graph.aggregators, final, alive) if up}
 
 
 def keep_mask(realized, aggregators, client_count):
@@ -114,10 +115,10 @@ class TestAggregate:
         fr = stream(1, "fault")
         for sample in (sample_device_faults, sample_comm_faults) * 10:
             r = sample(graph, 0.4, 1, fr)[0]
-            aggs, keep = delivery(r, graph.aggregators)
-            assert aggs == [k for k in graph.aggregators if r.alive[k]]
+            alive, keep = delivery(r, graph.aggregators)
+            assert alive.tolist() == [bool(r.alive[k]) for k in graph.aggregators]
             out = aggregate(sample_major(reps), keep)
-            for j, k in enumerate(aggs):
+            for j, k in enumerate(graph.aggregators):
                 # oracle: rebuild the concatenation directly from the realization
                 expected = np.concatenate(
                     [reps[c - 1] if (r.edge_alive[0, k, c] and r.alive[c])
@@ -185,22 +186,22 @@ class TestAggregatorHead:
     def test_zero_weight_head_is_uniform(self):
         graph = build_graph("complete", 4, 2)
         model = zero_heads(toy_model(graph, 16, 5))
-        out, _ = aggregator_head(model, [1, 2], np.random.default_rng(5).random((2, 4, 8)))
+        out, _ = aggregator_head(model, np.random.default_rng(5).random((2, 4, 8)))
         assert np.allclose(out, -np.log(5.0), atol=1e-12)
 
     def test_output_exponentiates_to_one(self):
         graph = build_graph("complete", 4, 1)
         model = toy_model(graph, 16, 7)
-        out, _ = aggregator_head(model, [1], np.random.default_rng(6).random((1, 5, 8)))
+        out, _ = aggregator_head(model, np.random.default_rng(6).random((1, 5, 8)))
         assert np.all(np.abs(np.exp(out).sum(axis=-1) - 1.0) <= 1e-12)
 
     def test_matches_composition_oracle(self):
         graph = build_graph("complete", 4, 3)
         model = toy_model(graph, 16, 7)
-        x = np.random.default_rng(7).random((2, 5, 8))
-        out, _ = aggregator_head(model, [1, 3], x)  # rows 0 and 2 of the head stack
-        for j, row in enumerate((0, 2)):
-            expected = log_softmax(mlp_forward(model.head.take(row), x[j])[0])
+        x = np.random.default_rng(7).random((3, 5, 8))
+        out, _ = aggregator_head(model, x)  # every row of the head stack
+        for j in range(3):
+            expected = log_softmax(mlp_forward(model.head.take(j), x[j])[0])
             assert np.array_equal(out[j], expected)
 
 
@@ -300,11 +301,14 @@ class TestGossipRound:
         graph = build_graph("ring", 4, 4)
         out = gossip_round(np.zeros((0, 7, 3)), gossip_mix(graph.adj, [], np.float64))
         assert out.shape == (0, 7, 3)
-        # every aggregator dead: G > 0 rounds over no rows
+        # every aggregator dead: G > 0 rounds over no rows, and over every
+        # dead row, each of which keeps only itself
         realized = sample_device_faults(graph, 1.0, 1, stream(1, "fault"))[0]
-        aggs, _ = delivery(realized, graph.aggregators)
-        assert aggs == []
-        assert mags_infer(np.zeros((0, 7, 3)), aggs, realized, 3).shape == (0, 7, 3)
+        alive, keep = delivery(realized, graph.aggregators)
+        assert not alive.any() and not keep.any()
+        assert mags_infer(np.zeros((0, 7, 3)), [], realized, 3).shape == (0, 7, 3)
+        z = np.random.default_rng(3).standard_normal((4, 7, 3))
+        assert mags_infer(z, graph.aggregators, realized, 3).tobytes() == z.tobytes()
 
 
 class TestGossipAdjoint:
@@ -365,7 +369,7 @@ class TestMagsInfer:
         reps = client_encode(model, views)
         res = infer(model, reps, graph, base(graph), 0)
         z = aggregate(sample_major(reps), np.ones((1, 4), dtype=bool))
-        assert np.allclose(res[1], aggregator_head(model, [1], z)[0][0], atol=1e-12)
+        assert np.allclose(res[1], aggregator_head(model, z)[0][0], atol=1e-12)
         assert list(res) == [1]
 
     def test_consensus_limit_on_regular_graph(self):
@@ -482,11 +486,12 @@ class TestMagsInfer:
         assert r.edge_alive.shape == (4, 9, 9)
         assert len({e.tobytes() for e in r.edge_alive}) > 1  # the chain actually moved
         res = infer(model, reps, graph, r, 3)
-        aggs, keep = delivery(r, graph.aggregators)
-        values, _ = aggregator_head(model, aggs, aggregate(sample_major(reps), keep))
+        values, _ = aggregator_head(model, aggregate(sample_major(reps),
+                                                     delivery(r, graph.aggregators)[1]))
         for t in (1, 2, 3):
-            values = gossip_round(values, gossip_mix(r.edge_alive[t], aggs, values.dtype))
-        for j, k in enumerate(aggs):
+            values = gossip_round(values, gossip_mix(r.edge_alive[t], graph.aggregators,
+                                                     values.dtype))
+        for j, k in enumerate(graph.aggregators):
             assert np.array_equal(res[k], log_softmax(values)[j])
 
     def test_constant_realization_reused_across_rounds(self):
@@ -545,38 +550,47 @@ class TestBatchAxis:
         rows = sample_major(reps).reshape(4, b, -1)  # 4 batches of b samples
         realized = sample_realization(graph, FaultModel(kind, 0.4), 4, g + 1,
                                       stream(23, "fault"))
-        aggs = list(graph.aggregators)  # link faults leave every aggregator alive
-        inputs = aggregate(rows, realized.edge_alive[:, 0][:, aggs, 1:])
-        values, _ = aggregator_head(model, aggs, inputs)
+        aggs = graph.aggregators
+        alive, keep = delivery(realized, aggs)
+        assert alive.shape == (4, 4) and alive.all()  # link faults kill no aggregator
+        inputs = aggregate(rows, keep)
+        values, _ = aggregator_head(model, inputs)
         final = mags_infer(values, aggs, realized, g)
         assert final.shape == (4, len(aggs), b, 5) and final.dtype == np.float32
         for j in range(4):
-            one_aggs, keep = delivery(realized[j], graph.aggregators)
-            assert one_aggs == aggs
-            one_inputs = aggregate(rows[j], keep)
-            one_values, _ = aggregator_head(model, aggs, one_inputs)
+            one_alive, one_keep = delivery(realized[j], aggs)
+            assert np.array_equal(one_alive, alive[j]) and np.array_equal(one_keep, keep[j])
+            one_inputs = aggregate(rows[j], one_keep)
+            one_values, _ = aggregator_head(model, one_inputs)
             assert inputs[j].tobytes() == one_inputs.tobytes()
             assert values[j].tobytes() == one_values.tobytes()
             assert final[j].tobytes() == mags_infer(one_values, aggs, realized[j], g).tobytes()
 
-    def test_a_stack_of_subset_heads_and_no_heads(self):
-        # device faults: batches that lost the same aggregators share the
-        # heads of the others; no alive aggregator gives empty stacks
-        graph = build_graph("complete", 4, 4)
+    @pytest.mark.parametrize("kind", ["complete", "ring"])
+    def test_a_stack_of_subset_heads_and_no_heads(self, kind):
+        # device faults: every head runs, a dead one on zeros; each slice is
+        # its own call, and the alive rows are the bits of the alive heads
+        # and their gossip alone, the path that ran before every head did
+        graph = build_graph(kind, 4, 4)
         model = self.float32_model(graph, 16, 3)
         rows = sample_major(client_encode(
             model, np.random.default_rng(24).random((4, 18, 16)).astype(np.float32)))
         rows = rows.reshape(3, 6, -1)
-        for aggs in ([2, 4], []):
-            alive = np.isin(np.arange(5), [0] + aggs)[None].repeat(3, axis=0)
-            edges = graph.adj & alive[:, :, None] & alive[:, None, :]
-            realized = RealizedGraph(alive, edges[:, None])
-            keep = edges[:, aggs][:, :, 1:]
-            values, _ = aggregator_head(model, aggs, aggregate(rows, keep))
-            final = mags_infer(values, aggs, realized, 2)
-            assert final.shape == (3, len(aggs), 6, 3)
+        for aggs in ([1, 2, 4], [2, 4], []):
+            up = np.isin(np.arange(5), [0] + aggs)[None].repeat(3, axis=0)
+            edges = graph.adj & up[:, :, None] & up[:, None, :]
+            realized = RealizedGraph(up, edges[:, None])
+            alive, keep = delivery(realized, graph.aggregators)
+            assert np.array_equal(alive, up[:, 1:]) and not keep[~alive].any()
+            values, _ = aggregator_head(model, aggregate(rows, keep))
+            final = mags_infer(values, graph.aggregators, realized, 2)
+            assert final.shape == (3, 4, 6, 3)
+            heads = np.array(aggs, dtype=np.intp) - 1  # the alive rows
             for j in range(3):
-                assert delivery(realized[j], graph.aggregators)[0] == aggs
-                one, _ = aggregator_head(model, aggs, aggregate(rows[j], keep[j]))
+                one, _ = aggregator_head(model, aggregate(rows[j], keep[j]))
                 assert values[j].tobytes() == one.tobytes()
-                assert final[j].tobytes() == mags_infer(one, aggs, realized[j], 2).tobytes()
+                assert final[j].tobytes() == mags_infer(one, graph.aggregators, realized[j],
+                                                        2).tobytes()
+                out, _ = mlp_forward(model.head.take(heads), aggregate(rows[j], keep[j, heads]))
+                subset = mags_infer(log_softmax(out), aggs, realized[j], 2)
+                assert final[j, heads].tobytes() == subset.tobytes()

@@ -443,10 +443,11 @@ class TestEvaluatePolicies:
                                         ("ring", 4), ("grid", 9)])
     def test_matches_the_per_batch_loop(self, kind, k, batch_size, counts, trials):
         # the stacked walk and the one scoring pass per (cell, count) against
-        # the loop that scored each batch as it came; device faults at rate 1
-        # leave every batch without an alive aggregator, communication faults
-        # at 1 without an active one, and at 0.3 on the grid's 9 aggregators
-        # stacked batches and lone ones that lost an aggregator mix in a cell
+        # the loop that scored each batch as it came, running only its alive
+        # heads; device faults at rate 1 leave every batch without an alive
+        # aggregator, communication faults at 1 without an active one, and
+        # at 0.3 on the grid's 9 aggregators batches that lost different
+        # aggregators stack in one head pass
         c = 9 if kind == "grid" else 4
         graph = build_graph(kind, c, k)
         model = init_split_model(graph, [16] * c, 3, stream(5, "init"))
@@ -469,9 +470,9 @@ class TestEvaluatePolicies:
         reps = client_encode(model, rng.random((9, n, 16)))
         slices = []
 
-        def counted_head(model, aggs, agg_inputs):
+        def counted_head(model, agg_inputs):
             slices.append(agg_inputs.shape[::2])  # (batches, samples per batch)
-            return aggregator_head(model, aggs, agg_inputs)
+            return aggregator_head(model, agg_inputs)
 
         monkeypatch.setattr(metrics, "aggregator_head", counted_head)
         faults = [FaultModel(kind, 0.0) for kind in ("none", "device", "communication",
@@ -483,6 +484,36 @@ class TestEvaluatePolicies:
         # stacked in one pass and the short one alone
         assert sorted(slices) == [(1, 6), (4, 16)]
         assert len(grid) == 4 and all(len(results) == 2 for results in grid)
+
+    def test_dead_aggregators_take_one_head_pass_per_chunk_of_batches(self, monkeypatch):
+        # every head runs on every batch, so batches that lost different
+        # aggregators stack: a device-fault cell makes one head pass per 8
+        # batches that are not the base graph's, and the batches that are
+        # share the base passes
+        from mags import metrics
+        graph = build_graph("complete", 4, 4)
+        model = init_split_model(graph, [16] * 4, 3, stream(4, "init"))
+        rng = np.random.default_rng(4)
+        n, width = 120, 4  # 30 full batches
+        reps = client_encode(model, rng.random((4, n, 16)))
+        passes = []
+
+        def counted_head(model, agg_inputs):
+            passes.append(agg_inputs.shape[0])
+            return aggregator_head(model, agg_inputs)
+
+        monkeypatch.setattr(metrics, "aggregator_head", counted_head)
+        fault = FaultModel("device", 0.3)
+        evaluate_policies(model, reps, rng.integers(3, size=n), graph, [fault], list(POLICIES),
+                          [0, 2], seed=6, batch_size=width)
+        realized = sample_realization(graph, fault, n // width, 1,
+                                      stream(6, "fault", FAULT_KIND_IDS["device"], 300))
+        lost = ~realized.alive[:, 1:].all(axis=1)
+        faulty = int(lost.sum())
+        assert faulty > 8 and len({tuple(row) for row in realized.alive[lost]}) > 4
+        assert not lost.all()
+        # the base passes cover all 30 slices; then one pass per 8 faulty batches
+        assert passes == [8, 8, 8, 6] + [min(8, faulty - a) for a in range(0, faulty, 8)]
 
     @pytest.mark.parametrize("kind", ["none", "device", "communication"])
     def test_peak_memory_grows_with_trials_only_by_the_scoring_arrays(self, kind):
@@ -567,10 +598,11 @@ class TestEnsembleBenefit:
         labels = ds.labels[-300:]
         y = one_hot(labels, ds.class_count)
         realized = base(graph)[0]
-        aggs, keep = delivery(realized, graph.aggregators)
-        members, _ = aggregator_head(model, aggs, aggregate(sample_major(reps), keep))
-        assert mags_infer(members, aggs, realized, 0) is members
-        ensemble = log_softmax(mags_infer(members, aggs, realized, 1))
+        alive, keep = delivery(realized, graph.aggregators)
+        assert alive.all()
+        members, _ = aggregator_head(model, aggregate(sample_major(reps), keep))
+        assert mags_infer(members, graph.aggregators, realized, 0) is members
+        ensemble = log_softmax(mags_infer(members, graph.aggregators, realized, 1))
         member_nll = (-(y * members).sum(axis=2)).mean(axis=0)
         ens_nll = -(y * ensemble).sum(axis=2)
         assert np.all(ens_nll <= member_nll + 1e-12)

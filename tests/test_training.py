@@ -8,10 +8,11 @@ import pytest
 
 from mags.data import Dataset, client_views, make_splits, one_hot, split_patches, synth_dataset
 from mags.errors import ConfigError
-from mags.faults import FaultModel
-from mags.inference import (aggregate, aggregator_head, client_encode, delivery,
-                            fault_free_delivery, gossip_mix, init_split_model, sample_major)
-from mags.nn import Mlp, adam_init, adam_update, init_mlp, stacked_mlp
+from mags.faults import FaultModel, sample_realization
+from mags.inference import (SplitModel, aggregate, client_encode, delivery, fault_free_delivery,
+                            gossip_mix, init_split_model, sample_major)
+from mags.nn import (Mlp, adam_init, adam_update, init_mlp, log_softmax, mlp_forward, mlp_size,
+                     stacked_mlp)
 from mags.rng import stream
 from mags.topology import build_graph
 from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask,
@@ -88,10 +89,10 @@ class TestDropoutMasks:
     def test_pd_zeroes_own_head_slot_too(self):
         graph = build_graph("complete", 4, 4)
         cfg = TrainConfig(dropout="pd", dropout_rate=1.0)
-        keep, alive_aggs, _ = batch_delivery(graph, cfg, stream(5, "dropout"), stream(5, "fault"),
-                                             base_delivery(graph, cfg, np.float64))
+        keep, alive, _ = batch_delivery(graph, cfg, stream(5, "dropout"), stream(5, "fault"),
+                                        base_delivery(graph, cfg, np.float64))
         assert not keep.any()
-        assert alive_aggs == [1, 2, 3, 4]
+        assert alive.all()
 
     def test_base_adjacency_limits_delivery(self):
         # on a ring, an aggregator only ever receives from its two neighbors
@@ -103,22 +104,23 @@ class TestDropoutMasks:
         assert n.sum() == 8 * 3 and (d == 3).all()
 
     def test_device_train_faults_keep_rows_follow_alive_aggregators(self):
-        # row j of keep and of the gossip pair belongs to alive_aggs[j], dead
-        # ones dropped;
-        # every device aggregates, so a row keeps exactly the alive clients
+        # row j of keep, of the alive mask and of the gossip pair belongs to
+        # aggregator j+1, dead ones included; every device aggregates, so an
+        # alive row keeps exactly the alive clients and links to the alive
+        # aggregators, and a dead row keeps nothing and links only to itself
         graph = build_graph("complete", 4, 4)
         cfg = TrainConfig(train_fault=FaultModel("device", 0.5), gossip_rounds=1)
         rng_fault = stream(7, "fault")
         partial = 0
         for _ in range(20):
-            keep, alive_aggs, (n, d) = batch_delivery(graph, cfg, stream(7, "dropout"), rng_fault,
-                                                      base_delivery(graph, cfg, np.float32))
-            partial += 0 < len(alive_aggs) < 4
-            assert keep.shape == (len(alive_aggs), 4)
-            assert n.shape == (len(alive_aggs),) * 2 and (n == 1).all()
+            keep, alive, (n, d) = batch_delivery(graph, cfg, stream(7, "dropout"), rng_fault,
+                                                 base_delivery(graph, cfg, np.float32))
+            partial += 0 < alive.sum() < 4
+            assert keep.shape == n.shape == (4, 4) and alive.shape == (4,)
             assert n.dtype == d.dtype == np.float32  # the base pair's dtype
-            for row in keep:
-                assert np.array_equal(row, np.isin([1, 2, 3, 4], alive_aggs))
+            links = np.where(alive[:, None], alive[None, :] & alive[:, None], np.eye(4, dtype=bool))
+            assert np.array_equal(n, links)
+            assert np.array_equal(keep, alive[:, None] & alive[None, :])
         assert partial > 0
 
     def test_train_fault_gossip_uses_realized_links(self):
@@ -143,23 +145,24 @@ class TestDropoutMasks:
         # the fault stream stays untouched
         graph = build_graph("ring", 8, 5)
         cfg = TrainConfig(dropout=dropout, dropout_rate=0.4)
-        base_aggs, base_keep = fault_free_delivery(graph)
+        base_alive, base_keep = fault_free_delivery(graph)
+        assert base_alive.all()
         rd, rd_ref, rf = stream(10, "dropout"), stream(10, "dropout"), stream(10, "fault")
         for _ in range(5):
-            keep, aggs, mix = batch_delivery(graph, cfg, rd, rf,
-                                             base_delivery(graph, cfg, np.float64))
+            keep, alive, mix = batch_delivery(graph, cfg, rd, rf,
+                                              base_delivery(graph, cfg, np.float64))
             if dropout == "pd":
                 mask = apply_pd_mask(8, 0.4, rd_ref)[None, :]
             elif dropout == "cd":
-                mask = apply_cd_mask(8, aggs, 0.4, rd_ref)
+                mask = apply_cd_mask(8, graph.aggregators, 0.4, rd_ref)
             else:
                 mask = True
-            assert aggs == base_aggs and np.array_equal(keep, base_keep & mask)
+            assert np.array_equal(alive, base_alive) and np.array_equal(keep, base_keep & mask)
             assert mix is None
         gossiping = TrainConfig(dropout=dropout, dropout_rate=0.4, gossip_rounds=2)
         n, d = batch_delivery(graph, gossiping, rd, rf,
                               base_delivery(graph, gossiping, np.float64))[2]
-        n_base, d_base = gossip_mix(graph.adj, base_aggs, np.float64)
+        n_base, d_base = gossip_mix(graph.adj, graph.aggregators, np.float64)
         assert np.array_equal(n, n_base) and np.array_equal(d, d_base)
         assert rf.random() == stream(10, "fault").random()
 
@@ -195,7 +198,7 @@ class TestSplitLossAndGrads:
         views = client_views(ds.features[:32], part)
         y = one_hot(ds.labels[:32], ds.class_count)
         keep = np.ones((4, 4), dtype=bool)
-        loss, _ = split_loss_and_grads(model, views, y, keep, list(graph.aggregators))
+        loss, _ = split_loss_and_grads(model, views, y, keep, np.ones(4, dtype=bool))
         assert loss == pytest.approx(4 * np.log(ds.class_count), abs=1e-12)
 
     def test_full_cd_dropout_trains_heads_on_own_client_only(self):
@@ -204,7 +207,7 @@ class TestSplitLossAndGrads:
         views = client_views(ds.features[:8], part)
         y = one_hot(ds.labels[:8], ds.class_count)
         keep = apply_cd_mask(4, graph.aggregators, 1.0, stream(7, "dropout"))
-        _, grad = split_loss_and_grads(model, views, y, keep, list(graph.aggregators))
+        _, grad = split_loss_and_grads(model, views, y, keep, np.ones(4, dtype=bool))
         enc_grads, _ = model.unflatten(grad)
         # every encoder still learns (through its own head)
         for c in range(4):
@@ -217,7 +220,7 @@ class TestSplitLossAndGrads:
         y = one_hot(ds.labels[:8], ds.class_count)
         keep = np.ones((4, 4), dtype=bool)
         keep[:, 2] = False  # client 3 unreachable everywhere
-        _, grad = split_loss_and_grads(model, views, y, keep, list(graph.aggregators))
+        _, grad = split_loss_and_grads(model, views, y, keep, np.ones(4, dtype=bool))
         enc_grads, _ = model.unflatten(grad)
         assert all(not gw[2].any() and not gb[2].any() for gw, gb in enc_grads.layers)
         assert all(gw[1].any() for gw, _ in enc_grads.layers)
@@ -230,16 +233,16 @@ class TestSplitLossAndGrads:
         model = init_split_model(graph, part.patch_dims(), ds.class_count, stream(4, "init"))
         views = client_views(ds.features[:8], part)
         y = one_hot(ds.labels[:8], ds.class_count)
-        keep = np.ones((len(alive_aggs), 4), dtype=bool)
-        fresh_loss, fresh = split_loss_and_grads(model, views, y, keep, alive_aggs)
+        alive = np.isin(graph.aggregators, alive_aggs)
+        keep = np.repeat(alive[:, None], 4, axis=1)  # a dead aggregator's row keeps nothing
+        fresh_loss, fresh = split_loss_and_grads(model, views, y, keep, alive)
         held = np.full_like(model.params, np.nan)
-        loss, grad = split_loss_and_grads(model, views, y, keep, alive_aggs,
+        loss, grad = split_loss_and_grads(model, views, y, keep, alive,
                                           out=dataclasses.replace(model, params=held))
         assert grad is held and loss == fresh_loss
         assert np.array_equal(held, fresh)
         _, heads = model.unflatten(held)
-        dead = [j for j, k in enumerate(model.aggregators) if k not in alive_aggs]
-        assert all(not w[dead].any() and not b[dead].any() for w, b in heads.layers)
+        assert all(not w[~alive].any() and not b[~alive].any() for w, b in heads.layers)
 
     @pytest.mark.parametrize("case", ["all-kept", "cd-dropped", "pd-dropped",
                                       "dead-aggregator", "gossip-2"])
@@ -252,24 +255,58 @@ class TestSplitLossAndGrads:
         model = dataclasses.replace(init, params=init.params.astype(np.float32))
         views = client_views(ds.features[:16], part)
         y = one_hot(ds.labels[:16], ds.class_count)
-        aggs = [1, 3, 4] if case == "dead-aggregator" else list(graph.aggregators)
-        keep = np.ones((len(aggs), 4), dtype=bool)
+        # device 2 dies in the dead-aggregator case, with every edge it had
+        alive = np.array([True, case != "dead-aggregator", True, True])
+        keep = alive[:, None] & alive[None, :]
+        edge_alive = graph.adj & np.insert(alive, 0, True)[:, None] & np.insert(alive, 0, True)
+        edge_alive[1, 3] = False
         if case == "cd-dropped":
-            keep = apply_cd_mask(4, aggs, 0.5, stream(8, "dropout"))
+            keep &= apply_cd_mask(4, graph.aggregators, 0.5, stream(8, "dropout"))
         elif case == "pd-dropped":
             keep &= apply_pd_mask(4, 0.5, stream(8, "dropout"))[None, :]
-        assert keep.all() == (case not in ("cd-dropped", "pd-dropped"))
-        edge_alive = graph.adj.copy()
-        edge_alive[aggs[0], aggs[1]] = False
-        mix = gossip_mix(edge_alive, aggs, model.params.dtype)
-        args = (model, views, y, keep, aggs, mix, 2 if case == "gossip-2" else 0)
+        assert keep.all() == (case in ("all-kept", "gossip-2"))
+        mix = gossip_mix(edge_alive, graph.aggregators, model.params.dtype)
+        args = (model, views, y, keep, alive, mix, 2 if case == "gossip-2" else 0)
         fresh_loss, fresh = split_loss_and_grads(*args)
         held = dataclasses.replace(model, params=np.full_like(model.params, np.nan))
         loss, grad = split_loss_and_grads(*args, out=held)
         assert grad is held.params and loss == fresh_loss
         assert not np.isnan(grad).any() and grad.tobytes() == fresh.tobytes()
-        dead = [j for j, k in enumerate(model.aggregators) if k not in aggs]
-        assert all(not w[dead].any() and not b[dead].any() for w, b in held.head.layers)
+        assert all(not w[~alive].any() and not b[~alive].any() for w, b in held.head.layers)
+
+    @pytest.mark.parametrize("gossip_rounds", [0, 2])
+    def test_dead_heads_get_positive_zero_rows_and_the_subset_bits(self, gossip_rounds):
+        # every head runs and a dead one's output gradient is zeroed: against
+        # a model that holds the alive heads alone, run on their rows and
+        # gossip pair alone, the loss and every alive row match bit for bit
+        graph = build_graph("ring", 9, 6)
+        init = init_split_model(graph, [16] * 9, 5, stream(11, "init"))
+        model = dataclasses.replace(init, params=init.params.astype(np.float32))
+        rng = np.random.default_rng(11)
+        views = rng.random((9, 12, 16)).astype(np.float32)
+        y = one_hot(rng.integers(0, 5, 12), 5)
+        realized = sample_realization(graph, FaultModel("device", 0.4), 1, 1,
+                                      stream(11, "fault"))[0]
+        alive, keep = delivery(realized, graph.aggregators)
+        assert 0 < alive.sum() < 6
+        mix = gossip_mix(realized.edge_alive[0], graph.aggregators, np.float32)
+        loss, grad = split_loss_and_grads(model, views, y, keep, alive, mix, gossip_rounds)
+
+        cut = 9 * mlp_size(model.encoder_dims)
+        rows = np.flatnonzero(alive)
+        aggs = tuple(graph.aggregators[j] for j in rows)
+        heads = grad[cut:].reshape(6, -1)
+        sub = SplitModel(np.concatenate([model.params[:cut],
+                                         model.params[cut:].reshape(6, -1)[rows].ravel()]),
+                         9, model.encoder_dims, aggs, model.head_dims)
+        sub_loss, sub_grad = split_loss_and_grads(
+            sub, views, y, keep[rows], np.ones(rows.size, dtype=bool),
+            gossip_mix(realized.edge_alive[0], aggs, np.float32), gossip_rounds)
+        assert np.float64(loss).tobytes() == np.float64(sub_loss).tobytes()
+        assert grad[:cut].tobytes() == sub_grad[:cut].tobytes()
+        assert heads[rows].tobytes() == sub_grad[cut:].tobytes()
+        dead = heads[~alive]
+        assert not dead.any() and not np.signbit(dead).any()
 
     @pytest.mark.parametrize("alive_aggs,dropped,gossip_rounds", [
         (list(range(1, 11)), False, 0),
@@ -284,15 +321,16 @@ class TestSplitLossAndGrads:
         rng = np.random.default_rng(5)
         views = rng.random((10, 6, 4))
         y = one_hot(rng.integers(0, 3, 6), 3)
-        keep = np.ones((len(alive_aggs), 10), dtype=bool)
+        alive = np.isin(graph.aggregators, alive_aggs)
+        keep = alive[:, None] & alive[None, :]  # a dead device reaches no head
         if dropped:
-            keep[0, 3] = keep[4, 0] = keep[8, 9] = False
-        edge_alive = graph.adj.copy()
+            keep[0, 3] = keep[4, 0] = keep[8, 7] = False
+        edge_alive = graph.adj & np.insert(alive, 0, True)[:, None] & np.insert(alive, 0, True)
         edge_alive[alive_aggs[2], alive_aggs[5]] = edge_alive[alive_aggs[5], alive_aggs[1]] = False
-        mix = gossip_mix(edge_alive, alive_aggs, model.params.dtype)
+        mix = gossip_mix(edge_alive, graph.aggregators, model.params.dtype)
         sets = model.params + 0.05 * rng.standard_normal((5, model.params.size))
         sets[0] = model.params
-        args = (views, y, keep, alive_aggs, mix, gossip_rounds)
+        args = (views, y, keep, alive, mix, gossip_rounds)
         losses, _ = split_forward(dataclasses.replace(model, params=sets), *args)
         assert losses.shape == (5,)
         for s, params in enumerate(sets):
@@ -302,8 +340,8 @@ class TestSplitLossAndGrads:
         if not gossip_rounds:
             # the heads' losses add up left to right, as Python's sum adds
             # them: over nine heads or more, a pairwise sum would show
-            heads = [split_loss_and_grads(model, views, y, keep[j:j + 1], [k])[0]
-                     for j, k in enumerate(alive_aggs)]
+            heads = [split_loss_and_grads(model, views, y, keep, np.arange(10) == j)[0]
+                     for j in np.flatnonzero(alive)]
             assert losses[0] == sum(heads)
 
     def test_gradients_match_finite_differences_with_mask(self):
@@ -315,10 +353,10 @@ class TestSplitLossAndGrads:
         keep = np.array([[True, False], [True, True]])
 
         def loss_of():
-            val, _ = split_loss_and_grads(model, views, y, keep, [1, 2])
+            val, _ = split_loss_and_grads(model, views, y, keep, np.ones(2, dtype=bool))
             return val
 
-        _, grad = split_loss_and_grads(model, views, y, keep, [1, 2])
+        _, grad = split_loss_and_grads(model, views, y, keep, np.ones(2, dtype=bool))
         worst = 0.0
         h = 1e-5
         params = model.params
@@ -350,19 +388,19 @@ class TestSplitLossAndGrads:
         views = [rng.random((4, 4)) for _ in range(devices)]
         y = one_hot(rng.integers(0, 3, 4), 3)
         cfg = TrainConfig(gossip_rounds=2, train_fault=fault)
-        keep, aggs, mix = batch_delivery(graph, cfg, stream(4, "dropout"), stream(4, "fault"),
-                                         base_delivery(graph, cfg, np.float64))
+        keep, alive, mix = batch_delivery(graph, cfg, stream(4, "dropout"), stream(4, "fault"),
+                                          base_delivery(graph, cfg, np.float64))
         n, d = mix
         if fault.kind == "none":
             assert d.ravel().tolist() == ([2, 2] if kind == "complete" else [2, 3, 2])
         else:
-            assert aggs == [1, 2, 3] and not np.array_equal(n, n.T)
+            assert alive.all() and not np.array_equal(n, n.T)
 
         def loss_of():
-            val, _ = split_loss_and_grads(model, views, y, keep, aggs, mix, 2)
+            val, _ = split_loss_and_grads(model, views, y, keep, alive, mix, 2)
             return val
 
-        _, grad = split_loss_and_grads(model, views, y, keep, aggs, mix, 2)
+        _, grad = split_loss_and_grads(model, views, y, keep, alive, mix, 2)
         # the weights of client 1's encoder and aggregator 2's head
         enc_pos, head_pos = positions(model)
         coords = np.concatenate([w[0].ravel() for w, _ in enc_pos.layers]
@@ -408,7 +446,7 @@ class TestTrainEpoch:
         for start in range(0, n, 16):
             idx = order[start:start + 16]
             split_loss, grad = split_loss_and_grads(
-                model, [x[idx]], y[idx], keep, [1])
+                model, [x[idx]], y[idx], keep, np.ones(1, dtype=bool))
             mono_loss, mono_grads = loss_and_grad(mono, x[idx], y[idx])
             assert split_loss == pytest.approx(mono_loss, abs=1e-12)
             optimizer_step(model, opt, grad)
@@ -459,9 +497,10 @@ class TestFit:
 
         def drawn(graph, cfg, rng_dropout, rng_fault, base):
             realized = real_sample(graph, cfg.train_fault, 1, 1, rng_fault)[0]
-            aggs, keep = delivery(realized, graph.aggregators)
-            mix = base[2] and gossip_mix(realized.edge_alive[0], aggs, base[2][0].dtype)
-            return real_delivery(graph, cfg, rng_dropout, rng_fault, (keep, aggs, mix))
+            alive, keep = delivery(realized, graph.aggregators)
+            mix = base[2] and gossip_mix(realized.edge_alive[0], graph.aggregators,
+                                         base[2][0].dtype)
+            return real_delivery(graph, cfg, rng_dropout, rng_fault, (keep, alive, mix))
 
         monkeypatch.setattr(training, "batch_delivery", drawn)
         per_batch = fit_pool(cfg, ds, part, graph, 4, curve_path=tmp_path / "drawn.csv")
@@ -578,8 +617,8 @@ class TestFit:
 class TestEvaluateSplit:
     @pytest.mark.parametrize("kind,devices,aggregators", [
         ("complete", 16, 16), ("complete", 16, 1), ("ring", 4, 3)])
-    def test_grouped_heads_give_the_per_aggregator_loss_bits(self, kind, devices,
-                                                             aggregators):
+    def test_one_head_pass_gives_the_per_aggregator_loss_bits(self, kind, devices,
+                                                              aggregators):
         # reference: one head at a time, loss and hits summed per (chunk,
         # aggregator) in the same order
         graph = build_graph(kind, devices, aggregators)
@@ -588,19 +627,21 @@ class TestEvaluateSplit:
         part = split_patches(ds.feature_count, g)
         model = init_split_model(graph, part.patch_dims(), 5, stream(6, "init"))
         views = client_views(ds.features, part)
-        aggs, keep = fault_free_delivery(graph)
+        keep = fault_free_delivery(graph)[1]
         y = one_hot(ds.labels, 5)
         loss_sum, hit_sum = 0.0, 0.0
         for start in range(0, len(ds), 512):
             sl = slice(start, min(start + 512, len(ds)))
             reps = client_encode(model, views[:, sl])
-            for j, k in enumerate(aggs):
-                (lp,), _ = aggregator_head(model, [k], aggregate(sample_major(reps), keep[j:j + 1]))
+            for j in range(aggregators):
+                out, _ = mlp_forward(model.head.take(slice(j, j + 1)),
+                                     aggregate(sample_major(reps), keep[j:j + 1]))
+                (lp,) = log_softmax(out)
                 loss_sum += float(-(y[sl] * lp).sum())
                 hit_sum += float((lp.argmax(axis=1) == ds.labels[sl]).sum())
         loss, acc = evaluate_split(model, views, ds.labels, graph, np.arange(len(ds)))
         assert loss == loss_sum / len(ds)
-        assert acc == hit_sum / (len(ds) * len(aggs))
+        assert acc == hit_sum / (len(ds) * aggregators)
 
     @pytest.mark.parametrize("g", [2, 4])
     def test_stacked_encoders_give_the_per_client_loss_bits(self, g):
@@ -749,10 +790,10 @@ class TestPrecision:
         model = dataclasses.replace(init, params=init.params.astype(np.float32))
         views, y = client_views(ds.features, part), one_hot(ds.labels, 10)
         keep = apply_cd_mask(16, graph.aggregators, 0.3, stream(seed, "dropout"))
-        aggs = list(graph.aggregators)
-        loss, grad = split_loss_and_grads(model, views, y, keep, aggs)
+        alive = np.ones(16, dtype=bool)
+        loss, grad = split_loss_and_grads(model, views, y, keep, alive)
         wide = dataclasses.replace(model, params=model.params.astype(np.float64))
-        loss64, grad64 = split_loss_and_grads(wide, views.astype(np.float64), y, keep, aggs)
+        loss64, grad64 = split_loss_and_grads(wide, views.astype(np.float64), y, keep, alive)
         assert grad.dtype == np.float32 and grad64.dtype == np.float64
         assert abs(loss - loss64) <= 1e-6 * abs(loss64)
         assert np.linalg.norm(grad - grad64) <= 1e-5 * np.linalg.norm(grad64)
@@ -810,7 +851,7 @@ class TestSummationOrder:
         (1, "none", "none", 0),   # VFL
         (16, "none", "none", 0),  # MACL
         (16, "cd", "none", 0),    # CD-MACL
-        (16, "none", "device", 2),  # dead heads: their gradient rows written by index
+        (16, "none", "device", 2),  # dead heads: their zero rows written like the others
     ], ids=["VFL", "MACL", "CD-MACL", "device-faults-gossip"])
     def test_desk_batches_sum_their_bias_gradients_in_row_order(self, bias_sums, aggregators,
                                                                dropout, train_fault, gossip):
@@ -827,10 +868,8 @@ class TestSummationOrder:
         assert {shape[-1] for shape, *_ in bias_sums} == {16, 4, 64, 10}
         assert {shape[-2] for shape, *_ in bias_sums} == {64, 32}
         assert {dtype for _, _, dtype, _ in bias_sums} == {"<f4"}
-        # written into the held gradient's strided views, and with dead
-        # heads also fresh
-        outs = {out is None for *_, out in bias_sums}
-        assert outs == ({False, True} if train_fault == "device" else {False})
+        # written into the held gradient's strided views, dead heads too
+        assert {out is None for *_, out in bias_sums} == {False}
 
     def test_gradient_certificate_sums_its_float64_bias_gradients_in_row_order(self,
                                                                               bias_sums):
@@ -845,17 +884,18 @@ class TestSummationOrder:
         rng = np.random.default_rng(seed)
         graph = build_graph("complete", 16, 16)
         model = init_split_model(graph, [4] * 16, 5, stream(seed, "init"))
-        alive = sorted(rng.choice(16, size=[0, 16, 9, 3, 1, 12][seed], replace=False) + 1)
+        alive = np.isin(np.arange(16), rng.choice(16, size=[0, 16, 9, 3, 1, 12][seed],
+                                                 replace=False))
         views = rng.random((16, 9, 4)).astype(dtype)
         y = one_hot(rng.integers(0, 5, 9), 5)
-        keep = rng.random((len(alive), 16)) < 0.8
+        keep = (rng.random((16, 16)) < 0.8) & alive[:, None]
         sets = (model.params + 0.1 * rng.standard_normal((3, model.params.size))).astype(dtype)
         for params in (sets[0], sets):
             loss, forward = split_forward(dataclasses.replace(model, params=params), views, y,
-                                          keep, [int(k) for k in alive])
+                                          keep, alive)
             heads = -(y * forward[3]).sum(axis=(-2, -1)) / y.shape[0]
             expected = np.zeros(params.shape[:-1])
-            for j in range(len(alive)):
+            for j in np.flatnonzero(alive):  # the alive heads alone
                 expected = expected + heads[..., j]
             assert loss.dtype == np.float64 and loss.shape == params.shape[:-1]
             assert loss.tobytes() == np.asarray(expected).tobytes()
