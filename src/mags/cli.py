@@ -131,13 +131,13 @@ def worker_count(workers: int | None, job_count: int) -> int:
     return max(1, min(workers, job_count))
 
 
-def _work_share(conn, fn, cfg, share, inputs):
+def _work_share(conn, fn, share):
     """A forked worker's body: send back ``(True, results)``, or ``(False,
     exception, traceback)`` for the calling process to raise. An interrupt
     is the calling process's to handle: it terminates the workers."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        reply = (True, fn(cfg, share, inputs))
+        reply = (True, fn(share))
     except Exception as exc:
         reply = (False, exc, traceback.format_exc())
     conn.send(reply)
@@ -156,21 +156,22 @@ def deal(weights, workers: int) -> list:
     return [sorted(share) for share in shares]
 
 
-def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int, inputs, weights=None):
-    """``fn(cfg, jobs, inputs)`` returns one result per job, in job order.
+def _run_jobs(fn, jobs, workers: int, weights=None):
+    """``fn(jobs)`` returns one result per job, in job order.
 
-    With more than one worker, the jobs are dealt by ``weights`` (by default
-    equal) into one share per worker. The calling process runs share 0,
-    which holds the heaviest job, so a profiler in that process sees the
-    most code; every other share runs in a process forked once ``inputs``
-    are built, so the inputs are shared, not rebuilt or pickled, and each
-    worker sends its results back through its own pipe. Every worker is
-    joined, or on any error or interrupt terminated first; the results come
-    back in job order. Unless the user set a BLAS thread count, numpy's
-    OpenBLAS runs one thread per process until the workers are joined.
+    With more than one worker (at most one per job), the jobs are dealt by
+    ``weights`` (by default equal) into one share per worker. The calling
+    process runs share 0, which holds the heaviest job, so a profiler in
+    that process sees the most code; every other share runs in a forked
+    process, which inherits ``fn`` and all it reads, so nothing is rebuilt
+    or pickled, and sends its results back through its own pipe. Every
+    worker is joined, or on any error or interrupt terminated first; the
+    results come back in job order. Unless the user set a BLAS thread count,
+    numpy's OpenBLAS runs one thread per process until the workers are joined.
     """
+    workers = min(workers, len(jobs))
     if workers <= 1:
-        return fn(cfg, jobs, inputs)
+        return fn(jobs)
     shares = deal([1] * len(jobs) if weights is None else weights, workers)
     fork = multiprocessing.get_context("fork")
     procs, conns = [], []
@@ -189,12 +190,12 @@ def _run_jobs(fn, cfg: ExperimentConfig, jobs, workers: int, inputs, weights=Non
         for share in shares[1:]:
             conn, child_conn = fork.Pipe(duplex=False)
             proc = fork.Process(target=_work_share,
-                                args=(child_conn, fn, cfg, [jobs[j] for j in share], inputs))
+                                args=(child_conn, fn, [jobs[j] for j in share]))
             proc.start()
             child_conn.close()  # so that a worker that dies shows as EOF
             procs.append(proc)
             conns.append(conn)
-        put(shares[0], fn(cfg, [jobs[j] for j in shares[0]], inputs))
+        put(shares[0], fn([jobs[j] for j in shares[0]]))
         for i, (proc, conn) in enumerate(zip(procs, conns), 1):
             try:
                 reply = conn.recv()
@@ -243,7 +244,7 @@ def cmd_train(cfg: ExperimentConfig, workers: int | None = None) -> int:
     jobs = train_jobs(cfg)
     workers = worker_count(workers, len(jobs))
     pool = build_dataset(cfg, "train", workers)
-    for p in _run_jobs(_train_checkpoints, cfg, jobs, workers, pool):
+    for p in _run_jobs(lambda share: _train_checkpoints(cfg, share, pool), jobs, workers):
         print(p)
     return 0
 
@@ -313,8 +314,8 @@ def cmd_eval(cfg: ExperimentConfig, workers: int | None = None) -> int:
     # a job scores every cell of each method on its checkpoint
     methods = collections.Counter(spec.train_name for spec in cfg.method_specs())
     weights = [methods[spec.train_name] for spec, _ in jobs]
-    rows = [row for job_rows in _run_jobs(_eval_checkpoints, cfg, jobs, workers, test, weights)
-            for row in job_rows]
+    results = _run_jobs(lambda share: _eval_checkpoints(cfg, share, test), jobs, workers, weights)
+    rows = [row for job_rows in results for row in job_rows]
     rows.sort(key=lambda r: (method_order[r[0]], kind_order[r[2]], float(r[3]),
                              policy_order[r[4]], int(r[5])))
 

@@ -344,7 +344,7 @@ def build_dataset(cfg: ExperimentConfig, split: str, workers: int = 1) -> Client
     edges = [lo, *range((lo // SYNTH_CHUNK_ROWS + 1) * SYNTH_CHUNK_ROWS, hi, SYNTH_CHUNK_ROWS), hi]
     blocks = list(zip(edges, edges[1:]))
 
-    def fill(_cfg, share, _inputs):
+    def fill(share):
         for a, b in share:
             features, labels[a - lo:b - lo] = block(a, b)
             client_views(features, partition, out=views[:, a - lo:b - lo])
@@ -354,7 +354,7 @@ def build_dataset(cfg: ExperimentConfig, split: str, workers: int = 1) -> Client
     # a block draws its rows from the start of its noise block: the first
     # block of a split that starts inside one draws the rows before it too
     weights = [b - a // SYNTH_CHUNK_ROWS * SYNTH_CHUNK_ROWS for a, b in blocks]
-    _run_jobs(fill, cfg, blocks, min(workers, len(blocks)), None, weights)
+    _run_jobs(fill, blocks, workers, weights)
     return ClientSplit(views, labels, class_count, partition)
 
 

@@ -6,8 +6,9 @@ concatenation into every client encoder, one Adam step on the flat parameter
 vector per batch. Faults are simulated with party-wise (PD) or
 communication-wise (CD) dropout: dropped slots are zero-imputed with no
 inverse-rate rescaling, because the point is to match the test-time fault
-distribution, not to regularize. One dropout/fault realization is drawn per batch and held fixed
-for that batch. Gossip stays out of training unless explicitly enabled.
+distribution, not to regularize. Each batch holds its own dropout/fault
+realization, all of an epoch's drawn in one call. Gossip stays out of
+training unless explicitly enabled.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .rng import stream
 from .topology import DeviceGraph
 
 DROPOUT_KINDS = ("none", "pd", "cd")
-# Train faults are memoryless: one realization is drawn per batch.
+# Memoryless kinds: one ``sample_realization`` call draws an epoch's realizations, one per batch.
 TRAIN_FAULT_KINDS = ("none", "device", "communication")
 
 
@@ -75,49 +76,45 @@ class TrainConfig:
                               f"combined with train fault kind {kind!r}")
 
 
-def apply_pd_mask(client_count: int, rate: float, rng) -> np.ndarray:
-    """Party-wise dropout keep flags: a dropped client's representation
-    disappears for every aggregator at once, its own head included."""
-    return rng.random(client_count) >= rate
+def apply_pd_mask(batches: int, client_count: int, rate: float, rng) -> np.ndarray:
+    """Party-wise dropout keep flags, (batches, C): a dropped client's
+    representation disappears for every aggregator at once, its own head
+    included."""
+    return rng.random((batches, client_count)) >= rate
 
 
-def apply_cd_mask(client_count: int, aggregators, rate: float, rng) -> np.ndarray:
-    """Communication-wise dropout keep flags, shape (K, C), row j for
+def apply_cd_mask(batches: int, client_count: int, aggregators, rate: float, rng) -> np.ndarray:
+    """Communication-wise dropout keep flags, (batches, K, C), row j for
     ``aggregators[j]``: each non-self client->aggregator delivery drops
     independently; self slots never drop."""
     aggs = np.asarray(aggregators, dtype=np.intp)
-    keep = rng.random((aggs.size, client_count)) >= rate
-    keep[np.arange(aggs.size), aggs - 1] = True
+    keep = rng.random((batches, aggs.size, client_count)) >= rate
+    keep[:, np.arange(aggs.size), aggs - 1] = True
     return keep
 
 
-def base_delivery(graph: DeviceGraph, cfg: TrainConfig, dtype):
-    """The base graph's (keep, alive, mix) as ``batch_delivery`` returns them
-    before dropout under the train fault kind ``none``; ``dtype`` is the model's."""
-    alive, keep = fault_free_delivery(graph)
-    mix = gossip_mix(graph.adj, graph.aggregators, dtype) if cfg.gossip_rounds else None
-    return keep, alive, mix
-
-
-def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, rng_dropout, rng_fault, base):
-    """One per-batch delivery mask: which client representations reach which
-    aggregator. Returns (keep (K, C), the (K,) alive mask, the ``gossip_mix``
-    pair, or None when the loss does not gossip); row j of each is
-    ``graph.aggregators[j]``, a dead one's keep row all False. The batch
-    draws its train-fault realization as inference draws one (the kind
-    ``none`` draws nothing from ``rng_fault`` and gives ``base``, which
-    ``fit`` builds once), then its dropout mask."""
-    keep, alive, mix = base
-    if cfg.train_fault.kind != "none":
-        realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
-        alive, keep = delivery(realized, graph.aggregators)
-        if mix is not None:  # in the base pair's dtype, the model's
-            mix = gossip_mix(realized.edge_alive[0], graph.aggregators, mix[0].dtype)
+def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, batches: int, rng_dropout, rng_fault,
+                   dtype):
+    """Which client representations reach which aggregator in each of an
+    epoch's ``batches`` batches, drawn in one call as ``evaluate_policies``
+    draws a cell's: (keep (nb, K, C), alive (nb, K), the stacked
+    ``gossip_mix`` pair in ``dtype``, the model's, or None when the loss does
+    not gossip). Entry i is batch i's, row j ``graph.aggregators[j]``, a
+    dead one's keep row all False. One ``sample_realization`` (the kind
+    ``none`` draws nothing and gives the base graph), then one dropout mask
+    draw: numpy fills a (nb, ...) draw in C order, so each stream is used
+    up as one call per batch would use it. The draw is held whole, as a
+    cell's is: 0.23 MB of uniforms for 100 batches of communication faults
+    on 16 devices."""
+    realized = sample_realization(graph, cfg.train_fault, batches, 1, rng_fault)
+    alive, keep = delivery(realized, graph.aggregators)
+    mix = (gossip_mix(realized.edge_alive[:, 0], graph.aggregators, dtype)
+           if cfg.gossip_rounds else None)
     c = graph.device_count
     if cfg.dropout == "pd":
-        keep = keep & apply_pd_mask(c, cfg.dropout_rate, rng_dropout)[None, :]
+        keep &= apply_pd_mask(batches, c, cfg.dropout_rate, rng_dropout)[:, None, :]
     elif cfg.dropout == "cd":
-        keep = keep & apply_cd_mask(c, graph.aggregators, cfg.dropout_rate, rng_dropout)
+        keep &= apply_cd_mask(batches, c, graph.aggregators, cfg.dropout_rate, rng_dropout)
     return keep, alive, mix
 
 
@@ -202,10 +199,6 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive,
     return float(loss), grad.params
 
 
-def init_optimizer(model: SplitModel, cfg: TrainConfig) -> AdamState:
-    return adam_init(model.params, cfg.lr, cfg.beta1, cfg.beta2)
-
-
 def optimizer_step(model: SplitModel, opt: AdamState, grad):
     """One in-place Adam step over every parameter of the model; rows
     without a gradient this batch step with zeros, as one monolithic
@@ -213,28 +206,29 @@ def optimizer_step(model: SplitModel, opt: AdamState, grad):
     adam_update(model.params, grad, opt)
 
 
-def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dropout, rng_fault,
-                base):
+def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dropout, rng_fault):
     """One pass over the training rows ``rows`` of the client-major
     ``views``, updating ``model`` and ``opt`` in place; ``y_onehot[i]`` is
-    the target of row ``rows[i]``, and ``base`` the ``base_delivery``.
-    Every batch writes its gradient into one buffer held for the pass,
-    through layer views built once. Each batch is gathered by row and cast
-    to the parameters' dtype. Returns the mean train loss."""
+    the target of row ``rows[i]``. One ``batch_delivery`` draws every batch's
+    delivery first. Each batch is gathered by row, cast to the parameters'
+    dtype, and writes its gradient into one buffer held for the pass,
+    through layer views built once. Returns the mean train loss."""
     grad = dataclasses.replace(model, params=np.empty_like(model.params))
     n = len(rows)
     order = rng_data.permutation(n)
-    total, seen = 0.0, 0
-    for start in range(0, n, cfg.batch_size):
+    starts = range(0, n, cfg.batch_size)
+    keep, alive, mix = batch_delivery(graph, cfg, len(starts), rng_dropout, rng_fault,
+                                      model.params.dtype)
+    total = 0.0
+    for i, start in enumerate(starts):
         idx = order[start:start + cfg.batch_size]
-        keep, alive, mix = batch_delivery(graph, cfg, rng_dropout, rng_fault, base)
         batch = np.take(views, rows[idx], axis=1).astype(model.params.dtype, copy=False)
-        loss, _ = split_loss_and_grads(model, batch, y_onehot[idx], keep, alive, mix,
+        pair = None if mix is None else (mix[0][i], mix[1][i])
+        loss, _ = split_loss_and_grads(model, batch, y_onehot[idx], keep[i], alive[i], pair,
                                        cfg.gossip_rounds, out=grad)
         optimizer_step(model, opt, grad.params)
         total += loss * len(idx)
-        seen += len(idx)
-    return total / max(seen, 1)
+    return total / max(n, 1)
 
 
 def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, rows):
@@ -307,11 +301,10 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
     model = init_split_model(graph, partition.patch_dims(), class_count,
                              stream(cfg.seed, "init"))
     model = dataclasses.replace(model, params=model.params.astype(COMPUTE_DTYPE))
-    opt = init_optimizer(model, cfg)
+    opt = adam_init(model.params, cfg.lr, cfg.beta1, cfg.beta2)
     rng_data = stream(cfg.seed, "data")
     rng_dropout = stream(cfg.seed, "dropout")
     rng_fault = stream(cfg.seed, "fault")
-    base = base_delivery(graph, cfg, model.params.dtype)
 
     best_loss, _ = evaluate_split(model, views, labels, graph, val_rows)
     best_model = model.copy()
@@ -320,7 +313,7 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
     curves = []
     for epoch in range(1, cfg.epochs + 1):
         tr_loss = train_epoch(model, opt, views, train_rows, y, graph, cfg,
-                              rng_data, rng_dropout, rng_fault, base)
+                              rng_data, rng_dropout, rng_fault)
         val_loss, val_acc = evaluate_split(model, views, labels, graph, val_rows)
         curves.append((epoch, tr_loss, val_loss, val_acc))
         if val_loss < best_loss:
@@ -352,6 +345,14 @@ def _config_line(config: dict) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
 
+def _layer_lines(clients: int, enc_dims, aggregators, head_dims) -> list:
+    """The manifest's encoder and head lines: one per client, then one per
+    aggregator, each with its id and layer widths."""
+    enc, head = (" ".join(str(d) for d in dims) for dims in (enc_dims, head_dims))
+    return ([f"encoder {c} {enc}" for c in range(1, clients + 1)]
+            + [f"head {k} {head}" for k in aggregators])
+
+
 def save_checkpoint(ckpt: Checkpoint, path):
     model = ckpt.model
     cfg_line = _config_line(ckpt.config)
@@ -366,12 +367,9 @@ def save_checkpoint(ckpt: Checkpoint, path):
     head.write(f"classes {model.class_count}\n")
     head.write(f"rep_dim {model.rep_dim}\n")
     head.write("aggregators " + " ".join(str(k) for k in model.aggregators) + "\n")
-    enc_dims = " ".join(str(d) for d in model.encoder_dims)
-    for c in range(1, model.client_count + 1):
-        head.write(f"encoder {c} {enc_dims}\n")
-    head_dims = " ".join(str(d) for d in model.head_dims)
-    for k in model.aggregators:
-        head.write(f"head {k} {head_dims}\n")
+    for line in _layer_lines(model.client_count, model.encoder_dims, model.aggregators,
+                             model.head_dims):
+        head.write(line + "\n")
     head.write("DATA\n")
 
     with open(path, "wb") as f:
@@ -390,36 +388,36 @@ def load_checkpoint(path) -> Checkpoint:
 
     # a damaged header (a missing line, a bad number, non-UTF-8 bytes, broken
     # JSON) is a bad input, not a crash; the hash is checked before the JSON
-    fields = {}
-    enc_dims, head_dims = {}, {}
+    fields, layers = {}, []
     try:
         for line in raw[:cut].decode().splitlines()[1:]:
             key, _, rest = line.partition(" ")
-            if key == "encoder":
-                c, *dims = rest.split()
-                enc_dims[int(c)] = [int(d) for d in dims]
-            elif key == "head":
-                k, *dims = rest.split()
-                head_dims[int(k)] = [int(d) for d in dims]
-            else:
-                fields[key] = rest
+            if key in ("encoder", "head"):
+                layers.append(line)
+                rest = [int(v) for v in rest.split()][1:]  # its widths; ids are checked below
+            fields[key] = rest
         if hashlib.sha256(fields["config"].encode()).hexdigest() != fields["config_hash"]:
             raise ConfigError("config hash mismatch")
         config = json.loads(fields["config"])
         best_val_loss, best_epoch = float(fields["best_val_loss"]), int(fields["best_epoch"])
+        clients, classes, rep_dim = (int(fields[k]) for k in ("clients", "classes", "rep_dim"))
+        aggregators = tuple(int(k) for k in fields["aggregators"].split())
+        enc_dims, head_dims = tuple(fields["encoder"]), tuple(fields["head"])
     except KeyError as e:
         raise ConfigError(f"{path}: damaged header: no {e.args[0]} line") from None
     except ValueError as e:  # ConfigError, UnicodeDecodeError and JSONDecodeError included
         raise ConfigError(f"{path}: damaged header: {e}") from None
 
-    enc_shapes = {tuple(d) for d in enc_dims.values()}
-    head_shapes = {tuple(d) for d in head_dims.values()}
-    if len(enc_shapes) != 1 or len(head_shapes) != 1:
-        raise ConfigError(f"{path}: encoder and head shapes must each be uniform")
-    (enc_shape,), (head_shape,) = enc_shapes, head_shapes
-    size = len(enc_dims) * mlp_size(enc_shape) + len(head_dims) * mlp_size(head_shape)
+    # the layer lines must be the ones the manifest's own counts and widths give
+    if layers != _layer_lines(clients, enc_dims, aggregators, head_dims):
+        raise ConfigError(f"{path}: the layer lines are not encoders 1..{clients} and heads "
+                          f"{' '.join(map(str, aggregators))}, each kind of one shape")
+    if enc_dims[-1:] + head_dims[:1] + head_dims[-1:] != (rep_dim, clients * rep_dim, classes):
+        raise ConfigError(f"{path}: encoder {enc_dims} and head {head_dims} widths do not "
+                          f"fit {clients} clients, rep_dim {rep_dim} and {classes} classes")
+    size = clients * mlp_size(enc_dims) + len(aggregators) * mlp_size(head_dims)
     if len(body) != 4 * size:
         raise ConfigError(f"{path}: payload has {len(body)} bytes, the manifest needs {4 * size}")
     params = np.frombuffer(body, dtype="<f4").astype(np.float32)
-    model = SplitModel(params, len(enc_dims), enc_shape, tuple(sorted(head_dims)), head_shape)
+    model = SplitModel(params, clients, enc_dims, aggregators, head_dims)
     return Checkpoint(model, config, best_val_loss, best_epoch)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -830,38 +831,41 @@ class TestEvalCommand:
             assert (tmp2 / "runs" / "checkpoints" / path.name).read_bytes() == path.read_bytes()
 
 
-def job_and_pid(cfg, jobs, inputs):
+def job_and_pid(jobs):
     """A ``_run_jobs`` job function: per job, the job and the process id."""
     return [(job, os.getpid()) for job in jobs]
 
 
-def fail_in_caller(cfg, jobs, caller):
-    """A ``_run_jobs`` job function that raises ``cfg`` in the process
-    ``caller`` and sleeps in any other, until it is terminated."""
+def fail_in_caller(exc, caller, jobs):
+    """A ``_run_jobs`` job function, once ``exc`` and ``caller`` are bound:
+    it raises ``exc`` in the process ``caller`` and sleeps in any other,
+    until it is terminated."""
     if os.getpid() == caller:
-        raise cfg
+        raise exc
     time.sleep(60)
     return list(jobs)
 
 
-def fail_in_worker(cfg, jobs, caller):
-    """A ``_run_jobs`` job function that returns the jobs in the process
-    ``caller`` and fails in any other: ``cfg`` is an exception to raise, or
-    an exit code to leave with before sending any results."""
+def fail_in_worker(failure, caller, jobs):
+    """A ``_run_jobs`` job function, once ``failure`` and ``caller`` are
+    bound: it returns the jobs in the process ``caller`` and fails in any
+    other. ``failure`` is an exception to raise, or an exit code to leave
+    with before sending any results."""
     if os.getpid() == caller:
         return list(jobs)
-    if isinstance(cfg, int):
-        os._exit(cfg)
-    raise cfg
+    if isinstance(failure, int):
+        os._exit(failure)
+    raise failure
 
 
-def openblas_threads_in_share(cfg, jobs, inputs):
+def openblas_threads_in_share(jobs):
     """A ``_run_jobs`` job function: per job, the process id and its OpenBLAS threads."""
     return [(os.getpid(), cli.OPENBLAS_THREADS[0]()) for _ in jobs]
 
 
-def warn_in_worker(cfg, jobs, caller):
-    """A ``_run_jobs`` job function that divides by zero outside the process ``caller``."""
+def warn_in_worker(caller, jobs):
+    """A ``_run_jobs`` job function, once ``caller`` is bound: it divides by
+    zero outside the process ``caller``."""
     if os.getpid() != caller:
         np.log(np.zeros(1))
     return list(jobs)
@@ -909,25 +913,25 @@ class TestWorkers:
 
     def test_every_share_runs_one_openblas_thread_and_the_caller_gets_its_count_back(
             self, caller_openblas_threads):
-        seen = _run_jobs(openblas_threads_in_share, None, [0, 1, 2], 3, None)
+        seen = _run_jobs(openblas_threads_in_share, [0, 1, 2], 3)
         assert len({pid for pid, _ in seen}) == 3
         assert [threads for _, threads in seen] == [1, 1, 1]
         assert caller_openblas_threads() == 3
         with pytest.raises(ValueError, match="boom"):
-            _run_jobs(fail_in_worker, ValueError("boom"), [0, 1], 2, os.getpid())
+            _run_jobs(partial(fail_in_worker, ValueError("boom"), os.getpid()), [0, 1], 2)
         assert caller_openblas_threads() == 3
 
     @pytest.mark.parametrize("name", BLAS_THREAD_VARS)
     def test_a_user_set_blas_thread_count_is_not_pinned(self, caller_openblas_threads,
                                                          monkeypatch, name):
         monkeypatch.setenv(name, "3")
-        seen = _run_jobs(openblas_threads_in_share, None, [0, 1], 2, None)
+        seen = _run_jobs(openblas_threads_in_share, [0, 1], 2)
         assert [threads for _, threads in seen] == [3, 3]
 
     def test_runtime_warning_in_a_worker_fails_the_run(self):
         # forked workers keep pytest's error::RuntimeWarning filter
         with pytest.raises(RuntimeWarning, match="divide by zero"):
-            _run_jobs(warn_in_worker, None, [0, 1], 2, os.getpid())
+            _run_jobs(partial(warn_in_worker, os.getpid()), [0, 1], 2)
         assert multiprocessing.active_children() == []
 
     def test_heaviest_job_goes_to_the_calling_process_and_loads_balance(self):
@@ -935,7 +939,7 @@ class TestWorkers:
         assert cli.deal([1, 1, 2], 2) == [[2], [0, 1]]
         assert cli.deal([1, 1, 2], 3) == [[2], [0], [1]]
         assert cli.deal([3, 1, 1, 1], 2) == [[0], [1, 2, 3]]
-        seen = _run_jobs(job_and_pid, None, ["a", "b", "c"], 3, None, [1, 1, 2])
+        seen = _run_jobs(job_and_pid, ["a", "b", "c"], 3, [1, 1, 2])
         assert [job for job, _ in seen] == ["a", "b", "c"]
         assert seen[2][1] == os.getpid() != seen[0][1]
 
@@ -959,10 +963,13 @@ class TestWorkers:
 
     def test_results_come_back_in_job_order(self):
         # more workers than cores, and shares of uneven length
-        seen = _run_jobs(job_and_pid, None, list(range(9)), 4, None)
+        seen = _run_jobs(job_and_pid, list(range(9)), 4)
         assert [job for job, _ in seen] == list(range(9))
         assert len({pid for _, pid in seen}) == 4
         assert all(pid == os.getpid() for _, pid in seen[::4])
+        # at most one worker per job
+        seen = _run_jobs(job_and_pid, ["a", "b"], 5)
+        assert [job for job, _ in seen] == ["a", "b"] and len({pid for _, pid in seen}) == 2
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -979,20 +986,20 @@ class TestWorkers:
     def test_failing_calling_share_reaps_the_workers(self, exc):
         start = time.monotonic()
         with pytest.raises(type(exc)):
-            _run_jobs(fail_in_caller, exc, [0, 1, 2], 3, os.getpid())
+            _run_jobs(partial(fail_in_caller, exc, os.getpid()), [0, 1, 2], 3)
         assert multiprocessing.active_children() == []
         assert time.monotonic() - start < 30  # the sleeping workers were terminated
 
     def test_worker_error_is_raised_with_its_traceback(self):
         with pytest.raises(ValueError, match="boom") as info:
-            _run_jobs(fail_in_worker, ValueError("boom"), [0, 1, 2], 3, os.getpid())
+            _run_jobs(partial(fail_in_worker, ValueError("boom"), os.getpid()), [0, 1, 2], 3)
         assert "in worker 1:" in str(info.value.__cause__)
         assert "fail_in_worker" in str(info.value.__cause__)
         assert multiprocessing.active_children() == []
 
     def test_worker_that_dies_without_results_is_an_error(self):
         with pytest.raises(RuntimeError, match="worker 1 exited with code 3 before sending"):
-            _run_jobs(fail_in_worker, 3, [0, 1], 2, os.getpid())
+            _run_jobs(partial(fail_in_worker, 3, os.getpid()), [0, 1], 2)
         assert multiprocessing.active_children() == []
 
     def test_script_without_main_guard_trains_with_the_default_workers(self, pipeline,

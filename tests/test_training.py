@@ -15,11 +15,9 @@ from mags.nn import (Mlp, adam_init, adam_update, init_mlp, log_softmax, mlp_for
                      stacked_mlp)
 from mags.rng import stream
 from mags.topology import build_graph
-from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask,
-                           base_delivery, batch_delivery, config_echo, evaluate_split, fit,
-                           init_optimizer, load_checkpoint,
-                           save_checkpoint, split_forward, split_loss_and_grads,
-                           train_epoch, optimizer_step)
+from mags.training import (TrainConfig, apply_cd_mask, apply_pd_mask, batch_delivery,
+                           config_echo, evaluate_split, fit, load_checkpoint, save_checkpoint,
+                           split_forward, split_loss_and_grads, train_epoch, optimizer_step)
 
 from helpers import loss_and_grad, per_client_evaluate_split
 
@@ -49,30 +47,50 @@ def fit_pool(cfg, ds, part, graph, split_seed, curve_path=None):
                make_splits(len(ds), split_seed), part, graph, curve_path=curve_path)
 
 
+def per_batch_delivery(graph, cfg, batches, rng_dropout, rng_fault, dtype):
+    """``batch_delivery``'s reference: one realization, one dropout mask and
+    one gossip pair drawn per batch, then stacked over the batches."""
+    keeps, alives, mixes = [], [], []
+    for _ in range(batches):
+        realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
+        alive, keep = delivery(realized, graph.aggregators)
+        if cfg.dropout == "pd":
+            keep = keep & (rng_dropout.random(graph.device_count) >= cfg.dropout_rate)
+        elif cfg.dropout == "cd":
+            keep = keep & apply_cd_mask(1, graph.device_count, graph.aggregators,
+                                        cfg.dropout_rate, rng_dropout)[0]
+        keeps.append(keep)
+        alives.append(alive)
+        mixes.append(gossip_mix(realized.edge_alive[0], graph.aggregators, dtype))
+    mix = tuple(np.stack(m) for m in zip(*mixes)) if cfg.gossip_rounds else None
+    return np.stack(keeps), np.stack(alives), mix
+
+
 class TestDropoutMasks:
     def test_pd_rate_zero_keeps_all(self):
-        assert apply_pd_mask(16, 0.0, stream(0, "dropout")).all()
+        assert apply_pd_mask(3, 16, 0.0, stream(0, "dropout")).all()
 
     def test_pd_rate_one_drops_all(self):
-        assert not apply_pd_mask(16, 1.0, stream(0, "dropout")).any()
+        assert not apply_pd_mask(3, 16, 1.0, stream(0, "dropout")).any()
 
     def test_pd_binomial_mean(self):
         rng = stream(1, "dropout")
         draws = 20000
-        total = sum(int(apply_pd_mask(16, 0.3, rng).sum()) for _ in range(draws))
+        total = int(apply_pd_mask(draws, 16, 0.3, rng).sum())
         band = 3 * np.sqrt(16 * 0.3 * 0.7 / draws)
         assert abs(total / draws - 11.2) <= band
 
     def test_cd_rate_zero_is_identity(self):
         aggs = tuple(range(1, 17))
-        assert apply_cd_mask(16, aggs, 0.0, stream(2, "dropout")).all()
+        assert apply_cd_mask(3, 16, aggs, 0.0, stream(2, "dropout")).all()
 
     def test_cd_self_slot_never_dropped_at_rate_one(self):
         aggs = tuple(range(1, 17))
-        keep = apply_cd_mask(16, aggs, 1.0, stream(3, "dropout"))
+        keep = apply_cd_mask(3, 16, aggs, 1.0, stream(3, "dropout"))
+        assert keep.shape == (3, 16, 16)
         for j, k in enumerate(aggs):
-            assert keep[j, k - 1]
-            assert keep[j].sum() == 1
+            assert keep[:, j, k - 1].all()
+            assert (keep[:, j].sum(axis=1) == 1).all()
 
     def test_cd_expected_dropped_slots(self):
         # 240 non-self slots at rate 0.3 drop 72 in expectation
@@ -81,7 +99,7 @@ class TestDropoutMasks:
         draws = 20000
         dropped = 0
         for _ in range(draws):
-            keep = apply_cd_mask(16, aggs, 0.3, rng)
+            keep = apply_cd_mask(1, 16, aggs, 0.3, rng)
             dropped += 240 - (int(keep.sum()) - 16)
         band = 3 * np.sqrt(240 * 0.3 * 0.7 / draws)
         assert abs(dropped / draws - 72.0) <= band
@@ -89,39 +107,37 @@ class TestDropoutMasks:
     def test_pd_zeroes_own_head_slot_too(self):
         graph = build_graph("complete", 4, 4)
         cfg = TrainConfig(dropout="pd", dropout_rate=1.0)
-        keep, alive, _ = batch_delivery(graph, cfg, stream(5, "dropout"), stream(5, "fault"),
-                                        base_delivery(graph, cfg, np.float64))
-        assert not keep.any()
-        assert alive.all()
+        keep, alive, _ = batch_delivery(graph, cfg, 3, stream(5, "dropout"), stream(5, "fault"),
+                                        np.float64)
+        assert keep.shape == (3, 4, 4) and not keep.any()
+        assert alive.shape == (3, 4) and alive.all()
 
     def test_base_adjacency_limits_delivery(self):
         # on a ring, an aggregator only ever receives from its two neighbors
         graph = build_graph("ring", 8, 8)
         cfg = TrainConfig(dropout="none", gossip_rounds=1)
-        keep, _, (n, d) = batch_delivery(graph, cfg, stream(6, "dropout"), stream(6, "fault"),
-                                         base_delivery(graph, cfg, np.float64))
-        assert keep.sum() == 8 * 3
-        assert n.sum() == 8 * 3 and (d == 3).all()
+        keep, _, (n, d) = batch_delivery(graph, cfg, 2, stream(6, "dropout"), stream(6, "fault"),
+                                         np.float64)
+        assert keep.sum() == 2 * 8 * 3
+        assert n.sum() == 2 * 8 * 3 and (d == 3).all()
 
     def test_device_train_faults_keep_rows_follow_alive_aggregators(self):
-        # row j of keep, of the alive mask and of the gossip pair belongs to
+        # row j of each batch's keep, alive mask and gossip pair belongs to
         # aggregator j+1, dead ones included; every device aggregates, so an
         # alive row keeps exactly the alive clients and links to the alive
         # aggregators, and a dead row keeps nothing and links only to itself
         graph = build_graph("complete", 4, 4)
         cfg = TrainConfig(train_fault=FaultModel("device", 0.5), gossip_rounds=1)
-        rng_fault = stream(7, "fault")
-        partial = 0
-        for _ in range(20):
-            keep, alive, (n, d) = batch_delivery(graph, cfg, stream(7, "dropout"), rng_fault,
-                                                 base_delivery(graph, cfg, np.float32))
-            partial += 0 < alive.sum() < 4
-            assert keep.shape == n.shape == (4, 4) and alive.shape == (4,)
-            assert n.dtype == d.dtype == np.float32  # the base pair's dtype
-            links = np.where(alive[:, None], alive[None, :] & alive[:, None], np.eye(4, dtype=bool))
-            assert np.array_equal(n, links)
-            assert np.array_equal(keep, alive[:, None] & alive[None, :])
-        assert partial > 0
+        keep, alive, (n, d) = batch_delivery(graph, cfg, 20, stream(7, "dropout"),
+                                             stream(7, "fault"), np.float32)
+        assert keep.shape == n.shape == (20, 4, 4) and alive.shape == (20, 4)
+        assert n.dtype == d.dtype == np.float32  # the dtype asked for, the model's
+        for keep_i, alive_i, n_i in zip(keep, alive, n):
+            links = np.where(alive_i[:, None], alive_i[None, :] & alive_i[:, None],
+                             np.eye(4, dtype=bool))
+            assert np.array_equal(n_i, links)
+            assert np.array_equal(keep_i, alive_i[:, None] & alive_i[None, :])
+        assert ((0 < alive.sum(axis=1)) & (alive.sum(axis=1) < 4)).any()
 
     def test_train_fault_gossip_uses_realized_links(self):
         # at communication rate 1.0 no aggregator hears another, so gossip
@@ -131,11 +147,11 @@ class TestDropoutMasks:
         views = client_views(ds.features[:16], part)
         y = one_hot(ds.labels[:16], ds.class_count)
         cfg = TrainConfig(train_fault=FaultModel("communication", 1.0), gossip_rounds=2)
-        delivery = batch_delivery(graph, cfg, stream(9, "dropout"), stream(9, "fault"),
-                                  base_delivery(graph, cfg, np.float64))
-        assert np.array_equal(delivery[2][0], np.eye(4))
-        loss0, _ = split_loss_and_grads(model, views, y, *delivery, 0)
-        loss2, _ = split_loss_and_grads(model, views, y, *delivery, 2)
+        keep, alive, (n, d) = batch_delivery(graph, cfg, 1, stream(9, "dropout"),
+                                             stream(9, "fault"), np.float64)
+        assert np.array_equal(n[0], np.eye(4))
+        loss0, _ = split_loss_and_grads(model, views, y, keep[0], alive[0], (n[0], d[0]), 0)
+        loss2, _ = split_loss_and_grads(model, views, y, keep[0], alive[0], (n[0], d[0]), 2)
         assert loss2 == pytest.approx(loss0, rel=1e-12)
 
     @pytest.mark.parametrize("dropout", ["none", "pd", "cd"])
@@ -148,23 +164,40 @@ class TestDropoutMasks:
         base_alive, base_keep = fault_free_delivery(graph)
         assert base_alive.all()
         rd, rd_ref, rf = stream(10, "dropout"), stream(10, "dropout"), stream(10, "fault")
-        for _ in range(5):
-            keep, alive, mix = batch_delivery(graph, cfg, rd, rf,
-                                              base_delivery(graph, cfg, np.float64))
-            if dropout == "pd":
-                mask = apply_pd_mask(8, 0.4, rd_ref)[None, :]
-            elif dropout == "cd":
-                mask = apply_cd_mask(8, graph.aggregators, 0.4, rd_ref)
-            else:
-                mask = True
-            assert np.array_equal(alive, base_alive) and np.array_equal(keep, base_keep & mask)
-            assert mix is None
+        keep, alive, mix = batch_delivery(graph, cfg, 5, rd, rf, np.float64)
+        if dropout == "pd":
+            mask = apply_pd_mask(5, 8, 0.4, rd_ref)[:, None, :]
+        elif dropout == "cd":
+            mask = apply_cd_mask(5, 8, graph.aggregators, 0.4, rd_ref)
+        else:
+            mask = True
+        assert np.array_equal(alive, np.broadcast_to(base_alive, (5, 5)))
+        assert keep.shape == (5, 5, 8)
+        assert np.array_equal(keep, np.broadcast_to(base_keep & mask, keep.shape))
+        assert mix is None
         gossiping = TrainConfig(dropout=dropout, dropout_rate=0.4, gossip_rounds=2)
-        n, d = batch_delivery(graph, gossiping, rd, rf,
-                              base_delivery(graph, gossiping, np.float64))[2]
+        n, d = batch_delivery(graph, gossiping, 5, rd, rf, np.float64)[2]
         n_base, d_base = gossip_mix(graph.adj, graph.aggregators, np.float64)
-        assert np.array_equal(n, n_base) and np.array_equal(d, d_base)
+        assert np.array_equal(n, np.broadcast_to(n_base, (5, 5, 5)))
+        assert np.array_equal(d, np.broadcast_to(d_base, (5, 5, 1)))
         assert rf.random() == stream(10, "fault").random()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout,fault", [
+        ("none", "none"), ("pd", "none"), ("cd", "none"),
+        ("none", "device"), ("none", "communication"),
+    ], ids=["none", "pd", "cd", "device", "communication"])
+    def test_epoch_draw_is_one_draw_per_batch_bit_for_bit(self, dropout, fault, dtype):
+        # each stream is used up batch by batch, so the epoch's draw holds
+        # the bits of one draw per batch: keep, alive and the gossip pair
+        graph = build_graph("ring", 8, 5)
+        cfg = TrainConfig(dropout=dropout, dropout_rate=0.4, train_fault=FaultModel(fault, 0.4),
+                          gossip_rounds=2)
+        got = batch_delivery(graph, cfg, 7, stream(11, "dropout"), stream(11, "fault"), dtype)
+        ref = per_batch_delivery(graph, cfg, 7, stream(11, "dropout"), stream(11, "fault"), dtype)
+        assert got[2][0].dtype == got[2][1].dtype == dtype
+        for a, b in zip((got[0], got[1], *got[2]), (ref[0], ref[1], *ref[2])):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("dropout", ["cd", "pd"])
@@ -206,7 +239,7 @@ class TestSplitLossAndGrads:
         model = init_split_model(graph, part.patch_dims(), ds.class_count, stream(1, "init"))
         views = client_views(ds.features[:8], part)
         y = one_hot(ds.labels[:8], ds.class_count)
-        keep = apply_cd_mask(4, graph.aggregators, 1.0, stream(7, "dropout"))
+        keep = apply_cd_mask(1, 4, graph.aggregators, 1.0, stream(7, "dropout"))[0]
         _, grad = split_loss_and_grads(model, views, y, keep, np.ones(4, dtype=bool))
         enc_grads, _ = model.unflatten(grad)
         # every encoder still learns (through its own head)
@@ -261,9 +294,9 @@ class TestSplitLossAndGrads:
         edge_alive = graph.adj & np.insert(alive, 0, True)[:, None] & np.insert(alive, 0, True)
         edge_alive[1, 3] = False
         if case == "cd-dropped":
-            keep &= apply_cd_mask(4, graph.aggregators, 0.5, stream(8, "dropout"))
+            keep &= apply_cd_mask(1, 4, graph.aggregators, 0.5, stream(8, "dropout"))[0]
         elif case == "pd-dropped":
-            keep &= apply_pd_mask(4, 0.5, stream(8, "dropout"))[None, :]
+            keep &= apply_pd_mask(1, 4, 0.5, stream(8, "dropout"))
         assert keep.all() == (case in ("all-kept", "gossip-2"))
         mix = gossip_mix(edge_alive, graph.aggregators, model.params.dtype)
         args = (model, views, y, keep, alive, mix, 2 if case == "gossip-2" else 0)
@@ -388,8 +421,9 @@ class TestSplitLossAndGrads:
         views = [rng.random((4, 4)) for _ in range(devices)]
         y = one_hot(rng.integers(0, 3, 4), 3)
         cfg = TrainConfig(gossip_rounds=2, train_fault=fault)
-        keep, alive, mix = batch_delivery(graph, cfg, stream(4, "dropout"), stream(4, "fault"),
-                                          base_delivery(graph, cfg, np.float64))
+        keep, alive, (n, d) = batch_delivery(graph, cfg, 1, stream(4, "dropout"),
+                                             stream(4, "fault"), np.float64)
+        keep, alive, mix = keep[0], alive[0], (n[0], d[0])
         n, d = mix
         if fault.kind == "none":
             assert d.ravel().tolist() == ([2, 2] if kind == "complete" else [2, 3, 2])
@@ -433,7 +467,7 @@ class TestTrainEpoch:
 
         model = init_split_model(graph, [16], 3, stream(7, "init"))
         cfg = TrainConfig(epochs=1, batch_size=16, seed=7)
-        opt = init_optimizer(model, cfg)
+        opt = adam_init(model.params, cfg.lr, cfg.beta1, cfg.beta2)
 
         oracle_rng = stream(7, "init")
         layers = init_mlp((16, 4, 2), oracle_rng).layers + init_mlp((2, 2, 3), oracle_rng).layers
@@ -463,51 +497,62 @@ class TestTrainEpoch:
         ds, part, graph = small_problem(n=50)
         model = init_split_model(graph, part.patch_dims(), ds.class_count, stream(8, "init"))
         cfg = TrainConfig(epochs=1, batch_size=32, seed=8)
-        opt = init_optimizer(model, cfg)
+        opt = adam_init(model.params, cfg.lr, cfg.beta1, cfg.beta2)
         views = client_views(ds.features, part)
         y = one_hot(ds.labels, ds.class_count)
         loss = train_epoch(model, opt, views, np.arange(len(ds)), y, graph, cfg,
-                           stream(8, "data"), stream(8, "dropout"), stream(8, "fault"),
-                           base_delivery(graph, cfg, model.params.dtype))
+                           stream(8, "data"), stream(8, "dropout"), stream(8, "fault"))
         assert np.isfinite(loss) and loss > 0
 
 
 class TestFit:
-    @pytest.mark.parametrize("dropout,gossip", [("none", 0), ("cd", 2)])
-    def test_fault_free_batches_take_the_base_delivery_built_once(self, tmp_path, monkeypatch,
-                                                                  dropout, gossip):
-        # under the train fault kind none no batch draws a realization, and
-        # the checkpoint and curve are those of drawing the base graph for
-        # every batch
+    @pytest.mark.parametrize("dropout,gossip,fault", [
+        ("none", 0, "none"), ("cd", 2, "none"), ("pd", 2, "none"),
+        ("none", 2, "device"), ("none", 2, "communication"),
+    ], ids=["none", "cd-gossip", "pd-gossip", "device-gossip", "communication-gossip"])
+    def test_epoch_draw_trains_as_one_draw_per_batch(self, tmp_path, monkeypatch,
+                                                     dropout, gossip, fault):
+        # one sample_realization per epoch, batch i trains on entry i, and
+        # the checkpoint and curve are those of drawing every batch's
+        # delivery on its own; the training split ends in a short batch
         from mags import training
         ds, part, _ = small_problem(n=100)
+        assert len(make_splits(len(ds), 4)[0]) % 24 != 0
         graph = build_graph("ring", 4, 3)
-        cfg = TrainConfig(epochs=2, batch_size=16, seed=4, dropout=dropout,
-                          gossip_rounds=gossip)
-        real_sample, real_delivery = training.sample_realization, training.batch_delivery
-        draws = []
+        cfg = TrainConfig(epochs=2, batch_size=24, seed=4, dropout=dropout,
+                          gossip_rounds=gossip, train_fault=FaultModel(fault, 0.3))
+        real_sample, real_loss = training.sample_realization, training.split_loss_and_grads
+        draws, trained = [], []
 
         def counted(*args):
-            draws.append(args)
+            draws.append(args[2])
             return real_sample(*args)
 
+        def recorded(model, views, y, keep, alive, mix, *args, **kwargs):
+            trained.append((keep, alive, mix))
+            return real_loss(model, views, y, keep, alive, mix, *args, **kwargs)
+
         monkeypatch.setattr(training, "sample_realization", counted)
-        once = fit_pool(cfg, ds, part, graph, 4, curve_path=tmp_path / "once.csv")
-        assert draws == []
+        monkeypatch.setattr(training, "split_loss_and_grads", recorded)
+        epoch = fit_pool(cfg, ds, part, graph, 4, curve_path=tmp_path / "epoch.csv")
+        assert len(draws) == cfg.epochs and len(set(draws)) == 1 and draws[0] > 1
+        assert len(trained) == sum(draws)
+        keep, alive, mix = per_batch_delivery(graph, cfg, len(trained), stream(4, "dropout"),
+                                              stream(4, "fault"), np.float32)
+        for i, got in enumerate(trained):
+            want = (keep[i], alive[i]) + ((mix[0][i], mix[1][i]) if mix else ())
+            got = got[:2] + (got[2] or ())
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        monkeypatch.setattr(training, "split_loss_and_grads", real_loss)
 
-        def drawn(graph, cfg, rng_dropout, rng_fault, base):
-            realized = real_sample(graph, cfg.train_fault, 1, 1, rng_fault)[0]
-            alive, keep = delivery(realized, graph.aggregators)
-            mix = base[2] and gossip_mix(realized.edge_alive[0], graph.aggregators,
-                                         base[2][0].dtype)
-            return real_delivery(graph, cfg, rng_dropout, rng_fault, (keep, alive, mix))
-
-        monkeypatch.setattr(training, "batch_delivery", drawn)
-        per_batch = fit_pool(cfg, ds, part, graph, 4, curve_path=tmp_path / "drawn.csv")
-        assert once.model.params.tobytes() == per_batch.model.params.tobytes()
-        assert (once.best_val_loss, once.best_epoch) == (per_batch.best_val_loss,
-                                                         per_batch.best_epoch)
-        assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "drawn.csv").read_bytes()
+        monkeypatch.setattr(training, "batch_delivery", per_batch_delivery)
+        per_batch = fit_pool(cfg, ds, part, graph, 4, curve_path=tmp_path / "per-batch.csv")
+        assert epoch.model.params.tobytes() == per_batch.model.params.tobytes()
+        assert (epoch.best_val_loss, epoch.best_epoch) == (per_batch.best_val_loss,
+                                                           per_batch.best_epoch)
+        assert (tmp_path / "epoch.csv").read_bytes() == (tmp_path / "per-batch.csv").read_bytes()
 
     def test_zero_epochs_returns_initial_params(self):
         # fit trains the float32 rounding of the float64 init draw
@@ -584,13 +629,12 @@ class TestFit:
         # retrain to recover the final-epoch model
         model = init_split_model(graph, part.patch_dims(), ds.class_count, stream(7, "init"))
         cfg = TrainConfig(epochs=6, seed=7)
-        opt = init_optimizer(model, cfg)
+        opt = adam_init(model.params, cfg.lr, cfg.beta1, cfg.beta2)
         y = one_hot(ds.labels[tr], ds.class_count)
         pool_views = client_views(ds.features, part)
         rd, rdo, rf = stream(7, "data"), stream(7, "dropout"), stream(7, "fault")
         for _ in range(6):
-            train_epoch(model, opt, pool_views, tr, y, graph, cfg, rd, rdo, rf,
-                        base_delivery(graph, cfg, model.params.dtype))
+            train_epoch(model, opt, pool_views, tr, y, graph, cfg, rd, rdo, rf)
         final_loss, _ = evaluate_split(model, pool_views, ds.labels, graph, va)
         assert ckpt.best_val_loss <= final_loss + 1e-12
 
@@ -789,7 +833,7 @@ class TestPrecision:
         init = init_split_model(graph, part.patch_dims(), 10, stream(seed, "init"))
         model = dataclasses.replace(init, params=init.params.astype(np.float32))
         views, y = client_views(ds.features, part), one_hot(ds.labels, 10)
-        keep = apply_cd_mask(16, graph.aggregators, 0.3, stream(seed, "dropout"))
+        keep = apply_cd_mask(1, 16, graph.aggregators, 0.3, stream(seed, "dropout"))[0]
         alive = np.ones(16, dtype=bool)
         loss, grad = split_loss_and_grads(model, views, y, keep, alive)
         wide = dataclasses.replace(model, params=model.params.astype(np.float64))
@@ -989,6 +1033,41 @@ class TestCheckpointFormat:
             load_checkpoint(p2)
         assert str(info.value).startswith(f"{p2}: damaged header: ")
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("old,new,message", [
+        (b"\nencoder 2 ", b"\nencoder 77 ", "not encoders 1..4 and heads 1 2 3 4,"),
+        (b"\nhead 1 ", b"\nhead 0 ", "not encoders 1..4 and heads 1 2 3 4,"),
+        (b"\nhead 2 ", b"\nhead 9 ", "not encoders 1..4 and heads 1 2 3 4,"),
+        (b"\nhead 1 64 ", b"\nhead 1 64 64 64 4\nhead 1 64 ", "each kind of one shape"),
+        (b"\nclients 4\n", b"\nclients 5\n", "not encoders 1..5 and heads"),
+        (b"\nclasses 4\n", b"\nclasses 5\n", "widths do not fit 4 clients, rep_dim 16 and 5"),
+        (b"\nrep_dim 16\n", b"\nrep_dim 8\n", "widths do not fit 4 clients, rep_dim 8"),
+        (b" 64 64 4\n", b" 60 64 4\n", "head (60, 64, 4) widths do not fit 4 clients"),
+    ], ids=["encoder-77", "head-0", "head-9", "head-twice", "clients", "classes", "rep-dim",
+            "head-width"])
+    def test_self_contradicting_manifest_rejected(self, tmp_path, old, new, message):
+        # the clients, classes, rep_dim and aggregators lines must agree
+        # with the layer lines; each of these edits used to load
+        _, path, *_ = self.make_ckpt(tmp_path)
+        raw = path.read_bytes()
+        assert old in raw.split(b"\nDATA\n")[0] + b"\n"
+        p2 = tmp_path / "bad.ckpt"
+        p2.write_bytes(raw.replace(old, new))
+        with pytest.raises(ConfigError, match=re.escape(message)) as info:
+            load_checkpoint(p2)
+        assert str(info.value).startswith(f"{p2}: ")
+
+    def test_aggregator_subset_reloads_bit_for_bit(self, tmp_path):
+        # heads for aggregators 2 and 3 of 4 devices: the head rows keep
+        # their aggregators
+        ds, part, _ = small_problem(n=80)
+        graph = build_graph("complete", 4, 2, seed=1, random_aggregators=True)
+        assert graph.aggregators != (1, 2)
+        ckpt = fit_pool(TrainConfig(epochs=1, seed=3), ds, part, graph, 3)
+        save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        assert loaded.model.aggregators == graph.aggregators
+        assert loaded.model.params.tobytes() == ckpt.model.params.tobytes()
 
     def test_serializes_as_float32(self, tmp_path):
         # fit trains in float32, and the payload is read back as it is
