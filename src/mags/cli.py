@@ -12,15 +12,16 @@ aggregate CSV are byte-identical across reruns on one platform.
 ``train`` and ``eval`` run one job per (train_name, seed) in ``--workers``
 processes (at most one per job). A command builds its inputs once, the
 training pool or the test split, into shared memory: the split's noise or
-image blocks run on the workers, each writing its blocks into the shared
-views. The command then forks the workers for its jobs, and they read those
-inputs. Both times the calling process runs a share itself, the share that
-holds the heaviest block or job. Unless the user set
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``,
-numpy's OpenBLAS runs one thread per process meanwhile. The default is one
-worker per usable core where that count can be set or the user set one, and
-1 otherwise. Where the platform cannot fork, the default is 1 and more is a
-usage error. Results do not depend on the worker count.
+image blocks run on the workers (at most one per block, whatever the job
+count), each writing its blocks into the shared views. The command then
+forks the workers for its jobs, and they read those inputs. Both times the
+calling process runs a share itself, the share that holds the heaviest
+block or job. Unless the user set ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, numpy's OpenBLAS runs one
+thread per process meanwhile. The default is one worker per usable core
+where that count can be set or the user set one, and 1 otherwise. Where the
+platform cannot fork, the default is 1 and more is a usage error. Results
+do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ def train_jobs(cfg: ExperimentConfig) -> list:
     return [(spec, seed) for spec in cfg.train_variants() for seed in cfg.seeds]
 
 
-def worker_count(workers: int | None, job_count: int) -> int:
-    """The processes that run ``job_count`` jobs: ``workers``, and at most
-    one per job.
+def worker_count(workers: int | None) -> int:
+    """A command's worker count, ``workers`` checked (``_run_jobs`` runs at
+    most one per job, and a dataset build's jobs are its blocks).
 
     By default, one per usable core where the workers can fork and their
     BLAS thread count is known to do no harm: ``_run_jobs`` sets numpy's
@@ -128,7 +129,7 @@ def worker_count(workers: int | None, job_count: int) -> int:
     elif workers > 1 and not CAN_FORK:
         raise ConfigError(f"--workers {workers} needs the fork start method, "
                           "which this platform lacks")
-    return max(1, min(workers, job_count))
+    return workers
 
 
 def _work_share(conn, fn, share):
@@ -240,9 +241,8 @@ def _train_checkpoints(cfg: ExperimentConfig, jobs, pool) -> list:
     return paths
 
 
-def cmd_train(cfg: ExperimentConfig, workers: int | None = None) -> int:
+def cmd_train(cfg: ExperimentConfig, workers: int) -> int:
     jobs = train_jobs(cfg)
-    workers = worker_count(workers, len(jobs))
     pool = build_dataset(cfg, "train", workers)
     for p in _run_jobs(lambda share: _train_checkpoints(cfg, share, pool), jobs, workers):
         print(p)
@@ -299,9 +299,8 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs, test) -> list:
     return results
 
 
-def cmd_eval(cfg: ExperimentConfig, workers: int | None = None) -> int:
+def cmd_eval(cfg: ExperimentConfig, workers: int) -> int:
     jobs = train_jobs(cfg)
-    workers = worker_count(workers, len(jobs))
     for spec, seed in jobs:
         p = checkpoint_path(cfg.out_dir, spec.train_name, seed)
         if not p.exists():
@@ -435,9 +434,8 @@ def main(argv=None) -> int:
         if args.command in ("train", "eval"):
             seeds = parse_seed_list(args.seeds) if args.seeds else None
             cfg = load_config(args.config, seeds_override=seeds, out_override=args.out)
-            if args.command == "train":
-                return cmd_train(cfg, workers=args.workers)
-            return cmd_eval(cfg, workers=args.workers)
+            command = cmd_train if args.command == "train" else cmd_eval
+            return command(cfg, worker_count(args.workers))
         if args.command == "props":
             return cmd_props(args.seed, args.out)
         return cmd_plotdata(args.csvs, args.out)

@@ -231,16 +231,17 @@ def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dro
     return total / max(n, 1)
 
 
-def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, rows):
-    """Fault-free validation: summed head cross-entropy (mean over samples)
-    and accuracy averaged over aggregators.
-
-    The samples are the rows ``rows`` of the client-major pool ``views`` and
-    of its ``labels``; each chunk of them is gathered by row and cast to the
-    parameters' dtype, so the split's views are never copied out whole, and
-    its encoders run in one stacked pass, as ``split_forward`` runs them."""
-    keep = fault_free_delivery(graph)[1]
-    n = len(rows)
+def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, rows, gossip_rounds=0):
+    """Fault-free validation: ``split_forward``'s loss, the one training
+    minimizes, on the base graph's delivery with every head alive and
+    ``gossip_rounds`` rounds over its ``gossip_mix`` pair, and the accuracy
+    of its final log-probs averaged over aggregators. The samples are the
+    rows ``rows`` of the client-major pool ``views`` and of its ``labels``,
+    gathered and cast to the parameters' dtype a chunk at a time, so the
+    split's views are never copied out whole; each chunk's mean loss is
+    weighted by its rows."""
+    alive, keep = fault_free_delivery(graph)
+    mix = gossip_mix(graph.adj, graph.aggregators, model.params.dtype)  # the base graph's links
     loss_sum, hit_sum = 0.0, 0.0
     # samples per encoder pass, fixed: the chunk sets the order of the loss
     # sum (so the checkpointed best loss to the last bit) and, with the head
@@ -249,17 +250,15 @@ def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, rows):
     # heads, 10 classes), the traced peak was 7.2 MiB, against 4.8 MiB in
     # passes of 8 heads, in about the same time
     chunk = 512
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        lab = labels[rows[sl]]
-        y = one_hot(lab, model.class_count)
-        x = np.take(views, rows[sl], axis=1).astype(model.params.dtype, copy=False)
-        concat = sample_major(relu(mlp_forward(model.encoder, x)[0]))
-        lps, _ = aggregator_head(model, aggregate(concat, keep))
-        for lp in lps:
-            loss_sum += float(-(y * lp).sum())
-            hit_sum += float((lp.argmax(axis=1) == lab).sum())
-    return loss_sum / n, hit_sum / (n * len(keep))
+    for start in range(0, len(rows), chunk):
+        idx = rows[start:start + chunk]
+        lab = labels[idx]
+        x = np.take(views, idx, axis=1).astype(model.params.dtype, copy=False)
+        loss, (*_, finals, _, _) = split_forward(model, x, one_hot(lab, model.class_count),
+                                                  keep, alive, mix, gossip_rounds)
+        loss_sum += float(loss) * len(lab)
+        hit_sum += float((finals.argmax(axis=-1) == lab).sum())
+    return loss_sum / len(rows), hit_sum / (len(rows) * len(keep))
 
 
 @dataclass
@@ -282,8 +281,9 @@ def config_echo(cfg: TrainConfig, graph: DeviceGraph, partition: PartitionSpec, 
 
 def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: PartitionSpec,
         graph: DeviceGraph, curve_path=None) -> Checkpoint:
-    """Train for cfg.epochs and keep the parameters with the lowest fault-free
-    validation loss. Fully deterministic for a fixed seed.
+    """Train for cfg.epochs and keep the parameters whose fault-free
+    validation loss, the trained one after its gossip rounds, is lowest.
+    Fully deterministic for a fixed seed.
 
     ``views`` is the client-major (C, n, d) stack of a whole training pool,
     ``labels`` its (n,) labels, and ``split`` the (train rows, validation
@@ -306,7 +306,7 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
     rng_dropout = stream(cfg.seed, "dropout")
     rng_fault = stream(cfg.seed, "fault")
 
-    best_loss, _ = evaluate_split(model, views, labels, graph, val_rows)
+    best_loss, _ = evaluate_split(model, views, labels, graph, val_rows, cfg.gossip_rounds)
     best_model = model.copy()
     best_epoch = 0
 
@@ -314,7 +314,8 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
     for epoch in range(1, cfg.epochs + 1):
         tr_loss = train_epoch(model, opt, views, train_rows, y, graph, cfg,
                               rng_data, rng_dropout, rng_fault)
-        val_loss, val_acc = evaluate_split(model, views, labels, graph, val_rows)
+        val_loss, val_acc = evaluate_split(model, views, labels, graph, val_rows,
+                                           cfg.gossip_rounds)
         curves.append((epoch, tr_loss, val_loss, val_acc))
         if val_loss < best_loss:
             best_loss = val_loss

@@ -9,8 +9,8 @@ forms of the head-path kernels, the sampled selection scorer that
 ``metrics.score_policies``' expectations are checked against, the
 per-batch policy scoring loop that ``metrics.evaluate_policies``' one
 scoring pass is checked against, and the per-client encoder loop that
-``training.evaluate_split``'s stacked one is checked against. No pipeline
-of the library calls them."""
+``training.evaluate_split``'s pass through ``training.split_forward`` is
+checked against. No pipeline of the library calls them."""
 
 import math
 import struct
@@ -310,9 +310,11 @@ def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, polici
 
 
 def per_client_evaluate_split(model, views, labels, graph, rows):
-    """``training.evaluate_split`` encoding each 512-row chunk with
-    ``client_encode``, one ``mlp_forward`` call per client, and running its
-    heads four at a time, each group's rows taken from the head stack."""
+    """``training.evaluate_split`` at no gossip, encoding each 512-row chunk
+    with ``client_encode``, one ``mlp_forward`` call per client, and running
+    its heads four at a time, each group's rows taken from the head stack.
+    A chunk's loss is the sum of its heads' mean losses, weighted by its
+    rows."""
     keep = fault_free_delivery(graph)[1]
     k = len(keep)
     n = len(rows)
@@ -322,10 +324,12 @@ def per_client_evaluate_split(model, views, labels, graph, rows):
         lab = labels[rows[sl]]
         y = one_hot(lab, model.class_count)
         reps = client_encode(model, views[:, rows[sl]])
+        chunk_loss = 0.0
         for g in range(0, k, 4):
             out, _ = mlp_forward(model.head.take(slice(g, g + 4)),
                                  aggregate(sample_major(reps), keep[g:g + 4]))
             for lp in log_softmax(out):
-                loss_sum += float(-(y * lp).sum())
+                chunk_loss += float(-(y * lp).sum() / len(lab))
                 hit_sum += float((lp.argmax(axis=1) == lab).sum())
+        loss_sum += chunk_loss * len(lab)
     return loss_sum / n, hit_sum / (n * k)

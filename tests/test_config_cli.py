@@ -887,14 +887,39 @@ def caller_openblas_threads(monkeypatch):
 
 
 class TestWorkers:
-    def test_default_is_one_worker_per_usable_core_and_job(self, monkeypatch):
+    def test_default_is_one_worker_per_usable_core(self, monkeypatch):
         monkeypatch.setattr(cli, "OPENBLAS_THREADS", (lambda: 1, lambda threads: None))
         cores = len(os.sched_getaffinity(0))
-        assert worker_count(None, 100) == cores
-        assert worker_count(None, 1) == 1
-        assert worker_count(3, 2) == 2
+        assert worker_count(None) == cores
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert worker_count(None, 100) == 1
+        assert worker_count(None) == 1
+
+    def test_jobs_run_on_at_most_one_process_each(self, monkeypatch):
+        monkeypatch.setattr(cli, "OPENBLAS_THREADS", (lambda: 1, lambda threads: None))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        dealt, deal = [], cli.deal
+        monkeypatch.setattr(cli, "deal", lambda weights, workers: dealt.append(workers)
+                            or deal(weights, workers))
+        # one job on 4 default workers runs in the calling process, forking none
+        assert _run_jobs(job_and_pid, ["a"], worker_count(None)) == [("a", os.getpid())]
+        assert dealt == []
+        # two jobs on 3 workers: two shares, one of them forked
+        seen = _run_jobs(job_and_pid, ["a", "b"], worker_count(3))
+        assert dealt == [2] and len({pid for _, pid in seen}) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_a_one_job_train_builds_its_blocks_on_every_worker(self, tmp_path, monkeypatch):
+        # 2100 training rows: two whole blocks and a partial third
+        cfg_path = write_config(tmp_path, BASE_CONFIG.replace("train_n = 600", "train_n = 2100")
+                                .replace("list = VFL, MACL, CD-MACL-G2", "list = VFL")
+                                .replace("seeds = 1, 2", "seeds = 1"))
+        calls, run_jobs = [], cli._run_jobs
+        monkeypatch.setattr(cli, "_run_jobs", lambda fn, jobs, workers, weights=None:
+                            calls.append((len(jobs), workers)) or run_jobs(fn, jobs, workers,
+                                                                           weights))
+        assert main(["train", "--config", str(cfg_path), "--workers", "2"]) == 0
+        assert calls == [(3, 2), (1, 2)]  # the build's blocks, then the one fit
+        assert multiprocessing.active_children() == []
 
     def test_default_is_serial_unless_openblas_threads_can_be_set_or_the_user_set_them(
             self, monkeypatch):
@@ -902,14 +927,14 @@ class TestWorkers:
         for name in BLAS_THREAD_VARS:
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setattr(cli, "OPENBLAS_THREADS", None)  # MKL, Accelerate, ...
-        assert worker_count(None, 100) == 1
-        assert worker_count(3, 100) == 3  # an explicit count is the user's call
+        assert worker_count(None) == 1
+        assert worker_count(3) == 3  # an explicit count is the user's call
         for name in BLAS_THREAD_VARS:
             with monkeypatch.context() as env:
                 env.setenv(name, "1")
-                assert worker_count(None, 100) == 4
+                assert worker_count(None) == 4
         monkeypatch.setattr(cli, "OPENBLAS_THREADS", (lambda: 1, lambda threads: None))
-        assert worker_count(None, 100) == 4
+        assert worker_count(None) == 4
 
     def test_every_share_runs_one_openblas_thread_and_the_caller_gets_its_count_back(
             self, caller_openblas_threads):
@@ -976,7 +1001,7 @@ class TestWorkers:
     def test_without_fork_the_default_is_serial_and_more_is_a_usage_error(
             self, pipeline, monkeypatch, capsys, command):
         monkeypatch.setattr(cli, "CAN_FORK", False)
-        assert worker_count(None, 100) == 1
+        assert worker_count(None) == 1
         _, cfg_path = pipeline
         assert main([command, "--config", str(cfg_path), "--workers", "2"]) == 2
         assert "--workers 2 needs the fork start method" in capsys.readouterr().err

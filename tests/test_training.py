@@ -650,6 +650,30 @@ class TestFit:
         b = fit_pool(TrainConfig(epochs=1, seed=9, gossip_rounds=2), ds, part, graph, 9)
         assert not np.array_equal(a.model.head.layers[0][0][0], b.model.head.layers[0][0][0])
 
+    def test_validation_scores_the_loss_after_the_training_gossip(self, tmp_path):
+        # a ring trained through 4 gossip rounds: the members collude, so
+        # their loss without gossip rises while the trained loss falls, and
+        # validation without the rounds would keep epoch 3
+        ds = synth_dataset(600, 10, 4, seed=5, noise=0.3)
+        part = split_patches(ds.feature_count, 4)
+        graph = build_graph("ring", 16, 16)
+        cfg = TrainConfig(epochs=10, seed=1, batch_size=32, lr=0.01, gossip_rounds=4)
+        curve = tmp_path / "curve.csv"
+        ckpt = fit_pool(cfg, ds, part, graph, 1, curve_path=curve)
+        train_loss = [float(r.split(",")[1]) for r in curve.read_text().splitlines()[1:]]
+        assert train_loss[-1] < train_loss[0] / 5
+        assert ckpt.best_epoch >= 8
+        # one 64-row chunk, so its loss times its rows over its rows is exact
+        rows = make_splits(len(ds), 1)[1][:64]
+        views = client_views(ds.features, part)
+        loss, acc = evaluate_split(ckpt.model, views, ds.labels, graph, rows, 4)
+        alive, keep = fault_free_delivery(graph)
+        ref, (*_, finals, _, _) = split_forward(
+            ckpt.model, views[:, rows], one_hot(ds.labels[rows], 10), keep, alive,
+            gossip_mix(graph.adj, graph.aggregators, np.float32), 4)
+        assert loss == float(ref) != evaluate_split(ckpt.model, views, ds.labels, graph, rows)[0]
+        assert acc == (finals.argmax(axis=-1) == ds.labels[rows]).mean()
+
     def test_empty_validation_rejected(self):
         ds, part, graph = small_problem(n=40)
         split = np.arange(len(ds)), np.zeros(0, dtype=np.intp)
@@ -663,8 +687,9 @@ class TestEvaluateSplit:
         ("complete", 16, 16), ("complete", 16, 1), ("ring", 4, 3)])
     def test_one_head_pass_gives_the_per_aggregator_loss_bits(self, kind, devices,
                                                               aggregators):
-        # reference: one head at a time, loss and hits summed per (chunk,
-        # aggregator) in the same order
+        # reference: one head at a time, each chunk's loss the sum of its
+        # heads' mean losses, weighted by its rows, and hits summed per
+        # (chunk, aggregator)
         graph = build_graph(kind, devices, aggregators)
         g = int(np.sqrt(devices))
         ds = synth_dataset(1100, 5, g, seed=2, noise=0.3)
@@ -676,13 +701,16 @@ class TestEvaluateSplit:
         loss_sum, hit_sum = 0.0, 0.0
         for start in range(0, len(ds), 512):
             sl = slice(start, min(start + 512, len(ds)))
+            rows = sl.stop - start
             reps = client_encode(model, views[:, sl])
+            chunk_loss = 0.0
             for j in range(aggregators):
                 out, _ = mlp_forward(model.head.take(slice(j, j + 1)),
                                      aggregate(sample_major(reps), keep[j:j + 1]))
                 (lp,) = log_softmax(out)
-                loss_sum += float(-(y[sl] * lp).sum())
+                chunk_loss += float(-(y[sl] * lp).sum() / rows)
                 hit_sum += float((lp.argmax(axis=1) == ds.labels[sl]).sum())
+            loss_sum += chunk_loss * rows
         loss, acc = evaluate_split(model, views, ds.labels, graph, np.arange(len(ds)))
         assert loss == loss_sum / len(ds)
         assert acc == hit_sum / (len(ds) * aggregators)
