@@ -14,7 +14,7 @@ from functools import reduce
 import numpy as np
 
 from .data import one_hot
-from .faults import FaultModel, sample_realization
+from .faults import FaultModel, base_realization, sample_realization
 from .inference import gossip_mix, gossip_round
 from .metrics import count_comm, ensemble_decomposition, score_policies
 from .nn import log_softmax
@@ -276,7 +276,7 @@ def _max_grad_error(model, views, y, keep, graph, tol):
     one parameter set per coordinate moved, bit-identical to moving the
     coordinates one at a time."""
     step = 1e-5
-    args = (views, y, keep, np.ones(len(graph.aggregators), dtype=bool))
+    args = (views, y, keep, base_realization(graph, 1)[0])
     base, grad = split_loss_and_grads(model, *args)
     params = model.params
 

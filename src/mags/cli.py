@@ -45,9 +45,10 @@ from .config import (ExperimentConfig, build_dataset, build_method_graph, build_
                      load_config, parse_seed_list)
 from .data import make_splits
 from .errors import ConfigError
-from .faults import FaultModel
+from .faults import FAULT_KINDS, FaultModel
 from .inference import client_encode
-from .metrics import evaluate_policies
+from .metrics import POLICIES, evaluate_policies
+from .topology import GRAPH_KINDS
 from .training import fit, load_checkpoint, save_checkpoint
 
 RUNS_SCHEMA = "# schema: mags/runs/v1"
@@ -267,7 +268,7 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs, test) -> list:
         train_name = variant.train_name
         graph = build_method_graph(cfg, variant)
         ckpt = load_checkpoint(checkpoint_path(cfg.out_dir, train_name, seed))
-        if list(ckpt.config.get("aggregators", [])) != list(graph.aggregators):
+        if ckpt.model.aggregators != graph.aggregators:
             raise ConfigError(
                 f"checkpoint {train_name}-seed{seed} aggregators do not match config graph")
         model = ckpt.model
@@ -359,9 +360,9 @@ def cmd_props(seed: int = 0, out: str | None = None) -> int:
 
 def read_runs_csv(path):
     """The data rows of a runs CSV, blank lines skipped. A wrong schema line
-    or header, a row of another width than the header, or an accuracy or
-    comm_mean that is not a number (``nan`` is one) raises ``ConfigError``
-    naming the file and line."""
+    or header, a row of another width, an accuracy or comm_mean that is not
+    a number (``nan`` is one), or an unknown graph, fault kind or policy
+    raises ``ConfigError`` naming the file and line."""
     with open(path) as f:
         first = f.readline().strip()
         if first != RUNS_SCHEMA:
@@ -383,6 +384,11 @@ def read_runs_csv(path):
                     float(value)
                 except ValueError:
                     raise ConfigError(f"{where}: {column} {value!r} is not a number") from None
+            for column, known in (("graph", GRAPH_KINDS), ("fault_kind", FAULT_KINDS),
+                                  ("policy", POLICIES)):  # these three name the plot files
+                value = row[RUNS_HEADER.index(column)]
+                if value not in known:
+                    raise ConfigError(f"{where}: {column} {value!r} is not one of {known}")
             rows.append(row)
         return rows
 

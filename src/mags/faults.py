@@ -77,7 +77,8 @@ class RealizedGraph:
         return RealizedGraph(self.alive[i], self.edge_alive[i])
 
 
-def _base(graph: DeviceGraph, batches: int) -> RealizedGraph:
+def base_realization(graph: DeviceGraph, batches: int) -> RealizedGraph:
+    """The fault-free realization of ``batches`` batches, held (R = 1)."""
     n = graph.device_count + 1
     return RealizedGraph(np.ones((batches, n), dtype=bool),
                          np.broadcast_to(graph.adj, (batches, 1, n, n)))
@@ -122,7 +123,7 @@ def sample_realization(graph: DeviceGraph, model: FaultModel, batches: int, roun
     if model.kind == "communication":
         return sample_comm_faults(graph, model.rate, batches, rng)
     if model.kind == "none" or model.rate == 0.0:
-        return _base(graph, batches)
+        return base_realization(graph, batches)
     first = sample_comm_faults(graph, model.rate, batches, rng)
     n = graph.device_count + 1
     u = rng.random((batches, rounds - 1, n, n))

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .faults import FAULT_KIND_IDS, RealizedGraph, active_mask, sample_realization
-from .inference import (SplitModel, aggregate, aggregator_head, delivery, fault_free_delivery,
-                        mags_infer, sample_major)
+from .faults import (FAULT_KIND_IDS, RealizedGraph, active_mask, base_realization,
+                     sample_realization)
+from .inference import (SplitModel, aggregate, aggregator_head, delivery, mags_infer,
+                        sample_major)
 from .nn import log_softmax
 from .rng import stream
 from .topology import DeviceGraph
@@ -199,7 +200,7 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     total = n * trials
     rows = sample_major(reps)
     aggs = np.asarray(graph.aggregators, dtype=np.intp)
-    base_keep = fault_free_delivery(graph)[1]
+    base_keep = delivery(base_realization(graph, 1)[0], aggs)[1]
     # batches per stacked pass, fixed: it sets a pass's peak memory, not its
     # bits. One mags eval on eval-sweep's inputs (16 heads, batches of 64,
     # float32) took a median 0.547, 0.524 and 0.548 s of CPU time at 4, 8

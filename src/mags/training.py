@@ -7,8 +7,9 @@ vector per batch. Faults are simulated with party-wise (PD) or
 communication-wise (CD) dropout: dropped slots are zero-imputed with no
 inverse-rate rescaling, because the point is to match the test-time fault
 distribution, not to regularize. Each batch holds its own dropout/fault
-realization, all of an epoch's drawn in one call. Gossip stays out of
-training unless explicitly enabled.
+realization of one round, all of an epoch's drawn in one call. Gossip stays
+out of training unless enabled; it then mixes over that round's links
+through ``mags_infer``, the loop inference runs.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 
 from .data import COMPUTE_DTYPE, PartitionSpec, one_hot
 from .errors import ConfigError, InputError
-from .faults import FaultModel, sample_realization
-from .inference import (SplitModel, aggregate, aggregator_head, delivery, fault_free_delivery,
-                        gossip_adjoint, gossip_mix, gossip_round, init_split_model, sample_major)
+from .faults import FaultModel, RealizedGraph, base_realization, sample_realization
+from .inference import (SplitModel, aggregate, aggregator_head, delivery, gossip_adjoint,
+                        gossip_mix, init_split_model, mags_infer, sample_major)
 from .nn import (AdamState, adam_init, adam_update, log_softmax, mlp_backward, mlp_forward,
                  mlp_size, relu)
 from .rng import stream
@@ -93,64 +94,59 @@ def apply_cd_mask(batches: int, client_count: int, aggregators, rate: float, rng
     return keep
 
 
-def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, batches: int, rng_dropout, rng_fault,
-                   dtype):
+def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, batches: int, rng_dropout, rng_fault):
     """Which client representations reach which aggregator in each of an
     epoch's ``batches`` batches, drawn in one call as ``evaluate_policies``
-    draws a cell's: (keep (nb, K, C), alive (nb, K), the stacked
-    ``gossip_mix`` pair in ``dtype``, the model's, or None when the loss does
-    not gossip). Entry i is batch i's, row j ``graph.aggregators[j]``, a
-    dead one's keep row all False. One ``sample_realization`` (the kind
-    ``none`` draws nothing and gives the base graph), then one dropout mask
-    draw: numpy fills a (nb, ...) draw in C order, so each stream is used
-    up as one call per batch would use it. The draw is held whole, as a
-    cell's is: 0.23 MB of uniforms for 100 batches of communication faults
-    on 16 devices."""
+    draws a cell's: (keep (nb, K, C), the realization stacked over the
+    batches). Entry i is batch i's, keep row j ``graph.aggregators[j]``, a
+    dead one's all False; ``realized[i]`` holds one round, which gives the
+    batch's alive heads and, when the loss gossips, its links. One
+    ``sample_realization`` (the kind ``none`` draws nothing and gives the
+    base graph), then one dropout mask draw: numpy fills a (nb, ...) draw in
+    C order, so each stream is used up as one call per batch would use it.
+    The draw is held whole, as a cell's is: 0.23 MB of uniforms for 100
+    batches of communication faults on 16 devices."""
     realized = sample_realization(graph, cfg.train_fault, batches, 1, rng_fault)
-    alive, keep = delivery(realized, graph.aggregators)
-    mix = (gossip_mix(realized.edge_alive[:, 0], graph.aggregators, dtype)
-           if cfg.gossip_rounds else None)
+    keep = delivery(realized, graph.aggregators)[1]
     c = graph.device_count
     if cfg.dropout == "pd":
         keep &= apply_pd_mask(batches, c, cfg.dropout_rate, rng_dropout)[:, None, :]
     elif cfg.dropout == "cd":
         keep &= apply_cd_mask(batches, c, graph.aggregators, cfg.dropout_rate, rng_dropout)
-    return keep, alive, mix
+    return keep, realized
 
 
-def split_forward(model: SplitModel, views, y, keep, alive, mix=None, gossip_rounds=0):
+def split_forward(model: SplitModel, views, y, keep, realized: RealizedGraph, gossip_rounds=0):
     """The forward half of ``split_loss_and_grads``: the loss summed over
     the alive heads (mean over the batch), and what the backward half
     reads, (reps, encoder tape, head log-probs, final log-probs, head
     stack, head tape). Takes that function's arguments. Every head runs,
-    and the loss of each dead one is set to zero.
+    and the loss of each dead one is set to zero. The final log-probs are
+    the heads' own, or ``log_softmax`` of ``mags_infer``'s rounds over
+    ``realized`` when the loss gossips.
 
     ``model`` may hold a (P, N) stack of parameter vectors: the batch then
     runs through all P models in one pass, and the loss is a (P,) array,
     entry s bit-identical to the loss of parameter vector s run alone. The
-    heads' losses are added left to right in float64 by a running sum, as
-    Python's ``sum`` from a float64 zero adds them (``np.add.reduce`` over
-    8 or more heads would pair them up); a dead head's zero leaves the sum
-    as it is. For a single vector the loss is a numpy scalar; with no alive
-    head it is 0."""
+    heads' losses are added left to right in float64, as Python's ``sum``
+    from a float64 zero adds them (``np.add.reduce`` over 8 or more heads
+    would pair them up). For a single vector the loss is a numpy scalar;
+    with no alive head it is 0."""
     lead = model.params.shape[:-1]
     out, enc_tape = mlp_forward(model.encoder, np.broadcast_to(views, lead + np.shape(views)))
     reps = relu(out)
     inputs = aggregate(sample_major(reps), keep)
     log_ps, (head, head_tape) = aggregator_head(model, inputs)
-    finals = log_ps
-    if gossip_rounds:
-        for _ in range(gossip_rounds):
-            finals = gossip_round(finals, mix)
-        finals = log_softmax(finals)
+    finals = (log_softmax(mags_infer(log_ps, model.aggregators, realized, gossip_rounds))
+              if gossip_rounds else log_ps)
     head_losses = -(y * finals).sum(axis=(-2, -1)) / max(y.shape[0], 1)
-    head_losses[..., ~alive] = 0.0
+    head_losses[..., ~delivery(realized, model.aggregators)[0]] = 0.0
     loss = np.cumsum(head_losses, axis=-1, dtype=np.float64)[..., -1]
     return loss, (reps, enc_tape, log_ps, finals, head, head_tape)
 
 
-def split_loss_and_grads(model: SplitModel, views, y, keep, alive,
-                         mix=None, gossip_rounds=0, out=None):
+def split_loss_and_grads(model: SplitModel, views, y, keep, realized: RealizedGraph,
+                         gossip_rounds=0, out=None):
     """Loss summed over aggregator heads (mean over the batch) and its exact
     gradient, a flat vector laid out like ``model.params``. ``out``, when
     given, is a SplitModel like ``model`` whose ``params`` receive the
@@ -162,38 +158,37 @@ def split_loss_and_grads(model: SplitModel, views, y, keep, alive,
     one-hot targets, built with ``one_hot`` and not checked again here, on
     every batch. ``split_forward`` runs every client's encoder in one
     stacked pass, then ``aggregate`` and ``aggregator_head`` run every head
-    as inference does. ``alive[j]`` says whether ``model.aggregators[j]`` is
-    alive: a dead head's output gradient is set to zero by one boolean-mask
-    write (a sixth of ``np.where``'s time on a desk batch), so its gradient
-    rows are +0.0, and every head row is written through the layer views
-    of ``out``.
+    as inference does. ``realized``, the batch's one-round realization,
+    gives the alive heads: a dead head's output gradient is set to zero by
+    one boolean-mask write, so its gradient rows are +0.0, and every head
+    row is written through the layer views of ``out``.
     ``keep[j, c-1]`` says whether client c's representation reaches
     ``model.aggregators[j]``; unreachable slots are zero-imputed and receive
     no gradient, so a dead client, which reaches no aggregator, gets a zero
     gradient too. With ``gossip_rounds`` > 0, the per-head log-probabilities
-    are mixed for that many rounds over the (K, K) ``gossip_mix`` pair
-    ``mix`` and renormalized before the loss; ``gossip_adjoint`` undoes them.
+    are mixed for that many rounds over the links of ``realized`` and
+    renormalized before the loss; ``gossip_adjoint`` undoes the rounds over
+    the ``gossip_mix`` pair of its one round.
     """
     n = max(y.shape[0], 1)
     grad = dataclasses.replace(model, params=np.empty_like(model.params)) if out is None else out
-    k_count, b = len(model.aggregators), y.shape[0]
-    c_count, rep = model.client_count, model.rep_dim
 
     loss, (reps, enc_tape, log_ps, finals, head, head_tape) = split_forward(
-        model, views, y, keep, alive, mix, gossip_rounds)
+        model, views, y, keep, realized, gossip_rounds)
     dlogits = np.exp(finals)
     dlogits -= y
     dlogits /= n
     if gossip_rounds:
+        mix = gossip_mix(realized.edge_alive[0], model.aggregators, dlogits.dtype)
         for _ in range(gossip_rounds):
             dlogits = gossip_adjoint(dlogits, mix)
         dlogits -= np.exp(log_ps) * dlogits.sum(axis=2, keepdims=True)
-    dlogits[~alive] = 0.0
+    dlogits[~delivery(realized, model.aggregators)[0]] = 0.0
 
     _, du = mlp_backward(head, head_tape, dlogits, out=grad.head)
     if not keep.all():
-        np.copyto(du, 0.0, where=~np.repeat(keep, rep, axis=1)[:, None, :])
-    d_rep = du.reshape(k_count, b, c_count, rep).sum(axis=0)  # (B, C, r)
+        np.copyto(du, 0.0, where=~np.repeat(keep, model.rep_dim, axis=1)[:, None, :])
+    d_rep = du.reshape(*du.shape[:2], model.client_count, model.rep_dim).sum(axis=0)  # (B, C, r)
     dh = d_rep.swapaxes(0, 1) * (reps > 0)
     mlp_backward(model.encoder, enc_tape, dh, input_grad=False, out=grad.encoder)
     return float(loss), grad.params
@@ -217,14 +212,12 @@ def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dro
     n = len(rows)
     order = rng_data.permutation(n)
     starts = range(0, n, cfg.batch_size)
-    keep, alive, mix = batch_delivery(graph, cfg, len(starts), rng_dropout, rng_fault,
-                                      model.params.dtype)
+    keep, realized = batch_delivery(graph, cfg, len(starts), rng_dropout, rng_fault)
     total = 0.0
     for i, start in enumerate(starts):
         idx = order[start:start + cfg.batch_size]
         batch = np.take(views, rows[idx], axis=1).astype(model.params.dtype, copy=False)
-        pair = None if mix is None else (mix[0][i], mix[1][i])
-        loss, _ = split_loss_and_grads(model, batch, y_onehot[idx], keep[i], alive[i], pair,
+        loss, _ = split_loss_and_grads(model, batch, y_onehot[idx], keep[i], realized[i],
                                        cfg.gossip_rounds, out=grad)
         optimizer_step(model, opt, grad.params)
         total += loss * len(idx)
@@ -233,15 +226,14 @@ def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dro
 
 def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, rows, gossip_rounds=0):
     """Fault-free validation: ``split_forward``'s loss, the one training
-    minimizes, on the base graph's delivery with every head alive and
-    ``gossip_rounds`` rounds over its ``gossip_mix`` pair, and the accuracy
-    of its final log-probs averaged over aggregators. The samples are the
-    rows ``rows`` of the client-major pool ``views`` and of its ``labels``,
-    gathered and cast to the parameters' dtype a chunk at a time, so the
-    split's views are never copied out whole; each chunk's mean loss is
-    weighted by its rows."""
-    alive, keep = fault_free_delivery(graph)
-    mix = gossip_mix(graph.adj, graph.aggregators, model.params.dtype)  # the base graph's links
+    minimizes, on the base graph's realization with ``gossip_rounds``
+    rounds over its links, and the accuracy of its final log-probs averaged
+    over aggregators. The samples are the rows ``rows`` of the client-major
+    pool ``views`` and of its ``labels``, gathered and cast to the
+    parameters' dtype a chunk at a time, so the split's views are never
+    copied out whole; each chunk's mean loss is weighted by its rows."""
+    realized = base_realization(graph, 1)[0]
+    keep = delivery(realized, graph.aggregators)[1]
     loss_sum, hit_sum = 0.0, 0.0
     # samples per encoder pass, fixed: the chunk sets the order of the loss
     # sum (so the checkpointed best loss to the last bit) and, with the head
@@ -255,7 +247,7 @@ def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, rows, g
         lab = labels[idx]
         x = np.take(views, idx, axis=1).astype(model.params.dtype, copy=False)
         loss, (*_, finals, _, _) = split_forward(model, x, one_hot(lab, model.class_count),
-                                                  keep, alive, mix, gossip_rounds)
+                                                  keep, realized, gossip_rounds)
         loss_sum += float(loss) * len(lab)
         hit_sum += float((finals.argmax(axis=-1) == lab).sum())
     return loss_sum / len(rows), hit_sum / (len(rows) * len(keep))
@@ -302,9 +294,7 @@ def fit(cfg: TrainConfig, views, labels, class_count: int, split, partition: Par
                              stream(cfg.seed, "init"))
     model = dataclasses.replace(model, params=model.params.astype(COMPUTE_DTYPE))
     opt = adam_init(model.params, cfg.lr, cfg.beta1, cfg.beta2)
-    rng_data = stream(cfg.seed, "data")
-    rng_dropout = stream(cfg.seed, "dropout")
-    rng_fault = stream(cfg.seed, "fault")
+    rng_data, rng_dropout, rng_fault = (stream(cfg.seed, k) for k in ("data", "dropout", "fault"))
 
     best_loss, _ = evaluate_split(model, views, labels, graph, val_rows, cfg.gossip_rounds)
     best_model = model.copy()
@@ -416,6 +406,11 @@ def load_checkpoint(path) -> Checkpoint:
     if enc_dims[-1:] + head_dims[:1] + head_dims[-1:] != (rep_dim, clients * rep_dim, classes):
         raise ConfigError(f"{path}: encoder {enc_dims} and head {head_dims} widths do not "
                           f"fit {clients} clients, rep_dim {rep_dim} and {classes} classes")
+    # the hash covers the config line alone: the counts it echoes must agree
+    counts = {"device_count": clients, "class_count": classes, "aggregators": list(aggregators)}
+    if not isinstance(config, dict) or any(config.get(k) != v for k, v in counts.items()):
+        raise ConfigError(f"{path}: clients {clients}, classes {classes} and aggregators "
+                          f"{list(aggregators)} contradict the config line")
     size = clients * mlp_size(enc_dims) + len(aggregators) * mlp_size(head_dims)
     if len(body) != 4 * size:
         raise ConfigError(f"{path}: payload has {len(body)} bytes, the manifest needs {4 * size}")

@@ -21,9 +21,8 @@ import numpy as np
 from mags.certs import CertResult
 from mags.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset, one_hot
 from mags.errors import ConfigError, InputError
-from mags.faults import FAULT_KIND_IDS, active_mask, sample_realization
-from mags.inference import (aggregate, client_encode, fault_free_delivery, mags_infer,
-                            sample_major)
+from mags.faults import FAULT_KIND_IDS, active_mask, base_realization, sample_realization
+from mags.inference import aggregate, client_encode, mags_infer, sample_major
 from mags.metrics import EvalResult, count_comm, fault_rate_key
 from mags.nn import Mlp, log_softmax, mlp_backward, mlp_forward
 from mags.rng import stream
@@ -92,7 +91,7 @@ def per_coordinate_max_grad_error(model, views, y, keep, graph, tol):
     at a time, in place, with one ``split_loss_and_grads`` call per moved
     coordinate and per step."""
     step = 1e-5
-    args = (views, y, keep, np.ones(len(graph.aggregators), dtype=bool))
+    args = (views, y, keep, base_realization(graph, 1)[0])
     base, grad = split_loss_and_grads(model, *args)
     params = model.params
 
@@ -314,8 +313,8 @@ def per_client_evaluate_split(model, views, labels, graph, rows):
     with ``client_encode``, one ``mlp_forward`` call per client, and running
     its heads four at a time, each group's rows taken from the head stack.
     A chunk's loss is the sum of its heads' mean losses, weighted by its
-    rows."""
-    keep = fault_free_delivery(graph)[1]
+    rows. The base graph's delivery is read off its adjacency."""
+    keep = graph.adj[np.asarray(graph.aggregators), 1:]
     k = len(keep)
     n = len(rows)
     loss_sum, hit_sum = 0.0, 0.0

@@ -17,8 +17,8 @@ import pytest
 import mags.inference
 from mags import cli
 from mags.cli import BLAS_THREAD_VARS, _run_jobs, main, read_runs_csv, worker_count
-from mags.config import (CONFIG_KEYS, ExperimentConfig, load_config, parse_method,
-                         parse_seed_list, resolve_data_path)
+from mags.config import (CONFIG_KEYS, ExperimentConfig, build_method_graph, load_config,
+                         parse_method, parse_seed_list, resolve_data_path)
 from mags.data import (SYNTH_CHUNK_ROWS, Dataset, client_views, read_idx, split_patches,
                        synth_dataset)
 from mags.errors import ConfigError
@@ -722,6 +722,19 @@ class TestEvalCommand:
             "error: checkpoint VFL-seed1 has 4 clients, patch width 196 and 4 classes; "
             f"the config's test split has {test_split}\n")
 
+    def test_checkpoint_of_other_aggregators_is_a_usage_error(self, pipeline, tmp_path, capsys):
+        # the VFL checkpoints hold aggregator 1's head; the config's graph
+        # draws its one aggregator at random, and it is another device
+        shutil.copytree(pipeline[0] / "runs" / "checkpoints", tmp_path / "runs" / "checkpoints")
+        text = BASE_CONFIG.replace("list = VFL, MACL, CD-MACL-G2", "list = VFL").replace(
+            "kind = complete", "kind = complete\nrandom_aggregators = yes")
+        cfg_path = write_config(tmp_path, text)
+        graph = build_method_graph(load_config(cfg_path), parse_method("VFL", 4))
+        assert graph.aggregators != (1,)
+        assert main(["eval", "--config", str(cfg_path), "--workers", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint VFL-seed1 aggregators do not match config graph\n")
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_damaged_checkpoint_header_is_a_usage_error(self, pipeline, tmp_path, capsys,
                                                         workers):
@@ -1078,14 +1091,21 @@ class TestPlotdataCommand:
         ("VFL,complete,device,0.5,active_rand,1,0.25", "7 fields, not 9"),
         ("VFL,complete,device,0.5,active_rand,1,high,3.0000,0.010", "accuracy 'high'"),
         ("VFL,complete,device,0.5,active_rand,1,0.25,,0.010", "comm_mean ''"),
-    ], ids=["short-row", "accuracy", "comm_mean"])
+        ("VFL,complete,comm/x,0.5,active_rand,1,0.25,3.0000,0.010", "fault_kind 'comm/x'"),
+        ("VFL,complete,bogus,0.5,active_rand,1,0.25,3.0000,0.010", "fault_kind 'bogus'"),
+        ("VFL,../ring,device,0.5,active_rand,1,0.25,3.0000,0.010", "graph '../ring'"),
+        ("VFL,complete,device,0.5,best,1,0.25,3.0000,0.010", "policy 'best'"),
+    ], ids=["short-row", "accuracy", "comm_mean", "kind-with-slash", "unknown-kind",
+            "graph-with-dots", "unknown-policy"])
     def test_malformed_row_names_its_file_and_line(self, tmp_path, capsys, row, problem):
-        # these used to stop plotdata with an IndexError or ValueError traceback
+        # these used to stop plotdata with an IndexError, ValueError or
+        # FileNotFoundError traceback, or name a plot file after unknown text
         bad = tmp_path / "bad.csv"
         bad.write_text("# schema: mags/runs/v1\n" + ",".join(cli.RUNS_HEADER) + "\n"
                        "VFL,complete,device,0.5,active_rand,1,nan,3.0000,0.010\n\n" + row + "\n")
         assert main(["plotdata", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}, line 5: {problem}")
+        assert not (tmp_path / "o").exists()  # no plot file written
 
 
 class TestPropsCommand:

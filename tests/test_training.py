@@ -8,9 +8,9 @@ import pytest
 
 from mags.data import Dataset, client_views, make_splits, one_hot, split_patches, synth_dataset
 from mags.errors import ConfigError
-from mags.faults import FaultModel, sample_realization
-from mags.inference import (SplitModel, aggregate, client_encode, delivery, fault_free_delivery,
-                            gossip_mix, init_split_model, sample_major)
+from mags.faults import FaultModel, RealizedGraph, base_realization, sample_realization
+from mags.inference import (SplitModel, aggregate, client_encode, delivery, gossip_mix,
+                            init_split_model, mags_infer, sample_major)
 from mags.nn import (Mlp, adam_init, adam_update, init_mlp, log_softmax, mlp_forward, mlp_size,
                      stacked_mlp)
 from mags.rng import stream
@@ -47,23 +47,38 @@ def fit_pool(cfg, ds, part, graph, split_seed, curve_path=None):
                make_splits(len(ds), split_seed), part, graph, curve_path=curve_path)
 
 
-def per_batch_delivery(graph, cfg, batches, rng_dropout, rng_fault, dtype):
-    """``batch_delivery``'s reference: one realization, one dropout mask and
-    one gossip pair drawn per batch, then stacked over the batches."""
-    keeps, alives, mixes = [], [], []
+def per_batch_delivery(graph, cfg, batches, rng_dropout, rng_fault):
+    """``batch_delivery``'s reference: one realization and one dropout mask
+    drawn per batch; the masks stacked over the batches, the realizations a
+    list of them."""
+    keeps, realizations = [], []
     for _ in range(batches):
         realized = sample_realization(graph, cfg.train_fault, 1, 1, rng_fault)[0]
-        alive, keep = delivery(realized, graph.aggregators)
+        keep = delivery(realized, graph.aggregators)[1]
         if cfg.dropout == "pd":
             keep = keep & (rng_dropout.random(graph.device_count) >= cfg.dropout_rate)
         elif cfg.dropout == "cd":
             keep = keep & apply_cd_mask(1, graph.device_count, graph.aggregators,
                                         cfg.dropout_rate, rng_dropout)[0]
         keeps.append(keep)
-        alives.append(alive)
-        mixes.append(gossip_mix(realized.edge_alive[0], graph.aggregators, dtype))
-    mix = tuple(np.stack(m) for m in zip(*mixes)) if cfg.gossip_rounds else None
-    return np.stack(keeps), np.stack(alives), mix
+        realizations.append(realized)
+    return np.stack(keeps), realizations
+
+
+def base(graph):
+    """The one-round realization of ``graph`` without faults."""
+    return base_realization(graph, 1)[0]
+
+
+def realization(graph, alive_devices, cut=()):
+    """A one-round realization of ``graph`` in which the devices
+    ``alive_devices`` alone are alive, a dead one's every edge dropped, and
+    the directed links ``cut``, (i, j) pairs, dropped too."""
+    alive = np.isin(np.arange(graph.device_count + 1), [0, *alive_devices])
+    edge_alive = graph.adj & alive[:, None] & alive[None, :]
+    for i, j in cut:
+        edge_alive[i, j] = False
+    return RealizedGraph(alive, edge_alive[None])
 
 
 class TestDropoutMasks:
@@ -107,8 +122,8 @@ class TestDropoutMasks:
     def test_pd_zeroes_own_head_slot_too(self):
         graph = build_graph("complete", 4, 4)
         cfg = TrainConfig(dropout="pd", dropout_rate=1.0)
-        keep, alive, _ = batch_delivery(graph, cfg, 3, stream(5, "dropout"), stream(5, "fault"),
-                                        np.float64)
+        keep, realized = batch_delivery(graph, cfg, 3, stream(5, "dropout"), stream(5, "fault"))
+        alive = delivery(realized, graph.aggregators)[0]
         assert keep.shape == (3, 4, 4) and not keep.any()
         assert alive.shape == (3, 4) and alive.all()
 
@@ -116,22 +131,23 @@ class TestDropoutMasks:
         # on a ring, an aggregator only ever receives from its two neighbors
         graph = build_graph("ring", 8, 8)
         cfg = TrainConfig(dropout="none", gossip_rounds=1)
-        keep, _, (n, d) = batch_delivery(graph, cfg, 2, stream(6, "dropout"), stream(6, "fault"),
-                                         np.float64)
+        keep, realized = batch_delivery(graph, cfg, 2, stream(6, "dropout"), stream(6, "fault"))
+        n, d = gossip_mix(realized.edge_alive[:, 0], graph.aggregators, np.float64)
         assert keep.sum() == 2 * 8 * 3
         assert n.sum() == 2 * 8 * 3 and (d == 3).all()
 
     def test_device_train_faults_keep_rows_follow_alive_aggregators(self):
-        # row j of each batch's keep, alive mask and gossip pair belongs to
-        # aggregator j+1, dead ones included; every device aggregates, so an
-        # alive row keeps exactly the alive clients and links to the alive
-        # aggregators, and a dead row keeps nothing and links only to itself
+        # row j of each batch's keep, alive mask and the gossip pair of its
+        # realization belongs to aggregator j+1, dead ones included; every
+        # device aggregates, so an alive row keeps exactly the alive clients
+        # and links to the alive aggregators, and a dead row keeps nothing
+        # and links only to itself
         graph = build_graph("complete", 4, 4)
         cfg = TrainConfig(train_fault=FaultModel("device", 0.5), gossip_rounds=1)
-        keep, alive, (n, d) = batch_delivery(graph, cfg, 20, stream(7, "dropout"),
-                                             stream(7, "fault"), np.float32)
+        keep, realized = batch_delivery(graph, cfg, 20, stream(7, "dropout"), stream(7, "fault"))
+        alive = delivery(realized, graph.aggregators)[0]
+        n, d = gossip_mix(realized.edge_alive[:, 0], graph.aggregators, np.float32)
         assert keep.shape == n.shape == (20, 4, 4) and alive.shape == (20, 4)
-        assert n.dtype == d.dtype == np.float32  # the dtype asked for, the model's
         for keep_i, alive_i, n_i in zip(keep, alive, n):
             links = np.where(alive_i[:, None], alive_i[None, :] & alive_i[:, None],
                              np.eye(4, dtype=bool))
@@ -147,24 +163,25 @@ class TestDropoutMasks:
         views = client_views(ds.features[:16], part)
         y = one_hot(ds.labels[:16], ds.class_count)
         cfg = TrainConfig(train_fault=FaultModel("communication", 1.0), gossip_rounds=2)
-        keep, alive, (n, d) = batch_delivery(graph, cfg, 1, stream(9, "dropout"),
-                                             stream(9, "fault"), np.float64)
-        assert np.array_equal(n[0], np.eye(4))
-        loss0, _ = split_loss_and_grads(model, views, y, keep[0], alive[0], (n[0], d[0]), 0)
-        loss2, _ = split_loss_and_grads(model, views, y, keep[0], alive[0], (n[0], d[0]), 2)
+        keep, realized = batch_delivery(graph, cfg, 1, stream(9, "dropout"), stream(9, "fault"))
+        n, _ = gossip_mix(realized.edge_alive[0, 0], graph.aggregators, np.float64)
+        assert np.array_equal(n, np.eye(4))
+        loss0, _ = split_loss_and_grads(model, views, y, keep[0], realized[0], 0)
+        loss2, _ = split_loss_and_grads(model, views, y, keep[0], realized[0], 2)
         assert loss2 == pytest.approx(loss0, rel=1e-12)
 
     @pytest.mark.parametrize("dropout", ["none", "pd", "cd"])
     def test_fault_free_base_gives_the_drawn_delivery(self, dropout):
         # without a train fault every batch gets the base graph's delivery
-        # under its own dropout mask, no gossip pair unless the loss gossips, and
-        # the fault stream stays untouched
+        # under its own dropout mask and the base graph's links, whether or
+        # not the loss gossips, and the fault stream stays untouched
         graph = build_graph("ring", 8, 5)
         cfg = TrainConfig(dropout=dropout, dropout_rate=0.4)
-        base_alive, base_keep = fault_free_delivery(graph)
+        base_alive, base_keep = delivery(base(graph), graph.aggregators)
         assert base_alive.all()
         rd, rd_ref, rf = stream(10, "dropout"), stream(10, "dropout"), stream(10, "fault")
-        keep, alive, mix = batch_delivery(graph, cfg, 5, rd, rf, np.float64)
+        keep, realized = batch_delivery(graph, cfg, 5, rd, rf)
+        alive = delivery(realized, graph.aggregators)[0]
         if dropout == "pd":
             mask = apply_pd_mask(5, 8, 0.4, rd_ref)[:, None, :]
         elif dropout == "cd":
@@ -174,9 +191,10 @@ class TestDropoutMasks:
         assert np.array_equal(alive, np.broadcast_to(base_alive, (5, 5)))
         assert keep.shape == (5, 5, 8)
         assert np.array_equal(keep, np.broadcast_to(base_keep & mask, keep.shape))
-        assert mix is None
+        assert np.array_equal(realized.edge_alive, np.broadcast_to(graph.adj, (5, 1, 9, 9)))
         gossiping = TrainConfig(dropout=dropout, dropout_rate=0.4, gossip_rounds=2)
-        n, d = batch_delivery(graph, gossiping, 5, rd, rf, np.float64)[2]
+        realized = batch_delivery(graph, gossiping, 5, rd, rf)[1]
+        n, d = gossip_mix(realized.edge_alive[:, 0], graph.aggregators, np.float64)
         n_base, d_base = gossip_mix(graph.adj, graph.aggregators, np.float64)
         assert np.array_equal(n, np.broadcast_to(n_base, (5, 5, 5)))
         assert np.array_equal(d, np.broadcast_to(d_base, (5, 5, 1)))
@@ -189,14 +207,21 @@ class TestDropoutMasks:
     ], ids=["none", "pd", "cd", "device", "communication"])
     def test_epoch_draw_is_one_draw_per_batch_bit_for_bit(self, dropout, fault, dtype):
         # each stream is used up batch by batch, so the epoch's draw holds
-        # the bits of one draw per batch: keep, alive and the gossip pair
+        # the bits of one draw per batch: keep, the realization, and the
+        # gossip pair that each batch's realization gives in ``dtype``
         graph = build_graph("ring", 8, 5)
         cfg = TrainConfig(dropout=dropout, dropout_rate=0.4, train_fault=FaultModel(fault, 0.4),
                           gossip_rounds=2)
-        got = batch_delivery(graph, cfg, 7, stream(11, "dropout"), stream(11, "fault"), dtype)
-        ref = per_batch_delivery(graph, cfg, 7, stream(11, "dropout"), stream(11, "fault"), dtype)
-        assert got[2][0].dtype == got[2][1].dtype == dtype
-        for a, b in zip((got[0], got[1], *got[2]), (ref[0], ref[1], *ref[2])):
+        keep, realized = batch_delivery(graph, cfg, 7, stream(11, "dropout"), stream(11, "fault"))
+        ref_keep, ref = per_batch_delivery(graph, cfg, 7, stream(11, "dropout"),
+                                           stream(11, "fault"))
+        got = [keep, realized.alive, realized.edge_alive,
+               *gossip_mix(realized.edge_alive[:, 0], graph.aggregators, dtype)]
+        want = [ref_keep] + [np.stack(a) for a in zip(*(
+            (r.alive, r.edge_alive, *gossip_mix(r.edge_alive[0], graph.aggregators, dtype))
+            for r in ref))]
+        assert got[3].dtype == got[4].dtype == dtype
+        for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -231,7 +256,7 @@ class TestSplitLossAndGrads:
         views = client_views(ds.features[:32], part)
         y = one_hot(ds.labels[:32], ds.class_count)
         keep = np.ones((4, 4), dtype=bool)
-        loss, _ = split_loss_and_grads(model, views, y, keep, np.ones(4, dtype=bool))
+        loss, _ = split_loss_and_grads(model, views, y, keep, base(graph))
         assert loss == pytest.approx(4 * np.log(ds.class_count), abs=1e-12)
 
     def test_full_cd_dropout_trains_heads_on_own_client_only(self):
@@ -240,7 +265,7 @@ class TestSplitLossAndGrads:
         views = client_views(ds.features[:8], part)
         y = one_hot(ds.labels[:8], ds.class_count)
         keep = apply_cd_mask(1, 4, graph.aggregators, 1.0, stream(7, "dropout"))[0]
-        _, grad = split_loss_and_grads(model, views, y, keep, np.ones(4, dtype=bool))
+        _, grad = split_loss_and_grads(model, views, y, keep, base(graph))
         enc_grads, _ = model.unflatten(grad)
         # every encoder still learns (through its own head)
         for c in range(4):
@@ -253,7 +278,7 @@ class TestSplitLossAndGrads:
         y = one_hot(ds.labels[:8], ds.class_count)
         keep = np.ones((4, 4), dtype=bool)
         keep[:, 2] = False  # client 3 unreachable everywhere
-        _, grad = split_loss_and_grads(model, views, y, keep, np.ones(4, dtype=bool))
+        _, grad = split_loss_and_grads(model, views, y, keep, base(graph))
         enc_grads, _ = model.unflatten(grad)
         assert all(not gw[2].any() and not gb[2].any() for gw, gb in enc_grads.layers)
         assert all(gw[1].any() for gw, _ in enc_grads.layers)
@@ -268,9 +293,10 @@ class TestSplitLossAndGrads:
         y = one_hot(ds.labels[:8], ds.class_count)
         alive = np.isin(graph.aggregators, alive_aggs)
         keep = np.repeat(alive[:, None], 4, axis=1)  # a dead aggregator's row keeps nothing
-        fresh_loss, fresh = split_loss_and_grads(model, views, y, keep, alive)
+        realized = realization(graph, alive_aggs)
+        fresh_loss, fresh = split_loss_and_grads(model, views, y, keep, realized)
         held = np.full_like(model.params, np.nan)
-        loss, grad = split_loss_and_grads(model, views, y, keep, alive,
+        loss, grad = split_loss_and_grads(model, views, y, keep, realized,
                                           out=dataclasses.replace(model, params=held))
         assert grad is held and loss == fresh_loss
         assert np.array_equal(held, fresh)
@@ -291,15 +317,13 @@ class TestSplitLossAndGrads:
         # device 2 dies in the dead-aggregator case, with every edge it had
         alive = np.array([True, case != "dead-aggregator", True, True])
         keep = alive[:, None] & alive[None, :]
-        edge_alive = graph.adj & np.insert(alive, 0, True)[:, None] & np.insert(alive, 0, True)
-        edge_alive[1, 3] = False
+        realized = realization(graph, np.flatnonzero(alive) + 1, cut=[(1, 3)])
         if case == "cd-dropped":
             keep &= apply_cd_mask(1, 4, graph.aggregators, 0.5, stream(8, "dropout"))[0]
         elif case == "pd-dropped":
             keep &= apply_pd_mask(1, 4, 0.5, stream(8, "dropout"))
         assert keep.all() == (case in ("all-kept", "gossip-2"))
-        mix = gossip_mix(edge_alive, graph.aggregators, model.params.dtype)
-        args = (model, views, y, keep, alive, mix, 2 if case == "gossip-2" else 0)
+        args = (model, views, y, keep, realized, 2 if case == "gossip-2" else 0)
         fresh_loss, fresh = split_loss_and_grads(*args)
         held = dataclasses.replace(model, params=np.full_like(model.params, np.nan))
         loss, grad = split_loss_and_grads(*args, out=held)
@@ -311,7 +335,7 @@ class TestSplitLossAndGrads:
     def test_dead_heads_get_positive_zero_rows_and_the_subset_bits(self, gossip_rounds):
         # every head runs and a dead one's output gradient is zeroed: against
         # a model that holds the alive heads alone, run on their rows and
-        # gossip pair alone, the loss and every alive row match bit for bit
+        # links alone, the loss and every alive row match bit for bit
         graph = build_graph("ring", 9, 6)
         init = init_split_model(graph, [16] * 9, 5, stream(11, "init"))
         model = dataclasses.replace(init, params=init.params.astype(np.float32))
@@ -322,8 +346,7 @@ class TestSplitLossAndGrads:
                                       stream(11, "fault"))[0]
         alive, keep = delivery(realized, graph.aggregators)
         assert 0 < alive.sum() < 6
-        mix = gossip_mix(realized.edge_alive[0], graph.aggregators, np.float32)
-        loss, grad = split_loss_and_grads(model, views, y, keep, alive, mix, gossip_rounds)
+        loss, grad = split_loss_and_grads(model, views, y, keep, realized, gossip_rounds)
 
         cut = 9 * mlp_size(model.encoder_dims)
         rows = np.flatnonzero(alive)
@@ -332,9 +355,9 @@ class TestSplitLossAndGrads:
         sub = SplitModel(np.concatenate([model.params[:cut],
                                          model.params[cut:].reshape(6, -1)[rows].ravel()]),
                          9, model.encoder_dims, aggs, model.head_dims)
-        sub_loss, sub_grad = split_loss_and_grads(
-            sub, views, y, keep[rows], np.ones(rows.size, dtype=bool),
-            gossip_mix(realized.edge_alive[0], aggs, np.float32), gossip_rounds)
+        assert delivery(realized, aggs)[0].all()
+        sub_loss, sub_grad = split_loss_and_grads(sub, views, y, keep[rows], realized,
+                                                  gossip_rounds)
         assert np.float64(loss).tobytes() == np.float64(sub_loss).tobytes()
         assert grad[:cut].tobytes() == sub_grad[:cut].tobytes()
         assert heads[rows].tobytes() == sub_grad[cut:].tobytes()
@@ -358,12 +381,11 @@ class TestSplitLossAndGrads:
         keep = alive[:, None] & alive[None, :]  # a dead device reaches no head
         if dropped:
             keep[0, 3] = keep[4, 0] = keep[8, 7] = False
-        edge_alive = graph.adj & np.insert(alive, 0, True)[:, None] & np.insert(alive, 0, True)
-        edge_alive[alive_aggs[2], alive_aggs[5]] = edge_alive[alive_aggs[5], alive_aggs[1]] = False
-        mix = gossip_mix(edge_alive, graph.aggregators, model.params.dtype)
+        realized = realization(graph, alive_aggs, cut=[(alive_aggs[2], alive_aggs[5]),
+                                                       (alive_aggs[5], alive_aggs[1])])
         sets = model.params + 0.05 * rng.standard_normal((5, model.params.size))
         sets[0] = model.params
-        args = (views, y, keep, alive, mix, gossip_rounds)
+        args = (views, y, keep, realized, gossip_rounds)
         losses, _ = split_forward(dataclasses.replace(model, params=sets), *args)
         assert losses.shape == (5,)
         for s, params in enumerate(sets):
@@ -373,8 +395,8 @@ class TestSplitLossAndGrads:
         if not gossip_rounds:
             # the heads' losses add up left to right, as Python's sum adds
             # them: over nine heads or more, a pairwise sum would show
-            heads = [split_loss_and_grads(model, views, y, keep, np.arange(10) == j)[0]
-                     for j in np.flatnonzero(alive)]
+            heads = [split_loss_and_grads(model, views, y, keep, realization(graph, [k]))[0]
+                     for k in alive_aggs]
             assert losses[0] == sum(heads)
 
     def test_gradients_match_finite_differences_with_mask(self):
@@ -386,10 +408,10 @@ class TestSplitLossAndGrads:
         keep = np.array([[True, False], [True, True]])
 
         def loss_of():
-            val, _ = split_loss_and_grads(model, views, y, keep, np.ones(2, dtype=bool))
+            val, _ = split_loss_and_grads(model, views, y, keep, base(graph))
             return val
 
-        _, grad = split_loss_and_grads(model, views, y, keep, np.ones(2, dtype=bool))
+        _, grad = split_loss_and_grads(model, views, y, keep, base(graph))
         worst = 0.0
         h = 1e-5
         params = model.params
@@ -404,37 +426,44 @@ class TestSplitLossAndGrads:
             worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-3))
         assert worst < 1e-6
 
-    @pytest.mark.parametrize("kind,devices,aggregators,fault", [
-        ("complete", 2, 2, FaultModel()),
+    @pytest.mark.parametrize("kind,devices,aggregators,dead,cut", [
+        ("complete", 2, 2, [], []),
         # links 1-2-3 form a path with degrees 2, 3, 2: an asymmetric averaging
         # matrix, so a transposed backward pass would fail here
-        ("ring", 4, 3, FaultModel()),
+        ("ring", 4, 3, [], []),
         # a one-way link: the link mask itself is asymmetric, so a backward
         # pass that used N for its transpose would fail here
-        ("complete", 3, 3, FaultModel("communication", 0.3)),
-    ], ids=["complete-2-2", "ring-4-3", "complete-3-3-one-way-link"])
+        ("complete", 3, 3, [], [(2, 3)]),
+        # a one-way link and a dead aggregator, whose row mixes with itself
+        # alone and whose loss is zero
+        ("complete", 4, 4, [3], [(1, 2)]),
+    ], ids=["complete-2-2", "ring-4-3", "complete-3-3-one-way-link",
+            "complete-4-4-dead-aggregator-and-one-way-link"])
     def test_gossip_in_training_gradients_match_finite_differences(self, kind, devices,
-                                                                   aggregators, fault):
+                                                                   aggregators, dead, cut):
         graph = build_graph(kind, devices, aggregators)
         model = init_split_model(graph, [4] * devices, 3, stream(4, "init"))
         rng = np.random.default_rng(1)
         views = [rng.random((4, 4)) for _ in range(devices)]
         y = one_hot(rng.integers(0, 3, 4), 3)
-        cfg = TrainConfig(gossip_rounds=2, train_fault=fault)
-        keep, alive, (n, d) = batch_delivery(graph, cfg, 1, stream(4, "dropout"),
-                                             stream(4, "fault"), np.float64)
-        keep, alive, mix = keep[0], alive[0], (n[0], d[0])
-        n, d = mix
-        if fault.kind == "none":
+        realized = realization(graph, [c for c in range(1, devices + 1) if c not in dead], cut)
+        alive, keep = delivery(realized, graph.aggregators)
+        n, d = gossip_mix(realized.edge_alive[0], graph.aggregators, np.float64)
+        if not cut:
             assert d.ravel().tolist() == ([2, 2] if kind == "complete" else [2, 3, 2])
         else:
-            assert alive.all() and not np.array_equal(n, n.T)
+            assert alive.tolist() == [k not in dead for k in graph.aggregators]
+            assert not np.array_equal(n, n.T)
+        # the loss's rounds are inference's, over the same realization
+        _, (_, _, log_ps, finals, _, _) = split_forward(model, views, y, keep, realized, 2)
+        assert finals.tobytes() == log_softmax(
+            mags_infer(log_ps, graph.aggregators, realized, 2)).tobytes()
 
         def loss_of():
-            val, _ = split_loss_and_grads(model, views, y, keep, alive, mix, 2)
+            val, _ = split_loss_and_grads(model, views, y, keep, realized, 2)
             return val
 
-        _, grad = split_loss_and_grads(model, views, y, keep, alive, mix, 2)
+        _, grad = split_loss_and_grads(model, views, y, keep, realized, 2)
         # the weights of client 1's encoder and aggregator 2's head
         enc_pos, head_pos = positions(model)
         coords = np.concatenate([w[0].ravel() for w, _ in enc_pos.layers]
@@ -480,7 +509,7 @@ class TestTrainEpoch:
         for start in range(0, n, 16):
             idx = order[start:start + 16]
             split_loss, grad = split_loss_and_grads(
-                model, [x[idx]], y[idx], keep, np.ones(1, dtype=bool))
+                model, [x[idx]], y[idx], keep, base(graph))
             mono_loss, mono_grads = loss_and_grad(mono, x[idx], y[idx])
             assert split_loss == pytest.approx(mono_loss, abs=1e-12)
             optimizer_step(model, opt, grad)
@@ -528,21 +557,19 @@ class TestFit:
             draws.append(args[2])
             return real_sample(*args)
 
-        def recorded(model, views, y, keep, alive, mix, *args, **kwargs):
-            trained.append((keep, alive, mix))
-            return real_loss(model, views, y, keep, alive, mix, *args, **kwargs)
+        def recorded(model, views, y, keep, realized, *args, **kwargs):
+            trained.append((keep, realized.alive, realized.edge_alive))
+            return real_loss(model, views, y, keep, realized, *args, **kwargs)
 
         monkeypatch.setattr(training, "sample_realization", counted)
         monkeypatch.setattr(training, "split_loss_and_grads", recorded)
         epoch = fit_pool(cfg, ds, part, graph, 4, curve_path=tmp_path / "epoch.csv")
         assert len(draws) == cfg.epochs and len(set(draws)) == 1 and draws[0] > 1
         assert len(trained) == sum(draws)
-        keep, alive, mix = per_batch_delivery(graph, cfg, len(trained), stream(4, "dropout"),
-                                              stream(4, "fault"), np.float32)
+        keep, realized = per_batch_delivery(graph, cfg, len(trained), stream(4, "dropout"),
+                                            stream(4, "fault"))
         for i, got in enumerate(trained):
-            want = (keep[i], alive[i]) + ((mix[0][i], mix[1][i]) if mix else ())
-            got = got[:2] + (got[2] or ())
-            assert len(got) == len(want)
+            want = (keep[i], realized[i].alive, realized[i].edge_alive)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         monkeypatch.setattr(training, "split_loss_and_grads", real_loss)
@@ -667,10 +694,10 @@ class TestFit:
         rows = make_splits(len(ds), 1)[1][:64]
         views = client_views(ds.features, part)
         loss, acc = evaluate_split(ckpt.model, views, ds.labels, graph, rows, 4)
-        alive, keep = fault_free_delivery(graph)
+        keep = graph.adj[np.asarray(graph.aggregators), 1:]  # the base graph's delivery
         ref, (*_, finals, _, _) = split_forward(
-            ckpt.model, views[:, rows], one_hot(ds.labels[rows], 10), keep, alive,
-            gossip_mix(graph.adj, graph.aggregators, np.float32), 4)
+            ckpt.model, views[:, rows], one_hot(ds.labels[rows], 10), keep,
+            realization(graph, graph.aggregators), 4)
         assert loss == float(ref) != evaluate_split(ckpt.model, views, ds.labels, graph, rows)[0]
         assert acc == (finals.argmax(axis=-1) == ds.labels[rows]).mean()
 
@@ -696,7 +723,7 @@ class TestEvaluateSplit:
         part = split_patches(ds.feature_count, g)
         model = init_split_model(graph, part.patch_dims(), 5, stream(6, "init"))
         views = client_views(ds.features, part)
-        keep = fault_free_delivery(graph)[1]
+        keep = graph.adj[np.asarray(graph.aggregators), 1:]  # the base graph's delivery
         y = one_hot(ds.labels, 5)
         loss_sum, hit_sum = 0.0, 0.0
         for start in range(0, len(ds), 512):
@@ -862,10 +889,10 @@ class TestPrecision:
         model = dataclasses.replace(init, params=init.params.astype(np.float32))
         views, y = client_views(ds.features, part), one_hot(ds.labels, 10)
         keep = apply_cd_mask(1, 16, graph.aggregators, 0.3, stream(seed, "dropout"))[0]
-        alive = np.ones(16, dtype=bool)
-        loss, grad = split_loss_and_grads(model, views, y, keep, alive)
+        loss, grad = split_loss_and_grads(model, views, y, keep, base(graph))
         wide = dataclasses.replace(model, params=model.params.astype(np.float64))
-        loss64, grad64 = split_loss_and_grads(wide, views.astype(np.float64), y, keep, alive)
+        loss64, grad64 = split_loss_and_grads(wide, views.astype(np.float64), y, keep,
+                                              base(graph))
         assert grad.dtype == np.float32 and grad64.dtype == np.float64
         assert abs(loss - loss64) <= 1e-6 * abs(loss64)
         assert np.linalg.norm(grad - grad64) <= 1e-5 * np.linalg.norm(grad64)
@@ -964,7 +991,7 @@ class TestSummationOrder:
         sets = (model.params + 0.1 * rng.standard_normal((3, model.params.size))).astype(dtype)
         for params in (sets[0], sets):
             loss, forward = split_forward(dataclasses.replace(model, params=params), views, y,
-                                          keep, alive)
+                                          keep, realization(graph, np.flatnonzero(alive) + 1))
             heads = -(y * forward[3]).sum(axis=(-2, -1)) / y.shape[0]
             expected = np.zeros(params.shape[:-1])
             for j in np.flatnonzero(alive):  # the alive heads alone
@@ -980,6 +1007,17 @@ def json_cut_and_rehashed(raw):
     cfg = lines[1][:-1]
     lines[2] = b"config_hash " + hashlib.sha256(cfg[len(b"config "):]).hexdigest().encode()
     return b"\n".join([lines[0], cfg, *lines[2:]])
+
+
+def manifest_counts(clients, classes, rep_dim, aggregators):
+    """The lines of a checkpoint manifest from ``clients`` to the last head,
+    as ``save_checkpoint`` writes them for 196-pixel patches."""
+    width = clients * rep_dim
+    lines = [f"clients {clients}", f"classes {classes}", f"rep_dim {rep_dim}",
+             "aggregators " + " ".join(map(str, aggregators))]
+    lines += [f"encoder {c} 196 64 {rep_dim}" for c in range(1, clients + 1)]
+    lines += [f"head {k} {width} {width} {classes}" for k in aggregators]
+    return "".join(f"\n{line}" for line in lines).encode() + b"\n"
 
 
 class TestCheckpointFormat:
@@ -1071,11 +1109,24 @@ class TestCheckpointFormat:
         (b"\nclasses 4\n", b"\nclasses 5\n", "widths do not fit 4 clients, rep_dim 16 and 5"),
         (b"\nrep_dim 16\n", b"\nrep_dim 8\n", "widths do not fit 4 clients, rep_dim 8"),
         (b" 64 64 4\n", b" 60 64 4\n", "head (60, 64, 4) widths do not fit 4 clients"),
+        # the layer lines agree with these counts, but the hashed config
+        # line echoes 4 devices, 4 classes and aggregators 1 2 3 4
+        (manifest_counts(4, 4, 16, (1, 2, 3, 4)), manifest_counts(4, 4, 16, (2, 1, 3, 4)),
+         "clients 4, classes 4 and aggregators [2, 1, 3, 4] contradict the config line"),
+        (manifest_counts(4, 4, 16, (1, 2, 3, 4)), manifest_counts(4, 4, 16, (4, 3, 2, 1)),
+         "clients 4, classes 4 and aggregators [4, 3, 2, 1] contradict the config line"),
+        (manifest_counts(4, 4, 16, (1, 2, 3, 4)), manifest_counts(4, 3, 16, (1, 2, 3, 4)),
+         "clients 4, classes 3 and aggregators [1, 2, 3, 4] contradict the config line"),
+        (manifest_counts(4, 4, 16, (1, 2, 3, 4)), manifest_counts(2, 4, 32, (1, 2, 3, 4)),
+         "clients 2, classes 4 and aggregators [1, 2, 3, 4] contradict the config line"),
     ], ids=["encoder-77", "head-0", "head-9", "head-twice", "clients", "classes", "rep-dim",
-            "head-width"])
+            "head-width", "aggregators-swapped", "aggregators-reversed", "classes-and-heads",
+            "clients-and-encoders"])
     def test_self_contradicting_manifest_rejected(self, tmp_path, old, new, message):
         # the clients, classes, rep_dim and aggregators lines must agree
-        # with the layer lines; each of these edits used to load
+        # with the layer lines, and with the config line, which alone is
+        # hashed; each of these edits used to load, or to fail only on the
+        # payload's size
         _, path, *_ = self.make_ckpt(tmp_path)
         raw = path.read_bytes()
         assert old in raw.split(b"\nDATA\n")[0] + b"\n"
