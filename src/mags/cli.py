@@ -360,8 +360,9 @@ def cmd_props(seed: int = 0, out: str | None = None) -> int:
 
 def read_runs_csv(path):
     """The data rows of a runs CSV, blank lines skipped. A wrong schema line
-    or header, a row of another width, an accuracy or comm_mean that is not
-    a number (``nan`` is one), or an unknown graph, fault kind or policy
+    or header, a row of another width, a fault_rate that is not a number in
+    [0, 1], a seed that is not an integer, an accuracy or comm_mean that is
+    not a number (``nan`` is one), or an unknown graph, fault kind or policy
     raises ``ConfigError`` naming the file and line."""
     with open(path) as f:
         first = f.readline().strip()
@@ -378,12 +379,17 @@ def read_runs_csv(path):
             where = f"{path}, line {reader.line_num + 1}"  # the schema line came first
             if len(row) != len(RUNS_HEADER):
                 raise ConfigError(f"{where}: {len(row)} fields, not {len(RUNS_HEADER)}")
-            for column in ("accuracy", "comm_mean"):
+            for column, parse in (("fault_rate", float), ("seed", int), ("accuracy", float),
+                                  ("comm_mean", float)):
                 value = row[RUNS_HEADER.index(column)]
                 try:
-                    float(value)
+                    parse(value)
                 except ValueError:
-                    raise ConfigError(f"{where}: {column} {value!r} is not a number") from None
+                    what = "an integer" if parse is int else "a number"
+                    raise ConfigError(f"{where}: {column} {value!r} is not {what}") from None
+            rate = row[RUNS_HEADER.index("fault_rate")]
+            if not 0.0 <= float(rate) <= 1.0:  # nan fails too
+                raise ConfigError(f"{where}: fault_rate {rate!r} is not in [0, 1]")
             for column, known in (("graph", GRAPH_KINDS), ("fault_kind", FAULT_KINDS),
                                   ("policy", POLICIES)):  # these three name the plot files
                 value = row[RUNS_HEADER.index(column)]

@@ -10,9 +10,11 @@ it never dies itself, but under communication faults its links can drop.
 
 ``sample_realization`` is the one sampler of all kinds: one call draws the
 realizations of every batch of an evaluation cell, stacked, for a
-``FaultModel`` that checked its kind and rate when it was built. Samplers
-take an explicit numpy Generator, so independent runs use independent
-seeded streams and can execute in parallel.
+``FaultModel`` that checked its kind and rate when it was built. A
+fault-free model (the kind ``none``, or a rate of 0) gives the base graph
+of every batch without drawing. Samplers take an explicit numpy Generator,
+so independent runs use independent seeded streams and can execute in
+parallel.
 """
 
 from __future__ import annotations
@@ -49,6 +51,13 @@ class FaultModel:
                     f"markov recovery probability {q:.4f} outside [0, 1] "
                     f"(rate {self.rate}, stay_alive {MARKOV_STAY_ALIVE})"
                 )
+
+    @property
+    def fault_free(self) -> bool:
+        """Whether this model never drops anything: the kind ``none`` or a
+        rate of 0. Its realizations are the base graph's, drawn from no
+        stream."""
+        return self.kind == "none" or self.rate == 0.0
 
     def recovery_prob(self) -> float:
         """Probability q of a faulted link recovering, chosen so the chain's
@@ -110,20 +119,21 @@ def sample_realization(graph: DeviceGraph, model: FaultModel, batches: int, roun
     """The realizations of ``batches`` batches of ``rounds`` communication
     rounds each (G + 1 for G gossip rounds), drawn in one call.
 
-    The memoryless kinds draw one realization per batch and hold it for
-    every round (R = 1); their draws consume ``rng`` batch by batch, as one
-    call per batch would. The Markov kind (R = ``rounds``) starts every
-    batch's chain from its stationary law, which is the communication-fault
-    law at rate r: all batches' first rounds are drawn as one block before
-    any step, so they do not depend on ``rounds``. ``rounds`` - 1
-    ``markov_step``s follow. A chain at rate 0 never leaves the base graph.
+    A ``fault_free`` model, of any kind, gives ``base_realization`` and
+    draws nothing from ``rng``. The memoryless kinds draw one realization
+    per batch and hold it for every round (R = 1); their draws consume
+    ``rng`` batch by batch, as one call per batch would. The Markov kind
+    (R = ``rounds``) starts every batch's chain from its stationary law,
+    which is the communication-fault law at rate r: all batches' first
+    rounds are drawn as one block before any step, so they do not depend on
+    ``rounds``. ``rounds`` - 1 ``markov_step``s follow.
     """
+    if model.fault_free:
+        return base_realization(graph, batches)
     if model.kind == "device":
         return sample_device_faults(graph, model.rate, batches, rng)
     if model.kind == "communication":
         return sample_comm_faults(graph, model.rate, batches, rng)
-    if model.kind == "none" or model.rate == 0.0:
-        return base_realization(graph, batches)
     first = sample_comm_faults(graph, model.rate, batches, rng)
     n = graph.device_count + 1
     u = rng.random((batches, rounds - 1, n, n))

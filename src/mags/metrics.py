@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .faults import (FAULT_KIND_IDS, RealizedGraph, active_mask, base_realization,
-                     sample_realization)
+from .faults import FAULT_KIND_IDS, RealizedGraph, active_mask, sample_realization
 from .inference import (SplitModel, aggregate, aggregator_head, delivery, mags_infer,
                         sample_major)
 from .nn import log_softmax
@@ -99,7 +98,9 @@ class EvalResult:
     accuracy: dict       # policy -> accuracy in [0, 1]
     comm_mean: float     # mean messages per inference
     sample_count: int
-    seconds: float = field(compare=False)  # scoring time, not part of the result
+    # scoring time, not part of the result; a fault-free cell that reuses
+    # the first fault-free cell's results reports that cell's time
+    seconds: float = field(compare=False)
 
 
 def score_policies(correct, active, valid, classes: int) -> dict:
@@ -144,7 +145,9 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     fault model, in the order given, holding one ``EvalResult`` per count,
     in the order given; each equals the result of a call with that fault
     model and count alone. Its ``seconds`` is the fault model's scoring
-    time split evenly over the counts.
+    time split evenly over the counts. Every ``fault_free`` model scores
+    the base graph alike, so only the first one is scored: each later one
+    is handed that same list, its ``seconds`` the first one's.
 
     ``reps`` is the (C, n, r) stack of every client's representation of all
     samples, as returned by ``client_encode``; it is laid out by sample
@@ -155,17 +158,14 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     stream, whose key has no gossip count, and ``sample_realization`` draws
     every batch's first round before any chain step, so every count sees
     the same first round of every batch, and the head pass reads only that
-    round. One walk over the batches therefore
-    serves every count. Every head runs on every batch, a dead aggregator's
-    on the zeros of its all-False delivery row, so the walk groups a cell's
-    batches only by their size and by whether their delivery is the base
-    graph's, and runs each group a chunk of batches at a time: one stacked
-    ``aggregate`` and ``aggregator_head`` pass, then per count one stacked
+    round. One walk over the batches therefore serves every count. The walk
+    takes a cell's batches a chunk at a time, each batch at full width: a
+    trial's short last batch is filled from the split's first samples,
+    slots that no score reads. Each chunk makes one stacked ``aggregate``
+    and ``aggregator_head`` pass, every head running, a dead aggregator's on
+    the zeros of its all-False delivery row; then per count one stacked
     gossip stage (``mags_infer``), whose argmax is recorded in the count's
-    (batches, C+1, batch) correctness array, row by aggregator device. Every
-    batch slice's head outputs under the base graph are computed once per
-    call, for every rate-0 cell and every device-fault batch in which no
-    device died.
+    (batches, C+1, batch) correctness array, row by aggregator device.
 
     After the walk, each count scores the whole cell in one
     ``score_policies`` pass. Each accuracy is one sum of the policy's
@@ -191,58 +191,38 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     n = labels.shape[0]
     m = model.class_count
     width = min(batch_size, n)
-    slices = -(-n // width)  # per trial, the last one short when n % width
     starts = np.tile(np.arange(0, n, width), trials)
+    nb = len(starts)
     sizes = np.minimum(width, n - starts)
-    valid = np.arange(width) < sizes[:, None]  # (nb, width): the slots holding a sample
-    lab = np.full((len(starts), width), -1, dtype=np.int64)  # a short batch padded with -1
-    lab[valid] = np.tile(labels, trials)
+    samples = (starts[:, None] + np.arange(width)) % n  # (nb, width), a short batch padded
+    valid = np.arange(width) < sizes[:, None]  # the slots holding a sample
+    lab = np.where(valid, labels[samples], -1)
     total = n * trials
     rows = sample_major(reps)
     aggs = np.asarray(graph.aggregators, dtype=np.intp)
-    base_keep = delivery(base_realization(graph, 1)[0], aggs)[1]
     # batches per stacked pass, fixed: it sets a pass's peak memory, not its
     # bits. One mags eval on eval-sweep's inputs (16 heads, batches of 64,
     # float32) took a median 0.547, 0.524 and 0.548 s of CPU time at 4, 8
     # and 16 batches, and 0.601 s batch by batch
     chunk = 8
 
-    def chunks(idx):
-        return np.split(idx, np.arange(chunk, idx.size, chunk))
-
-    def heads(keep, idx):  # (J, K, b, M) of J batches of one size b
-        samples = starts[idx, None] + np.arange(sizes[idx[0]])
-        return aggregator_head(model, aggregate(rows[samples], keep))[0]
-
-    # every batch slice's head outputs under the base graph. Kept on
-    # measurement: without it, one call on a 1-epoch K=16 checkpoint over
-    # eval-sweep's 12 cells took 10-17% longer (median of 5: MACL 161 to
-    # 188 ms, CD-MACL at G0 and G4 208 to 229 ms; 2-core Xeon, one BLAS thread)
-    base_values = None
-    grid = []
+    grid, base_results = [], None
     for fault_model, key in zip(fault_models, keys):
+        if fault_model.fault_free and base_results is not None:
+            grid.append(base_results)
+            continue
         clock = time.perf_counter()
-        realized = [sample_realization(graph, fault_model, len(starts), g + 1,
+        realized = [sample_realization(graph, fault_model, nb, g + 1,
                                        stream(seed, "fault", *key)) for g in counts]
-        # every count's first rounds are the same: the head pass reads them.
-        # A dead aggregator's keep row is all False, never the base row
+        # every count's first rounds are the same: the head pass reads them
         keep = delivery(realized[0], aggs)[1]
-        clean = (keep == base_keep).all(axis=(1, 2))
-        if base_values is None and clean.any():
-            base_values = np.zeros((slices, aggs.size, width, m), rows.dtype)
-            for b in np.unique(sizes[:slices]):
-                for idx in chunks(np.flatnonzero(sizes[:slices] == b)):
-                    base_values[idx, :, :b] = heads(base_keep, idx)
-        correct = np.zeros((len(counts), len(starts), graph.device_count + 1, width), dtype=bool)
-        groups = np.unique(np.column_stack([clean, sizes]), axis=0,
-                           return_inverse=True)[1].ravel()
-        for group in range(groups.max() + 1):
-            for idx in chunks(np.flatnonzero(groups == group)):
-                i, b = idx[0], sizes[idx[0]]
-                values = base_values[idx % slices, :, :b] if clean[i] else heads(keep[idx], idx)
-                for s, g in enumerate(counts):
-                    final = mags_infer(values, aggs, realized[s][idx], g)
-                    correct[s, idx[:, None], aggs, :b] = final.argmax(axis=-1) == lab[idx, None, :b]
+        correct = np.zeros((len(counts), nb, graph.device_count + 1, width), dtype=bool)
+        for i in range(0, nb, chunk):
+            j = slice(i, i + chunk)
+            values = aggregator_head(model, aggregate(rows[samples[j]], keep[j]))[0]
+            for s, g in enumerate(counts):
+                final = mags_infer(values, aggs, realized[s][j], g)
+                correct[s][j, aggs] = final.argmax(axis=-1) == lab[j, None]
 
         results = []
         for s, g in enumerate(counts):
@@ -253,4 +233,6 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
                             comm / total))
         seconds = (time.perf_counter() - clock) / len(counts)
         grid.append([EvalResult(acc, comm_mean, total, seconds) for acc, comm_mean in results])
+        if fault_model.fault_free:
+            base_results = grid[-1]
     return grid

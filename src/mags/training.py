@@ -101,7 +101,7 @@ def batch_delivery(graph: DeviceGraph, cfg: TrainConfig, batches: int, rng_dropo
     batches). Entry i is batch i's, keep row j ``graph.aggregators[j]``, a
     dead one's all False; ``realized[i]`` holds one round, which gives the
     batch's alive heads and, when the loss gossips, its links. One
-    ``sample_realization`` (the kind ``none`` draws nothing and gives the
+    ``sample_realization`` (a fault-free model draws nothing and gives the
     base graph), then one dropout mask draw: numpy fills a (nb, ...) draw in
     C order, so each stream is used up as one call per batch would use it.
     The draw is held whole, as a cell's is: 0.23 MB of uniforms for 100

@@ -819,14 +819,14 @@ class TestEvalCommand:
             "CD-MACL-seed1.ckpt", "CD-MACL-seed2.ckpt", "VFL-seed1.ckpt", "VFL-seed2.ckpt"]
         assert calls["client_encode"] == 4
         checkpoints = {(aggs, seed) for aggs in ((1,), (1, 2, 3, 4)) for seed in (1, 2)}
-        # 200 test samples in batches of 64: the three rate-0 cells share two
-        # passes over the 4 batches, one stacked over the 3 full ones and one
-        # for the short one, and each of the three faulty cells costs at most
-        # one more pass per batch size, dead aggregators or not
+        # 200 test samples in batches of 64: 4 batches, the short one padded,
+        # make one chunk. The three rate-0 cells share one walk, one pass,
+        # and each of the three faulty cells makes one more, dead
+        # aggregators or not
         assert set(with_g2) - {"total"} == checkpoints
-        assert all(2 <= with_g2[key] <= 2 + 3 * 2 for key in checkpoints)
+        assert {key: with_g2[key] for key in checkpoints} == dict.fromkeys(checkpoints, 1 + 3)
         rate_zero = run_eval("VFL, CD-MACL, CD-MACL-G2", rates="0")
-        assert {key: rate_zero[key] for key in checkpoints} == dict.fromkeys(checkpoints, 2)
+        assert {key: rate_zero[key] for key in checkpoints} == dict.fromkeys(checkpoints, 1)
         rows = read_runs_csv(tmp_path / "runs" / "runs.csv")
         assert len(rows) == 3 * 3 * 1 * 4 * 2
 
@@ -1095,11 +1095,17 @@ class TestPlotdataCommand:
         ("VFL,complete,bogus,0.5,active_rand,1,0.25,3.0000,0.010", "fault_kind 'bogus'"),
         ("VFL,../ring,device,0.5,active_rand,1,0.25,3.0000,0.010", "graph '../ring'"),
         ("VFL,complete,device,0.5,best,1,0.25,3.0000,0.010", "policy 'best'"),
+        ("VFL,complete,device,abc,active_rand,1,0.25,3.0000,0.010", "fault_rate 'abc'"),
+        ("VFL,complete,device,nan,active_rand,1,0.25,3.0000,0.010", "fault_rate 'nan'"),
+        ("VFL,complete,device,1.5,active_rand,1,0.25,3.0000,0.010", "fault_rate '1.5'"),
+        ("VFL,complete,device,0.5,active_rand,1.5,0.25,3.0000,0.010", "seed '1.5'"),
     ], ids=["short-row", "accuracy", "comm_mean", "kind-with-slash", "unknown-kind",
-            "graph-with-dots", "unknown-policy"])
+            "graph-with-dots", "unknown-policy", "rate-not-a-number", "rate-nan",
+            "rate-above-one", "seed-not-an-integer"])
     def test_malformed_row_names_its_file_and_line(self, tmp_path, capsys, row, problem):
         # these used to stop plotdata with an IndexError, ValueError or
-        # FileNotFoundError traceback, or name a plot file after unknown text
+        # FileNotFoundError traceback, name a plot file after unknown text,
+        # or write a row keyed by a fault rate or seed that is not one
         bad = tmp_path / "bad.csv"
         bad.write_text("# schema: mags/runs/v1\n" + ",".join(cli.RUNS_HEADER) + "\n"
                        "VFL,complete,device,0.5,active_rand,1,nan,3.0000,0.010\n\n" + row + "\n")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mags.errors import ConfigError
-from mags.faults import (MARKOV_STAY_ALIVE, FaultModel, active_mask, markov_step,
-                         sample_comm_faults, sample_device_faults, sample_realization)
+from mags.faults import (FAULT_KINDS, MARKOV_STAY_ALIVE, FaultModel, active_mask,
+                         base_realization, markov_step, sample_comm_faults,
+                         sample_device_faults, sample_realization)
 from mags.rng import STREAM_IDS, stream
 from mags.topology import build_graph
 
@@ -228,7 +229,18 @@ class TestStackedDraws:
             else:
                 assert r.alive.all()
                 assert np.array_equal(r.edge_alive[:, 0], np.stack(comm_edges))
-        assert rng.random() == loop.random()  # both streams end in the same state
+        # both streams end in the same state; a fault-free model draws nothing
+        assert rng.random() == (loop if rate else stream(12, "fault")).random()
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_rate_zero_gives_the_base_graph_and_draws_nothing(self, kind):
+        g = build_graph("ring", 8, 3)
+        rng = stream(5, "fault")
+        r = sample_realization(g, FaultModel(kind, 0.0), 6, 3, rng)
+        base = base_realization(g, 6)
+        assert np.array_equal(r.alive, base.alive)
+        assert np.array_equal(r.edge_alive, base.edge_alive)  # shapes included: R = 1
+        assert rng.random() == stream(5, "fault").random()
 
     def test_shapes_per_kind(self):
         g = build_graph("complete", 4, 2)
