@@ -30,6 +30,7 @@ import argparse
 import collections
 import csv
 import ctypes
+import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -41,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from .certs import format_report, run_all
-from .config import (ExperimentConfig, build_dataset, build_method_graph, build_train_config,
-                     load_config, parse_seed_list)
+from .config import (ExperimentConfig, build_dataset, build_method_graph, load_config,
+                     parse_seed_list)
 from .data import make_splits
 from .errors import ConfigError
 from .faults import FAULT_KINDS, FaultModel
@@ -229,7 +230,7 @@ def _train_checkpoints(cfg: ExperimentConfig, jobs, pool) -> list:
     paths = []
     for spec, seed in jobs:
         graph = build_method_graph(cfg, spec)
-        tc = build_train_config(cfg, spec, seed)
+        tc = dataclasses.replace(cfg.train, dropout=spec.dropout, seed=seed)
         path = checkpoint_path(cfg.out_dir, spec.train_name, seed)
         path.parent.mkdir(parents=True, exist_ok=True)
         curve = path.with_name(f"{spec.train_name}-seed{seed}-curve.csv")
@@ -285,7 +286,7 @@ def _eval_checkpoints(cfg: ExperimentConfig, jobs, test) -> list:
         grid = evaluate_policies(model, reps, test.labels, graph,
                                  [FaultModel(kind, rate) for kind, rate in cells], cfg.policies,
                                  [s.gossip_rounds for s in specs], seed,
-                                 batch_size=cfg.batch_size, trials=cfg.trials)
+                                 batch_size=cfg.train.batch_size, trials=cfg.trials)
         rows = []
         for (kind, rate), cell_results in zip(cells, grid):
             for spec, result in zip(specs, cell_results):

@@ -14,7 +14,7 @@ import configparser
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,15 +87,15 @@ def _split_list(text: str):
 
 
 # Every section and key that docs/config.md lists, whatever the dataset kind:
-# section -> key -> (the ExperimentConfig field it sets, the parser of its
-# text). The four IDX paths are collected into ``idx_paths``.
-_IDX_PATH = ("idx_paths", str.strip)
+# section -> key -> (the field it sets, the parser of its text). A [train]
+# key sets a TrainConfig field; a dotted name sets one part of its field.
+_IDX_PATHS = {key: (f"idx_paths.{key}", str.strip)
+              for key in ("train_images", "train_labels", "test_images", "test_labels")}
 CONFIG_KEYS = {
     "dataset": {"kind": ("dataset_kind", str.strip), "grid": ("grid_side", int),
                 "classes": ("classes", int), "train_n": ("synth_train_n", int),
                 "test_n": ("synth_test_n", int), "noise": ("synth_noise", float),
-                "seed": ("synth_seed", int), "train_images": _IDX_PATH,
-                "train_labels": _IDX_PATH, "test_images": _IDX_PATH, "test_labels": _IDX_PATH},
+                "seed": ("synth_seed", int), **_IDX_PATHS},
     "graph": {"kind": ("graph_kind", str.strip), "rgg_radius": ("rgg_radius", float),
               "random_aggregators": ("random_aggregators",
                                      lambda s: _FLAGS.get(s.strip().lower())),
@@ -104,9 +104,9 @@ CONFIG_KEYS = {
     "train": {"epochs": ("epochs", int), "batch": ("batch_size", int), "lr": ("lr", float),
               "beta1": ("beta1", float), "beta2": ("beta2", float),
               "dropout_rate": ("dropout_rate", float),
-              "gossip_in_training": ("gossip_in_training", int),
-              "fault_kind": ("train_fault_kind", str.strip),
-              "fault_rate": ("train_fault_rate", float)},
+              "gossip_in_training": ("gossip_rounds", int),
+              "fault_kind": ("train_fault.kind", str.strip),
+              "fault_rate": ("train_fault.rate", float)},
     "eval": {"fault_kinds": ("fault_kinds", _split_list),
              "fault_rates": ("fault_rates", lambda s: [float(t) for t in _split_list(s)]),
              "policies": ("policies", _split_list), "trials": ("trials", int)},
@@ -133,16 +133,8 @@ class ExperimentConfig:
     devices: int | None = None
     # methods
     methods: list = field(default_factory=lambda: ["VFL"])
-    # training
-    epochs: int = 100
-    batch_size: int = 64
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    dropout_rate: float = 0.3
-    gossip_in_training: int = 0
-    train_fault_kind: str = "none"
-    train_fault_rate: float = 0.0
+    # training: every job's config is this one, with its method's dropout and its seed
+    train: TrainConfig = field(default_factory=TrainConfig)
     # evaluation
     fault_kinds: list = field(default_factory=lambda: ["communication"])
     fault_rates: list = field(default_factory=lambda: [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
@@ -151,6 +143,10 @@ class ExperimentConfig:
     # run
     seeds: list = field(default_factory=lambda: list(range(1, 17)))
     out_dir: Path = Path("runs")
+
+    @property
+    def epochs(self):
+        return self.train.epochs
 
     @property
     def device_count(self):
@@ -165,7 +161,7 @@ class ExperimentConfig:
         return [parse_method(name, self.device_count) for name in names]
 
     def validate(self):
-        """The one load-time gate: every value a run reads is checked here."""
+        """The one load-time gate of every value a run reads; ``train`` checks itself when built."""
         if self.dataset_kind not in ("synthetic", "idx"):
             raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.random_aggregators not in (True, False):  # None: not a word of _FLAGS
@@ -211,6 +207,8 @@ class ExperimentConfig:
                 fault_rate_key(r)
         if not self.seeds:
             raise ConfigError("seed list must be nonempty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"[run] seed {min(self.seeds)} must be >= 0")
         # a repeat would run a job twice and count its rows twice in the aggregate
         for key, values in (("[run] seeds", self.seeds), ("[methods] list", self.methods),
                             ("[eval] fault_kinds", self.fault_kinds),
@@ -236,13 +234,12 @@ class ExperimentConfig:
                                   f"model (aggregator count {model[0]}, dropout {model[1]})")
         for spec in self.method_specs():
             build_method_graph(self, spec)
-            for seed in self.seeds:
-                try:
-                    build_train_config(self, spec, seed)
-                except ConfigError as exc:
-                    raise ConfigError(f"method {spec.name!r}: {exc}") from None
+            try:
+                replace(self.train, dropout=spec.dropout)
+            except ConfigError as exc:
+                raise ConfigError(f"method {spec.name!r}: {exc}") from None
         if self.dataset_kind == "idx":
-            for key in ("train_images", "train_labels", "test_images", "test_labels"):
+            for key in _IDX_PATHS:
                 if key not in self.idx_paths:
                     raise ConfigError(f"idx dataset needs the {key} path")
                 if not self.idx_paths[key].exists():
@@ -271,7 +268,7 @@ def load_config(path, seeds_override=None, out_override=None) -> ExperimentConfi
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}")
 
-    cfg = ExperimentConfig()
+    cfg, train, parts = ExperimentConfig(), {}, {"idx_paths": {}, "train_fault": {}}
     for section in parser.sections():
         keys = CONFIG_KEYS.get(section)
         if keys is None:
@@ -286,14 +283,21 @@ def load_config(path, seeds_override=None, out_override=None) -> ExperimentConfi
                 value = parse(raw)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}")
-            if name == "idx_paths":
-                cfg.idx_paths[key] = value
+            name, _, part = name.partition(".")
+            if part:
+                parts[name][part] = value
+            elif section == "train":
+                train[name] = value
             else:
                 setattr(cfg, name, value)
     # the IDX paths count only for an IDX dataset
-    cfg.idx_paths = ({key: resolve_data_path(raw, path.parent)
-                      for key, raw in cfg.idx_paths.items()}
+    cfg.idx_paths = ({part: resolve_data_path(raw, path.parent)
+                      for part, raw in parts["idx_paths"].items()}
                      if cfg.dataset_kind == "idx" else {})
+    try:
+        cfg.train = TrainConfig(**train, train_fault=FaultModel(**parts["train_fault"]))
+    except ConfigError as exc:
+        raise ConfigError(f"[train] {exc}") from None
 
     if seeds_override:
         cfg.seeds = list(seeds_override)
@@ -363,12 +367,3 @@ def build_method_graph(cfg: ExperimentConfig, spec: MethodSpec):
                        seed=cfg.graph_seed, rgg_radius=cfg.rgg_radius,
                        random_aggregators=cfg.random_aggregators)
 
-
-def build_train_config(cfg: ExperimentConfig, spec: MethodSpec, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-        beta1=cfg.beta1, beta2=cfg.beta2, dropout=spec.dropout,
-        dropout_rate=cfg.dropout_rate,
-        train_fault=FaultModel(cfg.train_fault_kind, cfg.train_fault_rate),
-        gossip_rounds=cfg.gossip_in_training, seed=seed,
-    )

@@ -61,9 +61,7 @@ class FaultModel:
 
     def recovery_prob(self) -> float:
         """Probability q of a faulted link recovering, chosen so the chain's
-        stationary faulted fraction equals the fault rate."""
-        if self.rate == 0.0:
-            return 1.0
+        stationary faulted fraction equals the (nonzero) fault rate."""
         return (1.0 - MARKOV_STAY_ALIVE) * (1.0 - self.rate) / self.rate
 
 
@@ -148,9 +146,7 @@ def markov_step(state: np.ndarray, model: FaultModel, graph: DeviceGraph, u) -> 
     """One markov_comm transition of every chain in ``state`` (..., C+1,
     C+1), given uniforms ``u`` of the same shape: alive links stay alive
     w.p. p, faulted links recover w.p. q = (1-p)(1-r)/r. Only base links are
-    ever alive and self-loops are kept. Rate 0 keeps every link as it is."""
-    if model.rate == 0.0:
-        return state.copy()
+    ever alive and self-loops are kept."""
     n = graph.device_count + 1
     nxt = np.where(state, u < MARKOV_STAY_ALIVE, u < model.recovery_prob())
     nxt &= graph.adj

@@ -39,7 +39,8 @@ TRAIN_FAULT_KINDS = ("none", "device", "communication")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters, checked once, when built."""
+    """Training hyperparameters, checked once, when built: a config's
+    ``[train]`` section, with each job's dropout and run seed replaced."""
 
     epochs: int = 100
     batch_size: int = 64
@@ -207,7 +208,8 @@ def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dro
     the target of row ``rows[i]``. One ``batch_delivery`` draws every batch's
     delivery first. Each batch is gathered by row, cast to the parameters'
     dtype, and writes its gradient into one buffer held for the pass,
-    through layer views built once. Returns the mean train loss."""
+    through layer views built once. Then every Adam moment below the dtype's
+    smallest normal is zeroed. Returns the mean train loss."""
     grad = dataclasses.replace(model, params=np.empty_like(model.params))
     n = len(rows)
     order = rng_data.permutation(n)
@@ -221,6 +223,11 @@ def train_epoch(model, opt, views, rows, y_onehot, graph, cfg, rng_data, rng_dro
                                        cfg.gossip_rounds, out=grad)
         optimizer_step(model, opt, grad.params)
         total += loss * len(idx)
+    # A moment with zero gradients stops in the subnormals (float32 rounds
+    # 0.9 * k * 2**-149 to k for k <= 4), which slow every later step. Its
+    # step, below about lr * 1e-30, moves no parameter above lr * 1e-22.
+    for moment in (opt.m, opt.v):
+        moment[np.abs(moment) < np.finfo(moment.dtype).tiny] = 0.0
     return total / max(n, 1)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import multiprocessing
+import operator
 import os
 import re
 import shutil
@@ -22,7 +23,9 @@ from mags.config import (CONFIG_KEYS, ExperimentConfig, build_method_graph, load
 from mags.data import (SYNTH_CHUNK_ROWS, Dataset, client_views, read_idx, split_patches,
                        synth_dataset)
 from mags.errors import ConfigError
+from mags.faults import FaultModel
 from mags.rng import stream
+from mags.training import TrainConfig
 
 from helpers import save_idx
 
@@ -171,7 +174,7 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'CD-MACL-G2'.*CD dropout.*'device'"):
             load_config(p)
         p.write_text(p.read_text().replace("CD-MACL-G2", "MACL-G2"))
-        assert load_config(p).train_fault_kind == "device"
+        assert load_config(p).train.train_fault == FaultModel("device", 0.3)
 
     @pytest.mark.parametrize("old,new,match", [
         # used to write accuracy 0 and comm_mean 0 for every eval row
@@ -250,10 +253,17 @@ class TestLoadConfig:
         assert documented == {name: set(keys) for name, keys in CONFIG_KEYS.items()}
 
     def test_every_key_names_a_field_of_the_config(self):
-        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        # a [train] key names a TrainConfig field, any other key an
+        # ExperimentConfig field; a dotted name, one part of its field
+        parts = {"idx_paths": set(IDX_KEYS),
+                 "train_fault": {f.name for f in dataclasses.fields(FaultModel)}}
         for section, keys in CONFIG_KEYS.items():
+            config = TrainConfig if section == "train" else ExperimentConfig
+            names = {f.name for f in dataclasses.fields(config)}
             for key, (name, parse) in keys.items():
+                name, dot, part = name.partition(".")
                 assert name in names and callable(parse), (section, key)
+                assert not dot or part in parts[name], (section, key)
 
     def test_every_key_sets_its_field(self, tmp_path, monkeypatch):
         monkeypatch.delenv("MAGS_DATA_ROOT", raising=False)
@@ -272,10 +282,12 @@ class TestLoadConfig:
                 p = tmp_path / "one.ini"
                 p.write_text(text)
                 cfg = load_config(p)
-                if name == "idx_paths":
+                if name.startswith("idx_paths."):
                     assert cfg.idx_paths[key] == tmp_path / raw
                 else:
-                    assert getattr(cfg, name) != getattr(default, name), (section, key)
+                    # a [train] key sets a field of cfg.train, a dotted one a part of it
+                    value = operator.attrgetter(("train." if section == "train" else "") + name)
+                    assert value(cfg) != value(default), (section, key)
 
     @pytest.mark.parametrize("old,new,match", [
         pytest.param("seeds = 1, 2", "seeds = 3, 1, 3", r"\[run\] seeds repeats 3$", id="seeds"),

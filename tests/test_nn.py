@@ -464,6 +464,21 @@ class TestAdam:
         with pytest.raises(ConfigError):
             adam_update(params, np.zeros(5), state)
 
+    def test_zero_gradient_float32_moments_stop_in_the_subnormals(self):
+        # float32 rounds 0.9 * k * 2**-149 back to k * 2**-149 for k <= 4, so
+        # a moment whose gradient stays zero never reaches 0 (train_epoch
+        # flushes it) and its parameter never moves
+        unit = np.float32(2.0 ** -149)
+        params = stream(12, "init").uniform(-1, 1, size=64).astype(np.float32)
+        before = params.copy()
+        state = adam_init(params)
+        state.m[:] = np.arange(1, 65, dtype=np.float32) * unit
+        for _ in range(1000):
+            adam_update(params, np.zeros_like(params), state)
+        assert state.m[3] == 4 * unit
+        assert ((state.m > 0) & (state.m <= 4 * unit)).all()
+        assert np.array_equal(params, before)
+
 
 def test_init_is_fan_in_bounded():
     rng = stream(2, "init")

@@ -534,6 +534,27 @@ class TestTrainEpoch:
         assert np.isfinite(loss) and loss > 0
 
 
+    def test_no_moment_is_left_subnormal(self):
+        # an all-zero feature column gives its first-layer weight row an
+        # exactly zero gradient: its first moments, seeded in the
+        # subnormals, would stay there, and the epoch's flush zeroes them
+        ds, part, graph = small_problem(n=64)
+        views = client_views(ds.features, part)
+        views[0, :, 0] = 0.0
+        model = init_split_model(graph, part.patch_dims(), ds.class_count, stream(8, "init"))
+        model = dataclasses.replace(model, params=model.params.astype(np.float32))
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=8)
+        opt = adam_init(model.params, cfg.lr, cfg.beta1, cfg.beta2)
+        opt.m[:] = np.float32(4 * 2.0 ** -149)
+        train_epoch(model, opt, views, np.arange(len(ds)), one_hot(ds.labels, ds.class_count),
+                    graph, cfg, stream(8, "data"), stream(8, "dropout"), stream(8, "fault"))
+        row = positions(model)[0].layers[0][0][0, 0]
+        assert (opt.m[row] == 0).all() and (opt.v[row] == 0).all()
+        tiny = np.finfo(np.float32).tiny
+        for moment in (opt.m, opt.v):
+            assert not ((moment != 0) & (np.abs(moment) < tiny)).any()
+
+
 class TestFit:
     @pytest.mark.parametrize("dropout,gossip,fault", [
         ("none", 0, "none"), ("cd", 2, "none"), ("pd", 2, "none"),
