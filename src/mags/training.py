@@ -70,6 +70,10 @@ class TrainConfig:
         if kind not in TRAIN_FAULT_KINDS:
             raise ConfigError(f"train fault kind {kind!r} is not one of "
                               f"{', '.join(TRAIN_FAULT_KINDS)}")
+        # a rate with no kind would train fault-free and echo the rate
+        if kind == "none" and self.train_fault.rate != 0.0:
+            raise ConfigError(f"train fault rate {self.train_fault.rate} needs a fault_kind "
+                              "other than none")
         # a batch under a train fault takes its deliveries from the fault
         # draw, so the dropout would never apply
         if kind != "none" and self.dropout != "none":

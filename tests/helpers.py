@@ -10,23 +10,29 @@ forms of the head-path kernels, the sampled selection scorer that
 per-batch policy scoring loop that ``metrics.evaluate_policies``' one
 scoring pass is checked against, and the per-client encoder loop that
 ``training.evaluate_split``'s pass through ``training.split_forward`` is
-checked against. No pipeline of the library calls them."""
+checked against, and a seeded generator of experiment configs, valid and
+invalid, for the property test of the determinism contracts. No pipeline of
+the library calls them."""
 
+import copy
 import math
 import struct
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from mags.certs import CertResult
-from mags.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset, one_hot
+from mags.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset, one_hot, synth_dataset
 from mags.errors import ConfigError, InputError
-from mags.faults import FAULT_KIND_IDS, active_mask, base_realization, sample_realization
+from mags.faults import (FAULT_KIND_IDS, FAULT_KINDS, active_mask, base_realization,
+                         sample_realization)
 from mags.inference import aggregate, client_encode, mags_infer, sample_major
 from mags.metrics import EvalResult, count_comm, fault_rate_key
 from mags.nn import Mlp, log_softmax, mlp_backward, mlp_forward
 from mags.rng import stream
-from mags.training import split_loss_and_grads
+from mags.topology import GRAPH_KINDS
+from mags.training import TRAIN_FAULT_KINDS, split_loss_and_grads
 
 
 def check_one_hot(y) -> np.ndarray:
@@ -332,3 +338,145 @@ def per_client_evaluate_split(model, views, labels, graph, rows):
                 hit_sum += float((lp.argmax(axis=1) == lab).sum())
         loss_sum += chunk_loss * len(lab)
     return loss_sum / n, hit_sum / (n * k)
+
+
+GENERATED_SEED = 11
+EVAL_FAULT_KINDS = FAULT_KINDS[1:]  # every kind but none
+
+
+@dataclass(frozen=True)
+class GeneratedConfig:
+    """One generated experiment config: its ``sections`` (section -> key ->
+    value, the value as the checkpoint echoes it), the sizes of its
+    training pool and test split, and, for an invalid config, the pattern
+    of the ``ConfigError`` message its load must raise."""
+
+    id: str
+    sections: dict
+    sizes: tuple
+    error: str = None
+
+    def write(self, directory):
+        """Write the config, and the IDX files of an IDX dataset, into
+        ``directory``; return the config's path."""
+        sections = copy.deepcopy(self.sections)
+        data = sections["dataset"]
+        if data["kind"] == "idx":
+            pool = synth_dataset(sum(self.sizes), data["classes"], data["grid"], 1, 0.3)
+            for split, rows in (("train", slice(0, self.sizes[0])),
+                                ("test", slice(self.sizes[0], None))):
+                data[f"{split}_images"] = directory / f"{split}-images.idx"
+                data[f"{split}_labels"] = directory / f"{split}-labels.idx"
+                save_idx(Dataset(pool.features[rows], pool.labels[rows], data["classes"]),
+                         data[f"{split}_images"], data[f"{split}_labels"])
+        path = directory / "generated.ini"
+        path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                                for name, keys in sections.items()))
+        return path
+
+
+def _method_name(prefix, k, devices, gossip):
+    core = "VFL" if k == 1 else "MACL" if k == devices else f"{k}-MACL"
+    return prefix + core + (f"-G{gossip}" if gossip else "")
+
+
+def _case_id(sections, tag):
+    graph, train, ev = sections["graph"], sections["train"], sections["eval"]
+    g = sections["dataset"]["grid"]
+    parts = [tag, f"{graph['kind']}{g}x{g}" + ("-ra" if "random_aggregators" in graph else ""),
+             "+".join(sections["methods"]["list"].split(", ")),
+             f"tf-{train.get('fault_kind', 'none')}{train.get('fault_rate', '')}",
+             "ef-" + "+".join(ev["fault_kinds"].split(", "))]
+    return "-".join(parts)
+
+
+def generated_configs(valid: int = 12, seed: int = GENERATED_SEED) -> list:
+    """``valid`` tiny train + eval configs drawn from ``seed``, then one
+    invalid config for each way a config must fail at load, each made from
+    a drawn valid one.
+
+    Each feature a contract can hinge on lands on at least one valid
+    config, in a drawn order: a 2 x 2 and a 4 x 4 grid of devices, every
+    graph kind, random aggregators, every eval fault kind, each train
+    setting (fault-free, CD-, PD-, device or communication) with and
+    without gossip in training, two trials, an IDX dataset, a training
+    pool that crosses a 1024-row
+    block (its test split starting inside the next one), and a config of
+    one job on such a pool. Every test split leaves a short last batch.
+    The rest is drawn freely."""
+    rng = np.random.default_rng(seed)
+
+    def spread(options):
+        return [options[j % len(options)] for j in rng.permutation(valid)]
+
+    grids, kinds, random_aggs = spread((2, 4)), spread(GRAPH_KINDS), spread((False, True))
+    train_modes = spread([(mode, gossip) for mode in TRAIN_FAULT_KINDS + ("CD-", "PD-")
+                          for gossip in (False, True)])
+    eval_kinds, trials = spread(EVAL_FAULT_KINDS), spread((1, 2))
+    shapes = spread(("idx", "blocks", "one-job") + ("",) * (valid - 3))
+    cases = []
+    for i in range(valid):
+        shape, (mode, gossip) = shapes[i], train_modes[i]
+        batch = int(rng.choice([16, 32, 48]))
+        train_n, test_n = (1100, 100) if shape else (int(rng.integers(120, 300)),
+                                                     int(rng.integers(40, 120)))
+        test_n += int(test_n % batch == 0)  # a short last batch
+        dataset = {"kind": "idx" if shape == "idx" else "synthetic", "grid": grids[i],
+                   "classes": int(rng.integers(3, 6))}
+        if shape != "idx":
+            dataset.update(train_n=train_n, test_n=test_n, seed=int(rng.integers(10)))
+        graph = {"kind": kinds[i]}
+        if kinds[i] == "rgg":
+            graph["rgg_radius"] = float(rng.choice([1.0, 1.5]))
+        if random_aggs[i]:
+            graph.update(random_aggregators="yes", seed=int(rng.integers(10)))
+        train = {"epochs": 1 if shape else int(rng.integers(1, 3)), "batch": batch}
+        for key, options in (("lr", [0.003, 0.01]), ("beta1", [0.8, 0.95]),
+                             ("beta2", [0.99, 0.995]), ("dropout_rate", [0.2, 0.5])):
+            if rng.random() < 0.5:
+                train[key] = float(rng.choice(options))
+        if gossip:
+            train["gossip_in_training"] = int(rng.integers(1, 3))
+        if mode in ("device", "communication"):
+            train.update(fault_kind=mode, fault_rate=float(rng.choice([0.2, 0.4])))
+        prefix = mode if mode.endswith("-") else ""
+        # aggregator counts of 1 to C, each at most once: no two names of one model
+        devices = grids[i] ** 2
+        ks = rng.choice(np.arange(1, devices + 1),
+                        1 if shape == "one-job" else int(rng.integers(2, 4)), replace=False)
+        methods = [_method_name(prefix if j == 0 or rng.random() < 0.7 else "", int(k), devices,
+                                int(rng.integers(3))) for j, k in enumerate(sorted(ks))]
+        if shape != "one-job" and rng.random() < 0.5:  # a second gossip count on one checkpoint
+            methods.append(methods[-1].split("-G")[0] + "-G3")
+        others = [k for k in EVAL_FAULT_KINDS if k != eval_kinds[i] and rng.random() < 0.4]
+        rates = sorted(rng.choice([0.1, 0.2, 0.3, 0.5], int(rng.integers(1, 3)), replace=False))
+        seeds = sorted(rng.choice(10, 1 if shape == "one-job" else 2, replace=False))
+        sections = {"dataset": dataset, "graph": graph, "methods": {"list": ", ".join(methods)},
+                    "train": train,
+                    "eval": {"fault_kinds": ", ".join([eval_kinds[i]] + others),
+                             "fault_rates": ", ".join(f"{r:g}" for r in [0.0, *rates]),
+                             "trials": trials[i]},
+                    "run": {"seeds": ", ".join(str(s) for s in seeds)}}
+        cases.append(GeneratedConfig(_case_id(sections, f"{i:02d}{'-' + shape if shape else ''}"),
+                                     sections, (train_n, test_n)))
+
+    def broken(reason, error, **changes):
+        base = cases[int(rng.integers(valid))]
+        sections = copy.deepcopy(base.sections)
+        for name, keys in changes.items():
+            sections[name].update(keys)
+            sections[name] = {k: v for k, v in sections[name].items() if v is not None}
+        return GeneratedConfig(_case_id(sections, "bad-" + reason), sections, base.sizes, error)
+
+    rate = float(rng.choice([0.2, 0.4]))
+    return cases + [
+        broken("rate-without-kind", rf"^\[train\] train fault rate {rate} needs a fault_kind",
+               train={"fault_kind": None, "fault_rate": rate}),
+        broken("dropout-with-train-fault", "CD dropout, which cannot be combined",
+               methods={"list": "CD-MACL, VFL"},
+               train={"fault_kind": "device", "fault_rate": rate}),
+        broken("markov-rate", "markov_comm at rate 0.05",
+               eval={"fault_kinds": "markov_comm, device", "fault_rates": "0, 0.05"}),
+        broken("one-method-twice", "'MACL' and '4-MACL' are one method",
+               dataset={"grid": 2}, methods={"list": "MACL, 4-MACL"}),
+    ]

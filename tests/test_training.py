@@ -210,8 +210,8 @@ class TestDropoutMasks:
         # the bits of one draw per batch: keep, the realization, and the
         # gossip pair that each batch's realization gives in ``dtype``
         graph = build_graph("ring", 8, 5)
-        cfg = TrainConfig(dropout=dropout, dropout_rate=0.4, train_fault=FaultModel(fault, 0.4),
-                          gossip_rounds=2)
+        cfg = TrainConfig(dropout=dropout, dropout_rate=0.4, gossip_rounds=2,
+                          train_fault=FaultModel(fault, 0.0 if fault == "none" else 0.4))
         keep, realized = batch_delivery(graph, cfg, 7, stream(11, "dropout"), stream(11, "fault"))
         ref_keep, ref = per_batch_delivery(graph, cfg, 7, stream(11, "dropout"),
                                            stream(11, "fault"))
@@ -570,7 +570,8 @@ class TestFit:
         assert len(make_splits(len(ds), 4)[0]) % 24 != 0
         graph = build_graph("ring", 4, 3)
         cfg = TrainConfig(epochs=2, batch_size=24, seed=4, dropout=dropout,
-                          gossip_rounds=gossip, train_fault=FaultModel(fault, 0.3))
+                          gossip_rounds=gossip,
+                          train_fault=FaultModel(fault, 0.0 if fault == "none" else 0.3))
         real_sample, real_loss = training.sample_realization, training.split_loss_and_grads
         draws, trained = [], []
 
