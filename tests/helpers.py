@@ -381,17 +381,16 @@ def _method_name(prefix, k, devices, gossip):
 
 
 def _case_id(sections, tag):
-    graph, train, ev = sections["graph"], sections["train"], sections["eval"]
-    g = sections["dataset"]["grid"]
+    graph, train, g = sections["graph"], sections["train"], sections["dataset"]["grid"]
     parts = [tag, f"{graph['kind']}{g}x{g}" + ("-ra" if "random_aggregators" in graph else ""),
-             "+".join(sections["methods"]["list"].split(", ")),
+             sections["methods"]["list"].replace(", ", "+"),
              f"tf-{train.get('fault_kind', 'none')}{train.get('fault_rate', '')}",
-             "ef-" + "+".join(ev["fault_kinds"].split(", "))]
+             "ef-" + sections["eval"]["fault_kinds"].replace(", ", "+")]
     return "-".join(parts)
 
 
-def generated_configs(valid: int = 12, seed: int = GENERATED_SEED) -> list:
-    """``valid`` tiny train + eval configs drawn from ``seed``, then one
+def generated_configs() -> list:
+    """12 tiny train + eval configs drawn from ``GENERATED_SEED``, then one
     invalid config for each way a config must fail at load, each made from
     a drawn valid one.
 
@@ -399,12 +398,12 @@ def generated_configs(valid: int = 12, seed: int = GENERATED_SEED) -> list:
     config, in a drawn order: a 2 x 2 and a 4 x 4 grid of devices, every
     graph kind, random aggregators, every eval fault kind, each train
     setting (fault-free, CD-, PD-, device or communication) with and
-    without gossip in training, two trials, an IDX dataset, a training
-    pool that crosses a 1024-row
-    block (its test split starting inside the next one), and a config of
-    one job on such a pool. Every test split leaves a short last batch.
-    The rest is drawn freely."""
-    rng = np.random.default_rng(seed)
+    without gossip in training, each optional ``[train]`` key, a method
+    on every device (K = C), two trials, an IDX dataset, a training pool
+    and a test split that each cross a 1024-row block, and a config of one
+    job on a pool that crosses one. Every test split leaves a short last
+    batch. The rest is drawn freely."""
+    valid, rng = 12, np.random.default_rng(GENERATED_SEED)
 
     def spread(options):
         return [options[j % len(options)] for j in rng.permutation(valid)]
@@ -412,14 +411,18 @@ def generated_configs(valid: int = 12, seed: int = GENERATED_SEED) -> list:
     grids, kinds, random_aggs = spread((2, 4)), spread(GRAPH_KINDS), spread((False, True))
     train_modes = spread([(mode, gossip) for mode in TRAIN_FAULT_KINDS + ("CD-", "PD-")
                           for gossip in (False, True)])
+    optional = {key: spread((False, True)) for key in ("lr", "beta1", "beta2", "dropout_rate")}
     eval_kinds, trials = spread(EVAL_FAULT_KINDS), spread((1, 2))
+    every_device = spread((False, True))  # a method of K = C
     shapes = spread(("idx", "blocks", "one-job") + ("",) * (valid - 3))
+    # training pool and test split rows: the blocks case's test split crosses row 2048
+    sizes = {"idx": (1100, 100), "blocks": (2000, 100), "one-job": (1100, 100)}
     cases = []
     for i in range(valid):
         shape, (mode, gossip) = shapes[i], train_modes[i]
         batch = int(rng.choice([16, 32, 48]))
-        train_n, test_n = (1100, 100) if shape else (int(rng.integers(120, 300)),
-                                                     int(rng.integers(40, 120)))
+        train_n, test_n = sizes[shape] if shape else (int(rng.integers(120, 300)),
+                                                      int(rng.integers(40, 120)))
         test_n += int(test_n % batch == 0)  # a short last batch
         dataset = {"kind": "idx" if shape == "idx" else "synthetic", "grid": grids[i],
                    "classes": int(rng.integers(3, 6))}
@@ -433,7 +436,7 @@ def generated_configs(valid: int = 12, seed: int = GENERATED_SEED) -> list:
         train = {"epochs": 1 if shape else int(rng.integers(1, 3)), "batch": batch}
         for key, options in (("lr", [0.003, 0.01]), ("beta1", [0.8, 0.95]),
                              ("beta2", [0.99, 0.995]), ("dropout_rate", [0.2, 0.5])):
-            if rng.random() < 0.5:
+            if optional[key][i]:
                 train[key] = float(rng.choice(options))
         if gossip:
             train["gossip_in_training"] = int(rng.integers(1, 3))
@@ -441,9 +444,10 @@ def generated_configs(valid: int = 12, seed: int = GENERATED_SEED) -> list:
             train.update(fault_kind=mode, fault_rate=float(rng.choice([0.2, 0.4])))
         prefix = mode if mode.endswith("-") else ""
         # aggregator counts of 1 to C, each at most once: no two names of one model
-        devices = grids[i] ** 2
-        ks = rng.choice(np.arange(1, devices + 1),
-                        1 if shape == "one-job" else int(rng.integers(2, 4)), replace=False)
+        devices, count = grids[i] ** 2, 1 if shape == "one-job" else int(rng.integers(2, 4))
+        ks = [devices] if every_device[i] else []
+        ks += rng.choice(np.arange(1, devices + 1 - len(ks)), count - len(ks),
+                         replace=False).tolist()
         methods = [_method_name(prefix if j == 0 or rng.random() < 0.7 else "", int(k), devices,
                                 int(rng.integers(3))) for j, k in enumerate(sorted(ks))]
         if shape != "one-job" and rng.random() < 0.5:  # a second gossip count on one checkpoint

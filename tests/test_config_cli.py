@@ -767,6 +767,18 @@ class TestEvalCommand:
         assert capsys.readouterr().err == f"error: {path}: damaged header: no best_epoch line\n"
         assert multiprocessing.active_children() == []
 
+    def test_determinism_modulo_wall_time(self, pipeline, tmp_path_factory):
+        tmp2 = tmp_path_factory.mktemp("rerun")
+        cfg2 = write_config(tmp2)
+        assert main(["train", "--config", str(cfg2)]) == 0
+        assert main(["eval", "--config", str(cfg2)]) == 0
+        a = read_runs_csv(pipeline[0] / "runs" / "runs.csv")
+        b = read_runs_csv(tmp2 / "runs" / "runs.csv")
+        assert [r[:8] for r in a] == [r[:8] for r in b]  # all but wall_time
+        agg_a = (pipeline[0] / "runs" / "aggregate.csv").read_bytes()
+        agg_b = (tmp2 / "runs" / "aggregate.csv").read_bytes()
+        assert agg_a == agg_b
+
     def test_inputs_built_once_per_command_and_checkpoint(self, pipeline, tmp_path,
                                                           monkeypatch):
         from mags import metrics
@@ -835,6 +847,19 @@ class TestEvalCommand:
         assert {key: rate_zero[key] for key in checkpoints} == dict.fromkeys(checkpoints, 1)
         rows = read_runs_csv(tmp_path / "runs" / "runs.csv")
         assert len(rows) == 3 * 3 * 1 * 4 * 2
+
+    def test_worker_pool_matches_serial(self, pipeline, tmp_path_factory):
+        tmp2 = tmp_path_factory.mktemp("workers")
+        cfg2 = write_config(tmp2)
+        assert main(["train", "--config", str(cfg2), "--workers", "2"]) == 0
+        assert main(["eval", "--config", str(cfg2), "--workers", "2"]) == 0
+        a = read_runs_csv(pipeline[0] / "runs" / "runs.csv")
+        b = read_runs_csv(tmp2 / "runs" / "runs.csv")
+        assert [r[:8] for r in a] == [r[:8] for r in b]
+        serial = sorted((pipeline[0] / "runs" / "checkpoints").iterdir())
+        assert len(serial) == 12  # a checkpoint and a curve per variant and seed
+        for path in serial:
+            assert (tmp2 / "runs" / "checkpoints" / path.name).read_bytes() == path.read_bytes()
 
 
 def job_and_pid(jobs):

@@ -16,7 +16,8 @@ import pytest
 
 from mags import cli, metrics
 from mags.cli import main, read_runs_csv
-from mags.config import load_config
+from mags.config import CONFIG_KEYS, load_config
+from mags.data import SYNTH_CHUNK_ROWS
 from mags.errors import ConfigError
 from mags.topology import GRAPH_KINDS
 from mags.training import load_checkpoint
@@ -125,15 +126,21 @@ def test_generated_configs_reach_every_contract_input():
     assert {k for s in sections for k in s["eval"]["fault_kinds"].split(", ")} == set(
         EVAL_FAULT_KINDS)
     # each train setting, with and without gossip in training
-    settings = set()
-    for s in sections:
-        dropout = s["methods"]["list"][:3] if s["methods"]["list"][:3] in ("CD-", "PD-") else "none"
-        settings.add((s["train"].get("fault_kind", dropout), "gossip_in_training" in s["train"]))
+    dropout = {"CD-": "CD-", "PD-": "PD-"}  # the first method's prefix, if any
+    settings = {(s["train"].get("fault_kind", dropout.get(s["methods"]["list"][:3], "none")),
+                 "gossip_in_training" in s["train"]) for s in sections}
     assert settings == {(setting, gossip) for gossip in (False, True)
                         for setting in ("none", "CD-", "PD-", "device", "communication")}
     assert any(case.sections["eval"]["trials"] == 2
                and case.sizes[1] % case.sections["train"]["batch"] for case in VALID)
+    assert {key for s in sections for key in s["train"]} == set(CONFIG_KEYS["train"])
+    assert any(name.split("-G")[0] in ("MACL", "CD-MACL", "PD-MACL")  # K = C
+               for s in sections for name in s["methods"]["list"].split(", "))
     assert any(s["dataset"]["kind"] == "idx" for s in sections)
+    # a synthetic test split and a one-job training pool of two blocks or more
+    assert any(case.sections["dataset"]["kind"] == "synthetic"
+               and case.sizes[0] // SYNTH_CHUNK_ROWS < (sum(case.sizes) - 1) // SYNTH_CHUNK_ROWS
+               for case in VALID)
     one_job = [case.sizes[0] for case in VALID
                if "," not in case.sections["methods"]["list"] + case.sections["run"]["seeds"]]
-    assert max(one_job, default=0) > 1024  # a pool of two 1024-row blocks or more
+    assert max(one_job, default=0) > SYNTH_CHUNK_ROWS
