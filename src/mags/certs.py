@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import one_hot
 from .faults import FaultModel, base_realization, sample_realization
-from .inference import gossip_mix, gossip_round
+from .inference import gossip_mix, gossip_round, init_split_model
 from .metrics import count_comm, ensemble_decomposition, score_policies
 from .nn import log_softmax
 from .rng import stream
@@ -239,8 +239,6 @@ def cert_gradient_check(seed=0, tol=1e-6) -> CertResult:
     """Analytic gradients through the split pipeline (encoders, zero-imputed
     concatenation, heads) match finite differences on a two-client,
     two-aggregator toy, with and without a dropped delivery."""
-    from .inference import init_split_model
-
     graph = build_graph("complete", 2, 2)
     rng = stream(seed, "init")
     model = init_split_model(graph, [4, 4], 3, rng)

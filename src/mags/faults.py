@@ -122,9 +122,10 @@ def sample_realization(graph: DeviceGraph, model: FaultModel, batches: int, roun
     per batch and hold it for every round (R = 1); their draws consume
     ``rng`` batch by batch, as one call per batch would. The Markov kind
     (R = ``rounds``) starts every batch's chain from its stationary law,
-    which is the communication-fault law at rate r: all batches' first
-    rounds are drawn as one block before any step, so they do not depend on
-    ``rounds``. ``rounds`` - 1 ``markov_step``s follow.
+    which is the communication-fault law at rate r, then takes ``rounds`` -
+    1 ``markov_step``s, each on uniforms drawn for all batches at once. The
+    stream is used up round by round, so a draw of R rounds is the first R
+    rounds of any longer draw from the same stream.
     """
     if model.fault_free:
         return base_realization(graph, batches)
@@ -134,11 +135,10 @@ def sample_realization(graph: DeviceGraph, model: FaultModel, batches: int, roun
         return sample_comm_faults(graph, model.rate, batches, rng)
     first = sample_comm_faults(graph, model.rate, batches, rng)
     n = graph.device_count + 1
-    u = rng.random((batches, rounds - 1, n, n))
     edge_alive = np.empty((batches, rounds, n, n), dtype=bool)
     state = edge_alive[:, 0] = first.edge_alive[:, 0]
     for t in range(1, rounds):
-        state = edge_alive[:, t] = markov_step(state, model, graph, u[:, t - 1])
+        state = edge_alive[:, t] = markov_step(state, model, graph, rng.random(state.shape))
     return RealizedGraph(first.alive, edge_alive)
 
 

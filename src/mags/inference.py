@@ -216,7 +216,7 @@ def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,
     ``TrainConfig``) on the stacked (K, B, M) head log-probs ``values`` of
     the aggregators ``aggs``, dead ones included; round t mixes over the
     ``gossip_mix`` pair of ``realized.edge_alive[t]``, or of its one held
-    round. A dead aggregator's row mixes only with itself and no alive row
+    round; later rounds are not read. A dead aggregator's row mixes only with itself and no alive row
     reads it, so the alive rows mix as they would alone. J batches run as
     one on (J, K, B, M) values and a ``realized`` stacked over them, each
     slice bit-identical to its own call.
@@ -226,8 +226,7 @@ def mags_infer(values: np.ndarray, aggs, realized: RealizedGraph,
     its row, a per-row shift, and scoring reads only the argmax. In float
     arithmetic the two argmaxes agree except where subtracting the shift
     would round two neighbouring values to one number, a tie that the
-    shifted argmax breaks to the lower class. The head pass reads only the
-    first round, so every gossip count of one realization can share it.
+    shifted argmax breaks to the lower class.
     """
     held = realized.edge_alive.shape[-3] == 1  # a held draw's pair is built once
     for t in range(1, gossip_rounds + 1):

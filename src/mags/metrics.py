@@ -97,7 +97,6 @@ def ensemble_decomposition(member_log_probs, y_onehot):
 class EvalResult:
     accuracy: dict       # policy -> accuracy in [0, 1]
     comm_mean: float     # mean messages per inference
-    sample_count: int
     # scoring time, not part of the result; a fault-free cell that reuses
     # the first fault-free cell's results reports that cell's time
     seconds: float = field(compare=False)
@@ -153,15 +152,14 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     samples, as returned by ``client_encode``; it is laid out by sample
     once, and each pass gathers its batches' rows.
 
-    Each fault model keys its own fault stream by its kind and rate. Each
-    count draws its (G+1)-round realizations from its own copy of that
-    stream, whose key has no gossip count, and ``sample_realization`` draws
-    every batch's first round before any chain step, so every count sees
-    the same first round of every batch, and the head pass reads only that
-    round. One walk over the batches therefore serves every count. The walk
-    takes a cell's batches a chunk at a time, each batch at full width: a
-    trial's short last batch is filled from the split's first samples,
-    slots that no score reads. Each chunk makes one stacked ``aggregate``
+    Each fault model keys its own fault stream by its kind and rate, with
+    no gossip count, and draws its realizations once, of max(G) + 1 rounds:
+    every count reads the first G + 1 rounds of that one draw, which are
+    what a draw of G + 1 rounds from the same stream would give, and the
+    head pass reads the first round. One walk over the batches therefore
+    serves every count. The walk takes a cell's batches a chunk at a time,
+    each batch at full width: a trial's short last batch is filled from the
+    split's first samples, slots that no score reads. Each chunk makes one stacked ``aggregate``
     and ``aggregator_head`` pass, every head running, a dead aggregator's on
     the zeros of its all-False delivery row; then per count one stacked
     gossip stage (``mags_infer``), whose argmax is recorded in the count's
@@ -212,27 +210,26 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
             grid.append(base_results)
             continue
         clock = time.perf_counter()
-        realized = [sample_realization(graph, fault_model, nb, g + 1,
-                                       stream(seed, "fault", *key)) for g in counts]
-        # every count's first rounds are the same: the head pass reads them
-        keep = delivery(realized[0], aggs)[1]
+        realized = sample_realization(graph, fault_model, nb, max(counts) + 1,
+                                      stream(seed, "fault", *key))
+        keep = delivery(realized, aggs)[1]
         correct = np.zeros((len(counts), nb, graph.device_count + 1, width), dtype=bool)
         for i in range(0, nb, chunk):
             j = slice(i, i + chunk)
             values = aggregator_head(model, aggregate(rows[samples[j]], keep[j]))[0]
             for s, g in enumerate(counts):
-                final = mags_infer(values, aggs, realized[s][j], g)
+                final = mags_infer(values, aggs, realized[j], g)
                 correct[s][j, aggs] = final.argmax(axis=-1) == lab[j, None]
 
         results = []
         for s, g in enumerate(counts):
-            values = score_policies(correct[s], active_mask(realized[s], graph.aggregators),
-                                    valid, m)
-            comm = int(count_comm(realized[s], graph.aggregators, g) @ sizes)
+            prefix = RealizedGraph(realized.alive, realized.edge_alive[:, :g + 1])
+            values = score_policies(correct[s], active_mask(prefix, graph.aggregators), valid, m)
+            comm = int(count_comm(prefix, graph.aggregators, g) @ sizes)
             results.append(({p: float(values[p].sum()) / total for p in policies},
                             comm / total))
         seconds = (time.perf_counter() - clock) / len(counts)
-        grid.append([EvalResult(acc, comm_mean, total, seconds) for acc, comm_mean in results])
+        grid.append([EvalResult(acc, comm_mean, seconds) for acc, comm_mean in results])
         if fault_model.fault_free:
             base_results = grid[-1]
     return grid

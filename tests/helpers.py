@@ -310,7 +310,7 @@ def per_batch_evaluate_policies(model, reps, labels, graph, fault_models, polici
                     s["values"][p][i, :b] = outcomes[p]
         seconds = (time.perf_counter() - clock) / len(counts)
         grid.append([EvalResult({p: float(s["values"][p].sum()) / total for p in policies},
-                                s["comm"] / total, total, seconds) for s in scores])
+                                s["comm"] / total, seconds) for s in scores])
     return grid
 
 

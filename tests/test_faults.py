@@ -149,19 +149,20 @@ class TestMarkovChain:
 
     def test_stacked_steps_equal_per_batch_stepping(self):
         # every batch's chain, stepped on its own from the same round-1 block
-        # with the uniforms the stacked call drew, gives the same rounds
+        # with its slice of each step's uniforms, drawn round by round for
+        # all batches at once, gives the same rounds
         g = build_graph("ring", 9, 3)
         model = FaultModel("markov_comm", 0.3)
         batches, rounds, n = 6, 5, 10
         edges = markov_edges(g, 0.3, batches, rounds, 11)
         rng = stream(11, "fault")
         first = sample_comm_faults(g, 0.3, batches, rng).edge_alive[:, 0]
-        u = rng.random((batches, rounds - 1, n, n))
+        u = [rng.random((batches, n, n)) for _ in range(rounds - 1)]
         for b in range(batches):
             state = first[b]
             assert np.array_equal(edges[b, 0], state)
             for t in range(1, rounds):
-                state = markov_step(state, model, g, u[b, t - 1])
+                state = markov_step(state, model, g, u[t - 1][b])
                 assert np.array_equal(edges[b, t], state)
 
     @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
@@ -185,12 +186,13 @@ class TestMarkovChain:
         assert abs(alive.mean() - (1 - rate)) <= mc_band(1 - rate, ess)
 
     @pytest.mark.parametrize("rate", [0.3, 0.5])
-    def test_round_one_does_not_depend_on_gossip_rounds(self, rate):
-        # G0 and G4 cells draw identical round-1 blocks from one stream
+    def test_shorter_draws_are_prefixes_of_longer_ones(self, rate):
+        # every gossip count of a cell reads the first G+1 rounds of its one
+        # draw: they must be the rounds that a draw of G+1 rounds gives
         g = build_graph("grid", 16, 4)
-        g0 = markov_edges(g, rate, 32, 1, 14)
-        g4 = markov_edges(g, rate, 32, 5, 14)
-        assert np.array_equal(g0[:, 0], g4[:, 0])
+        longest = markov_edges(g, rate, 32, 5, 14)
+        for rounds in (1, 2, 3, 5):
+            assert np.array_equal(markov_edges(g, rate, 32, rounds, 14), longest[:, :rounds])
 
 
 class TestStackedDraws:

@@ -6,9 +6,10 @@ one worker, again at one worker into the same directory, and at two
 workers into another. The three runs must write the same checkpoints,
 curves, ``aggregate.csv`` and ``runs.csv`` columns 1-8 (all but
 ``wall_time``). Methods that share a seed and an eval cell must draw the
-same first-round faults whatever their aggregator and gossip counts. Every
-``[train]`` value must read back from the checkpoints, and every cell must
-keep the policy orderings. Each invalid config must stop at load.
+same faults whatever their aggregator and gossip counts, a draw of fewer
+rounds being the start of a longer one. Every ``[train]`` value must read
+back from the checkpoints, and every cell must keep the policy orderings.
+Each invalid config must stop at load.
 """
 
 import numpy as np
@@ -53,8 +54,8 @@ def differing(a: dict, b: dict) -> list:
 def test_generated_config_keeps_the_contracts(case, tmp_path, monkeypatch):
     config = case.write(tmp_path)
     cfg = load_config(config)
-    # (seed, fault model) -> the (K, G) and first round of its first draw
-    first_rounds, paired, seed = {}, [], None
+    # (seed, fault model) -> the (K, G) and the faults of its first draw
+    first_draws, paired, seed = {}, [], None
     real_evaluate, real_draw = cli.evaluate_policies, metrics.sample_realization
 
     def evaluate(*args, **kwargs):
@@ -64,11 +65,12 @@ def test_generated_config_keeps_the_contracts(case, tmp_path, monkeypatch):
 
     def draw(graph, fault_model, batches, rounds, rng):
         realized = real_draw(graph, fault_model, batches, rounds, rng)
-        # the entity links differ with K, and later Markov rounds with G
-        first = (realized.alive, realized.edge_alive[:, 0, 1:, 1:])
+        # the entity links differ with K, and the Markov round count with G
+        alive, edges = realized.alive, realized.edge_alive[..., 1:, 1:]
         kg = (len(graph.aggregators), rounds - 1)
-        kg0, first0 = first_rounds.setdefault((seed, fault_model), (kg, first))
-        assert all(np.array_equal(a, b) for a, b in zip(first, first0)), (
+        kg0, (alive0, edges0) = first_draws.setdefault((seed, fault_model), (kg, (alive, edges)))
+        r = min(edges.shape[1], edges0.shape[1])
+        assert np.array_equal(alive, alive0) and np.array_equal(edges[:, :r], edges0[:, :r]), (
             f"seed {seed}, {fault_model}: (K, G) = {kg} drew other faults than {kg0}")
         paired.append(kg[0] != kg0[0])
         return realized
@@ -136,6 +138,17 @@ def test_generated_configs_reach_every_contract_input():
     assert {key for s in sections for key in s["train"]} == set(CONFIG_KEYS["train"])
     assert any(name.split("-G")[0] in ("MACL", "CD-MACL", "PD-MACL")  # K = C
                for s in sections for name in s["methods"]["list"].split(", "))
+
+    def largest_counts(methods):  # each checkpoint's largest gossip count
+        largest = {}
+        for name in methods.split(", "):
+            model, _, g = name.partition("-G")
+            largest[model] = max(largest.get(model, 0), int(g or 0))
+        return set(largest.values())
+
+    # Markov cells whose checkpoints of one seed draw two round counts past the first
+    assert any("markov_comm" in s["eval"]["fault_kinds"]
+               and len(largest_counts(s["methods"]["list"]) - {0}) > 1 for s in sections)
     assert any(s["dataset"]["kind"] == "idx" for s in sections)
     # a synthetic test split and a one-job training pool of two blocks or more
     assert any(case.sections["dataset"]["kind"] == "synthetic"

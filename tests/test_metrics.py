@@ -395,21 +395,49 @@ class TestEvaluatePolicies:
                 assert a["active_best"] >= a["active_rand"] >= a["active_worst"]
                 assert a["any_rand"] <= a["active_rand"]
 
-    @pytest.mark.parametrize("kind", ["communication", "device"])
+    @pytest.mark.parametrize("kind", ["communication", "device", "markov_comm"])
     def test_gossip_reuses_fault_draws(self, trained_small, kind):
-        # the fault stream must not depend on the number of gossip rounds
+        # the fault stream must not depend on the number of gossip rounds: a
+        # draw for fewer rounds is the start of a longer one
         model, ds, part, graph = trained_small
         fault = FaultModel(kind, 0.4)
-        kwargs = dict(graph=graph, fault_models=[fault], policies=["active_rand"], seed=4)
-        reps = client_encode(model, client_views(ds.features[-200:], part))
-        [(r0, r4)] = evaluate_policies(model, reps, ds.labels[-200:], gossip_rounds=[0, 4],
-                                       **kwargs)
-        assert r0.comm_mean == pytest.approx(r4.comm_mean / 5.0)
+        if kind != "markov_comm":  # a held draw sends the same messages every round
+            kwargs = dict(graph=graph, fault_models=[fault], policies=["active_rand"], seed=4)
+            reps = client_encode(model, client_views(ds.features[-200:], part))
+            [(r0, r4)] = evaluate_policies(model, reps, ds.labels[-200:], gossip_rounds=[0, 4],
+                                           **kwargs)
+            assert r0.comm_mean == pytest.approx(r4.comm_mean / 5.0)
 
-        g0 = sample_realization(graph, fault, 10, 1, stream(4, "fault"))
         g4 = sample_realization(graph, fault, 10, 5, stream(4, "fault"))
-        assert np.array_equal(g0.alive, g4.alive)
-        assert np.array_equal(g0.edge_alive, g4.edge_alive[:, :1])
+        for g in (0, 2):  # G2's rounds are G4's first three
+            short = sample_realization(graph, fault, 10, g + 1, stream(4, "fault"))
+            rounds = g + 1 if kind == "markov_comm" else 1
+            assert np.array_equal(short.alive, g4.alive)
+            assert np.array_equal(short.edge_alive, g4.edge_alive[:, :rounds])
+
+    def test_one_fault_draw_per_scored_cell(self, monkeypatch):
+        # every gossip count of a cell reads a prefix of one draw of
+        # max(G) + 1 rounds; a fault-free cell after the first draws nothing
+        from mags import metrics
+        graph = build_graph("grid", 9, 9)
+        model = init_split_model(graph, [16] * 9, 5, stream(3, "init"))
+        rng = np.random.default_rng(10)
+        n = 40
+        reps = client_encode(model, rng.random((9, n, 16)))
+        draws = []
+
+        def counted(graph, fault_model, batches, rounds, rng):
+            draws.append((fault_model, rounds))
+            return sample_realization(graph, fault_model, batches, rounds, rng)
+
+        monkeypatch.setattr(metrics, "sample_realization", counted)
+        faults = [FaultModel("none"), FaultModel("device", 0.3),
+                  FaultModel("communication", 0.3), FaultModel("markov_comm", 0.3),
+                  FaultModel("markov_comm", 0.0)]
+        grid = evaluate_policies(model, reps, rng.integers(5, size=n), graph, faults,
+                                 list(POLICIES), [0, 2, 4], seed=13, batch_size=16)
+        assert draws == [(fault, 5) for fault in faults[:4]]
+        assert [len(results) for results in grid] == [3] * 5
 
     @pytest.mark.parametrize("counts", [(0, 4), (0, 2, 4)])
     @pytest.mark.parametrize("kind", ["none", "device", "communication", "markov_comm"])
