@@ -191,7 +191,7 @@ def cert_selection_uniformity(seed=0) -> CertResult:
                    "any_rand": np.where(u_on, u_ok, guess_ok)}
         n = active.sum(axis=1)[:, None, None, None]
         law = (v[:, None] < np.maximum(n, 1)) / (m * c * np.maximum(n, 1))  # P(g, u, v)
-        expected = score_policies(correct, active, valid, m)
+        expected = score_policies(correct[:, 1:], active[:, 1:], valid, m, c)
         for p, o in sampled.items():
             mean = (law * np.where(n == 0, guess_ok, o)).sum(axis=(1, 2))
             worst = max(worst, float(np.abs(expected[p] - mean).max()))

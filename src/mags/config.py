@@ -99,7 +99,7 @@ CONFIG_KEYS = {
     "graph": {"kind": ("graph_kind", str.strip), "rgg_radius": ("rgg_radius", float),
               "random_aggregators": ("random_aggregators",
                                      lambda s: _FLAGS.get(s.strip().lower())),
-              "seed": ("graph_seed", int), "devices": ("devices", int)},
+              "seed": ("graph_seed", int)},
     "methods": {"list": ("methods", _split_list)},
     "train": {"epochs": ("epochs", int), "batch": ("batch_size", int), "lr": ("lr", float),
               "beta1": ("beta1", float), "beta2": ("beta2", float),
@@ -130,7 +130,6 @@ class ExperimentConfig:
     rgg_radius: float | None = None
     random_aggregators: bool = False
     graph_seed: int = 0
-    devices: int | None = None
     # methods
     methods: list = field(default_factory=lambda: ["VFL"])
     # training: every job's config is this one, with its method's dropout and its seed
@@ -166,10 +165,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.random_aggregators not in (True, False):  # None: not a word of _FLAGS
             raise ConfigError("[graph] random_aggregators must be 1, true, yes, 0, false or no")
-        if self.devices is not None and self.devices != self.device_count:
-            raise ConfigError(
-                f"[graph] devices = {self.devices} conflicts with grid side {self.grid_side} "
-                f"({self.device_count} patch clients)")
         checks = [("[dataset] grid", self.grid_side, 1), ("[dataset] seed", self.synth_seed, 0),
                   ("[graph] seed", self.graph_seed, 0), ("[eval] trials", self.trials, 1)]
         if self.dataset_kind == "synthetic":

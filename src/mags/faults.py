@@ -155,10 +155,8 @@ def markov_step(state: np.ndarray, model: FaultModel, graph: DeviceGraph, u) -> 
 
 
 def active_mask(realized: RealizedGraph, aggregators) -> np.ndarray:
-    """Bool mask over devices, shaped like ``realized.alive``: the
-    aggregators that are alive and whose entity link is alive at the final
-    round."""
+    """Bool mask over ``aggregators``, (..., K) like ``delivery``'s alive
+    mask: entry j says whether ``aggregators[j]`` is alive and its entity
+    link is alive at the final round."""
     aggs = np.asarray(aggregators, dtype=np.intp)
-    mask = np.zeros_like(realized.alive)
-    mask[..., aggs] = realized.alive[..., aggs] & realized.edge_alive[..., -1, 0, aggs]
-    return mask
+    return realized.alive[..., aggs] & realized.edge_alive[..., -1, 0, aggs]

@@ -28,6 +28,9 @@ from .topology import DeviceGraph
 
 # Encoder stacks matched to the standard patch sizes (hidden, representation).
 ENCODER_DIMS = {49: (16, 4), 196: (64, 16), 16: (4, 2)}
+# samples per stacked head pass of validation and evaluation, fixed: with
+# the head count it sets a pass's peak memory
+CHUNK_ROWS = 512
 
 
 def encoder_dims(patch_dim: int):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .faults import FAULT_KIND_IDS, RealizedGraph, active_mask, sample_realization
-from .inference import (SplitModel, aggregate, aggregator_head, delivery, mags_infer,
+from .inference import (CHUNK_ROWS, SplitModel, aggregate, aggregator_head, delivery, mags_infer,
                         sample_major)
 from .nn import log_softmax
 from .rng import stream
@@ -102,19 +102,19 @@ class EvalResult:
     seconds: float = field(compare=False)
 
 
-def score_policies(correct, active, valid, classes: int) -> dict:
+def score_policies(correct, active, valid, classes: int, devices: int) -> dict:
     """Every policy's expected per-sample outcome over a cell's batches,
     given the fault draw: each uniform pick is averaged out exactly
     (conditional Monte Carlo), so nothing is drawn.
 
-    ``correct`` is (nb, C+1, B): ``correct[i, d, j]`` says whether
-    aggregator device d's final prediction of sample j of batch i is right;
-    only an active device's entries are read, so a dead aggregator's row,
-    its head's output on no input, and a non-aggregator's are ignored.
-    ``active`` is the (nb, C+1) active mask and ``valid`` the (nb, B) mask
-    of the slots holding a sample. With n a batch's active aggregators, s
-    those of them right on a sample and M = ``classes``, ``active_rand``
-    scores s/n, ``active_best`` [s > 0], ``active_worst`` [s = n] and ``any_rand``
+    ``correct`` is (nb, K, B): ``correct[i, j, b]`` says whether aggregator
+    row j's final prediction of sample b of batch i is right; only an
+    active row's entries are read, so a dead aggregator's row, its head's
+    output on no input, is ignored. ``active`` is the (nb, K) active mask
+    and ``valid`` the (nb, B) mask of the slots holding a sample. With n a
+    batch's active aggregators, s those of them right on a sample, C =
+    ``devices`` and M = ``classes``, ``active_rand`` scores s/n,
+    ``active_best`` [s > 0], ``active_worst`` [s = n] and ``any_rand``
     (s·M + C − n) / (C·M): a pick among the C devices is right w.p. s/C,
     and after one of the C − n inactive ones the guess is right w.p. 1/M.
     One division makes it the same float as s/n at n = C, and at most s/n
@@ -122,14 +122,13 @@ def score_policies(correct, active, valid, classes: int) -> dict:
     aggregator scores 1/M under every policy, and a padded slot 0.
     Returns policy -> (nb, B) float64 values.
     """
-    c = correct.shape[1] - 1
     n = active.sum(axis=1)[:, None]
     s = (correct & active[:, :, None]).sum(axis=1)
     outcomes = {
         "active_rand": s / np.maximum(n, 1),
         "active_best": s > 0,
         "active_worst": s == n,
-        "any_rand": (s * classes + c - n) / (c * classes),
+        "any_rand": (s * classes + devices - n) / (devices * classes),
     }
     return {p: np.where(valid, np.where(n == 0, 1.0 / classes, o), 0.0)
             for p, o in outcomes.items()}
@@ -157,13 +156,15 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     every count reads the first G + 1 rounds of that one draw, which are
     what a draw of G + 1 rounds from the same stream would give, and the
     head pass reads the first round. One walk over the batches therefore
-    serves every count. The walk takes a cell's batches a chunk at a time,
-    each batch at full width: a trial's short last batch is filled from the
-    split's first samples, slots that no score reads. Each chunk makes one stacked ``aggregate``
-    and ``aggregator_head`` pass, every head running, a dead aggregator's on
-    the zeros of its all-False delivery row; then per count one stacked
-    gossip stage (``mags_infer``), whose argmax is recorded in the count's
-    (batches, C+1, batch) correctness array, row by aggregator device.
+    serves every count. The walk takes a cell's batches a chunk of
+    ``CHUNK_ROWS`` // batch of them at a time (at least one), each batch at
+    full width: a trial's short last batch is filled from the split's first
+    samples, slots that no score reads. Each chunk makes one stacked
+    ``aggregate`` and ``aggregator_head`` pass, every head running, a dead
+    aggregator's on the zeros of its all-False delivery row; then per count
+    one stacked gossip stage (``mags_infer``), whose argmax is recorded in
+    the count's (batches, K, batch) correctness array, row j for
+    ``graph.aggregators[j]``.
 
     After the walk, each count scores the whole cell in one
     ``score_policies`` pass. Each accuracy is one sum of the policy's
@@ -198,11 +199,11 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
     total = n * trials
     rows = sample_major(reps)
     aggs = np.asarray(graph.aggregators, dtype=np.intp)
-    # batches per stacked pass, fixed: it sets a pass's peak memory, not its
-    # bits. One mags eval on eval-sweep's inputs (16 heads, batches of 64,
-    # float32) took a median 0.547, 0.524 and 0.548 s of CPU time at 4, 8
-    # and 16 batches, and 0.601 s batch by batch
-    chunk = 8
+    # batches per stacked pass: a pass's peak memory, not its bits. One mags
+    # eval on eval-sweep's inputs (16 heads, batches of 64, float32) took a
+    # median 0.547, 0.524 and 0.548 s of CPU time at 4, 8 and 16 batches,
+    # and 0.601 s batch by batch
+    chunk = max(1, CHUNK_ROWS // width)
 
     grid, base_results = [], None
     for fault_model, key in zip(fault_models, keys):
@@ -213,18 +214,19 @@ def evaluate_policies(model: SplitModel, reps, labels, graph: DeviceGraph, fault
         realized = sample_realization(graph, fault_model, nb, max(counts) + 1,
                                       stream(seed, "fault", *key))
         keep = delivery(realized, aggs)[1]
-        correct = np.zeros((len(counts), nb, graph.device_count + 1, width), dtype=bool)
+        correct = np.zeros((len(counts), nb, aggs.size, width), dtype=bool)
         for i in range(0, nb, chunk):
             j = slice(i, i + chunk)
             values = aggregator_head(model, aggregate(rows[samples[j]], keep[j]))[0]
             for s, g in enumerate(counts):
                 final = mags_infer(values, aggs, realized[j], g)
-                correct[s][j, aggs] = final.argmax(axis=-1) == lab[j, None]
+                correct[s][j] = final.argmax(axis=-1) == lab[j, None]
 
         results = []
         for s, g in enumerate(counts):
             prefix = RealizedGraph(realized.alive, realized.edge_alive[:, :g + 1])
-            values = score_policies(correct[s], active_mask(prefix, graph.aggregators), valid, m)
+            values = score_policies(correct[s], active_mask(prefix, aggs), valid, m,
+                                    graph.device_count)
             comm = int(count_comm(prefix, graph.aggregators, g) @ sizes)
             results.append(({p: float(values[p].sum()) / total for p in policies},
                             comm / total))

@@ -25,8 +25,9 @@ import numpy as np
 from .data import COMPUTE_DTYPE, PartitionSpec, one_hot
 from .errors import ConfigError, InputError
 from .faults import FaultModel, RealizedGraph, base_realization, sample_realization
-from .inference import (SplitModel, aggregate, aggregator_head, delivery, gossip_adjoint,
-                        gossip_mix, init_split_model, mags_infer, sample_major)
+from .inference import (CHUNK_ROWS, SplitModel, aggregate, aggregator_head, delivery,
+                        gossip_adjoint, gossip_mix, init_split_model, mags_infer,
+                        sample_major)
 from .nn import (AdamState, adam_init, adam_update, log_softmax, mlp_backward, mlp_forward,
                  mlp_size, relu)
 from .rng import stream
@@ -246,15 +247,13 @@ def evaluate_split(model: SplitModel, views, labels, graph: DeviceGraph, rows, g
     realized = base_realization(graph, 1)[0]
     keep = delivery(realized, graph.aggregators)[1]
     loss_sum, hit_sum = 0.0, 0.0
-    # samples per encoder pass, fixed: the chunk sets the order of the loss
-    # sum (so the checkpointed best loss to the last bit) and, with the head
-    # count, the pass's peak memory. Every head runs in one pass: in
-    # float32, on the desk validation split (1600 rows, 16 clients, 16
-    # heads, 10 classes), the traced peak was 7.2 MiB, against 4.8 MiB in
-    # passes of 8 heads, in about the same time
-    chunk = 512
-    for start in range(0, len(rows), chunk):
-        idx = rows[start:start + chunk]
+    # CHUNK_ROWS also sets the order of the loss sum, so the checkpointed
+    # best loss to the last bit. Every head runs in one pass: in float32, on
+    # the desk validation split (1600 rows, 16 clients, 16 heads, 10
+    # classes), the traced peak was 7.2 MiB, against 4.8 MiB in passes of 8
+    # heads, in about the same time
+    for start in range(0, len(rows), CHUNK_ROWS):
+        idx = rows[start:start + CHUNK_ROWS]
         lab = labels[idx]
         x = np.take(views, idx, axis=1).astype(model.params.dtype, copy=False)
         loss, (*_, finals, _, _) = split_forward(model, x, one_hot(lab, model.class_count),

@@ -69,8 +69,7 @@ NON_DEFAULT = {
     "dataset": {"kind": "idx", "grid": "2", "classes": "4", "train_n": "100", "test_n": "50",
                 "noise": "0.1", "seed": "8", "train_images": "ti", "train_labels": "tl",
                 "test_images": "vi", "test_labels": "vl"},
-    "graph": {"kind": "ring", "rgg_radius": "1.5", "random_aggregators": "yes", "seed": "3",
-              "devices": "16"},
+    "graph": {"kind": "ring", "rgg_radius": "1.5", "random_aggregators": "yes", "seed": "3"},
     "methods": {"list": "MACL"},
     "train": {"epochs": "3", "batch": "32", "lr": "0.01", "beta1": "0.8", "beta2": "0.99",
               "dropout_rate": "0.2", "gossip_in_training": "1", "fault_kind": "device",
@@ -223,6 +222,9 @@ class TestLoadConfig:
         pytest.param("[eval]", "[evall]", r"unknown section \[evall\]", id="section-typo"),
         pytest.param("list = VFL", "lists = VFL", r"unknown key \[methods\] lists;",
                      id="key-typo-list"),
+        # a retired key: it could only equal grid^2
+        pytest.param("kind = complete", "kind = complete\ndevices = 4",
+                     r"unknown key \[graph\] devices;", id="retired-key-devices"),
     ])
     def test_bad_values_rejected_at_load(self, tmp_path, old, new, match):
         p = write_config(tmp_path)
@@ -239,12 +241,6 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")
-
-    def test_conflicting_device_count(self, tmp_path):
-        p = write_config(tmp_path)
-        p.write_text(p.read_text().replace("kind = complete", "kind = complete\ndevices = 9"))
-        with pytest.raises(ConfigError, match="devices"):
-            load_config(p)
 
     def test_known_keys_are_the_documented_keys(self):
         documented, section = {}, None
@@ -369,8 +365,7 @@ class TestLoadConfig:
     def test_every_listed_key_is_known_whatever_the_dataset_kind(self, tmp_path):
         p = write_config(tmp_path)
         p.write_text(p.read_text().replace("[graph]", "train_images = a\ntrain_labels = b\n"
-                                           "test_images = c\ntest_labels = d\n\n[graph]")
-                     .replace("kind = complete", "kind = complete\ndevices = 4"))
+                                           "test_images = c\ntest_labels = d\n\n[graph]"))
         cfg = load_config(p)
         assert cfg.dataset_kind == "synthetic" and cfg.idx_paths == {}
 

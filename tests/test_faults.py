@@ -21,7 +21,7 @@ def draw(sampler, graph, rate, rng):
 
 
 def active_ids(realized, aggregators):
-    return set(np.flatnonzero(active_mask(realized, aggregators)).tolist())
+    return {aggregators[j] for j in np.flatnonzero(active_mask(realized, aggregators))}
 
 
 class TestDeviceFaults:

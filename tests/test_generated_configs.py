@@ -1,7 +1,21 @@
-"""The determinism contracts, checked over generated configs.
+"""The determinism contracts, checked over a table of tiny configs.
 
-``helpers.generated_configs`` draws tiny experiment configs from a fixed
-seed. Each valid one is trained and evaluated through ``mags.cli.main`` at
+``VALID`` writes out 12 tiny train + eval configs and ``INVALID`` four
+that must fail at load, each an edit of a valid one. An id names the
+case's grid and graph (``-ra``: random aggregators), its methods, its
+train faults (``tf-``) and its eval fault kinds (``ef-``); a tag after
+the number names its dataset shape. Between them the valid cases reach
+every input a contract can hinge on: a 2 x 2 and a 4 x 4 grid of devices,
+every graph kind, random aggregators, every eval fault kind, each train
+setting (fault-free, CD-, PD-, device or communication) with and without
+gossip in training, each optional ``[train]`` key, a method on every
+device (K = C), Markov cells whose checkpoints of one seed take two
+gossip counts past 0, two trials, an IDX dataset (``idx``), a training
+pool and a test split that cross a 1024-row block (``blocks``), and a
+config of one job on a pool that crosses one (``one-job``). Every test
+split leaves a short last batch.
+
+Each valid config is trained and evaluated through ``mags.cli.main`` at
 one worker, again at one worker into the same directory, and at two
 workers into another. The three runs must write the same checkpoints,
 curves, ``aggregate.csv`` and ``runs.csv`` columns 1-8 (all but
@@ -12,22 +26,186 @@ back from the checkpoints, and every cell must keep the policy orderings.
 Each invalid config must stop at load.
 """
 
+import copy
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from mags import cli, metrics
 from mags.cli import main, read_runs_csv
-from mags.config import CONFIG_KEYS, load_config
-from mags.data import SYNTH_CHUNK_ROWS
+from mags.config import load_config
+from mags.data import Dataset, synth_dataset
 from mags.errors import ConfigError
-from mags.topology import GRAPH_KINDS
 from mags.training import load_checkpoint
 
-from helpers import EVAL_FAULT_KINDS, generated_configs
+from helpers import save_idx
 
-CASES = generated_configs()
-VALID = [case for case in CASES if case.error is None]
-INVALID = [case for case in CASES if case.error is not None]
+
+@dataclass(frozen=True)
+class Case:
+    """One experiment config: its ``sections`` (section -> key -> value,
+    the value as the checkpoint echoes it), the sizes of its training pool
+    and test split, and, for an invalid config, the pattern of the
+    ``ConfigError`` message its load must raise."""
+
+    id: str
+    sections: dict
+    sizes: tuple
+    error: str = None
+
+    def write(self, directory):
+        """Write the config, and the IDX files of an IDX dataset, into
+        ``directory``; return the config's path."""
+        sections = copy.deepcopy(self.sections)
+        data = sections["dataset"]
+        if data["kind"] == "idx":
+            pool = synth_dataset(sum(self.sizes), data["classes"], data["grid"], 1, 0.3)
+            for split, rows in (("train", slice(0, self.sizes[0])),
+                                ("test", slice(self.sizes[0], None))):
+                data[f"{split}_images"] = directory / f"{split}-images.idx"
+                data[f"{split}_labels"] = directory / f"{split}-labels.idx"
+                save_idx(Dataset(pool.features[rows], pool.labels[rows], data["classes"]),
+                         data[f"{split}_images"], data[f"{split}_labels"])
+        path = directory / "generated.ini"
+        path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                                for name, keys in sections.items()))
+        return path
+
+
+def invalid(id, base, error, **edits):
+    """``base`` with each section's keys updated by ``edits``, a None
+    value removing its key."""
+    sections = copy.deepcopy(base.sections)
+    for name, keys in edits.items():
+        sections[name] = {k: v for k, v in {**sections[name], **keys}.items() if v is not None}
+    return Case(id, sections, base.sizes, error)
+
+
+VALID = [
+    Case("00-complete2x2-ra-PD-2-MACL+PD-3-MACL+PD-MACL-tf-none-ef-markov_comm", {
+        "dataset": {"kind": "synthetic", "grid": 2, "classes": 3, "train_n": 150, "test_n": 107,
+                    "seed": 7},
+        "graph": {"kind": "complete", "random_aggregators": "yes", "seed": 2},
+        "methods": {"list": "PD-2-MACL, PD-3-MACL, PD-MACL"},
+        "train": {"epochs": 2, "batch": 16, "beta2": 0.99, "dropout_rate": 0.5,
+                  "gossip_in_training": 2},
+        "eval": {"fault_kinds": "markov_comm", "fault_rates": "0, 0.1, 0.5", "trials": 2},
+        "run": {"seeds": "1, 5"}}, (150, 107)),
+    Case("01-torus2x2-VFL-G1+2-MACL-G1+MACL-G1-tf-device0.2-ef-device+communication+markov_comm", {
+        "dataset": {"kind": "synthetic", "grid": 2, "classes": 5, "train_n": 145, "test_n": 51,
+                    "seed": 2},
+        "graph": {"kind": "torus"},
+        "methods": {"list": "VFL-G1, 2-MACL-G1, MACL-G1"},
+        "train": {"epochs": 2, "batch": 48, "fault_kind": "device", "fault_rate": 0.2},
+        "eval": {"fault_kinds": "device, communication, markov_comm", "fault_rates": "0, 0.3",
+                 "trials": 1},
+        "run": {"seeds": "1, 8"}}, (145, 51)),
+    Case("02-torus2x2-VFL-G2+MACL-G1+MACL-G3-tf-communication0.2-ef-markov_comm+device", {
+        "dataset": {"kind": "synthetic", "grid": 2, "classes": 3, "train_n": 234, "test_n": 52,
+                    "seed": 4},
+        "graph": {"kind": "torus"},
+        "methods": {"list": "VFL-G2, MACL-G1, MACL-G3"},
+        "train": {"epochs": 2, "batch": 16, "beta2": 0.99, "fault_kind": "communication",
+                  "fault_rate": 0.2},
+        "eval": {"fault_kinds": "markov_comm, device", "fault_rates": "0, 0.2, 0.3", "trials": 1},
+        "run": {"seeds": "3, 7"}}, (234, 52)),
+    Case("03-grid4x4-ra-PD-VFL-G1+7-MACL-G2+13-MACL-G1-tf-none-ef-communication+device"
+         "+markov_comm", {
+        "dataset": {"kind": "synthetic", "grid": 4, "classes": 5, "train_n": 252, "test_n": 104,
+                    "seed": 6},
+        "graph": {"kind": "grid", "random_aggregators": "yes", "seed": 4},
+        "methods": {"list": "PD-VFL-G1, 7-MACL-G2, 13-MACL-G1"},
+        "train": {"epochs": 1, "batch": 16},
+        "eval": {"fault_kinds": "communication, device, markov_comm", "fault_rates": "0, 0.1",
+                 "trials": 2},
+        "run": {"seeds": "2, 3"}}, (252, 104)),
+    Case("04-grid2x2-VFL-G2+2-MACL-G2+MACL-G1-tf-none-ef-communication", {
+        "dataset": {"kind": "synthetic", "grid": 2, "classes": 4, "train_n": 171, "test_n": 82,
+                    "seed": 6},
+        "graph": {"kind": "grid"},
+        "methods": {"list": "VFL-G2, 2-MACL-G2, MACL-G1"},
+        "train": {"epochs": 2, "batch": 32, "lr": 0.003, "gossip_in_training": 1},
+        "eval": {"fault_kinds": "communication", "fault_rates": "0, 0.2", "trials": 1},
+        "run": {"seeds": "2, 3"}}, (171, 82)),
+    Case("05-one-job-ring4x4-ra-CD-MACL-tf-none-ef-device+communication", {
+        "dataset": {"kind": "synthetic", "grid": 4, "classes": 3, "train_n": 1100, "test_n": 100,
+                    "seed": 6},
+        "graph": {"kind": "ring", "random_aggregators": "yes", "seed": 3},
+        "methods": {"list": "CD-MACL"},
+        "train": {"epochs": 1, "batch": 16, "beta1": 0.8, "beta2": 0.995,
+                  "gossip_in_training": 2},
+        "eval": {"fault_kinds": "device, communication", "fault_rates": "0, 0.2, 0.3",
+                 "trials": 2},
+        "run": {"seeds": "6"}}, (1100, 100)),
+    Case("06-ring2x2-ra-VFL-G2+MACL-G2-tf-none-ef-markov_comm", {
+        "dataset": {"kind": "synthetic", "grid": 2, "classes": 3, "train_n": 245, "test_n": 100,
+                    "seed": 2},
+        "graph": {"kind": "ring", "random_aggregators": "yes", "seed": 3},
+        "methods": {"list": "VFL-G2, MACL-G2"},
+        "train": {"epochs": 2, "batch": 48, "lr": 0.01, "beta1": 0.8, "beta2": 0.99,
+                  "dropout_rate": 0.5, "gossip_in_training": 1},
+        "eval": {"fault_kinds": "markov_comm", "fault_rates": "0, 0.3, 0.5", "trials": 2},
+        "run": {"seeds": "0, 2"}}, (245, 100)),
+    Case("07-blocks-rgg4x4-ra-7-MACL+15-MACL-G2+15-MACL-G3-tf-none-ef-device", {
+        "dataset": {"kind": "synthetic", "grid": 4, "classes": 5, "train_n": 2000, "test_n": 100,
+                    "seed": 2},
+        "graph": {"kind": "rgg", "rgg_radius": 1.5, "random_aggregators": "yes", "seed": 6},
+        "methods": {"list": "7-MACL, 15-MACL-G2, 15-MACL-G3"},
+        "train": {"epochs": 1, "batch": 48, "lr": 0.01, "beta1": 0.8},
+        "eval": {"fault_kinds": "device", "fault_rates": "0, 0.2", "trials": 1},
+        "run": {"seeds": "2, 3"}}, (2000, 100)),
+    Case("08-idx-rgg4x4-8-MACL+MACL-tf-device0.4-ef-communication+device+markov_comm", {
+        "dataset": {"kind": "idx", "grid": 4, "classes": 3},
+        "graph": {"kind": "rgg", "rgg_radius": 1.5},
+        "methods": {"list": "8-MACL, MACL"},
+        "train": {"epochs": 1, "batch": 48, "beta1": 0.95, "beta2": 0.99, "dropout_rate": 0.2,
+                  "gossip_in_training": 1, "fault_kind": "device", "fault_rate": 0.4},
+        "eval": {"fault_kinds": "communication, device, markov_comm",
+                 "fault_rates": "0, 0.1, 0.5", "trials": 2},
+        "run": {"seeds": "1, 9"}}, (1100, 100)),
+    Case("09-complete4x4-12-MACL-G1+13-MACL-tf-communication0.2-ef-device", {
+        "dataset": {"kind": "synthetic", "grid": 4, "classes": 3, "train_n": 249, "test_n": 119,
+                    "seed": 5},
+        "graph": {"kind": "complete"},
+        "methods": {"list": "12-MACL-G1, 13-MACL"},
+        "train": {"epochs": 2, "batch": 16, "lr": 0.003, "dropout_rate": 0.5,
+                  "gossip_in_training": 1, "fault_kind": "communication", "fault_rate": 0.2},
+        "eval": {"fault_kinds": "device", "fault_rates": "0, 0.3", "trials": 1},
+        "run": {"seeds": "3, 5"}}, (249, 119)),
+    Case("10-ring4x4-ra-CD-VFL+CD-12-MACL+MACL-G2+MACL-G3-tf-none-ef-communication+device", {
+        "dataset": {"kind": "synthetic", "grid": 4, "classes": 3, "train_n": 294, "test_n": 107,
+                    "seed": 9},
+        "graph": {"kind": "ring", "random_aggregators": "yes", "seed": 1},
+        "methods": {"list": "CD-VFL, CD-12-MACL, MACL-G2, MACL-G3"},
+        "train": {"epochs": 1, "batch": 32, "lr": 0.003, "beta1": 0.95, "dropout_rate": 0.5},
+        "eval": {"fault_kinds": "communication, device", "fault_rates": "0, 0.3, 0.5",
+                 "trials": 1},
+        "run": {"seeds": "1, 8"}}, (294, 107)),
+    Case("11-complete2x2-VFL+MACL-G1-tf-none-ef-markov_comm", {
+        "dataset": {"kind": "synthetic", "grid": 2, "classes": 5, "train_n": 279, "test_n": 67,
+                    "seed": 2},
+        "graph": {"kind": "complete"},
+        "methods": {"list": "VFL, MACL-G1"},
+        "train": {"epochs": 1, "batch": 32, "lr": 0.01, "beta1": 0.95, "beta2": 0.995,
+                  "dropout_rate": 0.2},
+        "eval": {"fault_kinds": "markov_comm", "fault_rates": "0, 0.2", "trials": 2},
+        "run": {"seeds": "1, 7"}}, (279, 67)),
+]
+INVALID = [
+    invalid("bad-rate-without-kind-torus2x2-VFL-G1+2-MACL-G1+MACL-G1-tf-none0.4-ef-device"
+            "+communication+markov_comm", VALID[1],
+            r"^\[train\] train fault rate 0.4 needs a fault_kind",
+            train={"fault_kind": None, "fault_rate": 0.4}),
+    invalid("bad-dropout-with-train-fault-ring4x4-ra-CD-MACL+VFL-tf-device0.4-ef-communication"
+            "+device", VALID[10], "CD dropout, which cannot be combined",
+            methods={"list": "CD-MACL, VFL"}, train={"fault_kind": "device", "fault_rate": 0.4}),
+    invalid("bad-markov-rate-rgg4x4-8-MACL+MACL-tf-device0.4-ef-markov_comm+device", VALID[8],
+            "markov_comm at rate 0.05",
+            eval={"fault_kinds": "markov_comm, device", "fault_rates": "0, 0.05"}),
+    invalid("bad-one-method-twice-complete2x2-MACL+4-MACL-tf-none-ef-markov_comm", VALID[11],
+            "'MACL' and '4-MACL' are one method", methods={"list": "MACL, 4-MACL"}),
+]
 # a [train] key's name in the checkpoint's config line, where it differs
 ECHO = {"batch": "batch_size", "gossip_in_training": "gossip_rounds",
         "fault_kind": "train_fault_kind", "fault_rate": "train_fault_rate"}
@@ -116,44 +294,3 @@ def test_generated_invalid_config_stops_at_load(case, tmp_path, capsys):
     assert main(["train", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
-
-
-def test_generated_configs_reach_every_contract_input():
-    assert len(VALID) >= 10 and len(INVALID) >= 4
-    assert any(case.id.startswith("bad-rate-without-kind") for case in INVALID)
-    sections = [case.sections for case in VALID]
-    assert {s["dataset"]["grid"] for s in sections} == {2, 4}
-    assert {s["graph"]["kind"] for s in sections} == set(GRAPH_KINDS)
-    assert any("random_aggregators" in s["graph"] for s in sections)
-    assert {k for s in sections for k in s["eval"]["fault_kinds"].split(", ")} == set(
-        EVAL_FAULT_KINDS)
-    # each train setting, with and without gossip in training
-    dropout = {"CD-": "CD-", "PD-": "PD-"}  # the first method's prefix, if any
-    settings = {(s["train"].get("fault_kind", dropout.get(s["methods"]["list"][:3], "none")),
-                 "gossip_in_training" in s["train"]) for s in sections}
-    assert settings == {(setting, gossip) for gossip in (False, True)
-                        for setting in ("none", "CD-", "PD-", "device", "communication")}
-    assert any(case.sections["eval"]["trials"] == 2
-               and case.sizes[1] % case.sections["train"]["batch"] for case in VALID)
-    assert {key for s in sections for key in s["train"]} == set(CONFIG_KEYS["train"])
-    assert any(name.split("-G")[0] in ("MACL", "CD-MACL", "PD-MACL")  # K = C
-               for s in sections for name in s["methods"]["list"].split(", "))
-
-    def largest_counts(methods):  # each checkpoint's largest gossip count
-        largest = {}
-        for name in methods.split(", "):
-            model, _, g = name.partition("-G")
-            largest[model] = max(largest.get(model, 0), int(g or 0))
-        return set(largest.values())
-
-    # Markov cells whose checkpoints of one seed draw two round counts past the first
-    assert any("markov_comm" in s["eval"]["fault_kinds"]
-               and len(largest_counts(s["methods"]["list"]) - {0}) > 1 for s in sections)
-    assert any(s["dataset"]["kind"] == "idx" for s in sections)
-    # a synthetic test split and a one-job training pool of two blocks or more
-    assert any(case.sections["dataset"]["kind"] == "synthetic"
-               and case.sizes[0] // SYNTH_CHUNK_ROWS < (sum(case.sizes) - 1) // SYNTH_CHUNK_ROWS
-               for case in VALID)
-    one_job = [case.sizes[0] for case in VALID
-               if "," not in case.sections["methods"]["list"] + case.sections["run"]["seeds"]]
-    assert max(one_job, default=0) > SYNTH_CHUNK_ROWS

@@ -9,7 +9,7 @@ from mags.data import client_views, make_splits, split_patches, synth_dataset
 from mags.errors import ConfigError, InputError
 from mags.faults import (FAULT_KIND_IDS, FaultModel, RealizedGraph, active_mask,
                          sample_comm_faults, sample_device_faults, sample_realization)
-from mags.inference import (aggregate, aggregator_head, client_encode, delivery,
+from mags.inference import (CHUNK_ROWS, aggregate, aggregator_head, client_encode, delivery,
                             init_split_model, mags_infer, sample_major)
 from mags.metrics import (POLICIES, count_comm, ensemble_decomposition, evaluate_policies,
                           score_policies)
@@ -103,7 +103,7 @@ class TestSelect:
                                   batch_size=1, seed=6)["active_rand"] for k in range(1, 5)])
         realized = sample_realization(graph, fault, draws, 1,
                                       stream(6, "fault", FAULT_KIND_IDS["device"], 300))
-        active = active_mask(realized, graph.aggregators)[:, 1:]
+        active = active_mask(realized, graph.aggregators)
         # with K = M = 4 the empty-set guess also lands on each class w.p. 1/4
         law = np.where(active.any(axis=1, keepdims=True),
                        active / np.maximum(active.sum(axis=1, keepdims=True), 1), 0.25)
@@ -125,13 +125,14 @@ class TestScorePolicies:
         (1, 2, (), (), (0.5,) * 4),                              # one device, dead
     ])
     def test_exact_values(self, c, m, active, right, expected):
-        # one batch of three slots: the sample, a copy of it, and padding
-        act = np.zeros((1, c + 1), dtype=bool)
-        act[0, list(active)] = True
-        correct = np.zeros((1, c + 1, 3), dtype=bool)
-        correct[0, list(right), :] = True  # the padding's flags must not count
+        # one batch of three slots: the sample, a copy of it, and padding;
+        # every device aggregates, device d on row d - 1
+        act = np.zeros((1, c), dtype=bool)
+        act[0, [d - 1 for d in active]] = True
+        correct = np.zeros((1, c, 3), dtype=bool)
+        correct[0, [d - 1 for d in right], :] = True  # the padding's flags must not count
         valid = np.array([[True, True, False]])
-        values = score_policies(correct, act, valid, m)
+        values = score_policies(correct, act, valid, m, c)
         for p, want in zip(("active_rand", "active_best", "active_worst", "any_rand"), expected):
             assert values[p].tolist() == [[want, want, 0.0]], p
 
@@ -140,10 +141,9 @@ class TestScorePolicies:
         # where s/n >= 1/M or n in {0, C}
         rng = np.random.default_rng(3)
         for c, m in ((1, 2), (3, 2), (4, 10), (16, 10)):
-            correct = rng.random((500, c + 1, 6)) < rng.random((500, 1, 1))
-            active = rng.random((500, c + 1)) < rng.random((500, 1))
-            active[:, 0] = False
-            v = score_policies(correct, active, np.ones((500, 6), dtype=bool), m)
+            correct = rng.random((500, c, 6)) < rng.random((500, 1, 1))
+            active = rng.random((500, c)) < rng.random((500, 1))
+            v = score_policies(correct, active, np.ones((500, 6), dtype=bool), m, c)
             n = active.sum(axis=1)[:, None]
             s = (correct & active[:, :, None]).sum(axis=1)
             assert np.all(v["active_best"] >= v["active_rand"])
@@ -156,9 +156,9 @@ class TestScorePolicies:
     def test_any_rand_above_active_rand_below_chance(self):
         # C = 4, M = 2: two active aggregators, both wrong. A pick of an
         # inactive device guesses right w.p. 1/2, one of the active is wrong
-        correct = np.zeros((1, 5, 1), dtype=bool)
-        active = np.array([[False, True, True, False, False]])
-        values = score_policies(correct, active, np.ones((1, 1), dtype=bool), 2)
+        correct = np.zeros((1, 4, 1), dtype=bool)
+        active = np.array([[True, True, False, False]])
+        values = score_policies(correct, active, np.ones((1, 1), dtype=bool), 2, 4)
         assert values["active_rand"].item() == 0.0
         assert values["any_rand"].item() == 0.25
 
@@ -172,9 +172,9 @@ class TestScorePolicies:
         reps = client_encode(model, client_views(ds.features[-300:], part))
         cells = []
 
-        def spy(correct, active, valid, classes):
+        def spy(correct, active, valid, classes, devices):
             cells.append((correct, active, valid))
-            return score_policies(correct, active, valid, classes)
+            return score_policies(correct, active, valid, classes, devices)
 
         monkeypatch.setattr(metrics, "score_policies", spy)
         faults = [FaultModel(kind, rate) for kind in ("communication", "device")
@@ -187,12 +187,12 @@ class TestScorePolicies:
             lab = np.full(valid.shape, -1)
             lab[valid] = np.tile(labels, 2)
             bounds = np.broadcast_to(np.maximum(active.sum(axis=1), 1)[:, None], valid.shape)
-            expected = score_policies(correct, active, valid, m)
+            expected = score_policies(correct, active, valid, m, c)
             sampled = dict.fromkeys(POLICIES, 0.0)
             for s in range(seeds):
                 rng = np.random.default_rng(s)
                 draws = np.zeros((3,) + valid.shape, dtype=np.int64)
-                draws[:, valid] = (rng.integers(m, size=total), rng.integers(1, c + 1, size=total),
+                draws[:, valid] = (rng.integers(m, size=total), rng.integers(c, size=total),
                                    rng.integers(bounds[valid]))
                 for p, o in sampled_score_policies(correct, active, lab, *draws).items():
                     sampled[p] += o.sum() / total / seeds
@@ -507,6 +507,7 @@ class TestEvaluatePolicies:
             return aggregator_head(model, agg_inputs)
 
         monkeypatch.setattr(metrics, "aggregator_head", counted_head)
+        monkeypatch.setattr(metrics, "CHUNK_ROWS", 128)  # chunks of 128 // 16 = 8 batches
         faults = [FaultModel(kind, 0.0) for kind in ("none", "device", "communication",
                                                      "markov_comm")]
         grid = evaluate_policies(model, reps, rng.integers(5, size=n), graph, faults,
@@ -520,8 +521,9 @@ class TestEvaluatePolicies:
 
     def test_dead_aggregators_take_one_head_pass_per_chunk_of_batches(self, monkeypatch):
         # every head runs on every batch, so batches that lost different
-        # aggregators stack: a device-fault cell makes one head pass per 8
-        # batches, whichever devices died in them
+        # aggregators stack: a device-fault cell makes one head pass per
+        # chunk of batches, whichever devices died in them; all 30 batches
+        # of 4 samples fit one chunk of CHUNK_ROWS rows
         from mags import metrics
         graph = build_graph("complete", 4, 4)
         model = init_split_model(graph, [16] * 4, 3, stream(4, "init"))
@@ -544,20 +546,20 @@ class TestEvaluatePolicies:
         faulty = int(lost.sum())
         assert faulty > 8 and len({tuple(row) for row in realized.alive[lost]}) > 4
         assert not lost.all()
-        assert passes == [8, 8, 8, 6]
+        assert passes == [30]
 
     @pytest.mark.parametrize("kind", ["none", "device", "communication"])
     def test_peak_memory_grows_with_trials_only_by_the_scoring_arrays(self, kind):
         # each chunk of batches is scored and dropped before the next: from
         # 2 to 8 trials the peak grows by the per-sample scoring arrays
         # (labels, per-sample expectations), under 3 times what the
-        # correctness array grows by (measured: 0.4, 2.2 and 1.9 times),
+        # correctness array grows by (measured: 1.5, 1.7 and 1.7 times),
         # where keeping every batch's head inputs would add 128 KiB per batch
         graph = build_graph("complete", 16, 16)
         model = init_split_model(graph, [16] * 16, 10, stream(1, "init"))
         model = dataclasses.replace(model, params=model.params.astype(np.float32))
         rng = np.random.default_rng(2)
-        n, width, counts = 256, 32, [0, 2, 4]
+        n, width, counts = CHUNK_ROWS, 32, [0, 2, 4]  # each trial fills a chunk
         reps = client_encode(model, rng.random((16, n, 16)).astype(np.float32))
         labels = rng.integers(10, size=n)
         fault = FaultModel(kind, 0.0 if kind == "none" else 0.3)
@@ -568,7 +570,7 @@ class TestEvaluatePolicies:
                               batch_size=width, trials=trials)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        correct_growth = len(counts) * (8 - 2) * n * 17  # bool, (counts, batches, C+1, width)
+        correct_growth = len(counts) * (8 - 2) * n * 16  # bool, (counts, batches, K, width)
         assert peaks[1] - peaks[0] < 3 * correct_growth
 
     def test_rejects_bad_gossip_counts(self, trained_small):
