@@ -519,6 +519,26 @@ class TestEvaluatePolicies:
         assert len(grid) == 4 and all(results is grid[0] for results in grid)
         assert len(grid[0]) == 2
 
+    def test_chunk_size_does_not_change_the_results(self, monkeypatch):
+        # the walk over a cell's batches, one batch a chunk, 3 a chunk (the
+        # last chunk short) or all 14 in one, gives the same results, bit
+        # for bit: chunking changes no sum's order
+        from mags import metrics
+        graph = build_graph("ring", 4, 4)
+        model = init_split_model(graph, [16] * 4, 3, stream(8, "init"))
+        rng = np.random.default_rng(8)
+        n = 100  # 7 batches of 16 a trial, the last one short
+        reps = client_encode(model, rng.random((4, n, 16)))
+        labels = rng.integers(3, size=n)
+        faults = [FaultModel(f, 0.3) for f in ("device", "communication", "markov_comm")]
+        results = []
+        for rows in (16, 48, CHUNK_ROWS):
+            monkeypatch.setattr(metrics, "CHUNK_ROWS", rows)
+            results.append(evaluate_policies(model, reps, labels, graph, faults, list(POLICIES),
+                                             [0, 2], seed=9, batch_size=16, trials=2))
+        assert CHUNK_ROWS // 16 >= 14
+        assert results[0] == results[1] == results[2]
+
     def test_dead_aggregators_take_one_head_pass_per_chunk_of_batches(self, monkeypatch):
         # every head runs on every batch, so batches that lost different
         # aggregators stack: a device-fault cell makes one head pass per
